@@ -8,9 +8,13 @@ maintenance happens to hold the lock on a *different* view; with
 per-view locks it only contends on the GIL's few-millisecond slices.
 
 The workload makes that concrete: one thread applies expensive updates
-(shortcut-edge insert/delete on a deep transitive closure, the DRed
-path) to a *heavy* view while four threads apply cheap pair updates to
-four independent *light* views.  We run the identical scenario under
+(cutting and restoring the middle edge of a deep transitive closure —
+a quarter of the closure retracts through the DRed path and re-derives,
+so the cost is in the *delta*; the single shortcut-edge batches used
+until the join kernel were expensive only because every firing scanned
+the resident view, and now take about a millisecond) to a *heavy* view
+while four threads apply cheap pair updates to four independent
+*light* views.  We run the identical scenario under
 ``lock_mode="global"`` (the old one-big-lock service) and
 ``lock_mode="view"`` (the sharded default) and compare light-update
 throughput.  The claim: sharding buys at least 2x on 4+ views.
@@ -53,7 +57,7 @@ LIGHT_VIEWS = 4
 HEAVY_OPS = 2 if SMOKE else 4
 HEAVY_CHAIN = (
     120 if SMOKE else 220
-)  # deep closure: one shortcut delta costs tens of ms
+)  # deep closure: a cut moves (HEAVY_CHAIN/2)^2 rows, tens of ms
 #: The speedup bar — relaxed at smoke scale, where the heavy batches
 #: are short enough that head-of-line blocking shrinks.
 SPEEDUP_BAR = 1.5 if SMOKE else 2.0
@@ -81,15 +85,15 @@ def _build_service(lock_mode):
 def _run_scenario(lock_mode):
     """(light_ops, elapsed_seconds) for one lock discipline."""
     service = _build_service(lock_mode)
-    source, target = Atom("h10"), Atom(f"h{HEAVY_CHAIN - 10}")
+    cut = Atom(f"h{HEAVY_CHAIN // 2}"), Atom(f"h{HEAVY_CHAIN // 2 + 1}")
     stop = threading.Event()
     light_counts = [0] * LIGHT_VIEWS
 
     def heavy_worker():
         try:
             for _ in range(HEAVY_OPS):
-                service.insert("heavy", "move", source, target)
-                service.delete("heavy", "move", source, target)
+                service.delete("heavy", "move", *cut)
+                service.insert("heavy", "move", *cut)
         finally:
             stop.set()
 

@@ -36,6 +36,7 @@ from .magic import (
     seed_name,
 )
 from .annotated import WeightedEvaluator, annotated_model, edb_annotations
+from .kernel import JoinKernel, Plan, compile_plan
 from .seminaive import DirectEvaluator, seminaive_stratified
 from .domain_independence import (
     DomainIndependenceProbe,
@@ -85,6 +86,9 @@ __all__ = [
     "DomainIndependenceProbe",
     "appears_domain_independent",
     "is_safe_hence_di",
+    "JoinKernel",
+    "Plan",
+    "compile_plan",
     "DirectEvaluator",
     "seminaive_stratified",
     "WeightedEvaluator",

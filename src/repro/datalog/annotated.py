@@ -73,10 +73,10 @@ def edb_annotations(database: Database, semiring: Semiring) -> AnnotationMap:
 class WeightedEvaluator:
     """Annotation maps plus the weighted rule-firing walker.
 
-    The walker mirrors :class:`~repro.datalog.seminaive.DirectEvaluator`
-    step-for-step over the compiled binding order, but each ``match``
-    step multiplies the row's annotation into the running weight, and
-    firing yields ``(head_row, weight)`` products instead of bare rows.
+    The walker follows the compiled binding order step by step (it is
+    not on the join kernel of :mod:`repro.datalog.kernel` yet): each
+    ``match`` step multiplies the row's annotation into the running
+    weight, and firing yields ``(head_row, weight)`` products.
     """
 
     def __init__(self, registry: Optional[FunctionRegistry], semiring: Semiring):

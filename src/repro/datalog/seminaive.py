@@ -4,9 +4,11 @@ The main engine grounds first and solves propositionally — the right
 architecture for the non-stratified semantics.  For *stratified*
 programs, the classical alternative evaluates rules directly over the
 database with delta iteration and never materialises a ground program.
-This module implements that route (tuple-at-a-time joins driven by the
-same binding-order analysis the grounder uses) as both a production
-fast-path and the ablation partner of benchmark P05.
+This module implements that route on the join kernel
+(:mod:`repro.datalog.kernel`: each literal over a changed predicate
+leads one firing with last round's rows, the rest of the body is index
+probes) as both a production fast-path and the ablation partner of
+benchmark P05.
 
 Negation is handled stratum by stratum: by the time a negative literal
 is consulted, its predicate is fully evaluated, so ``not q(ā)`` is a
@@ -15,191 +17,21 @@ simple lookup.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-from typing import Mapping
+from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from ..robustness import BudgetExceeded, EvaluationBudget, fault_point
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
-from .ast import Comparison, Const, FuncTerm, Literal, Program, Rule, Var, eval_term
+from .ast import Literal, Program
 from .database import Database
-from .grounding import binding_order, compiled_binding_order, _compare
+from .kernel import JoinKernel
 from .stratification import stratify
 
 __all__ = ["DirectEvaluator", "seminaive_stratified"]
 
-
-class DirectEvaluator:
-    """Indexed fact store + rule-firing machinery for direct evaluation.
-
-    Shared by :func:`seminaive_stratified` (from-scratch fixpoints) and
-    the service layer's incremental maintenance, which extends the same
-    delta discipline to deletions."""
-
-    def __init__(self, registry: Optional[FunctionRegistry]):
-        self.registry = registry
-        self.facts: Dict[str, Set[Tuple[Value, ...]]] = {}
-        self.index: Dict[str, Dict[Tuple[int, Value], Set[Tuple[Value, ...]]]] = {}
-
-    def rows(self, predicate: str) -> Set[Tuple[Value, ...]]:
-        """Current rows of a predicate."""
-        return self.facts.setdefault(predicate, set())
-
-    def add(self, predicate: str, row: Tuple[Value, ...]) -> bool:
-        """Add a row; True when new (updates the index)."""
-        rows = self.rows(predicate)
-        if row in rows:
-            return False
-        rows.add(row)
-        index = self.index.setdefault(predicate, {})
-        for position, value in enumerate(row):
-            index.setdefault((position, value), set()).add(row)
-        return True
-
-    def remove(self, predicate: str, row: Tuple[Value, ...]) -> bool:
-        """Remove a row; True when it was present (updates the index)."""
-        rows = self.facts.get(predicate)
-        if rows is None or row not in rows:
-            return False
-        rows.discard(row)
-        index = self.index.get(predicate)
-        if index:
-            for position, value in enumerate(row):
-                bucket = index.get((position, value))
-                if bucket is not None:
-                    bucket.discard(row)
-                    if not bucket:
-                        del index[(position, value)]
-        return True
-
-    def _candidates(self, literal: Literal, binding: Dict[Var, Value], rows):
-        index = self.index.get(literal.atom.predicate)
-        if not index:
-            return rows
-        best = rows
-        for position, arg in enumerate(literal.atom.args):
-            value = None
-            if isinstance(arg, Const):
-                value = arg.value
-            elif isinstance(arg, Var) and arg in binding:
-                value = binding[arg]
-            if value is None:
-                continue
-            bucket = index.get((position, value))
-            if bucket is None:
-                return ()
-            if len(bucket) < len(best):
-                best = bucket
-        return best
-
-    def _match(self, literal: Literal, binding: Dict[Var, Value], rows):
-        args = literal.atom.args
-        for row in rows:
-            if len(row) != len(args):
-                continue
-            extended = dict(binding)
-            ok = True
-            deferred = []
-            for arg, value in zip(args, row):
-                if isinstance(arg, Var):
-                    if arg in extended:
-                        if extended[arg] != value:
-                            ok = False
-                            break
-                    else:
-                        extended[arg] = value
-                elif isinstance(arg, Const):
-                    if arg.value != value:
-                        ok = False
-                        break
-                else:
-                    deferred.append((arg, value))
-            if not ok:
-                continue
-            for term, value in deferred:
-                if eval_term(term, extended, self.registry) != value:
-                    ok = False
-                    break
-            if ok:
-                yield extended
-
-    def fire(
-        self,
-        rule: Rule,
-        order,
-        delta_literal: Optional[int],
-        delta: Dict[str, Set[Tuple[Value, ...]]],
-        budget: Optional[EvaluationBudget] = None,
-    ) -> List[Tuple[Value, ...]]:
-        """All head rows derivable with the given delta discipline."""
-        produced: List[Tuple[Value, ...]] = []
-        if budget is not None:
-            budget.tick(phase="seminaive")
-
-        def walk(step: int, binding: Dict[Var, Value], match_seen: int) -> None:
-            if step == len(order):
-                head_row = tuple(
-                    eval_term(arg, binding, self.registry) for arg in rule.head.args
-                )
-                if all(value is not None for value in head_row):
-                    if budget is not None:
-                        budget.tick()
-                    produced.append(head_row)
-                return
-            kind, payload = order[step]
-            if kind == "match":
-                literal: Literal = payload
-                if match_seen == delta_literal:
-                    rows = delta.get(literal.atom.predicate, set())
-                else:
-                    rows = self._candidates(
-                        literal, binding, self.rows(literal.atom.predicate)
-                    )
-                for extended in self._match(literal, binding, list(rows)):
-                    walk(step + 1, extended, match_seen + 1)
-                return
-            if kind == "assign":
-                mode, comparison = payload
-                if mode == "assign-left":
-                    variable, expr = comparison.left, comparison.right
-                else:
-                    variable, expr = comparison.right, comparison.left
-                value = eval_term(expr, binding, self.registry)
-                if value is None:
-                    return
-                extended = dict(binding)
-                extended[variable] = value
-                walk(step + 1, extended, match_seen)
-                return
-            if kind == "test":
-                comparison = payload
-                left = eval_term(comparison.left, binding, self.registry)
-                right = eval_term(comparison.right, binding, self.registry)
-                if left is not None and right is not None and _compare(
-                    comparison.op, left, right
-                ):
-                    walk(step + 1, binding, match_seen)
-                return
-            if kind == "negtest":
-                literal = payload
-                row = tuple(
-                    eval_term(arg, binding, self.registry)
-                    for arg in literal.atom.args
-                )
-                if any(value is None for value in row):
-                    return
-                if row not in self.rows(literal.atom.predicate):
-                    walk(step + 1, binding, match_seen)
-                return
-            raise AssertionError(kind)
-
-        walk(0, {}, 0)
-        return produced
-
-
-# Backwards-compatible alias for the pre-service private name.
-_DirectEvaluator = DirectEvaluator
+#: The indexed fact store + rule-firing walk, shared with the service
+#: layer's maintenance engines, under its pre-kernel name.
+DirectEvaluator = JoinKernel
 
 
 def seminaive_stratified(
@@ -249,26 +81,47 @@ def seminaive_stratified(
         strata = stratify(program)
     height = max(strata.values(), default=0)
 
-    state = DirectEvaluator(registry)
+    state = JoinKernel(registry)
+    levels = []
+    for level in range(height + 1):
+        rules = [
+            rule for rule in program.rules if strata[rule.head.predicate] == level
+        ]
+        heads = {rule.head.predicate for rule in rules}
+        # Only a literal over this level's own heads ever sees a delta.
+        levels.append(
+            (
+                [state.plan(rule) for rule in rules],
+                [
+                    (item.atom.predicate, state.plan(rule, index))
+                    for rule in rules
+                    for index, item in enumerate(rule.body)
+                    if isinstance(item, Literal)
+                    and item.positive
+                    and item.atom.predicate in heads
+                ],
+            )
+        )
     for predicate in database.predicates():
         for row in database.rows(predicate):
             state.add(predicate, row)
 
-    for level in range(height + 1):
-        level_rules = [
-            (rule, compiled_binding_order(rule))
-            for rule in program.rules
-            if strata[rule.head.predicate] == level
-        ]
+    def absorb(plan, lead, sink) -> None:
+        if budget is not None:
+            budget.tick(phase="seminaive")
+        for row, _weight in state.fire(plan, lead, budget=budget):
+            if state.add(plan.head, row):
+                if budget is not None:
+                    budget.charge_facts()
+                sink.setdefault(plan.head, set()).add(row)
+
+    for level, (naive, variants) in enumerate(levels):
         # Naive first round.
         delta: Dict[str, Set[Tuple[Value, ...]]] = {}
-        for rule, order in level_rules:
-            for row in state.fire(rule, order, None, {}, budget):
-                if state.add(rule.head.predicate, row):
-                    if budget is not None:
-                        budget.charge_facts()
-                    delta.setdefault(rule.head.predicate, set()).add(row)
-        # Semi-naive rounds.
+        for plan in naive:
+            absorb(plan, None, delta)
+        # Semi-naive rounds: each literal over a predicate that changed
+        # last round leads one firing with exactly those rows.
         for _round in range(max_rounds):
             fault_point("seminaive.round")
             if budget is not None:
@@ -276,14 +129,10 @@ def seminaive_stratified(
             if not delta:
                 break
             next_delta: Dict[str, Set[Tuple[Value, ...]]] = {}
-            for rule, order in level_rules:
-                match_count = sum(1 for kind, _p in order if kind == "match")
-                for delta_literal in range(match_count):
-                    for row in state.fire(rule, order, delta_literal, delta, budget):
-                        if state.add(rule.head.predicate, row):
-                            if budget is not None:
-                                budget.charge_facts()
-                            next_delta.setdefault(rule.head.predicate, set()).add(row)
+            for predicate, plan in variants:
+                rows = delta.get(predicate)
+                if rows:
+                    absorb(plan, rows, next_delta)
             delta = next_delta
         else:
             raise BudgetExceeded(

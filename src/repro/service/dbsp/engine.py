@@ -38,10 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ...datalog.ast import Const, Literal, Rule, Var, eval_term
 from ...datalog.database import Database
-from ...datalog.grounding import _compare
-from ...datalog.seminaive import DirectEvaluator
+from ...datalog.kernel import NEW, OLD, JoinKernel, Plan
 from ...datalog.stratification import NotStratifiedError
 from ...relations.universe import FunctionRegistry
 from ...relations.values import Value
@@ -52,7 +50,7 @@ from ...robustness import (
 )
 from ..incremental import IncrementalMaintenanceError
 from ..metrics import ViewMetrics
-from ..registry import Component, PreparedProgram
+from ..registry import Component, PreparedProgram, Variant
 from .circuit import IncrementalDistinct, NegativeWeightError
 from .zset import ZSet
 
@@ -62,15 +60,13 @@ Row = Tuple[Value, ...]
 FactDelta = Dict[str, Set[Row]]
 Batch = Tuple[Iterable[Tuple[str, Row]], Iterable[Tuple[str, Row]]]
 
-# Row-source directives for the weighted variant walker.  For match
-# steps: NEW = current state, OLD = state rewound by the net deltas so
-# far, ("rows", S) = an explicit set, ("delta", Z) = the differentiated
-# input — rows drawn from a Z-set, each carrying its weight into the
-# product.  For negtest steps NEW/OLD test the ground atom against the
-# corresponding view, ("in", S) requires membership, and ("delta", Z)
-# contributes the atom's (already sign-flipped) delta weight.
-NEW = ("new",)
-OLD = ("old",)
+# Every firing below is one compiled plan of the join kernel
+# (:mod:`repro.datalog.kernel`): the literal that carries the delta — a
+# Z-set whose weights multiply into the product, or a plain row set —
+# leads, and the other literals are index probes read at the NEW view
+# (current state) or the OLD one (state rewound by the net deltas so
+# far).  A negated lead is handed the sign-flipped delta, or the set of
+# atoms whose flip is the trigger.
 
 
 class DBSPEngine:
@@ -105,7 +101,12 @@ class DBSPEngine:
         for predicate, row in prepared.seed_facts:
             if not self.edb.holds(predicate, *row):
                 self.edb.add(predicate, *row)
-        self.state = DirectEvaluator(registry)
+        self.state = JoinKernel(registry)
+        # Predicates some component schedules; a seed for any other
+        # changes the model directly.
+        self._scheduled: FrozenSet[str] = frozenset().union(
+            *(component.predicates for component in prepared.schedule)
+        )
         # One IncrementalDistinct node per non-recursive rule head: its
         # integrated weights count derivations (plus 1 per EDB row), so
         # presence is simply "integrated weight > 0".
@@ -123,7 +124,9 @@ class DBSPEngine:
     def initialize(self) -> None:
         """(Re)compute the model from scratch, establishing integrals."""
         fault_point("incremental.initialize")
-        self.state = DirectEvaluator(self.registry)
+        self.state = JoinKernel(self.registry)
+        for component in self.prepared.schedule:
+            self.state.register(*component.circuit.plans())
         self.distinct_nodes = {
             predicate: IncrementalDistinct() for predicate in self._linear
         }
@@ -141,42 +144,46 @@ class DBSPEngine:
             else:
                 self._initial_linear(component)
 
+    def _join(
+        self, plan: Plan, lead=None, before: int = NEW, after: int = NEW
+    ) -> List[Tuple[Row, int]]:
+        """Fire one compiled plan; accounts the firing and its rows."""
+        state = self.state
+        pulled = state.rows_matched
+        produced = state.fire(plan, lead, before, after)
+        self.metrics.bump("rules_fired")
+        self.metrics.bump("rows_matched", state.rows_matched - pulled)
+        return produced
+
     def _initial_linear(self, component: Component) -> None:
         (predicate,) = component.predicates
         node = self.distinct_nodes[predicate]
-        for rule, order in component.rules:
-            for head_row, weight in self._fire(rule, order, {}):
+        for plan in component.circuit.naive:
+            for head_row, weight in self._join(plan):
                 node.weights[head_row] = node.weights.get(head_row, 0) + weight
                 self.state.add(predicate, head_row)
 
     def _initial_fixpoint(self, component: Component) -> None:
+        circuit = component.circuit
+        state = self.state
         delta: FactDelta = {}
-        for rule, order in component.rules:
-            for row, _weight in self._fire(rule, order, {}):
-                if self.state.add(rule.head.predicate, row):
-                    delta.setdefault(rule.head.predicate, set()).add(row)
+        for plan in circuit.naive:
+            for row, _weight in self._join(plan):
+                if state.add(plan.head, row):
+                    delta.setdefault(plan.head, set()).add(row)
         for _round in range(self.max_rounds):
             if not delta:
                 return
             if self.budget is not None:
                 self.budget.note_iteration(phase="dbsp-initialize")
             next_delta: FactDelta = {}
-            for rule, order in component.rules:
-                for step, (kind, payload) in enumerate(order):
-                    if kind != "match":
-                        continue
-                    predicate = payload.atom.predicate
-                    if predicate not in component.predicates:
-                        continue
-                    rows = delta.get(predicate)
-                    if not rows:
-                        continue
-                    directives = {step: ("rows", rows)}
-                    for row, _weight in self._fire(rule, order, directives):
-                        if self.state.add(rule.head.predicate, row):
-                            next_delta.setdefault(
-                                rule.head.predicate, set()
-                            ).add(row)
+            for plan, predicate, _negated in circuit.internal:
+                rows = delta.get(predicate)
+                if not rows:
+                    continue
+                for row, _weight in self._join(plan, rows):
+                    if state.add(plan.head, row):
+                        next_delta.setdefault(plan.head, set()).add(row)
             delta = next_delta
         raise BudgetExceeded(
             f"component {sorted(component.predicates)} did not converge "
@@ -243,8 +250,8 @@ class DBSPEngine:
 
         plus: FactDelta = {}
         minus: FactDelta = {}
-        self._plus = plus
-        self._minus = minus
+        self.state.plus = plus
+        self.state.minus = minus
 
         try:
             self._run_circuit(seed)
@@ -273,12 +280,10 @@ class DBSPEngine:
 
     def _run_circuit(self, seed: Dict[str, ZSet]) -> None:
         """One step of the lifted circuit over the net EDB delta."""
-        scheduled: Set[str] = set()
-        for component in self.prepared.schedule:
-            scheduled |= component.predicates
+        plus, minus = self.state.plus, self.state.minus
         # Predicates no rule mentions change the model directly.
         for predicate, zset in seed.items():
-            if predicate not in scheduled:
+            if predicate not in self._scheduled:
                 self._commit_zset(predicate, zset)
 
         for component in self.prepared.schedule:
@@ -288,11 +293,10 @@ class DBSPEngine:
                     if zset:
                         self._commit_zset(predicate, zset)
                 continue
-            touched = any(
-                self._plus.get(p) or self._minus.get(p) or seed.get(p)
-                for p in self._body_predicates(component) | component.predicates
-            )
-            if not touched:
+            if not any(
+                plus.get(p) or minus.get(p) or seed.get(p)
+                for p in component.circuit.watch
+            ):
                 continue
             fault_point("incremental.component")
             if self.budget is not None:
@@ -302,49 +306,22 @@ class DBSPEngine:
             else:
                 self._linear_delta(component, seed)
 
-    def _body_predicates(self, component: Component) -> Set[str]:
-        predicates: Set[str] = set()
-        for rule, _order in component.rules:
-            for literal in rule.positive_literals() + rule.negative_literals():
-                predicates.add(literal.atom.predicate)
-        return predicates
-
     # -- net-delta bookkeeping ------------------------------------------------
-
-    def _commit_add(self, predicate: str, row: Row) -> bool:
-        if not self.state.add(predicate, row):
-            return False
-        minus = self._minus.get(predicate)
-        if minus is not None and row in minus:
-            minus.discard(row)
-        else:
-            self._plus.setdefault(predicate, set()).add(row)
-        return True
-
-    def _commit_remove(self, predicate: str, row: Row) -> bool:
-        if not self.state.remove(predicate, row):
-            return False
-        plus = self._plus.get(predicate)
-        if plus is not None and row in plus:
-            plus.discard(row)
-        else:
-            self._minus.setdefault(predicate, set()).add(row)
-        return True
 
     def _commit_zset(self, predicate: str, delta: ZSet) -> None:
         for row, weight in delta.items():
             if weight > 0:
-                self._commit_add(predicate, row)
+                self.state.commit_add(predicate, row)
             else:
-                self._commit_remove(predicate, row)
+                self.state.commit_remove(predicate, row)
 
     # -- linear components: one bilinearity sweep -----------------------------
 
     def _trigger(self, predicate: str, negate: bool = False) -> Optional[ZSet]:
         """The set-level delta of an already-maintained predicate, as a
         Z-set — sign-flipped for a negated occurrence (``Δ(¬q) = −Δq``)."""
-        plus = self._plus.get(predicate)
-        minus = self._minus.get(predicate)
+        plus = self.state.plus.get(predicate)
+        minus = self.state.minus.get(predicate)
         if not plus and not minus:
             return None
         zset = ZSet()
@@ -370,24 +347,10 @@ class DBSPEngine:
         seeded = seed.get(predicate)
         if seeded is not None:
             delta.update(seeded)
-        for rule, order in component.rules:
-            positions = [
-                step for step, (kind, _p) in enumerate(order)
-                if kind in ("match", "negtest")
-            ]
-            for index, step in enumerate(positions):
-                kind, payload = order[step]
-                trigger = self._trigger(
-                    payload.atom.predicate, negate=(kind == "negtest")
-                )
-                if trigger is None:
-                    continue
-                directives: Dict[int, Tuple] = {step: ("delta", trigger)}
-                for earlier in positions[:index]:
-                    directives[earlier] = NEW
-                for later in positions[index + 1:]:
-                    directives[later] = OLD
-                for head_row, weight in self._fire(rule, order, directives):
+        for plan, body_pred, negated in component.circuit.external:
+            trigger = self._trigger(body_pred, negate=negated)
+            if trigger is not None:
+                for head_row, weight in self._join(plan, trigger, NEW, OLD):
                     delta.add(head_row, weight)
         if delta:
             self._commit_zset(
@@ -423,7 +386,7 @@ class DBSPEngine:
             retracted = self._retract_closure(component, seed_minus)
             for predicate, rows in retracted.items():
                 for row in rows:
-                    self._commit_remove(predicate, row)
+                    self.state.commit_remove(predicate, row)
         with self.metrics.phase("rederive"):
             support_seeds = self._support_rederive(component, retracted)
         with self.metrics.phase("insert_close"):
@@ -444,9 +407,9 @@ class DBSPEngine:
                     retracted.setdefault(predicate, set()).add(row)
                     delta.setdefault(predicate, set()).add(row)
 
-        def collect(rule: Rule, order, directives) -> None:
-            predicate = rule.head.predicate
-            for head_row, _weight in self._fire(rule, order, directives):
+        def collect(variant: Variant, rows) -> None:
+            predicate = variant.plan.head
+            for head_row, _weight in self._join(variant.plan, rows, OLD, OLD):
                 if head_row not in self.state.facts.get(predicate, ()):
                     continue
                 if head_row in retracted.get(predicate, ()):
@@ -457,26 +420,13 @@ class DBSPEngine:
         # Round 0: derivations broken by *earlier-component* deltas — a
         # positive literal that lost rows, or a negated atom that
         # became true.  All other literals read the old view.
+        circuit = component.circuit
         next_delta: FactDelta = {}
-        for rule, order in component.rules:
-            for step, (kind, payload) in enumerate(order):
-                if kind == "match":
-                    body_pred = payload.atom.predicate
-                    if body_pred in component.predicates:
-                        continue
-                    trigger = self._minus.get(body_pred)
-                    if trigger:
-                        collect(
-                            rule, order,
-                            self._all_old(order, {step: ("rows", trigger)}),
-                        )
-                elif kind == "negtest":
-                    trigger = self._plus.get(payload.atom.predicate)
-                    if trigger:
-                        collect(
-                            rule, order,
-                            self._all_old(order, {step: ("in", trigger)}),
-                        )
+        for variant in circuit.external:
+            changed = self.state.plus if variant.negated else self.state.minus
+            trigger = changed.get(variant.predicate)
+            if trigger:
+                collect(variant, trigger)
         for predicate, rows in next_delta.items():
             delta.setdefault(predicate, set()).update(rows)
 
@@ -486,20 +436,10 @@ class DBSPEngine:
             if self.budget is not None:
                 self.budget.note_iteration(phase="dbsp-retract")
             next_delta = {}
-            for rule, order in component.rules:
-                for step, (kind, payload) in enumerate(order):
-                    if kind != "match":
-                        continue
-                    body_pred = payload.atom.predicate
-                    if body_pred not in component.predicates:
-                        continue
-                    rows = delta.get(body_pred)
-                    if not rows:
-                        continue
-                    collect(
-                        rule, order,
-                        self._all_old(order, {step: ("rows", rows)}),
-                    )
+            for variant in circuit.internal:
+                rows = delta.get(variant.predicate)
+                if rows:
+                    collect(variant, rows)
             delta = next_delta
         else:
             raise BudgetExceeded(
@@ -512,55 +452,26 @@ class DBSPEngine:
             self.metrics.bump("overdeleted_total", total)
         return retracted
 
-    def _all_old(self, order, overrides) -> Dict[int, Tuple]:
-        directives = dict(overrides)
-        for step, (kind, _payload) in enumerate(order):
-            if kind in ("match", "negtest") and step not in directives:
-                directives[step] = OLD
-        return directives
-
     def _support_rederive(
         self, component: Component, retracted: FactDelta
     ) -> FactDelta:
         """Rows with alternative support rejoin: still a base fact, or
         derivable from the post-retraction state (a per-row constrained
         query, not a full join)."""
+        probes = component.circuit.probes
         seeds: FactDelta = {}
         rederived = 0
         for predicate, rows in retracted.items():
             for row in rows:
-                restored = self.edb.holds(predicate, *row)
-                if not restored:
-                    for rule, order in component.rules:
-                        if rule.head.predicate != predicate:
-                            continue
-                        if self._derivable(rule, order, row):
-                            restored = True
-                            break
-                if restored:
-                    self._commit_add(predicate, row)
+                if self.edb.holds(predicate, *row) or any(
+                    self._join(plan, (row,)) for plan in probes.get(predicate, ())
+                ):
+                    self.state.commit_add(predicate, row)
                     seeds.setdefault(predicate, set()).add(row)
                     rederived += 1
         if rederived:
             self.metrics.bump("rederived_total", rederived)
         return seeds
-
-    def _derivable(self, rule: Rule, order, row: Row) -> bool:
-        """Does the rule derive exactly ``row`` from the current state?"""
-        binding: Dict[Var, Value] = {}
-        for arg, value in zip(rule.head.args, row):
-            if isinstance(arg, Var):
-                if arg in binding and binding[arg] != value:
-                    return False
-                binding[arg] = value
-            elif isinstance(arg, Const):
-                if arg.value != value:
-                    return False
-            # FuncTerm head args: checked against the produced row below.
-        for head_row, _weight in self._fire(rule, order, {}, initial=binding):
-            if head_row == row:
-                return True
-        return False
 
     def _insert_closure(
         self,
@@ -574,30 +485,23 @@ class DBSPEngine:
             delta.setdefault(predicate, set()).update(rows)
         for predicate in component.predicates:
             for row in seed_plus.get(predicate, ()):
-                if self._commit_add(predicate, row):
+                if self.state.commit_add(predicate, row):
                     delta.setdefault(predicate, set()).add(row)
 
-        def produce(rule: Rule, order, directives, sink: FactDelta) -> None:
-            predicate = rule.head.predicate
-            for head_row, _weight in self._fire(rule, order, directives):
-                if self._commit_add(predicate, head_row):
+        def produce(variant: Variant, rows, sink: FactDelta) -> None:
+            predicate = variant.plan.head
+            for head_row, _weight in self._join(variant.plan, rows):
+                if self.state.commit_add(predicate, head_row):
                     sink.setdefault(predicate, set()).add(head_row)
 
         # Round 0 triggers from earlier components: a positive literal
         # that gained rows, or a negated atom that became false.
-        for rule, order in component.rules:
-            for step, (kind, payload) in enumerate(order):
-                if kind == "match":
-                    body_pred = payload.atom.predicate
-                    if body_pred in component.predicates:
-                        continue
-                    trigger = self._plus.get(body_pred)
-                    if trigger:
-                        produce(rule, order, {step: ("rows", trigger)}, delta)
-                elif kind == "negtest":
-                    trigger = self._minus.get(payload.atom.predicate)
-                    if trigger:
-                        produce(rule, order, {step: ("in", trigger)}, delta)
+        circuit = component.circuit
+        for variant in circuit.external:
+            changed = self.state.minus if variant.negated else self.state.plus
+            trigger = changed.get(variant.predicate)
+            if trigger:
+                produce(variant, trigger, delta)
 
         for _round in range(self.max_rounds):
             if not delta:
@@ -605,147 +509,13 @@ class DBSPEngine:
             if self.budget is not None:
                 self.budget.note_iteration(phase="dbsp-insert-close")
             next_delta: FactDelta = {}
-            for rule, order in component.rules:
-                for step, (kind, payload) in enumerate(order):
-                    if kind != "match":
-                        continue
-                    body_pred = payload.atom.predicate
-                    if body_pred not in component.predicates:
-                        continue
-                    rows = delta.get(body_pred)
-                    if not rows:
-                        continue
-                    produce(rule, order, {step: ("rows", rows)}, next_delta)
+            for variant in circuit.internal:
+                rows = delta.get(variant.predicate)
+                if rows:
+                    produce(variant, rows, next_delta)
             delta = next_delta
         raise BudgetExceeded(
             f"insertion closure of {sorted(component.predicates)} did not "
             f"converge within {self.max_rounds} rounds",
             progress=self.budget.progress if self.budget is not None else None,
         )
-
-    # -- the weighted variant walker ------------------------------------------
-
-    def _old_holds(self, predicate: str, row: Row) -> bool:
-        if row in self._minus.get(predicate, ()):
-            return True
-        return (
-            row in self.state.facts.get(predicate, ())
-            and row not in self._plus.get(predicate, ())
-        )
-
-    def _match_rows(self, literal: Literal, binding, directive):
-        predicate = literal.atom.predicate
-        tag = directive[0]
-        if tag == "rows":
-            return directive[1]
-        base = self.state._candidates(
-            literal, binding, self.state.facts.get(predicate, set())
-        )
-        if tag == "new":
-            return base
-        if tag == "old":
-            plus = self._plus.get(predicate, ())
-            filtered = (
-                [row for row in base if row not in plus] if plus else list(base)
-            )
-            minus = self._minus.get(predicate)
-            if minus:
-                filtered.extend(minus)
-            return filtered
-        raise AssertionError(directive)
-
-    def _neg_passes(self, predicate: str, row: Row, directive) -> bool:
-        tag = directive[0]
-        if tag == "in":
-            return row in directive[1]
-        if tag == "new":
-            return row not in self.state.facts.get(predicate, ())
-        if tag == "old":
-            return not self._old_holds(predicate, row)
-        raise AssertionError(directive)
-
-    def _fire(
-        self,
-        rule: Rule,
-        order,
-        directives: Dict[int, Tuple],
-        initial: Optional[Dict[Var, Value]] = None,
-    ) -> List[Tuple[Row, int]]:
-        """All ``(head row, weight)`` pairs derivable under per-step
-        row-source directives.
-
-        Each leaf of the walk is one rule *instance*; its weight is the
-        product of the step weights, which is ±1: every step is a set
-        or set-level delta, and at most one step carries a delta.
-        """
-        self.metrics.bump("rules_fired")
-        produced: List[Tuple[Row, int]] = []
-        registry = self.registry
-        state = self.state
-
-        def emit(binding: Dict[Var, Value], weight: int) -> None:
-            head_row = tuple(
-                eval_term(arg, binding, registry) for arg in rule.head.args
-            )
-            if all(value is not None for value in head_row):
-                produced.append((head_row, weight))
-
-        def walk(step: int, binding: Dict[Var, Value], weight: int) -> None:
-            if step == len(order):
-                emit(binding, weight)
-                return
-            kind, payload = order[step]
-            if kind == "match":
-                literal: Literal = payload
-                directive = directives.get(step, NEW)
-                if directive[0] == "delta":
-                    for row, row_weight in directive[1].items():
-                        for extended in state._match(literal, binding, (row,)):
-                            walk(step + 1, extended, weight * row_weight)
-                    return
-                rows = self._match_rows(literal, binding, directive)
-                for extended in state._match(literal, binding, list(rows)):
-                    walk(step + 1, extended, weight)
-                return
-            if kind == "assign":
-                mode, comparison = payload
-                if mode == "assign-left":
-                    variable, expr = comparison.left, comparison.right
-                else:
-                    variable, expr = comparison.right, comparison.left
-                value = eval_term(expr, binding, registry)
-                if value is None:
-                    return
-                extended = dict(binding)
-                extended[variable] = value
-                walk(step + 1, extended, weight)
-                return
-            if kind == "test":
-                comparison = payload
-                left = eval_term(comparison.left, binding, registry)
-                right = eval_term(comparison.right, binding, registry)
-                if left is not None and right is not None and _compare(
-                    comparison.op, left, right
-                ):
-                    walk(step + 1, binding, weight)
-                return
-            if kind == "negtest":
-                literal = payload
-                row = tuple(
-                    eval_term(arg, binding, registry) for arg in literal.atom.args
-                )
-                if any(value is None for value in row):
-                    return
-                directive = directives.get(step, NEW)
-                if directive[0] == "delta":
-                    row_weight = directive[1].get(row)
-                    if row_weight:
-                        walk(step + 1, binding, weight * row_weight)
-                    return
-                if self._neg_passes(literal.atom.predicate, row, directive):
-                    walk(step + 1, binding, weight)
-                return
-            raise AssertionError(kind)
-
-        walk(0, dict(initial) if initial else {}, 1)
-        return produced

@@ -37,16 +37,14 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..datalog.ast import Const, Literal, Rule, Var, eval_term
 from ..datalog.database import Database
-from ..datalog.grounding import _compare
-from ..datalog.seminaive import DirectEvaluator
+from ..datalog.kernel import BOTH, NEW, OLD, JoinKernel, Plan
 from ..datalog.stratification import NotStratifiedError
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import BudgetExceeded, EvaluationBudget, ReproError, fault_point
 from .metrics import ViewMetrics
-from .registry import Component, PreparedProgram
+from .registry import Component, PreparedProgram, Variant
 
 __all__ = ["IncrementalEngine", "IncrementalMaintenanceError"]
 
@@ -66,16 +64,12 @@ class IncrementalMaintenanceError(ReproError):
     code = "incremental-maintenance"
 
 
-# Row-source directives interpreted by the variant walker.  For match
-# steps: NEW = current state, OLD = state rewound by the batch's net
-# deltas, BOTH = rows true before *and* after (unchanged), or an
-# explicit ("rows", S) delta set.  For negtest steps the same tags test
-# the ground atom against the corresponding view; ("in", S) instead
-# *requires* membership in S — the trigger form, used when the negated
-# atom's flip is exactly what fires the variant.
-NEW = ("new",)
-OLD = ("old",)
-BOTH = ("both",)
+# Every firing is one compiled plan of the join kernel
+# (:mod:`repro.datalog.kernel`): the changed literal leads with its
+# delta rows (for a negated literal, the atoms whose flip is the
+# trigger), the others are probed at the NEW view (current state), the
+# OLD one (rewound by the batch's net deltas) or BOTH (rows true before
+# *and* after, i.e. unchanged).
 
 
 class IncrementalEngine:
@@ -104,7 +98,7 @@ class IncrementalEngine:
         for predicate, row in prepared.seed_facts:
             if not self.edb.holds(predicate, *row):
                 self.edb.add(predicate, *row)
-        self.state = DirectEvaluator(registry)
+        self.state = JoinKernel(registry)
         # Exact derivation counts, kept only for non-recursive components.
         self.support: Dict[str, Dict[Row, int]] = {}
         self._counting: Set[str] = {
@@ -120,7 +114,9 @@ class IncrementalEngine:
     def initialize(self) -> None:
         """(Re)compute the model from scratch, establishing counts."""
         fault_point("incremental.initialize")
-        self.state = DirectEvaluator(self.registry)
+        self.state = JoinKernel(self.registry)
+        for component in self.prepared.schedule:
+            self.state.register(*component.circuit.plans())
         self.support = {predicate: {} for predicate in self._counting}
         for predicate in self.edb.predicates():
             for row in self.edb.rows(predicate):
@@ -133,40 +129,45 @@ class IncrementalEngine:
             else:
                 self._initial_counting(component)
 
+    def _join(
+        self, plan: Plan, lead=None, before: int = NEW, after: int = NEW
+    ) -> List[Row]:
+        """Fire one compiled plan; each row is one rule *instance* (a
+        full body binding) — the unit the counting path tallies."""
+        state = self.state
+        pulled = state.rows_matched
+        produced = state.fire(plan, lead, before, after)
+        self.metrics.bump("rules_fired")
+        self.metrics.bump("rows_matched", state.rows_matched - pulled)
+        return [row for row, _weight in produced]
+
     def _initial_counting(self, component: Component) -> None:
-        for rule, order in component.rules:
-            for head_row in self._fire_variant(rule, order, {}):
-                predicate = rule.head.predicate
-                counts = self.support[predicate]
+        for plan in component.circuit.naive:
+            counts = self.support[plan.head]
+            for head_row in self._join(plan):
                 counts[head_row] = counts.get(head_row, 0) + 1
-                self.state.add(predicate, head_row)
+                self.state.add(plan.head, head_row)
 
     def _initial_recursive(self, component: Component) -> None:
+        circuit = component.circuit
         delta: FactDelta = {}
-        for rule, order in component.rules:
-            for row in self._fire_variant(rule, order, {}):
-                if self.state.add(rule.head.predicate, row):
-                    delta.setdefault(rule.head.predicate, set()).add(row)
+        for plan in circuit.naive:
+            for row in self._join(plan):
+                if self.state.add(plan.head, row):
+                    delta.setdefault(plan.head, set()).add(row)
         for _round in range(self.max_rounds):
             if not delta:
                 return
             if self.budget is not None:
                 self.budget.note_iteration(phase="incremental-initialize")
             next_delta: FactDelta = {}
-            for rule, order in component.rules:
-                for step, (kind, payload) in enumerate(order):
-                    if kind != "match":
-                        continue
-                    predicate = payload.atom.predicate
-                    if predicate not in component.predicates:
-                        continue
-                    rows = delta.get(predicate)
-                    if not rows:
-                        continue
-                    directives = {step: ("rows", rows)}
-                    for row in self._fire_variant(rule, order, directives):
-                        if self.state.add(rule.head.predicate, row):
-                            next_delta.setdefault(rule.head.predicate, set()).add(row)
+            for plan, predicate, _negated in circuit.internal:
+                rows = delta.get(predicate)
+                if not rows:
+                    continue
+                for row in self._join(plan, rows):
+                    if self.state.add(plan.head, row):
+                        next_delta.setdefault(plan.head, set()).add(row)
             delta = next_delta
         raise BudgetExceeded(
             f"component {sorted(component.predicates)} did not converge "
@@ -227,8 +228,10 @@ class IncrementalEngine:
 
         plus: FactDelta = {}
         minus: FactDelta = {}
-        self._plus = plus
-        self._minus = minus
+        self.state.plus = plus
+        self.state.minus = minus
+        commit_add = self.state.commit_add
+        commit_remove = self.state.commit_remove
 
         scheduled = set()
         for component in self.prepared.schedule:
@@ -237,21 +240,21 @@ class IncrementalEngine:
         for predicate in set(seed_plus) | set(seed_minus):
             if predicate not in scheduled:
                 for row in seed_minus.get(predicate, ()):
-                    self._commit_remove(predicate, row)
+                    commit_remove(predicate, row)
                 for row in seed_plus.get(predicate, ()):
-                    self._commit_add(predicate, row)
+                    commit_add(predicate, row)
 
         for component in self.prepared.schedule:
             if not component.has_rules():
                 for predicate in component.predicates:
                     for row in seed_minus.get(predicate, ()):
-                        self._commit_remove(predicate, row)
+                        commit_remove(predicate, row)
                     for row in seed_plus.get(predicate, ()):
-                        self._commit_add(predicate, row)
+                        commit_add(predicate, row)
                 continue
             touched = any(
                 plus.get(p) or minus.get(p) or seed_plus.get(p) or seed_minus.get(p)
-                for p in self._body_predicates(component) | component.predicates
+                for p in component.circuit.watch
             )
             if not touched:
                 continue
@@ -326,35 +329,6 @@ class IncrementalEngine:
             },
         }
 
-    def _body_predicates(self, component: Component) -> Set[str]:
-        predicates: Set[str] = set()
-        for rule, _order in component.rules:
-            for literal in rule.positive_literals() + rule.negative_literals():
-                predicates.add(literal.atom.predicate)
-        return predicates
-
-    # -- net-delta bookkeeping ------------------------------------------------
-
-    def _commit_add(self, predicate: str, row: Row) -> bool:
-        if not self.state.add(predicate, row):
-            return False
-        minus = self._minus.get(predicate)
-        if minus is not None and row in minus:
-            minus.discard(row)
-        else:
-            self._plus.setdefault(predicate, set()).add(row)
-        return True
-
-    def _commit_remove(self, predicate: str, row: Row) -> bool:
-        if not self.state.remove(predicate, row):
-            return False
-        plus = self._plus.get(predicate)
-        if plus is not None and row in plus:
-            plus.discard(row)
-        else:
-            self._minus.setdefault(predicate, set()).add(row)
-        return True
-
     # -- counting maintenance (non-recursive components) ----------------------
 
     def _apply_counting(
@@ -366,52 +340,20 @@ class IncrementalEngine:
         touched |= seed_plus.get(predicate, set())
         touched |= seed_minus.get(predicate, set())
 
-        for rule, order in component.rules:
-            positions = [
-                step for step, (kind, _p) in enumerate(order)
-                if kind in ("match", "negtest")
-            ]
-            # Dying instances: first-changed literal at position k, every
-            # earlier literal unchanged-true, later ones old-true.
-            for index, step in enumerate(positions):
-                kind, payload = order[step]
-                body_pred = payload.atom.predicate
-                if kind == "match":
-                    trigger = self._minus.get(body_pred)
-                    directive = ("rows", trigger) if trigger else None
-                else:
-                    trigger = self._plus.get(body_pred)
-                    directive = ("in", trigger) if trigger else None
-                if directive is None:
-                    continue
-                directives = {step: directive}
-                for earlier in positions[:index]:
-                    directives[earlier] = BOTH
-                for later in positions[index + 1:]:
-                    directives[later] = OLD
-                for head_row in self._fire_variant(rule, order, directives):
-                    counts[head_row] = counts.get(head_row, 0) - 1
-                    touched.add(head_row)
-            # Newborn instances: symmetric, against the new view.
-            for index, step in enumerate(positions):
-                kind, payload = order[step]
-                body_pred = payload.atom.predicate
-                if kind == "match":
-                    trigger = self._plus.get(body_pred)
-                    directive = ("rows", trigger) if trigger else None
-                else:
-                    trigger = self._minus.get(body_pred)
-                    directive = ("in", trigger) if trigger else None
-                if directive is None:
-                    continue
-                directives = {step: directive}
-                for earlier in positions[:index]:
-                    directives[earlier] = BOTH
-                for later in positions[index + 1:]:
-                    directives[later] = NEW
-                for head_row in self._fire_variant(rule, order, directives):
-                    counts[head_row] = counts.get(head_row, 0) + 1
-                    touched.add(head_row)
+        plus, minus = self.state.plus, self.state.minus
+        # Each rule instance is enumerated once, at its first changed
+        # literal: every earlier literal unchanged-true, later ones at
+        # the old view (dying instances) or the new one (newborn).
+        for plan, body_pred, negated in component.circuit.external:
+            lost, gained = (plus, minus) if negated else (minus, plus)
+            for trigger, after, step in (
+                (lost.get(body_pred), OLD, -1),
+                (gained.get(body_pred), NEW, 1),
+            ):
+                if trigger:
+                    for head_row in self._join(plan, trigger, BOTH, after):
+                        counts[head_row] = counts.get(head_row, 0) + step
+                        touched.add(head_row)
 
         for row in touched:
             count = counts.get(row, 0)
@@ -423,9 +365,9 @@ class IncrementalEngine:
                 counts.pop(row, None)
             present_now = count > 0 or self.edb.holds(predicate, *row)
             if present_now:
-                self._commit_add(predicate, row)
+                self.state.commit_add(predicate, row)
             else:
-                self._commit_remove(predicate, row)
+                self.state.commit_remove(predicate, row)
 
     # -- DRed maintenance (recursive components) ------------------------------
 
@@ -438,7 +380,7 @@ class IncrementalEngine:
             overdeleted = self._overdelete(component, seed_minus)
             for predicate, rows in overdeleted.items():
                 for row in rows:
-                    self._commit_remove(predicate, row)
+                    self.state.commit_remove(predicate, row)
         with self.metrics.phase("rederive"):
             rederive_seeds = self._rederive(component, overdeleted)
         with self.metrics.phase("insert_close"):
@@ -462,9 +404,9 @@ class IncrementalEngine:
                     deleted.setdefault(predicate, set()).add(row)
                     delta.setdefault(predicate, set()).add(row)
 
-        def collect(rule: Rule, order, directives) -> None:
-            predicate = rule.head.predicate
-            for head_row in self._fire_variant(rule, order, directives):
+        def collect(variant: Variant, rows) -> None:
+            predicate = variant.plan.head
+            for head_row in self._join(variant.plan, rows, OLD, OLD):
                 if head_row not in self.state.facts.get(predicate, ()):
                     continue
                 if head_row in deleted.get(predicate, ()):
@@ -476,20 +418,13 @@ class IncrementalEngine:
         # positive literal that lost its row, or a negated atom that
         # became true.  Everything else in the body is read at the old
         # view, so exactly the derivations that existed before fire.
+        circuit = component.circuit
         next_delta: FactDelta = {}
-        for rule, order in component.rules:
-            for step, (kind, payload) in enumerate(order):
-                body_pred = payload.atom.predicate if kind in ("match", "negtest") else None
-                if kind == "match" and body_pred not in component.predicates:
-                    trigger = self._minus.get(body_pred)
-                    if trigger:
-                        directives = self._all_old(order, {step: ("rows", trigger)})
-                        collect(rule, order, directives)
-                elif kind == "negtest":
-                    trigger = self._plus.get(body_pred)
-                    if trigger:
-                        directives = self._all_old(order, {step: ("in", trigger)})
-                        collect(rule, order, directives)
+        for variant in circuit.external:
+            changed = self.state.plus if variant.negated else self.state.minus
+            trigger = changed.get(variant.predicate)
+            if trigger:
+                collect(variant, trigger)
         for predicate, rows in next_delta.items():
             delta.setdefault(predicate, set()).update(rows)
 
@@ -499,18 +434,10 @@ class IncrementalEngine:
             if self.budget is not None:
                 self.budget.note_iteration(phase="incremental-overdelete")
             next_delta = {}
-            for rule, order in component.rules:
-                for step, (kind, payload) in enumerate(order):
-                    if kind != "match":
-                        continue
-                    body_pred = payload.atom.predicate
-                    if body_pred not in component.predicates:
-                        continue
-                    rows = delta.get(body_pred)
-                    if not rows:
-                        continue
-                    directives = self._all_old(order, {step: ("rows", rows)})
-                    collect(rule, order, directives)
+            for variant in circuit.internal:
+                rows = delta.get(variant.predicate)
+                if rows:
+                    collect(variant, rows)
             delta = next_delta
         else:
             raise BudgetExceeded(
@@ -523,55 +450,26 @@ class IncrementalEngine:
             self.metrics.bump("overdeleted_total", total)
         return deleted
 
-    def _all_old(self, order, overrides) -> Dict[int, Tuple]:
-        directives = dict(overrides)
-        for step, (kind, _payload) in enumerate(order):
-            if kind in ("match", "negtest") and step not in directives:
-                directives[step] = OLD
-        return directives
-
     def _rederive(
         self, component: Component, overdeleted: FactDelta
     ) -> FactDelta:
         """DRed phase 2: restore over-deleted rows with alternative
         support — base facts still in the EDB, or a derivation from the
         post-deletion state (a per-row constrained query)."""
+        probes = component.circuit.probes
         seeds: FactDelta = {}
         rederived = 0
         for predicate, rows in overdeleted.items():
             for row in rows:
-                restored = self.edb.holds(predicate, *row)
-                if not restored:
-                    for rule, order in component.rules:
-                        if rule.head.predicate != predicate:
-                            continue
-                        if self._derivable(rule, order, row):
-                            restored = True
-                            break
-                if restored:
-                    self._commit_add(predicate, row)
+                if self.edb.holds(predicate, *row) or any(
+                    self._join(plan, (row,)) for plan in probes.get(predicate, ())
+                ):
+                    self.state.commit_add(predicate, row)
                     seeds.setdefault(predicate, set()).add(row)
                     rederived += 1
         if rederived:
             self.metrics.bump("rederived_total", rederived)
         return seeds
-
-    def _derivable(self, rule: Rule, order, row: Row) -> bool:
-        """Does the rule derive exactly ``row`` from the current state?"""
-        binding: Dict[Var, Value] = {}
-        for arg, value in zip(rule.head.args, row):
-            if isinstance(arg, Var):
-                if arg in binding and binding[arg] != value:
-                    return False
-                binding[arg] = value
-            elif isinstance(arg, Const):
-                if arg.value != value:
-                    return False
-            # FuncTerm head args: checked against the produced row below.
-        for head_row in self._fire_variant(rule, order, {}, initial=binding):
-            if head_row == row:
-                return True
-        return False
 
     def _insert_close(
         self,
@@ -586,30 +484,23 @@ class IncrementalEngine:
             delta.setdefault(predicate, set()).update(rows)
         for predicate in component.predicates:
             for row in seed_plus.get(predicate, ()):
-                if self._commit_add(predicate, row):
+                if self.state.commit_add(predicate, row):
                     delta.setdefault(predicate, set()).add(row)
 
-        def produce(rule: Rule, order, directives, sink: FactDelta) -> None:
-            predicate = rule.head.predicate
-            for head_row in self._fire_variant(rule, order, directives):
-                if self._commit_add(predicate, head_row):
+        def produce(variant: Variant, rows, sink: FactDelta) -> None:
+            predicate = variant.plan.head
+            for head_row in self._join(variant.plan, rows):
+                if self.state.commit_add(predicate, head_row):
                     sink.setdefault(predicate, set()).add(head_row)
 
         # Round 0 triggers from earlier components: a positive literal
         # that gained rows, or a negated atom that became false.
-        for rule, order in component.rules:
-            for step, (kind, payload) in enumerate(order):
-                if kind == "match":
-                    body_pred = payload.atom.predicate
-                    if body_pred in component.predicates:
-                        continue
-                    trigger = self._plus.get(body_pred)
-                    if trigger:
-                        produce(rule, order, {step: ("rows", trigger)}, delta)
-                elif kind == "negtest":
-                    trigger = self._minus.get(payload.atom.predicate)
-                    if trigger:
-                        produce(rule, order, {step: ("in", trigger)}, delta)
+        circuit = component.circuit
+        for variant in circuit.external:
+            changed = self.state.minus if variant.negated else self.state.plus
+            trigger = changed.get(variant.predicate)
+            if trigger:
+                produce(variant, trigger, delta)
 
         for _round in range(self.max_rounds):
             if not delta:
@@ -617,137 +508,13 @@ class IncrementalEngine:
             if self.budget is not None:
                 self.budget.note_iteration(phase="incremental-insert-close")
             next_delta: FactDelta = {}
-            for rule, order in component.rules:
-                for step, (kind, payload) in enumerate(order):
-                    if kind != "match":
-                        continue
-                    body_pred = payload.atom.predicate
-                    if body_pred not in component.predicates:
-                        continue
-                    rows = delta.get(body_pred)
-                    if not rows:
-                        continue
-                    produce(rule, order, {step: ("rows", rows)}, next_delta)
+            for variant in circuit.internal:
+                rows = delta.get(variant.predicate)
+                if rows:
+                    produce(variant, rows, next_delta)
             delta = next_delta
         raise BudgetExceeded(
             f"insertion closure of {sorted(component.predicates)} did not "
             f"converge within {self.max_rounds} rounds",
             progress=self.budget.progress if self.budget is not None else None,
         )
-
-    # -- the variant walker ---------------------------------------------------
-
-    def _old_holds(self, predicate: str, row: Row) -> bool:
-        if row in self._minus.get(predicate, ()):
-            return True
-        return (
-            row in self.state.facts.get(predicate, ())
-            and row not in self._plus.get(predicate, ())
-        )
-
-    def _match_rows(self, literal: Literal, binding, directive):
-        predicate = literal.atom.predicate
-        tag = directive[0]
-        if tag == "rows":
-            return directive[1]
-        base = self.state._candidates(
-            literal, binding, self.state.facts.get(predicate, set())
-        )
-        if tag == "new":
-            return base
-        plus = self._plus.get(predicate, ())
-        filtered = [row for row in base if row not in plus] if plus else list(base)
-        if tag == "both":
-            return filtered
-        if tag == "old":
-            minus = self._minus.get(predicate)
-            if minus:
-                filtered.extend(minus)
-            return filtered
-        raise AssertionError(directive)
-
-    def _neg_passes(self, predicate: str, row: Row, directive) -> bool:
-        tag = directive[0]
-        if tag == "in":
-            return row in directive[1]
-        if tag == "new":
-            return row not in self.state.facts.get(predicate, ())
-        if tag == "old":
-            return not self._old_holds(predicate, row)
-        if tag == "both":
-            return (
-                row not in self.state.facts.get(predicate, ())
-                and row not in self._minus.get(predicate, ())
-            )
-        raise AssertionError(directive)
-
-    def _fire_variant(
-        self,
-        rule: Rule,
-        order,
-        directives: Dict[int, Tuple],
-        initial: Optional[Dict[Var, Value]] = None,
-    ) -> List[Row]:
-        """All head rows derivable under per-step row-source directives.
-
-        Each leaf of the walk is one rule *instance* (a full body
-        binding) — the unit the counting path tallies.
-        """
-        self.metrics.bump("rules_fired")
-        produced: List[Row] = []
-        registry = self.registry
-        state = self.state
-
-        def walk(step: int, binding: Dict[Var, Value]) -> None:
-            if step == len(order):
-                head_row = tuple(
-                    eval_term(arg, binding, registry) for arg in rule.head.args
-                )
-                if all(value is not None for value in head_row):
-                    produced.append(head_row)
-                return
-            kind, payload = order[step]
-            if kind == "match":
-                literal: Literal = payload
-                directive = directives.get(step, NEW)
-                rows = self._match_rows(literal, binding, directive)
-                for extended in state._match(literal, binding, list(rows)):
-                    walk(step + 1, extended)
-                return
-            if kind == "assign":
-                mode, comparison = payload
-                if mode == "assign-left":
-                    variable, expr = comparison.left, comparison.right
-                else:
-                    variable, expr = comparison.right, comparison.left
-                value = eval_term(expr, binding, registry)
-                if value is None:
-                    return
-                extended = dict(binding)
-                extended[variable] = value
-                walk(step + 1, extended)
-                return
-            if kind == "test":
-                comparison = payload
-                left = eval_term(comparison.left, binding, registry)
-                right = eval_term(comparison.right, binding, registry)
-                if left is not None and right is not None and _compare(
-                    comparison.op, left, right
-                ):
-                    walk(step + 1, binding)
-                return
-            if kind == "negtest":
-                literal = payload
-                row = tuple(
-                    eval_term(arg, binding, registry) for arg in literal.atom.args
-                )
-                if any(value is None for value in row):
-                    return
-                directive = directives.get(step, NEW)
-                if self._neg_passes(literal.atom.predicate, row, directive):
-                    walk(step + 1, binding)
-                return
-            raise AssertionError(kind)
-
-        walk(0, dict(initial) if initial else {})
-        return produced

@@ -43,6 +43,8 @@ _COUNTERS = (
     "delta_plus_total",
     "delta_minus_total",
     "rules_fired",
+    # Rows the join kernel pulled from index buckets and row sets.
+    "rows_matched",
     "overdeleted_total",
     "rederived_total",
     "incremental_batches",

@@ -21,18 +21,21 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 import networkx as nx
 
-from ..datalog.ast import Program, Rule
+from ..datalog.ast import Literal, Program, Rule
 from ..datalog.database import Database
 from ..datalog.grounding import GroundProgram, compiled_binding_order, ground
+from ..datalog.kernel import HEAD, Plan, compile_plan
 from ..datalog.parser import parse_program
 from ..datalog.stratification import dependency_graph, is_stratified, stratify
 from ..relations.universe import FunctionRegistry
 
 __all__ = [
+    "Circuit",
     "Component",
     "PreparedProgram",
     "ProgramRegistry",
@@ -53,6 +56,39 @@ def split_program_and_facts(program: Program) -> Tuple[Program, Database]:
     return Program(tuple(rules), name=program.name), database
 
 
+class Variant(NamedTuple):
+    """One lead-first firing: body literal ``plan.pivot`` carries the delta."""
+
+    plan: Plan
+    predicate: str
+    negated: bool
+
+
+class Circuit(NamedTuple):
+    """Everything a maintenance step needs from a component that depends
+    only on the program: compiled once, shared by every engine."""
+
+    #: Predicates whose change touches the component (body + own).
+    watch: FrozenSet[str]
+    #: One no-lead plan per rule (initial evaluation).
+    naive: Tuple[Plan, ...]
+    #: Positive leads over the component's own predicates (fixpoint rounds).
+    internal: Tuple[Variant, ...]
+    #: Leads over earlier components (triggers; every variant of a
+    #: non-recursive component).
+    external: Tuple[Variant, ...]
+    #: Head predicate → head-bound plans (re-derivation probes).
+    probes: Dict[str, Tuple[Plan, ...]]
+
+    def plans(self) -> Tuple[Plan, ...]:
+        """Every plan above (what a kernel registers indexes for)."""
+        return (
+            self.naive
+            + tuple(variant.plan for variant in self.internal + self.external)
+            + tuple(plan for plans in self.probes.values() for plan in plans)
+        )
+
+
 @dataclass(frozen=True)
 class Component:
     """One strongly connected component of the predicate graph.
@@ -70,6 +106,35 @@ class Component:
     def has_rules(self) -> bool:
         """False for pure-EDB components (no rule derives them)."""
         return bool(self.rules)
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        """The component's compiled firings (built on first use)."""
+        watch = set(self.predicates)
+        internal, external = [], []
+        probes: Dict[str, Tuple[Plan, ...]] = {}
+        for rule, _order in self.rules:
+            head = rule.head.predicate
+            probes[head] = probes.get(head, ()) + (compile_plan(rule, HEAD),)
+            for index, item in enumerate(rule.body):
+                if not isinstance(item, Literal):
+                    continue
+                predicate = item.atom.predicate
+                watch.add(predicate)
+                variant = Variant(
+                    compile_plan(rule, index), predicate, not item.positive
+                )
+                if item.positive and predicate in self.predicates:
+                    internal.append(variant)
+                else:
+                    external.append(variant)
+        return Circuit(
+            frozenset(watch),
+            tuple(compile_plan(rule) for rule, _order in self.rules),
+            tuple(internal),
+            tuple(external),
+            probes,
+        )
 
 
 @dataclass

@@ -242,3 +242,44 @@ def test_insert_then_delete_cancels_before_rules_fire(seed):
     )
     assert engine.metrics.counters["circuit_steps"] == 1
     assert engine.metrics.counters["delta_batches_coalesced"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Work bound: a write costs its delta, not the resident view
+# ---------------------------------------------------------------------------
+
+_CHAIN_TC = """
+tc(X, Y) :- edge(X, Y).
+tc(X, Z) :- tc(X, Y), edge(Y, Z).
+"""
+
+
+def _leaf_toggle_work(chains, length=24):
+    """(rows matched, delta rows) of inserting, then deleting, a leaf
+    edge at the end of one chain of a ``chains`` x ``length`` tc view."""
+    database = Database()
+    for k in range(chains):
+        for i in range(length):
+            database.add("edge", f"c{k}n{i}", f"c{k}n{i + 1}")
+    engine = DBSPEngine(prepare_program("chains", _CHAIN_TC), database)
+    assert len(engine.rows("tc")) == chains * length * (length + 1) // 2
+    leaf = ("edge", (f"c0n{length}", "leaf"))
+    work = []
+    for batch in ({"inserts": [leaf]}, {"deletes": [leaf]}):
+        before = engine.metrics.counters["rows_matched"]
+        summary = engine.apply(**batch)
+        delta_rows = summary["delta_plus"] + summary["delta_minus"]
+        assert delta_rows == length + 2, "the edge plus one tc row per chain node"
+        work.append((engine.metrics.counters["rows_matched"] - before, delta_rows))
+    return work
+
+
+def test_leaf_toggle_cost_is_independent_of_resident_size():
+    """The kernel drives every firing from the delta: a leaf-edge toggle
+    pulls a bounded number of rows per delta row, and exactly as many on
+    a view three times the size.  Counts, not clocks."""
+    large = _leaf_toggle_work(30)
+    small = _leaf_toggle_work(10)
+    assert large == small, "rows matched must not depend on resident rows"
+    for matched, delta_rows in large:
+        assert 0 < matched <= 8 * delta_rows, (matched, delta_rows)
