@@ -452,11 +452,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         else:
             try:
+                # One flush per reply: a client on a pipe gets each
+                # answer when it is complete, not when 8 kB pile up.
                 serve_stream(
                     service,
                     sys.stdin,
                     print,
                     max_request_bytes=args.max_request_bytes,
+                    flush=sys.stdout.flush,
                 )
             except KeyboardInterrupt:
                 pass  # SIGTERM/SIGINT: fall through to the graceful close

@@ -329,28 +329,15 @@ class WorkerHandle:
                         f"shard {self.shard_id} is down (respawn in progress)"
                     )
                 conn = await self._checkout()
-                reader, _writer = conn
+                reader, writer = conn
                 try:
-                    _writer.write(line.encode("utf-8") + b"\n")
-                    await _writer.drain()
-                    replies: List[str] = []
-                    while True:
-                        raw = await asyncio.wait_for(
-                            reader.readline(), timeout
-                        )
-                        if not raw:
-                            raise ConnectionResetError(
-                                "worker closed the connection mid-reply"
-                            )
-                        text = raw.decode("utf-8").rstrip("\r\n")
-                        replies.append(text)
-                        if (
-                            text == "ok"
-                            or text.startswith("ok ")
-                            or text.startswith("error")
-                        ):
-                            self._checkin(conn)
-                            return replies
+                    writer.write(line.encode("utf-8") + b"\n")
+                    await writer.drain()
+                    # One deadline for the whole reply, however many
+                    # lines it has.
+                    replies = await asyncio.wait_for(
+                        self._read_reply(reader), timeout
+                    )
                 except (
                     OSError,
                     ConnectionError,
@@ -362,8 +349,29 @@ class WorkerHandle:
                     raise WorkerUnavailable(
                         f"shard {self.shard_id}: {type(exc).__name__}: {exc}"
                     ) from exc
+                self._checkin(conn)
+                return replies
         finally:
             self.inflight -= 1
+
+    @staticmethod
+    async def _read_reply(reader: asyncio.StreamReader) -> List[str]:
+        """The reply lines of one request, terminator last."""
+        replies: List[str] = []
+        while True:
+            raw = await reader.readline()
+            if not raw:
+                raise ConnectionResetError(
+                    "worker closed the connection mid-reply"
+                )
+            text = raw.decode("utf-8").rstrip("\r\n")
+            replies.append(text)
+            if (
+                text == "ok"
+                or text.startswith("ok ")
+                or text.startswith("error")
+            ):
+                return replies
 
     def __repr__(self) -> str:
         state = (

@@ -45,6 +45,9 @@ _COUNTERS = (
     "rules_fired",
     # Rows the join kernel pulled from index buckets and row sets.
     "rows_matched",
+    # Rows a read touched to produce its answer: index-bucket sizes,
+    # delta rows bucketed, rows formatted into reply lines.
+    "rows_scanned",
     "overdeleted_total",
     "rederived_total",
     "incremental_batches",

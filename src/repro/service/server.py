@@ -63,7 +63,9 @@ servable from stdin/stdout or a unix socket::
 Replies are one or more lines: ``row <atom>`` lines for queries,
 followed by a single ``ok ...`` line, or one ``error <reason>`` line.
 ``stats`` and ``metrics`` reply ``ok`` followed by a JSON document on
-the same line.
+the same line.  However many lines a reply has, it is written to the
+client once: the socket server sends it whole, stdin mode flushes
+after its last line.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -93,7 +96,7 @@ from ..datalog.engine import SEMANTICS
 from ..datalog.magic import adornment_for, magic_transform
 from ..datalog.parser import _Parser, _tokenize, parse_program
 from ..relations.universe import FunctionRegistry
-from ..relations.values import Value, format_value
+from ..relations.values import Value
 from ..robustness import (
     EvaluationBudget,
     ReproError,
@@ -108,6 +111,7 @@ from .demand import DemandRegistry
 from .locks import AtomicReference, InstrumentedLock, ReadWriteLock
 from .metrics import ServiceMetrics, ViewMetrics
 from .registry import ProgramRegistry, prepare_program
+from .snapshot import format_row
 from .views import MaterializedView
 
 __all__ = [
@@ -393,7 +397,7 @@ class QueryService:
                     database = view.database
                     if view.semiring == "bool":
                         facts = [
-                            _format_row(predicate, row)
+                            format_row(predicate, row)
                             for predicate, row in database
                         ]
                         incremental = view.mode == "incremental"
@@ -407,7 +411,7 @@ class QueryService:
                         semiring = view.semiring_obj
                         facts = []
                         for predicate, row in database:
-                            text = _format_row(predicate, row)
+                            text = format_row(predicate, row)
                             explicit = database.annotation(predicate, row)
                             if explicit is not None:
                                 text = f"{text} @ {semiring.format(explicit)}"
@@ -813,17 +817,17 @@ class QueryService:
             )
         return rows
 
-    def query_state(
-        self, name: str, predicate: str
-    ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
-        """``(true_rows, undefined_rows, stale)`` from **one** model state.
+    def _read(self, name: str, predicate: str):
+        """One predicate read, every part from **one** model state:
+        ``(view, snapshot, true_rows, undefined_rows, stale,
+        annotations)``.
 
-        The protocol's ``query`` verb uses this so its whole reply is
-        one linearization point.  On the snapshot path both answers and
-        the staleness flag come from a single immutable snapshot, so
-        they describe the same model version even while updates land
-        concurrently; the locked fallback gets the same property from
-        holding the view lock across both reads.
+        On the snapshot path all of it comes from a single immutable
+        snapshot, so it describes one model version even while updates
+        land concurrently; the locked fallback gets the same property
+        from holding the view lock across the reads, and hands back the
+        snapshot the view then serves — the model it just answered
+        from.
         """
         self.metrics.bump("queries_total")
         view, generation, snapshot = self._resolve_snapshot(name)
@@ -832,13 +836,26 @@ class QueryService:
             undefined = self._serve_undefined(
                 view, name, generation, snapshot, predicate
             )
-            return rows, undefined, snapshot.stale
+            return (
+                view, snapshot, rows, undefined, snapshot.stale,
+                snapshot.annotations_for(predicate),
+            )
         with self._locked_view(name) as (view, generation):
             rows = self._query_locked(view, name, generation, predicate)
             undefined = self._undefined_locked(
                 view, name, generation, predicate
             )
-            return rows, undefined, view.stale
+            return (
+                view, view.served_snapshot(), rows, undefined, view.stale,
+                view.annotation_texts(predicate),
+            )
+
+    def query_state(
+        self, name: str, predicate: str
+    ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
+        """``(true_rows, undefined_rows, stale)`` from **one** model
+        state — one linearization point for the whole answer."""
+        return self._read(name, predicate)[2:5]
 
     def query_annotated(
         self, name: str, predicate: str
@@ -856,24 +873,31 @@ class QueryService:
         the same snapshot (or the same view hold), so rows and
         annotations describe one model version.
         """
-        self.metrics.bump("queries_total")
-        view, generation, snapshot = self._resolve_snapshot(name)
-        if snapshot is not None:
-            rows = self._serve_true(view, name, generation, snapshot, predicate)
-            undefined = self._serve_undefined(
-                view, name, generation, snapshot, predicate
-            )
-            return rows, undefined, snapshot.stale, snapshot.annotations_for(
-                predicate
-            )
-        with self._locked_view(name) as (view, generation):
-            rows = self._query_locked(view, name, generation, predicate)
-            undefined = self._undefined_locked(
-                view, name, generation, predicate
-            )
-            return rows, undefined, view.stale, view.annotation_texts(
-                predicate
-            )
+        return self._read(name, predicate)[2:]
+
+    def query_lines(
+        self, name: str, predicate: str
+    ) -> Tuple[
+        List[str],
+        FrozenSet[Row],
+        bool,
+        Optional[Mapping[Row, str]],
+    ]:
+        """:meth:`query_annotated` with the true rows as the sorted
+        ``row <atom>`` lines of the ``query`` verb's reply.
+
+        The lines are memoized on the answering snapshot and carried
+        from snapshot to snapshot by delta, so a full read costs its
+        answer plus the rows changed since the last one — not a format
+        and a sort of the whole relation.  The list is the shared memo:
+        do not mutate it.
+        """
+        view, snapshot, _rows, undefined, stale, annotations = self._read(
+            name, predicate
+        )
+        lines, formatted = snapshot.lines(predicate)
+        view.metrics.bump("rows_scanned", formatted)
+        return lines, undefined, stale, annotations
 
     # -- bound-pattern (demand-driven) queries --------------------------------
 
@@ -906,8 +930,7 @@ class QueryService:
         args = tuple(args)
         adornment = adornment_for(args)
         if "b" not in adornment:
-            rows, undefined, stale = self.query_state(name, predicate)
-            return rows, undefined, stale
+            return self.query_state(name, predicate)
         if self.read_mode == "snapshot":
             try:
                 view, generation = self._name_table.get()[name]
@@ -953,16 +976,14 @@ class QueryService:
         self.metrics.bump("queries_total")
         bound = tuple(value for value in args if value is not None)
         self._ensure_seeded(entry, bound)
-        answer_predicate = entry.magic.answer_predicate
-        snapshot = demand_view.read_snapshot()
-        if snapshot is not None:
-            rows = snapshot.rows(answer_predicate)
-            stale = snapshot.stale
-        else:  # pragma: no cover - incremental views always publish
-            with entry.lock:
-                rows = demand_view.rows(answer_predicate)
-                stale = demand_view.stale
-        return _filter_pattern(rows, args), frozenset(), stale
+        # Demand views are engine-maintained: every state they reach is
+        # published, so the served snapshot is always the current one.
+        snapshot = demand_view.served_snapshot()
+        rows, _undefined, scanned = snapshot.probe(
+            entry.magic.answer_predicate, args
+        )
+        view.metrics.bump("rows_scanned", scanned)
+        return rows, frozenset(), snapshot.stale
 
     def _request_timeout(self) -> Optional[float]:
         """The per-request deadline in seconds (None = unbounded)."""
@@ -992,14 +1013,12 @@ class QueryService:
     def _pattern_fallback(
         self, name: str, predicate: str, args: Tuple[Optional[Value], ...]
     ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
-        """Serve a pattern by filtering the fully materialized answer."""
+        """Serve a pattern by probing the fully materialized answer."""
         self.metrics.bump("demand_fallbacks")
-        rows, undefined, stale = self.query_state(name, predicate)
-        return (
-            _filter_pattern(rows, args),
-            _filter_pattern(undefined, args),
-            stale,
-        )
+        view, snapshot, _rows, _undefined, stale, _ = self._read(name, predicate)
+        rows, undefined, scanned = snapshot.probe(predicate, args)
+        view.metrics.bump("rows_scanned", scanned)
+        return rows, undefined, stale
 
     def _build_demand_entry(
         self,
@@ -1269,7 +1288,7 @@ class QueryService:
             return
 
         def insert_text(predicate: str, row: Row) -> str:
-            text = _format_row(predicate, row)
+            text = format_row(predicate, row)
             if annotations:
                 value = annotations.get((predicate, row))
                 if value is not None:
@@ -1284,7 +1303,7 @@ class QueryService:
                     insert_text(predicate, row) for predicate, row in inserts
                 ],
                 "deletes": [
-                    _format_row(predicate, row) for predicate, row in deletes
+                    format_row(predicate, row) for predicate, row in deletes
                 ],
             }
         )
@@ -1454,36 +1473,6 @@ class QueryService:
 # ---------------------------------------------------------------------------
 
 
-def _format_row(predicate: str, row: Row) -> str:
-    if not row:
-        return predicate
-    return f"{predicate}({', '.join(format_value(value) for value in row)})"
-
-
-def _filter_pattern(
-    rows: Iterable[Row], args: Tuple[Optional[Value], ...]
-) -> FrozenSet[Row]:
-    """The rows matching a bound pattern (``None`` = free position).
-
-    This is the inner loop of every bound-pattern read, so the bound
-    positions are hoisted out of the per-row test (and the common
-    single-bound-position case skips the ``all()`` machinery entirely).
-    """
-    arity = len(args)
-    checks = [(i, value) for i, value in enumerate(args) if value is not None]
-    if len(checks) == 1:
-        [(i, value)] = checks
-        return frozenset(
-            row for row in rows if len(row) == arity and row[i] == value
-        )
-    return frozenset(
-        row
-        for row in rows
-        if len(row) == arity
-        and all(row[i] == value for i, value in checks)
-    )
-
-
 def parse_bound_pattern(text: str) -> Tuple[str, Tuple[Optional[Value], ...]]:
     """Parse a wire bound pattern like ``tc(a, _)``.
 
@@ -1594,16 +1583,18 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
             rows, undefined, stale = service.query_pattern(
                 view_name, predicate, pattern_args
             )
+            lines = sorted(f"row {format_row(predicate, row)}" for row in rows)
         else:
             if remainder.split() != [remainder] or not remainder:
                 return ["error usage: query <view> <predicate>[(pattern)]"]
             predicate = remainder
-            rows, undefined, stale, annotations = service.query_annotated(
+            shared, undefined, stale, annotations = service.query_lines(
                 view_name, predicate
             )
-        lines = sorted(f"row {_format_row(predicate, row)}" for row in rows)
+            lines = list(shared)  # the snapshot's memo stays untouched
+        count = len(lines)
         lines += sorted(
-            f"undef {_format_row(predicate, row)}" for row in undefined
+            f"undef {format_row(predicate, row)}" for row in undefined
         )
         if annotations:
             # Annotated views explain every true row: its semiring
@@ -1611,13 +1602,13 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
             # witnesses).  Boolean views emit no explain lines, keeping
             # their replies byte-identical to the pre-semiring wire.
             lines += sorted(
-                f"explain {_format_row(predicate, row)} @ {text}"
+                f"explain {format_row(predicate, row)} @ {text}"
                 for row, text in annotations.items()
             )
         # A degraded view answers from its last consistent model; the
         # client sees the staleness on the wire, not silently.
         suffix = " stale" if stale else ""
-        lines.append(f"ok {len(rows)} rows{suffix}")
+        lines.append(f"ok {count} rows{suffix}")
         return lines
     if command == "stats":
         name = rest.strip() or None
@@ -1660,9 +1651,13 @@ def serve_stream(
     write: Callable[[str], None],
     max_request_bytes: Optional[int] = None,
     lock: Optional["threading.Lock"] = None,
+    flush: Callable[[], None] = lambda: None,
 ) -> None:
     """Run the protocol over a line source and a reply sink.
 
+    ``write`` receives every reply line; ``flush`` is called once per
+    request, after its last reply line — the point at which a buffering
+    sink sends the whole reply in one piece.
     ``max_request_bytes`` rejects oversized request lines with a
     structured ``request-too-large`` error instead of parsing them.
     ``lock`` (optional) serialises the whole stream's request handling
@@ -1683,12 +1678,14 @@ def serve_stream(
                     )
                 )
             )
+            flush()
             continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line in ("quit", "exit"):
             write("ok bye")
+            flush()
             return
         try:
             with service.metrics.request():
@@ -1716,6 +1713,7 @@ def serve_stream(
             logger.exception("request failed: %r", line)
             service.metrics.bump("errors_total")
             write(_error_reply(exc))
+        flush()
 
 
 def serve_unix_socket(
@@ -1740,10 +1738,14 @@ def serve_unix_socket(
 
     ``stop_event`` (optional) requests a graceful shutdown from
     outside — a signal handler sets it, the accept loop notices within
-    its poll interval, drains in-flight connections (bounded joins, so
-    a wedged client cannot hold shutdown hostage forever), and
-    returns.  The caller then closes the service, which takes the
-    final durability checkpoint.
+    its poll interval, shuts the read side of every live connection —
+    a handler parked on an idle (pooled) connection sees EOF and
+    leaves at once, one in the middle of a request sends its reply
+    first — joins the handlers (bounded, so a client that never reads
+    cannot hold shutdown hostage), and returns.  The caller then
+    closes the service, which takes the final durability checkpoint.
+
+    A request's reply leaves in one write, however many lines it has.
     """
     socket_path = Path(path)
     if socket_path.exists():
@@ -1751,23 +1753,34 @@ def serve_unix_socket(
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     slots = threading.BoundedSemaphore(max(1, max_concurrent))
     workers: List[threading.Thread] = []
+    # Added by the accept loop, discarded by each handler on its way
+    # out; the stop path below shuts down whatever is left.
+    live: Set[socket.socket] = set()
     stopping = stop_event if stop_event is not None else threading.Event()
 
     def handle(connection: socket.socket) -> None:
+        reply: List[str] = []
+
+        def send_reply() -> None:
+            reply.append("")  # the last line's newline
+            connection.sendall("\n".join(reply).encode("utf-8"))
+            reply.clear()
+
         try:
-            with connection:
-                reader = connection.makefile("r", encoding="utf-8")
-                writer = connection.makefile("w", encoding="utf-8")
+            with connection, connection.makefile(
+                "r", encoding="utf-8"
+            ) as reader:
                 serve_stream(
                     service,
                     reader,
-                    lambda reply: (writer.write(reply + "\n"), writer.flush()),
+                    reply.append,
                     max_request_bytes=max_request_bytes,
+                    flush=send_reply,
                 )
-                writer.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-reply; nothing to salvage
         finally:
+            live.discard(connection)
             slots.release()
 
     try:
@@ -1791,6 +1804,7 @@ def serve_unix_socket(
                 slots.release()
                 raise
             accepted += 1
+            live.add(connection)
             worker = threading.Thread(
                 target=handle, args=(connection,), daemon=True
             )
@@ -1799,9 +1813,17 @@ def serve_unix_socket(
             workers = [w for w in workers if w.is_alive()]
     finally:
         # Graceful drain: stop accepting, let live connections finish.
-        # Joins are bounded on the stop path — SIGTERM must win even
-        # against a client that never closes its stream.
-        deadline = 10.0 if stopping.is_set() else None
+        # On the stop path nobody waits for clients to hang up: their
+        # connections read EOF from here on.  Joins stay bounded there —
+        # SIGTERM must win even against a client that never reads.
+        deadline = None
+        if stopping.is_set():
+            deadline = 10.0
+            for connection in list(live):
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # its handler closed it first
         for worker in workers:
             worker.join(deadline)
         server.close()

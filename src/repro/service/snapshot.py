@@ -35,25 +35,65 @@ either recomputes the same frozenset or picks up the memoized one).
 The :class:`~repro.service.views.MaterializedView` publish path runs
 it every Nth publish, and :class:`~repro.service.compactor.
 SnapshotCompactor` runs it from a background thread.
+
+**Read memos.**  What a read derives from a predicate's rows one row at
+a time — the sorted ``row`` wire lines of a full read
+(:meth:`ModelSnapshot.lines`), the hash index a bound pattern probes
+(:meth:`ModelSnapshot.probe`) — is a linear map, so its incremental
+version is itself applied to the delta.  A cell builds either lazily,
+on the first read that asks, and a delta cell that materializes over a
+parent holding one derives its own from ``plus``/``minus`` alone.
+Publishing formats and indexes nothing; a read costs its answer plus
+the delta not yet read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from bisect import bisect_left
+from operator import itemgetter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-from ..relations.values import Value
+from ..relations.values import Value, format_value
 
-__all__ = ["ModelSnapshot"]
+__all__ = ["ModelSnapshot", "format_row"]
 
 Row = Tuple[Value, ...]
+#: A bound pattern: one element per argument position, ``None`` = free.
+Pattern = Tuple[Optional[Value], ...]
 
 _EMPTY: FrozenSet[Row] = frozenset()
 
 #: Delta cells deeper than this are compacted (materialized eagerly) at
 #: publish time, bounding both read-side recursion and chain memory.
 MAX_DELTA_DEPTH = 16
+
+
+def format_row(predicate: str, row: Row) -> str:
+    """One fact in wire text: ``edge(a, b)`` (``p`` for arity 0)."""
+    if not row:
+        return predicate
+    return f"{predicate}({', '.join(format_value(value) for value in row)})"
+
+
+def _bucketed(
+    rows: Iterable[Row], arity: int, key_of
+) -> Dict[object, FrozenSet[Row]]:
+    """``rows`` of width ``arity`` grouped by ``key_of(row)``."""
+    buckets: Dict[object, List[Row]] = {}
+    for row in rows:
+        if len(row) == arity:
+            buckets.setdefault(key_of(row), []).append(row)
+    return {key: frozenset(bucket) for key, bucket in buckets.items()}
 
 
 class _Cell:
@@ -63,16 +103,31 @@ class _Cell:
     cell materializes, so racing readers either recompute the same
     frozenset (benign duplicate work) or pick up the memoized one —
     never a torn intermediate.
+
+    A materialized cell also memoizes, lazily, what reads derive from
+    its rows row by row: the sorted ``row`` wire lines (:meth:`lines`)
+    and one hash index per probed pattern shape (:meth:`probe`).
+    Both are linear in the rows, so when a delta cell materializes and
+    its parent holds a memo it derives its own from the parent's by
+    applying the map to ``plus``/``minus`` alone — before the state
+    swap drops the parent.  Nothing is derived that no read asked for:
+    a cell whose ancestors were never read in full holds no lines.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_predicate", "_state", "_lines", "_indexes")
 
-    def __init__(self, state: tuple):
+    def __init__(self, predicate: str, state: tuple):
+        self._predicate = predicate
         self._state = state
+        self._lines: Optional[List[str]] = None
+        # (arity, bound positions) -> key -> rows; in-place inserts and
+        # whole-dict replacement are both atomic under the GIL, and a
+        # racing loser only costs a rebuild.
+        self._indexes: Dict[tuple, Dict[object, FrozenSet[Row]]] = {}
 
     @classmethod
-    def frozen(cls, rows: Iterable[Row]) -> "_Cell":
-        return cls(("frozen", frozenset(rows)))
+    def frozen(cls, predicate: str, rows: Iterable[Row]) -> "_Cell":
+        return cls(predicate, ("frozen", frozenset(rows)))
 
     @classmethod
     def delta(
@@ -82,7 +137,9 @@ class _Cell:
         minus: FrozenSet[Row],
         depth: int,
     ) -> "_Cell":
-        return cls(("delta", parent, plus, minus, depth))
+        # The trailing dict memoizes the delta's own buckets per probed
+        # shape; it lives in the state tuple so it goes with the state.
+        return cls(parent._predicate, ("delta", parent, plus, minus, depth, {}))
 
     @property
     def depth(self) -> int:
@@ -90,16 +147,125 @@ class _Cell:
         return 0 if state[0] == "frozen" else state[4]
 
     def rows(self) -> FrozenSet[Row]:
+        if self._state[0] != "frozen":
+            self._settle()
+        return self._state[1]
+
+    def _settle(self) -> int:
+        """Materialize the chain down to this cell, carrying each
+        parent's memos forward by delta; returns the rows formatted."""
         state = self._state
         if state[0] == "frozen":
-            return state[1]
-        _tag, parent, plus, minus, _depth = state
-        rows = (parent.rows() - minus) | plus
+            return 0
+        _tag, parent, plus, minus, _depth, buckets = state
+        formatted = parent._settle()
+        before = parent._state[1]
+        rows = (before - minus) | plus
+        lines = parent._lines
+        if lines is not None:
+            added = plus - before
+            removed = (minus - plus) & before
+            self._lines = self._spliced(lines, removed, added)
+            formatted += len(removed) + len(added)
+        if parent._indexes:
+            self._indexes = {
+                shape: self._reindexed(
+                    index, self._delta_buckets(shape, plus, minus, buckets)
+                )
+                for shape, index in list(parent._indexes.items())
+            }
         self._state = ("frozen", rows)
-        return rows
+        return formatted
 
+    @staticmethod
+    def _delta_buckets(shape, plus, minus, buckets):
+        """``plus`` and ``minus`` bucketed for ``shape`` (memoized)."""
+        pair = buckets.get(shape)
+        if pair is None:
+            arity, positions = shape
+            key_of = itemgetter(*positions)
+            pair = buckets[shape] = (
+                _bucketed(plus, arity, key_of),
+                _bucketed(minus, arity, key_of),
+            )
+        return pair
 
-_EMPTY_CELL = _Cell.frozen(())
+    def _line(self, row: Row) -> str:
+        return f"row {format_row(self._predicate, row)}"
+
+    def _spliced(
+        self, lines: List[str], removed: FrozenSet[Row], added: FrozenSet[Row]
+    ) -> List[str]:
+        """``lines`` (sorted) without the lines of ``removed`` and with
+        those of ``added``: slices between bisected cut points, then one
+        merge of two sorted runs — O(N) pointer moves, |delta| formats."""
+        out: List[str] = []
+        start = 0
+        for line in sorted(map(self._line, removed)):
+            cut = bisect_left(lines, line, start)
+            out += lines[start:cut]
+            start = cut + 1
+        out += lines[start:]
+        if added:
+            out += sorted(map(self._line, added))
+            out.sort()
+        return out
+
+    @staticmethod
+    def _reindexed(index, delta_buckets):
+        """A parent's index with only the delta's buckets rebuilt."""
+        plus, minus = delta_buckets
+        index = dict(index)
+        for key in minus.keys() | plus.keys():
+            bucket = index.get(key, _EMPTY) - minus.get(key, _EMPTY)
+            bucket |= plus.get(key, _EMPTY)
+            if bucket:
+                index[key] = bucket
+            else:
+                index.pop(key, None)
+        return index
+
+    def lines(self) -> Tuple[List[str], int]:
+        """``(sorted row wire lines, rows formatted to produce them)``.
+
+        The list is the memo itself: callers must not mutate it.
+        """
+        formatted = self._settle()
+        lines = self._lines
+        if lines is None:
+            rows = self._state[1]
+            lines = self._lines = sorted(map(self._line, rows))
+            formatted += len(rows)
+        return lines, formatted
+
+    def probe(self, shape: tuple, key_of, key) -> Tuple[FrozenSet[Row], int]:
+        """``(rows whose bound positions hold key, rows scanned)`` for a
+        pattern of ``shape`` = (arity, bound positions).
+
+        A materialized cell answers from its hash index for the shape
+        (built on first use); an unmaterialized delta cell asks its
+        parent and applies the matching buckets of its own delta (one
+        pass over the delta on first use) — no O(N) step.
+        """
+        state = self._state
+        if state[0] == "frozen":
+            scanned = 0
+            index = self._indexes.get(shape)
+            if index is None:
+                index = _bucketed(state[1], shape[0], key_of)
+                self._indexes[shape] = index
+                scanned = len(state[1])
+            bucket = index.get(key, _EMPTY)
+            return bucket, scanned + len(bucket)
+        _tag, parent, plus, minus, _depth, buckets = state
+        rows, scanned = parent.probe(shape, key_of, key)
+        if shape not in buckets:
+            scanned += len(plus) + len(minus)
+        new, gone = self._delta_buckets(shape, plus, minus, buckets)
+        new, gone = new.get(key, _EMPTY), gone.get(key, _EMPTY)
+        if gone or new:
+            rows = (rows - gone) | new
+        return rows, scanned + len(gone) + len(new)
 
 
 class ModelSnapshot:
@@ -125,7 +291,7 @@ class ModelSnapshot:
     def __init__(
         self,
         true_cells: Dict[str, _Cell],
-        undefined: Dict[str, FrozenSet[Row]],
+        undefined: Dict[str, _Cell],
         generation: int,
         stale: bool,
         annotations: Optional[Dict[str, Dict[Row, str]]] = None,
@@ -155,11 +321,11 @@ class ModelSnapshot:
     ) -> "ModelSnapshot":
         """Snapshot a complete model (initialization / recompute)."""
         cells = {
-            predicate: _Cell.frozen(rows)
+            predicate: _Cell.frozen(predicate, rows)
             for predicate, rows in true_rows.items()
         }
         undefined = {
-            predicate: frozenset(rows)
+            predicate: _Cell.frozen(predicate, rows)
             for predicate, rows in (undefined_rows or {}).items()
             if rows
         }
@@ -195,15 +361,11 @@ class ModelSnapshot:
             minus_rows = frozenset(minus.get(predicate, ()))
             if not plus_rows and not minus_rows:
                 continue
-            parent = cells.get(predicate, _EMPTY_CELL)
-            if parent.depth + 1 > MAX_DELTA_DEPTH:
-                cells[predicate] = _Cell.frozen(
-                    (parent.rows() - minus_rows) | plus_rows
-                )
-            else:
-                cells[predicate] = _Cell.delta(
-                    parent, plus_rows, minus_rows, parent.depth + 1
-                )
+            parent = cells.get(predicate) or _Cell.frozen(predicate, ())
+            cell = _Cell.delta(parent, plus_rows, minus_rows, parent.depth + 1)
+            if cell.depth > MAX_DELTA_DEPTH:
+                cell.rows()
+            cells[predicate] = cell
         return ModelSnapshot(cells, self._undefined, generation, False)
 
     # -- compaction -----------------------------------------------------------
@@ -255,7 +417,44 @@ class ModelSnapshot:
 
     def undefined_rows(self, predicate: str) -> FrozenSet[Row]:
         """Undefined-status rows of one predicate."""
-        return self._undefined.get(predicate, _EMPTY)
+        cell = self._undefined.get(predicate)
+        return cell.rows() if cell is not None else _EMPTY
+
+    def lines(self, predicate: str) -> Tuple[List[str], int]:
+        """The true rows as sorted ``row <atom>`` wire lines, and how
+        many rows were formatted to produce them.
+
+        Memoized on the predicate's cell and carried down delta chains,
+        so a full read after a write formats the delta, not the
+        relation.  The list is the shared memo: do not mutate it.
+        """
+        cell = self._true.get(predicate)
+        return cell.lines() if cell is not None else ([], 0)
+
+    def probe(
+        self, predicate: str, args: Pattern
+    ) -> Tuple[FrozenSet[Row], FrozenSet[Row], int]:
+        """``(true rows, undefined rows, rows scanned)`` matching a
+        bound pattern — ``args`` holds a value per bound position and
+        ``None`` per free one, at least one of them bound.
+
+        Answered from a hash index per pattern shape, which each cell
+        builds on its first probe and carries down delta chains.
+        """
+        positions = tuple(i for i, v in enumerate(args) if v is not None)
+        shape = (len(args), positions)
+        key_of = itemgetter(*positions)
+        key = key_of(args)
+        scanned = 0
+        answers = []
+        for table in (self._true, self._undefined):
+            cell = table.get(predicate)
+            rows = _EMPTY
+            if cell is not None:
+                rows, touched = cell.probe(shape, key_of, key)
+                scanned += touched
+            answers.append(rows)
+        return answers[0], answers[1], scanned
 
     def annotations_for(self, predicate: str) -> Optional[Mapping[Row, str]]:
         """Wire-text semiring annotations of one predicate's true rows,
@@ -284,7 +483,7 @@ class ModelSnapshot:
         if self._fingerprint is None:
             hasher = hashlib.sha256()
             for section, table in (
-                ("true", self.true_rows()),
+                ("true", self._true),
                 ("undefined", self._undefined),
             ):
                 hasher.update(section.encode("utf-8"))
@@ -293,7 +492,8 @@ class ModelSnapshot:
                     hasher.update(predicate.encode("utf-8"))
                     hasher.update(b"\x00")
                     rows = sorted(
-                        table[predicate], key=lambda r: tuple(map(repr, r))
+                        table[predicate].rows(),
+                        key=lambda r: tuple(map(repr, r)),
                     )
                     for row in rows:
                         hasher.update(repr(row).encode("utf-8"))

@@ -328,7 +328,14 @@ class MaterializedView:
         """The published snapshot's generation (monotone per view)."""
         return self._generation
 
-    def _served_snapshot(self) -> ModelSnapshot:
+    def served_snapshot(self) -> ModelSnapshot:
+        """The model the view last answered from (lock-free).
+
+        Unlike :meth:`read_snapshot` this never withholds: a reader that
+        just evaluated under the view lock, or a degraded view serving
+        its last consistent model, reads the rows it answered with
+        here.
+        """
         snapshot, _servable = self._published.get()
         assert snapshot is not None
         return snapshot
@@ -343,7 +350,7 @@ class MaterializedView:
         self.metrics.bump("queries")
         if self.stale:
             self.metrics.bump("stale_queries")
-            return self._served_snapshot().rows(predicate)
+            return self.served_snapshot().rows(predicate)
         if self.engine is not None:
             return self.engine.rows(predicate)
         try:
@@ -352,7 +359,7 @@ class MaterializedView:
             # The recompute just failed; degrade in place and answer
             # from the last consistent snapshot rather than erroring.
             self.metrics.bump("stale_queries")
-            return self._served_snapshot().rows(predicate)
+            return self.served_snapshot().rows(predicate)
 
     def undefined_rows(self, predicate: str) -> FrozenSet[Row]:
         """Rows with undefined status (stratified models are total).
@@ -361,13 +368,13 @@ class MaterializedView:
         snapshot carries both truth statuses, so a valid/well-founded
         view keeps distinguishing true from undefined while stale."""
         if self.stale:
-            return self._served_snapshot().undefined_rows(predicate)
+            return self.served_snapshot().undefined_rows(predicate)
         if self.engine is not None:
             return frozenset()
         try:
             return self._ensure_result().undefined_rows(predicate)
         except ViewDegraded:
-            return self._served_snapshot().undefined_rows(predicate)
+            return self.served_snapshot().undefined_rows(predicate)
 
     def annotation_texts(self, predicate: str) -> Optional[Dict[Row, str]]:
         """Wire-text semiring annotations of one predicate's rows
@@ -376,7 +383,7 @@ class MaterializedView:
         if self.semiring == "bool" or self.engine is None:
             return None
         if self.stale:
-            served = self._served_snapshot().annotations_for(predicate)
+            served = self.served_snapshot().annotations_for(predicate)
             return dict(served) if served is not None else {}
         semiring = self.semiring_obj
         return {

@@ -276,6 +276,27 @@ class TestClusterEndToEnd:
             rows, _ = client.query_pattern("e2e_demand", "tc(b, _)")
             assert rows == ["tc(b, c)"]
 
+    def test_five_thousand_row_reply_arrives_intact(self, running_cluster):
+        # worker -> router -> framed client: one worker send, one router
+        # deadline, one response frame, however many lines.
+        _router, socket_path = running_cluster
+        chain = " ".join(f"edge(n{i:03}, n{i + 1:03})." for i in range(100))
+        expected = [
+            f"tc(n{i:03}, n{j:03})"
+            for i in range(100)
+            for j in range(i + 1, 101)
+        ]
+        with _client(socket_path) as client:
+            client.register("e2e_big", f"{TC} {chain}")
+            for _ in range(2):  # cold, then from the snapshot's memo
+                rows, undefined = client.query("e2e_big", "tc")
+                assert len(rows) == 5050
+                assert rows == expected, "sorted, complete, nothing torn"
+                assert undefined == []
+            client.insert("e2e_big", "edge(n100, n101)")
+            rows, _ = client.query("e2e_big", "tc")
+            assert len(rows) == 5050 + 101
+
     def test_views_spread_across_shards(self, running_cluster):
         router, socket_path = running_cluster
         with _client(socket_path) as client:

@@ -444,3 +444,65 @@ class TestRouterInternals:
             assert handle.inflight == 0
 
         self._run(scenario)
+
+    def test_one_deadline_covers_a_whole_worker_reply(self):
+        # A worker that keeps dripping reply lines, each inside the
+        # timeout, used to keep the router waiting for as long as it
+        # dripped (the deadline was per line).  The deadline is for the
+        # reply: the call fails, wire-coded, within the request timeout.
+        async def scenario(socket_path):
+            async def drip(reader, writer):
+                await reader.readline()
+                try:
+                    for index in range(100):
+                        writer.write(f"row tc(a, n{index})\n".encode())
+                        await writer.drain()
+                        await asyncio.sleep(0.1)
+                    writer.write(b"ok 100 rows\n")
+                    await writer.drain()
+                except ConnectionError:
+                    pass  # the router hung up, as it should
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_unix_server(drip, socket_path)
+            handle = WorkerHandle("shard-x", socket_path)
+            handle.live = True
+            started = time.monotonic()
+            try:
+                with pytest.raises(WorkerUnavailable, match="TimeoutError"):
+                    await handle.call("query v tc", timeout=0.5)
+                assert time.monotonic() - started < 2.0
+                assert not handle.live and handle.dead.is_set()
+                assert handle.inflight == 0
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario)
+
+    def test_a_reply_of_thousands_of_lines_arrives_intact(self):
+        async def scenario(socket_path):
+            lines = [f"row tc(a, n{index})" for index in range(5000)]
+            lines.append("ok 5000 rows")
+
+            async def reply(reader, writer):
+                while await reader.readline():
+                    writer.write(("\n".join(lines) + "\n").encode())
+                    await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_unix_server(reply, socket_path)
+            handle = WorkerHandle("shard-x", socket_path)
+            handle.live = True
+            try:
+                assert await handle.call("query v tc", timeout=30.0) == lines
+                # The connection went back to the pool in one piece.
+                assert await handle.call("query v tc", timeout=30.0) == lines
+                assert len(handle._conns) == 1
+            finally:
+                handle._close_pool()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario)

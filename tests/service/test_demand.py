@@ -393,6 +393,76 @@ class TestProtocolVerb:
         service.close()
 
 
+def _chain_service(chains, length=24):
+    """A service with one ``chains`` x ``length`` chain tc view ``g``."""
+    edges = " ".join(
+        f"edge(c{k}n{i}, c{k}n{i + 1})."
+        for k in range(chains)
+        for i in range(length)
+    )
+    service = QueryService()
+    service.register(
+        "g",
+        f"tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z). {edges}",
+    )
+    return service
+
+
+def _hot_hit_work(chains):
+    """(rows scanned, answer size) of a hot ``tc(c, _)`` hit, and of the
+    same hit right after a leaf write, on a ``chains``-chain view."""
+    service = _chain_service(chains)
+    scanned = lambda: service.view("g").metrics.counters["rows_scanned"]
+    pattern = (Atom("c0n12"), None)
+    service.query_pattern("g", "tc", pattern)  # registers the entry
+    service.query_pattern("g", "tc", pattern)  # first hit builds the index
+    work = []
+    for write in (None, ("edge", (Atom("c0n24"), Atom("leaf")))):
+        if write is not None:
+            service.update("g", inserts=[write])
+        before = scanned()
+        rows, _, _ = service.query_pattern("g", "tc", pattern)
+        work.append((scanned() - before, len(rows)))
+    service.close()
+    return work
+
+
+class TestWorkBound:
+    """A read costs its answer: counts, not clocks."""
+
+    def test_hot_hit_scans_its_answer_not_the_entry(self):
+        large = _hot_hit_work(30)
+        small = _hot_hit_work(10)
+        assert large == small, "rows scanned must not depend on resident rows"
+        (hot, answer), (after_write, grown) = large
+        assert answer == 12 and grown == 13
+        assert hot == answer, "an indexed hit touches exactly its bucket"
+        assert 0 < after_write <= 4 * grown
+
+    def test_fallback_probe_scans_the_relation_once(self):
+        # An EDB pattern falls back to the base view's own snapshot: the
+        # first probe builds the index (one pass), later ones use it.
+        service = _chain_service(4)
+        scanned = lambda: service.view("g").metrics.counters["rows_scanned"]
+        pattern = (Atom("c1n3"), None)
+        service.query_pattern("g", "edge", pattern)
+        assert scanned() == 4 * 24 + 1
+        service.query_pattern("g", "edge", pattern)
+        assert scanned() == 4 * 24 + 2
+        service.close()
+
+    def test_rows_scanned_is_exported_everywhere(self):
+        from repro.service import render_prometheus
+
+        service = _chain_service(2)
+        run_protocol(service, "query g tc")
+        snapshot = service.metrics_snapshot()
+        assert snapshot["views"]["g"]["counters"]["rows_scanned"] == 2 * 300
+        assert snapshot["rollup"]["rows_scanned"] == 2 * 300
+        assert "rows_scanned" in render_prometheus(snapshot)
+        service.close()
+
+
 class TestObservability:
     def test_gauge_and_counters_in_metrics_snapshot(self):
         service = QueryService()

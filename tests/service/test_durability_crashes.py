@@ -473,3 +473,37 @@ def test_sigterm_checkpoints_and_unlinks_the_socket(tmp_path):
         assert rows == {("x", "y")}
     finally:
         service.close()
+
+
+def test_sigterm_does_not_wait_for_an_idle_connection(tmp_path):
+    """A client that keeps its connection open and says nothing (a
+    router's pooled connection) must not hold shutdown up: on SIGTERM
+    the server hangs up on it, checkpoints, and is gone in under 2 s —
+    not after the handler join times out."""
+    socket_path = str(tmp_path / "serve.sock")
+    data_dir = str(tmp_path / "data")
+    process = _spawn_server(socket_path, data_dir, "batch")
+    client = _LineClient(socket_path)
+    try:
+        client.request_ok(f"register g stratified {RULES}")
+        client.request_ok("+g edge(x, y)")
+        started = time.monotonic()
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+        assert time.monotonic() - started < 2.0
+        assert client.reader.readline() == "", "the idle client sees EOF"
+    finally:
+        client.close()
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+    assert not os.path.exists(socket_path), "graceful exit unlinks"
+    service = QueryService(data_dir=data_dir, fsync="batch")
+    try:
+        assert service.last_recovery.replayed_records == 0, (
+            "the final checkpoint was written"
+        )
+        rows = {tuple(map(str, row)) for row in service.query("g", "tc")}
+        assert rows == {("x", "y")}
+    finally:
+        service.close()

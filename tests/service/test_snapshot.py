@@ -2,7 +2,7 @@
 
 from repro.relations import Atom
 from repro.service import ModelSnapshot
-from repro.service.snapshot import MAX_DELTA_DEPTH, _Cell
+from repro.service.snapshot import MAX_DELTA_DEPTH, _Cell, format_row
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -116,15 +116,94 @@ class TestFingerprint:
 
 class TestCellUnit:
     def test_frozen_cell_roundtrip(self):
-        cell = _Cell.frozen([(a,), (b,)])
+        cell = _Cell.frozen("p", [(a,), (b,)])
         assert cell.rows() == {(a,), (b,)}
         assert cell.depth == 0
 
     def test_delta_cell_resolves_through_parents(self):
-        root = _Cell.frozen([(a,), (b,)])
+        root = _Cell.frozen("p", [(a,), (b,)])
         middle = _Cell.delta(root, frozenset([(c,)]), frozenset([(a,)]), 1)
         top = _Cell.delta(middle, frozenset([(d,)]), frozenset(), 2)
         assert top.depth == 2
         assert top.rows() == {(b,), (c,), (d,)}
         # Reading the top memoizes it to a frozen cell.
         assert top.depth == 0
+
+
+class TestReadMemos:
+    """Reply lines and pattern indexes live on the cell and travel down
+    delta chains: a read costs its answer plus the unread delta."""
+
+    @staticmethod
+    def _chains(chains, length=24):
+        nodes = lambda k: [Atom(f"c{k}n{i}") for i in range(length + 1)]
+        return {
+            (row[i], row[j])
+            for row in map(nodes, range(chains))
+            for i in range(length)
+            for j in range(i + 1, length + 1)
+        }
+
+    def test_full_read_after_a_toggle_formats_the_delta(self):
+        rows = self._chains(30)
+        parent = _snap(tc=rows)
+        lines, formatted = parent.lines("tc")
+        assert formatted == len(rows) == 9000
+        assert parent.lines("tc") == (lines, 0), "memoized"
+        # A leaf edge under chain 0: one new tc row per chain node.
+        leaf = Atom("leaf")
+        plus = {(Atom(f"c0n{i}"), leaf) for i in range(25)}
+        child = parent.apply_delta({"tc": plus}, {}, generation=2)
+        grown, formatted = child.lines("tc")
+        assert 0 < formatted <= 2 * len(plus)
+        assert grown == sorted(
+            f"row {format_row('tc', row)}" for row in rows | plus
+        )
+        back = child.apply_delta({}, {"tc": plus}, generation=3)
+        shrunk, formatted = back.lines("tc")
+        assert 0 < formatted <= 2 * len(plus)
+        assert shrunk == lines
+
+    def test_a_view_never_read_in_full_holds_no_lines(self):
+        snapshot = _snap(tc=self._chains(2))
+        for generation in range(2, 6):
+            snapshot = snapshot.apply_delta(
+                {"tc": {(a, Atom(f"x{generation}"))}}, {}, generation
+            )
+            snapshot.rows("tc")
+            snapshot.probe("tc", (a, None))
+        assert snapshot._true["tc"]._lines is None
+
+    def test_probe_matches_the_filtered_scan_at_every_cell_state(self):
+        rows = self._chains(3, length=6)
+        head = Atom("c1n2")
+        snapshot = _snap(tc=rows)
+        expected = {row for row in rows if row[0] == head}
+        assert snapshot.probe("tc", (head, None))[0] == expected
+        extra = (head, Atom("leaf"))
+        gone = (head, Atom("c1n3"))
+        child = snapshot.apply_delta({"tc": {extra}}, {"tc": {gone}}, 2)
+        expected = (expected - {gone}) | {extra}
+        true, undefined, scanned = child.probe("tc", (head, None))
+        assert (true, undefined) == (expected, frozenset())
+        # The parent's bucket, one pass over the two delta rows to bucket
+        # them, then the two that matched.
+        assert scanned == 4 + 2 + 2
+        assert child.probe("tc", (head, None))[2] == 4 + 2, "bucketed once"
+        child.rows("tc")  # materialize: the index is carried, not rebuilt
+        assert child.probe("tc", (head, None)) == (
+            expected, frozenset(), len(expected),
+        )
+        assert child.probe("tc", (None, Atom("leaf")))[0] == {extra}
+        assert child.probe("tc", (head, Atom("leaf")))[0] == {extra}
+        assert child.probe("nope", (head, None)) == (
+            frozenset(), frozenset(), 0,
+        )
+
+    def test_probe_covers_undefined_rows_and_respects_arity(self):
+        snapshot = ModelSnapshot.full(
+            {"win": {(a,), (b,), (a, b)}}, {"win": {(c,), (d,)}}
+        )
+        assert snapshot.probe("win", (c,))[:2] == (frozenset(), {(c,)})
+        assert snapshot.probe("win", (a,))[:2] == ({(a,)}, frozenset())
+        assert snapshot.probe("win", (a, None))[0] == {(a, b)}
