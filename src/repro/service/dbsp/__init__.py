@@ -6,7 +6,9 @@ circuit built from Z-sets (:mod:`.zset`), the integrate/differentiate
 pair and incremental distinct (:mod:`.circuit`), a weighted delta
 engine over the prepared rule plans (:mod:`.engine`), and the bounded
 group-commit queue that lets the server coalesce write bursts into
-single circuit passes (:mod:`.queue`).  See ``docs/DBSP.md``.
+single circuit passes (:mod:`.queue`); the valid / well-founded
+semantics run as an alternating chain of those engines
+(:mod:`.alternating`).  See ``docs/DBSP.md``.
 """
 
 from .circuit import (
@@ -16,6 +18,7 @@ from .circuit import (
     integrate,
     running_integral,
 )
+from .alternating import AlternatingEngine
 from .engine import DBSPEngine
 from .queue import Ticket, UpdateQueue
 from .zset import ZSet
@@ -28,6 +31,7 @@ __all__ = [
     "IncrementalDistinct",
     "NegativeWeightError",
     "DBSPEngine",
+    "AlternatingEngine",
     "UpdateQueue",
     "Ticket",
 ]

@@ -1438,6 +1438,13 @@ class QueryService:
                 name: stats.get("chain_depth", 0)
                 for name, stats in view_stats.items()
             },
+            # Circuits in a valid / well-founded view's alternating
+            # chain (0 elsewhere): a write there is this many passes
+            # over its delta.
+            "alternation_levels": {
+                name: stats.get("alternation_levels", 0)
+                for name, stats in view_stats.items()
+            },
             # Pending update batches per view: how far writers are
             # running ahead of the group-commit leader right now.
             "update_queue_depth": {

@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import time
 from bisect import bisect_left
+from itertools import chain
 from operator import itemgetter
 from typing import (
     Dict,
@@ -344,6 +345,8 @@ class ModelSnapshot:
         plus: Mapping[str, Iterable[Row]],
         minus: Mapping[str, Iterable[Row]],
         generation: int,
+        undefined_plus: Optional[Mapping[str, Iterable[Row]]] = None,
+        undefined_minus: Optional[Mapping[str, Iterable[Row]]] = None,
     ) -> "ModelSnapshot":
         """The successor snapshot under a net fact delta, in O(|delta|).
 
@@ -352,10 +355,28 @@ class ModelSnapshot:
         hits :data:`MAX_DELTA_DEPTH`).  ``plus``/``minus`` must be the
         *net* per-predicate deltas — exactly what
         :meth:`~repro.service.incremental.IncrementalEngine.apply`
-        reports.  Only total models carry deltas, so the undefined
-        table is shared by reference.
+        reports.  ``undefined_plus``/``undefined_minus`` are the same
+        for the undefined rows (the alternating chain reports them); a
+        total model passes none and shares the undefined table by
+        reference.
         """
-        cells = dict(self._true)
+        undefined = self._undefined
+        if undefined_plus or undefined_minus:
+            undefined = self._stacked(
+                undefined, undefined_plus or {}, undefined_minus or {}
+            )
+        return ModelSnapshot(
+            self._stacked(self._true, plus, minus), undefined, generation, False
+        )
+
+    @staticmethod
+    def _stacked(
+        table: Dict[str, _Cell],
+        plus: Mapping[str, Iterable[Row]],
+        minus: Mapping[str, Iterable[Row]],
+    ) -> Dict[str, _Cell]:
+        """``table`` with a delta cell stacked on each changed predicate."""
+        cells = dict(table)
         for predicate in set(plus) | set(minus):
             plus_rows = frozenset(plus.get(predicate, ()))
             minus_rows = frozenset(minus.get(predicate, ()))
@@ -366,9 +387,13 @@ class ModelSnapshot:
             if cell.depth > MAX_DELTA_DEPTH:
                 cell.rows()
             cells[predicate] = cell
-        return ModelSnapshot(cells, self._undefined, generation, False)
+        return cells
 
     # -- compaction -----------------------------------------------------------
+
+    def _cells(self) -> Iterable[_Cell]:
+        """Every cell, both truth statuses."""
+        return chain(self._true.values(), self._undefined.values())
 
     def max_chain_depth(self) -> int:
         """The deepest delta chain any predicate currently carries.
@@ -377,9 +402,7 @@ class ModelSnapshot:
         Already-read delta cells report 0 too: materialization collapses
         the whole chain in place.
         """
-        return max(
-            (cell.depth for cell in self._true.values()), default=0
-        )
+        return max((cell.depth for cell in self._cells()), default=0)
 
     def compact(self, depth_cap: int = 0) -> Tuple[int, int]:
         """Flatten every delta chain deeper than ``depth_cap``.
@@ -391,7 +414,7 @@ class ModelSnapshot:
         the ``compactions`` / ``compaction_rows`` counters.
         """
         cells = rows_total = 0
-        for cell in self._true.values():
+        for cell in self._cells():
             if cell.depth > depth_cap:
                 rows_total += len(cell.rows())
                 cells += 1
@@ -478,7 +501,8 @@ class ModelSnapshot:
         """Content hash over both truth statuses (lazy, memoized).
 
         Two snapshots with identical models share a fingerprint
-        regardless of the delta path that built them.
+        regardless of the delta path that built them: a predicate
+        present with no rows digests like an absent one.
         """
         if self._fingerprint is None:
             hasher = hashlib.sha256()
@@ -489,12 +513,14 @@ class ModelSnapshot:
                 hasher.update(section.encode("utf-8"))
                 hasher.update(b"\x03")
                 for predicate in sorted(table):
-                    hasher.update(predicate.encode("utf-8"))
-                    hasher.update(b"\x00")
                     rows = sorted(
                         table[predicate].rows(),
                         key=lambda r: tuple(map(repr, r)),
                     )
+                    if not rows:
+                        continue
+                    hasher.update(predicate.encode("utf-8"))
+                    hasher.update(b"\x00")
                     for row in rows:
                         hasher.update(repr(row).encode("utf-8"))
                         hasher.update(b"\x01")
@@ -505,9 +531,11 @@ class ModelSnapshot:
                 # the section and keep the pre-annotation digests.
                 hasher.update(b"annotations\x03")
                 for predicate in sorted(self._annotations):
+                    table = self._annotations[predicate]
+                    if not table:
+                        continue
                     hasher.update(predicate.encode("utf-8"))
                     hasher.update(b"\x00")
-                    table = self._annotations[predicate]
                     for row in sorted(table, key=lambda r: tuple(map(repr, r))):
                         hasher.update(repr(row).encode("utf-8"))
                         hasher.update(b"\x04")

@@ -12,12 +12,19 @@ database and keeps the model resident between queries:
   with **one** snapshot swap.  ``maintenance="legacy"`` keeps the
   counting/DRed :class:`~repro.service.incremental.IncrementalEngine`
   as the per-batch bench baseline;
-* every other combination (valid, well-founded, inflationary — or a
-  view explicitly forced off the fast path) routes updates through a
-  **correctness-preserving recompute fallback**: the database is
-  mutated, the resident result invalidated, and the next query
-  re-evaluates — reusing the prepared plan's fingerprint-keyed ground
-  cache when the database revisits a known state.
+* ``semantics="valid"`` / ``"wellfounded"`` on a non-stratified
+  program is maintained the same way, by an
+  :class:`~repro.service.dbsp.AlternatingEngine`: the alternating
+  fixpoint as a chain of those circuits, whose every write reports the
+  net delta of the true **and** the undefined rows (on a stratified
+  program both semantics are the stratified model, so the plain engine
+  serves them);
+* ``inflationary`` views, and any boolean view forced off the fast path
+  with ``incremental=False``, route updates through the **recompute
+  path**: the database is mutated, the resident result invalidated, and
+  the next query re-evaluates — reusing the prepared plan's
+  fingerprint-keyed ground cache when the database revisits a known
+  state.
 
 Snapshot publication (the primary read path): every consistent model
 the view reaches is published as an immutable, versioned
@@ -62,7 +69,7 @@ from ..robustness import (
 )
 from ..semiring import get_semiring
 from .annotated import AnnotatedEngine
-from .dbsp import DBSPEngine, UpdateQueue
+from .dbsp import AlternatingEngine, DBSPEngine, UpdateQueue
 from .incremental import IncrementalEngine, IncrementalMaintenanceError
 from .locks import AtomicReference
 from .metrics import ViewMetrics
@@ -173,8 +180,7 @@ class MaterializedView:
         self.mode = (
             "incremental"
             if (incremental or semiring != "bool")
-            and semantics == "stratified"
-            and prepared.stratified
+            and semantics != "inflationary"
             else "recompute"
         )
         # The bounded group-commit queue: the server's update verb
@@ -183,6 +189,9 @@ class MaterializedView:
         # the single-process and cluster worker tiers).
         self.pending = UpdateQueue(queue_capacity)
         self.engine = None
+        # The engine again when it is an alternating chain — the one
+        # engine whose models have undefined rows.
+        self._chain: Optional[AlternatingEngine] = None
         self._result: Optional[QueryResult] = None
         if self.mode == "incremental":
             with self.metrics.phase("initialize"):
@@ -200,8 +209,15 @@ class MaterializedView:
                         differential=incremental,
                     )
                 else:
+                    # Valid and well-founded are the stratified model on
+                    # a stratified program; only negation through
+                    # recursion needs the alternating chain.
                     engine_cls = (
-                        DBSPEngine if maintenance == "dbsp" else IncrementalEngine
+                        AlternatingEngine
+                        if not prepared.stratified
+                        else DBSPEngine
+                        if maintenance == "dbsp"
+                        else IncrementalEngine
                     )
                     self.engine = engine_cls(
                         prepared,
@@ -210,9 +226,11 @@ class MaterializedView:
                         metrics=self.metrics,
                         budget=self._budget(),
                     )
+                    if engine_cls is AlternatingEngine:
+                        self._chain = self.engine
             self.engine.budget = None
             self.database = self.engine.edb
-            self._publish_full(self.engine.model(), annotations=self._annotations())
+            self._publish_model()
         else:
             self.database = (database or Database()).copy()
             for predicate, row in prepared.seed_facts:
@@ -262,6 +280,12 @@ class MaterializedView:
         snapshot, _servable = self._published.get()
         return snapshot.max_chain_depth() if snapshot is not None else 0
 
+    def alternation_levels(self) -> int:
+        """Circuits in the view's alternating chain (the gauge): a
+        write costs this many passes over its delta.  0 when the view
+        is not maintained by a chain."""
+        return len(self._chain.levels) if self._chain is not None else 0
+
     def _annotations(self) -> Optional[Dict[str, Dict[Row, str]]]:
         """The engine's wire-text annotation maps (None on the boolean
         fast path — boolean snapshots never carry annotations)."""
@@ -284,16 +308,40 @@ class MaterializedView:
             )
         )
 
-    def _publish_delta(
-        self,
-        plus: Dict[str, FrozenSet[Row]],
-        minus: Dict[str, FrozenSet[Row]],
-    ) -> None:
-        snapshot, _servable = self._published.get()
-        assert snapshot is not None
-        self._publish(
-            snapshot.apply_delta(plus, minus, self._generation + 1)
+    def _publish_model(self) -> None:
+        """Publish the engine's whole model, both truth statuses."""
+        chain = self._chain
+        self._publish_full(
+            self.engine.model(),
+            chain.undefined_model() if chain is not None else None,
+            annotations=self._annotations(),
         )
+
+    def _publish_maintained(self, summary: Dict[str, object]) -> None:
+        """Publish what one engine pass left, given its summary.
+
+        Incremental snapshot maintenance: the engine's net plus/minus
+        delta — of the true and, from a chain, the undefined rows — is
+        applied to the previous snapshot, O(|delta|), not a full model
+        copy.  Annotated views publish full instead: the batch may
+        change annotations on rows whose support did not move, which a
+        support-level delta cannot express.
+        """
+        with self.metrics.phase("snapshot"):
+            if self.semiring != "bool":
+                self._publish_model()
+                return
+            snapshot, _servable = self._published.get()
+            assert snapshot is not None
+            self._publish(
+                snapshot.apply_delta(
+                    summary["plus"],
+                    summary["minus"],
+                    self._generation + 1,
+                    summary.get("undefined_plus"),
+                    summary.get("undefined_minus"),
+                )
+            )
 
     def _publish_stale(self) -> None:
         snapshot, _servable = self._published.get()
@@ -369,6 +417,8 @@ class MaterializedView:
         view keeps distinguishing true from undefined while stale."""
         if self.stale:
             return self.served_snapshot().undefined_rows(predicate)
+        if self._chain is not None:
+            return self._chain.undefined_rows(predicate)
         if self.engine is not None:
             return frozenset()
         try:
@@ -578,7 +628,11 @@ class MaterializedView:
                 return self._degraded_summary(inserts, deletes)
             return {"mode": "reinitialized"}
         except Cancelled:
+            # Rebuild too: the batch may have maintained several
+            # components — or several levels of a chain, each holding
+            # its own copy of the facts — before the budget tripped.
             self._rollback(undo_add, undo_discard)
+            self._reinitialize()
             raise
         except ReproError as exc:
             # The batch failed mid-flight: roll the EDB back to the
@@ -595,16 +649,7 @@ class MaterializedView:
         finally:
             engine.budget = None
         self._mark_healthy()
-        # Incremental snapshot maintenance: apply the engine's net
-        # plus/minus delta to the previous snapshot — O(|delta|), not a
-        # full model copy.  Annotated views publish full instead: the
-        # batch may change annotations on rows whose support did not
-        # move, which a support-level delta cannot express.
-        with self.metrics.phase("snapshot"):
-            if self.semiring != "bool":
-                self._publish_full(engine.model(), annotations=self._annotations())
-            else:
-                self._publish_delta(summary["plus"], summary["minus"])
+        self._publish_maintained(summary)
         return {"mode": "incremental", **summary}
 
     def apply_stream(
@@ -707,11 +752,9 @@ class MaterializedView:
                 return self._degraded_summary(flat_inserts, flat_deletes)
             return {"mode": "reinitialized", "batches": len(batches)}
         except Cancelled:
-            # Unlike the singleton path, a cancelled burst rebuilds the
-            # model after the rollback: the burst may have maintained
-            # several components before the budget tripped, and the
-            # queue's per-batch retry must start from a consistent
-            # state.
+            # The burst may have maintained several components before
+            # the budget tripped, and the queue's per-batch retry must
+            # start from a consistent state.
             self._rollback_presence(presence)
             self._reinitialize()
             raise
@@ -728,11 +771,7 @@ class MaterializedView:
         finally:
             engine.budget = None
         self._mark_healthy()
-        with self.metrics.phase("snapshot"):
-            if self.semiring != "bool":
-                self._publish_full(engine.model(), annotations=self._annotations())
-            else:
-                self._publish_delta(summary["plus"], summary["minus"])
+        self._publish_maintained(summary)
         return {"mode": "incremental", **summary}
 
     def _rollback_presence(
@@ -780,7 +819,7 @@ class MaterializedView:
             self._enter_degraded(exc)
             return False
         self._mark_healthy()
-        self._publish_full(engine.model(), annotations=self._annotations())
+        self._publish_model()
         return True
 
     def _degraded_summary(
@@ -841,6 +880,8 @@ class MaterializedView:
                 "maintenance": (
                     "annotated"
                     if self.semiring != "bool"
+                    else "alternating"
+                    if self._chain is not None
                     else self.maintenance
                     if self.mode == "incremental"
                     else None
@@ -858,13 +899,16 @@ class MaterializedView:
         snapshot["chain_depth"] = (
             published.max_chain_depth() if published is not None else 0
         )
+        snapshot["alternation_levels"] = self.alternation_levels()
         if published is not None:
             snapshot["snapshot_age_seconds"] = round(
                 time.monotonic() - published.published_at, 6
             )
         if self._last_error is not None:
             snapshot["last_error"] = self._last_error
-        if self.engine is not None:
+        if self._chain is not None:
+            snapshot["model_rows"] = self._chain.model_rows()
+        elif self.engine is not None:
             snapshot["model_rows"] = sum(
                 len(rows) for rows in self.engine.state.facts.values()
             )

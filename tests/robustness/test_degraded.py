@@ -7,6 +7,9 @@ from repro.relations import Atom
 from repro.datalog.engine import run
 from repro.datalog.parser import parse_program
 from repro.robustness import (
+    CancellationToken,
+    Cancelled,
+    EvaluationBudget,
     FaultInjector,
     FaultRule,
     InjectedFault,
@@ -68,6 +71,68 @@ class TestRollback:
         summary = view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
         assert summary["mode"] == "incremental"
         assert (Atom("a"), Atom("d")) in view.rows("tc")
+
+
+    @pytest.mark.parametrize("burst", [False, True])
+    @pytest.mark.parametrize("failure", ["fault", "cancel"])
+    def test_failure_in_an_upper_chain_level_rolls_every_level_back(
+        self, failure, burst
+    ):
+        # A three-valued view is a chain of engines, each with its own
+        # copy of the facts: a batch that dies at the third of them —
+        # on an injected fault, or because the request was cancelled —
+        # has already landed in the first two.
+        a, b, c, d, e = (Atom(name) for name in "abcde")
+        source = "win(X) :- move(X, Y), not win(Y).\n"
+        database = (
+            Database().add("move", a, b).add("move", b, c).add("move", d, d)
+        )
+        token = CancellationToken()
+
+        class CancelledAtTheThirdLevel(EvaluationBudget):
+            levels_entered = 0
+
+            def check(self, phase=None):
+                if phase == "dbsp-apply" and failure == "cancel":
+                    self.levels_entered += 1
+                    if self.levels_entered == 3:
+                        token.cancel()
+                super().check(phase)
+
+        view = MaterializedView(
+            prepare_program("win", source),
+            database,
+            semantics="valid",
+            budget_factory=lambda: CancelledAtTheThirdLevel(cancellation=token),
+        )
+        before = view.fingerprint()
+        inserts, deletes = [("move", (c, e))], [("move", (d, d))]
+        plan = FaultInjector(
+            [FaultRule("incremental.apply", at_hit=3, times=1)]
+            if failure == "fault"
+            else []
+        )
+        with inject_faults(plan):
+            with pytest.raises(InjectedFault if failure == "fault" else Cancelled):
+                if burst:
+                    view.apply_stream(
+                        [(inserts, deletes), ([("move", (e, a))], [])]
+                    )
+                else:
+                    view.apply(inserts=inserts, deletes=deletes)
+        assert view.fingerprint() == before
+        assert not view.stale
+        assert view.rows("win") == {(b,)}
+        assert view.undefined_rows("win") == {(d,)}
+        assert view.read_snapshot().undefined_rows("win") == {(d,)}
+        # ... and the next batch lands on a consistent chain.
+        token._cancelled = False
+        view.budget_factory = None
+        view.apply(inserts=inserts, deletes=deletes)
+        oracle = run(parse_program(source), view.database, semantics="valid")
+        assert view.rows("win") == oracle.true_rows("win") == {(a,), (c,)}
+        assert view.undefined_rows("win") == oracle.undefined_rows("win")
+        assert not view.undefined_rows("win")
 
 
 class TestDegradedIncremental:
@@ -174,16 +239,36 @@ class TestDegradedRecompute:
         healthy_undefined = view.undefined_rows("win")
         assert healthy_true == {(Atom("b"),)}
         assert healthy_undefined == {(Atom("d"),)}  # the d→d loop
-        view.apply(inserts=[("move", (Atom("c"), Atom("e")))])
+        # The chain's levels are engines: fail the batch in the first
+        # of them, and every rebuild after the rollback.
         with inject_faults(
-            FaultInjector([FaultRule("view.recompute", times=None)])
+            FaultInjector(
+                [
+                    FaultRule("incremental.apply", times=None),
+                    FaultRule("incremental.initialize", times=None),
+                ]
+            )
         ):
+            with pytest.raises(ViewDegraded):
+                view.apply(inserts=[("move", (Atom("c"), Atom("e")))])
             stale_true = view.rows("win")
             stale_undefined = view.undefined_rows("win")
-        assert view.stale
-        # Both truth statuses of the last healthy model survive.
+            stale_snapshot = view.served_snapshot()
+        assert view.stale and stale_snapshot.stale
+        # Both truth statuses of the last healthy model survive, on the
+        # locked read and on the lock-free one.
         assert stale_true == healthy_true
         assert stale_undefined == healthy_undefined
+        assert stale_snapshot.rows("win") == healthy_true
+        assert stale_snapshot.undefined_rows("win") == healthy_undefined
+        # Recovery rebuilds the chain and publishes both statuses again.
+        assert view.recover()
+        assert not view.stale
+        assert view.read_snapshot().undefined_rows("win") == healthy_undefined
+        view.apply(inserts=[("move", (Atom("d"), Atom("c")))])  # c is lost: d wins
+        assert view.read_snapshot().undefined_rows("win") == frozenset()
+        assert view.undefined_rows("win") == frozenset()
+        assert (Atom("d"),) in view.rows("win")
 
     def test_failed_recovery_stays_degraded(self):
         # Regression: recover() used to mark the view healthy *before*

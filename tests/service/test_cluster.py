@@ -339,6 +339,26 @@ class TestClusterEndToEnd:
             }
             assert after["router"]["counters"]["requests_total"] > 0
 
+    def test_alternation_levels_gauge_in_the_cluster_rollup(
+        self, running_cluster
+    ):
+        router, socket_path = running_cluster
+        with _client(socket_path) as client:
+            client.register(
+                "roll_win",
+                "win(X) :- move(X, Y), not win(Y). move(a, b). move(b, a).",
+                semantics="valid",
+            )
+            client.insert("roll_win", "move(b, c)")
+            rows, undefined = client.query("roll_win", "win")
+            assert (rows, undefined) == (["win(b)"], [])
+            owner = router.routing_table()["roll_win"]
+            gauges = client.metrics()["gauges"]["per_shard"][owner]
+            assert gauges["alternation_levels"]["roll_win"] >= 2
+            text = client.metrics_prometheus()
+        assert "repro_alternation_levels{" in text
+        assert "@prev" not in text
+
     def test_cluster_prometheus_export(self, running_cluster):
         _router, socket_path = running_cluster
         with _client(socket_path) as client:

@@ -6,8 +6,9 @@ an optimisation if it is *invisible*: the published snapshot after a
 burst must be **byte-identical** (same ``fingerprint``) to the snapshot
 after applying the same batches sequentially.  This suite checks
 exactly that, across every maintenance discipline a view can run under
-(dbsp, legacy, forced recompute, and the three-valued recompute
-semantics), from concurrent writers through the real group-commit
+(dbsp, legacy, forced recompute, inflationary recompute, and the
+alternating chain of the valid / well-founded semantics), from
+concurrent writers through the real group-commit
 path, and under injected ``service.lock`` and budget faults — a failed
 or refused burst must leave the queue empty and the view's state
 exactly where it was.

@@ -283,3 +283,59 @@ def test_leaf_toggle_cost_is_independent_of_resident_size():
     assert large == small, "rows matched must not depend on resident rows"
     for matched, delta_rows in large:
         assert 0 < matched <= 8 * delta_rows, (matched, delta_rows)
+
+
+_WIN = "win(X) :- move(X, Y), not win(Y).\n"
+
+
+def _leaf_move_work(games, length=6):
+    """(rows matched, delta rows, levels) of adding, then removing, a
+    move out of the last position of one of ``games`` separate boards —
+    each a win-chain of ``length`` moves beside a drawn 2-cycle.  One
+    longer win-chain keeps the alternation as deep with the move as
+    without (a chain that grows evaluates its new levels from scratch)."""
+    from repro.service import MaterializedView
+
+    database = Database()
+    for i in range(length + 2):
+        database.add("move", f"deep{i}", f"deep{i + 1}")
+    for k in range(games):
+        for i in range(length):
+            database.add("move", f"g{k}p{i}", f"g{k}p{i + 1}")
+        database.add("move", f"g{k}x", f"g{k}y").add("move", f"g{k}y", f"g{k}x")
+    view = MaterializedView(
+        prepare_program("games", _WIN), database, semantics="valid"
+    )
+    assert len(view.undefined_rows("win")) == 2 * games
+    leaf = ("move", (f"g0p{length}", "g0leaf"))
+    work = []
+    for batch in ({"inserts": [leaf]}, {"deletes": [leaf]}):
+        before = view.metrics.counters["rows_matched"]
+        summary = view.apply(**batch)
+        # The move, and every position of that one chain changing sides.
+        delta_rows = summary["delta_plus"] + summary["delta_minus"]
+        assert delta_rows == length + 2
+        assert not summary["undefined_plus"] and not summary["undefined_minus"]
+        work.append(
+            (
+                view.metrics.counters["rows_matched"] - before,
+                delta_rows,
+                view.alternation_levels(),
+            )
+        )
+    assert view.prepared.ground_cache_misses == 0, "a chain view never grounds"
+    assert view.metrics.counters["recompute_batches"] == 0
+    return work
+
+
+def test_three_valued_write_costs_levels_times_delta():
+    """The alternating chain hands each level the delta of the one
+    below: a leaf move on a 300-position game pulls exactly the rows it
+    pulls on a 100-position one, at most a constant per level per delta
+    row.  Counts, not clocks."""
+    large = _leaf_move_work(32)  # 32 x (7 + 2) + 9 = 297 positions
+    small = _leaf_move_work(10)
+    assert large == small, "rows matched must not depend on resident rows"
+    for matched, delta_rows, levels in large:
+        assert levels == 10
+        assert 0 < matched <= 2 * levels * delta_rows, (matched, levels, delta_rows)

@@ -23,6 +23,13 @@ both maintenance paths; a group-commit test crashes a durable dbsp
 service while racing writers coalesce, checking that every *acked*
 ticket was journaled before its reply left the server.
 
+The same matrix then runs a **three-valued** view — win-move under the
+valid semantics, with 2-cycles that come and go — through the
+alternating chain: recovery rebuilds the chain from the recovered
+facts, true and undefined rows must equal ``run()``, and no ``@prev``
+helper predicate may have reached the WAL, a checkpoint, ``stats`` or
+a reply.
+
 Two subprocess tests then run the real thing end-to-end: ``SIGKILL``
 with ``--fsync=always`` loses no acked update across a restart, and
 ``SIGTERM`` checkpoints on the way out (cold start replays nothing).
@@ -35,11 +42,15 @@ import subprocess
 import sys
 import threading
 import time
+from typing import NamedTuple
 
 import pytest
 
 pytestmark = pytest.mark.slow
 
+from repro.datalog.database import Database
+from repro.datalog.engine import run
+from repro.datalog.parser import parse_program
 from repro.robustness import (
     FaultInjector,
     FaultRule,
@@ -61,6 +72,35 @@ SCRIPT = (
     ("insert", ("e", "f")),
 )
 
+#: The three-valued config: a-b and c-d are 2-cycles with no exit
+#: (both ends undefined) until an exit move decides them.
+WIN_RULES = "win(X) :- move(X, Y), not win(Y)."
+WIN_SCRIPT = (
+    ("insert", ("a", "b")),
+    ("insert", ("b", "a")),
+    ("insert", ("c", "d")),
+    ("insert", ("d", "c")),
+    ("insert", ("b", "x")),
+    ("delete", ("b", "a")),
+    ("insert", ("d", "a")),
+    ("delete", ("b", "x")),
+    ("insert", ("b", "a")),
+)
+
+
+class Config(NamedTuple):
+    """What one crash-matrix run registers, drives and queries."""
+
+    rules: str
+    semantics: str
+    predicate: str
+    query: str
+    script: tuple
+
+
+TC_CONFIG = Config(RULES, "stratified", "edge", "tc", SCRIPT)
+WIN_CONFIG = Config(WIN_RULES, "valid", "move", "win", WIN_SCRIPT)
+
 MONOTONE_KEYS = ("inserts_applied", "deletes_applied")
 
 FSYNC_MODES = ("always", "batch", "off")
@@ -79,8 +119,8 @@ def _durable(data_dir, fsync, maintenance="dbsp"):
     )
 
 
-def _run_script(service):
-    """Drive the fixed op script; returns the acked shadow state.
+def _run_script(service, config=TC_CONFIG):
+    """Drive the config's op script; returns the acked shadow state.
 
     ``shadow`` is the base-fact set after the last acked operation;
     ``pending`` the operation in flight when a fault fired (None when
@@ -92,18 +132,18 @@ def _run_script(service):
     last_rollup = {}
     try:
         pending = ("register", None)
-        service.register("g", RULES)
+        service.register("g", config.rules, semantics=config.semantics)
         registered = True
         pending = None
         last_rollup = dict(service.metrics_snapshot()["rollup"])
-        for op, row in SCRIPT:
+        for op, row in config.script:
             pending = (op, row)
             if op == "insert":
-                service.insert("g", "edge", *row)
-                shadow.add(("edge", row))
+                service.insert("g", config.predicate, *row)
+                shadow.add((config.predicate, row))
             else:
-                service.delete("g", "edge", *row)
-                shadow.discard(("edge", row))
+                service.delete("g", config.predicate, *row)
+                shadow.discard((config.predicate, row))
             pending = None
             last_rollup = dict(service.metrics_snapshot()["rollup"])
     except InjectedFault:
@@ -125,7 +165,7 @@ def _crash(service):
 
 def _verify_recovery(
     data_dir, fsync, shadow, pending, registered, rollup,
-    maintenance="dbsp",
+    maintenance="dbsp", config=TC_CONFIG,
 ):
     recovered = _durable(data_dir, fsync, maintenance)
     try:
@@ -144,7 +184,7 @@ def _verify_recovery(
         candidates = [frozenset(shadow)]
         if pending is not None and pending[0] in ("insert", "delete"):
             altered = set(shadow)
-            fact = ("edge", pending[1])
+            fact = (config.predicate, pending[1])
             if pending[0] == "insert":
                 altered.add(fact)
             else:
@@ -154,14 +194,21 @@ def _verify_recovery(
             f"recovered base facts {sorted(got)} match neither the "
             f"acked state {sorted(shadow)} nor acked+pending {pending}"
         )
-        # From-scratch oracle: the recovered derived model must equal a
-        # clean evaluation over the recovered base facts.
-        oracle = QueryService()
-        oracle.register("g", RULES)
-        if got:
-            oracle.update("g", inserts=sorted(got))
-        assert recovered.query("g", "tc") == oracle.query("g", "tc")
-        oracle.close()
+        # From-scratch oracle: the recovered derived model, both truth
+        # statuses, must equal a clean evaluation over the recovered
+        # base facts.
+        database = Database()
+        for predicate, row in got:
+            database.add(predicate, *row)
+        oracle = run(
+            parse_program(config.rules), database, semantics=config.semantics
+        )
+        true_rows, undefined_rows, stale = recovered.query_state(
+            "g", config.query
+        )
+        assert not stale
+        assert true_rows == oracle.true_rows(config.query)
+        assert undefined_rows == oracle.undefined_rows(config.query)
         # Monotone rollup for journal-covered counters.
         post = recovered.metrics_snapshot()["rollup"]
         for key in MONOTONE_KEYS:
@@ -171,24 +218,19 @@ def _verify_recovery(
         recovered.close()
 
 
-def _count_hits(data_dir, fsync, point, maintenance="dbsp"):
+def _count_hits(data_dir, fsync, point, maintenance="dbsp", config=TC_CONFIG):
     """How often ``point`` fires during a fault-free scripted run."""
     counter = FaultInjector()
     with inject_faults(counter):
         service = _durable(data_dir, fsync, maintenance)
-        _run_script(service)
+        _run_script(service, config)
         _crash(service)
     return counter.hits.get(point, 0)
 
 
-@pytest.mark.parametrize("maintenance", MAINTENANCE_MODES)
-@pytest.mark.parametrize("fsync", FSYNC_MODES)
-@pytest.mark.parametrize("point", CRASH_POINTS)
-def test_crash_matrix(tmp_path, fsync, point, maintenance):
-    """Kill at the Nth reach of ``point``, for every N, then recover —
-    replaying the WAL through the selected maintenance engine."""
+def _crash_matrix(tmp_path, fsync, point, maintenance, config):
     assert point in ALL_POINTS
-    hits = _count_hits(tmp_path / "count", fsync, point, maintenance)
+    hits = _count_hits(tmp_path / "count", fsync, point, maintenance, config)
     if hits == 0:
         pytest.skip(f"{point} is never reached under fsync={fsync}")
     # hits+1 never fires: the full script runs, then the crash —
@@ -198,14 +240,85 @@ def test_crash_matrix(tmp_path, fsync, point, maintenance):
         injector = FaultInjector([FaultRule(point, at_hit=at_hit, times=1)])
         with inject_faults(injector):
             service = _durable(data_dir, fsync, maintenance)
-            shadow, pending, registered, rollup = _run_script(service)
+            shadow, pending, registered, rollup = _run_script(service, config)
             _crash(service)
         if at_hit > hits:
             assert pending is None, "the out-of-range rule must not fire"
         _verify_recovery(
             data_dir, fsync, shadow, pending, registered, rollup,
-            maintenance,
+            maintenance, config,
         )
+
+
+@pytest.mark.parametrize("maintenance", MAINTENANCE_MODES)
+@pytest.mark.parametrize("fsync", FSYNC_MODES)
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_matrix(tmp_path, fsync, point, maintenance):
+    """Kill at the Nth reach of ``point``, for every N, then recover —
+    replaying the WAL through the selected maintenance engine."""
+    _crash_matrix(tmp_path, fsync, point, maintenance, TC_CONFIG)
+
+
+@pytest.mark.parametrize("fsync", FSYNC_MODES)
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_matrix_valid(tmp_path, fsync, point):
+    """The same matrix on a three-valued view: recovery rebuilds the
+    alternating chain from the recovered facts, and true *and*
+    undefined rows equal ``run()``."""
+    _crash_matrix(tmp_path, fsync, point, "dbsp", WIN_CONFIG)
+
+
+def test_no_helper_predicate_leaves_the_engine(tmp_path):
+    """The chain's ``@prev`` predicates are engine-internal: after a
+    scripted run with a checkpoint and a WAL suffix, none is in the
+    data directory, in ``predicates()``, ``stats``, ``metrics``, a
+    reply or a fingerprint input — and recovery restores the view on
+    the chain, undefined rows included."""
+    import json
+
+    from repro.service import serve_stream
+
+    service = _durable(tmp_path, "off")
+    shadow, pending, _registered, _rollup = _run_script(service, WIN_CONFIG)
+    assert pending is None
+    view = service.view("g")
+    assert view.alternation_levels() >= 2
+    replies = []
+    serve_stream(
+        service,
+        ["query g win", "query g win(a)", "stats g", "metrics", "views"],
+        replies.append,
+    )
+    assert any(line.startswith("undef ") for line in replies)
+    surfaces = [
+        "\n".join(replies),
+        json.dumps(service.stats("g")),
+        repr(sorted(view.predicates())),
+        repr(sorted(view.read_snapshot().predicates())),
+        repr(sorted(view.database.predicates())),
+    ]
+    _crash(service)
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            surfaces.append(path.read_bytes().decode("utf-8", "replace"))
+    assert len(surfaces) > 6, "no WAL segment or checkpoint was written"
+    for text in surfaces:
+        assert "@" not in text, text[:200]
+    recovered = _durable(tmp_path, "off")
+    try:
+        restored = recovered.view("g")
+        assert restored.mode == "incremental"
+        assert restored.alternation_levels() >= 2
+        assert (
+            restored.read_snapshot().fingerprint
+            == view.read_snapshot().fingerprint
+        )
+        # Both 2-cycles are back, and d's only exit leads into one.
+        assert recovered.query_state("g", "win")[1] == {
+            ("a",), ("b",), ("c",), ("d",),
+        }
+    finally:
+        recovered.close()
 
 
 def test_group_commit_journal_survives_crash(tmp_path):

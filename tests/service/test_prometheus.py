@@ -117,6 +117,21 @@ class TestRenderer:
         assert _sample(
             text, "repro_chain_depth", view="tc_view"
         ) is not None
+        assert _sample(text, "repro_alternation_levels", view="tc_view") == 0
+
+    def test_alternation_levels_gauge_is_the_chain_length(self, service):
+        service.register(
+            "win_view",
+            "win(X) :- move(X, Y), not win(Y). move(a, b). move(b, a).",
+            semantics="valid",
+        )
+        levels = service.view("win_view").alternation_levels()
+        text = render_prometheus(service.metrics_snapshot())
+        assert levels >= 2
+        assert _sample(
+            text, "repro_alternation_levels", view="win_view"
+        ) == levels
+        assert "@" not in text
 
     def test_cluster_shape_labels_shards(self):
         # A cluster aggregate (shaped like rollup_metrics output).

@@ -76,9 +76,14 @@ class TestQueryService:
         service = QueryService()
         service.register("tc", TC)
         service.register("win", WIN, semantics="valid")
+        service.register("slow", WIN, semantics="valid", incremental=False)
         stats = service.stats()
-        assert set(stats["views"]) == {"tc", "win"}
-        assert stats["views"]["win"]["mode"] == "recompute"
+        assert set(stats["views"]) == {"tc", "win", "slow"}
+        assert stats["views"]["win"]["mode"] == "incremental"
+        assert stats["views"]["win"]["maintenance"] == "alternating"
+        assert stats["views"]["win"]["alternation_levels"] >= 2
+        assert stats["views"]["slow"]["mode"] == "recompute"
+        assert stats["views"]["slow"]["alternation_levels"] == 0
         assert "cache" in stats
 
 
@@ -129,23 +134,31 @@ class TestLineProtocol:
         assert replies[0].startswith("ok {")
         assert replies[1] == 'ok ["tc"]'
 
-    def test_nonstratified_fallback_visible_in_metrics(self):
+    @pytest.mark.parametrize(
+        "semantics, mode, recomputes",
+        [("valid", "incremental", 0), ("inflationary", "recompute", 1)],
+    )
+    def test_nonstratified_fallback_visible_in_metrics(
+        self, semantics, mode, recomputes
+    ):
         service = QueryService()
         replies = run_protocol(
             service,
-            f"register win valid {' '.join(WIN.split())}\n"
+            f"register win {semantics} {' '.join(WIN.split())}\n"
             "query win win\n"
             "-win move(a, b)\n"
             "query win win\n"
             "stats win\n",
         )
         info = json.loads(replies[0][len("ok ") :])
-        assert info["mode"] == "recompute" and not info["stratified"]
-        assert "undef win(d)" in replies
+        assert info["mode"] == mode and not info["stratified"]
+        # The d→d loop: undefined under valid, a win once inflated.
+        assert ("undef win(d)" in replies) == (semantics == "valid")
         stats_line = replies[-1]
         payload = json.loads(stats_line[len("ok ") :])
-        assert payload["counters"]["recompute_batches"] == 1
+        assert payload["counters"]["recompute_batches"] == recomputes
         assert payload["counters"]["recompute_fallbacks"] == 0
+        assert not any("@" in line for line in replies)
 
     def test_errors_do_not_kill_the_stream(self):
         service = QueryService()

@@ -82,6 +82,16 @@ def _check_internal_consistency(snapshot):
     assert set(gauges["chain_depth"]) == set(snapshot["views"])
     for depth in gauges["chain_depth"].values():
         assert depth >= 0
+    # One alternation_levels gauge per view: the chain's length on a
+    # three-valued view, 0 wherever no chain maintains the model.
+    assert gauges["alternation_levels"] == {
+        name: stats["alternation_levels"]
+        for name, stats in snapshot["views"].items()
+    }
+    for name, stats in snapshot["views"].items():
+        assert (stats["alternation_levels"] >= 2) == (
+            stats["maintenance"] == "alternating"
+        ), name
 
 
 def _flat_counters(snapshot):
@@ -291,14 +301,19 @@ class TestFallbackDistinction:
 
     def test_routine_recompute_batches_are_not_fallbacks(self):
         service = QueryService()
-        # The valid semantics routes every batch through the recompute
-        # path by design — none of that traffic is a fallback.
-        service.register("win", TC, semantics="valid")
+        # A view forced off the engines routes every batch through the
+        # recompute path by design — none of that traffic is a
+        # fallback.  The same program left on them recomputes nothing.
+        service.register("win", TC, semantics="valid", incremental=False)
+        service.register("fast", TC, semantics="valid")
         for node in ("p", "q", "r"):
             service.insert("win", "edge", node, node + "2")
-        counters = service.metrics_snapshot()["views"]["win"]["counters"]
-        assert counters["recompute_batches"] == 3
-        assert counters["recompute_fallbacks"] == 0
+            service.insert("fast", "edge", node, node + "2")
+        views = service.metrics_snapshot()["views"]
+        assert views["win"]["counters"]["recompute_batches"] == 3
+        assert views["win"]["counters"]["recompute_fallbacks"] == 0
+        assert views["fast"]["counters"]["recompute_batches"] == 0
+        assert views["fast"]["counters"]["recompute_fallbacks"] == 0
 
     def test_only_genuine_incremental_failures_count_as_fallbacks(self):
         from repro.service import IncrementalMaintenanceError

@@ -113,6 +113,65 @@ class TestFingerprint:
         snapshot = _snap(p={(a,)})
         assert snapshot.fingerprint is snapshot.fingerprint
 
+    def test_an_empty_predicate_digests_like_an_absent_one(self):
+        # Regression: the digest hashed table *keys*, so whether an
+        # emptied relation kept its cell — which depends on the route
+        # taken (a delta that removes the last row keeps it, a full
+        # publish may never have listed it) — changed the fingerprint
+        # of two snapshots with the same rows and undefined rows.
+        absent = ModelSnapshot.full({"win": {(b,)}}, {"win": {(d,)}})
+        listed = ModelSnapshot.full(
+            {"win": {(b,)}, "lost": frozenset()}, {"win": {(d,)}}
+        )
+        emptied = ModelSnapshot.full(
+            {"win": {(b,)}, "lost": {(a,)}}, {"win": {(d,)}, "lost": {(c,)}}
+        ).apply_delta(
+            {}, {"lost": {(a,)}}, 2, undefined_minus={"lost": {(c,)}}
+        )
+        assert emptied.predicates() == {"win", "lost"}
+        assert not emptied.rows("lost") and not emptied.undefined_rows("lost")
+        assert absent.fingerprint == listed.fingerprint == emptied.fingerprint
+        # ... and a row anywhere still tells them apart.
+        refilled = emptied.apply_delta({}, {}, 3, undefined_plus={"lost": {(c,)}})
+        assert refilled.fingerprint != absent.fingerprint
+
+
+class TestUndefinedDeltas:
+    def test_undefined_rows_follow_their_own_delta(self):
+        base = ModelSnapshot.full({"win": {(b,)}}, {"win": {(c,), (d,)}})
+        successor = base.apply_delta(
+            {"win": {(c,)}},
+            {},
+            2,
+            undefined_plus={"win": {(a,)}, "draw": {(a,)}},
+            undefined_minus={"win": {(c,)}},
+        )
+        assert successor.rows("win") == {(b,), (c,)}
+        assert successor.undefined_rows("win") == {(a,), (d,)}
+        assert successor.undefined_rows("draw") == {(a,)}
+        assert base.undefined_rows("win") == {(c,), (d,)}, "parent untouched"
+        direct = ModelSnapshot.full(
+            {"win": {(b,), (c,)}}, {"win": {(a,), (d,)}, "draw": {(a,)}}
+        )
+        assert successor.fingerprint == direct.fingerprint
+        assert successor.probe("win", (a,))[:2] == (frozenset(), {(a,)})
+
+    def test_total_deltas_share_the_undefined_table(self):
+        base = ModelSnapshot.full({"win": {(b,)}}, {"win": {(d,)}})
+        successor = base.apply_delta({"win": {(c,)}}, {}, 2)
+        assert successor._undefined is base._undefined
+
+    def test_undefined_chains_count_for_depth_and_compaction(self):
+        snapshot = ModelSnapshot.full({"win": {(b,)}}, {"win": {(d,)}})
+        for step in range(5):
+            snapshot = snapshot.apply_delta(
+                {}, {}, step + 2, undefined_plus={"win": {(Atom(f"n{step}"),)}}
+            )
+        assert snapshot.max_chain_depth() == 5
+        cells, rows = snapshot.compact(2)
+        assert (cells, rows) == (1, 6)
+        assert snapshot.max_chain_depth() == 0
+
 
 class TestCellUnit:
     def test_frozen_cell_roundtrip(self):

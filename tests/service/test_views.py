@@ -124,29 +124,51 @@ class TestIncrementalFastPath:
 
 
 class TestRecomputeFallback:
-    def test_nonstratified_routes_to_recompute(self):
+    def test_nonstratified_routes_to_the_chain(self):
         db = Database().add("move", a, b).add("move", b, c).add("move", d, d)
         view = MaterializedView(
             prepare_program("win", WIN), db, semantics="valid"
         )
-        assert view.mode == "recompute"
+        assert view.mode == "incremental"
+        assert view.alternation_levels() >= 2
+        assert view.stats()["maintenance"] == "alternating"
         assert view.rows("win") == {(b,)}
         assert view.undefined_rows("win") == {(d,)}
+        # The recompute path stays for the inflationary semantics and
+        # for views forced off the engines.
+        for kwargs in (
+            {"semantics": "inflationary"},
+            {"semantics": "valid", "incremental": False},
+        ):
+            slow = MaterializedView(prepare_program("win", WIN), db, **kwargs)
+            assert slow.mode == "recompute"
+            assert slow.alternation_levels() == 0
+        assert slow.rows("win") == {(b,)}
+        assert slow.undefined_rows("win") == {(d,)}
 
     def test_update_counts_fallback_and_stays_correct(self):
         db = Database().add("move", a, b)
-        view = MaterializedView(
+        chained = MaterializedView(
             prepare_program("win", WIN), db, semantics="valid"
         )
-        assert view.rows("win") == {(a,)}
-        summary = view.delete("move", a, b)
-        assert summary["mode"] == "recompute"
-        assert view.rows("win") == frozenset()
-        # Routine recompute-mode traffic is counted as recompute_batches;
-        # recompute_fallbacks is reserved for genuine incremental-path
-        # failures, so it must stay zero here.
-        assert view.metrics.counters["recompute_batches"] == 1
-        assert view.metrics.counters["recompute_fallbacks"] == 0
+        forced = MaterializedView(
+            prepare_program("win", WIN), db, semantics="valid", incremental=False
+        )
+        for view, mode, recomputes in (
+            (chained, "incremental", 0),
+            (forced, "recompute", 1),
+        ):
+            assert view.rows("win") == {(a,)}
+            summary = view.delete("move", a, b)
+            assert summary["mode"] == mode
+            assert view.rows("win") == frozenset()
+            # Routine recompute-mode traffic is counted as
+            # recompute_batches (none on the chain); recompute_fallbacks
+            # is reserved for genuine incremental-path failures, so it
+            # must stay zero here.
+            assert view.metrics.counters["recompute_batches"] == recomputes
+            assert view.metrics.counters["recompute_fallbacks"] == 0
+        assert chained.metrics.counters["update_batches"] == 1
 
     def test_forced_recompute_on_stratified_program(self):
         db = Database().add("edge", a, b).add("edge", b, c)
@@ -163,7 +185,8 @@ class TestRecomputeFallback:
     def test_ground_cache_reused_when_state_revisits(self):
         db = Database().add("move", a, b)
         view = MaterializedView(
-            prepare_program("win2", WIN), db, semantics="valid"
+            prepare_program("win2", WIN), db, semantics="valid",
+            incremental=False,
         )
         view.rows("win")
         view.insert("move", b, c)
@@ -171,6 +194,17 @@ class TestRecomputeFallback:
         view.delete("move", b, c)  # back to the original fingerprint
         view.rows("win")
         assert view.prepared.ground_cache_hits == 1
+
+    def test_chain_view_never_grounds(self):
+        db = Database().add("move", a, b)
+        view = MaterializedView(
+            prepare_program("win4", WIN), db, semantics="valid"
+        )
+        view.insert("move", b, c)
+        view.delete("move", b, c)
+        assert view.rows("win") == {(a,)}
+        assert view.prepared.ground_cache_hits == 0
+        assert view.prepared.ground_cache_misses == 0
 
     def test_wellfounded_semantics_served(self):
         db = Database().add("move", d, d)

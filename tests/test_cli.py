@@ -227,22 +227,26 @@ class TestServeCommand:
         assert out[-1] == "ok bye"
 
     def test_fallback_to_recompute_path(self, monkeypatch, capsys, win_dl):
-        out = self._serve(
-            monkeypatch,
-            capsys,
-            f"register win valid {win_dl}\n"
-            "query win win\n"
-            "-win move(a, b)\n"
-            "query win win\n"
-            "stats win\n",
-        )
-        assert "undef win(d)" in out
         import json
 
-        payload = json.loads(out[-1][len("ok ") :])
-        assert payload["mode"] == "recompute"
-        assert payload["counters"]["recompute_batches"] == 1
-        assert payload["counters"]["recompute_fallbacks"] == 0
+        for semantics, mode, recomputes in (
+            ("valid", "incremental", 0),
+            ("inflationary", "recompute", 1),
+        ):
+            out = self._serve(
+                monkeypatch,
+                capsys,
+                f"register win {semantics} {win_dl}\n"
+                "query win win\n"
+                "-win move(a, b)\n"
+                "query win win\n"
+                "stats win\n",
+            )
+            assert ("undef win(d)" in out) == (semantics == "valid")
+            payload = json.loads(out[-1][len("ok ") :])
+            assert payload["mode"] == mode
+            assert payload["counters"]["recompute_batches"] == recomputes
+            assert payload["counters"]["recompute_fallbacks"] == 0
 
     def test_bad_requests_keep_serving(self, monkeypatch, capsys):
         out = self._serve(
