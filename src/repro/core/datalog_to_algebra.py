@@ -14,7 +14,7 @@ accumulating nested-pair tuple, ``y = f(x̄)`` extends the tuple via MAP,
 negative literals subtract the matching sub-join, and the head is
 reconstructed with MAP.  We drive it with the same binding-order analysis
 the grounder uses, so exactly the safe rules (Definition 4.1) are
-translatable — :class:`~repro.datalog.grounding.UnsafeRuleError` is raised
+translatable — :class:`~repro.datalog.binding.UnsafeRuleError` is raised
 otherwise, matching Proposition 4.2's insistence on safety.
 
 Predicates are encoded as in :mod:`repro.core.encoding`: arity 1 → the
@@ -37,7 +37,7 @@ from ..datalog.ast import (
     Term,
     Var,
 )
-from ..datalog.grounding import UnsafeRuleError, binding_order
+from ..datalog.binding import UnsafeRuleError, binding_order
 from .encoding import UNIT
 from .expressions import (
     Call,
@@ -258,7 +258,7 @@ def datalog_to_algebra(program: Program) -> DatalogToAlgebraResult:
 
     Each IDB predicate becomes a recursive set constant whose body is the
     union of its rules' simulation expressions.  Raises
-    :class:`~repro.datalog.grounding.UnsafeRuleError` on unsafe rules.
+    :class:`~repro.datalog.binding.UnsafeRuleError` on unsafe rules.
     """
     idb = program.idb_predicates()
     arities = program.arities()

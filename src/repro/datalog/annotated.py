@@ -39,8 +39,8 @@ from ..relations.values import Value
 from ..robustness import BudgetExceeded, EvaluationBudget
 from ..semiring import Semiring
 from .ast import Const, Literal, Program, Rule, Var, eval_term
+from .binding import _compare, compiled_binding_order
 from .database import Database
-from .grounding import compiled_binding_order, _compare
 from .stratification import stratify
 
 __all__ = ["AnnotationMap", "WeightedEvaluator", "annotated_model", "edb_annotations"]

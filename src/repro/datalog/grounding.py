@@ -10,7 +10,9 @@ projection* of the program (dropping negative literals only makes rules
 easier to fire).  The grounder therefore derives exactly the atoms in that
 over-approximation, instantiates rules whose positive bodies lie inside
 it, and post-processes negative literals: a negative literal over an atom
-outside the over-approximation is certainly true and is dropped.
+outside the over-approximation is certainly true and is dropped.  The
+closure and the instantiation are one computation on the join kernel
+(:mod:`repro.datalog.kernel`): see :func:`ground`.
 
 Because the paper allows function symbols (``succ``, ``+2``, ...), the
 over-approximation may be infinite.  The grounder takes explicit bounds
@@ -20,28 +22,33 @@ fixpoint via :attr:`GroundProgram.complete`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import cached_property, lru_cache
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..robustness import BudgetExceeded, EvaluationBudget, fault_point
 from ..relations.universe import FunctionRegistry
-from ..relations.values import Value, value_key
-from .ast import (
-    Comparison,
-    Const,
-    FuncTerm,
-    Literal,
-    PredAtom,
-    Program,
-    Rule,
-    Term,
-    Var,
-    eval_term,
-    term_vars,
+from ..relations.values import Value
+from .ast import Literal, PredAtom, Program, Rule
+from .binding import (
+    GroundingError,
+    UnsafeRuleError,
+    binding_order,
+    compiled_binding_order,
 )
 from .database import Database
+from .kernel import NEW, OLD, JoinKernel
 
 __all__ = [
     "GroundAtom",
@@ -56,15 +63,8 @@ __all__ = [
 ]
 
 
-GroundAtom = Tuple[str, Tuple[Value, ...]]
-
-
-class GroundingError(Exception):
-    """Base class for grounding failures."""
-
-
-class UnsafeRuleError(GroundingError):
-    """A rule has no evaluable binding order (it is not range-restricted)."""
+Row = Tuple[Value, ...]
+GroundAtom = Tuple[str, Row]
 
 
 class GroundingBudgetExceeded(GroundingError, BudgetExceeded):
@@ -93,25 +93,31 @@ class GroundRule:
 
 
 class _AtomTable:
-    """Bidirectional interning of ground atoms."""
+    """Bidirectional interning of ground atoms, grouped by predicate."""
 
     def __init__(self) -> None:
-        self._ids: Dict[GroundAtom, int] = {}
+        self._ids: Dict[str, Dict[Row, int]] = {}
         self._atoms: List[GroundAtom] = []
 
     def intern(self, atom: GroundAtom) -> int:
         """Intern an atom, returning its id."""
-        found = self._ids.get(atom)
-        if found is not None:
-            return found
-        new_id = len(self._atoms)
-        self._ids[atom] = new_id
-        self._atoms.append(atom)
-        return new_id
+        predicate, args = atom
+        ids = self._ids.get(predicate)
+        if ids is None:
+            ids = self._ids[predicate] = {}
+        found = ids.get(args)
+        if found is None:
+            found = ids[args] = len(self._atoms)
+            self._atoms.append(atom)
+        return found
+
+    def of(self, predicate: str) -> Mapping[Row, int]:
+        """Args → id of one predicate's atoms."""
+        return self._ids.get(predicate, {})
 
     def lookup(self, atom: GroundAtom) -> Optional[int]:
         """The id of an atom, or None if never interned."""
-        return self._ids.get(atom)
+        return self.of(atom[0]).get(atom[1])
 
     def decode(self, atom_id: int) -> GroundAtom:
         """The (predicate, args) of an atom id."""
@@ -124,6 +130,41 @@ class _AtomTable:
         return iter(self._atoms)
 
 
+class RuleIndex(Sequence):
+    """Ground rules plus the oracle-independent half of the solver's state.
+
+    :func:`~repro.datalog.semantics.fixpoint.least_model_with_oracle`
+    counts, per rule, the positive body atoms still missing and walks
+    atom → rule watcher lists; neither depends on the negation oracle,
+    so a program solved under many oracles (two per alternation round)
+    builds them once here and each call only copies the counters.
+    """
+
+    def __init__(self, rules: Sequence[GroundRule]):
+        self.rules = rules
+        self.heads = [rule.head for rule in rules]
+        #: Per rule: positive body occurrences (an atom mentioned twice
+        #: is watched twice, so the counter stays consistent).
+        self.counts = [len(rule.pos) for rule in rules]
+        self.watchers: Dict[int, List[int]] = {}
+        #: Rules that fire with nothing derived / rules an oracle can block.
+        self.bodiless: List[int] = []
+        self.negated: List[Tuple[int, Tuple[int, ...]]] = []
+        for index, rule in enumerate(rules):
+            for atom in rule.pos:
+                self.watchers.setdefault(atom, []).append(index)
+            if not rule.pos:
+                self.bodiless.append(index)
+            if rule.neg:
+                self.negated.append((index, rule.neg))
+
+    def __getitem__(self, index):
+        return self.rules[index]
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+
 @dataclass
 class GroundProgram:
     """The propositional program the semantics engines consume."""
@@ -132,6 +173,12 @@ class GroundProgram:
     complete: bool
     idb_predicates: FrozenSet[str]
     _table: _AtomTable = field(repr=False)
+
+    @cached_property
+    def indexed_rules(self) -> RuleIndex:
+        """:attr:`rules` with the solver's index, built on first use (the
+        rules are not to change once a program has been solved)."""
+        return RuleIndex(self.rules)
 
     @property
     def atom_count(self) -> int:
@@ -153,21 +200,15 @@ class GroundProgram:
             predicate, args = self._table.decode(atom_id)
             yield atom_id, predicate, args
 
-    def atoms_of(self, predicate: str) -> List[Tuple[int, Tuple[Value, ...]]]:
+    def atoms_of(self, predicate: str) -> List[Tuple[int, Row]]:
         """(id, args) pairs of a predicate's atoms."""
-        return [
-            (atom_id, args)
-            for atom_id, pred, args in self.atoms()
-            if pred == predicate
-        ]
+        return [(atom_id, args) for args, atom_id in self._table.of(predicate).items()]
 
-    def rows_where(self, truth, predicate: str) -> FrozenSet[Tuple[Value, ...]]:
+    def rows_where(self, truth: Callable[[int], bool], predicate: str) -> FrozenSet[Row]:
         """Rows of ``predicate`` whose atom id satisfies ``truth(atom_id)``."""
-        rows = set()
-        for atom_id, pred, args in self.atoms():
-            if pred == predicate and truth(atom_id):
-                rows.add(args)
-        return frozenset(rows)
+        return frozenset(
+            args for args, atom_id in self._table.of(predicate).items() if truth(atom_id)
+        )
 
     def pretty(self, limit: Optional[int] = None) -> str:
         """Render the ground rules (optionally truncated)."""
@@ -190,421 +231,48 @@ def _format_atom(atom: GroundAtom) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Binding orders
+# The grounder: a client of the join kernel
 # ---------------------------------------------------------------------------
 
 
-def _literal_processable(literal: Literal, bound: Set[Var]) -> bool:
-    """A positive literal is matchable when every non-variable argument's
-    variables are either already bound or bound by variable arguments of
-    this same literal."""
-    newly_bound = set(bound)
-    for arg in literal.atom.args:
-        if isinstance(arg, Var):
-            newly_bound.add(arg)
-    for arg in literal.atom.args:
-        if isinstance(arg, FuncTerm) and not term_vars(arg) <= newly_bound:
-            return False
-    return True
+class _Layout(NamedTuple):
+    """Where the atoms of a rule instance sit in its plan's leaf row."""
 
-
-def _comparison_mode(comparison: Comparison, bound: Set[Var]) -> Optional[str]:
-    """'assign-left' / 'assign-right' / 'test' / None (not processable)."""
-    left_free = term_vars(comparison.left) - bound
-    right_free = term_vars(comparison.right) - bound
-    if not left_free and not right_free:
-        return "test"
-    if comparison.op != "=":
-        return None
-    if (
-        isinstance(comparison.left, Var)
-        and comparison.left in left_free
-        and not right_free
-    ):
-        return "assign-left"
-    if (
-        isinstance(comparison.right, Var)
-        and comparison.right in right_free
-        and not left_free
-    ):
-        return "assign-right"
-    return None
-
-
-def binding_order(rule: Rule) -> List[Tuple[str, object]]:
-    """Compute an evaluable processing order for a rule body.
-
-    Returns a list of ``(kind, item)`` with kind in ``{'match', 'assign',
-    'test', 'negtest'}``.  Raises :class:`UnsafeRuleError` when no order
-    exists — which, by Definition 4.1, means the rule is not safe.
-    """
-    pending: List[object] = list(rule.body)
-    order: List[Tuple[str, object]] = []
-    bound: Set[Var] = set()
-
-    while pending:
-        progress = False
-        for item in list(pending):
-            if isinstance(item, Literal) and item.positive:
-                if _literal_processable(item, bound):
-                    order.append(("match", item))
-                    bound |= item.vars()
-                    pending.remove(item)
-                    progress = True
-                    break
-            elif isinstance(item, Comparison):
-                mode = _comparison_mode(item, bound)
-                if mode == "test":
-                    order.append(("test", item))
-                    pending.remove(item)
-                    progress = True
-                    break
-                if mode in ("assign-left", "assign-right"):
-                    order.append(("assign", (mode, item)))
-                    bound |= item.vars()
-                    pending.remove(item)
-                    progress = True
-                    break
-            elif isinstance(item, Literal) and not item.positive:
-                if item.vars() <= bound:
-                    order.append(("negtest", item))
-                    pending.remove(item)
-                    progress = True
-                    break
-        if not progress:
-            raise UnsafeRuleError(
-                f"rule has no evaluable binding order (unsafe): {rule!r}"
-            )
-
-    head_free = rule.head.vars() - bound
-    if head_free:
-        raise UnsafeRuleError(
-            f"head variables {sorted(v.name for v in head_free)} are not "
-            f"restricted by the body: {rule!r}"
-        )
-    return order
+    #: Head arity: the head row is ``instance[:width]``.
+    width: int
+    #: ``(predicate, start, stop)`` of each positive / negated body atom.
+    pos: Tuple[Tuple[str, int, int], ...]
+    neg: Tuple[Tuple[str, int, int], ...]
 
 
 @lru_cache(maxsize=4096)
-def _compiled_order(rule: Rule) -> Tuple[Tuple[str, object], ...]:
-    return tuple(binding_order(rule))
+def _instance_rule(rule: Rule) -> Tuple[Rule, _Layout]:
+    """``rule``'s positive projection with the whole instance as its head.
 
-
-def compiled_binding_order(rule: Rule) -> Tuple[Tuple[str, object], ...]:
-    """Memoized :func:`binding_order`.
-
-    Rules are immutable and hashable, so repeated evaluations of the
-    same program (the grounder, the direct engine, and the service
-    layer's prepared plans) share one compiled order per rule instead of
-    re-deriving it on every call.
+    The head is widened to the head arguments, then every positive body
+    atom's, then every negated atom's; the body keeps the positive
+    literals and the comparisons.  Compiled by
+    :func:`~repro.datalog.kernel.compile_plan` like any other rule, its
+    leaf row *is* the rule instance: negated literals are never tested
+    (whether ``not q(ā)`` can hold is not known until the closure is
+    complete), only read off the slots, and an undefined function term
+    in one drops the instance like anywhere else in the rule.
     """
-    return _compiled_order(rule)
-
-
-# ---------------------------------------------------------------------------
-# Comparison evaluation
-# ---------------------------------------------------------------------------
-
-
-def _compare(op: str, left: Value, right: Value) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    comparable = (
-        isinstance(left, int)
-        and isinstance(right, int)
-        and not isinstance(left, bool)
-        and not isinstance(right, bool)
-    ) or (isinstance(left, str) and isinstance(right, str))
-    if not comparable:
-        return False
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(f"unknown comparison {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# The grounder
-# ---------------------------------------------------------------------------
-
-
-class _Grounder:
-    def __init__(
-        self,
-        program: Program,
-        database: Database,
-        registry: Optional[FunctionRegistry],
-        max_rounds: int,
-        max_atoms: int,
-        budget: Optional[EvaluationBudget] = None,
-    ):
-        self.program = program
-        self.database = database
-        self.registry = registry
-        self.max_rounds = max_rounds
-        self.max_atoms = max_atoms
-        self.budget = budget
-        self.table = _AtomTable()
-        self.possible: Dict[str, Set[Tuple[Value, ...]]] = {}
-        # Per-predicate, per-argument-position index: (position, value) →
-        # rows.  Makes bound-argument literal matching sub-linear.
-        self.index: Dict[str, Dict[Tuple[int, Value], Set[Tuple[Value, ...]]]] = {}
-        self.ground_rules: Set[Tuple] = set()
-        self.ordered_rules = [
-            (rule, compiled_binding_order(rule)) for rule in program.rules
-        ]
-        self.idb = program.idb_predicates()
-
-    # -- possible-atom bookkeeping -------------------------------------------
-
-    def _rows(self, predicate: str) -> Set[Tuple[Value, ...]]:
-        return self.possible.setdefault(predicate, set())
-
-    def _add_possible(self, predicate: str, args: Tuple[Value, ...]) -> bool:
-        rows = self._rows(predicate)
-        if args in rows:
-            return False
-        if self.budget is not None:
-            self.budget.tick()
-            self.budget.charge_facts()
-        rows.add(args)
-        index = self.index.setdefault(predicate, {})
-        for position, value in enumerate(args):
-            index.setdefault((position, value), set()).add(args)
-        return True
-
-    def _candidate_rows(
-        self,
-        literal: Literal,
-        binding: Dict[Var, Value],
-        rows: Set[Tuple[Value, ...]],
-        use_index: bool,
-    ):
-        """Rows worth matching against ``literal``: the smallest index
-        bucket over its already-bound argument positions, else all rows."""
-        if not use_index:
-            return rows
-        index = self.index.get(literal.atom.predicate)
-        if not index:
-            return rows
-        best = rows
-        for position, arg in enumerate(literal.atom.args):
-            value: Optional[Value] = None
-            if isinstance(arg, Const):
-                value = arg.value
-            elif isinstance(arg, Var) and arg in binding:
-                value = binding[arg]
-            if value is None:
-                continue
-            bucket = index.get((position, value))
-            if bucket is None:
-                return ()
-            if len(bucket) < len(best):
-                best = bucket
-        return best
-
-    def _total_atoms(self) -> int:
-        return sum(len(rows) for rows in self.possible.values())
-
-    # -- matching -------------------------------------------------------------
-
-    def _match_literal(
-        self,
-        literal: Literal,
-        binding: Dict[Var, Value],
-        rows: Sequence[Tuple[Value, ...]],
-    ):
-        """Yield extended bindings matching ``literal`` against ``rows``."""
-        args = literal.atom.args
-        for row in rows:
-            if len(row) != len(args):
-                continue
-            extended = dict(binding)
-            ok = True
-            deferred: List[Tuple[Term, Value]] = []
-            for arg, value in zip(args, row):
-                if isinstance(arg, Var):
-                    if arg in extended:
-                        if extended[arg] != value:
-                            ok = False
-                            break
-                    else:
-                        extended[arg] = value
-                elif isinstance(arg, Const):
-                    if arg.value != value:
-                        ok = False
-                        break
-                else:
-                    deferred.append((arg, value))
-            if not ok:
-                continue
-            for term, value in deferred:
-                evaluated = eval_term(term, extended, self.registry)
-                if evaluated != value:
-                    ok = False
-                    break
-            if ok:
-                yield extended
-
-    def _instantiate(
-        self,
-        rule: Rule,
-        order: List[Tuple[str, object]],
-        delta_literal: Optional[int],
-        delta: Dict[str, Set[Tuple[Value, ...]]],
-    ):
-        """Backtracking instantiation.  ``delta_literal`` selects which
-        positive-match step must bind against the delta (semi-naive)."""
-        results: List[Tuple[Dict[Var, Value], List[GroundAtom], List[GroundAtom]]] = []
-
-        def walk(step: int, binding: Dict[Var, Value], pos_atoms, neg_atoms, match_seen):
-            if step == len(order):
-                results.append((binding, list(pos_atoms), list(neg_atoms)))
-                return
-            kind, payload = order[step]
-            if kind == "match":
-                literal: Literal = payload
-                predicate = literal.atom.predicate
-                use_delta = match_seen == delta_literal
-                if use_delta:
-                    rows = delta.get(predicate, set())
-                else:
-                    rows = self._candidate_rows(
-                        literal, binding, self._rows(predicate), True
-                    )
-                for extended in self._match_literal(literal, binding, list(rows)):
-                    ground_args = tuple(
-                        eval_term(arg, extended, self.registry)
-                        for arg in literal.atom.args
-                    )
-                    walk(
-                        step + 1,
-                        extended,
-                        pos_atoms + [(predicate, ground_args)],
-                        neg_atoms,
-                        match_seen + 1,
-                    )
-                return
-            if kind == "assign":
-                mode, comparison = payload
-                if mode == "assign-left":
-                    variable, expr = comparison.left, comparison.right
-                else:
-                    variable, expr = comparison.right, comparison.left
-                value = eval_term(expr, binding, self.registry)
-                if value is None:
-                    return
-                extended = dict(binding)
-                extended[variable] = value
-                walk(step + 1, extended, pos_atoms, neg_atoms, match_seen)
-                return
-            if kind == "test":
-                comparison = payload
-                left = eval_term(comparison.left, binding, self.registry)
-                right = eval_term(comparison.right, binding, self.registry)
-                if left is None or right is None:
-                    return
-                if _compare(comparison.op, left, right):
-                    walk(step + 1, binding, pos_atoms, neg_atoms, match_seen)
-                return
-            if kind == "negtest":
-                literal = payload
-                ground_args = tuple(
-                    eval_term(arg, binding, self.registry)
-                    for arg in literal.atom.args
-                )
-                if any(value is None for value in ground_args):
-                    return
-                walk(
-                    step + 1,
-                    binding,
-                    pos_atoms,
-                    neg_atoms + [(literal.atom.predicate, ground_args)],
-                    match_seen,
-                )
-                return
-            raise AssertionError(kind)
-
-        walk(0, {}, [], [], 0)
-        return results
-
-    # -- the main loop ----------------------------------------------------------
-
-    def run(self) -> Tuple[bool, List[Tuple[GroundAtom, Tuple[GroundAtom, ...], Tuple[GroundAtom, ...]]]]:
-        """Run the closure; returns (complete?, collected rule instances)."""
-        for predicate in self.database.predicates():
-            for row in self.database.rows(predicate):
-                self._add_possible(predicate, row)
-
-        collected: Set[Tuple] = set()
-        delta: Dict[str, Set[Tuple[Value, ...]]] = {
-            predicate: set(rows) for predicate, rows in self.possible.items()
-        }
-        first_round = True
-        complete = False
-
-        for _round in range(self.max_rounds):
-            fault_point("grounder.round")
-            if self.budget is not None:
-                self.budget.note_iteration(phase="grounding")
-            new_delta: Dict[str, Set[Tuple[Value, ...]]] = {}
-            produced_any = False
-            for rule, order in self.ordered_rules:
-                match_count = sum(1 for kind, _p in order if kind == "match")
-                if first_round:
-                    # Naive first pass: every match joins against the full
-                    # possible-atom sets (delta_literal=None).
-                    variants: List[Optional[int]] = [None]
-                elif match_count == 0:
-                    # Body has no positive literals; nothing new can fire it.
-                    continue
-                else:
-                    # Semi-naive: one variant per choice of which positive
-                    # literal must bind against last round's delta.
-                    variants = list(range(match_count))
-                for delta_literal in variants:
-                    for binding, pos_atoms, neg_atoms in self._instantiate(
-                        rule, order, delta_literal, delta
-                    ):
-                        head_args = tuple(
-                            eval_term(arg, binding, self.registry)
-                            for arg in rule.head.args
-                        )
-                        if any(value is None for value in head_args):
-                            continue
-                        head_atom = (rule.head.predicate, head_args)
-                        key = (head_atom, tuple(pos_atoms), tuple(sorted(neg_atoms, key=_atom_sort_key)))
-                        if key not in collected:
-                            collected.add(key)
-                        if self._add_possible(*head_atom):
-                            produced_any = True
-                            new_delta.setdefault(head_atom[0], set()).add(head_atom[1])
-            if self._total_atoms() > self.max_atoms:
-                complete = False
-                break
-            first_round = False
-            if not produced_any:
-                complete = True
-                break
-            delta = new_delta
-        else:
-            complete = False
-
-        return complete, [
-            (head, pos_atoms, neg_atoms) for head, pos_atoms, neg_atoms in collected
-        ]
-
-
-def _atom_sort_key(atom: GroundAtom):
-    predicate, args = atom
-    return (predicate, tuple(value_key(arg) for arg in args))
+    order = compiled_binding_order(rule)  # the safety verdict, on the rule as written
+    args = list(rule.head.args)
+    spans: Dict[str, list] = {"match": [], "negtest": []}
+    for kind, literal in order:
+        if kind in spans:
+            stop = len(args) + len(literal.atom.args)
+            spans[kind].append((literal.atom.predicate, len(args), stop))
+            args.extend(literal.atom.args)
+    body = tuple(
+        item for item in rule.body if not isinstance(item, Literal) or item.positive
+    )
+    return (
+        Rule(PredAtom(rule.head.predicate, tuple(args)), body),
+        _Layout(len(rule.head.args), tuple(spans["match"]), tuple(spans["negtest"])),
+    )
 
 
 def ground(
@@ -622,12 +290,79 @@ def ground(
     relevant rule instance, and negative literals filtered down to atoms
     that are possibly true (others are certainly false, hence satisfied).
 
+    The relevant-atom closure runs in rounds on one
+    :class:`~repro.datalog.kernel.JoinKernel`: round 0 fires every rule
+    over the database, and in each later round every positive literal
+    over a predicate that grew leads one firing with last round's new
+    atoms, the literals left of it reading the atoms *before* that round
+    (``OLD``) and the ones right of it all of them (``NEW``) — so each
+    rule instance is produced exactly once, in the round after its last
+    body atom appeared.
+
     ``budget`` governs the closure with deadline/step/fact bounds on top
-    of ``max_rounds``/``max_atoms`` — a divergent ``succ``-style program
+    of ``max_rounds``/``max_atoms`` (one step per possible atom and per
+    rule instance) — a divergent ``succ``-style program or a wide join
     stops with a structured error instead of exhausting the round cap.
     """
-    grounder = _Grounder(program, database, registry, max_rounds, max_atoms, budget)
-    complete, raw_rules = grounder.run()
+    kernel = JoinKernel(registry)
+    table = _AtomTable()
+    idb = program.idb_predicates()
+    firings: List[tuple] = []
+    variants: List[tuple] = []
+    for rule in program.rules:
+        projection, layout = _instance_rule(rule)
+        firings.append((kernel.plan(projection), None, layout))
+        variants.extend(
+            (item.atom.predicate, kernel.plan(projection, index), layout)
+            for index, item in enumerate(projection.body)
+            if isinstance(item, Literal) and item.atom.predicate in idb
+        )
+
+    def admit(predicate: str, rows) -> None:
+        """New possible atoms: into the store, interned, charged."""
+        for row in rows:
+            if kernel.add(predicate, row):
+                if budget is not None:
+                    budget.tick()
+                    budget.charge_facts()
+                table.intern((predicate, row))
+
+    ground_rules: List[GroundRule] = []
+    for predicate in database.predicates():
+        admit(predicate, database.rows(predicate))
+        ground_rules.extend(map(GroundRule, table.of(predicate).values()))
+
+    fired: List[Tuple[_Layout, str, list]] = []
+    complete = False
+    for _round in range(max_rounds):
+        fault_point("grounder.round")
+        if budget is not None:
+            budget.note_iteration(phase="grounding")
+        fresh: Dict[str, Set[Row]] = {}
+        for plan, lead, layout in firings:
+            instances = kernel.fire(plan, lead, before=OLD, after=NEW, budget=budget)
+            if not instances:
+                continue
+            fired.append((layout, plan.head, instances))
+            heads = {instance[: layout.width] for instance, _weight in instances}
+            heads -= kernel.rows(plan.head)
+            if heads:
+                fresh.setdefault(plan.head, set()).update(heads)
+        # The round's atoms become visible — and the next round's delta —
+        # only now: no instance fired this round has read them.
+        kernel.plus = fresh
+        for predicate, rows in fresh.items():
+            admit(predicate, rows)
+        if len(table) > max_atoms:
+            break
+        if not fresh:
+            complete = True
+            break
+        firings = [
+            (plan, fresh[predicate], layout)
+            for predicate, plan, layout in variants
+            if predicate in fresh
+        ]
     if require_complete and not complete:
         raise GroundingBudgetExceeded(
             f"grounding did not converge within max_rounds={max_rounds}, "
@@ -635,37 +370,30 @@ def ground(
             f"a bounded approximation"
         )
 
-    table = grounder.table
-    possible = grounder.possible
-    ground_rules: List[GroundRule] = []
-    seen: Set[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = set()
-
-    # EDB facts.
-    for predicate in database.predicates():
-        for row in database.rows(predicate):
-            atom_id = table.intern((predicate, row))
-            key = (atom_id, (), ())
+    # Two rules (or a rule and a fact) can share an instance; within a
+    # rule every instance is distinct.
+    seen = {(ground_rule.head, (), ()) for ground_rule in ground_rules}
+    for layout, head, instances in fired:
+        width = layout.width
+        head_ids = table.of(head)
+        pos = [(table.of(predicate), start, stop) for predicate, start, stop in layout.pos]
+        neg = [(table.of(predicate), start, stop) for predicate, start, stop in layout.neg]
+        for instance, _weight in instances:
+            # A negated atom outside the closure is certainly false: the
+            # literal certainly holds and is dropped.
+            kept = [ids.get(instance[start:stop]) for ids, start, stop in neg]
+            key = (
+                head_ids[instance[:width]],
+                tuple([ids[instance[start:stop]] for ids, start, stop in pos]),
+                tuple(sorted(atom for atom in kept if atom is not None)) if kept else (),
+            )
             if key not in seen:
                 seen.add(key)
-                ground_rules.append(GroundRule(atom_id))
-
-    for head, pos_atoms, neg_atoms in raw_rules:
-        head_id = table.intern(head)
-        pos_ids = tuple(table.intern(atom) for atom in pos_atoms)
-        kept_neg: List[int] = []
-        for atom in neg_atoms:
-            predicate, args = atom
-            if args in possible.get(predicate, ()):  # possibly true: keep
-                kept_neg.append(table.intern(atom))
-            # otherwise: certainly false, negative literal certainly holds.
-        key = (head_id, pos_ids, tuple(sorted(kept_neg)))
-        if key not in seen:
-            seen.add(key)
-            ground_rules.append(GroundRule(head_id, pos_ids, tuple(sorted(kept_neg))))
+                ground_rules.append(GroundRule(*key))
 
     return GroundProgram(
         rules=ground_rules,
         complete=complete,
-        idb_predicates=program.idb_predicates(),
+        idb_predicates=idb,
         _table=table,
     )

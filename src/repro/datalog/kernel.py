@@ -11,7 +11,7 @@ the one walk in :meth:`JoinKernel.fire`.  A rule is compiled once per
   row?"), or ``None`` (a naive firing).  It runs first and seeds the
   binding, so a firing costs its delta, not the resident relations;
 * the remaining items are ordered greedily, most-bound literal first,
-  under the safety rules of :func:`~repro.datalog.grounding.binding_order`
+  under the safety rules of :func:`~repro.datalog.binding.binding_order`
   (comparisons and negated literals as soon as their variables are
   bound);
 * every match step knows at compile time which argument positions are
@@ -42,7 +42,7 @@ from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import EvaluationBudget
 from .ast import Comparison, Const, FuncTerm, Literal, PredAtom, Rule, Var, eval_term, term_vars
-from .grounding import (
+from .binding import (
     UnsafeRuleError,
     _compare,
     _comparison_mode,
@@ -275,7 +275,7 @@ def compile_plan(rule: Rule, lead: Optional[int] = None) -> Plan:
     """The plan firing ``rule`` with body item ``lead`` (an index into
     ``rule.body``, :data:`HEAD`, or ``None``) run first.  Memoized: rules
     are immutable, plans hold no evaluation state.  Raises
-    :class:`~repro.datalog.grounding.UnsafeRuleError` for unsafe rules."""
+    :class:`~repro.datalog.binding.UnsafeRuleError` for unsafe rules."""
     return _Compiler(rule, lead).compile()
 
 

@@ -19,11 +19,10 @@ provided; they are cross-checked in tests and compared in benchmark P2.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set
 
 from ...robustness import EvaluationBudget
-from ..grounding import GroundProgram, GroundRule
+from ..grounding import GroundProgram, GroundRule, RuleIndex
 
 __all__ = [
     "least_model_with_oracle",
@@ -47,46 +46,43 @@ def least_model_with_oracle(
     A rule contributes its head once all positive body atoms are derived
     and every negative body atom ``q`` satisfies ``negation_oracle(q)``
     (read: "``not q`` holds").  The oracle must be static for the duration
-    of the call.  Runs in time linear in total rule size.
+    of the call.  Runs in time linear in total rule size; handed a
+    :class:`~repro.datalog.grounding.RuleIndex`
+    (:attr:`GroundProgram.indexed_rules`), a call costs the negative
+    literals it consults and the atoms it derives, not the rule list.
 
     ``budget`` (optional) is charged one step per rule admitted and per
     derived atom, and its deadline/cancellation are honoured.
     """
     if budget is not None:
         budget.check(phase="least-model")
-    watchers: Dict[int, List[int]] = defaultdict(list)
-    missing: List[int] = []
-    queue: List[int] = []
-    derived: Set[int] = set()
-
-    active_rules: List[GroundRule] = []
-    for rule in rules:
-        if all(negation_oracle(atom) for atom in rule.neg):
-            active_rules.append(rule)
+    index = rules if isinstance(rules, RuleIndex) else RuleIndex(rules)
+    heads, watchers = index.heads, index.watchers
+    missing = index.counts[:]
+    blocked = 0
+    for rule_index, neg in index.negated:
+        for atom in neg:
+            if not negation_oracle(atom):
+                missing[rule_index] = -1  # never reaches zero
+                blocked += 1
+                break
     if budget is not None:
-        budget.tick(len(active_rules))
+        budget.tick(len(heads) - blocked)
 
-    for index, rule in enumerate(active_rules):
-        missing.append(len(rule.pos))
-        if not rule.pos:
-            if rule.head not in derived:
-                derived.add(rule.head)
-                queue.append(rule.head)
-        else:
-            for atom in rule.pos:
-                watchers[atom].append(index)
+    derived: Set[int] = set()
+    for rule_index in index.bodiless:
+        if missing[rule_index] == 0:
+            derived.add(heads[rule_index])
+    queue: List[int] = list(derived)
     if budget is not None:
         budget.charge_facts(len(derived))
 
-    # A rule mentioning the same atom twice in pos gets multiple watcher
-    # entries and its counter decremented per occurrence; counters start at
-    # len(pos) so this stays consistent.
     while queue:
         atom = queue.pop()
         for rule_index in watchers.get(atom, ()):
             missing[rule_index] -= 1
             if missing[rule_index] == 0:
-                head = active_rules[rule_index].head
+                head = heads[rule_index]
                 if head not in derived:
                     derived.add(head)
                     queue.append(head)
@@ -137,4 +133,4 @@ def minimal_model(
                 "program has negative literals; use stratified/well-founded/"
                 "valid semantics instead"
             )
-    return least_model_with_oracle(program.rules, lambda _atom: True, budget)
+    return least_model_with_oracle(program.indexed_rules, lambda _atom: True, budget)

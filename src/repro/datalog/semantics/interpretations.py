@@ -96,8 +96,9 @@ class Interpretation:
 
     def undefined_rows(self, program: GroundProgram, predicate: str):
         """Undefined rows of a predicate."""
-        undefined = self.undefined_in(program)
-        return program.rows_where(lambda a: a in undefined, predicate)
+        return program.rows_where(
+            lambda a: a not in self.true and a not in self.false, predicate
+        )
 
     def agrees_with(self, other: "Interpretation") -> bool:
         """Same true and false sets?"""

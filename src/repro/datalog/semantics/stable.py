@@ -42,7 +42,7 @@ def is_stable_model(
 ) -> bool:
     """Check the Gelfond–Lifschitz condition for a candidate atom set."""
     reduct_model = least_model_with_oracle(
-        program.rules, lambda atom: atom not in candidate, budget
+        program.indexed_rules, lambda atom: atom not in candidate, budget
     )
     return reduct_model == candidate
 
@@ -93,7 +93,9 @@ def stable_models(
                 return True
             return atom not in assumed_true
 
-        candidate = least_model_with_oracle(program.rules, guess_oracle, budget)
+        candidate = least_model_with_oracle(
+            program.indexed_rules, guess_oracle, budget
+        )
         if candidate in seen:
             continue
         # The guess must be self-supporting: every atom assumed true is

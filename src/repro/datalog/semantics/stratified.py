@@ -8,7 +8,7 @@ models (which are then total) — asserted by the integration tests.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
 from ...robustness import EvaluationBudget
 from ..ast import Program
@@ -35,25 +35,25 @@ def stratified_model(
     strata: Dict[str, int] = stratify(rule_program)
     height = max(strata.values(), default=0)
 
-    def stratum_of_atom(atom_id: int) -> int:
-        predicate, _args = ground_program.decode(atom_id)
-        return strata.get(predicate, 0)
+    # One decode per atom, one pass over the rules: each level then walks
+    # only the rules whose heads live on it.
+    stratum_of = [
+        strata.get(predicate, 0) for _atom, predicate, _args in ground_program.atoms()
+    ]
+    by_level: List[List[GroundRule]] = [[] for _level in range(height + 1)]
+    for rule in ground_program.rules:
+        by_level[stratum_of[rule.head]].append(rule)
 
     accumulated: FrozenSet[int] = frozenset()
-    for level in range(height + 1):
+    for level, level_rules in enumerate(by_level):
         if budget is not None:
             budget.note_iteration(stratum=level, phase="stratified")
-        level_rules = [
-            rule
-            for rule in ground_program.rules
-            if stratum_of_atom(rule.head) == level
-        ]
         # Lower-stratum results enter as facts.
         seed = [GroundRule(atom) for atom in accumulated]
         decided_below = accumulated
 
         def oracle(atom: int, _decided=decided_below, _level=level) -> bool:
-            if stratum_of_atom(atom) >= _level:
+            if stratum_of[atom] >= _level:
                 # A genuinely stratified program never consults this case;
                 # it can arise only for atoms pruned by grounding (hence
                 # certainly false).

@@ -65,13 +65,13 @@ def valid_computation_trace(
         # All possible derivations from T, using negatively only facts
         # not (yet) in T.
         possibly = least_model_with_oracle(
-            program.rules, lambda atom: atom not in true_set, budget
+            program.indexed_rules, lambda atom: atom not in true_set, budget
         )
         # Facts with no possible derivation are certainly false.
         false_set = false_set | (everything - possibly)
         # Derive new true facts, using negatively only facts from F.
         next_true = least_model_with_oracle(
-            program.rules, lambda atom: atom in false_set, budget
+            program.indexed_rules, lambda atom: atom in false_set, budget
         )
         steps.append(ValidTrace(next_true, false_set, possibly))
         if next_true == true_set:

@@ -35,11 +35,11 @@ def alternating_fixpoint_trace(
         if budget is not None:
             budget.note_iteration(phase="alternating-fixpoint")
         over = least_model_with_oracle(
-            program.rules, lambda atom: atom not in true_set, budget
+            program.indexed_rules, lambda atom: atom not in true_set, budget
         )
         trace.append((true_set, over))
         next_true = least_model_with_oracle(
-            program.rules, lambda atom: atom not in over, budget
+            program.indexed_rules, lambda atom: atom not in over, budget
         )
         if next_true == true_set:
             return trace

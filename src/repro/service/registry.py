@@ -27,8 +27,9 @@ from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 import networkx as nx
 
 from ..datalog.ast import Literal, Program, Rule
+from ..datalog.binding import compiled_binding_order
 from ..datalog.database import Database
-from ..datalog.grounding import GroundProgram, compiled_binding_order, ground
+from ..datalog.grounding import GroundProgram, ground
 from ..datalog.kernel import HEAD, Plan, compile_plan
 from ..datalog.parser import parse_program
 from ..datalog.stratification import dependency_graph, is_stratified, stratify
@@ -235,7 +236,7 @@ def prepare_program(
 ) -> PreparedProgram:
     """Compile ``source`` (text or AST) into a :class:`PreparedProgram`.
 
-    Raises :class:`~repro.datalog.grounding.UnsafeRuleError` when any
+    Raises :class:`~repro.datalog.binding.UnsafeRuleError` when any
     rule lacks an evaluable binding order, and parse errors verbatim.
     Inline ground facts are split off into ``seed_facts``.
     """

@@ -159,3 +159,61 @@ class TestGrounding:
         text = gp.pretty()
         assert "p(a) :- e(a)." in text
         assert "e(a)." in text
+
+
+class TestWorkBound:
+    """The closure runs on the join kernel, each rule instance exactly
+    once: what ``fire`` returns is what the ground program lists, and
+    the rows the joins pull stay proportional to it."""
+
+    @staticmethod
+    def _measured(monkeypatch, program, database, registry=None):
+        """(ground program, instances ``fire`` returned, rows it pulled)."""
+        from repro.datalog.kernel import JoinKernel
+
+        fired, kernels = [], set()
+        fire = JoinKernel.fire
+
+        def counting(self, *args, **kwargs):
+            produced = fire(self, *args, **kwargs)
+            fired.append(len(produced))
+            kernels.add(self)
+            return produced
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JoinKernel, "fire", counting)
+            gp = ground(program, database, registry=registry)
+        (kernel,) = kernels
+        return gp, sum(fired), kernel.rows_matched
+
+    def test_every_instance_is_fired_exactly_once(self, monkeypatch, registry):
+        from repro.corpus import DEDUCTIVE_CORPUS, binary_tree, chain, cycle, grid
+        from repro.corpus import edges_to_database
+
+        # (No self-loops: ``position(X) :- move(X, Y)`` and ``position(Y)
+        # :- move(X, Y)`` share their instance over ``move(a, a)``; two
+        # rules may, one rule never does.)
+        graphs = [chain(9), cycle(6), grid(3, 3), binary_tree(3)]
+        for case in DEDUCTIVE_CORPUS.values():
+            for edges in graphs:
+                database = edges_to_database(edges)
+                gp, instances, _pulled = self._measured(
+                    monkeypatch, case.program, database, registry
+                )
+                facts = sum(len(database.rows(p)) for p in database.predicates())
+                assert instances == len(gp.rules) - facts, case.name
+
+    def test_rows_matched_is_linear_in_the_instances(self, monkeypatch):
+        from repro.corpus import DEDUCTIVE_CORPUS, chain, edges_to_database
+
+        program = DEDUCTIVE_CORPUS["transitive-closure"].program
+        ratios = []
+        for n in (16, 32, 64):
+            _gp, instances, pulled = self._measured(
+                monkeypatch, program, edges_to_database(chain(n))
+            )
+            assert instances == n * (n - 1) // 2  # one per tc pair
+            ratios.append(pulled / instances)
+        # A scan-and-filter join would double the ratio with n.
+        assert max(ratios) < 3
+        assert max(ratios) - min(ratios) < 0.5

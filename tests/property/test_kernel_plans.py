@@ -11,6 +11,13 @@ literals; states are random relations with random net ``plus`` /
 ``minus`` overlays; the lead is each body literal in turn (positive or
 negated, fed a row set or a weighted delta), the head (the re-derivation
 probe), or none.
+
+The grounder's plans — a rule's positive projection with the whole
+instance as its head row — are ordinary plans and are held to the same
+reference; on top of that, every lead must list the instances ``lead=None``
+lists, and the round split the grounder relies on (instances over the old
+atoms, plus one ``OLD``-before / ``NEW``-after firing per lead over the
+delta) must produce each instance over the new atoms exactly once.
 """
 
 import itertools
@@ -30,7 +37,8 @@ from repro.datalog.ast import (
     Var,
     eval_term,
 )
-from repro.datalog.grounding import UnsafeRuleError, _compare, binding_order
+from repro.datalog.binding import UnsafeRuleError, _compare, binding_order
+from repro.datalog.grounding import _instance_rule
 from repro.datalog.kernel import BOTH, HEAD, NEW, OLD, JoinKernel, compile_plan
 from repro.datalog.parser import parse_program
 from repro.relations.universe import standard_registry
@@ -188,6 +196,57 @@ def test_indexes_follow_adds_and_removes(rule, store):
     assert Counter(kernel.fire(compile_plan(rule))) == reference(
         rule, None, None, NEW, NEW, facts, {}, {}
     )
+
+
+# -- the grounder's instance-returning plans ----------------------------------
+
+
+def _positive_leads(projection):
+    return [
+        (index, item.atom.predicate)
+        for index, item in enumerate(projection.body)
+        if isinstance(item, Literal)
+    ]
+
+
+@given(rules, stores())
+@settings(max_examples=200, deadline=None)
+def test_instance_plans_list_the_same_instances_under_every_lead(rule, store):
+    facts, _plus, _minus = store
+    projection, layout = _instance_rule(rule)
+    kernel = _kernel(facts, {}, {})
+    instances = Counter(kernel.fire(kernel.plan(projection)))
+    # The leaf row is the instance: head, positive atoms, negated atoms —
+    # negated literals read off the binding, never tested.
+    assert instances == reference(projection, None, None, NEW, NEW, facts, {}, {})
+    assert all(count == 1 for count in instances.values())
+    negated = [item for item in rule.body if isinstance(item, Literal) and not item.positive]
+    assert len(layout.pos) == len(_positive_leads(projection))
+    assert len(layout.neg) == len(negated)
+    for instance, _weight in instances:
+        for predicate, start, stop in layout.pos:
+            assert instance[start:stop] in facts[predicate]
+    for lead, predicate in _positive_leads(projection):
+        led = kernel.fire(kernel.plan(projection, lead), facts[predicate])
+        assert Counter(led) == instances, (rule, lead)
+
+
+@given(rules, stores())
+@settings(max_examples=200, deadline=None)
+def test_a_round_produces_each_new_instance_exactly_once(rule, store):
+    """``plus`` is last round's delta: the instances over the old atoms
+    and, per lead, the ones whose leftmost new atom sits under that lead
+    partition the instances over all atoms."""
+    facts, plus, _minus = store
+    projection, _layout = _instance_rule(rule)
+    kernel = _kernel(facts, plus, {})
+    naive = kernel.plan(projection)
+    produced = Counter(kernel.fire(naive, after=OLD))
+    for lead, predicate in _positive_leads(projection):
+        delta = plus.get(predicate)
+        if delta:
+            produced.update(kernel.fire(kernel.plan(projection, lead), delta, OLD, NEW))
+    assert produced == Counter(kernel.fire(naive)), rule
 
 
 # -- fixed cases the generators reach only by luck ----------------------------

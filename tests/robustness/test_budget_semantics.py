@@ -149,6 +149,38 @@ class TestDivergentPrograms:
             )
 
 
+def _ring(n=50):
+    database = Database()
+    for i in range(n):
+        database.add("e", i, (i + 1) % n)
+    return database
+
+
+class TestWideJoinGrounding:
+    """A join that derives few atoms still works per rule *instance*:
+    the grounder charges the budget there, not only per new atom."""
+
+    def test_step_budget_raises_during_grounding(self):
+        # 2,500 instances, 50 possible ``hit`` atoms.
+        program = parse_program("hit(A) :- e(A,B), e(C,D), e(E,F), A = F.")
+        with pytest.raises(BudgetExceeded) as info:
+            run(program, _ring(), budget=EvaluationBudget(max_steps=1000))
+        assert info.value.progress.phase == "grounding"
+        assert 1000 < info.value.progress.steps <= 1001
+
+    def test_deadline_enforced_inside_one_firing(self):
+        # Half a million instances out of one firing of one round (~2.5 s
+        # unenforced): the deadline has to be seen from inside it.
+        program = parse_program("hit(A) :- e(A,B), e(C,D), e(E,F), A != F.")
+        deadline = 0.05
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded) as info:
+            run(program, _ring(80), budget=EvaluationBudget(deadline_seconds=deadline))
+        elapsed = time.monotonic() - start
+        assert info.value.progress.phase == "grounding"
+        assert elapsed < 10 * deadline
+
+
 class TestSeminaiveAndIfpBudgets:
     def test_seminaive_budget(self):
         from repro.datalog.seminaive import seminaive_stratified
