@@ -11,8 +11,12 @@ claims this benchmark pins down on P06's chain-forest workload:
   the seed way with no semiring argument at all; the timing ratio is a
   tripwire on top of that structural guarantee, and
 * **annotations are pay-as-you-go** — the naturals / tropical /
-  why-provenance engines cost more (measured and recorded below), but
-  only the views that opted in pay it.
+  why-provenance views cost more, but only the views that opted in pay
+  it, and what they pay is bounded: since annotated maintenance runs on
+  the join kernel (invalidate the cone, re-derive from below) every
+  annotated tier stays within ``ANNOTATED_BAR`` of the boolean circuit
+  on the same update (1-4x measured; ~3,500x when each update re-ran
+  the whole fixpoint).
 
 Every annotated view's *support* is checked against the boolean view
 after each timed update: annotations change what rows carry, never
@@ -60,16 +64,16 @@ CHAIN_EDGES = 20
 SEMIRINGS = ("bool", "naturals", "tropical", "why")
 
 #: One size for every semiring: the ratios in the table only mean
-#: something on a shared workload, and the annotated engines price a
-#: single update in *seconds* here — large enough to measure reliably,
-#: small enough that the smoke job stays a smoke job.
+#: something on a shared workload.
 SIZE = 100
 GRAPH_NAME = f"edges-{SIZE}"
-#: Update cycles per timing sample — boolean shortcut updates are tens
-#: of microseconds, so amortize the clock over a batch of them; the
-#: annotated engines cost ~10^5x more per cycle, so a couple suffice.
+#: Update cycles per timing sample — a shortcut update is a millisecond
+#: or a few under every semiring, so amortize the clock over a batch.
 REPEATS = 10 if SMOKE else 30
-ANNOTATED_REPEATS = 2 if SMOKE else 3
+#: The bar that can fail: an annotated update costs at most this many
+#: boolean ones.  It prices the discipline (a cone of ~100 rows reset
+#: and re-derived in full against the circuit's delta), not the view.
+ANNOTATED_BAR = 20.0
 #: The boolean tripwire: the structural assert below is the real
 #: guarantee (explicit ``semiring="bool"`` constructs the same engine
 #: class the seed ctor does); the timing bound just catches an
@@ -111,13 +115,11 @@ def _cycles(view, repeats=REPEATS):
 @pytest.mark.parametrize("semiring", SEMIRINGS)
 def test_semiring_maintenance_overhead(benchmark, semiring):
     view = _view(semiring)
-    repeats = REPEATS if semiring == "bool" else ANNOTATED_REPEATS
-    rounds = 3 if semiring == "bool" else 1
-    benchmark.pedantic(lambda: _cycles(view, 1), rounds=rounds, iterations=1)
+    benchmark.pedantic(lambda: _cycles(view, 1), rounds=3, iterations=1)
 
     _cycles(view, 1)  # warm
-    _, total_sec = timed(_cycles, view, repeats)
-    update_sec = total_sec / repeats
+    _, total_sec = timed(_cycles, view)
+    update_sec = total_sec / REPEATS
 
     # Support agreement at the apex of one more cycle: annotations
     # change what rows carry, never which rows exist.
@@ -154,6 +156,14 @@ def test_semiring_maintenance_overhead(benchmark, semiring):
         agree,
     )
     assert agree
+    if semiring != "bool":
+        assert baseline is not None, "the bool tier runs first"
+        assert view.metrics.counters.get("annotated_initializes") == 1
+        assert update_sec <= ANNOTATED_BAR * baseline, (
+            f"{semiring} maintenance ({update_sec:.6f}s per update) is more "
+            f"than {ANNOTATED_BAR:g}x the boolean circuit ({baseline:.6f}s) — "
+            "annotated views are back to paying for their view, not their cone"
+        )
 
     if semiring == "bool":
         # The timing tripwire: the same cycles on a view built the

@@ -35,7 +35,7 @@ from .magic import (
     magic_transform,
     seed_name,
 )
-from .annotated import WeightedEvaluator, annotated_model, edb_annotations
+from .annotated import annotated_model, edb_annotations
 from .kernel import JoinKernel, Plan, compile_plan
 from .seminaive import DirectEvaluator, seminaive_stratified
 from .domain_independence import (
@@ -91,7 +91,6 @@ __all__ = [
     "compile_plan",
     "DirectEvaluator",
     "seminaive_stratified",
-    "WeightedEvaluator",
     "annotated_model",
     "edb_annotations",
     "MagicProgram",

@@ -7,11 +7,20 @@ annotations of its matched literals, alternative derivations of the
 same head row add (``⊕``), and EDB facts contribute their explicit
 annotation or the semiring's ``from_edb`` default.
 
-Evaluation is stratum-wise Jacobi iteration: within a stratum, every
-round recomputes each head predicate's full annotation map from the
-previous round's maps (plus the finished lower strata), until a round
-is a fixpoint.  This is the classical algebraic fixpoint for
-ω-continuous semirings; convergence per shipped semiring:
+Rule instances come off the join kernel (:mod:`repro.datalog.kernel`),
+its fifth client: :func:`instance_plan` compiles each rule once more
+with the head widened to the head arguments followed by every positive
+body atom's, so the kernel's leaf row *is* the rule instance, and
+:func:`accumulate` computes the instance's weight outside the walk as
+the ``⊗`` of the body rows' annotations.  The kernel's facts hold the
+*support* (the rows with a non-zero annotation), which is all a join or
+a negation gate ever asks about; the walk itself is semiring-blind.
+
+:func:`annotated_model` is stratum-wise Jacobi iteration: within a
+stratum, every round recomputes each head predicate's full annotation
+map from the previous round's maps (plus the finished lower strata),
+until a round is a fixpoint.  This is the classical algebraic fixpoint
+for ω-continuous semirings; convergence per shipped semiring:
 
 * ``bool`` / ``why`` — idempotent and finite-carrier: always converges
   (round k holds the derivations of depth ≤ k; both stabilize once
@@ -32,25 +41,30 @@ positive support is tracked.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import BudgetExceeded, EvaluationBudget
 from ..semiring import Semiring
-from .ast import Const, Literal, Program, Rule, Var, eval_term
-from .binding import _compare, compiled_binding_order
+from .ast import Literal, PredAtom, Program, Rule
 from .database import Database
+from .kernel import JoinKernel, Plan, compile_plan
 from .stratification import stratify
 
-__all__ = ["AnnotationMap", "WeightedEvaluator", "annotated_model", "edb_annotations"]
+__all__ = [
+    "AnnotationMap",
+    "InstancePlan",
+    "accumulate",
+    "annotated_model",
+    "edb_annotations",
+    "instance_plan",
+]
 
 Row = Tuple[Value, ...]
 #: predicate → row → annotation (zero-free: stored rows are non-zero).
 AnnotationMap = Dict[str, Dict[Row, object]]
-#: ``source(match_index, literal)`` → the row→annotation map that match
-#: literal reads — the hook the delta disciplines plug into.
-RowSource = Callable[[int, Literal], Mapping[Row, object]]
 
 
 def edb_annotations(database: Database, semiring: Semiring) -> AnnotationMap:
@@ -70,131 +84,61 @@ def edb_annotations(database: Database, semiring: Semiring) -> AnnotationMap:
     return maps
 
 
-class WeightedEvaluator:
-    """Annotation maps plus the weighted rule-firing walker.
+class InstancePlan(NamedTuple):
+    """A rule compiled so that each leaf row is one whole instance."""
 
-    The walker follows the compiled binding order step by step (it is
-    not on the join kernel of :mod:`repro.datalog.kernel` yet): each
-    ``match`` step multiplies the row's annotation into the running
-    weight, and firing yields ``(head_row, weight)`` products.
+    plan: Plan
+    #: Head arity: the head row is ``instance[:width]``.
+    width: int
+    #: ``(predicate, start, stop)`` of each positive body atom's row.
+    spans: Tuple[Tuple[str, int, int], ...]
+
+
+@lru_cache(maxsize=4096)
+def instance_plan(rule: Rule, goal: bool = False) -> InstancePlan:
+    """``rule`` with its head widened to the whole instance.
+
+    Negated literals and comparisons stay in the body as the tests they
+    are.  With ``goal`` a literal over the head arguments is appended
+    and leads the plan: fired with a set of head rows it enumerates
+    exactly the instances deriving those rows (the caller's rows are the
+    goal's only extension — the kernel never looks the predicate up).
     """
+    args = list(rule.head.args)
+    spans = []
+    for literal in rule.positive_literals():
+        spans.append((literal.atom.predicate, len(args), len(args) + len(literal.atom.args)))
+        args.extend(literal.atom.args)
+    body, lead = rule.body, None
+    if goal:
+        body += (Literal(PredAtom(f"{rule.head.predicate}@goal", rule.head.args)),)
+        lead = len(rule.body)
+    widened = Rule(PredAtom(rule.head.predicate, tuple(args)), body)
+    return InstancePlan(compile_plan(widened, lead), len(rule.head.args), tuple(spans))
 
-    def __init__(self, registry: Optional[FunctionRegistry], semiring: Semiring):
-        self.registry = registry
-        self.semiring = semiring
-        self.maps: AnnotationMap = {}
 
-    def annotations(self, predicate: str) -> Dict[Row, object]:
-        """Current row → annotation map of a predicate."""
-        return self.maps.setdefault(predicate, {})
-
-    def _match_row(
-        self, literal: Literal, binding: Dict[Var, Value], row: Row
-    ) -> Optional[Dict[Var, Value]]:
-        args = literal.atom.args
-        if len(row) != len(args):
-            return None
-        extended = dict(binding)
-        deferred = []
-        for arg, value in zip(args, row):
-            if isinstance(arg, Var):
-                if arg in extended:
-                    if extended[arg] != value:
-                        return None
-                else:
-                    extended[arg] = value
-            elif isinstance(arg, Const):
-                if arg.value != value:
-                    return None
-            else:
-                deferred.append((arg, value))
-        for term, value in deferred:
-            if eval_term(term, extended, self.registry) != value:
-                return None
-        return extended
-
-    def fire(
-        self,
-        rule: Rule,
-        order,
-        source: RowSource,
-        budget: Optional[EvaluationBudget] = None,
-    ) -> List[Tuple[Row, object]]:
-        """All ``(head_row, weight)`` products of one rule.
-
-        ``source`` picks the row/annotation map each positive match
-        literal reads (by its 0-based match index) — the from-scratch
-        fixpoint reads the evaluator's own maps everywhere, the delta
-        discipline substitutes new/delta/old views per position.
-        Negative literals gate on the evaluator's maps (the negated
-        predicate is finished by stratification).
-        """
-        semiring = self.semiring
-        produced: List[Tuple[Row, object]] = []
-        if budget is not None:
-            budget.tick(phase="annotated")
-
-        def walk(step: int, binding: Dict[Var, Value], weight, match_seen: int) -> None:
-            if step == len(order):
-                head_row = tuple(
-                    eval_term(arg, binding, self.registry) for arg in rule.head.args
-                )
-                if all(value is not None for value in head_row):
-                    if budget is not None:
-                        budget.tick()
-                    produced.append((head_row, weight))
-                return
-            kind, payload = order[step]
-            if kind == "match":
-                literal: Literal = payload
-                rows = source(match_seen, literal)
-                for row, annotation in list(rows.items()):
-                    extended = self._match_row(literal, binding, row)
-                    if extended is not None:
-                        walk(
-                            step + 1,
-                            extended,
-                            semiring.mul(weight, annotation),
-                            match_seen + 1,
-                        )
-                return
-            if kind == "assign":
-                mode, comparison = payload
-                if mode == "assign-left":
-                    variable, expr = comparison.left, comparison.right
-                else:
-                    variable, expr = comparison.right, comparison.left
-                value = eval_term(expr, binding, self.registry)
-                if value is None:
-                    return
-                extended = dict(binding)
-                extended[variable] = value
-                walk(step + 1, extended, weight, match_seen)
-                return
-            if kind == "test":
-                comparison = payload
-                left = eval_term(comparison.left, binding, self.registry)
-                right = eval_term(comparison.right, binding, self.registry)
-                if left is not None and right is not None and _compare(
-                    comparison.op, left, right
-                ):
-                    walk(step + 1, binding, weight, match_seen)
-                return
-            if kind == "negtest":
-                literal = payload
-                row = tuple(
-                    eval_term(arg, binding, self.registry)
-                    for arg in literal.atom.args
-                )
-                if any(value is None for value in row):
-                    return
-                if row not in self.annotations(literal.atom.predicate):
-                    walk(step + 1, binding, weight, match_seen)
-                return
-            raise AssertionError(kind)
-
-        walk(0, {}, semiring.one, 0)
-        return produced
+def accumulate(
+    instances: Iterable[Tuple[Row, int]],
+    compiled: InstancePlan,
+    maps: AnnotationMap,
+    semiring: Semiring,
+    into: Dict[Row, object],
+) -> None:
+    """``⊕`` each instance's weight — the ``⊗`` of its body rows'
+    annotations in ``maps`` — into ``into[head row]``.  ``instances`` is
+    what :meth:`~repro.datalog.kernel.JoinKernel.fire` returned for
+    ``compiled.plan`` over a kernel holding the support of ``maps``."""
+    _plan, width, spans = compiled
+    tables = [(maps.get(predicate, {}), start, stop) for predicate, start, stop in spans]
+    add, mul, one = semiring.add, semiring.mul, semiring.one
+    for instance, _weight in instances:
+        weight = one
+        for table, start, stop in tables:
+            annotation = table[instance[start:stop]]
+            weight = annotation if weight is one else mul(weight, annotation)
+        head_row = instance[:width]
+        previous = into.get(head_row)
+        into[head_row] = weight if previous is None else add(previous, weight)
 
 
 def annotated_model(
@@ -205,6 +149,7 @@ def annotated_model(
     strata: Optional[Mapping[str, int]] = None,
     max_rounds: int = 10_000,
     budget: Optional[EvaluationBudget] = None,
+    kernel: Optional[JoinKernel] = None,
 ) -> AnnotationMap:
     """The annotated least model of a stratified program.
 
@@ -213,7 +158,8 @@ def annotated_model(
     predicate that also has EDB facts combines them with ``⊕``).  The
     support — the set of non-zero rows — coincides with the boolean
     model for every shipped semiring, since none has zero-divisors and
-    all default EDB annotations are non-zero.
+    all default EDB annotations are non-zero.  A caller that goes on
+    maintaining the model passes the empty ``kernel`` to hold that support.
 
     Raises :class:`~repro.robustness.BudgetExceeded` when a stratum
     fails to stabilize within ``max_rounds`` — for the naturals this is
@@ -222,58 +168,56 @@ def annotated_model(
     """
     if strata is None:
         strata = stratify(program)
-    height = max(strata.values(), default=0)
-
     edb = edb_annotations(database, semiring)
-    state = WeightedEvaluator(registry, semiring)
-    state.maps = {predicate: dict(rows) for predicate, rows in edb.items()}
+    maps: AnnotationMap = {predicate: dict(rows) for predicate, rows in edb.items()}
+    kernel = kernel if kernel is not None else JoinKernel(registry)
+    for predicate, rows in maps.items():
+        kernel.rows(predicate).update(rows)
 
-    def read_state(_index: int, literal: Literal) -> Mapping[Row, object]:
-        return state.annotations(literal.atom.predicate)
-
-    for level in range(height + 1):
-        level_rules = [
-            (rule, compiled_binding_order(rule))
+    for level in range(max(strata.values(), default=0) + 1):
+        plans = [
+            instance_plan(rule)
             for rule in program.rules
             if strata[rule.head.predicate] == level
         ]
-        if not level_rules:
+        if not plans:
             continue
-        heads = {rule.head.predicate for rule, _order in level_rules}
+        kernel.register(*(compiled.plan for compiled in plans))
+        heads = {compiled.plan.head for compiled in plans}
         for _round in range(max_rounds):
             if budget is not None:
                 budget.note_iteration(stratum=level, phase="annotated")
-            current = {
-                predicate: state.maps.get(predicate, {}) for predicate in heads
-            }
-            fresh: Dict[str, Dict[Row, object]] = {
-                predicate: dict(edb.get(predicate, {})) for predicate in heads
-            }
-            for rule, order in level_rules:
-                for head_row, weight in state.fire(rule, order, read_state, budget):
-                    if semiring.is_zero(weight):
-                        continue
-                    bucket = fresh[rule.head.predicate]
-                    previous = bucket.get(head_row)
-                    bucket[head_row] = (
-                        weight
-                        if previous is None
-                        else semiring.add(previous, weight)
-                    )
-            for predicate in heads:
-                fresh[predicate] = {
+            fresh = {predicate: dict(edb.get(predicate, {})) for predicate in heads}
+            for compiled in plans:
+                if budget is not None:
+                    budget.tick(phase="annotated")
+                accumulate(
+                    kernel.fire(compiled.plan, budget=budget),
+                    compiled,
+                    maps,
+                    semiring,
+                    fresh[compiled.plan.head],
+                )
+            stable = True
+            for predicate, rows in fresh.items():
+                rows = {
                     row: annotation
-                    for row, annotation in fresh[predicate].items()
+                    for row, annotation in rows.items()
                     if not semiring.is_zero(annotation)
                 }
-            if all(fresh[predicate] == current[predicate] for predicate in heads):
-                break
-            for predicate in heads:
-                if budget is not None:
-                    grown = len(fresh[predicate]) - len(current[predicate])
-                    for _ in range(max(0, grown)):
+                current = maps.get(predicate, {})
+                if rows == current:
+                    continue
+                stable = False
+                for row in rows.keys() - current.keys():
+                    kernel.add(predicate, row)
+                    if budget is not None:
                         budget.charge_facts()
-                state.maps[predicate] = fresh[predicate]
+                for row in current.keys() - rows.keys():
+                    kernel.remove(predicate, row)
+                maps[predicate] = rows
+            if stable:
+                break
         else:
             raise BudgetExceeded(
                 f"annotated stratum {level} did not stabilize within "
@@ -283,4 +227,4 @@ def annotated_model(
                 progress=budget.progress if budget is not None else None,
             )
 
-    return {predicate: dict(rows) for predicate, rows in state.maps.items()}
+    return maps

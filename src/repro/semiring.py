@@ -71,15 +71,13 @@ class Semiring:
     suite (``tests/property/test_semiring_laws.py``) holds every
     implementation to are: ``⊕`` and ``⊗`` associative and commutative,
     ``0`` the ``⊕``-identity and ``⊗``-annihilator, ``1`` the
-    ``⊗``-identity, and ``⊗`` distributing over ``⊕``.
+    ``⊗``-identity, ``⊗`` distributing over ``⊕`` — and, because the
+    engines join and gate on the *support* (the non-zero rows),
+    positivity (``a ⊕ b = 0`` only when both are) and no zero divisors.
     """
 
     #: Registry key and the value of the ``--semiring`` flags.
     name: str = "abstract"
-    #: True when the carrier embeds in a ring of differences (ℤ for the
-    #: naturals) so incremental maintenance can propagate weighted
-    #: deltas through the circuit; False forces recompute-on-update.
-    admits_differences: bool = False
     #: True when ``a ⊕ a = a`` — idempotent semirings reach their
     #: recursive fixpoint regardless of derivation multiplicity.
     idempotent: bool = False
@@ -166,7 +164,6 @@ class NaturalsSemiring(Semiring):
     """Bag semantics: ``(ℕ, +, ×, 0, 1)`` — derivation counting."""
 
     name = "naturals"
-    admits_differences = True
 
     @property
     def zero(self):

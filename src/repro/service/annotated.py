@@ -3,65 +3,82 @@
 :class:`AnnotatedEngine` is the maintenance engine a view registered
 with a non-boolean ``--semiring`` runs on.  It keeps the full
 annotation map (predicate → row → carrier value) of the view's
-stratified program and maintains it under update batches two ways:
+stratified program, and beside it a
+:class:`~repro.datalog.kernel.JoinKernel` holding the *support* (the
+rows whose annotation is non-zero) — what joins and negation gates read.
+A burst of update batches is folded into one net EDB change and
+absorbed component by component, in schedule order, under **one
+discipline for every semiring**:
 
-* **weighted differential** — when the semiring *admits differences*
-  (its carrier embeds in a ring, ℤ for the naturals) **and** the
-  program is non-recursive and negation-free, update batches propagate
-  through the bilinearity expansion
-  ``Δ(L₁ ⋈ … ⋈ Lₖ) = Σᵢ new₍<ᵢ₎ ⋈ ΔLᵢ ⋈ old₍>ᵢ₎`` with the Z-set
-  weight type generalized to the semiring's carrier — the dbsp
-  circuit's integer weights are exactly the ``naturals`` instance.
-* **recompute-on-update** — everything else (idempotent semirings,
-  recursion, negation) re-runs the annotated fixpoint
-  (:func:`~repro.datalog.annotated.annotated_model`) against the
-  updated EDB.  Correct for any semiring, priced by bench P14.
+1. **invalidate** — against the pre-batch (``OLD``) view, close forward
+   from every lower row that was present and whose annotation or
+   presence changed, and from every negated atom that became present:
+   the *cone* is every row with an old derivation through something
+   that moved;
+2. **reset** the cone's rows to their EDB base annotation (absent if
+   they have none);
+3. **re-derive from below** — the cone, plus the heads reached from
+   rows that are new or changed (and negated atoms that vanished), are
+   *dirty*; each dirty row is recomputed in full as base ``⊕`` the sum
+   of its instances (one firing per rule with all dirty rows leading,
+   see :func:`~repro.datalog.annotated.instance_plan`), and rows whose
+   value changed make their consumers dirty, until a round changes
+   nothing.
 
-Both paths are atomic: state (EDB and annotation maps) is only
-committed after the whole batch has evaluated, so the view layer's
-generic rollback machinery finds nothing to undo on failure and
-explicit EDB annotations are never lost to a half-applied batch.
+Rows outside the cone sit at the least fixpoint of the program without
+the rows that moved, which is below the new one, so Kleene iteration
+from that state is exact for any ω-continuous semiring: nothing is ever
+subtracted.  The round cap raising
+:class:`~repro.robustness.BudgetExceeded` is the valve for the one
+shipped divergence (``naturals`` over a cyclic derivation space).
 
-The engine is API-compatible with
-:class:`~repro.service.dbsp.engine.DBSPEngine` where the view layer
-cares (``edb``, ``state.facts``, ``model()``, ``rows()``, ``apply()``,
-``apply_stream()``, ``initialize()``, ``budget``) and adds the
-annotation surface (:meth:`annotation_map`, :meth:`wire_annotations`)
-the snapshot/explain path serves from.
+Maintenance mutates in place behind an undo log (the first annotation
+each touched row held), so a failure anywhere — fault point, budget,
+divergence — puts the EDB with its explicit annotations, the maps and
+the kernel back exactly, and the view layer's rollback finds nothing to
+undo.  ``differential=False`` keeps everything but the discipline: each
+burst re-runs :meth:`AnnotatedEngine.initialize`.
+
+To the view layer this is a :class:`~repro.service.dbsp.engine.DBSPEngine`
+(``edb``, ``state.facts``, ``model()``, ``rows()``, ``apply()``,
+``apply_stream()``, ``initialize()``, ``budget``) plus the annotations:
+``maps``, :meth:`wire_annotations` and the ``annotated_plus`` /
+``annotated_minus`` delta of every summary, which snapshots carry.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..datalog.annotated import AnnotationMap, WeightedEvaluator, annotated_model, edb_annotations
-from ..datalog.ast import Literal
+from ..datalog.annotated import (
+    AnnotationMap,
+    InstancePlan,
+    accumulate,
+    annotated_model,
+    instance_plan,
+)
 from ..datalog.database import Database
+from ..datalog.kernel import NEW, OLD, JoinKernel, Plan
 from ..datalog.stratification import NotStratifiedError
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
-from ..robustness import EvaluationBudget, fault_point
+from ..robustness import BudgetExceeded, EvaluationBudget, fault_point
 from ..semiring import Semiring
-from .incremental import IncrementalMaintenanceError
 from .metrics import ViewMetrics
-from .registry import PreparedProgram
+from .registry import Component, PreparedProgram
 
 __all__ = ["AnnotatedEngine"]
 
 Row = Tuple[Value, ...]
-Batch = Tuple[Iterable[Tuple[str, Row]], Iterable[Tuple[str, Row]]]
+Fact = Tuple[str, Row]
+Batch = Tuple[Iterable[Fact], Iterable[Fact]]
 #: Explicit per-fact annotations riding along with a batch's inserts.
-Annotations = Mapping[Tuple[str, Row], object]
-
-
-def _has_negation(program) -> bool:
-    return any(
-        not literal.positive
-        for rule in program.rules
-        for literal in rule.body
-        if isinstance(literal, Literal)
-    )
+Annotations = Mapping[Fact, object]
+#: A fact's EDB state: ``(present, explicit annotation or None)``.
+EdbState = Tuple[bool, object]
+#: predicate → row → the annotation the row held before the batch
+#: first overwrote it (``None`` = it was absent).
+UndoLog = Dict[str, Dict[Row, object]]
 
 
 class AnnotatedEngine:
@@ -89,24 +106,31 @@ class AnnotatedEngine:
         self.metrics = metrics if metrics is not None else ViewMetrics()
         self.max_rounds = max_rounds
         self.budget = budget
+        self.differential = differential
         self.edb = (database or Database()).copy()
         for predicate, row in prepared.seed_facts:
             if not self.edb.holds(predicate, *row):
                 self.edb.add(predicate, *row)
-        # The weighted delta path needs ring differences in the carrier
-        # and the simple (non-recursive, negation-free) circuit shape;
-        # anything else recomputes the annotated fixpoint per batch.
-        self.differential = (
-            differential
-            and semiring.admits_differences
-            and not any(
-                component.recursive and component.has_rules()
-                for component in prepared.schedule
+        # Each rule component with, per head predicate, its rules'
+        # goal-led instance plans (the full recomputation of a dirty row).
+        self._circuits: List[Tuple[Component, Dict[str, Tuple[InstancePlan, ...]]]] = [
+            (
+                component,
+                {
+                    head: tuple(
+                        instance_plan(rule, goal=True)
+                        for rule, _order in component.rules
+                        if rule.head.predicate == head
+                    )
+                    for head in component.predicates
+                },
             )
-            and not _has_negation(prepared.program)
-        )
-        self.evaluator = WeightedEvaluator(registry, semiring)
-        self.state = SimpleNamespace(facts={})
+            for component in prepared.schedule
+            if component.has_rules()
+        ]
+        # Predicates some rule derives; a change to any other is its own
+        # whole effect on the model.
+        self._derived = {p for component, _ in self._circuits for p in component.predicates}
         self.initialize()
 
     # -- lifecycle ------------------------------------------------------------
@@ -114,6 +138,7 @@ class AnnotatedEngine:
     def initialize(self) -> None:
         """(Re)compute the annotated model from the EDB."""
         fault_point("incremental.initialize")
+        state = JoinKernel(self.registry)
         maps = annotated_model(
             self.prepared.program,
             self.edb,
@@ -122,53 +147,49 @@ class AnnotatedEngine:
             strata=self.prepared.strata,
             max_rounds=self.max_rounds,
             budget=self.budget,
+            kernel=state,
         )
-        self.evaluator = WeightedEvaluator(self.registry, self.semiring)
-        self.evaluator.maps = maps
-        self._sync_support()
+        for component, instances in self._circuits:
+            circuit = component.circuit
+            state.register(
+                *(variant.plan for variant in circuit.internal + circuit.external),
+                *(compiled.plan for plans in instances.values() for compiled in plans),
+            )
+        #: predicate → row → annotation, and the kernel over its support.
+        self.maps: AnnotationMap = maps
+        self.state = state
         self.metrics.bump("annotated_initializes")
-
-    def _sync_support(self) -> None:
-        self.state.facts = {
-            predicate: set(rows)
-            for predicate, rows in self.evaluator.maps.items()
-        }
 
     # -- reads ----------------------------------------------------------------
 
     def model(self) -> Dict[str, FrozenSet[Row]]:
         """The resident support, predicate → rows (EDB and IDB alike)."""
-        return {
-            predicate: frozenset(rows)
-            for predicate, rows in self.evaluator.maps.items()
-        }
+        return {predicate: frozenset(rows) for predicate, rows in self.maps.items()}
 
     def rows(self, predicate: str) -> FrozenSet[Row]:
         """Current (non-zero) rows of one predicate."""
-        return frozenset(self.evaluator.maps.get(predicate, ()))
-
-    def annotation_map(self, predicate: str) -> Dict[Row, object]:
-        """Row → carrier annotation of one predicate (a copy)."""
-        return dict(self.evaluator.maps.get(predicate, {}))
+        return frozenset(self.maps.get(predicate, ()))
 
     def wire_annotations(self) -> Dict[str, Dict[Row, str]]:
-        """The whole model's annotations in canonical wire text —
-        what snapshots carry and ``explain`` lines serve."""
-        semiring = self.semiring
+        """The whole model's annotations in canonical wire text — what
+        a full snapshot publish carries (a maintained batch publishes
+        its summary's annotation delta instead)."""
+        text = self.semiring.format
         return {
-            predicate: {
-                row: semiring.format(annotation)
-                for row, annotation in rows.items()
-            }
-            for predicate, rows in self.evaluator.maps.items()
+            predicate: {row: text(annotation) for row, annotation in rows.items()}
+            for predicate, rows in self.maps.items()
         }
 
-    def _effective(self, predicate: str, row: Row):
-        """The EDB annotation a present fact contributes (explicit or
-        the semiring's default); None when the fact is absent."""
-        if not self.edb.holds(predicate, *row):
+    def _effective(self, predicate: str, row: Row, state: Optional[EdbState] = None):
+        """The annotation a fact in EDB ``state`` (default: as the EDB
+        has it now) contributes — explicit or the semiring's default;
+        None when the fact is absent."""
+        present, explicit = state or (
+            self.edb.holds(predicate, *row),
+            self.edb.annotation(predicate, row),
+        )
+        if not present:
             return None
-        explicit = self.edb.annotation(predicate, row)
         if explicit is not None:
             return explicit
         return self.semiring.from_edb(predicate, row)
@@ -177,8 +198,8 @@ class AnnotatedEngine:
 
     def apply(
         self,
-        inserts: Iterable[Tuple[str, Row]] = (),
-        deletes: Iterable[Tuple[str, Row]] = (),
+        inserts: Iterable[Fact] = (),
+        deletes: Iterable[Fact] = (),
         annotations: Optional[Annotations] = None,
     ) -> Dict[str, object]:
         """Maintain the annotated model under one update batch.
@@ -197,232 +218,267 @@ class AnnotatedEngine:
         batches: Sequence[Batch],
         annotations: Optional[Annotations] = None,
     ) -> Dict[str, object]:
-        """Apply a burst of batches (in order, atomically overall)."""
+        """Absorb a burst of batches in **one** maintenance pass,
+        atomically: the burst is folded into its net EDB change first,
+        so a fact inserted then deleted inside it fires nothing."""
         fault_point("incremental.apply")
         if self.budget is not None:
             self.budget.check(phase="annotated-apply")
-        annotations = dict(annotations or {})
+        annotations = annotations or {}
         for key, value in annotations.items():
             if self.semiring.is_zero(value):
                 raise ValueError(
                     f"zero annotation on insert {key[0]}{tuple(key[1])!r} "
                     "denotes absence; use a delete instead"
                 )
-        support_before = {
-            predicate: frozenset(rows)
-            for predicate, rows in self.evaluator.maps.items()
-        }
-        applied_inserts = applied_deletes = 0
-        for inserts, deletes in batches:
-            ins, dels = self._apply_one(list(inserts), list(deletes), annotations)
-            applied_inserts += ins
-            applied_deletes += dels
-        self._sync_support()
-        plus: Dict[str, Set[Row]] = {}
-        minus: Dict[str, Set[Row]] = {}
-        for predicate, rows in self.evaluator.maps.items():
-            before = support_before.get(predicate, frozenset())
-            added = set(rows) - before
-            if added:
-                plus[predicate] = added
-        for predicate, before in support_before.items():
-            gone = before - set(self.evaluator.maps.get(predicate, ()))
-            if gone:
-                minus[predicate] = gone
+        staged, applied_inserts, applied_deletes = self._stage(batches, annotations)
+        undo: UndoLog = {}
+        self.state.plus, self.state.minus = {}, {}
+        try:
+            self._write_edb(staged, 1)
+            if staged and self.differential:
+                self._maintain(staged, undo)
+            elif staged:
+                before = self.maps
+                self.initialize()
+                for predicate in before.keys() | self.maps.keys():
+                    old = before.get(predicate, {})
+                    rows = old.keys() | self.maps.get(predicate, {}).keys()
+                    undo[predicate] = {row: old.get(row) for row in rows}
+        except BaseException:
+            self._write_edb(staged, 0)
+            for predicate, rows in undo.items():
+                for row, annotation in rows.items():
+                    self._put(predicate, row, annotation)
+            raise
+        # The net delta: of the support, and of the annotation texts as
+        # (row, text) pairs — both straight off the undo log.
+        plus, minus, annotated_plus, annotated_minus = deltas = {}, {}, {}, {}
+        text = self.semiring.format
+        for predicate, rows in undo.items():
+            table = self.maps.get(predicate, {})
+            for row, old in rows.items():
+                new = table.get(row)
+                if new == old:
+                    continue
+                if old is None:
+                    plus.setdefault(predicate, set()).add(row)
+                else:
+                    annotated_minus.setdefault(predicate, set()).add((row, text(old)))
+                if new is None:
+                    minus.setdefault(predicate, set()).add(row)
+                else:
+                    annotated_plus.setdefault(predicate, set()).add((row, text(new)))
         batch_count = len(batches)
-        self.metrics.bump("update_batches", batch_count)
-        self.metrics.bump("incremental_batches", batch_count)
-        self.metrics.bump("inserts_applied", applied_inserts)
-        self.metrics.bump("deletes_applied", applied_deletes)
         delta_plus = sum(len(rows) for rows in plus.values())
         delta_minus = sum(len(rows) for rows in minus.values())
-        self.metrics.bump("delta_plus_total", delta_plus)
-        self.metrics.bump("delta_minus_total", delta_minus)
-        return {
-            "delta_plus": delta_plus,
-            "delta_minus": delta_minus,
-            "batches": batch_count,
-            "plus": {p: frozenset(rows) for p, rows in plus.items()},
-            "minus": {p: frozenset(rows) for p, rows in minus.items()},
-        }
+        bump = self.metrics.bump
+        bump("update_batches", batch_count)
+        bump("incremental_batches", batch_count)
+        bump("circuit_steps")
+        bump("delta_batches_coalesced", batch_count - 1)
+        bump("inserts_applied", applied_inserts)
+        bump("deletes_applied", applied_deletes)
+        bump("delta_plus_total", delta_plus)
+        bump("delta_minus_total", delta_minus)
+        summary = {"delta_plus": delta_plus, "delta_minus": delta_minus, "batches": batch_count}
+        for name, delta in zip(("plus", "minus", "annotated_plus", "annotated_minus"), deltas):
+            summary[name] = {p: frozenset(rows) for p, rows in delta.items()}
+        return summary
 
-    def _apply_one(
-        self,
-        inserts: List[Tuple[str, Row]],
-        deletes: List[Tuple[str, Row]],
-        annotations: Annotations,
-    ) -> Tuple[int, int]:
-        """One batch, atomically: evaluate first, commit after."""
-        # Net EDB effect of the batch, as (op, predicate, row, value,
-        # prior): deletes first, then inserts (the wire order).
-        # ``prior`` records the effective annotation the op displaces
-        # ("del"/"ann"), so the differential path never re-reads the
-        # pre-batch database for a row an earlier op in the same batch
-        # already changed.
-        staged: List[Tuple[str, str, Row, object, object]] = []
+    def _stage(
+        self, batches: Sequence[Batch], annotations: Annotations
+    ) -> Tuple[Dict[Fact, Tuple[EdbState, EdbState]], int, int]:
+        """The burst's net effect on the EDB, fact → (state before,
+        state after) where they differ, plus the inserts and deletes
+        that took effect in sequence (deletes first within a batch, the
+        wire order; a duplicate mention stages its *net* effect)."""
+        before: Dict[Fact, EdbState] = {}
+        after: Dict[Fact, EdbState] = {}
         applied_inserts = applied_deletes = 0
-        # In-batch row state — a duplicate mention of one row must
-        # stage its *net sequential* effect, not a second copy of the
-        # same delta: key -> (present, explicit annotation or None).
-        state: Dict[Tuple[str, Row], Tuple[bool, object]] = {}
 
-        def current(predicate: str, row: Row) -> Tuple[bool, object]:
-            key = (predicate, row)
-            if key in state:
-                return state[key]
-            return (
-                self.edb.holds(predicate, *row),
-                self.edb.annotation(predicate, row),
-            )
+        def current(key: Fact) -> EdbState:
+            if key not in after:
+                before[key] = after[key] = (
+                    self.edb.holds(key[0], *key[1]),
+                    self.edb.annotation(*key),
+                )
+            return after[key]
 
-        for predicate, row in deletes:
-            row = tuple(row)
-            present, explicit = current(predicate, row)
-            if present:
-                prior = (
-                    explicit
-                    if explicit is not None
-                    else self.semiring.from_edb(predicate, row)
-                )
-                staged.append(("del", predicate, row, None, prior))
-                state[(predicate, row)] = (False, None)
-                applied_deletes += 1
-        for predicate, row in inserts:
-            row = tuple(row)
-            annotation = annotations.get((predicate, row))
-            present, explicit = current(predicate, row)
-            if present:
-                effective = (
-                    explicit
-                    if explicit is not None
-                    else self.semiring.from_edb(predicate, row)
-                )
-                if annotation is not None and annotation != effective:
-                    staged.append(("ann", predicate, row, annotation, effective))
-                    state[(predicate, row)] = (True, annotation)
+        for inserts, deletes in batches:
+            for predicate, row in deletes:
+                key = (predicate, tuple(row))
+                if current(key)[0]:
+                    after[key] = (False, None)
+                    applied_deletes += 1
+            for predicate, row in inserts:
+                key = (predicate, tuple(row))
+                annotation = annotations.get(key)
+                state = current(key)
+                if not state[0] or (
+                    annotation is not None
+                    and annotation != self._effective(*key, state)
+                ):
+                    after[key] = (True, annotation)
                     applied_inserts += 1
-            else:
-                staged.append(("add", predicate, row, annotation, None))
-                state[(predicate, row)] = (True, annotation)
-                applied_inserts += 1
-        if not staged:
-            return 0, 0
-        if self.differential:
-            self._commit_differential(staged)
-            self.metrics.bump("annotated_delta_batches")
+        staged = {
+            key: (before[key], state)
+            for key, state in after.items()
+            if state != before[key]
+        }
+        return staged, applied_inserts, applied_deletes
+
+    def _write_edb(self, staged: Mapping[Fact, Tuple[EdbState, EdbState]], side: int) -> None:
+        """Move the staged facts to their after (1) or before (0) state."""
+        for (predicate, row), states in staged.items():
+            present, explicit = states[side]
+            self.edb.discard(predicate, *row)
+            if present:
+                self.edb.add(predicate, *row, annotation=explicit)
+
+    # -- the maintenance pass -------------------------------------------------
+
+    def _put(self, predicate: str, row: Row, annotation, undo: Optional[UndoLog] = None) -> bool:
+        """Set one row's annotation (None or zero = absent), keeping the
+        kernel's support and net deltas in step; True when it changed."""
+        table = self.maps.setdefault(predicate, {})
+        old = table.get(row)
+        if annotation is not None and self.semiring.is_zero(annotation):
+            annotation = None
+        if annotation == old:
+            return False
+        if undo is not None:
+            undo.setdefault(predicate, {}).setdefault(row, old)
+        if annotation is None:
+            del table[row]
+            self.state.commit_remove(predicate, row)
         else:
-            self._commit_recompute(staged)
-            self.metrics.bump("annotated_recomputes")
-        return applied_inserts, applied_deletes
+            table[row] = annotation
+            if old is None:
+                self.state.commit_add(predicate, row)
+        return True
 
-    def _commit_edb(self, staged) -> None:
-        for op, predicate, row, value, _prior in staged:
-            if op == "del":
-                self.edb.discard(predicate, *row)
-            elif op == "add":
-                self.edb.add(predicate, *row, annotation=value)
-            else:  # "ann"
-                self.edb.set_annotation(predicate, row, value)
+    def _join(self, plan: Plan, lead, view: int = NEW) -> List[Tuple[Row, int]]:
+        """Fire one compiled plan (counted once the pass is through)."""
+        self._fired += 1
+        return self.state.fire(plan, lead, view, view, self.budget)
 
-    def _commit_recompute(self, staged) -> None:
-        """Evaluate against a scratch EDB; commit both on success."""
-        scratch = self.edb.copy()
-        saved, self.edb = self.edb, scratch
-        try:
-            self._commit_edb(staged)
-            maps = annotated_model(
-                self.prepared.program,
-                self.edb,
-                self.semiring,
-                registry=self.registry,
-                strata=self.prepared.strata,
-                max_rounds=self.max_rounds,
-                budget=self.budget,
-            )
-        except BaseException:
-            self.edb = saved
-            raise
-        # Success: replay the staged ops on the *original* database
-        # object (the view aliases it as ``view.database``) and swap
-        # the maps in.
-        self.edb = saved
-        self._commit_edb(staged)
-        self.evaluator.maps = maps
+    def _maintain(self, staged: Mapping[Fact, Tuple[EdbState, EdbState]], undo: UndoLog) -> None:
+        """One pass over the schedule for the staged EDB change."""
+        pulled, self._fired = self.state.rows_matched, 0
+        # predicate → rows whose base (EDB) annotation the burst moved.
+        moved: Dict[str, Set[Row]] = {}
+        for (predicate, row), (was, now) in staged.items():
+            if self._effective(predicate, row, was) != self._effective(predicate, row, now):
+                moved.setdefault(predicate, set()).add(row)
+        for predicate in moved.keys() - self._derived:
+            for row in moved[predicate]:
+                self._put(predicate, row, self._effective(predicate, row), undo)
+        for component, instances in self._circuits:
+            own = {p: moved[p] for p in component.predicates if p in moved}
+            if own or any(undo.get(p) for p in component.circuit.watch):
+                fault_point("incremental.component")
+                if self.budget is not None:
+                    self.budget.note_iteration(phase="annotated-maintain")
+                self._maintain_component(component, instances, own, undo)
+        self.metrics.bump("rules_fired", self._fired)
+        self.metrics.bump("rows_matched", self.state.rows_matched - pulled)
 
-    # -- the weighted differential path --------------------------------------
+    def _maintain_component(
+        self,
+        component: Component,
+        instances: Dict[str, Tuple[InstancePlan, ...]],
+        own: Dict[str, Set[Row]],
+        undo: UndoLog,
+    ) -> None:
+        """Invalidate the cone, reset it, re-derive from below."""
+        state, maps, circuit = self.state, self.maps, component.circuit
 
-    def _commit_differential(self, staged) -> None:
-        """Propagate a batch as carrier-weighted deltas (Z-sets whose
-        weight type is the semiring's difference ring — ℤ for the
-        naturals).  Non-recursive, negation-free programs only; the
-        eligibility check in ``__init__`` guarantees that shape."""
-        maps = self.evaluator.maps
-        # Staged per-predicate deltas over the difference ring.
-        delta: Dict[str, Dict[Row, object]] = {}
-        new_maps: Dict[str, Dict[Row, object]] = {}
+        def changed(predicate: str, was: bool) -> List[Row]:
+            """Rows of a maintained lower predicate that were (``was``)
+            or are now present, with a different annotation or none."""
+            table = maps.get(predicate, {})
+            return [
+                row
+                for row, old in undo.get(predicate, {}).items()
+                if table.get(row) != old
+                and (old if was else table.get(row)) is not None
+            ]
 
-        def bump(predicate: str, row: Row, weight) -> None:
-            bucket = delta.setdefault(predicate, {})
-            bucket[row] = bucket.get(row, 0) + weight
-            if bucket[row] == 0:
-                del bucket[row]
-            staged_map = new_maps.setdefault(
-                predicate, dict(maps.get(predicate, {}))
-            )
-            updated = staged_map.get(row, 0) + weight
-            if updated == 0:
-                staged_map.pop(row, None)
-            elif updated < 0:
-                raise IncrementalMaintenanceError(
-                    f"negative annotation for {predicate}{row!r} under "
-                    f"semiring {self.semiring.name!r} — differential "
-                    "bookkeeping lost sync"
-                )
-            else:
-                staged_map[row] = updated
+        # 1. The cone: rows with an OLD derivation through what moved.
+        cone: Dict[str, Set[Row]] = {
+            predicate: rows & state.rows(predicate) for predicate, rows in own.items()
+        }
+        frontier = {predicate: set(rows) for predicate, rows in cone.items()}
 
-        for op, predicate, row, value, prior in staged:
-            if op == "del":
-                bump(predicate, row, -prior)
-            elif op == "add":
-                annotation = (
-                    value
-                    if value is not None
-                    else self.semiring.from_edb(predicate, row)
-                )
-                bump(predicate, row, annotation)
-            else:  # "ann" — replace: delta is the difference
-                bump(predicate, row, value - prior)
+        def heads(plan: Plan, rows, view: int = NEW) -> Set[Row]:
+            return {head_row for head_row, _weight in self._join(plan, rows, view)}
 
-        def new_view(predicate: str) -> Mapping[Row, object]:
-            staged_map = new_maps.get(predicate)
-            return staged_map if staged_map is not None else maps.get(predicate, {})
+        def invalidate(plan: Plan, rows) -> None:
+            found = cone.setdefault(plan.head, set())
+            fresh = (heads(plan, rows, OLD) & state.rows(plan.head)) - found
+            found |= fresh
+            frontier.setdefault(plan.head, set()).update(fresh)
 
-        for component in self.prepared.schedule:
-            if not component.has_rules():
-                continue
-            for rule, order in component.rules:
-                match_literals = [
-                    payload for kind, payload in order if kind == "match"
+        for plan, predicate, negated in circuit.external:
+            rows = state.plus.get(predicate) if negated else changed(predicate, True)
+            if rows:
+                invalidate(plan, rows)
+        while any(frontier.values()):
+            delta, frontier = frontier, {}
+            for plan, predicate, _negated in circuit.internal:
+                if delta.get(predicate):
+                    invalidate(plan, delta[predicate])
+
+        # 2. Reset it to what the EDB alone still says.
+        for predicate, rows in cone.items():
+            for row in rows:
+                self._put(predicate, row, self._effective(predicate, row), undo)
+        self.metrics.bump("overdeleted_total", sum(map(len, cone.values())))
+
+        # 3. Re-derive from below: the cone, the rows whose base moved
+        # and the heads reachable (at NEW) from what is new or changed.
+        dirty: Dict[str, Set[Row]] = {p: set(rows) for p, rows in cone.items()}
+        for predicate, rows in own.items():
+            dirty.setdefault(predicate, set()).update(rows)
+
+        for plan, predicate, negated in circuit.external:
+            rows = state.minus.get(predicate) if negated else changed(predicate, False)
+            if rows:
+                dirty.setdefault(plan.head, set()).update(heads(plan, rows))
+        for _round in range(self.max_rounds):
+            if not any(dirty.values()):
+                break
+            if self.budget is not None:
+                self.budget.note_iteration(phase="annotated-rederive")
+            risen: Dict[str, List[Row]] = {}
+            for predicate, rows in dirty.items():
+                if not rows:
+                    continue
+                values: Dict[Row, object] = {}
+                for row in rows:
+                    base = self._effective(predicate, row)
+                    if base is not None:
+                        values[row] = base
+                for compiled in instances[predicate]:
+                    accumulate(
+                        self._join(compiled.plan, rows), compiled, maps, self.semiring, values
+                    )
+                risen[predicate] = [
+                    row for row in rows if self._put(predicate, row, values.get(row), undo)
                 ]
-                for position, literal in enumerate(match_literals):
-                    body_delta = delta.get(literal.atom.predicate)
-                    if not body_delta:
-                        continue
-
-                    def source(index: int, lit: Literal, _pos=position, _d=body_delta):
-                        if index < _pos:
-                            return new_view(lit.atom.predicate)
-                        if index == _pos:
-                            return _d
-                        return maps.get(lit.atom.predicate, {})
-
-                    for head_row, weight in self.evaluator.fire(
-                        rule, order, source, self.budget
-                    ):
-                        if weight != 0:
-                            bump(rule.head.predicate, head_row, weight)
-        # Commit: EDB mutations plus the staged maps.
-        self._commit_edb(staged)
-        for predicate, staged_map in new_maps.items():
-            maps[predicate] = staged_map
+            dirty = {}
+            for plan, predicate, _negated in circuit.internal:
+                if risen.get(predicate):
+                    dirty.setdefault(plan.head, set()).update(heads(plan, risen[predicate]))
+        else:
+            raise BudgetExceeded(
+                f"annotations of {sorted(component.predicates)} did not stabilize "
+                f"within {self.max_rounds} rounds under semiring {self.semiring.name!r}"
+                " (naturals over a cyclic derivation space diverge by design)",
+                progress=self.budget.progress if self.budget is not None else None,
+            )
+        self.metrics.bump(
+            "rederived_total",
+            sum(len(rows & state.rows(predicate)) for predicate, rows in cone.items()),
+        )

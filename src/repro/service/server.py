@@ -819,15 +819,15 @@ class QueryService:
 
     def _read(self, name: str, predicate: str):
         """One predicate read, every part from **one** model state:
-        ``(view, snapshot, true_rows, undefined_rows, stale,
-        annotations)``.
+        ``(view, snapshot, true_rows, undefined_rows, stale)``.
 
         On the snapshot path all of it comes from a single immutable
         snapshot, so it describes one model version even while updates
         land concurrently; the locked fallback gets the same property
         from holding the view lock across the reads, and hands back the
         snapshot the view then serves — the model it just answered
-        from.
+        from, which is also where a caller finds the row lines and the
+        annotations of that same version.
         """
         self.metrics.bump("queries_total")
         view, generation, snapshot = self._resolve_snapshot(name)
@@ -836,26 +836,20 @@ class QueryService:
             undefined = self._serve_undefined(
                 view, name, generation, snapshot, predicate
             )
-            return (
-                view, snapshot, rows, undefined, snapshot.stale,
-                snapshot.annotations_for(predicate),
-            )
+            return view, snapshot, rows, undefined, snapshot.stale
         with self._locked_view(name) as (view, generation):
             rows = self._query_locked(view, name, generation, predicate)
             undefined = self._undefined_locked(
                 view, name, generation, predicate
             )
-            return (
-                view, view.served_snapshot(), rows, undefined, view.stale,
-                view.annotation_texts(predicate),
-            )
+            return view, view.served_snapshot(), rows, undefined, view.stale
 
     def query_state(
         self, name: str, predicate: str
     ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
         """``(true_rows, undefined_rows, stale)`` from **one** model
         state — one linearization point for the whole answer."""
-        return self._read(name, predicate)[2:5]
+        return self._read(name, predicate)[2:]
 
     def query_annotated(
         self, name: str, predicate: str
@@ -873,31 +867,28 @@ class QueryService:
         the same snapshot (or the same view hold), so rows and
         annotations describe one model version.
         """
-        return self._read(name, predicate)[2:]
+        _view, snapshot, rows, undefined, stale = self._read(name, predicate)
+        return rows, undefined, stale, snapshot.annotations_for(predicate)
 
     def query_lines(
         self, name: str, predicate: str
-    ) -> Tuple[
-        List[str],
-        FrozenSet[Row],
-        bool,
-        Optional[Mapping[Row, str]],
-    ]:
-        """:meth:`query_annotated` with the true rows as the sorted
-        ``row <atom>`` lines of the ``query`` verb's reply.
+    ) -> Tuple[List[str], FrozenSet[Row], bool, List[str]]:
+        """:meth:`query_annotated` as the ``query`` verb replies: the
+        true rows as sorted ``row <atom>`` lines, the annotations as
+        sorted ``explain <atom> @ <text>`` lines (none for a boolean
+        view).
 
-        The lines are memoized on the answering snapshot and carried
-        from snapshot to snapshot by delta, so a full read costs its
-        answer plus the rows changed since the last one — not a format
-        and a sort of the whole relation.  The list is the shared memo:
-        do not mutate it.
+        Both are memoized on the answering snapshot and carried from
+        snapshot to snapshot by delta, so a full read costs its answer
+        plus the rows changed since the last one — not a format and a
+        sort of the whole relation.  The lists are the shared memos: do
+        not mutate them.
         """
-        view, snapshot, _rows, undefined, stale, annotations = self._read(
-            name, predicate
-        )
+        view, snapshot, _rows, undefined, stale = self._read(name, predicate)
         lines, formatted = snapshot.lines(predicate)
-        view.metrics.bump("rows_scanned", formatted)
-        return lines, undefined, stale, annotations
+        explain, explained = snapshot.explain_lines(predicate)
+        view.metrics.bump("rows_scanned", formatted + explained)
+        return lines, undefined, stale, explain
 
     # -- bound-pattern (demand-driven) queries --------------------------------
 
@@ -1015,7 +1006,7 @@ class QueryService:
     ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
         """Serve a pattern by probing the fully materialized answer."""
         self.metrics.bump("demand_fallbacks")
-        view, snapshot, _rows, _undefined, stale, _ = self._read(name, predicate)
+        view, snapshot, _rows, _undefined, stale = self._read(name, predicate)
         rows, undefined, scanned = snapshot.probe(predicate, args)
         view.metrics.bump("rows_scanned", scanned)
         return rows, undefined, stale
@@ -1155,17 +1146,13 @@ class QueryService:
             }
         else:
             annotations = None
-        direct = self.coalesce <= 1 or annotations is not None
-        if not direct:
-            # Group-commit tickets carry bare fact batches, and an
-            # annotated view publishes a full snapshot per batch
-            # anyway — so annotated views always take the direct
-            # per-batch path, even when coalescing is on.
-            view, _lock, _generation = self._view_and_lock(name)
-            direct = view.semiring != "bool"
-        if direct:
+        if self.coalesce <= 1 or annotations is not None:
             # Per-batch mode (the legacy default and the bench
             # baseline): apply directly under the view hold, no queue.
+            # Group-commit tickets carry bare fact batches, so a write
+            # with annotations takes this path even when coalescing is
+            # on; the bare writes to the same annotated view queue up
+            # like any other and reach its engine as one burst.
             with self._locked_view(name) as (view, generation):
                 parsed = self._parse_annotations(view, annotations)
                 summary = view.apply(
@@ -1582,7 +1569,7 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
         if len(parts) != 2:
             return ["error usage: query <view> <predicate>[(pattern)]"]
         view_name, remainder = parts[0], parts[1].strip()
-        annotations = None
+        explain: List[str] = []
         if "(" in remainder:
             # Bound-pattern form: ``query <view> tc(a, _)`` — served
             # demand-driven through the magic-sets registry.
@@ -1595,7 +1582,7 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
             if remainder.split() != [remainder] or not remainder:
                 return ["error usage: query <view> <predicate>[(pattern)]"]
             predicate = remainder
-            shared, undefined, stale, annotations = service.query_lines(
+            shared, undefined, stale, explain = service.query_lines(
                 view_name, predicate
             )
             lines = list(shared)  # the snapshot's memo stays untouched
@@ -1603,15 +1590,11 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
         lines += sorted(
             f"undef {format_row(predicate, row)}" for row in undefined
         )
-        if annotations:
-            # Annotated views explain every true row: its semiring
-            # annotation in wire text (for why-provenance, the lineage
-            # witnesses).  Boolean views emit no explain lines, keeping
-            # their replies byte-identical to the pre-semiring wire.
-            lines += sorted(
-                f"explain {format_row(predicate, row)} @ {text}"
-                for row, text in annotations.items()
-            )
+        # Annotated views explain every true row: its semiring
+        # annotation in wire text (for why-provenance, the lineage
+        # witnesses).  Boolean views have no explain lines, keeping
+        # their replies byte-identical to the pre-semiring wire.
+        lines += explain
         # A degraded view answers from its last consistent model; the
         # client sees the staleness on the wire, not silently.
         suffix = " stale" if stale else ""

@@ -45,6 +45,13 @@ on the first read that asks, and a delta cell that materializes over a
 parent holding one derives its own from ``plus``/``minus`` alone.
 Publishing formats and indexes nothing; a read costs its answer plus
 the delta not yet read.
+
+**Annotations.**  An annotated view's snapshot carries, per predicate,
+its K-relation in wire text as a set of ``(row, text)`` pairs — in a
+cell of the same kind, so a write stacks the pairs whose annotation
+changed as one more delta and the sorted ``explain`` lines are a memo
+carried and spliced exactly like the ``row`` lines.  Boolean snapshots
+carry no such table.
 """
 
 from __future__ import annotations
@@ -269,6 +276,29 @@ class _Cell:
         return rows, scanned + len(gone) + len(new)
 
 
+class _Notes(_Cell):
+    """One predicate's annotations: a cell of ``(row, wire text)``
+    pairs whose lines are the ``explain`` lines of a full read."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, predicate: str, state: tuple):
+        super().__init__(predicate, state)
+        self._table: Optional[Dict[Row, str]] = None
+
+    def _line(self, pair: Tuple[Row, str]) -> str:
+        return f"explain {format_row(self._predicate, pair[0])} @ {pair[1]}"
+
+    def table(self) -> Dict[Row, str]:
+        """row → text, built once per cell (its pairs never change).
+
+        The dict is the memo itself: callers must not mutate it.
+        """
+        if self._table is None:
+            self._table = dict(self.rows())
+        return self._table
+
+
 class ModelSnapshot:
     """An immutable, versioned three-valued model of one view.
 
@@ -295,14 +325,13 @@ class ModelSnapshot:
         undefined: Dict[str, _Cell],
         generation: int,
         stale: bool,
-        annotations: Optional[Dict[str, Dict[Row, str]]] = None,
+        annotations: Optional[Dict[str, _Notes]] = None,
     ):
         self._true = true_cells
         self._undefined = undefined
-        # Per-row semiring annotations in wire text, predicate → row →
-        # text.  None for boolean views (the fast path carries nothing
-        # extra); annotated views always publish full snapshots, so the
-        # table is immutable alongside the cells.
+        # Per-row semiring annotations in wire text, one cell of
+        # (row, text) pairs per predicate.  None for boolean views (the
+        # fast path carries nothing extra).
         self._annotations = annotations
         self.generation = generation
         self.stale = stale
@@ -330,15 +359,15 @@ class ModelSnapshot:
             for predicate, rows in (undefined_rows or {}).items()
             if rows
         }
-        frozen_annotations = (
+        notes = (
             {
-                predicate: dict(rows)
-                for predicate, rows in annotations.items()
+                predicate: _Notes.frozen(predicate, table.items())
+                for predicate, table in annotations.items()
             }
             if annotations is not None
             else None
         )
-        return cls(cells, undefined, generation, stale, frozen_annotations)
+        return cls(cells, undefined, generation, stale, notes)
 
     def apply_delta(
         self,
@@ -347,6 +376,8 @@ class ModelSnapshot:
         generation: int,
         undefined_plus: Optional[Mapping[str, Iterable[Row]]] = None,
         undefined_minus: Optional[Mapping[str, Iterable[Row]]] = None,
+        annotated_plus: Optional[Mapping[str, Iterable[Tuple[Row, str]]]] = None,
+        annotated_minus: Optional[Mapping[str, Iterable[Tuple[Row, str]]]] = None,
     ) -> "ModelSnapshot":
         """The successor snapshot under a net fact delta, in O(|delta|).
 
@@ -358,15 +389,27 @@ class ModelSnapshot:
         reports.  ``undefined_plus``/``undefined_minus`` are the same
         for the undefined rows (the alternating chain reports them); a
         total model passes none and shares the undefined table by
-        reference.
+        reference.  ``annotated_plus``/``annotated_minus`` are the
+        ``(row, wire text)`` pairs an annotated engine's batch added to
+        and took from the annotation table (a re-annotated row is one of
+        each); every other snapshot shares that table too.
         """
         undefined = self._undefined
         if undefined_plus or undefined_minus:
             undefined = self._stacked(
                 undefined, undefined_plus or {}, undefined_minus or {}
             )
+        annotations = self._annotations
+        if annotated_plus or annotated_minus:
+            annotations = self._stacked(
+                annotations or {}, annotated_plus or {}, annotated_minus or {}, _Notes
+            )
         return ModelSnapshot(
-            self._stacked(self._true, plus, minus), undefined, generation, False
+            self._stacked(self._true, plus, minus),
+            undefined,
+            generation,
+            False,
+            annotations,
         )
 
     @staticmethod
@@ -374,6 +417,7 @@ class ModelSnapshot:
         table: Dict[str, _Cell],
         plus: Mapping[str, Iterable[Row]],
         minus: Mapping[str, Iterable[Row]],
+        kind=_Cell,
     ) -> Dict[str, _Cell]:
         """``table`` with a delta cell stacked on each changed predicate."""
         cells = dict(table)
@@ -382,8 +426,8 @@ class ModelSnapshot:
             minus_rows = frozenset(minus.get(predicate, ()))
             if not plus_rows and not minus_rows:
                 continue
-            parent = cells.get(predicate) or _Cell.frozen(predicate, ())
-            cell = _Cell.delta(parent, plus_rows, minus_rows, parent.depth + 1)
+            parent = cells.get(predicate) or kind.frozen(predicate, ())
+            cell = kind.delta(parent, plus_rows, minus_rows, parent.depth + 1)
             if cell.depth > MAX_DELTA_DEPTH:
                 cell.rows()
             cells[predicate] = cell
@@ -392,8 +436,12 @@ class ModelSnapshot:
     # -- compaction -----------------------------------------------------------
 
     def _cells(self) -> Iterable[_Cell]:
-        """Every cell, both truth statuses."""
-        return chain(self._true.values(), self._undefined.values())
+        """Every cell: both truth statuses and the annotations."""
+        return chain(
+            self._true.values(),
+            self._undefined.values(),
+            (self._annotations or {}).values(),
+        )
 
     def max_chain_depth(self) -> int:
         """The deepest delta chain any predicate currently carries.
@@ -484,7 +532,15 @@ class ModelSnapshot:
         or None when this snapshot carries none (boolean views)."""
         if self._annotations is None:
             return None
-        return self._annotations.get(predicate, {})
+        cell = self._annotations.get(predicate)
+        return cell.table() if cell is not None else {}
+
+    def explain_lines(self, predicate: str) -> Tuple[List[str], int]:
+        """The annotations as sorted ``explain <atom> @ <text>`` wire
+        lines (none on a boolean snapshot), and how many were formatted
+        to produce them — memoized and carried like :meth:`lines`."""
+        cell = (self._annotations or {}).get(predicate)
+        return cell.lines() if cell is not None else ([], 0)
 
     def predicates(self) -> FrozenSet[str]:
         """Every predicate this snapshot holds rows (of any status) for."""
@@ -531,15 +587,18 @@ class ModelSnapshot:
                 # the section and keep the pre-annotation digests.
                 hasher.update(b"annotations\x03")
                 for predicate in sorted(self._annotations):
-                    table = self._annotations[predicate]
-                    if not table:
+                    pairs = sorted(
+                        self._annotations[predicate].rows(),
+                        key=lambda pair: tuple(map(repr, pair[0])),
+                    )
+                    if not pairs:
                         continue
                     hasher.update(predicate.encode("utf-8"))
                     hasher.update(b"\x00")
-                    for row in sorted(table, key=lambda r: tuple(map(repr, r))):
+                    for row, text in pairs:
                         hasher.update(repr(row).encode("utf-8"))
                         hasher.update(b"\x04")
-                        hasher.update(table[row].encode("utf-8"))
+                        hasher.update(text.encode("utf-8"))
                         hasher.update(b"\x01")
                     hasher.update(b"\x02")
             self._fingerprint = hasher.hexdigest()

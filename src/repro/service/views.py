@@ -171,11 +171,11 @@ class MaterializedView:
         self._published: AtomicReference = AtomicReference((None, False))
         self._generation = 0
         # An annotated view is always engine-backed (its snapshots need
-        # the annotation maps); ``incremental=False`` there only forces
-        # the engine's recompute-on-update discipline.  The requested
-        # flag is kept verbatim so checkpoints can re-register the view
-        # with the same discipline (``mode`` alone conflates the two
-        # annotated sub-modes).
+        # the annotation maps); ``incremental=False`` there only makes
+        # the engine re-initialize per batch instead of maintaining.
+        # The requested flag is kept verbatim so checkpoints can
+        # re-register the view the same way (``mode`` alone conflates
+        # the two).
         self.incremental = bool(incremental)
         self.mode = (
             "incremental"
@@ -321,16 +321,11 @@ class MaterializedView:
         """Publish what one engine pass left, given its summary.
 
         Incremental snapshot maintenance: the engine's net plus/minus
-        delta — of the true and, from a chain, the undefined rows — is
-        applied to the previous snapshot, O(|delta|), not a full model
-        copy.  Annotated views publish full instead: the batch may
-        change annotations on rows whose support did not move, which a
-        support-level delta cannot express.
+        delta — of the true rows and, from a chain, the undefined rows,
+        from an annotated engine the annotation texts — is applied to
+        the previous snapshot, O(|delta|), not a full model copy.
         """
         with self.metrics.phase("snapshot"):
-            if self.semiring != "bool":
-                self._publish_model()
-                return
             snapshot, _servable = self._published.get()
             assert snapshot is not None
             self._publish(
@@ -340,6 +335,8 @@ class MaterializedView:
                     self._generation + 1,
                     summary.get("undefined_plus"),
                     summary.get("undefined_minus"),
+                    summary.get("annotated_plus"),
+                    summary.get("annotated_minus"),
                 )
             )
 
@@ -425,21 +422,6 @@ class MaterializedView:
             return self._ensure_result().undefined_rows(predicate)
         except ViewDegraded:
             return self.served_snapshot().undefined_rows(predicate)
-
-    def annotation_texts(self, predicate: str) -> Optional[Dict[Row, str]]:
-        """Wire-text semiring annotations of one predicate's rows
-        (None for boolean views — they carry no annotations).  Degraded
-        views answer from the stale snapshot like :meth:`rows`."""
-        if self.semiring == "bool" or self.engine is None:
-            return None
-        if self.stale:
-            served = self.served_snapshot().annotations_for(predicate)
-            return dict(served) if served is not None else {}
-        semiring = self.semiring_obj
-        return {
-            row: semiring.format(annotation)
-            for row, annotation in self.engine.annotation_map(predicate).items()
-        }
 
     def predicates(self) -> FrozenSet[str]:
         """Every predicate the view can answer about."""

@@ -12,11 +12,7 @@ import math
 import pytest
 
 from repro.datalog import run
-from repro.datalog.annotated import (
-    WeightedEvaluator,
-    annotated_model,
-    edb_annotations,
-)
+from repro.datalog.annotated import annotated_model, edb_annotations
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.relations import Atom
@@ -152,28 +148,201 @@ def test_edb_annotations_drop_zero_rows():
     assert maps["edge"][(B, C)] == 1
 
 
-def test_weighted_evaluator_reads_pluggable_sources():
-    """The RowSource hook: substituting a per-position map (the delta
-    discipline's contract) changes which rows a match literal sees."""
-    semiring = get_semiring("naturals")
-    evaluator = WeightedEvaluator(None, semiring)
-    rule = HOP.rules[0]
-    from repro.datalog.grounding import compiled_binding_order
+# ---------------------------------------------------------------------------
+# annotated_model against a reference that shares nothing with it
+# ---------------------------------------------------------------------------
+#
+# The model and the serving engine enumerate rule instances through the
+# same widened kernel plans, so the service fuzz (which compares the two)
+# cannot see a defect in what they share.  This reference does: plain
+# nested loops over the annotation maps, one dict binding per candidate.
 
-    order = compiled_binding_order(rule)
-    full = {(A, B): 1, (B, C): 1}
-    delta = {(B, C): 1}
+import itertools  # noqa: E402
+import random  # noqa: E402
 
-    def source(index, literal):
-        return delta if index == 0 else full
+from repro.datalog.ast import Comparison, Const, Var, eval_term, term_vars  # noqa: E402
+from repro.datalog.binding import _compare  # noqa: E402
+from repro.datalog.stratification import stratify  # noqa: E402
 
-    produced = evaluator.fire(rule, order, source)
-    # Position 0 restricted to the delta row: only b→c→? joins fire,
-    # and none complete (no edge out of c), so nothing is produced.
-    assert produced == []
 
-    def source_second(index, literal):
-        return delta if index == 1 else full
+def _reference_instances(rule, maps):
+    """``(head row, annotations of the positive body rows)`` of every
+    instance of ``rule`` over ``maps``, by brute force."""
+    positives = rule.positive_literals()
+    tables = [maps.get(literal.atom.predicate, {}).items() for literal in positives]
+    for rows in itertools.product(*tables):
+        binding = {}
+        for literal, (row, _annotation) in zip(positives, rows):
+            if len(row) != len(literal.atom.args):
+                break
+            for arg, value in zip(literal.atom.args, row):
+                if isinstance(arg, Const):
+                    if arg.value != value:
+                        break
+                elif binding.setdefault(arg, value) != value:
+                    break
+            else:
+                continue
+            break
+        else:
+            pending = [item for item in rule.body if isinstance(item, Comparison)]
+            holds = True
+            while pending and holds:
+                for item in pending:
+                    left, right = (
+                        eval_term(term, binding, None)
+                        if term_vars(term) <= binding.keys()
+                        else None
+                        for term in (item.left, item.right)
+                    )
+                    if left is not None and right is not None:
+                        holds = _compare(item.op, left, right)
+                    elif isinstance(item.left, Var) and right is not None:
+                        binding[item.left] = right
+                    elif isinstance(item.right, Var) and left is not None:
+                        binding[item.right] = left
+                    else:
+                        continue
+                    pending.remove(item)
+                    break
+                else:
+                    raise AssertionError(f"unsafe rule in the corpus: {rule!r}")
+            if not holds:
+                continue
+            if any(
+                tuple(eval_term(arg, binding, None) for arg in literal.atom.args)
+                in maps.get(literal.atom.predicate, {})
+                for literal in rule.negative_literals()
+            ):
+                continue
+            yield (
+                tuple(eval_term(arg, binding, None) for arg in rule.head.args),
+                [annotation for _row, annotation in rows],
+            )
 
-    produced = evaluator.fire(rule, order, source_second)
-    assert produced == [((A, C), 1)]
+
+def reference_model(program, database, semiring, max_rounds=200):
+    """Stratum-wise Jacobi iteration over :func:`_reference_instances`."""
+    strata = stratify(program)
+    edb = edb_annotations(database, semiring)
+    maps = {predicate: dict(rows) for predicate, rows in edb.items()}
+    for level in range(max(strata.values(), default=0) + 1):
+        rules = [r for r in program.rules if strata[r.head.predicate] == level]
+        heads = {rule.head.predicate for rule in rules}
+        for _round in range(max_rounds):
+            fresh = {predicate: dict(edb.get(predicate, {})) for predicate in heads}
+            for rule in rules:
+                bucket = fresh[rule.head.predicate]
+                for head_row, annotations in _reference_instances(rule, maps):
+                    weight = semiring.one
+                    for annotation in annotations:
+                        weight = semiring.mul(weight, annotation)
+                    bucket[head_row] = (
+                        semiring.add(bucket[head_row], weight)
+                        if head_row in bucket
+                        else weight
+                    )
+            if all(fresh[p] == maps.get(p, {}) for p in heads):
+                break
+            maps.update(fresh)
+        else:
+            raise AssertionError("reference did not converge")
+    return maps
+
+
+#: (program, binary update predicates, unary update predicates).
+REFERENCE_CORPUS = {
+    "tc": (TC, ("edge",), ()),
+    "nonlinear": (
+        parse_program("tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), tc(Y, Z)."),
+        ("edge",),
+        (),
+    ),
+    "mutual": (
+        parse_program(
+            """
+            odd(X, Y) :- edge(X, Y).
+            odd(X, Z) :- even(X, Y), edge(Y, Z).
+            even(X, Z) :- odd(X, Y), edge(Y, Z).
+            """
+        ),
+        ("edge",),
+        (),
+    ),
+    "gated": (
+        parse_program(
+            """
+            r(X, Y) :- e(X, Y), not b(X, Y).
+            r(X, Z) :- r(X, Y), e(Y, Z), not b(Y, Z).
+            """
+        ),
+        ("e", "b"),
+        (),
+    ),
+    "strata": (
+        parse_program(
+            """
+            tc(X, Y) :- edge(X, Y).
+            tc(X, Z) :- tc(X, Y), edge(Y, Z).
+            apart(X, Y) :- node(X), node(Y), not tc(X, Y).
+            lacks(X) :- apart(X, Y).
+            full(X) :- node(X), not lacks(X).
+            """
+        ),
+        ("edge",),
+        ("node",),
+    ),
+    "shapes": (
+        parse_program(
+            """
+            loop(X) :- edge(X, X).
+            out(X, a) :- edge(X, Y), X != Y.
+            twin(X, Y, W) :- edge(X, Y), edge(Y, X), W = X.
+            """
+        ),
+        ("edge",),
+        (),
+    ),
+}
+
+
+def _random_database(rng, binary, unary, nodes, acyclic, weights):
+    database = Database()
+    for predicate in binary + unary:
+        database.declare(predicate)
+    for predicate in binary:
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.randrange(nodes), rng.randrange(nodes)
+            if acyclic:
+                if i == j:
+                    continue
+                i, j = min(i, j), max(i, j)
+            annotation = rng.choice(weights) if weights else None
+            database.add(predicate, Atom(f"n{i}"), Atom(f"n{j}"), annotation=annotation)
+    for predicate in unary:
+        for i in range(nodes):
+            if rng.random() < 0.7:
+                database.add(predicate, Atom(f"n{i}"))
+    return database
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CORPUS))
+@pytest.mark.parametrize(
+    "semiring_name, acyclic, weights",
+    [
+        ("naturals", True, (None, 1, 2, 3)),
+        ("tropical", False, (None, 0, 1, 2, 5)),
+        ("why", False, ()),
+    ],
+)
+def test_model_matches_nested_loop_reference(name, semiring_name, acyclic, weights):
+    program, binary, unary = REFERENCE_CORPUS[name]
+    semiring = get_semiring(semiring_name)
+    for seed in range(12):
+        rng = random.Random(f"{name}-{semiring_name}-{seed}")
+        database = _random_database(rng, binary, unary, 4, acyclic, weights)
+        expected = reference_model(program, database, semiring)
+        model = annotated_model(program, database, semiring)
+        assert {p: rows for p, rows in model.items() if rows} == {
+            p: rows for p, rows in expected.items() if rows
+        }, f"seed {seed}: {database.pretty()}"

@@ -3,8 +3,9 @@
 Every semiring in :data:`repro.semiring.SEMIRINGS` is held to the
 commutative-semiring laws — ``⊕``/``⊗`` associative and commutative,
 ``0`` the ``⊕``-identity and ``⊗``-annihilator, ``1`` the
-``⊗``-identity, distributivity — through a **registry-driven**
-parametrization: the suite enumerates the live registry, and
+``⊗``-identity, distributivity — and to the two side conditions negation
+gates and "support = the boolean model" need (positivity, no zero
+divisors), through a **registry-driven** parametrization: the suite enumerates the live registry, and
 :func:`test_every_registered_semiring_has_a_strategy` fails CI the
 moment someone registers a new :class:`~repro.semiring.Semiring`
 without adding a value strategy here.  That meta-test is the
@@ -111,6 +112,24 @@ def test_mul_distributes_over_add(name, data):
     s = get_semiring(name)
     a, b, c = (data.draw(_elements(name)) for _ in range(3))
     assert s.mul(a, s.add(b, c)) == s.add(s.mul(a, b), s.mul(a, c))
+
+
+@pytest.mark.parametrize("name", SEMIRING_NAMES)
+@settings(max_examples=_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_positive_and_free_of_zero_divisors(name, data):
+    """The side conditions that make the *support* of an annotated model
+    the boolean model, and a ``not`` gate over a support the negation it
+    stands for (docs/SEMIRINGS.md): alternative derivations never cancel
+    (positivity, ``a ⊕ b = 0 ⇒ a = b = 0``) and a derivation from
+    present rows is present (``a ⊗ b = 0 ⇒ a = 0 or b = 0``).  The
+    engines keep their join kernel's facts on exactly that reading."""
+    s = get_semiring(name)
+    a, b = (data.draw(_elements(name)) for _ in range(2))
+    if s.is_zero(s.add(a, b)):
+        assert s.is_zero(a) and s.is_zero(b)
+    if s.is_zero(s.mul(a, b)):
+        assert s.is_zero(a) or s.is_zero(b)
 
 
 @pytest.mark.parametrize("name", SEMIRING_NAMES)

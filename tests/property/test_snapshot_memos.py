@@ -161,6 +161,58 @@ def test_depth_cap_flattening_carries_the_memos(initial, deltas, warm, args):
     check(snapshot, model, [args])
 
 
+texts = st.sampled_from(("0", "1", "2", "{{e(a, b)}}", "{{e(a, b)}, {e(b, c)}}"))
+tables = st.dictionaries(rows, texts, max_size=6)
+
+
+def check_annotations(snapshot, table):
+    """The annotation reads of ``snapshot`` against the dict ``table``."""
+    expected = sorted(
+        f"explain {format_row('p', row)} @ {text}" for row, text in table.items()
+    )
+    lines, _formatted = snapshot.explain_lines("p")
+    assert lines == expected
+    assert snapshot.explain_lines("p") == (lines, 0)
+    assert snapshot.annotations_for("p") == table
+    # Built once per cell, like the lines: a repeated read copies nothing.
+    assert snapshot.annotations_for("p") is snapshot.annotations_for("p")
+    assert snapshot.rows("p") == table.keys()
+    full = ModelSnapshot.full({"p": table.keys()}, annotations={"p": table})
+    assert snapshot.fingerprint == full.fingerprint
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, st.lists(st.tuples(tables, st.booleans()), max_size=MAX_DELTA_DEPTH + 4))
+def test_annotations_carried_by_delta_equal_a_full_publish(initial, script):
+    """An annotated view publishes the ``(row, text)`` pairs its batch
+    added and removed; whichever generations were read on the way — so
+    whichever held the ``explain`` memo when the next one settled — the
+    table, its lines and the fingerprint are those of a snapshot built
+    from the whole model.  Boolean snapshots stay without a table."""
+    snapshot = ModelSnapshot.full({"p": initial.keys()}, annotations={"p": initial})
+    table = initial
+    history = [(snapshot, table)]
+    for target, read in script:
+        snapshot = snapshot.apply_delta(
+            {"p": target.keys() - table.keys()},
+            {"p": table.keys() - target.keys()},
+            snapshot.generation + 1,
+            annotated_plus={"p": target.items() - table.items()},
+            annotated_minus={"p": table.items() - target.items()},
+        )
+        table = target
+        history.append((snapshot, table))
+        if read:
+            check_annotations(snapshot, table)
+    for snapshot, table in reversed(history):
+        check_annotations(snapshot, table)
+    assert snapshot.max_chain_depth() == 0
+    plain = ModelSnapshot.full({"p": initial.keys()})
+    plain = plain.apply_delta({"p": [(0,)]}, {}, 2)
+    assert plain.annotations_for("p") is None
+    assert plain.explain_lines("p") == ([], 0)
+
+
 def test_racing_readers_agree_with_the_oracle():
     """Three readers (more than this box has cores) hammer every
     generation of one long chain — lines, probes and rows in different

@@ -138,6 +138,135 @@ def test_burst_fingerprint_matches_sequential(config, seed):
         sequential.close()
 
 
+@pytest.mark.parametrize("semiring", ["tropical", "why"])
+@pytest.mark.parametrize("seed", range(4))
+def test_annotated_burst_is_one_pass_and_matches_sequential(semiring, seed):
+    """An annotated view folds a burst into its net EDB change and runs
+    one maintenance pass for the one publish: same snapshot (rows and
+    annotation texts) and same database as the batches one at a time, in
+    less work."""
+    services = [QueryService(semiring=semiring) for _ in range(2)]
+    try:
+        rng = random.Random(f"annotated-coalesce-{seed}")
+        seed_rows = [
+            ("edge", (rng.choice(NODES), rng.choice(NODES))) for _ in range(4)
+        ]
+        for service in services:
+            service.register("v", TC)
+            service.update("v", inserts=seed_rows)
+        burst, sequential = (service.view("v") for service in services)
+        batches = _random_batches(
+            random.Random(f"annotated-batches-{seed}"), "edge"
+        )
+        before = dict(burst.metrics.counters)
+        summary = burst.apply_stream(batches)
+        assert summary["mode"] == "incremental"
+        assert summary["batches"] == len(batches)
+        counters = burst.metrics.counters
+        assert counters["snapshot_swaps"] == before["snapshot_swaps"] + 1
+        assert counters["circuit_steps"] == before["circuit_steps"] + 1
+        assert counters["delta_batches_coalesced"] == len(batches) - 1
+        for inserts, deletes in batches:
+            sequential.apply(inserts=inserts, deletes=deletes)
+        assert (
+            burst.read_snapshot().fingerprint
+            == sequential.read_snapshot().fingerprint
+        )
+        assert burst.fingerprint() == sequential.fingerprint()
+        assert burst.engine.maps == sequential.engine.maps
+        assert (
+            counters["rules_fired"] - before["rules_fired"]
+            < sequential.metrics.counters["rules_fired"] - before["rules_fired"]
+        )
+    finally:
+        for service in services:
+            service.close()
+
+
+def test_annotated_burst_that_cancels_fires_nothing():
+    """A fact inserted then deleted inside the burst never reaches a
+    rule; neither does a delete-and-re-insert that puts a live fact back
+    as it was.  One that brings it back *bare* is a re-annotation."""
+    service = QueryService(semiring="tropical")
+    try:
+        service.register("v", TC)
+        live, priced = ("edge", (NODES[0], NODES[1])), ("edge", (NODES[2], NODES[3]))
+        service.update("v", inserts=[live, priced], annotations={priced: "3"})
+        view = service.view("v")
+        fingerprint = view.read_snapshot().fingerprint
+        before = dict(view.metrics.counters)
+        fresh = ("edge", (NODES[1], NODES[2]))
+        summary = view.apply_stream(
+            [([fresh], []), ([], [fresh]), ([], [live]), ([live], [])]
+        )
+        assert summary["delta_plus"] == summary["delta_minus"] == 0
+        assert not summary["annotated_plus"] and not summary["annotated_minus"]
+        counters = view.metrics.counters
+        assert counters["rules_fired"] == before["rules_fired"]
+        assert counters["inserts_applied"] == before["inserts_applied"] + 2
+        assert counters["deletes_applied"] == before["deletes_applied"] + 2
+        assert view.read_snapshot().fingerprint == fingerprint
+
+        summary = view.apply_stream([([], [priced]), ([priced], [])])
+        assert summary["delta_plus"] == summary["delta_minus"] == 0
+        assert summary["annotated_minus"]["tc"] == {(priced[1], "3")}
+        assert summary["annotated_plus"]["tc"] == {(priced[1], "0")}
+        assert view.database.annotation(*priced) is None
+        assert counters["rules_fired"] > before["rules_fired"]
+    finally:
+        service.close()
+
+
+def test_bare_writes_to_an_annotated_view_group_commit():
+    """Through the front door: bare writes to an annotated view queue up
+    like any other and their leader hands the engine one burst; a write
+    carrying annotations (tickets cannot) applies directly, leaving the
+    queue to its owners."""
+    service = QueryService(semiring="tropical", coalesce=8)
+    sequential = QueryService(semiring="tropical", coalesce=1)
+    try:
+        for each in (service, sequential):
+            each.register("v", TC)
+        view = service.view("v")
+        chain = [("edge", (NODES[i], NODES[i + 1])) for i in range(4)]
+        # Three writers parked behind the view lock, as contention
+        # leaves them; the fourth wins the lock and drains all four.
+        parked = [view.pending.submit([fact], []) for fact in chain[:3]]
+        before = dict(view.metrics.counters)
+        summary = service.update("v", inserts=[chain[3]])
+        assert summary["mode"] == "incremental"
+        assert summary["coalesced"] == summary["batches"] == 4
+        assert all(ticket.outcome(0) == summary for ticket in parked)
+        counters = view.metrics.counters
+        assert counters["circuit_steps"] == before["circuit_steps"] + 1
+        assert counters["snapshot_swaps"] == before["snapshot_swaps"] + 1
+        assert counters["delta_batches_coalesced"] == 3
+
+        waiting = view.pending.submit([], [chain[0]])
+        priced = ("edge", (NODES[0], NODES[4]))
+        summary = service.update(
+            "v", inserts=[priced], annotations={priced: "1"}
+        )
+        assert "coalesced" not in summary
+        assert not waiting.done and view.pending.depth() == 1
+        service.update("v", deletes=[chain[1]])
+        assert waiting.done and view.pending.depth() == 0
+
+        for fact in chain:
+            sequential.update("v", inserts=[fact])
+        sequential.update("v", inserts=[priced], annotations={priced: "1"})
+        sequential.update("v", deletes=[chain[0]])
+        sequential.update("v", deletes=[chain[1]])
+        assert (
+            view.read_snapshot().fingerprint
+            == sequential.view("v").read_snapshot().fingerprint
+        )
+        assert view.engine.maps == sequential.view("v").engine.maps
+    finally:
+        service.close()
+        sequential.close()
+
+
 @pytest.mark.parametrize("maintenance", ["dbsp", "legacy"])
 def test_concurrent_writers_group_commit_matches_sequential(maintenance):
     """Racing writers through the real queue land on the sequential model.

@@ -91,20 +91,30 @@ NODES = [Atom(f"n{i}") for i in range(5)]
 _PARSED = {text: parse_program(text) for text, _, _ in THREE_VALUED_POOL}
 
 
-def _seed_database(rng, update_predicates):
+def _seed_database(rng, update_predicates, **shape):
     database = Database()
     for predicate in update_predicates:
         database.declare(predicate)
     for predicate in update_predicates:
         for _ in range(rng.randint(1, 3)):
-            database.add(predicate, *_random_row(rng, predicate))
+            database.add(predicate, *_random_row(rng, predicate, **shape))
     return database
 
 
-def _random_row(rng, predicate):
-    if predicate in ("edge", "move"):
-        return (rng.choice(NODES), rng.choice(NODES))
-    return (rng.choice(NODES),)
+#: Update predicates of arity two; every other one is unary.
+BINARY = ("edge", "move", "e", "cut")
+
+
+def _random_row(rng, predicate, nodes=len(NODES), acyclic=False):
+    """A row over the first ``nodes`` nodes; ``acyclic`` keeps binary
+    rows forward (``i < j``), so no set of them closes a cycle."""
+    if predicate not in BINARY:
+        return (NODES[rng.randrange(nodes)],)
+    if acyclic:
+        i, j = sorted(rng.sample(range(nodes), 2))
+    else:
+        i, j = rng.randrange(nodes), rng.randrange(nodes)
+    return (NODES[i], NODES[j])
 
 
 def _oracle(program_text, database, semantics):
@@ -224,18 +234,49 @@ def test_random_schedule_matches_oracle(config, seed):
 # :func:`repro.datalog.annotated_model` over the view's current
 # database.  ``bool`` runs under both maintenance engines as the
 # byte-identical baseline (its ``query_annotated`` must serve no
-# annotations at all); ``naturals`` runs both annotated disciplines
-# (weighted differential deltas and recompute-on-update); ``tropical``
-# and ``why`` are recursive-safe (idempotent) and exercise the
-# recompute discipline with recursion and negation in the mix.
+# annotations at all).  Every annotated view is maintained by the one
+# discipline of :class:`~repro.service.annotated.AnnotatedEngine`
+# (invalidate the cone, re-derive from below) — or, with
+# ``incremental=False``, re-initialized per batch — so the axis crosses
+# the semirings with the program shapes that discipline has to get
+# right: linear, nonlinear and mutual recursion, negation gates inside
+# a recursive component, three strata with ``not`` between them, on
+# cyclic data where the algebra converges there (``tropical``; ``why``
+# on pools small enough for the oracle itself) and on forward-only
+# pools for ``naturals``, whose bag annotations are finite exactly on
+# acyclic derivation spaces (docs/SEMIRINGS.md).
+
+from typing import NamedTuple  # noqa: E402
 
 from repro.datalog import annotated_model  # noqa: E402
 from repro.semiring import get_semiring  # noqa: E402
 
 #: Non-recursive, so every naturals annotation is derivation-finite on
-#: any data — cyclic edges included.  (Recursive programs over cyclic
-#: data diverge under ℕ, by design; see docs/SEMIRINGS.md.)
+#: any data — cyclic edges included.
 HOP = "hop(X, Z) :- edge(X, Y), edge(Y, Z).\n"
+#: A negation gate *inside* a recursive component.  On a cycle, rows of
+#: ``r`` support each other: when ``+cut(a, b)`` closes the gate under
+#: one of them, invalidating only through positive changes leaves them
+#: holding each other up at stale costs (count-to-infinity).
+GATED = (
+    "r(X, Y) :- e(X, Y), not cut(X, Y).\n"
+    "r(X, Z) :- r(X, Y), e(Y, Z), not cut(Y, Z).\n"
+)
+NONLINEAR = (
+    "tc(X, Y) :- edge(X, Y).\n"
+    "tc(X, Z) :- tc(X, Y), tc(Y, Z).\n"
+)
+MUTUAL = (
+    "odd(X, Y) :- edge(X, Y).\n"
+    "odd(X, Z) :- even(X, Y), edge(Y, Z).\n"
+    "even(X, Z) :- odd(X, Y), edge(Y, Z).\n"
+)
+STRATA = (
+    TC
+    + "apart(X, Y) :- node(X), node(Y), not tc(X, Y).\n"
+    "lacks(X) :- apart(X, Y).\n"
+    "full(X) :- node(X), not lacks(X).\n"
+)
 
 ACYCLIC_SAFE_POOL = [
     (HOP, ("hop", "edge"), ("edge",)),
@@ -244,26 +285,64 @@ IDEMPOTENT_POOL = [
     (TC, ("tc", "edge"), ("edge",)),
     (PAIRS, ("pair", "only_a"), ("a", "b")),
 ]
-
-#: (config id, semiring, incremental flag, maintenance, pool,
-#:  annotation texts drawn on inserts — () sends bare facts).
-SEMIRING_CONFIGS = [
-    ("bool-dbsp", "bool", True, "dbsp", STRATIFIED_POOL, ()),
-    ("bool-legacy", "bool", True, "legacy", STRATIFIED_POOL, ()),
-    ("naturals-differential", "naturals", True, "dbsp",
-     ACYCLIC_SAFE_POOL, ("1", "2", "3")),
-    ("naturals-recompute", "naturals", False, "dbsp",
-     ACYCLIC_SAFE_POOL, ("1", "2", "3")),
-    ("tropical", "tropical", True, "dbsp",
-     IDEMPOTENT_POOL, ("0", "1", "2", "5")),
-    ("why", "why", True, "dbsp", IDEMPOTENT_POOL, ()),
+GATED_POOL = [
+    (GATED, ("r", "e", "cut"), ("e", "cut")),
+]
+RECURSIVE_POOL = [
+    (TC, ("tc", "edge"), ("edge",)),
+    (NONLINEAR, ("tc", "edge"), ("edge",)),
+    (MUTUAL, ("odd", "even", "edge"), ("edge",)),
+    (GATED, ("r", "e", "cut"), ("e", "cut")),
+    (STRATA, ("tc", "apart", "lacks", "full"), ("edge", "node")),
 ]
 
-#: 6 configs x 12 seeds = 72 annotated schedules (x 4 at smoke).
+
+class SemiringConfig(NamedTuple):
+    config_id: str
+    semiring: str
+    incremental: bool
+    maintenance: str
+    pool: list
+    #: Annotation texts drawn on inserts — () sends bare facts.
+    texts: tuple = ()
+    #: Rows range over this many nodes, forward-only when ``acyclic``.
+    nodes: int = len(NODES)
+    acyclic: bool = False
+
+
+#: The first six ids predate the single discipline and are kept so the
+#: test ids stay put: "differential" is ``incremental=True`` (maintained
+#: by the engine), "recompute" is ``incremental=False`` (re-initialized
+#: per batch).
+SEMIRING_CONFIGS = [
+    SemiringConfig("bool-dbsp", "bool", True, "dbsp", STRATIFIED_POOL),
+    SemiringConfig("bool-legacy", "bool", True, "legacy", STRATIFIED_POOL),
+    SemiringConfig("naturals-differential", "naturals", True, "dbsp",
+                   ACYCLIC_SAFE_POOL, ("1", "2", "3")),
+    SemiringConfig("naturals-recompute", "naturals", False, "dbsp",
+                   ACYCLIC_SAFE_POOL, ("1", "2", "3")),
+    SemiringConfig("naturals-recursive-dag", "naturals", True, "dbsp",
+                   RECURSIVE_POOL, ("1", "2", "3"), acyclic=True),
+    SemiringConfig("tropical", "tropical", True, "dbsp",
+                   IDEMPOTENT_POOL, ("0", "1", "2", "5")),
+    SemiringConfig("tropical-recursive-cyclic", "tropical", True, "dbsp",
+                   RECURSIVE_POOL, ("0", "1", "2", "5")),
+    SemiringConfig("tropical-recursive-recompute", "tropical", False, "dbsp",
+                   RECURSIVE_POOL, ("0", "1", "2", "5")),
+    SemiringConfig("why", "why", True, "dbsp", IDEMPOTENT_POOL),
+    SemiringConfig("why-gated-cyclic", "why", True, "dbsp", GATED_POOL, nodes=4),
+    SemiringConfig("why-recursive-cyclic", "why", True, "dbsp",
+                   RECURSIVE_POOL, nodes=3),
+]
+
+#: 11 configs x 12 seeds = 132 annotated schedules (x 4 at smoke).
 SEMIRING_SEEDS = 4 if _SMOKE else 12
 
 _PARSED.update(
-    {text: parse_program(text) for text, _, _ in ACYCLIC_SAFE_POOL}
+    {
+        text: parse_program(text)
+        for text, _, _ in ACYCLIC_SAFE_POOL + RECURSIVE_POOL
+    }
 )
 
 
@@ -301,17 +380,17 @@ def _check_annotated_view(service, name, state, semiring_name):
             )
 
 
-def _register_annotated(
-    service, rng, name, state, semiring_name, incremental, pool
-):
-    program_text, query_predicates, update_predicates = rng.choice(pool)
+def _register_annotated(service, rng, name, state, config):
+    program_text, query_predicates, update_predicates = rng.choice(config.pool)
     service.register(
         name,
         program_text,
         semantics="stratified",
-        database=_seed_database(rng, update_predicates),
-        incremental=incremental,
-        semiring=semiring_name,
+        database=_seed_database(
+            rng, update_predicates, nodes=config.nodes, acyclic=config.acyclic
+        ),
+        incremental=config.incremental,
+        semiring=config.semiring,
     )
     state[name] = (program_text, query_predicates, update_predicates)
 
@@ -321,61 +400,73 @@ def _register_annotated(
 )
 @pytest.mark.parametrize("seed", range(SEMIRING_SEEDS))
 def test_random_semiring_schedule_matches_oracle(config, seed):
-    config_id, semiring_name, incremental, maintenance, pool, texts = config
-    rng = random.Random(f"{config_id}-{seed}")
+    rng = random.Random(f"{config.config_id}-{seed}")
     service = QueryService(
         cache_capacity=32,
         compactor=("on-publish", "off")[seed % 2],
         compact_depth=2,
         compact_interval=3,
-        maintenance=maintenance,
+        maintenance=config.maintenance,
     )
     state = {}
     names = [f"v{i}" for i in range(VIEWS)]
     for name in names:
-        _register_annotated(
-            service, rng, name, state, semiring_name, incremental, pool
-        )
+        _register_annotated(service, rng, name, state, config)
+
+    def row(predicate):
+        return _random_row(rng, predicate, config.nodes, config.acyclic)
+
+    def annotate(annotations, predicate, fact_row, share):
+        # Wire-text annotations exercise the parse path; re-annotating
+        # a live fact is an absolute replace.
+        if config.texts and rng.random() < share:
+            annotations[(predicate, fact_row)] = rng.choice(config.texts)
 
     for _ in range(OPS_PER_SCHEDULE):
         name = rng.choice(names)
+        _, _, update_predicates = state[name]
         op = rng.random()
-        if op < 0.35:  # insert burst, annotated where the algebra allows
-            _, _, update_predicates = state[name]
+        if op < 0.3:  # insert burst, annotated where the algebra allows
             inserts = []
             annotations = {}
             for predicate in (
                 rng.choice(update_predicates),
             ) * rng.randint(1, 3):
-                row = _random_row(rng, predicate)
-                inserts.append((predicate, row))
-                if texts and rng.random() < 0.7:
-                    # Wire-text annotations exercise the parse path;
-                    # re-annotating a live fact is an absolute replace.
-                    annotations[(predicate, row)] = rng.choice(texts)
+                inserts.append((predicate, row(predicate)))
+                annotate(annotations, *inserts[-1], 0.7)
             service.update(
                 name, inserts=inserts, annotations=annotations or None
             )
-        elif op < 0.55:  # delete existing or phantom facts
-            _, _, update_predicates = state[name]
+        elif op < 0.45:  # delete existing or phantom facts
             predicate = rng.choice(update_predicates)
             existing = list(service.view(name).database.rows(predicate))
-            deletes = [(predicate, _random_row(rng, predicate))]
+            deletes = [(predicate, row(predicate))]
             if existing:
                 deletes.append((predicate, rng.choice(existing)))
             service.update(name, deletes=deletes)
+        elif op < 0.6:  # one live fact deleted, re-inserted, re-annotated
+            predicate = rng.choice(update_predicates)
+            existing = list(service.view(name).database.rows(predicate))
+            if existing:
+                fact = (predicate, rng.choice(existing))
+                annotations = {}
+                annotate(annotations, *fact, 0.8)
+                # Deletes apply first, so the fact comes back bare or
+                # under the new annotation — or is only re-annotated.
+                service.update(
+                    name,
+                    inserts=[fact],
+                    deletes=[fact] if rng.random() < 0.6 else [],
+                    annotations=annotations or None,
+                )
         elif op < 0.85:  # the differential check itself
-            _check_annotated_view(service, name, state, semiring_name)
+            _check_annotated_view(service, name, state, config.semiring)
         elif op < 0.95:  # replace the registration in place
-            _register_annotated(
-                service, rng, name, state, semiring_name, incremental, pool
-            )
+            _register_annotated(service, rng, name, state, config)
         else:  # full unregister + re-register cycle
             service.unregister(name)
-            _register_annotated(
-                service, rng, name, state, semiring_name, incremental, pool
-            )
+            _register_annotated(service, rng, name, state, config)
 
     # Quiescent sweep.
     for name in names:
-        _check_annotated_view(service, name, state, semiring_name)
+        _check_annotated_view(service, name, state, config.semiring)

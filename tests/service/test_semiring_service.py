@@ -10,9 +10,25 @@ whose derivation space diverges.
 
 import pytest
 
+from repro.datalog import annotated_model
+from repro.datalog.database import Database
 from repro.relations import Atom
-from repro.robustness import BudgetExceeded
-from repro.service import QueryService, serve_stream
+from repro.robustness import (
+    BudgetExceeded,
+    EvaluationBudget,
+    FaultInjector,
+    FaultRule,
+    InjectedFault,
+    inject_faults,
+)
+from repro.semiring import SEMIRINGS, get_semiring
+from repro.service import (
+    AnnotatedEngine,
+    MaterializedView,
+    QueryService,
+    prepare_program,
+    serve_stream,
+)
 from repro.service.dbsp import DBSPEngine
 
 TC = """
@@ -138,6 +154,207 @@ class TestAnnotationSemantics:
         _, _, stale, texts = service.query_annotated("v", "tc")
         assert not stale and texts == {(a, b): "1"}
         service.close()
+
+
+#: Two rule components: ``tc`` (recursive), then ``far`` reading it.
+TWO_COMPONENTS = TC + "far(X, Z) :- tc(X, Y), tc(Y, Z).\n"
+
+ANNOTATED = sorted(set(SEMIRINGS) - {"bool"})
+
+
+def _engine_state(view):
+    """Everything a failed batch must leave as it was."""
+    engine = view.engine
+    return (
+        view.database.fingerprint(),  # facts + explicit annotations
+        {p: view.database.annotations(p) for p in view.database.predicates()},
+        {p: dict(rows) for p, rows in engine.maps.items()},
+        {p: set(rows) for p, rows in engine.state.facts.items() if rows},
+        view.read_snapshot().fingerprint,
+        view.read_snapshot().generation,
+    )
+
+
+class TestMaintenanceDiscipline:
+    def test_closing_a_gate_under_a_cycle_does_not_count_to_infinity(self):
+        """``r(a, b)`` and ``r(a, c)`` derive each other around the
+        b-c cycle.  When ``cut(a, b)`` closes the gate under the only
+        derivation that enters the cycle, invalidation has to start from
+        the negated atom that became present — from positive changes
+        alone both rows keep each other alive, costs creeping up by the
+        cycle's weight per round until the round cap."""
+        program = (
+            "r(X, Y) :- e(X, Y), not cut(X, Y).\n"
+            "r(X, Z) :- r(X, Y), e(Y, Z), not cut(Y, Z).\n"
+        )
+        database = Database().declare("cut")
+        for pair in ((a, b), (b, c), (c, b)):
+            database.add("e", *pair, annotation=1)
+        view = MaterializedView(
+            prepare_program("gated", program), database, semiring="tropical"
+        )
+        assert view.engine.maps["r"][(a, c)] == 2
+        view.insert("cut", a, b)
+        assert view.engine.maps["r"] == {(b, c): 1, (c, b): 1, (b, b): 2, (c, c): 2}
+        view.delete("cut", a, b)
+        assert view.engine.maps == annotated_model(
+            view.prepared.program, view.database, get_semiring("tropical")
+        )
+        assert view.metrics.counters.get("annotated_recomputes", 0) == 0
+
+    @staticmethod
+    def _toggle_work(semiring, chains):
+        """Per-write (rules fired, rows matched, delta rows) of cutting
+        and restoring one edge of one of ``chains`` disjoint 4-edge
+        chains under a recursive view."""
+        database = Database()
+        for k in range(chains):
+            for i in range(4):
+                database.add("edge", f"c{k}n{i}", f"c{k}n{i + 1}")
+        view = MaterializedView(
+            prepare_program("tc", TC), database, semiring=semiring
+        )
+        counters = view.metrics.counters
+        work = []
+        for batch in ({"deletes": [("edge", ("c0n1", "c0n2"))]},
+                      {"inserts": [("edge", ("c0n1", "c0n2"))]}):
+            before = counters["rules_fired"], counters["rows_matched"]
+            summary = view.apply(**batch)
+            work.append(
+                (
+                    counters["rules_fired"] - before[0],
+                    counters["rows_matched"] - before[1],
+                    summary["delta_plus"] + summary["delta_minus"],
+                )
+            )
+        assert counters["annotated_initializes"] == 1  # registration
+        assert counters.get("annotated_recomputes", 0) == 0
+        assert counters["overdeleted_total"] == 6  # the rows across the cut
+        assert view.engine.maps == annotated_model(
+            view.prepared.program, view.database, view.semiring_obj
+        )
+        return work
+
+    def test_a_write_costs_its_cone_not_its_view(self):
+        """Counts, not clocks: the same toggle fires the same rules and
+        pulls the same rows whether 9 or 39 other chains are resident —
+        and under every semiring, since the discipline never asks which
+        one it is maintaining."""
+        work = {
+            (semiring, chains): self._toggle_work(semiring, chains)
+            for semiring in ANNOTATED
+            for chains in (10, 40)
+        }
+        assert len({tuple(w) for w in work.values()}) == 1, work
+        for fired, matched, delta_rows in next(iter(work.values())):
+            assert delta_rows == 7  # the edge and the six pairs across it
+            assert 0 < fired <= 16 and 0 < matched <= 8 * delta_rows
+
+    def test_incremental_false_initializes_once_per_batch(self):
+        database = Database().add("edge", a, b).add("edge", b, c)
+        view = MaterializedView(
+            prepare_program("tc", TC), database, semiring="tropical",
+            incremental=False,
+        )
+        counters = view.metrics.counters
+        before = dict(counters)
+        view.insert("edge", c, Atom("d"))
+        view.apply_stream([([("edge", (a, c))], []), ([], [("edge", (a, b))])])
+        assert counters["annotated_initializes"] == before["annotated_initializes"] + 2
+        for name in ("rules_fired", "rows_matched", "overdeleted_total",
+                     "rederived_total", "recompute_batches"):
+            assert counters[name] == before[name], name
+        assert counters.get("annotated_recomputes", 0) == 0
+        assert view.engine.maps == annotated_model(
+            view.prepared.program, view.database, view.semiring_obj
+        )
+
+    def _two_component_view(self, **kwargs):
+        database = Database()
+        for pair, cost in (((a, b), 1), ((b, c), 2), ((a, c), 7)):
+            database.add("edge", *pair, annotation=cost)
+        return MaterializedView(
+            prepare_program("far", TWO_COMPONENTS), database,
+            semiring="tropical", **kwargs,
+        )
+
+    def _batch(self):
+        d = Atom("d")
+        return dict(
+            inserts=[("edge", (c, d)), ("edge", (a, b))],
+            deletes=[("edge", (b, c))],
+            annotations={("edge", (c, d)): 3, ("edge", (a, b)): 4},
+        )
+
+    def _assert_batch_lands(self, view):
+        summary = view.apply(**self._batch())
+        assert summary["mode"] == "incremental"
+        assert view.database.annotation("edge", (a, b)) == 4
+        assert view.engine.maps == annotated_model(
+            view.prepared.program, view.database, view.semiring_obj
+        )
+        assert view.engine.maps["far"] == {(a, Atom("d")): 10}
+
+    def test_fault_in_the_second_component_undoes_the_first(self):
+        """The engine maintains in place, so a batch failing after
+        ``tc`` was maintained must put back the EDB *with its explicit
+        annotations* (the view's own rollback re-adds rows bare), the
+        maps, the kernel's support and leave the published snapshot —
+        then take the same batch."""
+        view = self._two_component_view()
+        before = _engine_state(view)
+        injector = FaultInjector(
+            # Recovery's initialize must be allowed through.
+            [FaultRule("incremental.component", at_hit=2, times=1)]
+        )
+        with inject_faults(injector), pytest.raises(InjectedFault):
+            view.apply(**self._batch())
+        assert injector.hits["incremental.component"] == 2
+        assert not view.stale
+        after = _engine_state(view)
+        # The rebuild republished the same model one generation on.
+        assert after[:5] == before[:5]
+        assert view.database.annotation("edge", (b, c)) == 2
+        self._assert_batch_lands(view)
+
+    def test_step_budget_inside_a_firing_undoes_the_batch(self):
+        view = self._two_component_view()
+        before = _engine_state(view)
+        draws = iter([EvaluationBudget(max_steps=3)])
+        view.budget_factory = lambda: next(draws, EvaluationBudget())
+        with pytest.raises(BudgetExceeded):
+            view.apply(**self._batch())
+        assert not view.stale
+        assert _engine_state(view)[:5] == before[:5]
+        self._assert_batch_lands(view)
+
+    def test_engine_restores_itself_without_the_view(self):
+        """All-or-nothing is the engine's own property: no rebuild, no
+        view — the same objects hold the same state after the raise."""
+        prepared = prepare_program("far", TWO_COMPONENTS)
+        database = Database()
+        for pair, cost in (((a, b), 1), ((b, c), 2), ((a, c), 7)):
+            database.add("edge", *pair, annotation=cost)
+        engine = AnnotatedEngine(prepared, get_semiring("tropical"), database)
+        maps = {p: dict(rows) for p, rows in engine.maps.items()}
+        support = {p: set(rows) for p, rows in engine.state.facts.items()}
+        fingerprint = engine.edb.fingerprint()
+        batch = self._batch()
+        injector = FaultInjector(
+            [FaultRule("incremental.component", at_hit=2, times=1)]
+        )
+        with inject_faults(injector), pytest.raises(InjectedFault):
+            engine.apply(**batch)
+        assert engine.maps == maps
+        assert {p: rows for p, rows in engine.state.facts.items()} == support
+        assert engine.edb.fingerprint() == fingerprint
+        summary = engine.apply(**batch)
+        assert summary["minus"] == {
+            "edge": {(b, c)}, "tc": {(b, c)}, "far": {(a, c)},
+        }
+        assert engine.maps == annotated_model(
+            prepared.program, engine.edb, engine.semiring
+        )
 
 
 class TestLineProtocol:
