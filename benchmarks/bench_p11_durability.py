@@ -10,17 +10,24 @@ is a measured number, not folklore.
 
 The second half times cold-start recovery against the WAL length: a
 crashed service with N journaled operations must replay exactly N
-records through the normal update path, so recovery time scales with
-the log, and a checkpoint resets that cost to near zero.
+records — as group commits through the normal update path, a run of
+records per circuit pass — so recovery time is **linear** in the log
+(4x the records may cost at most 6x the time; best of 3 per size),
+the recovered model equals a from-scratch evaluation, and a checkpoint
+resets the cost to near zero.
 
-``REPRO_BENCH_SCALE=smoke`` runs the small sizes (the CI bench-smoke
-job); the overhead bar applies at every scale.
+``REPRO_BENCH_SCALE=smoke`` runs the small write stream (the CI
+bench-smoke job); both bars and all three log sizes apply at every
+scale — 1,600 records recover in a third of a second.
 """
 
 import os
 
 import pytest
 
+from repro.datalog.database import Database
+from repro.datalog.engine import run
+from repro.datalog.parser import parse_program
 from repro.service import QueryService
 
 from support import ExperimentTable, timed
@@ -32,16 +39,20 @@ OPS = 240 if SMOKE else 800
 #: Nodes per chain — every insert extends a live transitive closure.
 CHAIN = 30
 #: WAL lengths for the recovery-time curve.
-RECOVERY_SIZES = (100, 400) if SMOKE else (100, 400, 1600)
+RECOVERY_SIZES = (100, 400, 1600)
 #: The headline acceptance bar: fsync=off overhead vs pure in-memory.
 MAX_OFF_OVERHEAD = 0.15
+#: Linear recovery: time(1,600) / time(400) may not exceed this (4 is
+#: linear; 100 → 400 is a few ms and too close to timer noise to bar).
+MAX_RECOVERY_GROWTH = 6.0
 
 RULES = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)."
 
 table = ExperimentTable(
     "P11-durability",
     "fsync=off WAL overhead <= 15% on the incremental write path; "
-    "cold recovery replays the log through the normal update path",
+    "cold recovery replays the log as group commits, linear in its length "
+    "(time(1600) <= 6 x time(400))",
     [
         "scenario",
         "fsync",
@@ -122,31 +133,52 @@ def test_wal_write_path_overhead(benchmark, tmp_path, fsync):
         )
 
 
-@pytest.mark.parametrize("records", RECOVERY_SIZES)
-def test_cold_recovery_time_scales_with_log(benchmark, tmp_path, records):
+#: records → (cold_boot, best-of-3 seconds), measured once per size.
+_RECOVERIES = {}
+
+
+def _cold_recovery(tmp_path_factory, records):
+    """The function that cold-boots a crashed ``records``-insert log,
+    and its best boot → first read time of three."""
+    if records in _RECOVERIES:
+        return _RECOVERIES[records]
+    data_dir = tmp_path_factory.mktemp(f"crashed-{records}")
     edges = _edges(records)
     service = QueryService(
-        data_dir=str(tmp_path), fsync="off", checkpoint_every=10**9
+        data_dir=str(data_dir), fsync="off", checkpoint_every=10**9
     )
     _run_stream(service, edges)
-    expected_rows = len(service.query("g", "tc"))
     # Crash: no final checkpoint, so every boot replays the whole log.
     service.durability.close(final_checkpoint=False)
+    database = Database()
+    for x, y in edges:
+        database.add("edge", x, y)
+    oracle = run(parse_program(RULES), database, semantics="stratified")
+    expected = {tuple(map(str, row)) for row in oracle.true_rows("tc")}
 
-    reports = []
+    def recover_and_read():
+        recovered = QueryService(data_dir=str(data_dir), fsync="off")
+        return recovered, recovered.query("g", "tc")
 
     def cold_boot():
-        recovered = QueryService(data_dir=str(tmp_path), fsync="off")
-        reports.append(recovered.last_recovery)
-        assert len(recovered.query("g", "tc")) == expected_rows
+        """Seconds from boot to the first full read, then checked."""
+        (recovered, rows), seconds = timed(recover_and_read)
+        assert recovered.last_recovery.replayed_records == records + 1
+        assert {tuple(map(str, row)) for row in rows} == expected
         # Leave the directory exactly as found (no shutdown
         # checkpoint), so every round replays the same log.
         recovered.durability.close(final_checkpoint=False)
         recovered.close()
+        return seconds
 
-    _, recovery_sec = timed(cold_boot)
+    _RECOVERIES[records] = cold_boot, min(cold_boot() for _ in range(3))
+    return _RECOVERIES[records]
+
+
+@pytest.mark.parametrize("records", RECOVERY_SIZES)
+def test_cold_recovery_time_scales_with_log(benchmark, tmp_path_factory, records):
+    cold_boot, recovery_sec = _cold_recovery(tmp_path_factory, records)
     benchmark.pedantic(cold_boot, rounds=2, iterations=1)
-    assert all(r.replayed_records == records + 1 for r in reports)
     table.add(
         "cold-recovery",
         "off",
@@ -157,3 +189,12 @@ def test_cold_recovery_time_scales_with_log(benchmark, tmp_path, records):
         records + 1,
         f"{recovery_sec:.4f}",
     )
+    if records == 1600:
+        # Here and not in a test of its own: ``--benchmark-only`` (the
+        # CI bench-smoke job) skips tests without the fixture.
+        _, small = _cold_recovery(tmp_path_factory, 400)
+        assert recovery_sec <= MAX_RECOVERY_GROWTH * small, (
+            f"cold recovery of 1,600 records took {recovery_sec:.4f}s, "
+            f"{recovery_sec / small:.1f}x the {small:.4f}s of 400 "
+            f"(bar {MAX_RECOVERY_GROWTH:.0f}x; 4x is linear)"
+        )

@@ -25,68 +25,69 @@ Quickstart::
     )
 
 See ``examples/quickstart.py`` for a complete tour.
+
+The names below resolve on first use (PEP 562): ``import repro`` loads
+no subpackage, so a process that only serves (``repro serve``, a
+cluster worker) never pays for the algebra, specification and syntax
+libraries it does not run.
 """
 
-from .core import (
-    AlgebraProgram,
-    Definition,
-    Dialect,
-    EvalLimits,
-    ValidEvalResult,
-    check_algebra_roundtrip,
-    check_datalog_roundtrip,
-    datalog_to_algebra,
-    evaluate,
-    run_staged,
-    translate_expression,
-    translate_program,
-    translation_registry,
-    valid_evaluate,
-)
-from .datalog import Database, Program, run
-from .datalog.parser import parse_program
-from .lang import parse_algebra_expr, parse_algebra_program
-from .relations import Atom, FSet, Relation, Tup, Universe, fset, standard_registry, tup
-from .specs import Specification, analyze_constant_spec, valid_interpretation
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name → the submodule that defines it.
+_EXPORTS = {
     # relations
-    "Atom",
-    "Tup",
-    "FSet",
-    "tup",
-    "fset",
-    "Relation",
-    "Universe",
-    "standard_registry",
+    "Atom": "relations",
+    "Tup": "relations",
+    "FSet": "relations",
+    "tup": "relations",
+    "fset": "relations",
+    "Relation": "relations",
+    "Universe": "relations",
+    "standard_registry": "relations",
     # datalog
-    "Program",
-    "Database",
-    "run",
-    "parse_program",
+    "Program": "datalog",
+    "Database": "datalog",
+    "run": "datalog",
+    "parse_program": "datalog.parser",
     # core
-    "Dialect",
-    "Definition",
-    "AlgebraProgram",
-    "evaluate",
-    "valid_evaluate",
-    "ValidEvalResult",
-    "EvalLimits",
-    "translate_expression",
-    "translate_program",
-    "datalog_to_algebra",
-    "run_staged",
-    "translation_registry",
-    "check_algebra_roundtrip",
-    "check_datalog_roundtrip",
+    "Dialect": "core",
+    "Definition": "core",
+    "AlgebraProgram": "core",
+    "evaluate": "core",
+    "valid_evaluate": "core",
+    "ValidEvalResult": "core",
+    "EvalLimits": "core",
+    "translate_expression": "core",
+    "translate_program": "core",
+    "datalog_to_algebra": "core",
+    "run_staged": "core",
+    "translation_registry": "relations.universe",
+    "check_algebra_roundtrip": "core",
+    "check_datalog_roundtrip": "core",
     # lang
-    "parse_algebra_program",
-    "parse_algebra_expr",
+    "parse_algebra_program": "lang",
+    "parse_algebra_expr": "lang",
     # specs
-    "Specification",
-    "valid_interpretation",
-    "analyze_constant_spec",
-]
+    "Specification": "specs",
+    "valid_interpretation": "specs",
+    "analyze_constant_spec": "specs",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value  # resolved once
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,33 +24,40 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .core.algebra_to_datalog import translate_program, translation_registry
-from .core.datalog_to_algebra import datalog_to_algebra
-from .core.encoding import database_to_environment
-from .core.programs import Dialect
-from .core.valid_eval import valid_evaluate
-from .core.well_defined import check_well_defined
+# Only what every sub-command (and ``build_parser``) needs is imported
+# here; each ``_cmd_*`` imports its own libraries, so ``repro serve``
+# and the workers it spawns never load the algebra, syntax or
+# specification packages.
 from .datalog.ast import Program
 from .datalog.database import Database
 from .datalog.engine import SEMANTICS, run
 from .datalog.parser import parse_program
-from .datalog.pretty import pretty_program
-from .datalog.safety import is_safe_rule
-from .datalog.stratification import is_stratified, stratify
-from .lang.parser import parse_algebra_program
-from .lang.pretty import pretty_algebra_program
-from .relations.relation import Relation
+from .relations.universe import translation_registry
 from .relations.values import format_value, sorted_values
 from .robustness import EvaluationBudget, ReproError
 
 __all__ = ["main"]
 
+#: ``--dialect`` choice → :class:`~repro.core.programs.Dialect` member name.
 _DIALECTS = {
-    "algebra": Dialect.ALGEBRA,
-    "ifp-algebra": Dialect.IFP_ALGEBRA,
-    "algebra=": Dialect.ALGEBRA_EQ,
-    "ifp-algebra=": Dialect.IFP_ALGEBRA_EQ,
+    "algebra": "ALGEBRA",
+    "ifp-algebra": "IFP_ALGEBRA",
+    "algebra=": "ALGEBRA_EQ",
+    "ifp-algebra=": "IFP_ALGEBRA_EQ",
 }
+
+
+def _parse_algebra_file(args: argparse.Namespace):
+    """The ``algebra=`` program named on the command line, in the
+    dialect ``--dialect`` picked."""
+    from .core.programs import Dialect
+    from .lang.parser import parse_algebra_program
+
+    return parse_algebra_program(
+        Path(args.program).read_text(),
+        dialect=Dialect[_DIALECTS[args.dialect]],
+        name=args.program,
+    )
 
 
 def _load_facts(path: Optional[str]) -> Database:
@@ -151,6 +158,7 @@ def _load_relations(path: Optional[str]) -> dict:
     if path is None:
         return {}
     from .core.evaluator import evaluate
+    from .lang.parser import parse_algebra_program
 
     facts_program = parse_algebra_program(Path(path).read_text())
     environment = {}
@@ -168,10 +176,10 @@ def _load_relations(path: Optional[str]) -> dict:
 
 
 def _cmd_algebra(args: argparse.Namespace) -> int:
-    source = Path(args.program).read_text()
-    program = parse_algebra_program(
-        source, dialect=_DIALECTS[args.dialect], name=args.program
-    )
+    from .core.well_defined import check_well_defined
+    from .relations.relation import Relation
+
+    program = _parse_algebra_file(args)
     environment = _load_relations(args.facts)
     for name in program.database_relations:
         environment.setdefault(name, Relation([], name=name))
@@ -195,19 +203,21 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    source = Path(args.program).read_text()
     if args.to == "datalog":
-        program = parse_algebra_program(
-            source, dialect=_DIALECTS[args.dialect], name=args.program
-        )
-        translation = translate_program(program)
+        from .core.algebra_to_datalog import translate_program
+        from .datalog.pretty import pretty_program
+
+        translation = translate_program(_parse_algebra_file(args))
         print(pretty_program(translation.program))
         print()
         for name, predicate in sorted(translation.predicate_of.items()):
             print(f"% {name} -> {predicate}")
     else:
+        from .core.datalog_to_algebra import datalog_to_algebra
+        from .lang.pretty import pretty_algebra_program
+
         program, facts = _split_program_and_facts(
-            parse_program(source, name=args.program)
+            parse_program(Path(args.program).read_text(), name=args.program)
         )
         if facts.fact_count():
             print(
@@ -221,6 +231,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .datalog.safety import is_safe_rule
+    from .datalog.stratification import is_stratified, stratify
+
     source = Path(args.program).read_text()
     program, _facts = _split_program_and_facts(
         parse_program(source, name=args.program)

@@ -25,7 +25,9 @@ dependency cycle between auxiliary predicates.
 Predicates use the unary set-member encoding of
 :mod:`repro.core.encoding`; database relations keep their own names.
 Component projections in MAP functions compile to the partial domain
-functions ``comp1 ... comp9`` (see :func:`translation_registry`).
+functions ``comp1 ... comp9`` (see
+:func:`repro.relations.universe.translation_registry`, re-exported here:
+the serving tier needs the registry without the algebra library).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..datalog.ast import Const, FuncTerm, PredAtom, Program, Rule, Term, Var
-from ..relations.universe import FunctionRegistry, standard_registry
-from ..relations.values import Tup, Value
+from ..relations.universe import MAX_COMPONENT, translation_registry
+from ..relations.values import Value
 from .expressions import (
     Call,
     Diff,
@@ -88,29 +90,6 @@ __all__ = [
     "translate_expression",
     "translate_program",
 ]
-
-MAX_COMPONENT = 9
-"""Largest tuple component index the translation supports."""
-
-
-def translation_registry(base: Optional[FunctionRegistry] = None) -> FunctionRegistry:
-    """A registry extended with the structural functions the translated
-    programs use: ``comp1 ... comp9`` (1-indexed tuple component, partial
-    off tuples / out of range)."""
-    registry = (base or standard_registry()).copy()
-
-    def _component(index: int):
-        def pick(value: Value) -> Optional[Value]:
-            if isinstance(value, Tup) and 1 <= index <= len(value):
-                return value.component(index)
-            return None
-
-        return pick
-
-    for index in range(1, MAX_COMPONENT + 1):
-        registry.register(f"comp{index}", 1, _component(index))
-    return registry
-
 
 # ---------------------------------------------------------------------------
 # Scalar expressions and tests → terms and formulas

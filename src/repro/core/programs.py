@@ -27,8 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from ..digraph import DiGraph, strongly_connected_components
 from .expressions import Call, Expr, Ifp, RelVar, called_names, free_rel_vars, substitute, walk
 
 __all__ = [
@@ -184,9 +183,9 @@ class AlgebraProgram:
         """Names of all defined operations."""
         return frozenset(d.name for d in self.definitions)
 
-    def call_graph(self) -> nx.DiGraph:
+    def call_graph(self) -> DiGraph:
         """Edge ``f → g`` when the body of ``f`` calls ``g``."""
-        graph = nx.DiGraph()
+        graph = DiGraph()
         for definition in self.definitions:
             graph.add_node(definition.name)
             for callee in called_names(definition.body):
@@ -195,20 +194,17 @@ class AlgebraProgram:
 
     def is_recursive(self) -> bool:
         """Does the call graph contain a cycle?"""
-        graph = self.call_graph()
-        if any(graph.has_edge(node, node) for node in graph):
-            return True
-        return any(len(scc) > 1 for scc in nx.strongly_connected_components(graph))
+        return bool(self.recursive_names())
 
     def recursive_names(self) -> FrozenSet[str]:
         """Definitions involved in some call-graph cycle."""
         graph = self.call_graph()
         cyclic: Set[str] = set()
-        for component in nx.strongly_connected_components(graph):
+        for component in strongly_connected_components(graph):
             if len(component) > 1:
                 cyclic |= component
             else:
-                node = next(iter(component))
+                (node,) = component
                 if graph.has_edge(node, node):
                     cyclic.add(node)
         return frozenset(cyclic)

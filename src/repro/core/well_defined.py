@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
+from ..digraph import DiGraph, has_negative_cycle
 from ..relations.relation import Relation
 from ..relations.universe import FunctionRegistry, Universe
 from ..relations.values import Value
@@ -40,18 +39,15 @@ __all__ = [
 ]
 
 
-def recursion_polarity(program: AlgebraProgram) -> nx.DiGraph:
+def recursion_polarity(program: AlgebraProgram) -> DiGraph:
     """The signed call graph: edge ``f → g`` with attribute ``negative``
     true when some call of ``g`` in the body of ``f`` sits inside a
     subtracted sub-expression."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for definition in program.definitions:
         graph.add_node(definition.name)
         for callee, negative in _signed_calls(definition.body, False):
-            if graph.has_edge(definition.name, callee):
-                graph[definition.name][callee]["negative"] |= negative
-            else:
-                graph.add_edge(definition.name, callee, negative=negative)
+            graph.add_edge(definition.name, callee, negative)
     return graph
 
 
@@ -90,15 +86,7 @@ def is_call_stratified(program: AlgebraProgram) -> bool:
     with Theorem 3.1's totality for IFP, it places the program in the
     always-total fragment.
     """
-    graph = recursion_polarity(program)
-    component_of: Dict[str, int] = {}
-    for index, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            component_of[node] = index
-    for source, target, data in graph.edges(data=True):
-        if data.get("negative") and component_of[source] == component_of[target]:
-            return False
-    return True
+    return not has_negative_cycle(recursion_polarity(program))
 
 
 class Verdict(enum.Enum):

@@ -12,10 +12,14 @@ when MOVE is acyclic).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-import networkx as nx
-
+from ..digraph import (
+    DiGraph,
+    has_negative_cycle,
+    shortest_path,
+    strongly_connected_components,
+)
 from .ast import Program
 from .grounding import GroundProgram
 
@@ -36,47 +40,28 @@ class NotStratifiedError(ValueError):
     """Raised when strata are requested for a non-stratified program."""
 
 
-def dependency_graph(program: Program) -> nx.DiGraph:
+def dependency_graph(program: Program) -> DiGraph:
     """Predicate dependency graph: edge ``q → p`` when ``q`` occurs in the
     body of a rule for ``p``; the edge attribute ``negative`` records
     whether any such occurrence is negated."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for rule in program.rules:
         graph.add_node(rule.head.predicate)
         for literal in rule.positive_literals():
-            _add_edge(graph, literal.atom.predicate, rule.head.predicate, False)
+            graph.add_edge(literal.atom.predicate, rule.head.predicate, False)
         for literal in rule.negative_literals():
-            _add_edge(graph, literal.atom.predicate, rule.head.predicate, True)
+            graph.add_edge(literal.atom.predicate, rule.head.predicate, True)
     return graph
 
 
-def _add_edge(graph: nx.DiGraph, source: str, target: str, negative: bool) -> None:
-    if graph.has_edge(source, target):
-        graph[source][target]["negative"] = graph[source][target]["negative"] or negative
-    else:
-        graph.add_edge(source, target, negative=negative)
-
-
-def negative_edges(graph: nx.DiGraph) -> List[Tuple[str, str]]:
+def negative_edges(graph: DiGraph) -> List[Tuple[str, str]]:
     """Edges carrying a negated dependency."""
-    return [
-        (source, target)
-        for source, target, data in graph.edges(data=True)
-        if data.get("negative")
-    ]
+    return [(source, target) for source, target, negative in graph.edges() if negative]
 
 
 def is_stratified(program: Program) -> bool:
     """True iff no cycle of the dependency graph passes through negation."""
-    graph = dependency_graph(program)
-    component_of: Dict[str, int] = {}
-    for index, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            component_of[node] = index
-    for source, target in negative_edges(graph):
-        if component_of[source] == component_of[target]:
-            return False
-    return True
+    return not has_negative_cycle(dependency_graph(program))
 
 
 def stratify(program: Program) -> Dict[str, int]:
@@ -85,28 +70,29 @@ def stratify(program: Program) -> Dict[str, int]:
     Positive dependencies may stay level; negative dependencies must strictly
     increase.  Raises :class:`NotStratifiedError` when impossible.
     """
-    if not is_stratified(program):
-        raise NotStratifiedError(f"program {program.name or ''} is not stratified")
     graph = dependency_graph(program)
-    condensation = nx.condensation(graph)
-    level: Dict[int, int] = {}
-    for component_id in nx.topological_sort(condensation):
-        best = 0
-        for predecessor in condensation.predecessors(component_id):
-            members_pred = condensation.nodes[predecessor]["members"]
-            members_this = condensation.nodes[component_id]["members"]
-            negative = any(
-                graph.has_edge(source, target) and graph[source][target]["negative"]
-                for source in members_pred
-                for target in members_this
-            )
-            bump = 1 if negative else 0
-            best = max(best, level[predecessor] + bump)
-        level[component_id] = best
-    strata: Dict[str, int] = {}
-    for component_id, data in condensation.nodes(data=True):
-        for predicate in data["members"]:
-            strata[predicate] = level[component_id]
+    components = strongly_connected_components(graph)
+    component_of = {
+        predicate: number
+        for number, component in enumerate(components)
+        for predicate in component
+    }
+    # Components come out dependents first; walking them backwards, a
+    # component's level is final before it is pushed along its edges.
+    level = [0] * len(components)
+    for number in reversed(range(len(components))):
+        for source in components[number]:
+            for target, data in graph[source].items():
+                dependent = component_of[target]
+                if dependent != number:
+                    level[dependent] = max(
+                        level[dependent], level[number] + data["negative"]
+                    )
+                elif data["negative"]:
+                    raise NotStratifiedError(
+                        f"program {program.name or ''} is not stratified"
+                    )
+    strata = {predicate: level[number] for predicate, number in component_of.items()}
     # EDB predicates never at a positive level unless forced by the graph.
     for predicate in program.edb_predicates():
         strata.setdefault(predicate, 0)
@@ -123,23 +109,16 @@ def strata_partition(program: Program) -> List[FrozenSet[str]]:
     ]
 
 
-def ground_dependency_graph(program: GroundProgram) -> nx.DiGraph:
+def ground_dependency_graph(program: GroundProgram) -> DiGraph:
     """Atom-level dependency graph of a ground program."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for rule in program.rules:
         graph.add_node(rule.head)
         for atom in rule.pos:
-            _add_ground_edge(graph, atom, rule.head, False)
+            graph.add_edge(atom, rule.head, False)
         for atom in rule.neg:
-            _add_ground_edge(graph, atom, rule.head, True)
+            graph.add_edge(atom, rule.head, True)
     return graph
-
-
-def _add_ground_edge(graph: nx.DiGraph, source: int, target: int, negative: bool) -> None:
-    if graph.has_edge(source, target):
-        graph[source][target]["negative"] = graph[source][target]["negative"] or negative
-    else:
-        graph.add_edge(source, target, negative=negative)
 
 
 def explain_undefined(program: GroundProgram, atom_id: int) -> Optional[List[str]]:
@@ -153,31 +132,31 @@ def explain_undefined(program: GroundProgram, atom_id: int) -> Optional[List[str
     graph = ground_dependency_graph(program)
     if atom_id not in graph:
         return None
-    for component in nx.strongly_connected_components(graph):
-        if atom_id not in component:
-            continue
-        negative_inside = [
+    component = next(
+        members
+        for members in strongly_connected_components(graph)
+        if atom_id in members
+    )
+    negative_inside = next(
+        (
             (source, target)
-            for source, target, data in graph.edges(data=True)
-            if data.get("negative") and source in component and target in component
-        ]
-        if not negative_inside:
-            return None
-        # Build a cycle through atom_id and one negative edge.
-        source, target = negative_inside[0]
-        try:
-            to_source = nx.shortest_path(graph.subgraph(component), atom_id, source)
-            back_home = nx.shortest_path(graph.subgraph(component), target, atom_id)
-        except nx.NetworkXNoPath:  # pragma: no cover — SCC guarantees paths
-            return None
-        cycle_ids = to_source + back_home
-        rendered = []
-        for node in cycle_ids:
-            predicate, args = program.decode(node)
-            inner = ", ".join(str(a) for a in args)
-            rendered.append(f"{predicate}({inner})" if args else predicate)
-        return rendered
-    return None
+            for source, target, negative in graph.edges()
+            if negative and source in component and target in component
+        ),
+        None,
+    )
+    if negative_inside is None:
+        return None
+    # A closed walk through atom_id and that negative edge.
+    source, target = negative_inside
+    to_source = shortest_path(graph, atom_id, source, component)
+    back_home = shortest_path(graph, target, atom_id, component)
+    rendered = []
+    for node in to_source + back_home:
+        predicate, args = program.decode(node)
+        inner = ", ".join(str(a) for a in args)
+        rendered.append(f"{predicate}({inner})" if args else predicate)
+    return rendered
 
 
 def is_locally_stratified(program: GroundProgram) -> bool:
@@ -188,12 +167,4 @@ def is_locally_stratified(program: GroundProgram) -> bool:
     is locally stratified iff the MOVE graph is acyclic.  On locally
     stratified ground programs the well-founded/valid model is total.
     """
-    graph = ground_dependency_graph(program)
-    component_of: Dict[int, int] = {}
-    for index, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            component_of[node] = index
-    for source, target, data in graph.edges(data=True):
-        if data.get("negative") and component_of[source] == component_of[target]:
-            return False
-    return True
+    return not has_negative_cycle(ground_dependency_graph(program))

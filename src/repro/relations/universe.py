@@ -19,9 +19,16 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .values import Value, is_value, sorted_values
+from .values import Tup, Value, is_value, sorted_values
 
-__all__ = ["DomainFunction", "FunctionRegistry", "standard_registry", "Universe"]
+__all__ = [
+    "DomainFunction",
+    "FunctionRegistry",
+    "standard_registry",
+    "MAX_COMPONENT",
+    "translation_registry",
+    "Universe",
+]
 
 
 class DomainFunction:
@@ -123,6 +130,29 @@ def standard_registry() -> FunctionRegistry:
     registry.register("double", 1, _int_only(lambda n: n * 2))
     registry.register("add", 2, _int_only(lambda a, b: a + b))
     registry.register("mul", 2, _int_only(lambda a, b: a * b))
+    return registry
+
+
+MAX_COMPONENT = 9
+"""Largest tuple component index the translation supports."""
+
+
+def translation_registry(base: Optional[FunctionRegistry] = None) -> FunctionRegistry:
+    """A registry extended with the structural functions the translated
+    programs use: ``comp1 ... comp9`` (1-indexed tuple component, partial
+    off tuples / out of range)."""
+    registry = (base or standard_registry()).copy()
+
+    def _component(index: int):
+        def pick(value: Value) -> Optional[Value]:
+            if isinstance(value, Tup) and 1 <= index <= len(value):
+                return value.component(index)
+            return None
+
+        return pick
+
+    for index in range(1, MAX_COMPONENT + 1):
+        registry.register(f"comp{index}", 1, _component(index))
     return registry
 
 

@@ -856,18 +856,23 @@ class ClusterRouter:
     async def _replay_view(self, name: str, handle: WorkerHandle) -> None:
         """Rebuild one view on ``handle`` from the router's record."""
         record = self._records[name]
-        replies = await handle.call(
-            f"register {name} {record.semantics} {record.source}"
-        )
-        if replies[-1].startswith("error"):
-            raise ClusterError(
-                f"replaying view {name!r} on {handle.shard_id} failed: "
-                f"{replies[-1]}"
-            )
+
+        async def replay(line: str) -> None:
+            replies = await handle.call(line)
+            # A refused fact (budget, deadline) is a failed replay, like
+            # a refused registration: the view would otherwise silently
+            # miss facts the router believes it holds.
+            if replies[-1].startswith("error"):
+                raise ClusterError(
+                    f"replaying view {name!r} on {handle.shard_id} failed "
+                    f"at {line.split(None, 1)[0]!r}: {replies[-1]}"
+                )
+
+        await replay(f"register {name} {record.semantics} {record.source}")
         for fact in sorted(record.removed):
-            await handle.call(f"-{name} {fact}")
+            await replay(f"-{name} {fact}")
         for fact in sorted(record.added):
-            await handle.call(f"+{name} {fact}")
+            await replay(f"+{name} {fact}")
 
     # -- drain --------------------------------------------------------------
 

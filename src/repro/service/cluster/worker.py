@@ -43,7 +43,7 @@ def worker_main(socket_path: str, options: Optional[Dict] = None) -> None:
     import signal
     import threading
 
-    from ...core.algebra_to_datalog import translation_registry
+    from ...relations.universe import translation_registry
     from ..server import QueryService, serve_unix_socket
 
     options = dict(options or {})

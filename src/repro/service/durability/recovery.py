@@ -17,8 +17,17 @@ data directory, in three steps:
    silently different model.
 
 2. **WAL replay** — every journaled operation past the checkpoint
-   boundary is re-driven through the public ``register`` /
-   ``unregister`` / ``update`` methods, in lsn order.  The checkpoint
+   boundary is re-driven through the service, per view in lsn order.
+   Views are independent state machines, so replay keeps one pending
+   *run* per view: consecutive un-annotated ``update`` records of a
+   view pile up and are handed to the service as **one group commit**
+   (:meth:`QueryService._commit`, the path a burst of live writers
+   takes) — ``coalesce`` batches per circuit pass and snapshot publish
+   instead of one per record, with the burst's budget, fault points,
+   rollback and per-batch retry.  A view's own ``register`` /
+   ``unregister`` / annotated ``update`` record, a full update queue
+   and the end of the log flush its run.  With ``coalesce <= 1`` the
+   same code applies the run's records one by one.  The checkpoint
    may already contain the effects of a few records past its boundary
    (capture races tail appends by design); replay is convergent —
    fact-level inserts/deletes are last-writer-wins and a re-register
@@ -166,8 +175,8 @@ def _restore_view(service, name: str, info: Dict[str, object]) -> int:
     return len(target)
 
 
-def _apply_record(service, record: WalRecord) -> None:
-    """Re-drive one journaled operation through the public service API."""
+def _apply_registration(service, record: WalRecord) -> None:
+    """Re-drive one journaled ``register`` / ``unregister``."""
     operation = record.operation
     op = operation.get("op")
     name = operation.get("view")
@@ -183,16 +192,70 @@ def _apply_record(service, record: WalRecord) -> None:
         )
     elif op == "unregister":
         service.unregister(name)
-    elif op == "update":
-        inserts, annotations = _annotated_fact_set(operation.get("inserts", ()))
-        service.update(
-            name,
-            inserts=sorted(inserts, key=_fact_order),
-            deletes=sorted(_fact_set(operation.get("deletes", ())), key=_fact_order),
-            annotations=annotations or None,
-        )
     else:
         raise RecoveryError(f"unknown WAL operation {op!r} at lsn {record.lsn}")
+
+
+def _update_batch(operation: Dict[str, object]):
+    """A journaled ``update`` as ``((inserts, deletes), annotations)``."""
+    inserts, annotations = _annotated_fact_set(operation.get("inserts", ()))
+    batch = (
+        sorted(inserts, key=_fact_order),
+        sorted(_fact_set(operation.get("deletes", ())), key=_fact_order),
+    )
+    return batch, annotations or None
+
+
+def _replay(service, records, report: RecoveryReport) -> None:
+    """Step 2: re-drive ``records``, each view's bare updates in runs."""
+    runs: Dict[str, List[Tuple[int, tuple]]] = {}  # view → [(lsn, batch)]
+    failures: List[Tuple[int, str]] = []
+
+    def settle(lsn: int, outcome: object) -> None:
+        if not isinstance(outcome, BaseException):
+            report.replayed_records += 1
+        elif isinstance(outcome, RecoveryError) or not isinstance(
+            outcome, (ReproError, KeyError, ValueError)
+        ):
+            raise outcome
+        else:
+            message = f"lsn {lsn}: {type(outcome).__name__}: {outcome}"
+            failures.append((lsn, message))
+            logger.warning("skipping unreplayable WAL record (%s)", message)
+
+    def flush(name) -> None:
+        run = runs.pop(name, None)
+        if run:
+            outcomes = service._commit(name, [batch for _lsn, batch in run])
+            for (lsn, _batch), outcome in zip(run, outcomes):
+                settle(lsn, outcome)
+
+    for record in records:
+        operation = record.operation
+        name = operation.get("view")
+        outcome = None
+        try:
+            if operation.get("op") == "update":
+                batch, annotations = _update_batch(operation)
+                if annotations is None:
+                    run = runs.setdefault(name, [])
+                    run.append((record.lsn, batch))
+                    if len(run) >= service.queue_capacity:
+                        flush(name)
+                    continue
+                flush(name)
+                [outcome] = service._commit(name, [batch], annotations)
+            else:
+                flush(name)
+                _apply_registration(service, record)
+        except (ReproError, KeyError, ValueError) as exc:
+            outcome = exc
+        settle(record.lsn, outcome)
+    for name in list(runs):
+        flush(name)
+    # Runs settle when they flush, not where their records sat in the log.
+    report.skipped_records = len(failures)
+    report.errors.extend(message for _lsn, message in sorted(failures))
 
 
 def recover_service(service, manager: DurabilityManager) -> RecoveryReport:
@@ -231,17 +294,7 @@ def recover_service(service, manager: DurabilityManager) -> RecoveryReport:
             for name, value in state.get("service_counters", {}).items():
                 if value:
                     service.metrics.bump(name, int(value))
-        for record in records:
-            try:
-                _apply_record(service, record)
-                report.replayed_records += 1
-            except (ReproError, KeyError, ValueError) as exc:
-                if isinstance(exc, RecoveryError):
-                    raise
-                report.skipped_records += 1
-                message = f"lsn {record.lsn}: {type(exc).__name__}: {exc}"
-                report.errors.append(message)
-                logger.warning("skipping unreplayable WAL record (%s)", message)
+        _replay(service, records, report)
     finally:
         manager.replaying = False
     report.generation = manager.bump_generation()

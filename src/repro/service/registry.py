@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
-import networkx as nx
-
 from ..datalog.ast import Literal, Program, Rule
 from ..datalog.binding import compiled_binding_order
 from ..datalog.database import Database
@@ -33,6 +31,7 @@ from ..datalog.grounding import GroundProgram, ground
 from ..datalog.kernel import HEAD, Plan, compile_plan
 from ..datalog.parser import parse_program
 from ..datalog.stratification import dependency_graph, is_stratified, stratify
+from ..digraph import strongly_connected_components
 from ..relations.universe import FunctionRegistry
 
 __all__ = [
@@ -213,10 +212,10 @@ class PreparedProgram:
 
 def _build_schedule(program: Program) -> Tuple[Component, ...]:
     graph = dependency_graph(program)
-    condensation = nx.condensation(graph)
     components = []
-    for component_id in nx.topological_sort(condensation):
-        members = frozenset(condensation.nodes[component_id]["members"])
+    # Components come out dependents first: reversed, every component
+    # follows the ones it reads.
+    for members in reversed(strongly_connected_components(graph)):
         recursive = any(
             graph.has_edge(source, target)
             for source in members

@@ -1136,7 +1136,6 @@ class QueryService:
         may still retire the updated view, which is the documented
         replace semantics: the old view dies, replacement wins).
         """
-        self.metrics.bump("updates_total")
         inserts = [(predicate, tuple(row)) for predicate, row in inserts]
         deletes = [(predicate, tuple(row)) for predicate, row in deletes]
         if annotations:
@@ -1146,6 +1145,29 @@ class QueryService:
             }
         else:
             annotations = None
+        [outcome] = self._commit(name, [(inserts, deletes)], annotations)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        self._maybe_checkpoint()
+        return outcome
+
+    def _commit(
+        self,
+        name: str,
+        batches: List[Tuple[List[Tuple[str, Row]], List[Tuple[str, Row]]]],
+        annotations: Optional[Dict[Tuple[str, Row], object]] = None,
+    ) -> List[object]:
+        """Apply ``(inserts, deletes)`` batches to one view, in order.
+
+        Returns one outcome per batch: its summary, or the exception it
+        died with.  :meth:`update` passes its one batch and re-raises;
+        WAL replay passes a run of consecutive journaled batches — at
+        most ``queue_capacity`` of them, nobody else drains during
+        recovery — which then reach the engine exactly as a burst of
+        concurrent writers would.
+        """
+        self.metrics.bump("updates_total", len(batches))
+        outcomes: List[object] = [None] * len(batches)
         if self.coalesce <= 1 or annotations is not None:
             # Per-batch mode (the legacy default and the bench
             # baseline): apply directly under the view hold, no queue.
@@ -1153,33 +1175,17 @@ class QueryService:
             # with annotations takes this path even when coalescing is
             # on; the bare writes to the same annotated view queue up
             # like any other and reach its engine as one burst.
-            with self._locked_view(name) as (view, generation):
-                parsed = self._parse_annotations(view, annotations)
-                summary = view.apply(
-                    inserts=inserts, deletes=deletes, annotations=parsed
-                )
-                # Invalidate inside the hold so a concurrent query
-                # cannot re-cache pre-batch rows between apply and
-                # invalidation.
-                self.cache.invalidate(name)
-                self._propagate_demand(name, generation, [(inserts, deletes)])
-                # Journal the *canonical* wire text of each annotation
-                # (format after parse), so replay parses exactly what a
-                # live client could have sent.
-                texts = (
-                    {
-                        key: view.semiring_obj.format(value)
-                        for key, value in parsed.items()
-                    }
-                    if parsed
-                    else None
-                )
-                self._journal_update(name, inserts, deletes, texts)
-            self._maybe_checkpoint()
-            return summary
-        # Group commit: submit the batch to the view's bounded queue,
+            for index, (inserts, deletes) in enumerate(batches):
+                try:
+                    outcomes[index] = self._apply_directly(
+                        name, inserts, deletes, annotations
+                    )
+                except Exception as exc:
+                    outcomes[index] = exc
+            return outcomes
+        # Group commit: submit the batches to the view's bounded queue,
         # then race for the view lock.  The winner (leader) drains the
-        # queue into one circuit pass; the losers find their ticket
+        # queue into one circuit pass; the losers find their tickets
         # already settled when they get the lock.  An ``ok`` ack still
         # means the batch landed in a view that was verified current by
         # whoever applied it.  Both queue waits — for space at submit,
@@ -1188,47 +1194,94 @@ class QueryService:
         # with a wire-coded ``update-timeout`` instead of a hang, and a
         # timed-out ticket is withdrawn so it cannot apply later.
         timeout = self._request_timeout()
-        while True:
-            view, lock, _generation = self._view_and_lock(name)
-            ticket = view.pending.submit(inserts, deletes, timeout=timeout)
+        unsent = list(range(len(batches)))
+        while unsent:
+            queue, tickets, failure = None, {}, None
             try:
+                view, lock, generation = self._view_and_lock(name)
+                queue = view.pending
+                for index in unsent:
+                    tickets[index] = queue.submit(*batches[index], timeout=timeout)
                 with lock.held():
                     with self._registry_lock.read_locked():
                         current = self.views.get(name) is view
                     if current:
-                        # Leader duty: drain until our own ticket is
+                        # Leader duty: drain until our own tickets are
                         # settled (the queue may hold more than one
                         # coalescing window's worth).
-                        while not ticket.done:
-                            self._drain_updates(name, view, _generation)
-                    elif view.pending.withdraw(ticket):
-                        # The binding changed under us and nobody
-                        # processed the ticket: resubmit against the
-                        # replacement (KeyError when truly gone).
-                        continue
-                    # else: a leader under the still-current binding
-                    # owns the ticket; its outcome is authoritative.
-            except BaseException:
-                # Typically the service.lock fault point.  If the
-                # ticket is still queued the batch never ran — withdraw
-                # it and surface the failure; if a leader owns it, the
-                # leader's outcome is the truth about this batch.
-                if view.pending.withdraw(ticket):
-                    raise
+                        for ticket in tickets.values():
+                            while not ticket.done:
+                                self._drain_updates(name, view, generation)
+            except BaseException as exc:
+                # An unknown view, a queue that stayed full, or
+                # typically the service.lock fault point.
+                failure = exc
+            resubmit = []
+            for index in unsent:
+                ticket = tickets.get(index)
+                if ticket is not None and (
+                    ticket.done or not queue.withdraw(ticket)
+                ):
+                    # Settled, or a leader owns it: the leader's outcome
+                    # is the truth about this batch.
+                    outcomes[index] = self._leader_outcome(ticket, timeout)
+                elif failure is not None:
+                    # Never queued, or withdrawn while still queued: the
+                    # batch never ran and never will.
+                    outcomes[index] = failure
+                else:
+                    # The binding changed under us and nobody processed
+                    # the ticket: resubmit against the replacement
+                    # (KeyError when truly gone).
+                    resubmit.append(index)
+            unsent = resubmit
+        return outcomes
+
+    @staticmethod
+    def _leader_outcome(ticket, timeout: Optional[float]) -> object:
+        try:
             try:
-                summary = ticket.outcome(timeout)
+                return ticket.outcome(timeout)
             except UpdateTimeout:
-                if view.pending.withdraw(ticket):
-                    # Withdrawn while still queued: the batch never ran
-                    # and never will.
-                    raise
-                # A leader grabbed the ticket right at the deadline;
-                # its outcome is authoritative and imminent — give it
-                # one grace period before reporting the timeout (after
-                # which the batch's fate is genuinely unknown).
-                summary = ticket.outcome(timeout)
-            self._maybe_checkpoint()
-            return summary
+                # A leader grabbed the ticket right at the deadline; its
+                # outcome is authoritative and imminent — give it one
+                # grace period before reporting the timeout (after which
+                # the batch's fate is genuinely unknown).
+                return ticket.outcome(timeout)
+        except Exception as exc:
+            return exc
+
+    def _apply_directly(
+        self,
+        name: str,
+        inserts: List[Tuple[str, Row]],
+        deletes: List[Tuple[str, Row]],
+        annotations: Optional[Dict[Tuple[str, Row], object]],
+    ) -> Dict[str, object]:
+        """One batch applied and journaled under the view hold."""
+        with self._locked_view(name) as (view, generation):
+            parsed = self._parse_annotations(view, annotations)
+            summary = view.apply(
+                inserts=inserts, deletes=deletes, annotations=parsed
+            )
+            # Invalidate inside the hold so a concurrent query
+            # cannot re-cache pre-batch rows between apply and
+            # invalidation.
+            self.cache.invalidate(name)
+            self._propagate_demand(name, generation, [(inserts, deletes)])
+            # Journal the *canonical* wire text of each annotation
+            # (format after parse), so replay parses exactly what a
+            # live client could have sent.
+            texts = (
+                {
+                    key: view.semiring_obj.format(value)
+                    for key, value in parsed.items()
+                }
+                if parsed
+                else None
+            )
+            self._journal_update(name, inserts, deletes, texts)
+        return summary
 
     def _parse_annotations(
         self,

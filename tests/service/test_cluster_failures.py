@@ -423,6 +423,45 @@ class TestRouterInternals:
 
         self._run(scenario)
 
+    def test_replay_fails_when_the_worker_refuses_a_fact(self):
+        # Regression: _replay_view checked the register reply only, so
+        # an ``error ...`` to a replayed fact (budget, deadline) left
+        # the fresh worker's view silently short of facts the router
+        # believed it held.  Respawn and drain treat ClusterError as a
+        # failed replay.
+        async def scenario(socket_path):
+            router = ClusterRouter(socket_path, shards=1)
+            handle = router._workers["shard-0"]
+            sent = []
+
+            async def refusing_call(line, timeout=None):
+                sent.append(line)
+                if line == "+v q(b)":
+                    return ["error deadline-exceeded DeadlineExceeded: too slow"]
+                return ["ok {}"]
+
+            handle.call = refusing_call
+            record = ViewRecord("stratified", "p(X):-q(X). q(z).")
+            record.removed.add("q(z)")
+            record.added.update({"q(a)", "q(b)", "q(c)"})
+            router._records["v"] = record
+            with pytest.raises(ClusterError, match="deadline-exceeded"):
+                await router._replay_view("v", handle)
+            # Stopped at the refusal, in the documented order.
+            assert sent == [
+                "register v stratified p(X):-q(X). q(z).",
+                "-v q(z)",
+                "+v q(a)",
+                "+v q(b)",
+            ]
+            # A worker that accepts everything still replays cleanly.
+            del sent[:]
+            record.added.discard("q(b)")
+            await router._replay_view("v", handle)
+            assert sent[-1] == "+v q(c)"
+
+        self._run(scenario)
+
     def test_inflight_counts_requests_parked_on_the_slot_semaphore(self):
         # Regression: inflight was incremented only after acquiring the
         # concurrency slot, so drain's in-flight flush could miss a
