@@ -1,14 +1,15 @@
 """Direct semi-naive evaluation of stratified programs.
 
-The main engine grounds first and solves propositionally — the right
-architecture for the non-stratified semantics.  For *stratified*
-programs, the classical alternative evaluates rules directly over the
-database with delta iteration and never materialises a ground program.
-This module implements that route on the join kernel
+A program without a cycle through negation needs no ground program:
+"the answer can be obtained by successively computing the minimal model
+of each stratum" (Section 4), rules evaluated directly over the
+database with delta iteration — here on the join kernel
 (:mod:`repro.datalog.kernel`: each literal over a changed predicate
 leads one firing with last round's rows, the rest of the body is index
-probes) as both a production fast-path and the ablation partner of
-benchmark P05.
+probes).  This is the production path for every closed component:
+:func:`~repro.datalog.engine.run` sends the rules outside a program's
+open cone here and grounds only the rest, over this module's result
+(benchmark P05 pits the two routes against each other).
 
 Negation is handled stratum by stratum: by the time a negative literal
 is consulted, its predicate is fully evaluated, so ``not q(ā)`` is a
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
-from ..robustness import BudgetExceeded, EvaluationBudget, fault_point
+from ..robustness import EvaluationBudget, fault_point
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from .ast import Literal, Program
 from .database import Database
+from .grounding import GroundingBudgetExceeded
 from .kernel import JoinKernel
 from .stratification import stratify
 
@@ -42,15 +44,17 @@ def seminaive_stratified(
     strata: Optional[Mapping[str, int]] = None,
     budget: Optional[EvaluationBudget] = None,
     semiring=None,
+    max_atoms: Optional[int] = None,
 ) -> Dict[str, FrozenSet[Tuple[Value, ...]]]:
     """Evaluate a stratified program directly (no grounding).
 
     Returns predicate → derived rows (IDB and EDB alike).  Raises
     :class:`~repro.datalog.stratification.NotStratifiedError` on
-    non-stratified input and :class:`~repro.robustness.BudgetExceeded`
-    if a stratum exceeds ``max_rounds`` (function symbols without
-    guards).  ``budget`` adds deadline/step/fact governance on top of
-    the round cap.
+    non-stratified input and, like the grounder for the same two bounds,
+    :class:`~repro.datalog.grounding.GroundingBudgetExceeded` (a
+    ``BudgetExceeded``) if a stratum exceeds ``max_rounds`` or the
+    model, database included, ``max_atoms`` rows (function symbols
+    without guards).  ``budget`` adds deadline/step/fact governance.
 
     ``strata`` lets a caller that has already stratified the program
     (a registered prepared plan) skip re-deriving the schedule.
@@ -115,6 +119,13 @@ def seminaive_stratified(
                     budget.charge_facts()
                 sink.setdefault(plan.head, set()).add(row)
 
+    def exhausted(level: int) -> GroundingBudgetExceeded:
+        return GroundingBudgetExceeded(
+            f"stratum {level} did not converge within max_rounds={max_rounds}, "
+            f"max_atoms={max_atoms}",
+            progress=budget.progress if budget is not None else None,
+        )
+
     for level, (naive, variants) in enumerate(levels):
         # Naive first round.
         delta: Dict[str, Set[Tuple[Value, ...]]] = {}
@@ -126,6 +137,10 @@ def seminaive_stratified(
             fault_point("seminaive.round")
             if budget is not None:
                 budget.note_iteration(stratum=level, phase="seminaive")
+            if max_atoms is not None and max_atoms < sum(
+                map(len, state.facts.values())
+            ):
+                raise exhausted(level)
             if not delta:
                 break
             next_delta: Dict[str, Set[Tuple[Value, ...]]] = {}
@@ -135,10 +150,7 @@ def seminaive_stratified(
                     absorb(plan, rows, next_delta)
             delta = next_delta
         else:
-            raise BudgetExceeded(
-                f"stratum {level} did not converge within {max_rounds} rounds",
-                progress=budget.progress if budget is not None else None,
-            )
+            raise exhausted(level)
 
     return {
         predicate: frozenset(rows) for predicate, rows in state.facts.items()

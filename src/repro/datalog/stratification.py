@@ -12,7 +12,8 @@ when MOVE is acyclic).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..digraph import (
     DiGraph,
@@ -29,6 +30,7 @@ __all__ = [
     "negative_edges",
     "is_stratified",
     "stratify",
+    "open_cone",
     "strata_partition",
     "ground_dependency_graph",
     "is_locally_stratified",
@@ -97,6 +99,33 @@ def stratify(program: Program) -> Dict[str, int]:
     for predicate in program.edb_predicates():
         strata.setdefault(predicate, 0)
     return strata
+
+
+@lru_cache(maxsize=1024)
+def open_cone(program: Program) -> FrozenSet[str]:
+    """The predicates negation leaves open: every component of the
+    dependency graph with a negative edge inside it, plus everything
+    that depends on one.  Empty iff the program is stratified.
+
+    The rules headed outside the cone form a stratified program and read
+    nothing inside it, so they have a total model computable stratum by
+    stratum (Section 4); only the cone needs a three-valued semantics,
+    over that model as its database.  Memoized: programs are immutable.
+    """
+    graph = dependency_graph(program)
+    cone: Set[str] = set()
+    # Dependencies first: whatever reads the cone is marked before reached.
+    for component in reversed(strongly_connected_components(graph)):
+        if cone.isdisjoint(component) and not any(
+            data["negative"] and target in component
+            for source in component
+            for target, data in graph[source].items()
+        ):
+            continue
+        cone.update(component)
+        for source in component:
+            cone.update(graph[source])
+    return frozenset(cone)
 
 
 def strata_partition(program: Program) -> List[FrozenSet[str]]:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.corpus import chain, edges_to_database
-from repro.datalog import Database, run
+import repro.datalog.engine as engine
+from repro.corpus import DEDUCTIVE_CORPUS, chain, edges_to_database, grid
+from repro.datalog import Database, JoinKernel, Program, ground, open_cone, run
 from repro.datalog.parser import parse_program
 from repro.datalog.semantics import Truth
+from repro.datalog.stratification import NotStratifiedError
 from repro.relations import Atom, standard_registry
 
 a, b = Atom("a"), Atom("b")
@@ -60,3 +62,89 @@ def test_is_total():
     assert total.is_total()
     partial = run(parse_program("p :- not p."), Database())
     assert not partial.is_total()
+
+
+# -- which evaluator does the work (counts, not timings) ------------------------
+
+UNREACH_AND_WIN = parse_program(
+    DEDUCTIVE_CORPUS["unreachable"].source + "win(X) :- move(X, Y), not win(Y)."
+)
+
+
+def _never_ground(*_args, **_kwargs):
+    raise AssertionError("work this program and semantics have no use for")
+
+
+@pytest.mark.parametrize(
+    "name, semantics",
+    [
+        (name, semantics)
+        for name in ("transitive-closure", "same-generation", "unreachable")
+        for semantics in engine.SEMANTICS
+        # Inflationary negation of an IDB predicate is not modular: that
+        # one grounds the whole program, as it always did.
+        if (name, semantics) != ("unreachable", "inflationary")
+    ],
+)
+def test_closed_programs_never_ground(name, semantics, monkeypatch):
+    case = DEDUCTIVE_CORPUS[name]
+    database = edges_to_database(grid(3, 3))
+    expected = run(
+        case.program, database, semantics, ground_program=ground(case.program, database)
+    )
+    monkeypatch.setattr(engine, "ground", _never_ground)
+    result = run(case.program, database, semantics)
+    assert result.ground_program is None and result.is_total()
+    for predicate in case.predicates:
+        assert result.true_rows(predicate) == expected.true_rows(predicate)
+
+
+def _decoded(ground_program):
+    decode = ground_program.decode
+    return {
+        (decode(rule.head), tuple(map(decode, rule.pos)), tuple(map(decode, rule.neg)))
+        for rule in ground_program.rules
+    }
+
+
+def test_only_the_cone_is_grounded_over_the_lower_model(monkeypatch):
+    database = edges_to_database(grid(5, 5))
+    calls = []
+
+    def spy(program, facts, **kwargs):
+        calls.append((program, facts))
+        return ground(program, facts, **kwargs)
+
+    monkeypatch.setattr(engine, "ground", spy)
+    result = run(UNREACH_AND_WIN, database, "valid")
+    [(grounded, facts)] = calls
+    assert {rule.head.predicate for rule in grounded.rules} == {"win"}
+    assert facts.predicates() == {"move"}  # the part of the lower model win reads
+    # One rule family instead of five: what grounding win alone over the
+    # lower model returns, and nothing headed by tc / node / unreach.
+    lower = Database({p: result.true_rows(p) for p in ("move", "tc", "node", "unreach")})
+    alone = _decoded(ground(Program(grounded.rules), lower))
+    produced = _decoded(result.ground_program)
+    assert produced == {rule for rule in alone if rule[0][0] in ("move", "win")}
+    assert result.true_rows("unreach") == run(
+        DEDUCTIVE_CORPUS["unreachable"].program, database, "stratified"
+    ).true_rows("unreach")
+
+
+def test_stratified_refuses_a_cone_before_firing_a_rule(monkeypatch):
+    monkeypatch.setattr(JoinKernel, "fire", _never_ground)
+    with pytest.raises(NotStratifiedError, match="win"):
+        run(DEDUCTIVE_CORPUS["win-move"].program, edges_to_database(chain(4)), "stratified")
+    with pytest.raises(NotStratifiedError, match="win"):
+        run(UNREACH_AND_WIN, edges_to_database(chain(4)), "stratified")
+
+
+def test_cone_is_computed_once_per_program():
+    program = parse_program(DEDUCTIVE_CORPUS["double-negation"].source)
+    database = edges_to_database(chain(4))
+    run(program, database)
+    before = open_cone.cache_info()
+    # An equal program parsed afresh is the same key: rules are immutable.
+    run(parse_program(DEDUCTIVE_CORPUS["double-negation"].source), database)
+    after = open_cone.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)

@@ -10,12 +10,12 @@ Both must return the same ground program — as a set of decoded
 atoms and the same ``complete`` verdict, also when ``max_rounds`` cuts
 the closure short.
 
-Programs are random safe programs over two EDB and three IDB predicates
-(one of them, ``m``, used with two arities) with repeated variables,
-constants in literals, function terms in heads, bodies and negated
-literals (``pred`` is partial: undefined on 0), comparisons that assign
-or test, bodiless rules, and negation over atoms that may or may not
-survive the closure.
+Programs are random safe programs (``program_strategies``: safe by
+construction) over two EDB and three IDB predicates (one of them, ``m``,
+used with two arities) with repeated variables, constants in literals,
+function terms in heads, bodies and negated literals (``pred`` is
+partial: undefined on 0), comparisons that assign or test, bodiless
+rules, and negation over atoms that may or may not survive the closure.
 """
 
 import itertools
@@ -24,25 +24,14 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.ast import (
-    Comparison,
-    Const,
-    FuncTerm,
-    Literal,
-    PredAtom,
-    Program,
-    Rule,
-    Var,
-    eval_term,
-)
-from repro.datalog.binding import UnsafeRuleError, binding_order
+from repro.datalog.ast import Comparison, eval_term
 from repro.datalog.database import Database
 from repro.datalog.grounding import ground
 from repro.relations.universe import standard_registry
 
+from .program_strategies import DOMAIN, programs, stores
+
 REGISTRY = standard_registry()
-DOMAIN = (0, 1, 2, 3)
-X, Y, Z = Var("X"), Var("Y"), Var("Z")
 COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt}
 
 
@@ -88,65 +77,6 @@ def reference(program, facts, max_rounds):
     return rules, known, complete
 
 
-# -- generators ---------------------------------------------------------------
-
-terms = st.sampled_from(
-    [X, Y, Z, X, Y, Z, X, Y, Const(0), Const(2), FuncTerm("pred", (X,)), FuncTerm("pred", (Y,))]
-)
-ARITIES = {"e": [2], "f": [1], "p": [2], "q": [1], "m": [1, 2]}
-
-
-def atoms(predicates):
-    return st.sampled_from(predicates).flatmap(
-        lambda name: st.sampled_from(ARITIES[name]).flatmap(
-            lambda arity: st.tuples(*[terms] * arity).map(
-                lambda args: PredAtom(name, args)
-            )
-        )
-    )
-
-
-EVERY = ["e", "f", "p", "q", "m"]
-body_items = st.one_of(
-    atoms(EVERY).map(lambda atom: Literal(atom, True)),
-    atoms(EVERY).map(lambda atom: Literal(atom, True)),
-    atoms(EVERY).map(lambda atom: Literal(atom, False)),
-    atoms(["q", "e"]).map(lambda atom: Literal(atom, False)),
-    st.builds(Comparison, st.sampled_from(["=", "=", "!=", "<"]), terms, terms),
-)
-
-
-def _safe(rule):
-    try:
-        binding_order(rule)
-    except UnsafeRuleError:
-        return False
-    return True
-
-
-# Most bodies open on a database relation, so that most rules fire.
-bodies = st.one_of(
-    st.lists(body_items, max_size=4),
-    st.tuples(atoms(["e", "f"]).map(Literal), st.lists(body_items, max_size=3)).map(
-        lambda parts: [parts[0]] + parts[1]
-    ),
-    st.tuples(atoms(["e", "f"]).map(Literal), st.lists(body_items, max_size=3)).map(
-        lambda parts: [parts[0]] + parts[1]
-    ),
-)
-rules = st.builds(Rule, atoms(["p", "q", "m"]), bodies.map(tuple)).filter(_safe)
-programs = st.lists(rules, min_size=1, max_size=4).map(lambda rs: Program(tuple(rs)))
-
-
-def relations(arity):
-    rows = list(itertools.product(DOMAIN, repeat=arity))
-    return st.frozensets(st.sampled_from(rows), min_size=1, max_size=8)
-
-
-# EDB rows, and database facts for an IDB predicate as well.
-stores = st.fixed_dictionaries({"e": relations(2), "f": relations(1), "q": relations(1)})
-
-
 def _decoded(ground_program):
     decode = ground_program.decode
     return [
@@ -155,7 +85,7 @@ def _decoded(ground_program):
     ]
 
 
-@given(programs, stores, st.sampled_from([1, 2, 3, 50]))
+@given(programs(), stores, st.sampled_from([1, 2, 3, 50]))
 @settings(max_examples=300, deadline=None)
 def test_ground_equals_brute_force_instantiation(program, facts, max_rounds):
     ground_program = ground(

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
+import repro.datalog.engine as engine
 from repro.corpus import DEDUCTIVE_CORPUS, chain, edges_to_database
-from repro.datalog import Database, ground, run
+from repro.datalog import Database, GroundingBudgetExceeded, JoinKernel, ground, run
 from repro.datalog.parser import parse_program
 from repro.datalog.semantics.stable import stable_models
 from repro.datalog.semantics.valid import valid_model
@@ -158,27 +159,99 @@ def _ring(n=50):
 
 class TestWideJoinGrounding:
     """A join that derives few atoms still works per rule *instance*:
-    the grounder charges the budget there, not only per new atom."""
+    the grounder charges the budget there, not only per new atom — and
+    so does the direct evaluator ``run()`` sends such a program to."""
+
+    # 2,500 instances, 50 possible ``hit`` atoms.
+    FEW_ATOMS = "hit(A) :- e(A,B), e(C,D), e(E,F), A = F."
+    # Half a million instances out of one firing of one round (~2.5 s
+    # unenforced): the deadline has to be seen from inside it.
+    ONE_FIRING = "hit(A) :- e(A,B), e(C,D), e(E,F), A != F."
 
     def test_step_budget_raises_during_grounding(self):
-        # 2,500 instances, 50 possible ``hit`` atoms.
-        program = parse_program("hit(A) :- e(A,B), e(C,D), e(E,F), A = F.")
         with pytest.raises(BudgetExceeded) as info:
-            run(program, _ring(), budget=EvaluationBudget(max_steps=1000))
+            ground(
+                parse_program(self.FEW_ATOMS),
+                _ring(),
+                budget=EvaluationBudget(max_steps=1000),
+            )
         assert info.value.progress.phase == "grounding"
         assert 1000 < info.value.progress.steps <= 1001
 
+    def test_step_budget_raises_during_run(self):
+        with pytest.raises(BudgetExceeded) as info:
+            run(
+                parse_program(self.FEW_ATOMS),
+                _ring(),
+                budget=EvaluationBudget(max_steps=1000),
+            )
+        assert info.value.progress.phase == "seminaive"
+        assert 1000 < info.value.progress.steps <= 1001
+
     def test_deadline_enforced_inside_one_firing(self):
-        # Half a million instances out of one firing of one round (~2.5 s
-        # unenforced): the deadline has to be seen from inside it.
-        program = parse_program("hit(A) :- e(A,B), e(C,D), e(E,F), A != F.")
         deadline = 0.05
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded) as info:
-            run(program, _ring(80), budget=EvaluationBudget(deadline_seconds=deadline))
+            ground(
+                parse_program(self.ONE_FIRING),
+                _ring(80),
+                budget=EvaluationBudget(deadline_seconds=deadline),
+            )
         elapsed = time.monotonic() - start
         assert info.value.progress.phase == "grounding"
         assert elapsed < 10 * deadline
+
+    def test_deadline_enforced_inside_one_firing_of_run(self):
+        deadline = 0.05
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded) as info:
+            run(
+                parse_program(self.ONE_FIRING),
+                _ring(80),
+                budget=EvaluationBudget(deadline_seconds=deadline),
+            )
+        elapsed = time.monotonic() - start
+        assert info.value.progress.phase == "seminaive"
+        assert elapsed < 10 * deadline
+
+
+class TestLimitsOnTheDirectPart:
+    """``run()`` evaluates a program without a negative cycle directly;
+    its ``max_rounds`` / ``max_atoms`` / cancellation hold there as they
+    do in the grounder, with the same exception classes."""
+
+    def _run(self, **kwargs):
+        return run(
+            parse_program(DIVERGENT), Database(), registry=standard_registry(), **kwargs
+        )
+
+    def test_max_atoms_stops_the_direct_part(self, monkeypatch):
+        monkeypatch.setattr(engine, "ground", None)  # never reached
+        with pytest.raises(GroundingBudgetExceeded, match="max_atoms=500"):
+            self._run(max_rounds=10**9, max_atoms=500)
+
+    def test_max_rounds_stops_the_direct_part(self, monkeypatch):
+        monkeypatch.setattr(engine, "ground", None)
+        with pytest.raises(GroundingBudgetExceeded, match="max_rounds=50"):
+            self._run(max_rounds=50, max_atoms=10**9)
+
+    def test_direct_rows_count_against_the_cones_atoms(self):
+        # 20 ``n`` rows below, 20 possible ``odd`` atoms in the cone.
+        program = parse_program(
+            "n(0).\nn(Y) :- n(X), Y = succ(X), Y < 20.\n"
+            "odd(Y) :- n(X), Y = succ(X), Y < 20, not odd(X)."
+        )
+        registry = standard_registry()
+        assert len(run(program, registry=registry, max_atoms=40).true_rows("odd")) == 10
+        with pytest.raises(GroundingBudgetExceeded):
+            run(program, registry=registry, max_atoms=30)
+
+    def test_cancelled_before_the_first_firing(self, monkeypatch):
+        monkeypatch.setattr(JoinKernel, "fire", None)  # never reached
+        token = CancellationToken()
+        token.cancel()
+        with pytest.raises(Cancelled):
+            self._run(budget=EvaluationBudget(cancellation=token))
 
 
 class TestSeminaiveAndIfpBudgets:

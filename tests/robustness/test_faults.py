@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.corpus import DEDUCTIVE_CORPUS, chain, edges_to_database
-from repro.datalog import ground
+from repro.datalog import ground, run
 from repro.datalog.seminaive import seminaive_stratified
 from repro.robustness import (
     ALL_POINTS,
@@ -109,6 +109,14 @@ class TestEnginePoints:
         with inject_faults(FaultInjector([FaultRule("seminaive.round")])):
             with pytest.raises(InjectedFault):
                 seminaive_stratified(program, database)
+
+    def test_seminaive_round_is_reachable_through_run(self):
+        # A program without a negative cycle is evaluated directly.
+        program = DEDUCTIVE_CORPUS["transitive-closure"].program
+        database = edges_to_database(chain(4))
+        with inject_faults(FaultInjector([FaultRule("seminaive.round")])):
+            with pytest.raises(InjectedFault):
+                run(program, database)
 
     def test_all_points_are_reachable_somewhere(self):
         # The registry of names is closed: every instrumented call site

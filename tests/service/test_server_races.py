@@ -435,6 +435,8 @@ class TestSnapshotReadsUnderChurn:
                 stop.set()
 
         def read():
+            # Keyed by the view itself, which keeps it alive: the next
+            # registration could reuse a collected view's ``id()``.
             last_generation = {}
             try:
                 while not stop.is_set():
@@ -450,10 +452,10 @@ class TestSnapshotReadsUnderChurn:
                     if snapshot is not None:
                         rows = snapshot.rows("tc")
                         assert rows in legal, f"torn snapshot read: {rows}"
-                        previous = last_generation.get(id(view))
+                        previous = last_generation.get(view)
                         if previous is not None:
                             assert snapshot.generation >= previous
-                        last_generation[id(view)] = snapshot.generation
+                        last_generation[view] = snapshot.generation
                     try:
                         rows = service.query("tc", "tc")
                     except KeyError:
