@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..datalog.ast import Const, FuncTerm, PredAtom, Program, Rule, Term, Var
 from ..relations.universe import MAX_COMPONENT, translation_registry
-from ..relations.values import Value
+from ..relations.values import Value, sorted_values
 from .expressions import (
     Call,
     Diff,
@@ -50,6 +50,7 @@ from .expressions import (
     SetConst,
     Union,
     called_names,
+    walk,
 )
 from .funcs import (
     AndTest,
@@ -159,7 +160,7 @@ class _Translator:
                 )
             return MemAtom(self.name_of.get(expr.name, expr.name), member)
         if isinstance(expr, SetConst):
-            return FOr(tuple(Cmp("=", member, Const(v)) for v in sorted_values_list(expr.values)))
+            return FOr(tuple(Cmp("=", member, Const(v)) for v in sorted_values(expr.values)))
         if isinstance(expr, Union):
             return FOr((self.formula(expr.left, member), self.formula(expr.right, member)))
         if isinstance(expr, Diff):
@@ -215,13 +216,6 @@ class _Translator:
             )
             return MemAtom(predicate, member)
         raise TypeError(f"not an expression: {expr!r}")
-
-
-def sorted_values_list(values) -> List[Value]:
-    """Deterministically ordered list of a value set."""
-    from ..relations.values import sorted_values
-
-    return sorted_values(values)
 
 
 @dataclass
@@ -287,7 +281,9 @@ def translate_program(aprog: AlgebraProgram) -> TranslationResult:
 
     rules: List[Rule] = []
     for definition in system.definitions:
-        for node in _ifp_nodes(definition.body):
+        for node in walk(definition.body):
+            if not isinstance(node, Ifp):
+                continue
             if called_names(node.body) & recursive:
                 raise IfpThroughRecursion(
                     f"{definition.name}: IFP through a recursive name; use "
@@ -315,9 +311,3 @@ def translate_program(aprog: AlgebraProgram) -> TranslationResult:
         )
     program = Program(tuple(rules), name=aprog.name or "algebra=")
     return TranslationResult(program, predicate_of)
-
-
-def _ifp_nodes(expr: Expr):
-    from .expressions import walk
-
-    return [node for node in walk(expr) if isinstance(node, Ifp)]

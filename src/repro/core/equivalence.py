@@ -183,13 +183,7 @@ def check_datalog_roundtrip(
     for name in translation.program.database_relations:
         if name not in environment:
             environment[name] = Relation([], name=name)
-    algebra_result = valid_evaluate(
+    via_algebra = algebra_answers_native(
         translation.program, environment, registry=registry
     )
-    via_algebra = {
-        name: ThreeValuedAnswer(
-            algebra_result.true[name], algebra_result.undefined[name]
-        )
-        for name in algebra_result.names()
-    }
     return _compare(direct, via_algebra)

@@ -84,13 +84,11 @@ def evaluate(
             child = run(node.child, env)
             return child.select(lambda member: eval_test(node.test, member, registry))
         if isinstance(node, Map):
-            child = run(node.child, env)
-            members = []
-            for member in child.items:
-                image = eval_scalar(node.func, member, registry)
-                if image is not None:
-                    members.append(image)
-            return Relation(members)
+            images = (
+                eval_scalar(node.func, member, registry)
+                for member in run(node.child, env).items
+            )
+            return Relation(image for image in images if image is not None)
         if isinstance(node, Ifp):
             current = Relation.empty()
             for _step in range(max_iterations):

@@ -17,7 +17,7 @@ called operation names, and perform (capture-avoiding) substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from ..relations.values import Value, format_value, is_value
@@ -231,29 +231,27 @@ def called_names(expr: Expr) -> FrozenSet[str]:
     return frozenset(node.name for node in walk(expr) if isinstance(node, Call))
 
 
+def _rebuild(expr: Expr, rewrite) -> Expr:
+    """``expr`` with ``rewrite`` applied to its immediate subexpressions."""
+    if isinstance(expr, (Union, Diff, Product)):
+        return replace(expr, left=rewrite(expr.left), right=rewrite(expr.right))
+    if isinstance(expr, (Select, Map)):
+        return replace(expr, child=rewrite(expr.child))
+    if isinstance(expr, Ifp):
+        return replace(expr, body=rewrite(expr.body))
+    if isinstance(expr, Call):
+        return replace(expr, args=tuple(map(rewrite, expr.args)))
+    return expr
+
+
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace free relation variables by expressions (capture-avoiding:
     an ``Ifp`` parameter shadows any mapping entry of the same name)."""
     if isinstance(expr, RelVar):
         return mapping.get(expr.name, expr)
-    if isinstance(expr, SetConst):
-        return expr
-    if isinstance(expr, Union):
-        return Union(substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Diff):
-        return Diff(substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Product):
-        return Product(substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Select):
-        return Select(substitute(expr.child, mapping), expr.test)
-    if isinstance(expr, Map):
-        return Map(substitute(expr.child, mapping), expr.func)
     if isinstance(expr, Ifp):
-        inner = {name: value for name, value in mapping.items() if name != expr.param}
-        return Ifp(expr.param, substitute(expr.body, inner))
-    if isinstance(expr, Call):
-        return Call(expr.name, tuple(substitute(arg, mapping) for arg in expr.args))
-    raise TypeError(f"not an expression: {expr!r}")
+        mapping = {name: value for name, value in mapping.items() if name != expr.param}
+    return _rebuild(expr, lambda node: substitute(node, mapping))
 
 
 # ---------------------------------------------------------------------------

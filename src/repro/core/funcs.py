@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..datalog.binding import _compare
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Tup, Value, format_value, is_value
 
@@ -232,28 +233,6 @@ class OrTest(Test):
         return f"({self.left!r} or {self.right!r})"
 
 
-def _compare_values(op: str, left: Value, right: Value) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    comparable = (
-        isinstance(left, int)
-        and isinstance(right, int)
-        and not isinstance(left, bool)
-        and not isinstance(right, bool)
-    ) or (isinstance(left, str) and isinstance(right, str))
-    if not comparable:
-        return False
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
 def eval_test(
     test: Test, member: Value, registry: Optional[FunctionRegistry] = None
 ) -> bool:
@@ -269,7 +248,7 @@ def eval_test(
         right = eval_scalar(test.right, member, registry)
         if left is None or right is None:
             return False
-        return _compare_values(test.op, left, right)
+        return _compare(test.op, left, right)
     if isinstance(test, NotTest):
         return not eval_test(test.child, member, registry)
     if isinstance(test, AndTest):

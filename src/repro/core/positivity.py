@@ -44,12 +44,13 @@ __all__ = [
 ]
 
 
-def subtracted_names(expr: Expr) -> FrozenSet[str]:
-    """Free relation-variable names occurring inside a subtracted
-    sub-expression (the right operand of some ``−``), at any depth."""
+def _names(expr: Expr, subtracted: bool) -> FrozenSet[str]:
+    """Free relation-variable names with an occurrence inside
+    (``subtracted``) or outside a subtracted sub-expression."""
     def visit(node: Expr, under_subtraction: bool) -> FrozenSet[str]:
         if isinstance(node, RelVar):
-            return frozenset((node.name,)) if under_subtraction else frozenset()
+            hit = under_subtraction == subtracted
+            return frozenset((node.name,)) if hit else frozenset()
         if isinstance(node, SetConst):
             return frozenset()
         if isinstance(node, (Union, Product)):
@@ -74,6 +75,12 @@ def subtracted_names(expr: Expr) -> FrozenSet[str]:
         raise TypeError(f"not an expression: {node!r}")
 
     return visit(expr, False)
+
+
+def subtracted_names(expr: Expr) -> FrozenSet[str]:
+    """Free relation-variable names occurring inside a subtracted
+    sub-expression (the right operand of some ``−``), at any depth."""
+    return _names(expr, True)
 
 
 def occurs_negatively(expr: Expr, name: str) -> bool:
@@ -102,42 +109,13 @@ def polarity_of_names(expr: Expr) -> Dict[str, str]:
     (only subtracted), or ``'mixed'``."""
     from .expressions import free_rel_vars
 
-    negative = subtracted_names(expr)
-
-    def visit(node: Expr, under_subtraction: bool) -> FrozenSet[str]:
-        if isinstance(node, RelVar):
-            return frozenset() if under_subtraction else frozenset((node.name,))
-        if isinstance(node, SetConst):
-            return frozenset()
-        if isinstance(node, (Union, Product)):
-            return visit(node.left, under_subtraction) | visit(
-                node.right, under_subtraction
-            )
-        if isinstance(node, Diff):
-            return visit(node.left, under_subtraction) | visit(node.right, True)
-        if isinstance(node, (Select, Map)):
-            return visit(node.child, under_subtraction)
-        if isinstance(node, Ifp):
-            return visit(node.body, under_subtraction) - {node.param}
-        if isinstance(node, Call):
-            result: FrozenSet[str] = frozenset()
-            for arg in node.args:
-                result |= visit(arg, True)
-            return result
-        raise TypeError(f"not an expression: {node!r}")
-
-    positive = visit(expr, False)
-    result: Dict[str, str] = {}
-    for name in free_rel_vars(expr):
-        occurs_pos = name in positive
-        occurs_neg = name in negative
-        if occurs_pos and occurs_neg:
-            result[name] = "mixed"
-        elif occurs_neg:
-            result[name] = "negative"
-        else:
-            result[name] = "positive"
-    return result
+    negative, positive = _names(expr, True), _names(expr, False)
+    return {
+        name: "positive"
+        if name not in negative
+        else "mixed" if name in positive else "negative"
+        for name in free_rel_vars(expr)
+    }
 
 
 def is_monotone_semantically(

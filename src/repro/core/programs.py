@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..digraph import DiGraph, strongly_connected_components
-from .expressions import Call, Expr, Ifp, RelVar, called_names, free_rel_vars, substitute, walk
+from .expressions import Call, Expr, Ifp, _rebuild, called_names, free_rel_vars, substitute, walk
 
 __all__ = [
     "Dialect",
@@ -237,22 +237,8 @@ class AlgebraProgram:
                 mapping = dict(zip(definition.params, args))
                 return expand(substitute(definition.body, mapping), depth + 1)
             if isinstance(node, Call):
-                return Call(node.name, tuple(expand(a, depth + 1) for a in node.args))
-            from .expressions import Diff, Map, Product, Select, Union
-
-            if isinstance(node, Union):
-                return Union(expand(node.left, depth), expand(node.right, depth))
-            if isinstance(node, Diff):
-                return Diff(expand(node.left, depth), expand(node.right, depth))
-            if isinstance(node, Product):
-                return Product(expand(node.left, depth), expand(node.right, depth))
-            if isinstance(node, Select):
-                return Select(expand(node.child, depth), node.test)
-            if isinstance(node, Map):
-                return Map(expand(node.child, depth), node.func)
-            if isinstance(node, Ifp):
-                return Ifp(node.param, expand(node.body, depth))
-            return node
+                depth += 1
+            return _rebuild(node, lambda child: expand(child, depth))
 
         return expand(expr, 0)
 
@@ -266,36 +252,21 @@ class AlgebraProgram:
         :class:`ExpansionLimitExceeded` when specialisation does not close
         off (a genuinely parameter-recursive program).
         """
-        recursive = self.recursive_names()
-        for name in recursive:
+        for name in self.recursive_names():
             if self.definition(name).arity > 0:
-                return self._specialise(max_expansions)
-        # Only 0-ary recursion: inline all non-recursive calls.
-        new_defs = []
-        for definition in self.definitions:
-            if definition.name in recursive or definition.arity == 0:
-                new_defs.append(
-                    Definition(
-                        definition.name,
-                        definition.params,
-                        self.inline_nonrecursive(definition.body)
-                        if definition.name not in recursive
-                        else self._inline_nonrec_only(definition.body, recursive),
-                    )
+                raise ExpansionLimitExceeded(
+                    "parameter-recursive definitions cannot be normalised to a "
+                    "finite constant system; see DESIGN.md (call-site "
+                    "specialisation is bounded to recursion through 0-ary names)"
                 )
-        kept = [d for d in new_defs if d.arity == 0]
+        # Only 0-ary recursion: inline all non-recursive calls.
+        kept = [
+            Definition(definition.name, (), self.inline_nonrecursive(definition.body))
+            for definition in self.definitions
+            if definition.arity == 0
+        ]
         return AlgebraProgram(
             tuple(kept), self.database_relations, self.dialect, self.name
-        )
-
-    def _inline_nonrec_only(self, expr: Expr, recursive: FrozenSet[str]) -> Expr:
-        return self.inline_nonrecursive(expr)
-
-    def _specialise(self, max_expansions: int) -> "AlgebraProgram":
-        raise ExpansionLimitExceeded(
-            "parameter-recursive definitions cannot be normalised to a "
-            "finite constant system; see DESIGN.md (call-site "
-            "specialisation is bounded to recursion through 0-ary names)"
         )
 
     def __repr__(self) -> str:

@@ -38,7 +38,7 @@ from ..datalog.semantics.stable import TooManyChoiceAtoms, stable_models
 from .algebra_to_datalog import translate_program, translation_registry
 from .encoding import environment_to_database
 from .programs import AlgebraProgram
-from .valid_eval import EvalLimits, _System, _eliminate_ifp, valid_evaluate
+from .valid_eval import EvalLimits, _System
 
 __all__ = [
     "StableSetModel",
@@ -81,24 +81,10 @@ def stable_set_models(
     Raises :class:`TooManyChoiceAtoms` past ``max_choice_memberships``
     undefined memberships.
     """
-    system_program = program.to_constant_system()
-    recursive = system_program.recursive_names()
-    equations = {
-        definition.name: _eliminate_ifp(
-            definition.body,
-            recursive,
-            environment,
-            system_program,
-            registry,
-            max_ifp_iterations,
-        )
-        for definition in system_program.definitions
-    }
-    system = _System(equations, environment, registry, limits, universe)
-
-    valid = valid_evaluate(
-        program, environment, registry=registry, universe=universe, limits=limits
+    system = _System(
+        program, environment, registry, limits, universe, max_ifp_iterations
     )
+    valid = system.valid_model()
     choices: List[Tuple[str, Value]] = [
         (name, value)
         for name in sorted(valid.undefined)
@@ -119,11 +105,7 @@ def stable_set_models(
 
         def oracle(name: str, value: Value) -> bool:
             """May we assume value ∉ name?  Read the candidate total model."""
-            if value in valid.true[name]:
-                return False
-            if (name, value) in guessed_true:
-                return False
-            return True
+            return value not in valid.true[name] and (name, value) not in guessed_true
 
         candidate = system.derive(oracle)
         frozen = tuple(sorted((n, frozenset(v)) for n, v in candidate.items()))

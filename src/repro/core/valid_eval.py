@@ -9,9 +9,12 @@ the right operand of a ``−``) only once it is certainly false.
 This module realises that computation directly on the set equations,
 without translating to a deductive program:
 
-1. **Candidate universe** — an inflationary over-approximation of every
-   (sub)expression's possible members, obtained by ignoring subtraction.
-   Everything outside it is certainly false in every reading.
+1. **Candidate universe** — an over-approximation of every equation's
+   (and every ``MAP`` node's) possible members, obtained by ignoring
+   subtraction: the equations, each ``−`` reduced to its left operand,
+   are compiled once into positive rules and closed semi-naively on the
+   join kernel (``σ`` over ``×`` is a join there, not a filter over a
+   product).  Everything outside it is certainly false in every reading.
 2. **Polarity-split derivation** — ``holds(v, exp, sign)`` evaluates
    membership where system-set references at *positive* polarity read the
    current derivation state and references at *negative* polarity (under
@@ -36,12 +39,16 @@ translation route (Corollary 3.6), and this evaluator refuses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import count
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..relations.relation import Relation
 from ..relations.universe import FunctionRegistry, Universe
 from ..relations.values import Tup, Value
+from ..datalog.ast import BodyItem, Comparison, FuncTerm, Literal, PredAtom, Rule, Var
+from ..datalog.kernel import JoinKernel
 from ..datalog.semantics.interpretations import Truth
 from .evaluator import NonTerminating, evaluate
 from .expressions import (
@@ -55,9 +62,11 @@ from .expressions import (
     Select,
     SetConst,
     Union,
+    _rebuild,
     called_names,
     walk,
 )
+from .funcs import AndTest, Apply, Arg, Comp, CompareTest, MkTup, ScalarExpr, Test
 from .funcs import eval_scalar, eval_test
 from .programs import AlgebraProgram, ProgramError
 
@@ -130,67 +139,20 @@ class ValidEvalResult:
 
 
 def _eliminate_ifp(
-    expr: Expr,
-    recursive: FrozenSet[str],
-    environment: Mapping[str, Relation],
-    program: AlgebraProgram,
-    registry: Optional[FunctionRegistry],
-    max_iterations: int,
+    expr: Expr, recursive: FrozenSet[str], value_of: Callable[[Ifp], Relation]
 ) -> Expr:
     """Replace IFP nodes that do not reach a recursive name by their
     (two-valued, total — Theorem 3.1) value."""
-    if isinstance(expr, Ifp):
-        reached = called_names(expr.body)
-        if reached & recursive:
-            raise IfpThroughRecursion(
-                f"IFP over {sorted(reached & recursive)} recursive names; "
-                f"evaluate via algebra_to_datalog instead (Corollary 3.6)"
-            )
-        body = _eliminate_ifp(
-            expr.body, recursive, environment, program, registry, max_iterations
+    if not isinstance(expr, Ifp):
+        return _rebuild(expr, lambda node: _eliminate_ifp(node, recursive, value_of))
+    reached = called_names(expr.body)
+    if reached & recursive:
+        raise IfpThroughRecursion(
+            f"IFP over {sorted(reached & recursive)} recursive names; "
+            f"evaluate via algebra_to_datalog instead (Corollary 3.6)"
         )
-        value = evaluate(
-            Ifp(expr.param, body),
-            environment,
-            registry=registry,
-            program=program,
-            max_iterations=max_iterations,
-        )
-        return SetConst(value.items)
-    if isinstance(expr, Union):
-        return Union(
-            _eliminate_ifp(expr.left, recursive, environment, program, registry, max_iterations),
-            _eliminate_ifp(expr.right, recursive, environment, program, registry, max_iterations),
-        )
-    if isinstance(expr, Diff):
-        return Diff(
-            _eliminate_ifp(expr.left, recursive, environment, program, registry, max_iterations),
-            _eliminate_ifp(expr.right, recursive, environment, program, registry, max_iterations),
-        )
-    if isinstance(expr, Product):
-        return Product(
-            _eliminate_ifp(expr.left, recursive, environment, program, registry, max_iterations),
-            _eliminate_ifp(expr.right, recursive, environment, program, registry, max_iterations),
-        )
-    if isinstance(expr, Select):
-        return Select(
-            _eliminate_ifp(expr.child, recursive, environment, program, registry, max_iterations),
-            expr.test,
-        )
-    if isinstance(expr, Map):
-        return Map(
-            _eliminate_ifp(expr.child, recursive, environment, program, registry, max_iterations),
-            expr.func,
-        )
-    if isinstance(expr, Call):
-        return Call(
-            expr.name,
-            tuple(
-                _eliminate_ifp(a, recursive, environment, program, registry, max_iterations)
-                for a in expr.args
-            ),
-        )
-    return expr
+    body = _eliminate_ifp(expr.body, recursive, value_of)
+    return SetConst(value_of(Ifp(expr.param, body)).items)
 
 
 def _positive_call_names(expr: Expr, positive: bool = True) -> FrozenSet[str]:
@@ -200,49 +162,243 @@ def _positive_call_names(expr: Expr, positive: bool = True) -> FrozenSet[str]:
         return frozenset((expr.name,)) if positive else frozenset()
     if isinstance(expr, (RelVar, SetConst)):
         return frozenset()
-    if isinstance(expr, (Union, Product)):
+    if isinstance(expr, (Union, Product, Diff)):
+        flipped = positive != isinstance(expr, Diff)
         return _positive_call_names(expr.left, positive) | _positive_call_names(
-            expr.right, positive
-        )
-    if isinstance(expr, Diff):
-        return _positive_call_names(expr.left, positive) | _positive_call_names(
-            expr.right, not positive
+            expr.right, flipped
         )
     if isinstance(expr, (Select, Map)):
         return _positive_call_names(expr.child, positive)
-    if isinstance(expr, Ifp):  # pragma: no cover — eliminated before use
-        return _positive_call_names(expr.body, positive)
     raise TypeError(f"not an expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
-# The equation system
+# The candidate universe, compiled
 # ---------------------------------------------------------------------------
 
 
+def _strip(expr: ScalarExpr, sides: Set[int]) -> ScalarExpr:
+    """``expr`` with ``x.1`` / ``x.2`` rewritten to ``x``; ``sides`` takes
+    which of them it read (0: the pair itself)."""
+    if isinstance(expr, Arg):
+        sides.add(0)
+    elif isinstance(expr, Comp):
+        if isinstance(expr.child, Arg) and expr.index <= 2:
+            sides.add(expr.index)
+            return expr.child
+        return Comp(_strip(expr.child, sides), expr.index)
+    elif isinstance(expr, MkTup):
+        return MkTup(tuple(_strip(item, sides) for item in expr.items))
+    elif isinstance(expr, Apply):
+        return Apply(expr.name, tuple(_strip(arg, sides) for arg in expr.args))
+    return expr
+
+
+def _split(test: Test) -> Tuple[List[Tuple[ScalarExpr, ScalarExpr]], List[Test]]:
+    """``test``'s conjuncts: those of the form ``k₁(x.1) = k₂(x.2)``, either
+    way round, as ``(k₁, k₂)`` over the components themselves; the rest."""
+    if isinstance(test, AndTest):
+        (keys, rest), (more_keys, more) = _split(test.left), _split(test.right)
+        return keys + more_keys, rest + more
+    halves = {}
+    if isinstance(test, CompareTest) and test.op == "=":
+        for expr in (test.left, test.right):
+            sides: Set[int] = set()
+            stripped = _strip(expr, sides)
+            if len(sides) == 1:
+                halves[sides.pop()] = stripped
+    return ([(halves[1], halves[2])], []) if halves.keys() == {1, 2} else ([], [test])
+
+
+#: One way to enumerate a node's candidates: body items binding a variable.
+_Way = Tuple[List[BodyItem], Var]
+
+
+class _Compiler:
+    """Set equations, every ``−`` reduced to its left operand, as positive
+    rules over member-encoded predicates (a member is a unary row).
+
+    ``∪`` is two rules, ``Call`` the equation's own predicate, ``×`` a
+    ``tuple`` term, ``σ`` a partial identity — unless it equates a key of
+    ``x.1`` with a key of ``x.2`` over a ``×``, which is a join of two
+    helpers ``key@n(key, member)`` — and ``MAP`` a binary predicate
+    ``map@n(image, member)`` fused onto whatever enumerates its child:
+    readers ignore the member, :meth:`_System.holds` walks it back.
+    Scalars and tests stay :func:`eval_scalar` / :func:`eval_test`, as
+    functions of this one evaluation.  Rules come out children first.
+    """
+
+    def __init__(self, system: "_System"):
+        self.system = system
+        self.rules: List[Rule] = []
+        self.facts: Dict[str, Set[Tuple[Value, ...]]] = {}
+        self.functions = FunctionRegistry()
+        #: Equal nodes share one predicate; ``maps``: MAP node id → its own.
+        self.predicates: Dict[Expr, str] = {}
+        self.maps: Dict[int, str] = {}
+        self._serial = count(1)
+
+    def _name(self, kind: str) -> str:
+        return f"{kind}@{next(self._serial)}"
+
+    def _var(self) -> Var:
+        return Var(self._name("V"))
+
+    def _emit(self, head: str, args: Tuple[Var, ...], body: List[BodyItem]) -> None:
+        self.rules.append(Rule(PredAtom(head, args), tuple(body)))
+
+    def _apply(self, func: Callable[[Value], Optional[Value]], way: _Way) -> _Way:
+        """``way`` through ``out = func(member)`` (undefined: no row)."""
+        body, member = way
+        name, out = self._name("f"), self._var()
+        self.functions.register(name, 1, func)
+        return body + [Comparison("=", out, FuncTerm(name, (member,)))], out
+
+    def _scalar(
+        self, expr: ScalarExpr, way: _Way, universe: Optional[Universe] = None
+    ) -> _Way:
+        if universe is None and expr == Arg():
+            return way
+
+        def value_of(member: Value) -> Optional[Value]:
+            value = eval_scalar(expr, member, self.system.registry)
+            return value if universe is None or value in universe else None
+
+        return self._apply(value_of, way)
+
+    def _select(self, test: Test, way: _Way) -> _Way:
+        registry = self.system.registry
+        return self._apply(
+            lambda member: member if eval_test(test, member, registry) else None, way
+        )
+
+    def _pair(self, sides: List[BodyItem], left: Var, right: Var) -> _Way:
+        out = self._var()
+        return sides + [Comparison("=", out, FuncTerm("tuple", (left, right)))], out
+
+    def equation(self, name: str, body: Expr) -> None:
+        """The rules of one equation, and of every ``MAP`` in it — those
+        only a subtraction reads included."""
+        for items, member in self._ways(body):
+            self._emit(name, (member,), items)
+        for node in walk(body):
+            if isinstance(node, Map):
+                self.maps[id(node)] = self._atom(node, self._var()).atom.predicate
+
+    def _atom(self, node: Expr, var: Var) -> Literal:
+        """A literal ranging ``var`` over the node's candidates."""
+        if isinstance(node, Diff):
+            return self._atom(node.left, var)
+        if isinstance(node, Call):
+            return Literal(PredAtom(node.name, (var,)))
+        if isinstance(node, RelVar):
+            if node.name not in self.facts:
+                members = self.system.environment[node.name].items
+                self.facts[node.name] = {(member,) for member in members}
+            return Literal(PredAtom(node.name, (var,)))
+        mapped = isinstance(node, Map)
+        predicate = self.predicates.get(node)
+        if predicate is None:
+            predicate = self.predicates[node] = self._name("map" if mapped else "set")
+            if isinstance(node, SetConst):
+                self.facts[predicate] = {(member,) for member in node.values}
+            elif mapped:
+                for way in self._ways(node.child):
+                    items, image = self._scalar(node.func, way, self.system.universe)
+                    self._emit(predicate, (image, way[1]), items)
+            else:
+                for items, member in self._ways(node):
+                    self._emit(predicate, (member,), items)
+        return Literal(PredAtom(predicate, (var, self._var()) if mapped else (var,)))
+
+    def _ways(self, node: Expr) -> List[_Way]:
+        """Every way to enumerate the node's candidates; nothing a rule
+        body can range over in place gets a predicate of its own."""
+        if isinstance(node, Union):
+            return self._ways(node.left) + self._ways(node.right)
+        if isinstance(node, Diff):
+            return self._ways(node.left)
+        if isinstance(node, Select):
+            joined = self._join(node)
+            if joined is not None:
+                return [joined]
+            return [self._select(node.test, way) for way in self._ways(node.child)]
+        var = self._var()
+        if isinstance(node, Product):
+            other = self._var()
+            sides = [self._atom(node.left, var), self._atom(node.right, other)]
+            return [self._pair(sides, var, other)]
+        return [([self._atom(node, var)], var)]
+
+    def _join(self, node: Select) -> Optional[_Way]:
+        """``σ[k₁(x.1) = k₂(x.2) ∧ rest](L × R)``: each side keyed by its
+        half of such a conjunct (of all of them, as one tuple), the two
+        joined on the key, the pair built per match, ``rest`` tested on it."""
+        keys, rest = _split(node.test)
+        if not keys or not isinstance(node.child, Product):
+            return None
+        shared = self._var()
+        sides: List[BodyItem] = []
+        members = []
+        for operand, scalars in zip((node.child.left, node.child.right), zip(*keys)):
+            scalar = scalars[0] if len(keys) == 1 else MkTup(scalars)
+            if scalar == Arg():  # keyed by the member itself: no helper
+                sides.append(self._atom(operand, shared))
+                members.append(shared)
+                continue
+            predicate = self._name("key")
+            for way in self._ways(operand):
+                items, key = self._scalar(scalar, way)
+                self._emit(predicate, (key, way[1]), items)
+            members.append(self._var())
+            sides.append(Literal(PredAtom(predicate, (shared, members[-1]))))
+        way = self._pair(sides, *members)
+        return self._select(reduce(AndTest, rest), way) if rest else way
+
+
 class _System:
-    """A normalised system of 0-ary set equations, plus its candidate
-    universe and per-node evaluation indexes."""
+    """A program as a normalised system of 0-ary set equations (closed
+    IFPs pre-evaluated), plus its candidate universe and the ``MAP``
+    indexes membership is walked back through."""
 
     def __init__(
         self,
-        equations: Dict[str, Expr],
+        program: AlgebraProgram,
         environment: Mapping[str, Relation],
         registry: Optional[FunctionRegistry],
         limits: EvalLimits,
         universe: Optional[Universe],
+        max_ifp_iterations: int,
     ):
-        self.equations = equations
+        system_program = program.to_constant_system()
+        recursive = system_program.recursive_names()
+        closed = lambda node: evaluate(  # noqa: E731
+            node, environment, registry, system_program, max_ifp_iterations
+        )
+        self.equations = equations = {
+            definition.name: _eliminate_ifp(definition.body, recursive, closed)
+            for definition in system_program.definitions
+        }
         self.environment = environment
         self.registry = registry
-        self.limits = limits
         self.universe = universe
-        self.cand_sys: Dict[str, FrozenSet[Value]] = {}
-        self.node_cand: Dict[int, FrozenSet[Value]] = {}
-        self._node_index: Dict[int, Expr] = {}
-        self.map_preimages: Dict[int, Dict[Value, List[Value]]] = {}
-        self._compute_candidates()
-        self._index_maps()
+        compiler = _Compiler(self)
+        for name, body in equations.items():
+            compiler.equation(name, body)
+        kernel = self._close(compiler, limits)
+        self.cand_sys: Dict[str, FrozenSet[Value]] = {
+            name: frozenset(member for (member,) in kernel.rows(name))
+            for name in equations
+        }
+        # image → preimages of every MAP node, out of its binary predicate.
+        grouped: Dict[str, Dict[Value, List[Value]]] = {}
+        for predicate in set(compiler.maps.values()):
+            index = grouped[predicate] = {}
+            for image, member in kernel.rows(predicate):
+                index.setdefault(image, []).append(member)
+        self.map_preimages: Dict[int, Dict[Value, List[Value]]] = {
+            node: grouped[predicate] for node, predicate in compiler.maps.items()
+        }
         # Positive dependencies: S depends on T when T occurs at positive
         # polarity in S's equation (negative occurrences read the static
         # oracle, so they cannot trigger re-derivation within a pass).
@@ -252,98 +408,69 @@ class _System:
 
     # -- candidate universe -------------------------------------------------
 
-    def _over_eval(self, node: Expr, cand: Mapping[str, FrozenSet[Value]]) -> FrozenSet[Value]:
-        """Over-approximate members, ignoring subtraction."""
-        if isinstance(node, RelVar):
-            return self.environment[node.name].items
-        if isinstance(node, SetConst):
-            return node.values
-        if isinstance(node, Union):
-            return self._over_eval(node.left, cand) | self._over_eval(node.right, cand)
-        if isinstance(node, Diff):
-            return self._over_eval(node.left, cand)
-        if isinstance(node, Product):
-            left = self._over_eval(node.left, cand)
-            right = self._over_eval(node.right, cand)
-            return frozenset(Tup((a, b)) for a in left for b in right)
-        if isinstance(node, Select):
-            child = self._over_eval(node.child, cand)
-            return frozenset(
-                v for v in child if eval_test(node.test, v, self.registry)
+    def _close(self, compiler: _Compiler, limits: EvalLimits) -> JoinKernel:
+        """The compiled rules' least model, semi-naively: one naive
+        firing of every rule, then every literal over a predicate that
+        changed leads with the new rows alone.  An equation's predicate
+        takes a round's rows when the round ends, the others at once
+        (their rules come children first), so a round here is a round of
+        the naive iteration on the equations — what ``limits`` bound,
+        the total checked as it grows."""
+        kernel = JoinKernel(compiler.functions)
+        kernel.facts.update(compiler.facts)
+        firings = [
+            (
+                rule.head.predicate,
+                kernel.plan(rule),
+                [
+                    (item.atom.predicate, kernel.plan(rule, index))
+                    for index, item in enumerate(rule.body)
+                    if isinstance(item, Literal)
+                    and item.atom.predicate not in compiler.facts
+                ],
             )
-        if isinstance(node, Map):
-            child = self._over_eval(node.child, cand)
-            images = set()
-            for member in child:
-                image = eval_scalar(node.func, member, self.registry)
-                if image is not None and (self.universe is None or image in self.universe):
-                    images.add(image)
-            return frozenset(images)
-        if isinstance(node, Call):
-            return cand.get(node.name, frozenset())
-        raise TypeError(f"unexpected node in normalised system: {node!r}")
-
-    def _compute_candidates(self) -> None:
-        cand: Dict[str, FrozenSet[Value]] = {name: frozenset() for name in self.equations}
-        for round_index in range(self.limits.max_rounds):
-            new_cand = {
-                name: self._over_eval(body, cand)
-                for name, body in self.equations.items()
-            }
-            total = sum(len(v) for v in new_cand.values())
-            if total > self.limits.max_values:
-                raise NonTerminating(
-                    f"candidate universe exceeded {self.limits.max_values} values"
-                    " — the program may define an infinite set; restrict it with"
-                    " a selection or pass a bounding Universe"
-                )
-            # Candidates grow monotonically: keep the union to be safe
-            # against non-monotone tests (there are none, but cheap).
-            new_cand = {
-                name: cand[name] | members for name, members in new_cand.items()
-            }
-            if new_cand == cand:
-                self.cand_sys = cand
-                break
-            cand = new_cand
-        else:
-            raise NonTerminating(
-                f"candidate universe did not converge within "
-                f"{self.limits.max_rounds} rounds — the program may define an "
-                f"infinite set; restrict it or pass a bounding Universe"
-            )
-        # Final per-node candidate pass.
-        for body in self.equations.values():
-            self._node_candidates(body)
-
-    def _node_candidates(self, node: Expr) -> FrozenSet[Value]:
-        key = id(node)
-        if key in self.node_cand:
-            return self.node_cand[key]
-        if isinstance(node, (Union, Diff, Product)):
-            self._node_candidates(node.left)
-            self._node_candidates(node.right)
-        elif isinstance(node, (Select, Map)):
-            self._node_candidates(node.child)
-        result = self._over_eval(node, self.cand_sys)
-        self.node_cand[key] = result
-        self._node_index[key] = node
-        return result
-
-    def _index_maps(self) -> None:
-        """Precompute image → preimages for every MAP node."""
-        for key, node in self._node_index.items():
-            if not isinstance(node, Map):
-                continue
-            preimages: Dict[Value, List[Value]] = {}
-            for member in self.node_cand[id(node.child)]:
-                image = eval_scalar(node.func, member, self.registry)
-                if image is None:
-                    continue
-                if self.universe is not None and image not in self.universe:
-                    continue
-                preimages.setdefault(image, []).append(member)
-            self.map_preimages[key] = preimages
+            for rule in compiler.rules
+        ]
+        total = 0  # rows of the equations' predicates, held ones included
+        delta: Dict[str, List[Tuple[Value, ...]]] = {}
+        for round_index in range(limits.max_rounds):
+            held: Dict[str, Set[Tuple[Value, ...]]] = {}
+            for head, naive, leads in firings:
+                if round_index == 0:
+                    batches = [kernel.fire(naive)]
+                else:  # in slices: a product that overflows stops early
+                    batches = (
+                        kernel.fire(plan, delta[predicate][at : at + 256])
+                        for predicate, plan in leads
+                        for at in range(0, len(delta.get(predicate, ())), 256)
+                    )
+                for produced in batches:
+                    if head not in self.equations:
+                        fresh = [row for row, _ in produced if kernel.add(head, row)]
+                        if fresh:
+                            delta.setdefault(head, []).extend(fresh)
+                        continue
+                    bucket = held.setdefault(head, set())
+                    total -= len(bucket)
+                    bucket.update({row for row, _ in produced} - kernel.rows(head))
+                    total += len(bucket)
+                    if total > limits.max_values:
+                        raise NonTerminating(
+                            f"candidate universe exceeded {limits.max_values} values"
+                            " — the program may define an infinite set; restrict it"
+                            " with a selection or pass a bounding Universe"
+                        )
+            for name, rows in held.items():
+                for row in rows:
+                    kernel.add(name, row)
+            delta = {name: list(rows) for name, rows in held.items() if rows}
+            if not delta:
+                return kernel
+        raise NonTerminating(
+            f"candidate universe did not converge within "
+            f"{limits.max_rounds} rounds — the program may define an "
+            f"infinite set; restrict it or pass a bounding Universe"
+        )
 
     # -- polarity-split membership -----------------------------------------------
 
@@ -422,6 +549,25 @@ class _System:
         return {name: frozenset(members) for name, members in state.items()}
 
 
+    def valid_model(self) -> ValidEvalResult:
+        """The paper's Section 2.2 loop, on set equations."""
+        true_state = dict.fromkeys(self.equations, frozenset())
+        rounds = 0
+        while True:
+            rounds += 1
+            over = self.derive(lambda name, value: value not in true_state[name])
+            next_true = self.derive(lambda name, value: value not in over[name])
+            if next_true == true_state:
+                break
+            true_state = next_true
+        return ValidEvalResult(
+            true=true_state,
+            undefined={name: over[name] - true_state[name] for name in self.equations},
+            candidates=dict(self.cand_sys),
+            rounds=rounds,
+        )
+
+
 def valid_evaluate(
     program: AlgebraProgram,
     environment: Mapping[str, Relation],
@@ -437,44 +583,6 @@ def valid_evaluate(
     discipline); without it, programs that generate unboundedly raise
     :class:`~repro.core.evaluator.NonTerminating`.
     """
-    system_program = program.to_constant_system()
-    recursive = system_program.recursive_names()
-
-    equations: Dict[str, Expr] = {}
-    for definition in system_program.definitions:
-        body = _eliminate_ifp(
-            definition.body,
-            recursive,
-            environment,
-            system_program,
-            registry,
-            max_ifp_iterations,
-        )
-        equations[definition.name] = body
-
-    system = _System(equations, environment, registry, limits, universe)
-
-    # The paper's Section 2.2 loop, on set equations.
-    true_state: Dict[str, FrozenSet[Value]] = {
-        name: frozenset() for name in equations
-    }
-    rounds = 0
-    while True:
-        rounds += 1
-        over = system.derive(
-            lambda name, value: value not in true_state[name]
-        )
-        next_true = system.derive(lambda name, value: value not in over[name])
-        if next_true == true_state:
-            break
-        true_state = next_true
-
-    undefined = {
-        name: over[name] - true_state[name] for name in equations
-    }
-    return ValidEvalResult(
-        true=true_state,
-        undefined=undefined,
-        candidates=dict(system.cand_sys),
-        rounds=rounds,
-    )
+    return _System(
+        program, environment, registry, limits, universe, max_ifp_iterations
+    ).valid_model()

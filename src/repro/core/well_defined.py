@@ -138,12 +138,11 @@ def check_well_defined(
     if result.is_well_defined():
         verdict = Verdict.TOTAL_ALWAYS if stratified else Verdict.TOTAL_HERE
         return WellDefinednessReport(verdict, stratified, result)
-    witnesses: List[Tuple[str, Value]] = []
-    for name in sorted(result.undefined):
-        for value in list(result.undefined[name])[:5]:
-            witnesses.append((name, value))
-        if len(witnesses) >= 5:
-            break
+    witnesses = [
+        (name, value)
+        for name in sorted(result.undefined)
+        for value in list(result.undefined[name])[:5]
+    ]
     return WellDefinednessReport(
         Verdict.UNDEFINED_HERE, stratified, result, tuple(witnesses[:5])
     )

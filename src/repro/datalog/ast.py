@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..relations.universe import FunctionRegistry
-from ..relations.values import Value, format_value, is_value
+from ..relations.values import FSet, Tup, Value, format_value, is_value
 
 __all__ = [
     "Var",
@@ -142,17 +142,20 @@ def eval_term(
         if value is None:
             return None
         values.append(value)
-    if term.name == "tuple":
-        from ..relations.values import Tup
+    return _apply_function(term.name, values, registry)
 
+
+def _apply_function(
+    name: str, values: Sequence[Value], registry: Optional[FunctionRegistry]
+) -> Optional[Value]:
+    """``name(values)``: the built-in constructors, else the registry's."""
+    if name == "tuple":
         return Tup(tuple(values))
-    if term.name == "set":
-        from ..relations.values import FSet
-
+    if name == "set":
         return FSet(frozenset(values))
     if registry is None:
-        raise KeyError(f"no function registry supplied for {term.name!r}")
-    return registry.get(term.name).apply(values)
+        raise KeyError(f"no function registry supplied for {name!r}")
+    return registry.get(name).apply(values)
 
 
 # ---------------------------------------------------------------------------

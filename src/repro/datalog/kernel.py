@@ -41,7 +41,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import EvaluationBudget
-from .ast import Comparison, Const, FuncTerm, Literal, PredAtom, Rule, Var, eval_term, term_vars
+from .ast import Comparison, Const, FuncTerm, Literal, PredAtom, Rule, Var, term_vars
+from .ast import _apply_function
 from .binding import (
     UnsafeRuleError,
     _compare,
@@ -113,20 +114,19 @@ class _Compiler:
     def operand(self, term) -> int:
         """The slot holding a bound term's value; a function term is
         computed into a hidden slot by a step of its own (undefined
-        application = the walk fails there)."""
+        application = the walk fails there), its arguments read straight
+        out of their slots."""
         if isinstance(term, Var):
             return self.slot_of[term]
         if isinstance(term, Const):
             return self.slot(term.value)
-        pairs = tuple((var, self.slot_of[var]) for var in term_vars(term))
-        target = self.slot()
+        values_of = _row_getter([self.operand(arg) for arg in term.args])
+        name, target = term.name, self.slot()
         self.steps.append(
             (
                 _ASSIGN,
                 target,
-                lambda slots, registry: eval_term(
-                    term, {var: slots[slot] for var, slot in pairs}, registry
-                ),
+                lambda slots, registry: _apply_function(name, values_of(slots), registry),
             )
         )
         return target

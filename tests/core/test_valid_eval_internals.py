@@ -10,10 +10,10 @@ import pytest
 
 from repro.core.evaluator import NonTerminating
 from repro.core.expressions import call, diff, map_, product, rel, select, setconst, union
-from repro.core.funcs import Apply, Arg, CompareTest, Lit
+from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit
 from repro.core.programs import AlgebraProgram, Definition, Dialect
 from repro.core.valid_eval import EvalLimits, _positive_call_names, valid_evaluate
-from repro.relations import Atom, Relation, Universe, standard_registry, tup
+from repro.relations import Atom, Relation, Tup, Universe, standard_registry, tup
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -154,3 +154,104 @@ class TestMultiEquationInteraction:
         assert a in result.undefined["P"]  # inherited
         assert b in result.true["P"]       # the decided part survives
         assert result.undefined["Q"] == frozenset()
+
+
+@pytest.fixture
+def instances(monkeypatch):
+    """Counts the rule instances every kernel firing reports."""
+    from repro.datalog.kernel import JoinKernel
+
+    fired = []
+    fire = JoinKernel.fire
+
+    def counting(self, *args, **kwargs):
+        produced = fire(self, *args, **kwargs)
+        fired.append(len(produced))
+        return produced
+
+    monkeypatch.setattr(JoinKernel, "fire", counting)
+    return fired
+
+
+class TestCandidateWork:
+    """The candidate pass costs its output — counts, not seconds."""
+
+    def test_select_over_product_is_a_join(self, instances, monkeypatch):
+        """σ[x.1.2 = x.2.1](E × E) over 300 chain edges: 299 matches out
+        of 90,000 pairs.  The compiled pass keys both sides and builds a
+        pair per match; the walk it replaced builds all of them."""
+        from repro.corpus import chain, edges_to_relation
+
+        from ..property import valid_eval_reference as reference
+
+        edges = edges_to_relation(chain(301), "E")
+        joined = select(
+            product(rel("E"), rel("E")),
+            CompareTest("=", Comp(Comp(Arg(), 1), 2), Comp(Comp(Arg(), 2), 1)),
+        )
+        program = AlgebraProgram.of(
+            Definition("S", (), joined),
+            database_relations=["E"],
+            dialect=Dialect.ALGEBRA_EQ,
+        )
+        built = []
+        validate = Tup.__post_init__
+
+        def counting(self):
+            built.append(1)
+            validate(self)
+
+        monkeypatch.setattr(Tup, "__post_init__", counting)
+        result = valid_evaluate(program, {"E": edges})
+        matches = len(result.true["S"])
+        assert (len(edges), matches) == (300, 299)
+        assert sum(instances) <= 2 * len(edges) + 2 * matches
+        assert len(built) == matches
+
+        del built[:]
+        slow = reference.reference_valid_evaluate(program, {"E": edges})
+        assert slow.true == result.true and slow.candidates == result.candidates
+        assert len(built) >= len(edges) ** 2
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_closure_fires_in_proportion_to_its_output(self, instances, n):
+        """TC over chain(n): each of the n(n−1)/2 pairs is keyed, joined
+        and read once — not re-derived in each of the n naive rounds."""
+        from repro.core.algebra_to_datalog import translation_registry
+        from repro.corpus import algebra_case, chain, edges_to_relation
+
+        program = algebra_case("transitive-closure").program
+        result = valid_evaluate(
+            program,
+            {"MOVE": edges_to_relation(chain(n), "MOVE")},
+            registry=translation_registry(),
+        )
+        closure = len(result.true["TC"])
+        assert closure == n * (n - 1) // 2
+        assert sum(instances) <= 4 * closure + 2 * n
+
+
+class TestStableCompilesOnce:
+    def test_one_candidate_pass_per_call(self, monkeypatch):
+        """stable_set_models needs the valid model and the system it came
+        from: one compile and one candidate closure serve both."""
+        from repro.core import valid_eval
+        from repro.core.stable_algebra import stable_set_models
+
+        passes = []
+        close = valid_eval._System._close
+
+        def counting(self, compiler, limits):
+            passes.append(len(compiler.rules))
+            return close(self, compiler, limits)
+
+        monkeypatch.setattr(valid_eval._System, "_close", counting)
+        program = AlgebraProgram.of(
+            Definition("P", (), diff(rel("A"), call("Q"))),
+            Definition("Q", (), diff(rel("A"), call("P"))),
+            database_relations=["A"],
+            dialect=Dialect.ALGEBRA_EQ,
+        )
+        models = stable_set_models(program, {"A": Relation.of(a, name="A")})
+        assert len(models) == 2
+        assert len(passes) == 1

@@ -60,12 +60,20 @@ def _combine(children):
 bodies = st.recursive(leaves, _combine, max_leaves=6)
 
 
-# Uniform evaluation bounds for generated programs.  The defaults
-# (500 rounds / 200k values / 1M ground atoms) admit rare "legal
-# monster" bodies — nested products over the recursive constant whose
-# alternating fixpoint runs for tens of minutes and gigabytes before
-# any bound trips.  Everything the properties are meant to exercise
-# fits comfortably inside these; past them the example is skipped.
+# Uniform evaluation bounds for generated programs, tighter than the
+# defaults (500 rounds / 200k values / 1M ground atoms).  A bare product
+# over the recursive constant squares per round — ``S = A ∪ (S × S)``:
+# 2, 6, 38, 1,446, then 2.09M pairs.  Since PR 24 the compiled candidate
+# pass hands an equation's rule its delta in slices and counts as it
+# goes, so that body trips ``max_values`` one slice into the last round
+# (≈ 1 s where the old walk built every pair first).  What did not go
+# away: the same product under another ``×`` or a ``MAP`` is
+# materialised node by node before any equation sees it — both
+# evaluators build all of it, the kernel at a higher price per pair
+# (a deep ``Tup`` hash per index it enters): 16–20 s against the walk's
+# 9–11 s at these bounds over a one-atom ``A``, minutes and gigabytes at
+# the defaults.  Everything the properties are meant to exercise fits
+# comfortably inside these; past them the example is skipped.
 LIMITS = EvalLimits(max_rounds=200, max_values=50_000)
 MAX_ATOMS = 50_000
 
