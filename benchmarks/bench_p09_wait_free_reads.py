@@ -4,10 +4,10 @@ PR 4 made answers lock-free (published model snapshots); this PR makes
 the *whole* read path wait-free and bounds its worst read.  Two claims,
 two workloads:
 
-**Hot-read tail latency.**  Per-query name resolution now comes off a
-copy-on-write name table (one atomic reference load) instead of the
-registry read lock, and the answer off the published snapshot instead
-of the view lock.  Four open-loop readers query a deep transitive-
+**Hot-read tail latency.**  Per-query name resolution comes off a
+copy-on-write name table (one atomic reference load), and the answer
+off the published snapshot — no registry lock, no view lock.  Four
+open-loop readers query a deep transitive-
 closure view on a fixed cadence while a writer applies expensive
 batches and churns other registrations (each batch cuts or restores
 the chain's middle edge, so a quarter of the closure retracts or
@@ -18,12 +18,12 @@ and the writer was gone before a reader sampled); per-read latencies
 are corrected for coordinated omission (a read blocked for ``L`` at
 cadence ``T`` also records the ``L/T`` requests it silently queued —
 the wrk2/HdrHistogram discipline, without which a closed-loop reader
-under-samples exactly the blocked reads the tail is about) and the
-p99 compared between ``read_mode="locked"`` (the pre-snapshot
-baseline: registry read lock + view lock per query) and the wait-free
-default.  The acceptance bar: **>= 2x better p99** (the observed win
-is orders of magnitude — a locked reader's tail is the writer's batch
-duration).
+under-samples exactly the blocked reads the tail is about).  A reader
+that waited behind the view lock would record the writer's batch as
+its tail (the deleted locked read path did; its last measurement is
+frozen in EXPERIMENTS.md), so the bar compares the wait-free p99 with
+the median writer batch of the same run: **the batch is >= 2x the
+p99** (orders of magnitude in practice).
 
 **Cold reads after a write burst.**  Delta-maintained snapshots stack
 one copy-on-write cell per batch; with no interleaved reads the first
@@ -52,14 +52,14 @@ SMOKE = os.environ.get("REPRO_BENCH_SCALE") == "smoke"
 
 tail_table = ExperimentTable(
     "P09-wait-free-reads",
-    "COW name table + snapshot reads beat locked reads >=2x on p99",
+    "wait-free reads keep the hot-read p99 >=2x under the writer's batch time",
     [
         "readers",
-        "mode",
         "reads",
         "p50-us",
         "p99-us",
-        "p99-speedup",
+        "write-batch-p50-us",
+        "batch/p99",
     ],
 )
 
@@ -104,9 +104,9 @@ def _percentile(samples, q):
     return samples[min(len(samples) - 1, int(q * len(samples)))]
 
 
-def _run_tail_scenario(read_mode, compactor):
-    """(reads, p50_seconds, p99_seconds) for one read discipline."""
-    service = QueryService(read_mode=read_mode, compactor=compactor)
+def _run_tail_scenario():
+    """(reads, p50_seconds, p99_seconds, writer_batch_p50_seconds)."""
+    service = QueryService()
     service.register("hot", TC, database=edges_to_database(_chain(CHAIN)))
     for index in range(FILLER_VIEWS):
         service.register(f"filler{index}", FILLER)
@@ -114,14 +114,17 @@ def _run_tail_scenario(read_mode, compactor):
     expected_prefix = (Atom("n0"), cut[0])  # on the near side of the cut
     stop = threading.Event()
     latencies = [[] for _ in range(READERS)]
+    batches = []
 
     def writer():
         try:
             for index in range(WRITER_OPS):
-                service.delete("hot", "move", *cut)
-                service.insert("hot", "move", *cut)
-                # Registration churn: the locked baseline resolves every
-                # query under the registry lock this write side hits.
+                for update in (service.delete, service.insert):
+                    start = time.perf_counter()
+                    update("hot", "move", *cut)
+                    batches.append(time.perf_counter() - start)
+                # Registration churn on the registry write lock, which
+                # a query never takes.
                 service.register(f"filler{index % FILLER_VIEWS}", FILLER)
         finally:
             stop.set()
@@ -155,38 +158,31 @@ def _run_tail_scenario(read_mode, compactor):
         thread.join(timeout=300)
     assert not any(thread.is_alive() for thread in threads)
     samples = sorted(s for per_reader in latencies for s in per_reader)
-    return len(samples), _percentile(samples, 0.5), _percentile(samples, 0.99)
-
-
-def test_wait_free_tail_beats_locked_tail(benchmark):
-    # Warm both code paths once so neither scenario pays first-run costs.
-    _run_tail_scenario("locked", "off")
-    _run_tail_scenario("snapshot", "on-publish")
-
-    locked_reads, locked_p50, locked_p99 = _run_tail_scenario(
-        "locked", "off"
+    batches.sort()
+    return (
+        len(samples),
+        _percentile(samples, 0.5),
+        _percentile(samples, 0.99),
+        _percentile(batches, 0.5),
     )
-    wait_free_reads, wait_free_p50, wait_free_p99 = benchmark.pedantic(
-        lambda: _run_tail_scenario("snapshot", "on-publish"),
-        rounds=1,
-        iterations=1,
-    )
-    speedup = locked_p99 / max(wait_free_p99, 1e-9)
 
+
+def test_wait_free_tail_stays_under_the_write_batch(benchmark):
+    _run_tail_scenario()  # warm: no first-run costs in the measured run
+    reads, p50, p99, batch = benchmark.pedantic(
+        _run_tail_scenario, rounds=1, iterations=1
+    )
+    ratio = batch / max(p99, 1e-9)
     tail_table.add(
-        READERS, "locked", locked_reads,
-        f"{locked_p50 * 1e6:.1f}", f"{locked_p99 * 1e6:.1f}", "1.0x",
+        READERS, reads, f"{p50 * 1e6:.1f}", f"{p99 * 1e6:.1f}",
+        f"{batch * 1e6:.1f}", f"{ratio:.0f}x",
     )
-    tail_table.add(
-        READERS, "wait-free", wait_free_reads,
-        f"{wait_free_p50 * 1e6:.1f}", f"{wait_free_p99 * 1e6:.1f}",
-        f"{speedup:.0f}x",
-    )
-    # The acceptance bar: the wait-free read path must at least halve
-    # the hot-read tail under concurrent maintenance + name churn.
-    assert speedup >= TAIL_BAR, (
-        f"wait-free reads only reached {speedup:.2f}x the locked p99 "
-        f"({wait_free_p99 * 1e6:.0f}us vs {locked_p99 * 1e6:.0f}us)"
+    # The acceptance bar: no read waits out a write — the hot-read tail
+    # under concurrent maintenance + name churn stays well under the
+    # writer's batch, which a locked reader's tail would equal.
+    assert ratio >= TAIL_BAR, (
+        f"the wait-free p99 ({p99 * 1e6:.0f}us) is only {ratio:.2f}x under "
+        f"the writer's median batch ({batch * 1e6:.0f}us)"
     )
 
 

@@ -1,28 +1,27 @@
-"""P12 — write bursts: the delta-stream circuit vs per-batch legacy.
+"""P12 — write bursts: one engine pass per burst vs one per batch.
 
-The PR 8 tentpole claims burst absorption is where the DBSP-style
-engine earns its keep: a burst of N update batches is differentiated
-into one net Z-set — insertions and retractions of the same fact
-cancel *before any rule fires* — and costs one circuit pass plus one
-snapshot publish, where the legacy counting/DRed engine pays N full
-maintenance rounds and N publishes.  The headline bar: on a
-churn-heavy transitive-closure workload at 64-batch bursts, the dbsp
-engine sustains **>= 3x** the per-batch legacy writer throughput
-(>= 1.5x under ``REPRO_BENCH_SCALE=smoke``, where fixed costs
-dominate the shorter stream).
+A burst of N update batches handed to a view at once is differentiated
+into one net Z-set — insertions and retractions of the same fact cancel
+*before any rule fires* — and costs one circuit pass plus one snapshot
+publish, where the same engine fed the same batches one at a time pays
+N maintenance rounds and N publishes.  The headline bar: on a
+churn-heavy transitive-closure workload at 64-batch bursts,
+``apply_stream`` sustains **>= 3x** the throughput of per-batch
+``apply`` on the same engine (>= 1.5x under ``REPRO_BENCH_SCALE=smoke``,
+where fixed costs dominate the shorter stream).
 
 Two scenarios:
 
-* ``burst`` — the maintenance core in isolation: the same batch
-  stream fed to the legacy engine one batch at a time (its serving
-  path: ``coalesce=1``) and to the dbsp engine in bursts of 1/8/64
-  via ``apply_stream`` (the drain path the group-commit leader runs);
+* ``burst`` — the view in isolation: the batch stream applied one
+  batch at a time (``view.apply``, what ``coalesce=1`` serves) and in
+  bursts of 8 / 64 via ``apply_stream`` (the drain path the
+  group-commit leader runs);
 * ``group-commit`` — the full service under 8 racing writer threads
-  pushing single-batch updates through ``service.update``: the dbsp
-  service coalesces whatever contention piles up (``coalesce=64``),
-  the legacy service drains per batch.
+  pushing single-batch updates through ``service.update``: the leader
+  coalesces whatever contention piles up (``coalesce=64``) or drains
+  per batch (``coalesce=1``).
 
-Both arms verify the final model against the other side, so the
+Every arm checks its final model against the per-batch one, so the
 speedup is for byte-identical results.
 """
 
@@ -40,8 +39,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SCALE") == "smoke"
 
 #: Total update batches per measured stream (divisible by 64).
 BATCHES = 192 if SMOKE else 640
-#: Burst sizes for the maintenance-core scenario.
-BURSTS = (1, 8, 64)
+#: Burst sizes for the view-level scenario (1 is the per-batch row).
+BURSTS = (8, 64)
 #: Writer threads for the service-level scenario.
 WRITERS = 8
 #: The headline acceptance bar at 64-batch bursts.
@@ -54,17 +53,17 @@ CHAIN = 24
 
 table = ExperimentTable(
     "P12-write-burst",
-    "64-batch bursts through the dbsp circuit sustain >= 3x the "
-    "per-batch legacy writer throughput (>= 1.5x at smoke scale), "
+    "64-batch bursts through apply_stream sustain >= 3x the per-batch "
+    "apply throughput of the same engine (>= 1.5x at smoke scale), "
     "byte-identical final models",
     [
         "scenario",
-        "engine",
+        "path",
         "burst",
         "batches",
         "seconds",
         "batches-per-sec",
-        "speedup-vs-legacy",
+        "speedup-vs-per-batch",
     ],
 )
 
@@ -98,14 +97,14 @@ def _fresh_view():
     return MaterializedView(prepare_program("p12", RULES))
 
 
-def _run_legacy(batches):
+def _run_per_batch(batches):
     view = _fresh_view()
     for inserts, deletes in batches:
         view.apply(inserts=inserts, deletes=deletes)
     return view
 
 
-def _run_dbsp(batches, burst):
+def _run_bursts(batches, burst):
     view = _fresh_view()
     for start in range(0, len(batches), burst):
         view.apply_stream(batches[start:start + burst])
@@ -113,41 +112,41 @@ def _run_dbsp(batches, burst):
 
 
 @pytest.mark.parametrize("burst", BURSTS)
-def test_burst_absorption_vs_per_batch_legacy(benchmark, burst):
+def test_burst_absorption_vs_per_batch_apply(benchmark, burst):
     batches = _batch_stream(BATCHES)
     # Best-of-2 on both sides: the claim is a ratio.
-    legacy_view, _ = timed(_run_legacy, batches)
-    _, legacy_sec = timed(_run_legacy, batches)
-    dbsp_view, _ = timed(_run_dbsp, batches, burst)
-    _, dbsp_sec = timed(_run_dbsp, batches, burst)
-    benchmark.pedantic(_run_dbsp, args=(batches, burst), rounds=1, iterations=1)
+    per_batch_view, _ = timed(_run_per_batch, batches)
+    _, per_batch_sec = timed(_run_per_batch, batches)
+    burst_view, _ = timed(_run_bursts, batches, burst)
+    _, burst_sec = timed(_run_bursts, batches, burst)
+    benchmark.pedantic(_run_bursts, args=(batches, burst), rounds=1, iterations=1)
 
-    assert dbsp_view.engine.model() == legacy_view.engine.model()
+    assert burst_view.engine.model() == per_batch_view.engine.model()
     assert (
-        dbsp_view.read_snapshot().fingerprint
-        == legacy_view.read_snapshot().fingerprint
+        burst_view.read_snapshot().fingerprint
+        == per_batch_view.read_snapshot().fingerprint
     )
-    speedup = legacy_sec / dbsp_sec
+    speedup = per_batch_sec / burst_sec
     if burst == BURSTS[0]:
         table.add(
-            "burst", "legacy", 1, BATCHES,
-            f"{legacy_sec:.4f}", f"{BATCHES / legacy_sec:.0f}", "1.00x",
+            "burst", "per-batch apply", 1, BATCHES,
+            f"{per_batch_sec:.4f}", f"{BATCHES / per_batch_sec:.0f}", "1.00x",
         )
     table.add(
-        "burst", "dbsp", burst, BATCHES,
-        f"{dbsp_sec:.4f}", f"{BATCHES / dbsp_sec:.0f}", f"{speedup:.2f}x",
+        "burst", "apply_stream", burst, BATCHES,
+        f"{burst_sec:.4f}", f"{BATCHES / burst_sec:.0f}", f"{speedup:.2f}x",
     )
     if burst == 64:
         assert speedup >= MIN_SPEEDUP, (
             f"64-batch bursts reached only {speedup:.2f}x the per-batch "
-            f"legacy throughput (bar: {MIN_SPEEDUP}x; "
-            f"{dbsp_sec:.4f}s vs {legacy_sec:.4f}s for {BATCHES} batches)"
+            f"apply throughput (bar: {MIN_SPEEDUP}x; "
+            f"{burst_sec:.4f}s vs {per_batch_sec:.4f}s for {BATCHES} batches)"
         )
 
 
-def _run_service(maintenance, coalesce, batches):
+def _run_service(coalesce, batches):
     """Push the stream through ``service.update`` from WRITERS threads."""
-    service = QueryService(maintenance=maintenance, coalesce=coalesce)
+    service = QueryService(coalesce=coalesce)
     try:
         service.register("g", RULES)
         failures = []
@@ -182,7 +181,8 @@ def _run_service(maintenance, coalesce, batches):
 
 
 def test_group_commit_under_writer_contention(benchmark):
-    """8 racing writers: the dbsp leader drains bursts, legacy cannot.
+    """8 racing writers: a ``coalesce=64`` leader drains bursts, a
+    ``coalesce=1`` service applies every batch on its own.
 
     The deletes are withheld from this scenario so the final model is
     order-independent across thread interleavings and both services
@@ -191,18 +191,16 @@ def test_group_commit_under_writer_contention(benchmark):
     batches = [
         (inserts, []) for inserts, _ in _batch_stream(BATCHES)
     ]
-    legacy_sec, legacy_rows, _ = _run_service("legacy", 1, batches)
-    dbsp_sec, dbsp_rows, coalesced = _run_service("dbsp", 64, batches)
-    benchmark.pedantic(
-        _run_service, args=("dbsp", 64, batches), rounds=1, iterations=1
-    )
-    assert dbsp_rows == legacy_rows
-    speedup = legacy_sec / dbsp_sec
+    per_batch_sec, per_batch_rows, _ = _run_service(1, batches)
+    burst_sec, burst_rows, coalesced = _run_service(64, batches)
+    benchmark.pedantic(_run_service, args=(64, batches), rounds=1, iterations=1)
+    assert burst_rows == per_batch_rows
+    speedup = per_batch_sec / burst_sec
     table.add(
-        "group-commit", "legacy", 1, BATCHES,
-        f"{legacy_sec:.4f}", f"{BATCHES / legacy_sec:.0f}", "1.00x",
+        "group-commit", "coalesce=1", 1, BATCHES,
+        f"{per_batch_sec:.4f}", f"{BATCHES / per_batch_sec:.0f}", "1.00x",
     )
     table.add(
-        "group-commit", "dbsp", f"<=64 ({coalesced} coalesced)", BATCHES,
-        f"{dbsp_sec:.4f}", f"{BATCHES / dbsp_sec:.0f}", f"{speedup:.2f}x",
+        "group-commit", "coalesce=64", f"<=64 ({coalesced} coalesced)", BATCHES,
+        f"{burst_sec:.4f}", f"{BATCHES / burst_sec:.0f}", f"{speedup:.2f}x",
     )

@@ -273,9 +273,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         "max_rounds": args.max_rounds,
         "max_atoms": args.max_atoms,
         "deadline_ms": args.deadline_ms,
-        "read_mode": args.read_mode,
         "compactor": args.compactor,
-        "maintenance": args.maintenance,
         "coalesce": args.coalesce,
         "semiring": args.semiring,
         "max_concurrent": args.max_concurrent,
@@ -411,9 +409,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_rounds=args.max_rounds,
             max_atoms=args.max_atoms,
             deadline_ms=args.deadline_ms,
-            read_mode=args.read_mode,
             compactor=args.compactor,
-            maintenance=args.maintenance,
             coalesce=args.coalesce,
             semiring=args.semiring,
             data_dir=args.data_dir,
@@ -585,22 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="socket connections served concurrently (default: 8)",
     )
     p_srv.add_argument(
-        "--maintenance",
-        choices=("dbsp", "legacy"),
-        default="dbsp",
-        help=(
-            "view maintenance engine: the delta-stream circuit "
-            "(default) or the counting/DRed legacy baseline"
-        ),
-    )
-    p_srv.add_argument(
         "--coalesce",
         type=int,
-        default=None,
+        default=64,
         metavar="N",
         help=(
-            "absorb up to N queued update batches per circuit pass "
-            "(default: 64 under dbsp, 1 under legacy)"
+            "absorb up to N queued update batches per engine pass "
+            "(default: 64; 1 applies every batch on its own)"
         ),
     )
     p_srv.add_argument(
@@ -613,15 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
             "counting), tropical (min-plus costs), or why "
             "(lineage witnesses served on explain lines); individual "
             "registrations can override with --semiring=<name>"
-        ),
-    )
-    p_srv.add_argument(
-        "--read-mode",
-        choices=("snapshot", "locked"),
-        default="snapshot",
-        help=(
-            "query path: lock-free published-snapshot reads (default) "
-            "or the locked per-view path"
         ),
     )
     p_srv.add_argument(

@@ -129,9 +129,7 @@ def run(
     ``ground_program`` skips the grounding phase entirely — the caller
     vouches that it is ``ground(program, database, ...)`` — and with it
     the direct route: the whole program is solved propositionally.  The
-    service layer reuses a cached grounding (keyed by the database
-    fingerprint) this way; the differential tests use it as the
-    reference ``run()`` must equal.
+    differential tests use it as the reference ``run()`` must equal.
 
     ``max_rounds`` / ``max_atoms`` bound both parts (directly derived
     rows and the cone's possible atoms count against ``max_atoms``

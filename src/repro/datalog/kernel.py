@@ -1,7 +1,7 @@
 """The join kernel: rule bodies compiled to lead-first, index-probing plans.
 
 Every engine that fires rules — the from-scratch semi-naive fixpoint,
-the delta-stream circuit and the legacy counting/DRed baseline — runs
+the grounder, the delta-stream circuit and the annotated engine — runs
 the one walk in :meth:`JoinKernel.fire`.  A rule is compiled once per
 ``(rule, lead)`` into a :class:`Plan`:
 

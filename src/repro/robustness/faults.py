@@ -15,7 +15,7 @@ Instrumented points (see ``docs/ROBUSTNESS.md``):
 ``incremental.apply``       entry of an incremental update batch
 ``incremental.component``   before each component of the update schedule
 ``incremental.initialize``  entry of a from-scratch (re)initialisation
-``view.recompute``          entry of a recompute-mode evaluation
+``view.recompute``          entry of a rebuild view's ``run()`` (per write)
 ``cache.get`` / ``cache.put``  the LRU result cache
 ``service.lock``            before each per-view/registry lock acquisition
 ``durability.append``       before each WAL record write

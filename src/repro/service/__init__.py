@@ -2,10 +2,11 @@
 
 Everything below this package exists so a query is *not* a full
 parse–ground–solve round trip: programs are compiled once into prepared
-plans (:mod:`registry`), their models kept resident and maintained
-as the integral of a delta stream (:mod:`dbsp`, :mod:`views` — with
-:mod:`incremental` as the legacy baseline), repeated answers
-served from an LRU cache (:mod:`cache`), and the whole thing observable
+plans (:mod:`registry`), their models kept resident by one engine per
+view (:mod:`views`: the delta-stream circuits of :mod:`dbsp`, the
+annotated engine of :mod:`annotated`, or a per-burst rebuild) and
+served from published snapshots (:mod:`snapshot`), repeated answers
+served from an LRU cache (:mod:`cache`), and the whole thing instrumented
 (:mod:`metrics`) and scriptable over a line protocol (:mod:`server`,
 ``repro serve``).  See ``docs/SERVICE.md`` for the architecture.
 """
@@ -13,7 +14,7 @@ served from an LRU cache (:mod:`cache`), and the whole thing observable
 from .cache import LRUCache
 from .compactor import SnapshotCompactor
 from .dbsp import DBSPEngine, UpdateQueue, ZSet
-from .incremental import IncrementalEngine, IncrementalMaintenanceError
+from .dbsp.engine import IncrementalMaintenanceError
 from .locks import AtomicReference, InstrumentedLock, ReadWriteLock
 from .metrics import Histogram, ServiceMetrics, ViewMetrics
 from .prometheus import PrometheusExporter, render_prometheus
@@ -45,7 +46,6 @@ __all__ = [
     "DemandEntry",
     "DemandRegistry",
     "Histogram",
-    "IncrementalEngine",
     "IncrementalMaintenanceError",
     "InstrumentedLock",
     "LRUCache",

@@ -13,7 +13,7 @@ snapshot whose chains exceed the view's depth cap.
 The sweep is wait-free with respect to the service: it walks the
 copy-on-write name table (the same lock-free structure queries resolve
 against), and compaction itself only forces the lazy materialization a
-reader would perform anyway — no lock is taken, no observable value
+reader would perform anyway — no lock is taken, no visible value
 changes, and a view unregistered mid-sweep is simply compacted one
 last time in vain.
 """

@@ -1,10 +1,10 @@
 """The delta-stream maintenance engine.
 
-:class:`DBSPEngine` is the DBSP-style replacement for the counting/DRed
-:class:`~repro.service.incremental.IncrementalEngine` (which remains as
-the ``maintenance="legacy"`` bench baseline).  The resident model is
-the *integral* of a stream of update batches; one call to
-:meth:`apply_stream` is one step of the incrementalized circuit:
+:class:`DBSPEngine` maintains every boolean stratified view (and each
+level of an :class:`~repro.service.dbsp.AlternatingEngine`).  The
+resident model is the *integral* of a stream of update batches; one
+call to :meth:`apply_stream` is one step of the incrementalized
+circuit:
 
 * the batch stream is **differentiated** into a single net Z-set of EDB
   changes (a burst of N batches collapses into one delta — insertions
@@ -29,9 +29,8 @@ the *integral* of a stream of update batches; one call to
   layer feeds to ``ModelSnapshot.apply_delta``.
 
 Negative integrated weights (a retraction that was never counted) raise
-:class:`~repro.service.incremental.IncrementalMaintenanceError`, the
-same correctness valve the view layer already knows how to answer with
-a from-scratch rebuild.
+:class:`IncrementalMaintenanceError`, the correctness valve the view
+layer answers with a from-scratch rebuild.
 """
 
 from __future__ import annotations
@@ -46,15 +45,15 @@ from ...relations.values import Value
 from ...robustness import (
     BudgetExceeded,
     EvaluationBudget,
+    ReproError,
     fault_point,
 )
-from ..incremental import IncrementalMaintenanceError
 from ..metrics import ViewMetrics
 from ..registry import Component, PreparedProgram, Variant
 from .circuit import IncrementalDistinct, NegativeWeightError
 from .zset import ZSet
 
-__all__ = ["DBSPEngine"]
+__all__ = ["DBSPEngine", "IncrementalMaintenanceError"]
 
 Row = Tuple[Value, ...]
 FactDelta = Dict[str, Set[Row]]
@@ -69,10 +68,22 @@ Batch = Tuple[Iterable[Tuple[str, Row]], Iterable[Tuple[str, Row]]]
 # atoms whose flip is the trigger.
 
 
+class IncrementalMaintenanceError(ReproError):
+    """An internal bookkeeping invariant broke.
+
+    The view layer treats this as "fall back to full recomputation" —
+    the incremental path is an optimisation, never a correctness risk.
+    (A :class:`~repro.robustness.ReproError`, so the service maps it to
+    a structured wire error when even the fallback cannot recover.)
+    """
+
+    code = "incremental-maintenance"
+
+
 class DBSPEngine:
     """A resident model maintained as the integral of a delta stream.
 
-    API-compatible with the legacy engine: ``edb``, ``state``,
+    The engine seam every view engine shares: ``edb``, ``state``,
     ``model()``, ``rows()``, ``apply()``, ``initialize()``, ``budget``
     — plus :meth:`apply_stream`, the burst entry point the coalescing
     update queue drains into.
@@ -213,8 +224,8 @@ class DBSPEngine:
     ) -> Dict[str, object]:
         """Maintain the model under one update batch.
 
-        A single-element stream: same contract as the legacy engine —
-        the returned ``plus``/``minus`` sets are net, and applying
+        A single-element stream: the returned ``plus``/``minus`` sets
+        are net, and applying
         ``(rows - minus) | plus`` to the pre-batch model yields the
         post-batch model (load-bearing for snapshot maintenance).
         """

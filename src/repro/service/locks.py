@@ -4,22 +4,20 @@ The service used to serialise every request through one big lock; now
 it holds
 
 * one :class:`ReadWriteLock` over the **registry** — register and
-  unregister take the write side; locked-path reads, updates, and
-  admin verbs take the (shared) read side just long enough to resolve
-  a view name.  Snapshot-mode queries do not take it at all: they
-  resolve against the **copy-on-write name table**, an immutable
+  unregister take the write side; updates and admin verbs take the
+  (shared) read side just long enough to resolve a view name.  Queries
+  do not take it at all: they resolve against the **copy-on-write
+  name table**, an immutable
   ``name → (view, generation)`` dict the writers rebuild under the
   write lock and publish through an :class:`AtomicReference` — one
   atomic load per resolution, zero lock acquisitions; and
 * one :class:`InstrumentedLock` per **view** — held by *writers*
-  (updates, recompute, recovery), so update batches on the same view
-  stay serialised; and
+  (updates, recovery), so update batches on the same view stay
+  serialised; and
 * one :class:`AtomicReference` per view holding its published
   :class:`~repro.service.snapshot.ModelSnapshot` — *readers* pick the
   current snapshot off the reference with no lock at all (RCU-style),
-  so queries on a hot view never wait behind maintenance.  Queries
-  that cannot be served from a snapshot (a recompute-mode view whose
-  model is behind the database) fall back to the view lock.
+  so queries on a hot view never wait behind maintenance.
 
 Both wrappers are observability-aware: every :class:`InstrumentedLock`
 acquisition reports its wait and hold wall-clock to a recorder (the

@@ -9,30 +9,24 @@ program text (or an AST) into a :class:`PreparedProgram` holding
   unsafe rule has no evaluable order, Definition 4.1 operationalised);
 * a dependency-condensation **component schedule** (strongly connected
   components of the predicate graph in topological order, each flagged
-  recursive or not) — the unit both the from-scratch and the
-  incremental evaluators iterate over;
-* the classical stratum assignment when the program is stratified; and
-* for the non-stratified semantics, a small **ground-program cache**
-  keyed by the database fingerprint, so re-grounding is skipped when
-  the database returns to a previously seen state.
+  recursive or not) — the unit the maintenance engines iterate over;
+  and
+* the classical stratum assignment when the program is stratified.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from ..datalog.ast import Literal, Program, Rule
 from ..datalog.binding import compiled_binding_order
 from ..datalog.database import Database
-from ..datalog.grounding import GroundProgram, ground
 from ..datalog.kernel import HEAD, Plan, compile_plan
 from ..datalog.parser import parse_program
 from ..datalog.stratification import dependency_graph, is_stratified, stratify
 from ..digraph import strongly_connected_components
-from ..relations.universe import FunctionRegistry
 
 __all__ = [
     "Circuit",
@@ -94,9 +88,9 @@ class Component:
     """One strongly connected component of the predicate graph.
 
     ``recursive`` is True when the component contains a dependency edge
-    (mutual or self recursion) — the flag that routes incremental
-    maintenance to DRed over-delete/re-derive instead of exact
-    derivation counting.
+    (mutual or self recursion) — the flag that routes delta-stream
+    maintenance to the nested fixpoint (retract, re-derive, close)
+    instead of one weighted sweep into an incremental distinct node.
     """
 
     predicates: FrozenSet[str]
@@ -148,48 +142,6 @@ class PreparedProgram:
     strata: Optional[Dict[str, int]]
     schedule: Tuple[Component, ...]
     arities: Dict[str, int]
-    _ground_cache: "OrderedDict[str, GroundProgram]" = field(
-        default_factory=OrderedDict, repr=False
-    )
-    ground_cache_capacity: int = 8
-    ground_cache_hits: int = 0
-    ground_cache_misses: int = 0
-
-    def component_of(self, predicate: str) -> Optional[Component]:
-        """The schedule component owning a predicate (None for strays)."""
-        for component in self.schedule:
-            if predicate in component.predicates:
-                return component
-        return None
-
-    def ground_for(
-        self,
-        database: Database,
-        registry: Optional[FunctionRegistry] = None,
-        max_rounds: int = 10_000,
-        max_atoms: int = 1_000_000,
-        require_complete: bool = True,
-    ) -> GroundProgram:
-        """Ground against ``database``, reusing the fingerprint cache."""
-        key = database.fingerprint()
-        cached = self._ground_cache.get(key)
-        if cached is not None:
-            self.ground_cache_hits += 1
-            self._ground_cache.move_to_end(key)
-            return cached
-        self.ground_cache_misses += 1
-        ground_program = ground(
-            self.program,
-            database,
-            registry=registry,
-            max_rounds=max_rounds,
-            max_atoms=max_atoms,
-            require_complete=require_complete,
-        )
-        self._ground_cache[key] = ground_program
-        while len(self._ground_cache) > self.ground_cache_capacity:
-            self._ground_cache.popitem(last=False)
-        return ground_program
 
     def describe(self) -> Dict[str, object]:
         """A JSON-friendly summary (the ``register`` reply)."""

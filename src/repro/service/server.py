@@ -7,29 +7,26 @@ per-view plus service-level metrics.
 
 Concurrency model (snapshot reads over per-view write locks):
 
-* **queries are wait-free end to end**: every view publishes an
-  immutable, versioned :class:`~repro.service.snapshot.ModelSnapshot`
-  through an atomic reference, and the **name table** itself is
-  copy-on-write — writers build a new immutable ``dict`` of
-  ``name → (view, generation)`` under the registry write lock and
-  publish it via a single atomic reference swap, so a query resolves
-  its view name, picks up the published snapshot, and answers with
-  **zero lock acquisitions**.  A query that cannot be served from a
-  snapshot (recompute-mode view whose model trails its database) falls
-  back to the locked path below;
+* **queries are wait-free end to end**: every view publishes every
+  state it reaches as an immutable, versioned
+  :class:`~repro.service.snapshot.ModelSnapshot` through an atomic
+  reference, and the **name table** itself is copy-on-write — writers
+  build a new immutable ``dict`` of ``name → (view, generation)`` under
+  the registry write lock and publish it via a single atomic reference
+  swap, so a query resolves its view name, picks up the published
+  snapshot, and answers with **zero lock acquisitions**, whatever
+  engine maintains the view;
 * a registry-level :class:`~repro.service.locks.ReadWriteLock` guards
   the mutable registry structures — ``register``/``unregister`` take
   the write side (and republish the name table before releasing it,
-  so the table can never disagree with the registry), while locked
-  fallback reads, updates, and admin verbs take the read side just
-  long enough to resolve the name (``read_mode="locked"`` keeps this
-  as the whole read path, the benchmark baseline for
-  ``benchmarks/bench_p09_wait_free_reads.py``);
+  so the table can never disagree with the registry), while updates
+  and admin verbs take the read side just long enough to resolve the
+  name;
 * each view carries its own
   :class:`~repro.service.locks.InstrumentedLock`, held by **writers**
-  (updates, recompute, recovery) and by fallback reads — update
-  batches against *different* views proceed fully in parallel through
-  the socket server's worker pool, while batches on the same view stay
+  (updates, recovery, demand-entry builds) — update batches against
+  *different* views proceed fully in parallel through the socket
+  server's worker pool, while batches on the same view stay
   serialised, and the snapshot swap happens inside the hold so a
   reader can never observe a half-applied batch;
 * because a request resolves ``(view, lock)`` under the read lock but
@@ -47,7 +44,7 @@ Concurrency model (snapshot reads over per-view write locks):
   dead key and can never be served to later queries.
 
 The wire format is a newline-delimited request/response protocol,
-servable from stdin/stdout or a unix socket::
+served over stdin/stdout or a unix socket::
 
     register <view> <semantics> <program-file-or-inline-text>
     unregister <view>
@@ -169,23 +166,12 @@ class QueryService:
     """Registered programs, resident views, result cache, metrics.
 
     ``deadline_ms`` (optional) imposes a wall-clock deadline on every
-    expensive per-request operation (recompute, incremental batch) by
+    expensive per-request operation (registration, update batch) by
     handing each one a fresh :class:`~repro.robustness.EvaluationBudget`.
 
-    ``lock_mode`` picks the write-side concurrency discipline:
-    ``"view"`` (the default) shards the service lock per view so
-    different views are maintained fully in parallel; ``"global"`` is
-    the old one-big-lock behaviour, kept as the benchmark baseline
-    (``benchmarks/bench_p07_concurrent_throughput.py``).
-
-    ``read_mode`` picks the read path: ``"snapshot"`` (the default)
-    serves queries wait-free — name resolution off the copy-on-write
-    name table, the answer off the view's published model snapshot —
-    falling back to the locked path only when no servable snapshot
-    exists; ``"locked"`` forces every query through the registry read
-    lock and the view lock — the pre-snapshot behaviour, kept as the
-    benchmark baseline (``benchmarks/bench_p08_snapshot_reads.py``,
-    ``benchmarks/bench_p09_wait_free_reads.py``).
+    ``coalesce`` caps how many queued update batches one group-commit
+    leader absorbs in a single engine pass; ``1`` applies every batch
+    on its own (what WAL replay's differential reference runs).
 
     ``compactor`` bounds the delta-chain walk a write burst leaves for
     the first reader: ``"on-publish"`` (the default) flattens chains
@@ -209,35 +195,19 @@ class QueryService:
         max_rounds: int = 10_000,
         max_atoms: int = 1_000_000,
         deadline_ms: Optional[float] = None,
-        lock_mode: str = "view",
-        read_mode: str = "snapshot",
         compactor: str = "on-publish",
         compact_depth: int = 4,
         compact_interval: int = 8,
         data_dir: Optional[str] = None,
         fsync: str = "batch",
         checkpoint_every: int = 256,
-        maintenance: str = "dbsp",
-        coalesce: Optional[int] = None,
+        coalesce: int = 64,
         queue_capacity: int = 256,
         demand_capacity: int = 64,
         semiring: str = "bool",
     ):
-        if lock_mode not in ("view", "global"):
-            raise ValueError(f"unknown lock_mode {lock_mode!r}")
-        if read_mode not in ("snapshot", "locked"):
-            raise ValueError(f"unknown read_mode {read_mode!r}")
         if compactor not in ("off", "on-publish", "thread"):
             raise ValueError(f"unknown compactor {compactor!r}")
-        if maintenance not in ("dbsp", "legacy"):
-            raise ValueError(f"unknown maintenance {maintenance!r}")
-        if coalesce is None:
-            # The delta-stream engine absorbs a drained burst in one
-            # circuit pass, so group commit pays off by default; the
-            # legacy engine replays burst batches one by one, so it
-            # defaults to the historical per-batch path (the bench
-            # P12 baseline).
-            coalesce = 64 if maintenance == "dbsp" else 1
         if coalesce < 1:
             raise ValueError("coalesce must be >= 1")
         self.registry = ProgramRegistry()
@@ -247,9 +217,6 @@ class QueryService:
         self.max_rounds = max_rounds
         self.max_atoms = max_atoms
         self.deadline_ms = deadline_ms
-        self.lock_mode = lock_mode
-        self.read_mode = read_mode
-        self.maintenance = maintenance
         self.coalesce = coalesce
         self.queue_capacity = queue_capacity
         # Service-level default annotation algebra for registrations
@@ -288,11 +255,6 @@ class QueryService:
         # moment the replacement is swapped in.
         self._generations: Dict[str, int] = {}
         self._generation_counter = 0
-        self._global_lock = (
-            InstrumentedLock("*", self.metrics.record_lock)
-            if lock_mode == "global"
-            else None
-        )
         self._background_compactor: Optional[SnapshotCompactor] = None
         if compactor == "thread":
             self._background_compactor = SnapshotCompactor(self)
@@ -492,7 +454,6 @@ class QueryService:
             registry=self.function_registry,
             metrics=ViewMetrics(sink=self.metrics),
             incremental=incremental,
-            maintenance=self.maintenance,
             max_rounds=self.max_rounds,
             max_atoms=self.max_atoms,
             budget_factory=self._budget_factory(),
@@ -506,9 +467,7 @@ class QueryService:
             self.registry.store(name, prepared)
             replaced = self.views.get(name)
             self.views[name] = view
-            self._locks[name] = self._global_lock or InstrumentedLock(
-                name, self.metrics.record_lock
-            )
+            self._locks[name] = InstrumentedLock(name, self.metrics.record_lock)
             self._generation_counter += 1
             self._generations[name] = self._generation_counter
             if replaced is not None:
@@ -673,15 +632,8 @@ class QueryService:
         Resolves the name off the published copy-on-write name table —
         one atomic reference load, zero lock acquisitions — then picks
         the view's published snapshot off its own atomic reference.
-        Returns ``None`` for the snapshot when the view cannot serve
-        one right now — a recompute-mode view whose model trails its
-        database — or when the service runs with ``read_mode="locked"``
-        (which resolves under the registry read lock, the baseline
-        path); callers then take the locked fallback path.
+        Every view always has one: each state it reaches is published.
         """
-        if self.read_mode != "snapshot":
-            view, _lock, generation = self._view_and_lock(name)
-            return view, generation, None
         while True:
             try:
                 view, generation = self._name_table.get()[name]
@@ -696,8 +648,7 @@ class QueryService:
             current = self._name_table.get().get(name)
             if current is None or current[0] is not view:
                 continue
-            if snapshot is not None:
-                view.metrics.bump("snapshot_reads")
+            view.metrics.bump("snapshot_reads")
             return view, generation, snapshot
 
     def _serve_true(self, view, name, generation, snapshot, predicate):
@@ -737,112 +688,32 @@ class QueryService:
     def query(self, name: str, predicate: str) -> FrozenSet[Row]:
         """True rows of a predicate, served through the LRU cache.
 
-        The primary path is lock-free: the answer comes from the view's
-        published snapshot, a complete model at some recent version.
-        Only a view with no servable snapshot routes through its lock.
+        Lock-free: the answer comes from the view's published snapshot,
+        a complete model at some recent version.
         """
         self.metrics.bump("queries_total")
         view, generation, snapshot = self._resolve_snapshot(name)
-        if snapshot is not None:
-            return self._serve_true(view, name, generation, snapshot, predicate)
-        with self._locked_view(name) as (view, generation):
-            return self._query_locked(view, name, generation, predicate)
-
-    def _query_locked(
-        self,
-        view: MaterializedView,
-        name: str,
-        generation: int,
-        predicate: str,
-    ) -> FrozenSet[Row]:
-        if view.stale:
-            return view.rows(predicate)
-        key = (
-            name, generation, view.snapshot_generation(), predicate, "true",
-        )
-        fault_point("cache.get")
-        cached = self.cache.get(key)
-        if cached is not None:
-            view.metrics.bump("queries")
-            view.metrics.bump("cache_hits")
-            return cached
-        view.metrics.bump("cache_misses")
-        rows = view.rows(predicate)
-        if not view.stale:
-            fault_point("cache.put")
-            # Re-key on the post-evaluation snapshot generation: a
-            # recompute may just have published a fresh snapshot, and
-            # the entry must be reachable from *its* readers.
-            self.cache.put(
-                (name, generation, view.snapshot_generation(), predicate,
-                 "true"),
-                rows,
-            )
-        return rows
+        return self._serve_true(view, name, generation, snapshot, predicate)
 
     def undefined(self, name: str, predicate: str) -> FrozenSet[Row]:
         """Undefined rows of a predicate (three-valued semantics only)."""
         view, generation, snapshot = self._resolve_snapshot(name)
-        if snapshot is not None:
-            return self._serve_undefined(
-                view, name, generation, snapshot, predicate
-            )
-        with self._locked_view(name) as (view, generation):
-            return self._undefined_locked(view, name, generation, predicate)
-
-    def _undefined_locked(
-        self,
-        view: MaterializedView,
-        name: str,
-        generation: int,
-        predicate: str,
-    ) -> FrozenSet[Row]:
-        if view.stale:
-            return view.undefined_rows(predicate)
-        key = (
-            name, generation, view.snapshot_generation(), predicate,
-            "undefined",
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            view.metrics.bump("cache_hits")
-            return cached
-        view.metrics.bump("cache_misses")
-        rows = view.undefined_rows(predicate)
-        if not view.stale:
-            self.cache.put(
-                (name, generation, view.snapshot_generation(), predicate,
-                 "undefined"),
-                rows,
-            )
-        return rows
+        return self._serve_undefined(view, name, generation, snapshot, predicate)
 
     def _read(self, name: str, predicate: str):
         """One predicate read, every part from **one** model state:
         ``(view, snapshot, true_rows, undefined_rows, stale)``.
 
-        On the snapshot path all of it comes from a single immutable
-        snapshot, so it describes one model version even while updates
-        land concurrently; the locked fallback gets the same property
-        from holding the view lock across the reads, and hands back the
-        snapshot the view then serves — the model it just answered
-        from, which is also where a caller finds the row lines and the
-        annotations of that same version.
+        All of it comes from a single immutable snapshot, so it
+        describes one model version even while updates land
+        concurrently — and the snapshot is where a caller finds the row
+        lines and the annotations of that same version.
         """
         self.metrics.bump("queries_total")
         view, generation, snapshot = self._resolve_snapshot(name)
-        if snapshot is not None:
-            rows = self._serve_true(view, name, generation, snapshot, predicate)
-            undefined = self._serve_undefined(
-                view, name, generation, snapshot, predicate
-            )
-            return view, snapshot, rows, undefined, snapshot.stale
-        with self._locked_view(name) as (view, generation):
-            rows = self._query_locked(view, name, generation, predicate)
-            undefined = self._undefined_locked(
-                view, name, generation, predicate
-            )
-            return view, view.served_snapshot(), rows, undefined, view.stale
+        rows = self._serve_true(view, name, generation, snapshot, predicate)
+        undefined = self._serve_undefined(view, name, generation, snapshot, predicate)
+        return view, snapshot, rows, undefined, snapshot.stale
 
     def query_state(
         self, name: str, predicate: str
@@ -864,8 +735,8 @@ class QueryService:
         The fourth element maps each true row to its semiring
         annotation in wire text, or is ``None`` for boolean views (the
         protocol emits no ``explain`` lines then).  All four come from
-        the same snapshot (or the same view hold), so rows and
-        annotations describe one model version.
+        the same snapshot, so rows and annotations describe one model
+        version.
         """
         _view, snapshot, rows, undefined, stale = self._read(name, predicate)
         return rows, undefined, stale, snapshot.annotations_for(predicate)
@@ -922,15 +793,10 @@ class QueryService:
         adornment = adornment_for(args)
         if "b" not in adornment:
             return self.query_state(name, predicate)
-        if self.read_mode == "snapshot":
-            try:
-                view, generation = self._name_table.get()[name]
-            except KeyError:
-                raise KeyError(
-                    f"no view registered under {name!r}"
-                ) from None
-        else:
-            view, _lock, generation = self._view_and_lock(name)
+        try:
+            view, generation = self._name_table.get()[name]
+        except KeyError:
+            raise KeyError(f"no view registered under {name!r}") from None
         arity = view.prepared.arities.get(predicate)
         if arity is not None and arity != len(args):
             raise ValueError(
@@ -967,9 +833,7 @@ class QueryService:
         self.metrics.bump("queries_total")
         bound = tuple(value for value in args if value is not None)
         self._ensure_seeded(entry, bound)
-        # Demand views are engine-maintained: every state they reach is
-        # published, so the served snapshot is always the current one.
-        snapshot = demand_view.served_snapshot()
+        snapshot = demand_view.read_snapshot()
         rows, _undefined, scanned = snapshot.probe(
             entry.magic.answer_predicate, args
         )
@@ -1050,7 +914,6 @@ class QueryService:
                 semantics="stratified",
                 registry=self.function_registry,
                 metrics=ViewMetrics(sink=self.metrics),
-                maintenance="dbsp",
                 max_rounds=self.max_rounds,
                 max_atoms=self.max_atoms,
                 budget_factory=self._budget_factory(),
@@ -1169,8 +1032,8 @@ class QueryService:
         self.metrics.bump("updates_total", len(batches))
         outcomes: List[object] = [None] * len(batches)
         if self.coalesce <= 1 or annotations is not None:
-            # Per-batch mode (the legacy default and the bench
-            # baseline): apply directly under the view hold, no queue.
+            # Per-batch mode (``coalesce=1``, the differential
+            # reference): apply directly under the view hold, no queue.
             # Group-commit tickets carry bare fact batches, so a write
             # with annotations takes this path even when coalescing is
             # on; the bare writes to the same annotated view queue up
@@ -1501,9 +1364,6 @@ class QueryService:
         }
         snapshot["views"] = view_stats
         snapshot["cache"] = self.cache.stats()
-        snapshot["lock_mode"] = self.lock_mode
-        snapshot["read_mode"] = self.read_mode
-        snapshot["maintenance"] = self.maintenance
         snapshot["coalesce"] = self.coalesce
         snapshot["compactor"] = self.compactor_mode
         if self.durability is not None:

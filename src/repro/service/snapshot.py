@@ -8,7 +8,7 @@ plus a per-view **generation** number, a staleness flag, and a lazy
 content fingerprint.
 
 Snapshots are the RCU publication unit.  Writers (the update and
-recompute paths of :class:`~repro.service.views.MaterializedView`)
+rebuild paths of :class:`~repro.service.views.MaterializedView`)
 construct a fully immutable snapshot and publish it with a single
 atomic reference swap while holding the per-view lock; readers pick up
 whatever snapshot is currently published — no lock, no copy — and are
@@ -28,7 +28,7 @@ instead of accumulating unboundedly.
 proactively: it forces the lazy materialization of every cell deeper
 than a cap, so the first read after a write-heavy/read-light burst
 does not pay the chain walk.  Because a cell memoizes its row set with
-one atomic state swap, compaction changes no observable value —
+one atomic state swap, compaction changes no visible value —
 ``rows()`` and ``fingerprint`` are identical before and after — and is
 safe to run concurrently with lock-free readers (a racing reader
 either recomputes the same frozenset or picks up the memoized one).
@@ -349,7 +349,7 @@ class ModelSnapshot:
         stale: bool = False,
         annotations: Optional[Mapping[str, Mapping[Row, str]]] = None,
     ) -> "ModelSnapshot":
-        """Snapshot a complete model (initialization / recompute)."""
+        """Snapshot a complete model (initialization / rebuild)."""
         cells = {
             predicate: _Cell.frozen(predicate, rows)
             for predicate, rows in true_rows.items()
@@ -384,10 +384,10 @@ class ModelSnapshot:
         Unchanged predicates share cells with this snapshot; changed
         ones stack a copy-on-write delta cell (compacted once the chain
         hits :data:`MAX_DELTA_DEPTH`).  ``plus``/``minus`` must be the
-        *net* per-predicate deltas — exactly what
-        :meth:`~repro.service.incremental.IncrementalEngine.apply`
-        reports.  ``undefined_plus``/``undefined_minus`` are the same
-        for the undefined rows (the alternating chain reports them); a
+        *net* per-predicate deltas — exactly what every view engine's
+        ``apply_stream`` reports.  ``undefined_plus``/``undefined_minus``
+        are the same for the undefined rows (the alternating chain and
+        the rebuild engine report them); a
         total model passes none and shares the undefined table by
         reference.  ``annotated_plus``/``annotated_minus`` are the
         ``(row, wire text)`` pairs an annotated engine's batch added to
@@ -456,7 +456,7 @@ class ModelSnapshot:
         """Flatten every delta chain deeper than ``depth_cap``.
 
         Forces the lazy materialization of the affected cells, exactly
-        as a reader would — so the snapshot's observable contents
+        as a reader would — so the snapshot's visible contents
         (``rows()``, ``fingerprint``) are unchanged, and racing readers
         are safe.  Returns ``(cells_compacted, rows_materialized)`` for
         the ``compactions`` / ``compaction_rows`` counters.

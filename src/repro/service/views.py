@@ -1,17 +1,18 @@
 """Materialized views: resident models maintained under updates.
 
 A :class:`MaterializedView` binds a prepared program to its own
-database and keeps the model resident between queries:
+database and keeps the model resident between queries.  Every view has
+an engine, and every engine has the same seam — ``edb``,
+``initialize()``, ``apply()`` / ``apply_stream()``, ``model()`` /
+``rows()``, ``budget`` — and reports each burst as the net ``plus`` /
+``minus`` delta of the model:
 
-* ``semantics="stratified"`` on a stratified program takes the
-  **incremental fast path**: by default (``maintenance="dbsp"``) a
+* ``semantics="stratified"`` on a stratified program: a
   :class:`~repro.service.dbsp.DBSPEngine` maintains the model as the
   integral of a delta stream — a burst of N update batches submitted
   through :meth:`MaterializedView.apply_stream` is differentiated into
   one net Z-set delta, absorbed in **one** circuit pass, and published
-  with **one** snapshot swap.  ``maintenance="legacy"`` keeps the
-  counting/DRed :class:`~repro.service.incremental.IncrementalEngine`
-  as the per-batch bench baseline;
+  with **one** snapshot swap;
 * ``semantics="valid"`` / ``"wellfounded"`` on a non-stratified
   program is maintained the same way, by an
   :class:`~repro.service.dbsp.AlternatingEngine`: the alternating
@@ -19,15 +20,18 @@ database and keeps the model resident between queries:
   net delta of the true **and** the undefined rows (on a stratified
   program both semantics are the stratified model, so the plain engine
   serves them);
-* ``inflationary`` views, and any boolean view forced off the fast path
-  with ``incremental=False``, route updates through the **recompute
-  path**: the database is mutated, the resident result invalidated, and
-  the next query re-evaluates — reusing the prepared plan's
-  fingerprint-keyed ground cache when the database revisits a known
-  state.
+* a non-boolean ``semiring`` runs on an
+  :class:`~repro.service.annotated.AnnotatedEngine`;
+* ``inflationary`` views, and boolean views registered with
+  ``incremental=False`` (``mode == "recompute"``), run on a **rebuild
+  engine**: each burst lands in the database and the program is
+  evaluated from scratch by :func:`~repro.datalog.engine.run`, once,
+  and the engine reports the net diff of both truth statuses — so the
+  evaluation happens at write time and the view publishes by delta like
+  every other.
 
-Snapshot publication (the primary read path): every consistent model
-the view reaches is published as an immutable, versioned
+Snapshot publication (the one read path): every consistent model the
+view reaches is published as an immutable, versioned
 :class:`~repro.service.snapshot.ModelSnapshot` — true *and* undefined
 rows — via a single atomic reference swap.  Readers pick the snapshot
 off the reference with no lock; writers maintain it **incrementally**,
@@ -35,18 +39,18 @@ applying each batch's net plus/minus delta to the previous snapshot
 (O(|delta|)) instead of re-copying the whole model.
 
 Failure discipline (the robustness contract, tested by the chaos
-suite in ``tests/robustness``):
+suite in ``tests/robustness``), the same for every engine:
 
 * a failed delta **never leaves a half-applied view** — when
-  maintenance raises mid-batch the EDB is rolled back by the inverse
-  batch and the resident model rebuilt from scratch (wrapped in
+  maintenance raises mid-batch the EDB is rolled back to the pre-batch
+  state and the resident model rebuilt from scratch (wrapped in
   :func:`~repro.robustness.retry_with_backoff`);
 * if even the rebuild keeps failing, the view enters **degraded mode**:
   it re-publishes its last consistent snapshot flagged ``stale``
   (copy-on-degrade — the cells are shared, so nothing is copied) and
   serves it, **both truth statuses included**, instead of crashing or
-  serving a corrupted model.  The next successful update or recompute
-  clears the flag.
+  serving a corrupted model.  The next successful update or
+  :meth:`MaterializedView.recover` clears the flag.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from ..robustness import (
 from ..semiring import get_semiring
 from .annotated import AnnotatedEngine
 from .dbsp import AlternatingEngine, DBSPEngine, UpdateQueue
-from .incremental import IncrementalEngine, IncrementalMaintenanceError
+from .dbsp.engine import IncrementalMaintenanceError
 from .locks import AtomicReference
 from .metrics import ViewMetrics
 from .registry import PreparedProgram
@@ -79,6 +83,131 @@ from .snapshot import ModelSnapshot
 __all__ = ["MaterializedView"]
 
 Row = Tuple[Value, ...]
+Model = Dict[str, FrozenSet[Row]]
+Batch = Tuple[List[Tuple[str, Row]], List[Tuple[str, Row]]]
+
+_EMPTY: FrozenSet[Row] = frozenset()
+
+
+def _diff(old: Model, new: Model) -> Tuple[Model, Model]:
+    """The net ``(plus, minus)`` that takes model ``old`` to ``new``."""
+    plus: Model = {}
+    minus: Model = {}
+    for predicate in old.keys() | new.keys():
+        before = old.get(predicate, _EMPTY)
+        after = new.get(predicate, _EMPTY)
+        if before == after:
+            continue
+        if after - before:
+            plus[predicate] = after - before
+        if before - after:
+            minus[predicate] = before - after
+    return plus, minus
+
+
+class _RebuildEngine:
+    """The engine of a view no circuit maintains (``mode ==
+    "recompute"``): ``inflationary`` views and boolean
+    ``incremental=False`` ones.
+
+    A burst lands in ``edb`` and ``evaluate(edb, budget)`` — the view's
+    :meth:`MaterializedView._ensure_result`, i.e. :func:`run` — computes
+    the model from scratch, once; the summary is the net diff of the
+    true and the undefined rows against the model before the burst.
+    The resident model is only replaced once evaluation succeeded, so a
+    failure leaves it exactly as it was.
+    """
+
+    def __init__(
+        self,
+        prepared: PreparedProgram,
+        database: Optional[Database],
+        evaluate: Callable[[Database, Optional[EvaluationBudget]], QueryResult],
+        metrics: ViewMetrics,
+        budget: Optional[EvaluationBudget] = None,
+    ):
+        self.prepared = prepared
+        self.evaluate = evaluate
+        self.metrics = metrics
+        self.budget = budget
+        self.edb = (database or Database()).copy()
+        for predicate, row in prepared.seed_facts:
+            if not self.edb.holds(predicate, *row):
+                self.edb.add(predicate, *row)
+        self.initialize()
+
+    def initialize(self) -> None:
+        """(Re)evaluate the model from the EDB."""
+        self._true, self._undefined = self._evaluate()
+
+    def _evaluate(self) -> Tuple[Model, Model]:
+        result = self.evaluate(self.edb, self.budget)
+        predicates = self.prepared.program.predicates() | self.edb.predicates()
+        undefined = {p: result.undefined_rows(p) for p in predicates}
+        return (
+            {p: result.true_rows(p) for p in predicates},
+            {p: rows for p, rows in undefined.items() if rows},
+        )
+
+    def model(self) -> Model:
+        """The certainly-true rows, predicate → rows (EDB and IDB)."""
+        return dict(self._true)
+
+    def undefined_model(self) -> Model:
+        """The undefined rows (only predicates that have any)."""
+        return dict(self._undefined)
+
+    def rows(self, predicate: str) -> FrozenSet[Row]:
+        """Certainly-true rows of one predicate."""
+        return self._true.get(predicate, _EMPTY)
+
+    def undefined_rows(self, predicate: str) -> FrozenSet[Row]:
+        """Undefined rows of one predicate."""
+        return self._undefined.get(predicate, _EMPTY)
+
+    def model_rows(self) -> int:
+        """Resident certainly-true rows (the ``model_rows`` stat)."""
+        return sum(len(rows) for rows in self._true.values())
+
+    def apply(
+        self,
+        inserts: Iterable[Tuple[str, Row]] = (),
+        deletes: Iterable[Tuple[str, Row]] = (),
+    ) -> Dict[str, object]:
+        """Re-evaluate under one update batch."""
+        return self.apply_stream([(inserts, deletes)])
+
+    def apply_stream(self, batches) -> Dict[str, object]:
+        """Fold a burst into the EDB and re-evaluate once."""
+        applied_inserts = applied_deletes = 0
+        for inserts, deletes in batches:
+            for predicate, row in deletes:
+                if self.edb.holds(predicate, *row):
+                    self.edb.discard(predicate, *row)
+                    applied_deletes += 1
+            for predicate, row in inserts:
+                if not self.edb.holds(predicate, *row):
+                    self.edb.add(predicate, *row)
+                    applied_inserts += 1
+        true, undefined = self._evaluate()
+        plus, minus = _diff(self._true, true)
+        undefined_plus, undefined_minus = _diff(self._undefined, undefined)
+        self._true, self._undefined = true, undefined
+        bump = self.metrics.bump
+        bump("update_batches", len(batches))
+        # Routine rebuild traffic is *not* a fallback — only a genuine
+        # maintenance failure bumps recompute_fallbacks.
+        bump("recompute_batches", len(batches))
+        bump("inserts_applied", applied_inserts)
+        bump("deletes_applied", applied_deletes)
+        return {
+            "inserts": applied_inserts,
+            "deletes": applied_deletes,
+            "plus": plus,
+            "minus": minus,
+            "undefined_plus": undefined_plus,
+            "undefined_minus": undefined_minus,
+        }
 
 
 class MaterializedView:
@@ -86,8 +215,8 @@ class MaterializedView:
 
     ``budget_factory`` (optional) supplies a fresh
     :class:`~repro.robustness.EvaluationBudget` per expensive operation
-    (recompute, incremental batch) — the hook the service layer uses to
-    impose per-request deadlines.
+    (initial evaluation, update batch) — the hook the service layer
+    uses to impose per-request deadlines.
 
     ``compact_on_publish`` turns on the in-line snapshot compactor:
     every ``compact_interval``-th publish flattens delta chains deeper
@@ -107,7 +236,6 @@ class MaterializedView:
         registry: Optional[FunctionRegistry] = None,
         metrics: Optional[ViewMetrics] = None,
         incremental: bool = True,
-        maintenance: str = "dbsp",
         max_rounds: int = 10_000,
         max_atoms: int = 1_000_000,
         budget_factory: Optional[Callable[[], EvaluationBudget]] = None,
@@ -121,10 +249,6 @@ class MaterializedView:
         if semantics not in SEMANTICS:
             raise ValueError(
                 f"unknown semantics {semantics!r}; pick from {SEMANTICS}"
-            )
-        if maintenance not in ("dbsp", "legacy"):
-            raise ValueError(
-                f"unknown maintenance {maintenance!r}; pick 'dbsp' or 'legacy'"
             )
         if semantics == "stratified" and not prepared.stratified:
             raise NotStratifiedError(
@@ -146,7 +270,6 @@ class MaterializedView:
             )
         self.prepared = prepared
         self.semantics = semantics
-        self.maintenance = maintenance
         self.registry = registry
         self.metrics = metrics if metrics is not None else ViewMetrics()
         self.max_rounds = max_rounds
@@ -157,23 +280,18 @@ class MaterializedView:
         self.compact_depth = compact_depth
         self.compact_interval = max(1, compact_interval)
         self._publish_count = 0
-        # Degraded-mode state: when ``stale`` is True, queries answer
-        # from the published snapshot (the last consistent model, both
-        # truth statuses) instead of the (unavailable or rebuilding)
-        # live model.
+        # Degraded-mode state: when ``stale`` is True, the published
+        # snapshot is the last consistent model (both truth statuses),
+        # not the (unavailable or rebuilding) live one.
         self.stale = False
         self._last_error: Optional[str] = None
-        # The published snapshot cell: ``(snapshot, servable)``.  Both
-        # fields swap together so lock-free readers can never pair a
-        # fresh flag with an outdated snapshot.  ``servable`` is False
-        # while a recompute-mode view's model trails its database (the
-        # next read must take the locked path and re-evaluate).
-        self._published: AtomicReference = AtomicReference((None, False))
+        # The published snapshot: readers load it with no lock, writers
+        # swap its successor in under the view lock.
+        self._published: AtomicReference = AtomicReference(None)
         self._generation = 0
-        # An annotated view is always engine-backed (its snapshots need
-        # the annotation maps); ``incremental=False`` there only makes
-        # the engine re-initialize per batch instead of maintaining.
-        # The requested flag is kept verbatim so checkpoints can
+        # On an annotated view ``incremental=False`` only makes the
+        # engine re-initialize per batch instead of maintaining.  The
+        # requested flag is kept verbatim so checkpoints can
         # re-register the view the same way (``mode`` alone conflates
         # the two).
         self.incremental = bool(incremental)
@@ -188,54 +306,71 @@ class MaterializedView:
         # into one apply_stream pass (write pipelining for free on both
         # the single-process and cluster worker tiers).
         self.pending = UpdateQueue(queue_capacity)
-        self.engine = None
-        # The engine again when it is an alternating chain — the one
-        # engine whose models have undefined rows.
-        self._chain: Optional[AlternatingEngine] = None
-        self._result: Optional[QueryResult] = None
-        if self.mode == "incremental":
-            with self.metrics.phase("initialize"):
-                # The initial materialization runs under a request
-                # budget too — a divergent program must hit its
-                # deadline at registration, not loop forever.
-                if self.semiring != "bool":
-                    self.engine = AnnotatedEngine(
-                        prepared,
-                        self.semiring_obj,
-                        database=database,
-                        registry=registry,
-                        metrics=self.metrics,
-                        budget=self._budget(),
-                        differential=incremental,
-                    )
-                else:
-                    # Valid and well-founded are the stratified model on
-                    # a stratified program; only negation through
-                    # recursion needs the alternating chain.
-                    engine_cls = (
-                        AlternatingEngine
-                        if not prepared.stratified
-                        else DBSPEngine
-                        if maintenance == "dbsp"
-                        else IncrementalEngine
-                    )
-                    self.engine = engine_cls(
-                        prepared,
-                        database=database,
-                        registry=registry,
-                        metrics=self.metrics,
-                        budget=self._budget(),
-                    )
-                    if engine_cls is AlternatingEngine:
-                        self._chain = self.engine
-            self.engine.budget = None
-            self.database = self.engine.edb
-            self._publish_model()
-        else:
-            self.database = (database or Database()).copy()
-            for predicate, row in prepared.seed_facts:
-                if not self.database.holds(predicate, *row):
-                    self.database.add(predicate, *row)
+        with self.metrics.phase("initialize"):
+            # The initial materialization runs under a request budget
+            # too — a divergent program must hit its deadline at
+            # registration, not loop forever.
+            self.engine = self._engine(database)
+        self.engine.budget = None
+        self.database = self.engine.edb
+        # The engine again when its models have undefined rows.
+        self._three_valued = (
+            self.engine
+            if isinstance(self.engine, (AlternatingEngine, _RebuildEngine))
+            else None
+        )
+        self._publish_model()
+
+    def _engine(self, database: Optional[Database]):
+        """The engine this view's semantics, program and flags call for."""
+        budget = self._budget()
+        if self.mode == "recompute":
+            return _RebuildEngine(
+                self.prepared,
+                database,
+                # Looked up per call, so a wrapper installed on the
+                # class later still sees every evaluation.
+                lambda edb, budget: self._ensure_result(edb, budget),
+                self.metrics,
+                budget,
+            )
+        if self.semiring != "bool":
+            return AnnotatedEngine(
+                self.prepared,
+                self.semiring_obj,
+                database=database,
+                registry=self.registry,
+                metrics=self.metrics,
+                budget=budget,
+                differential=self.incremental,
+            )
+        # Valid and well-founded are the stratified model on a
+        # stratified program; only negation through recursion needs the
+        # alternating chain.
+        engine_cls = DBSPEngine if self.prepared.stratified else AlternatingEngine
+        return engine_cls(
+            self.prepared,
+            database=database,
+            registry=self.registry,
+            metrics=self.metrics,
+            budget=budget,
+        )
+
+    def _ensure_result(
+        self, database: Database, budget: Optional[EvaluationBudget]
+    ) -> QueryResult:
+        """The model of ``database`` from scratch, by :func:`run`: the
+        rebuild engine's one evaluation per burst (and per rebuild)."""
+        fault_point("view.recompute")
+        return run(
+            self.prepared.program,
+            database,
+            semantics=self.semantics,
+            registry=self.registry,
+            max_rounds=self.max_rounds,
+            max_atoms=self.max_atoms,
+            budget=budget,
+        )
 
     def _budget(self) -> Optional[EvaluationBudget]:
         return self.budget_factory() if self.budget_factory is not None else None
@@ -245,7 +380,7 @@ class MaterializedView:
     def _publish(self, snapshot: ModelSnapshot) -> None:
         """Swap a new snapshot in (writers only, under the view lock)."""
         self._generation = snapshot.generation
-        self._published.set((snapshot, True))
+        self._published.set(snapshot)
         self.metrics.bump("snapshot_swaps")
         # Compact-on-Nth-publish: bound the chain walk a write-heavy /
         # read-light burst would otherwise leave for the first reader.
@@ -261,12 +396,12 @@ class MaterializedView:
 
         Safe from any thread at any time: compaction only forces the
         same lazy materialization a reader performs, so the snapshot's
-        observable contents (rows, fingerprint) never change.  Returns
+        visible contents (rows, fingerprint) never change.  Returns
         the number of cells compacted (0 when the chains are already
         within ``compact_depth``).
         """
-        snapshot, _servable = self._published.get()
-        if snapshot is None or snapshot.max_chain_depth() <= self.compact_depth:
+        snapshot = self._published.get()
+        if snapshot.max_chain_depth() <= self.compact_depth:
             return 0
         with self.metrics.phase("compact"):
             cells, rows = snapshot.compact(self.compact_depth)
@@ -277,59 +412,46 @@ class MaterializedView:
 
     def chain_depth(self) -> int:
         """The published snapshot's deepest delta chain (the gauge)."""
-        snapshot, _servable = self._published.get()
-        return snapshot.max_chain_depth() if snapshot is not None else 0
+        return self._published.get().max_chain_depth()
 
     def alternation_levels(self) -> int:
         """Circuits in the view's alternating chain (the gauge): a
         write costs this many passes over its delta.  0 when the view
         is not maintained by a chain."""
-        return len(self._chain.levels) if self._chain is not None else 0
+        engine = self.engine
+        return len(engine.levels) if isinstance(engine, AlternatingEngine) else 0
 
     def _annotations(self) -> Optional[Dict[str, Dict[Row, str]]]:
         """The engine's wire-text annotation maps (None on the boolean
         fast path — boolean snapshots never carry annotations)."""
-        if self.semiring == "bool" or self.engine is None:
+        if self.semiring == "bool":
             return None
         return self.engine.wire_annotations()
 
-    def _publish_full(
-        self,
-        true_rows: Dict[str, FrozenSet[Row]],
-        undefined_rows: Optional[Dict[str, FrozenSet[Row]]] = None,
-        annotations: Optional[Dict[str, Dict[Row, str]]] = None,
-    ) -> None:
-        self._publish(
-            ModelSnapshot.full(
-                true_rows,
-                undefined_rows,
-                generation=self._generation + 1,
-                annotations=annotations,
-            )
-        )
-
     def _publish_model(self) -> None:
         """Publish the engine's whole model, both truth statuses."""
-        chain = self._chain
-        self._publish_full(
-            self.engine.model(),
-            chain.undefined_model() if chain is not None else None,
-            annotations=self._annotations(),
+        three_valued = self._three_valued
+        self._publish(
+            ModelSnapshot.full(
+                self.engine.model(),
+                three_valued.undefined_model() if three_valued is not None else None,
+                generation=self._generation + 1,
+                annotations=self._annotations(),
+            )
         )
 
     def _publish_maintained(self, summary: Dict[str, object]) -> None:
         """Publish what one engine pass left, given its summary.
 
         Incremental snapshot maintenance: the engine's net plus/minus
-        delta — of the true rows and, from a chain, the undefined rows,
-        from an annotated engine the annotation texts — is applied to
-        the previous snapshot, O(|delta|), not a full model copy.
+        delta — of the true rows and, from a chain or a rebuild, the
+        undefined rows, from an annotated engine the annotation texts —
+        is applied to the previous snapshot, O(|delta|), not a full
+        model copy.
         """
         with self.metrics.phase("snapshot"):
-            snapshot, _servable = self._published.get()
-            assert snapshot is not None
             self._publish(
-                snapshot.apply_delta(
+                self._published.get().apply_delta(
                     summary["plus"],
                     summary["minus"],
                     self._generation + 1,
@@ -340,50 +462,16 @@ class MaterializedView:
                 )
             )
 
-    def _publish_stale(self) -> None:
-        snapshot, _servable = self._published.get()
-        if snapshot is not None and not snapshot.stale:
-            self._publish(snapshot.as_stale(self._generation + 1))
+    def read_snapshot(self) -> ModelSnapshot:
+        """The currently served model snapshot.
 
-    def _invalidate_snapshot(self) -> None:
-        """Mark the snapshot unservable (model trails the database).
-
-        Also advances the generation: a racing lock-free reader may
-        re-insert a cache entry keyed to the last servable snapshot
-        *after* the server's invalidation sweep, and the locked query
-        path must never hit it once the model trails the database —
-        the bumped generation changes every subsequent cache key.
-        """
-        snapshot, _servable = self._published.get()
-        self._generation += 1
-        self._published.set((snapshot, False))
-
-    def read_snapshot(self) -> Optional[ModelSnapshot]:
-        """The currently served model snapshot, or None when a
-        recompute is pending (or nothing was ever materialized).
-
-        Lock-free: safe to call from any thread at any time.  The
+        Lock-free: safe to call from any thread at any time.  Every
+        state the view reaches is published, so this is always the
+        current model (flagged ``stale`` in degraded mode).  The
         returned snapshot is immutable — holding it across later
         updates keeps serving the same consistent version.
         """
-        snapshot, servable = self._published.get()
-        return snapshot if servable else None
-
-    def snapshot_generation(self) -> int:
-        """The published snapshot's generation (monotone per view)."""
-        return self._generation
-
-    def served_snapshot(self) -> ModelSnapshot:
-        """The model the view last answered from (lock-free).
-
-        Unlike :meth:`read_snapshot` this never withholds: a reader that
-        just evaluated under the view lock, or a degraded view serving
-        its last consistent model, reads the rows it answered with
-        here.
-        """
-        snapshot, _servable = self._published.get()
-        assert snapshot is not None
-        return snapshot
+        return self._published.get()
 
     # -- queries --------------------------------------------------------------
 
@@ -395,16 +483,8 @@ class MaterializedView:
         self.metrics.bump("queries")
         if self.stale:
             self.metrics.bump("stale_queries")
-            return self.served_snapshot().rows(predicate)
-        if self.engine is not None:
-            return self.engine.rows(predicate)
-        try:
-            return self._ensure_result().true_rows(predicate)
-        except ViewDegraded:
-            # The recompute just failed; degrade in place and answer
-            # from the last consistent snapshot rather than erroring.
-            self.metrics.bump("stale_queries")
-            return self.served_snapshot().rows(predicate)
+            return self.read_snapshot().rows(predicate)
+        return self.engine.rows(predicate)
 
     def undefined_rows(self, predicate: str) -> FrozenSet[Row]:
         """Rows with undefined status (stratified models are total).
@@ -413,68 +493,16 @@ class MaterializedView:
         snapshot carries both truth statuses, so a valid/well-founded
         view keeps distinguishing true from undefined while stale."""
         if self.stale:
-            return self.served_snapshot().undefined_rows(predicate)
-        if self._chain is not None:
-            return self._chain.undefined_rows(predicate)
-        if self.engine is not None:
-            return frozenset()
-        try:
-            return self._ensure_result().undefined_rows(predicate)
-        except ViewDegraded:
-            return self.served_snapshot().undefined_rows(predicate)
+            return self.read_snapshot().undefined_rows(predicate)
+        if self._three_valued is not None:
+            return self._three_valued.undefined_rows(predicate)
+        return _EMPTY
 
     def predicates(self) -> FrozenSet[str]:
         """Every predicate the view can answer about."""
         return (
             self.prepared.program.predicates() | self.database.predicates()
         )
-
-    def _ensure_result(self) -> QueryResult:
-        if self._result is not None:
-            return self._result
-
-        def recompute() -> QueryResult:
-            fault_point("view.recompute")
-            ground_program = self.prepared.ground_for(
-                self.database,
-                registry=self.registry,
-                max_rounds=self.max_rounds,
-                max_atoms=self.max_atoms,
-            )
-            return run(
-                self.prepared.program,
-                self.database,
-                semantics=self.semantics,
-                registry=self.registry,
-                ground_program=ground_program,
-                budget=self._budget(),
-            )
-
-        try:
-            with self.metrics.phase("recompute"):
-                self._result = retry_with_backoff(
-                    recompute,
-                    attempts=self.recovery_attempts,
-                    on_retry=lambda *_: self.metrics.bump("recompute_retries"),
-                )
-        except Cancelled:
-            raise
-        except ReproError as exc:
-            if self._published.get()[0] is None:
-                # Nothing consistent was ever materialized — there is no
-                # stale model to fall back to, so surface the failure.
-                raise
-            self._enter_degraded(exc)
-            raise ViewDegraded(
-                f"recompute failed ({exc}); serving last consistent model",
-            ) from exc
-        self._mark_healthy()
-        predicates = self.predicates()
-        self._publish_full(
-            {p: self._result.true_rows(p) for p in predicates},
-            {p: self._result.undefined_rows(p) for p in predicates},
-        )
-        return self._result
 
     def _enter_degraded(self, exc: BaseException) -> None:
         self.stale = True
@@ -484,7 +512,9 @@ class MaterializedView:
         # Copy-on-degrade: re-publish the last consistent snapshot
         # flagged stale, so lock-free readers keep serving it (both
         # truth statuses) without ever touching the broken live model.
-        self._publish_stale()
+        snapshot = self._published.get()
+        if not snapshot.stale:
+            self._publish(snapshot.as_stale(self._generation + 1))
 
     def _mark_healthy(self) -> None:
         """Leave degraded mode (no-op when already healthy)."""
@@ -532,121 +562,18 @@ class MaterializedView:
                 (predicate, tuple(row)): value
                 for (predicate, row), value in annotations.items()
             }
-        if self.engine is not None:
-            return self._apply_incremental(inserts, deletes, annotations)
-        applied_deletes = applied_inserts = 0
-        for predicate, row in deletes:
-            if self.database.holds(predicate, *row):
-                self.database.discard(predicate, *row)
-                applied_deletes += 1
-        for predicate, row in inserts:
-            if not self.database.holds(predicate, *row):
-                self.database.add(predicate, *row)
-                applied_inserts += 1
-        self._result = None
-        # The model now trails the database: readers must re-evaluate
-        # on the locked path instead of serving the outdated snapshot.
-        self._invalidate_snapshot()
-        # The database moved on; give the next query a fresh chance to
-        # recompute instead of pinning the view to its stale snapshot.
-        self._mark_healthy()
-        self.metrics.bump("update_batches")
-        # Routine recompute-mode traffic is *not* a fallback — only a
-        # genuine incremental-path failure bumps recompute_fallbacks.
-        self.metrics.bump("recompute_batches")
-        self.metrics.bump("inserts_applied", applied_inserts)
-        self.metrics.bump("deletes_applied", applied_deletes)
-        return {
-            "mode": "recompute",
-            "inserts": applied_inserts,
-            "deletes": applied_deletes,
-        }
-
-    def _apply_incremental(
-        self,
-        inserts: List[Tuple[str, Row]],
-        deletes: List[Tuple[str, Row]],
-        annotations: Optional[Dict[Tuple[str, Row], object]] = None,
-    ) -> Dict[str, object]:
-        engine = self.engine
-        assert engine is not None
-        # A degraded view's resident state is untrustworthy; rebuild it
-        # before layering a new batch on top (or refuse the batch).
-        if self.stale and not self._reinitialize():
-            raise ViewDegraded(
-                "view is degraded and could not recover before the update; "
-                "it keeps serving its last consistent model"
-            )
-        # Inverse batch, computed against the pre-batch EDB so a failed
-        # apply can be undone exactly (only the updates that actually
-        # change the database need undoing).
-        undo_add = [
-            (predicate, row)
-            for predicate, row in deletes
-            if engine.edb.holds(predicate, *row)
-        ]
-        undo_discard = [
-            (predicate, row)
-            for predicate, row in inserts
-            if not engine.edb.holds(predicate, *row)
-        ]
-        engine.budget = self._budget()
-        try:
-            with self.metrics.phase("maintain"):
-                if self.semiring != "bool":
-                    summary = engine.apply(
-                        inserts=inserts,
-                        deletes=deletes,
-                        annotations=annotations,
-                    )
-                else:
-                    summary = engine.apply(inserts=inserts, deletes=deletes)
-        except IncrementalMaintenanceError:
-            # Correctness valve: the EDB update itself is fine, only the
-            # derived bookkeeping broke — rebuild from the (already
-            # updated) database and keep serving.
-            self.metrics.bump("recompute_fallbacks")
-            if not self._reinitialize():
-                return self._degraded_summary(inserts, deletes)
-            return {"mode": "reinitialized"}
-        except Cancelled:
-            # Rebuild too: the batch may have maintained several
-            # components — or several levels of a chain, each holding
-            # its own copy of the facts — before the budget tripped.
-            self._rollback(undo_add, undo_discard)
-            self._reinitialize()
-            raise
-        except ReproError as exc:
-            # The batch failed mid-flight: roll the EDB back to the
-            # pre-batch state, then rebuild the model so it matches.
-            self._rollback(undo_add, undo_discard)
-            self.metrics.bump("rollbacks")
-            if not self._reinitialize():
-                self._enter_degraded(exc)
-                raise ViewDegraded(
-                    f"update failed and recovery failed ({exc}); view is "
-                    f"degraded and serves its last consistent model",
-                ) from exc
-            raise
-        finally:
-            engine.budget = None
-        self._mark_healthy()
-        self._publish_maintained(summary)
-        return {"mode": "incremental", **summary}
+        return self._maintain([(inserts, deletes)], annotations)
 
     def apply_stream(
         self,
         batches: Iterable[Tuple[Iterable[Tuple[str, Row]], Iterable[Tuple[str, Row]]]],
     ) -> Dict[str, object]:
-        """Apply a burst of update batches as **one** maintenance pass.
+        """Apply a burst of update batches as **one** engine pass.
 
         The delta-stream engine differentiates the burst into a single
-        net Z-set delta and absorbs it in one circuit pass with one
-        snapshot publish — N batches never cost N publish cycles.  A
-        single-element burst degenerates to :meth:`apply` (so the
-        per-batch failure discipline, fault points, and summary shape
-        are exactly the singleton ones), and a recompute-mode view
-        folds the burst into its database with one invalidation.
+        net Z-set delta and absorbs it in one circuit pass, a rebuild
+        view evaluates once — and either way the burst costs one
+        snapshot publish, never N.
 
         Atomicity matches :meth:`apply`, burst-wide: either the whole
         burst lands, or the EDB is rolled back to the pre-burst state
@@ -664,43 +591,19 @@ class MaterializedView:
             self._check_arities(deletes)
         if not batches:
             return {"mode": "noop", "batches": 0}
-        if len(batches) == 1:
-            inserts, deletes = batches[0]
-            summary = self.apply(inserts=inserts, deletes=deletes)
-            summary.setdefault("batches", 1)
-            return summary
-        if self.engine is not None:
-            return self._apply_incremental_stream(batches)
-        applied_inserts = applied_deletes = 0
-        for inserts, deletes in batches:
-            for predicate, row in deletes:
-                if self.database.holds(predicate, *row):
-                    self.database.discard(predicate, *row)
-                    applied_deletes += 1
-            for predicate, row in inserts:
-                if not self.database.holds(predicate, *row):
-                    self.database.add(predicate, *row)
-                    applied_inserts += 1
-            self.metrics.bump("update_batches")
-            self.metrics.bump("recompute_batches")
-        self._result = None
-        self._invalidate_snapshot()
-        self._mark_healthy()
-        self.metrics.bump("inserts_applied", applied_inserts)
-        self.metrics.bump("deletes_applied", applied_deletes)
-        return {
-            "mode": "recompute",
-            "batches": len(batches),
-            "inserts": applied_inserts,
-            "deletes": applied_deletes,
-        }
+        summary = self._maintain(batches)
+        summary.setdefault("batches", len(batches))
+        return summary
 
-    def _apply_incremental_stream(
+    def _maintain(
         self,
-        batches: List[Tuple[List[Tuple[str, Row]], List[Tuple[str, Row]]]],
+        batches: List[Batch],
+        annotations: Optional[Dict[Tuple[str, Row], object]] = None,
     ) -> Dict[str, object]:
+        """One engine pass over ``batches`` under the failure discipline."""
         engine = self.engine
-        assert engine is not None
+        # A degraded view's resident state is untrustworthy; rebuild it
+        # before layering a new batch on top (or refuse the batch).
         if self.stale and not self._reinitialize():
             raise ViewDegraded(
                 "view is degraded and could not recover before the update; "
@@ -711,80 +614,68 @@ class MaterializedView:
         # when later batches in the burst touch the same fact again.
         presence: Dict[Tuple[str, Row], bool] = {}
         for inserts, deletes in batches:
-            for predicate, row in deletes:
-                key = (predicate, row)
+            for key in deletes + inserts:
                 if key not in presence:
-                    presence[key] = engine.edb.holds(predicate, *row)
-            for predicate, row in inserts:
-                key = (predicate, row)
-                if key not in presence:
-                    presence[key] = engine.edb.holds(predicate, *row)
+                    presence[key] = engine.edb.holds(key[0], *key[1])
         engine.budget = self._budget()
         try:
             with self.metrics.phase("maintain"):
-                summary = engine.apply_stream(batches)
+                if annotations:
+                    summary = engine.apply_stream(batches, annotations=annotations)
+                else:
+                    summary = engine.apply_stream(batches)
         except IncrementalMaintenanceError:
-            # Correctness valve, burst-wide: the EDB holds the whole
-            # burst, only the derived bookkeeping broke — rebuild from
-            # the updated database and keep serving.
+            # Correctness valve: the EDB holds the whole burst, only
+            # the derived bookkeeping broke — rebuild from the updated
+            # database and keep serving.
             self.metrics.bump("recompute_fallbacks")
             if not self._reinitialize():
-                flat_inserts = [pair for inserts, _ in batches for pair in inserts]
-                flat_deletes = [pair for _, deletes in batches for pair in deletes]
-                return self._degraded_summary(flat_inserts, flat_deletes)
-            return {"mode": "reinitialized", "batches": len(batches)}
+                return {
+                    "mode": "degraded",
+                    "stale": True,
+                    "inserts": sum(len(inserts) for inserts, _ in batches),
+                    "deletes": sum(len(deletes) for _, deletes in batches),
+                }
+            return {"mode": "reinitialized"}
         except Cancelled:
-            # The burst may have maintained several components before
-            # the budget tripped, and the queue's per-batch retry must
-            # start from a consistent state.
-            self._rollback_presence(presence)
+            # Rebuild too: the burst may have maintained several
+            # components — or several levels of a chain, each holding
+            # its own copy of the facts — before the budget tripped,
+            # and the queue's per-batch retry must start from a
+            # consistent state.
+            self._rollback(presence)
             self._reinitialize()
             raise
         except ReproError as exc:
-            self._rollback_presence(presence)
+            # The burst failed mid-flight: roll the EDB back to the
+            # pre-burst state, then rebuild the model so it matches.
+            self._rollback(presence)
             self.metrics.bump("rollbacks")
             if not self._reinitialize():
                 self._enter_degraded(exc)
                 raise ViewDegraded(
-                    f"update burst failed and recovery failed ({exc}); view "
-                    f"is degraded and serves its last consistent model",
+                    f"update failed and recovery failed ({exc}); view is "
+                    f"degraded and serves its last consistent model",
                 ) from exc
             raise
         finally:
             engine.budget = None
         self._mark_healthy()
         self._publish_maintained(summary)
-        return {"mode": "incremental", **summary}
+        return {"mode": self.mode, **summary}
 
-    def _rollback_presence(
-        self, presence: Dict[Tuple[str, Row], bool]
-    ) -> None:
-        engine = self.engine
-        assert engine is not None
+    def _rollback(self, presence: Dict[Tuple[str, Row], bool]) -> None:
+        edb = self.engine.edb
         for (predicate, row), present in presence.items():
             if present:
-                if not engine.edb.holds(predicate, *row):
-                    engine.edb.add(predicate, *row)
+                if not edb.holds(predicate, *row):
+                    edb.add(predicate, *row)
             else:
-                engine.edb.discard(predicate, *row)
-
-    def _rollback(
-        self,
-        undo_add: List[Tuple[str, Row]],
-        undo_discard: List[Tuple[str, Row]],
-    ) -> None:
-        engine = self.engine
-        assert engine is not None
-        for predicate, row in undo_add:
-            if not engine.edb.holds(predicate, *row):
-                engine.edb.add(predicate, *row)
-        for predicate, row in undo_discard:
-            engine.edb.discard(predicate, *row)
+                edb.discard(predicate, *row)
 
     def _reinitialize(self) -> bool:
         """Rebuild the resident model from the EDB; True on success."""
         engine = self.engine
-        assert engine is not None
         # Recovery is not governed by the (possibly already exhausted)
         # request budget — it must be allowed to finish.
         engine.budget = None
@@ -804,18 +695,6 @@ class MaterializedView:
         self._publish_model()
         return True
 
-    def _degraded_summary(
-        self,
-        inserts: List[Tuple[str, Row]],
-        deletes: List[Tuple[str, Row]],
-    ) -> Dict[str, object]:
-        return {
-            "mode": "degraded",
-            "stale": True,
-            "inserts": len(inserts),
-            "deletes": len(deletes),
-        }
-
     def recover(self) -> bool:
         """Try to leave degraded mode by rebuilding the model.
 
@@ -824,16 +703,7 @@ class MaterializedView:
         rebuild has actually succeeded; a failed recovery leaves the
         degraded flag and clock untouched.
         """
-        if not self.stale:
-            return True
-        if self.engine is not None:
-            return self._reinitialize()
-        self._result = None
-        try:
-            self._ensure_result()
-        except ReproError:
-            return False
-        return True
+        return not self.stale or self._reinitialize()
 
     def _check_arities(self, updates) -> None:
         arities = self.prepared.arities
@@ -860,37 +730,31 @@ class MaterializedView:
                 "semantics": self.semantics,
                 "semiring": self.semiring,
                 "maintenance": (
-                    "annotated"
+                    None
+                    if self.mode == "recompute"
+                    else "annotated"
                     if self.semiring != "bool"
                     else "alternating"
-                    if self._chain is not None
-                    else self.maintenance
-                    if self.mode == "incremental"
-                    else None
+                    if isinstance(self.engine, AlternatingEngine)
+                    else "dbsp"
                 ),
                 "queue_depth": self.pending.depth(),
                 "facts": self.database.fact_count(),
                 "stale": self.stale,
-                "ground_cache_hits": self.prepared.ground_cache_hits,
-                "ground_cache_misses": self.prepared.ground_cache_misses,
             }
         )
-        published, servable = self._published.get()
+        published = self._published.get()
         snapshot["snapshot_generation"] = self._generation
-        snapshot["snapshot_servable"] = servable
-        snapshot["chain_depth"] = (
-            published.max_chain_depth() if published is not None else 0
-        )
+        snapshot["chain_depth"] = published.max_chain_depth()
         snapshot["alternation_levels"] = self.alternation_levels()
-        if published is not None:
-            snapshot["snapshot_age_seconds"] = round(
-                time.monotonic() - published.published_at, 6
-            )
+        snapshot["snapshot_age_seconds"] = round(
+            time.monotonic() - published.published_at, 6
+        )
         if self._last_error is not None:
             snapshot["last_error"] = self._last_error
-        if self._chain is not None:
-            snapshot["model_rows"] = self._chain.model_rows()
-        elif self.engine is not None:
+        if self._three_valued is not None:
+            snapshot["model_rows"] = self._three_valued.model_rows()
+        else:
             snapshot["model_rows"] = sum(
                 len(rows) for rows in self.engine.state.facts.values()
             )

@@ -195,36 +195,61 @@ class TestDegradedIncremental:
 
 
 class TestDegradedRecompute:
-    def test_recompute_view_serves_stale_when_evaluation_fails(self):
+    """A rebuild view evaluates when it is written, so it fails there:
+    the batch rolls back, the view reinitializes, and it degrades only
+    when the rebuild keeps failing — the discipline of every engine."""
+
+    def test_failing_rebuild_rolls_back_and_degrades(self):
         view = _tc_view(semantics="valid", incremental=False)
-        good_rows = view.rows("tc")  # populates the last-good snapshot
-        view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
+        before = view.fingerprint()
+        good_rows = view.rows("tc")
         with inject_faults(
             FaultInjector([FaultRule("view.recompute", times=None)])
         ):
-            rows = view.rows("tc")
-        assert view.stale
-        assert rows == good_rows
-        assert view.undefined_rows("tc") == frozenset()
-        # Recovery: the next fault-free query recomputes exactly.
+            with pytest.raises(ViewDegraded):
+                view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
+            assert view.stale
+            assert view.read_snapshot().stale
+            assert view.rows("tc") == good_rows
+            assert view.undefined_rows("tc") == frozenset()
+        # The batch was rejected atomically.
+        assert view.fingerprint() == before
+        # Recovery: the next fault-free rebuild is exact again.
         assert view.recover()
         assert not view.stale
+        assert view.rows("tc") == _expected_tc(view.database)
+        view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
         assert (Atom("a"), Atom("d")) in view.rows("tc")
 
-    def test_recompute_failure_without_snapshot_raises(self):
+    def test_transient_rebuild_failure_rolls_back_and_stays_healthy(self):
         view = _tc_view(semantics="valid", incremental=False)
+        before = view.fingerprint()
+        with inject_faults(
+            FaultInjector([FaultRule("view.recompute", times=1)])
+        ):
+            with pytest.raises(InjectedFault):
+                view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
+        assert not view.stale
+        assert view.fingerprint() == before
+        assert view.rows("tc") == _expected_tc(view.database)
+        assert view.metrics.counters["rollbacks"] == 1
+
+    def test_recompute_failure_without_snapshot_raises(self):
+        # Registration evaluates: with no model to serve, the failure
+        # surfaces instead of degrading.
         with inject_faults(
             FaultInjector([FaultRule("view.recompute", times=None)])
         ):
             with pytest.raises(InjectedFault):
-                view.rows("tc")
-        assert not view.stale  # nothing to serve, so no degraded mode
+                _tc_view(semantics="valid", incremental=False)
 
-    def test_stale_service_preserves_undefined_rows(self):
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_stale_service_preserves_undefined_rows(self, incremental):
         # Regression: the degraded snapshot used to keep only the
         # certainly-true rows, so undefined_rows() answered empty while
         # stale — collapsing the three-valued distinction the valid
-        # semantics (Theorem 4.2) turns on.
+        # semantics (Theorem 4.2) turns on.  Both the chain and the
+        # rebuild engine must keep it.
         prepared = prepare_program(
             "win", "win(X) :- move(X, Y), not win(Y).\n"
         )
@@ -234,18 +259,21 @@ class TestDegradedRecompute:
             .add("move", Atom("b"), Atom("c"))
             .add("move", Atom("d"), Atom("d"))
         )
-        view = MaterializedView(prepared, database, semantics="valid")
+        view = MaterializedView(
+            prepared, database, semantics="valid", incremental=incremental
+        )
         healthy_true = view.rows("win")
         healthy_undefined = view.undefined_rows("win")
         assert healthy_true == {(Atom("b"),)}
         assert healthy_undefined == {(Atom("d"),)}  # the d→d loop
-        # The chain's levels are engines: fail the batch in the first
-        # of them, and every rebuild after the rollback.
+        # Fail the batch in the engine (the chain's first level, or the
+        # rebuild's evaluation), and every rebuild after the rollback.
         with inject_faults(
             FaultInjector(
                 [
                     FaultRule("incremental.apply", times=None),
                     FaultRule("incremental.initialize", times=None),
+                    FaultRule("view.recompute", times=None),
                 ]
             )
         ):
@@ -253,15 +281,15 @@ class TestDegradedRecompute:
                 view.apply(inserts=[("move", (Atom("c"), Atom("e")))])
             stale_true = view.rows("win")
             stale_undefined = view.undefined_rows("win")
-            stale_snapshot = view.served_snapshot()
+            stale_snapshot = view.read_snapshot()
         assert view.stale and stale_snapshot.stale
         # Both truth statuses of the last healthy model survive, on the
-        # locked read and on the lock-free one.
+        # view's own reads and on the lock-free snapshot.
         assert stale_true == healthy_true
         assert stale_undefined == healthy_undefined
         assert stale_snapshot.rows("win") == healthy_true
         assert stale_snapshot.undefined_rows("win") == healthy_undefined
-        # Recovery rebuilds the chain and publishes both statuses again.
+        # Recovery rebuilds the model and publishes both statuses again.
         assert view.recover()
         assert not view.stale
         assert view.read_snapshot().undefined_rows("win") == healthy_undefined
@@ -275,12 +303,11 @@ class TestDegradedRecompute:
         # attempting the rebuild, so a failed recovery briefly reported
         # healthy and reset the time-in-degraded clock.
         view = _tc_view(semantics="valid", incremental=False)
-        view.rows("tc")
-        view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
         with inject_faults(
             FaultInjector([FaultRule("view.recompute", times=None)])
         ):
-            view.rows("tc")
+            with pytest.raises(ViewDegraded):
+                view.apply(inserts=[("edge", (Atom("c"), Atom("d")))])
             assert view.stale
             degraded_since = view.metrics._degraded_since
             assert degraded_since is not None

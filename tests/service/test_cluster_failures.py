@@ -141,6 +141,7 @@ class TestCrash:
             picks.items()
         )
         acked = {victim_view: [], survivor_view: []}
+        acks = threading.Condition()
         unexpected = []
         stop = threading.Event()
 
@@ -155,7 +156,9 @@ class TestCrash:
                             mine.insert(view, fact)
                         except ClusterReplyError:
                             continue  # unacked: allowed to be lost
-                        acked[view].append(fact)
+                        with acks:
+                            acked[view].append(fact)
+                            acks.notify_all()
             except (socket.timeout, ConnectionError, OSError) as exc:
                 # A transport drop mid-reply is fine (the write was not
                 # acked); a *timeout* means a hang — record it.
@@ -166,13 +169,29 @@ class TestCrash:
             threading.Thread(target=writer, args=(view,))
             for view in (victim_view, survivor_view)
         ]
+        def await_acks(more, moment):
+            """Block until both views gain ``more`` acks (fail loudly)."""
+            with acks:
+                wanted = {view: len(facts) + more for view, facts in acked.items()}
+                if not acks.wait_for(
+                    lambda: all(len(acked[v]) >= n for v, n in wanted.items()),
+                    timeout=CLIENT_TIMEOUT,
+                ):
+                    counts = {view: len(facts) for view, facts in acked.items()}
+                    raise AssertionError(
+                        f"writers stalled {moment}: acks {counts}, wanted {wanted}"
+                    )
+
         incarnation = router._workers[victim_shard].incarnation
         for thread in threads:
             thread.start()
-        time.sleep(0.4)
-        _kill_worker(router, victim_shard)
-        time.sleep(0.6)
-        stop.set()
+        try:
+            await_acks(20, "before the kill")
+            _kill_worker(router, victim_shard)
+            # The crashed shard acks again only once it has respawned.
+            await_acks(20, "after the kill")
+        finally:
+            stop.set()
         for thread in threads:
             thread.join(timeout=CLIENT_TIMEOUT + 30)
             assert not thread.is_alive(), "writer hung"

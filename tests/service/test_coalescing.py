@@ -5,13 +5,13 @@ into a single circuit pass and a single snapshot publish.  That is only
 an optimisation if it is *invisible*: the published snapshot after a
 burst must be **byte-identical** (same ``fingerprint``) to the snapshot
 after applying the same batches sequentially.  This suite checks
-exactly that, across every maintenance discipline a view can run under
-(dbsp, legacy, forced recompute, inflationary recompute, and the
-alternating chain of the valid / well-founded semantics), from
-concurrent writers through the real group-commit
-path, and under injected ``service.lock`` and budget faults — a failed
-or refused burst must leave the queue empty and the view's state
-exactly where it was.
+exactly that, across every engine a view can run on (the delta-stream
+circuit, the rebuild engine of forced-recompute and inflationary views,
+and the alternating chain of the valid / well-founded semantics), from
+concurrent writers through the real group-commit path, and under
+injected ``service.lock`` and budget faults — a failed or refused
+burst must leave the queue empty and the view's state exactly where it
+was.
 """
 
 import random
@@ -36,16 +36,14 @@ TC = (
 )
 WIN = "win(X) :- move(X, Y), not win(Y).\n"
 
-#: (config id, program, semantics, incremental flag, maintenance mode)
-#: — the five registration disciplines crossed with both engines where
-#: the incremental fast path applies.
+#: (config id, program, semantics, incremental flag) — the five
+#: registration disciplines.
 CONFIGS = [
-    ("stratified-dbsp", TC, "stratified", True, "dbsp"),
-    ("stratified-legacy", TC, "stratified", True, "legacy"),
-    ("stratified-recompute", TC, "stratified", False, "dbsp"),
-    ("inflationary", WIN, "inflationary", True, "dbsp"),
-    ("wellfounded", WIN, "wellfounded", True, "dbsp"),
-    ("valid", WIN, "valid", True, "dbsp"),
+    ("stratified-dbsp", TC, "stratified", True),
+    ("stratified-recompute", TC, "stratified", False),
+    ("inflationary", WIN, "inflationary", True),
+    ("wellfounded", WIN, "wellfounded", True),
+    ("valid", WIN, "valid", True),
 ]
 
 NODES = [Atom(f"n{i}") for i in range(5)]
@@ -79,8 +77,8 @@ def _random_batches(rng, predicate, count=BATCHES):
 
 
 def _fresh_service(config, rng, **kwargs):
-    _, program, semantics, incremental, maintenance = config
-    service = QueryService(maintenance=maintenance, **kwargs)
+    _, program, semantics, incremental = config
+    service = QueryService(**kwargs)
     service.register("v", program, semantics=semantics, incremental=incremental)
     predicate = _update_predicate(program)
     seed_rows = [
@@ -90,10 +88,7 @@ def _fresh_service(config, rng, **kwargs):
     return service
 
 
-def _fingerprint(service, program):
-    # Recompute disciplines publish lazily on the next read, so force
-    # the publish before fingerprinting.
-    service.query_state("v", _query_predicate(program))
+def _fingerprint(service):
     return service.view("v").read_snapshot().fingerprint
 
 
@@ -103,7 +98,7 @@ def _fingerprint(service, program):
 @pytest.mark.parametrize("seed", range(4))
 def test_burst_fingerprint_matches_sequential(config, seed):
     """apply_stream(batches) and N× apply publish byte-identical models."""
-    _, program, _, _, _ = config
+    _, program, _, _ = config
     predicate = _update_predicate(program)
     burst = _fresh_service(config, random.Random(f"coalesce-{seed}"))
     sequential = _fresh_service(config, random.Random(f"coalesce-{seed}"))
@@ -115,23 +110,16 @@ def test_burst_fingerprint_matches_sequential(config, seed):
         swaps_before = view.metrics.counters["snapshot_swaps"]
         summary = view.apply_stream(batches)
         assert summary["batches"] == len(batches)
+        # The whole burst was one publish, whatever the engine ...
+        assert view.metrics.counters["snapshot_swaps"] == swaps_before + 1
         if summary["mode"] == "incremental":
-            # The whole burst was one publish; under dbsp it was also a
-            # single circuit pass (the coalescing counters are the
-            # circuit's — the legacy engine replays per batch).
-            assert (
-                view.metrics.counters["snapshot_swaps"] == swaps_before + 1
-            )
+            # ... and on the circuits also a single pass.
             coalesced = view.metrics.counters["delta_batches_coalesced"]
-            if config[4] == "dbsp":
-                assert coalesced >= len(batches) - 1
-            else:
-                assert coalesced == 0
-                assert view.metrics.counters["circuit_steps"] == 0
+            assert coalesced >= len(batches) - 1
         for inserts, deletes in batches:
             sequential.update("v", inserts=inserts, deletes=deletes)
-        assert _fingerprint(burst, program) == _fingerprint(
-            sequential, program
+        assert _fingerprint(burst) == _fingerprint(
+            sequential
         ), f"burst and sequential fingerprints diverged under {config[0]}"
     finally:
         burst.close()
@@ -267,15 +255,22 @@ def test_bare_writes_to_an_annotated_view_group_commit():
         sequential.close()
 
 
-@pytest.mark.parametrize("maintenance", ["dbsp", "legacy"])
-def test_concurrent_writers_group_commit_matches_sequential(maintenance):
+#: The group-commit tests run on the circuit and on the rebuild engine.
+ENGINES = pytest.mark.parametrize(
+    "incremental", [True, False], ids=["dbsp", "recompute"]
+)
+
+
+@ENGINES
+def test_concurrent_writers_group_commit_matches_sequential(incremental):
     """Racing writers through the real queue land on the sequential model.
 
     Insert-only disjoint batches commute, so any drain order must
     produce the same published fingerprint as a single-threaded
     service applying the same batches.
     """
-    config = ("x", TC, "stratified", True, maintenance)
+    config = ("x", TC, "stratified", incremental)
+    mode = "incremental" if incremental else "recompute"
     rng = random.Random("group-commit")
     service = _fresh_service(config, rng, coalesce=8)
     sequential = _fresh_service(config, random.Random("group-commit"))
@@ -294,7 +289,7 @@ def test_concurrent_writers_group_commit_matches_sequential(maintenance):
             try:
                 for inserts in batches:
                     summary = service.update("v", inserts=inserts)
-                    assert summary["mode"] == "incremental"
+                    assert summary["mode"] == mode
             except BaseException as exc:  # surfaced after join
                 failures.append(exc)
 
@@ -315,21 +310,21 @@ def test_concurrent_writers_group_commit_matches_sequential(maintenance):
         for batches in per_writer:
             for inserts in batches:
                 sequential.update("v", inserts=inserts)
-        assert _fingerprint(service, TC) == _fingerprint(sequential, TC)
+        assert _fingerprint(service) == _fingerprint(sequential)
     finally:
         service.close()
         sequential.close()
 
 
-@pytest.mark.parametrize("maintenance", ["dbsp", "legacy"])
-def test_lock_fault_withdraws_ticket_and_leaves_state_clean(maintenance):
+@ENGINES
+def test_lock_fault_withdraws_ticket_and_leaves_state_clean(incremental):
     """A service.lock fault mid-update must not strand an unacked batch."""
-    config = ("x", TC, "stratified", True, maintenance)
+    config = ("x", TC, "stratified", incremental)
     rng = random.Random("lock-fault")
     service = _fresh_service(config, rng, coalesce=8)
     reference = _fresh_service(config, random.Random("lock-fault"))
     try:
-        before = _fingerprint(service, TC)
+        before = _fingerprint(service)
         injector = FaultInjector([FaultRule("service.lock", at_hit=1)])
         with inject_faults(injector):
             with pytest.raises(InjectedFault):
@@ -337,13 +332,15 @@ def test_lock_fault_withdraws_ticket_and_leaves_state_clean(maintenance):
         # The refused batch is fully withdrawn: empty queue, untouched
         # snapshot, and no future leader can replay it.
         assert service.view("v").pending.depth() == 0
-        assert _fingerprint(service, TC) == before
+        assert _fingerprint(service) == before
         summary = service.update(
             "v", inserts=[("edge", (NODES[1], NODES[2]))]
         )
-        assert summary["mode"] == "incremental"
+        assert summary["mode"] == (
+            "incremental" if incremental else "recompute"
+        )
         reference.update("v", inserts=[("edge", (NODES[1], NODES[2]))])
-        assert _fingerprint(service, TC) == _fingerprint(reference, TC)
+        assert _fingerprint(service) == _fingerprint(reference)
     finally:
         service.close()
         reference.close()
@@ -360,7 +357,7 @@ def test_budget_fault_mid_burst_reinitializes_cleanly(config):
     service = _fresh_service(config, rng)
     try:
         view = service.view("v")
-        before = _fingerprint(service, config[1])
+        before = _fingerprint(service)
         original_factory = view.budget_factory
         draws = iter([EvaluationBudget(deadline_seconds=-1.0)])
         # Poison only the first draw: the rollback's reinitialize draws
@@ -376,7 +373,7 @@ def test_budget_fault_mid_burst_reinitializes_cleanly(config):
         # fingerprint as before, still healthy, and the same burst
         # replays successfully afterwards.
         assert not view.stale
-        assert _fingerprint(service, config[1]) == before
+        assert _fingerprint(service) == before
         replay = view.apply_stream(batches)
         assert replay["batches"] == len(batches)
         reference = _fresh_service(
@@ -385,37 +382,42 @@ def test_budget_fault_mid_burst_reinitializes_cleanly(config):
         try:
             for inserts, deletes in batches:
                 reference.update("v", inserts=inserts, deletes=deletes)
-            assert _fingerprint(service, config[1]) == _fingerprint(
-                reference, config[1]
-            )
+            assert _fingerprint(service) == _fingerprint(reference)
         finally:
             reference.close()
     finally:
         service.close()
 
 
-def test_injected_apply_fault_inside_drain_fails_only_its_batch():
+@pytest.mark.parametrize(
+    "incremental, point",
+    [(True, "incremental.apply"), (False, "view.recompute")],
+    ids=["dbsp", "recompute"],
+)
+def test_injected_apply_fault_inside_drain_fails_only_its_batch(
+    incremental, point
+):
     """With coalescing active, a poisoned burst degrades to per-batch
     retry: the injected fault fails exactly one writer, the others'
     batches still commit, and the final model matches a reference that
-    never saw the poisoned batch."""
-    config = ("x", TC, "stratified", True, "dbsp")
+    never saw the poisoned batch.  On the rebuild engine the poison is
+    the burst's ``run()`` itself."""
+    config = ("x", TC, "stratified", incremental)
     service = _fresh_service(config, random.Random("drain-fault"), coalesce=8)
     reference = _fresh_service(config, random.Random("drain-fault"))
     try:
         inserts = [("edge", (NODES[2], NODES[3]))]
-        injector = FaultInjector(
-            [FaultRule("incremental.apply", at_hit=1, times=1)]
-        )
+        injector = FaultInjector([FaultRule(point, at_hit=1, times=1)])
         with inject_faults(injector):
             with pytest.raises(InjectedFault):
                 service.update("v", inserts=inserts)
         assert service.view("v").pending.depth() == 0
+        assert not service.view("v").stale
         # The view answered the fault with a rebuild; later updates and
         # the replayed batch both land, matching the reference.
         service.update("v", inserts=inserts)
         reference.update("v", inserts=inserts)
-        assert _fingerprint(service, TC) == _fingerprint(reference, TC)
+        assert _fingerprint(service) == _fingerprint(reference)
     finally:
         service.close()
         reference.close()

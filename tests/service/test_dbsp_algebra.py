@@ -27,6 +27,7 @@ from repro.datalog.engine import run
 from repro.datalog.parser import parse_program
 from repro.relations import Atom
 from repro.service import prepare_program
+from tests.property.test_alternating_chain import never_grounds
 from repro.service.dbsp import (
     DBSPEngine,
     IncrementalDistinct,
@@ -303,15 +304,17 @@ def _leaf_move_work(games, length=6):
         for i in range(length):
             database.add("move", f"g{k}p{i}", f"g{k}p{i + 1}")
         database.add("move", f"g{k}x", f"g{k}y").add("move", f"g{k}y", f"g{k}x")
-    view = MaterializedView(
-        prepare_program("games", _WIN), database, semantics="valid"
-    )
+    with never_grounds():
+        view = MaterializedView(
+            prepare_program("games", _WIN), database, semantics="valid"
+        )
     assert len(view.undefined_rows("win")) == 2 * games
     leaf = ("move", (f"g0p{length}", "g0leaf"))
     work = []
     for batch in ({"inserts": [leaf]}, {"deletes": [leaf]}):
         before = view.metrics.counters["rows_matched"]
-        summary = view.apply(**batch)
+        with never_grounds():
+            summary = view.apply(**batch)
         # The move, and every position of that one chain changing sides.
         delta_rows = summary["delta_plus"] + summary["delta_minus"]
         assert delta_rows == length + 2
@@ -323,7 +326,6 @@ def _leaf_move_work(games, length=6):
                 view.alternation_levels(),
             )
         )
-    assert view.prepared.ground_cache_misses == 0, "a chain view never grounds"
     assert view.metrics.counters["recompute_batches"] == 0
     return work
 

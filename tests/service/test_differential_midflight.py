@@ -27,8 +27,7 @@ what replaces it is a **legal version set**:
 Any torn publish (rows mixing two generations), stranded ticket
 (a batch acked but never published, or published out of order), or
 maintenance bug under coalescing shows up as a mismatch.  The whole
-harness runs under both maintenance engines (``dbsp`` and ``legacy``)
-with the group-commit queue active.
+harness runs with the group-commit queue active.
 """
 
 import os
@@ -56,18 +55,21 @@ WIN = (
 )
 
 #: (config id, program, semantics, query predicate, update predicate,
-#:  maintenance mode, semiring) — both engines, with the group-commit
-#: queue on.  The tropical config runs the annotated engine under the
-#: same concurrent writers: it is idempotent, so its *support* equals
-#: the boolean least model and the prefix-replay oracle still applies
-#: (annotated updates bypass the coalescing queue by design, which is
-#: exactly the routing this config pins down under contention).
+#:  semiring, incremental flag) — with the group-commit queue on.  The
+#: tropical config runs the annotated engine under the same concurrent
+#: writers: it is idempotent, so its *support* equals the boolean least
+#: model and the prefix-replay oracle still applies (annotated updates
+#: bypass the coalescing queue by design, which is exactly the routing
+#: this config pins down under contention).  The recompute and
+#: inflationary configs run the rebuild engine: ``run()`` once per
+#: drained burst, published by the diff, read off the snapshot like
+#: every other view.
 CONFIGS = [
-    ("stratified-dbsp", TC, "stratified", "tc", "edge", "dbsp", "bool"),
-    ("stratified-legacy", TC, "stratified", "tc", "edge", "legacy", "bool"),
-    ("wellfounded-dbsp", WIN, "wellfounded", "win", "move", "dbsp", "bool"),
-    ("wellfounded-legacy", WIN, "wellfounded", "win", "move", "legacy", "bool"),
-    ("tropical-annotated", TC, "stratified", "tc", "edge", "dbsp", "tropical"),
+    ("stratified-dbsp", TC, "stratified", "tc", "edge", "bool", True),
+    ("wellfounded-dbsp", WIN, "wellfounded", "win", "move", "bool", True),
+    ("tropical-annotated", TC, "stratified", "tc", "edge", "tropical", True),
+    ("stratified-recompute", TC, "stratified", "tc", "edge", "bool", False),
+    ("inflationary", WIN, "inflationary", "win", "move", "bool", True),
 ]
 
 NODES = [Atom(f"n{i}") for i in range(6)]
@@ -161,13 +163,8 @@ def _reader_loop(service, name, view, query_predicate, stop, observations):
     — all four drawn from one immutable snapshot."""
     seen = set()
     while not stop.is_set():
-        # Recompute disciplines publish lazily on the next read; the
-        # query_state call forces the publish the wait-free snapshot
-        # read below then observes.
         service.query_state(name, query_predicate)
         snapshot = view.read_snapshot()
-        if snapshot is None:
-            continue
         if snapshot.generation not in seen:
             seen.add(snapshot.generation)
             observations.append(
@@ -185,12 +182,13 @@ def _reader_loop(service, name, view, query_predicate, stop, observations):
 )
 @pytest.mark.parametrize("seed", range(SEEDS))
 def test_midflight_answers_form_a_monotone_legal_version_chain(config, seed):
-    config_id, program, semantics, query_predicate, update_predicate, (
-        maintenance
-    ), semiring = config
+    (
+        config_id, program, semantics, query_predicate, update_predicate,
+        semiring, incremental,
+    ) = config
     rng = random.Random(f"{config_id}-midflight-{seed}")
     schedules = _make_schedules(rng, update_predicate)
-    service = QueryService(maintenance=maintenance, coalesce=8)
+    service = QueryService(coalesce=8)
     try:
         name = "mid"
         base = Database()
@@ -199,15 +197,16 @@ def test_midflight_answers_form_a_monotone_legal_version_chain(config, seed):
             base.add(update_predicate, *row)
         service.register(
             name, program, semantics=semantics, database=base,
-            semiring=semiring,
+            semiring=semiring, incremental=incremental,
         )
         view = service.view(name)
         if semantics == "wellfounded":
-            # The alternating chain, whichever engine ``maintenance``
-            # names for stratified views: every state it reaches is
-            # published, so no reader below finds the snapshot withheld.
             assert view.alternation_levels() >= 2
-            assert view.read_snapshot() is not None
+        assert view.mode == (
+            "recompute"
+            if semantics == "inflationary" or not incremental
+            else "incremental"
+        )
 
         observations = [[] for _ in range(READERS)]
         failures = []
@@ -250,7 +249,6 @@ def test_midflight_answers_form_a_monotone_legal_version_chain(config, seed):
 
         # The quiescent endpoint is itself an observation: every acked
         # batch must be visible once the writers drain.
-        service.query_state(name, query_predicate)  # force lazy publish
         final = view.read_snapshot()
         merged = [obs for reader in observations for obs in reader] + [
             (

@@ -9,21 +9,23 @@ from-scratch evaluation of the view's program over its current
 database (:func:`repro.datalog.engine.run`, the same oracle the
 concurrency stress suite trusts).
 
-Six service configurations are fuzzed, covering every maintenance
-discipline a view can run under:
+Five service configurations are fuzzed, covering every engine a
+boolean view can run on:
 
-* ``stratified`` on the incremental fast path under **both** engines —
-  the delta-stream circuit (``maintenance="dbsp"``, the default) and
-  the counting/DRed baseline (``maintenance="legacy"``),
-* ``stratified`` forced onto the recompute path (snapshot republished
-  from full models),
-* ``inflationary`` — the recompute discipline that remains for
-  boolean views left on their default,
+* ``stratified`` on the delta-stream circuit,
+* ``stratified`` forced onto the rebuild engine (``incremental=False``:
+  ``run()`` once per burst, published by the diff),
+* ``inflationary`` — the rebuild engine again, over a pool that also
+  negates a database predicate (``not`` of a fact holds in the first
+  inflationary stage: the stages start from nothing),
 * ``wellfounded`` and ``valid``, with non-stratified programs in the
   mix so undefined rows actually occur: those run on the alternating
-  chain of circuits and, like every engine-backed view, answer every
-  read from a published snapshot without the view lock (asserted per
-  check); the stratified programs beside them take the plain circuit.
+  chain of circuits; the stratified programs beside them take the
+  plain circuit.
+
+Every view, whatever its engine, is always servable from a published
+snapshot: after every batch the schedule reads the view and checks the
+read came off the snapshot (``snapshot_reads`` moved).
 
 The acceptance bar: 250+ schedules, zero oracle mismatches.  Schedules
 are deterministic per seed, so any failure is replayable from the test
@@ -64,16 +66,21 @@ STRATIFIED_POOL = [
 THREE_VALUED_POOL = STRATIFIED_POOL + [
     (WIN, ("win", "move"), ("move",)),
 ]
+#: A negated database predicate: under the inflationary semantics
+#: ``not m(X)`` is read against stage 0, before any fact is in.
+NEG_EDB = "p(X) :- n(X), not m(X).\n"
+INFLATIONARY_POOL = THREE_VALUED_POOL + [
+    (NEG_EDB, ("p", "n", "m"), ("n", "m")),
+]
 
-#: The six fuzzed service configurations:
-#: (config id, semantics, incremental flag, maintenance, program pool).
+#: The five fuzzed service configurations:
+#: (config id, semantics, incremental flag, program pool).
 CONFIGS = [
-    ("stratified-dbsp", "stratified", True, "dbsp", STRATIFIED_POOL),
-    ("stratified-legacy", "stratified", True, "legacy", STRATIFIED_POOL),
-    ("stratified-recompute", "stratified", False, "dbsp", STRATIFIED_POOL),
-    ("inflationary", "inflationary", True, "dbsp", THREE_VALUED_POOL),
-    ("wellfounded", "wellfounded", True, "dbsp", THREE_VALUED_POOL),
-    ("valid", "valid", True, "dbsp", THREE_VALUED_POOL),
+    ("stratified-dbsp", "stratified", True, STRATIFIED_POOL),
+    ("stratified-recompute", "stratified", False, STRATIFIED_POOL),
+    ("inflationary", "inflationary", True, INFLATIONARY_POOL),
+    ("wellfounded", "wellfounded", True, THREE_VALUED_POOL),
+    ("valid", "valid", True, THREE_VALUED_POOL),
 ]
 
 pytestmark = pytest.mark.slow
@@ -84,11 +91,11 @@ _SMOKE = os.environ.get("REPRO_BENCH_SCALE") == "smoke"
 
 VIEWS = 4
 OPS_PER_SCHEDULE = 12
-#: 6 configs x 42 seeds = 252 schedules (x 7 at smoke).
-SEEDS_PER_CONFIG = 7 if _SMOKE else 42
+#: 5 configs x 50 seeds = 250 schedules (x 7 at smoke).
+SEEDS_PER_CONFIG = 7 if _SMOKE else 50
 NODES = [Atom(f"n{i}") for i in range(5)]
 
-_PARSED = {text: parse_program(text) for text, _, _ in THREE_VALUED_POOL}
+_PARSED = {text: parse_program(text) for text, _, _ in INFLATIONARY_POOL}
 
 
 def _seed_database(rng, update_predicates, **shape):
@@ -129,13 +136,9 @@ def _check_view(service, name, state, semantics):
     view = service.view(name)
     database = view.database
     oracle = _oracle(program_text, database, semantics)
-    if view.mode == "incremental":
-        # Engine-backed, the alternating chain included: the lock-free
-        # snapshot is always servable, no read waits for an evaluation.
-        assert view.read_snapshot() is not None
-        assert (view.alternation_levels() > 0) == (
-            semantics in ("valid", "wellfounded") and program_text is WIN
-        )
+    assert (view.alternation_levels() > 0) == (
+        semantics in ("valid", "wellfounded") and program_text is WIN
+    )
     for predicate in query_predicates:
         rows, undefined, stale = service.query_state(name, predicate)
         assert not stale
@@ -151,6 +154,16 @@ def _check_view(service, name, state, semantics):
             f"{semantics}: service={sorted(map(repr, undefined))} "
             f"oracle={sorted(map(repr, expected_undefined))}"
         )
+
+
+def _assert_served_from_snapshot(service, name, state):
+    """After a batch: the view has a published snapshot, and a read is
+    answered off it (lock-free) — whatever engine maintains the view."""
+    view = service.view(name)
+    assert view.read_snapshot() is not None
+    before = view.metrics.counters["snapshot_reads"]
+    service.query_state(name, state[name][1][0])
+    assert view.metrics.counters["snapshot_reads"] == before + 1
 
 
 def _register(service, rng, name, state, semantics, incremental, pool):
@@ -170,7 +183,7 @@ def _register(service, rng, name, state, semantics, incremental, pool):
 )
 @pytest.mark.parametrize("seed", range(SEEDS_PER_CONFIG))
 def test_random_schedule_matches_oracle(config, seed):
-    config_id, semantics, incremental, maintenance, pool = config
+    config_id, semantics, incremental, pool = config
     # A string seed hashes deterministically (unlike built-in hash()),
     # so a failing test id replays the exact schedule.
     rng = random.Random(f"{config_id}-{seed}")
@@ -179,7 +192,7 @@ def test_random_schedule_matches_oracle(config, seed):
     compactor = ("on-publish", "off")[seed % 2]
     service = QueryService(
         cache_capacity=32, compactor=compactor, compact_depth=2,
-        compact_interval=3, maintenance=maintenance,
+        compact_interval=3,
     )
     state = {}
     names = [f"v{i}" for i in range(VIEWS)]
@@ -198,6 +211,7 @@ def test_random_schedule_matches_oracle(config, seed):
                 ) * rng.randint(1, 3)
             ]
             service.update(name, inserts=inserts)
+            _assert_served_from_snapshot(service, name, state)
         elif op < 0.55:  # a delete of existing or phantom facts
             _, _, update_predicates = state[name]
             predicate = rng.choice(update_predicates)
@@ -206,6 +220,7 @@ def test_random_schedule_matches_oracle(config, seed):
             if existing:
                 deletes.append((predicate, rng.choice(existing)))
             service.update(name, deletes=deletes)
+            _assert_served_from_snapshot(service, name, state)
         elif op < 0.85:  # the differential check itself
             _check_view(service, name, state, semantics)
         elif op < 0.95:  # replace the registration in place
@@ -232,9 +247,10 @@ def test_random_schedule_matches_oracle(config, seed):
 # annotation semiring and every check compares both the *support* and
 # the *annotation wire text* of every answer against a from-scratch
 # :func:`repro.datalog.annotated_model` over the view's current
-# database.  ``bool`` runs under both maintenance engines as the
-# byte-identical baseline (its ``query_annotated`` must serve no
-# annotations at all).  Every annotated view is maintained by the one
+# database.  ``bool`` runs on the circuit and, with
+# ``incremental=False``, on the rebuild engine as the byte-identical
+# baseline (its ``query_annotated`` must serve no annotations at all).
+# Every annotated view is maintained by the one
 # discipline of :class:`~repro.service.annotated.AnnotatedEngine`
 # (invalidate the cone, re-derive from below) — or, with
 # ``incremental=False``, re-initialized per batch — so the axis crosses
@@ -301,7 +317,6 @@ class SemiringConfig(NamedTuple):
     config_id: str
     semiring: str
     incremental: bool
-    maintenance: str
     pool: list
     #: Annotation texts drawn on inserts — () sends bare facts.
     texts: tuple = ()
@@ -310,28 +325,28 @@ class SemiringConfig(NamedTuple):
     acyclic: bool = False
 
 
-#: The first six ids predate the single discipline and are kept so the
-#: test ids stay put: "differential" is ``incremental=True`` (maintained
-#: by the engine), "recompute" is ``incremental=False`` (re-initialized
-#: per batch).
+#: The first ids predate the single discipline and are kept so the test
+#: ids stay put: "differential" is ``incremental=True`` (maintained by
+#: the engine), "recompute" is ``incremental=False`` (re-initialized per
+#: batch).
 SEMIRING_CONFIGS = [
-    SemiringConfig("bool-dbsp", "bool", True, "dbsp", STRATIFIED_POOL),
-    SemiringConfig("bool-legacy", "bool", True, "legacy", STRATIFIED_POOL),
-    SemiringConfig("naturals-differential", "naturals", True, "dbsp",
+    SemiringConfig("bool-dbsp", "bool", True, STRATIFIED_POOL),
+    SemiringConfig("bool-recompute", "bool", False, STRATIFIED_POOL),
+    SemiringConfig("naturals-differential", "naturals", True,
                    ACYCLIC_SAFE_POOL, ("1", "2", "3")),
-    SemiringConfig("naturals-recompute", "naturals", False, "dbsp",
+    SemiringConfig("naturals-recompute", "naturals", False,
                    ACYCLIC_SAFE_POOL, ("1", "2", "3")),
-    SemiringConfig("naturals-recursive-dag", "naturals", True, "dbsp",
+    SemiringConfig("naturals-recursive-dag", "naturals", True,
                    RECURSIVE_POOL, ("1", "2", "3"), acyclic=True),
-    SemiringConfig("tropical", "tropical", True, "dbsp",
+    SemiringConfig("tropical", "tropical", True,
                    IDEMPOTENT_POOL, ("0", "1", "2", "5")),
-    SemiringConfig("tropical-recursive-cyclic", "tropical", True, "dbsp",
+    SemiringConfig("tropical-recursive-cyclic", "tropical", True,
                    RECURSIVE_POOL, ("0", "1", "2", "5")),
-    SemiringConfig("tropical-recursive-recompute", "tropical", False, "dbsp",
+    SemiringConfig("tropical-recursive-recompute", "tropical", False,
                    RECURSIVE_POOL, ("0", "1", "2", "5")),
-    SemiringConfig("why", "why", True, "dbsp", IDEMPOTENT_POOL),
-    SemiringConfig("why-gated-cyclic", "why", True, "dbsp", GATED_POOL, nodes=4),
-    SemiringConfig("why-recursive-cyclic", "why", True, "dbsp",
+    SemiringConfig("why", "why", True, IDEMPOTENT_POOL),
+    SemiringConfig("why-gated-cyclic", "why", True, GATED_POOL, nodes=4),
+    SemiringConfig("why-recursive-cyclic", "why", True,
                    RECURSIVE_POOL, nodes=3),
 ]
 
@@ -406,7 +421,6 @@ def test_random_semiring_schedule_matches_oracle(config, seed):
         compactor=("on-publish", "off")[seed % 2],
         compact_depth=2,
         compact_interval=3,
-        maintenance=config.maintenance,
     )
     state = {}
     names = [f"v{i}" for i in range(VIEWS)]
@@ -437,6 +451,7 @@ def test_random_semiring_schedule_matches_oracle(config, seed):
             service.update(
                 name, inserts=inserts, annotations=annotations or None
             )
+            _assert_served_from_snapshot(service, name, state)
         elif op < 0.45:  # delete existing or phantom facts
             predicate = rng.choice(update_predicates)
             existing = list(service.view(name).database.rows(predicate))
@@ -444,6 +459,7 @@ def test_random_semiring_schedule_matches_oracle(config, seed):
             if existing:
                 deletes.append((predicate, rng.choice(existing)))
             service.update(name, deletes=deletes)
+            _assert_served_from_snapshot(service, name, state)
         elif op < 0.6:  # one live fact deleted, re-inserted, re-annotated
             predicate = rng.choice(update_predicates)
             existing = list(service.view(name).database.rows(predicate))
@@ -459,6 +475,7 @@ def test_random_semiring_schedule_matches_oracle(config, seed):
                     deletes=[fact] if rng.random() < 0.6 else [],
                     annotations=annotations or None,
                 )
+                _assert_served_from_snapshot(service, name, state)
         elif op < 0.85:  # the differential check itself
             _check_annotated_view(service, name, state, config.semiring)
         elif op < 0.95:  # replace the registration in place

@@ -157,7 +157,7 @@ def _state(service):
         assert not stale
         state[name] = {
             "database": view.database.fingerprint(),
-            "snapshot": view.served_snapshot().fingerprint,
+            "snapshot": view.read_snapshot().fingerprint,
             "true": true_rows,
             "undefined": undefined_rows,
             "annotations": getattr(view.engine, "maps", None),

@@ -16,19 +16,21 @@ killed process would have left).  The invariant:
 * journal-covered rollup counters never regress past the last acked
   observation.
 
-The matrix crosses in the **maintenance engine** (PR 8): every crash
-point × fsync mode runs under both the dbsp delta-stream circuit and
-the legacy counting/DRed engine, so WAL replay is exercised through
-both maintenance paths; a group-commit test crashes a durable dbsp
-service while racing writers coalesce, checking that every *acked*
-ticket was journaled before its reply left the server.
+Every crash point × fsync mode replays the WAL through the delta-stream
+circuit; a group-commit test crashes a durable service while racing
+writers coalesce, checking that every *acked* ticket was journaled
+before its reply left the server.
 
 The same matrix then runs a **three-valued** view — win-move under the
 valid semantics, with 2-cycles that come and go — through the
 alternating chain: recovery rebuilds the chain from the recovered
 facts, true and undefined rows must equal ``run()``, and no ``@prev``
 helper predicate may have reached the WAL, a checkpoint, ``stats`` or
-a reply.
+a reply.  It runs twice more on the rebuild engine — transitive
+closure registered with ``incremental=False`` and win-move under the
+inflationary semantics — so WAL replay and checkpoint restore re-drive
+``run()`` per burst, and recovery puts the view back on the engine it
+was registered on.
 
 Two subprocess tests then run the real thing end-to-end: ``SIGKILL``
 with ``--fsync=always`` loses no acked update across a restart, and
@@ -96,10 +98,19 @@ class Config(NamedTuple):
     predicate: str
     query: str
     script: tuple
+    incremental: bool = True
 
 
 TC_CONFIG = Config(RULES, "stratified", "edge", "tc", SCRIPT)
 WIN_CONFIG = Config(WIN_RULES, "valid", "move", "win", WIN_SCRIPT)
+#: The rebuild engine's two entry points: a forced-recompute view and an
+#: inflationary one.
+TC_RECOMPUTE_CONFIG = Config(
+    RULES, "stratified", "edge", "tc", SCRIPT, incremental=False
+)
+WIN_INFLATIONARY_CONFIG = Config(
+    WIN_RULES, "inflationary", "move", "win", WIN_SCRIPT
+)
 
 MONOTONE_KEYS = ("inserts_applied", "deletes_applied")
 
@@ -109,14 +120,10 @@ CRASH_POINTS = (
     "durability.fsync",
     "durability.checkpoint",
 )
-MAINTENANCE_MODES = ("dbsp", "legacy")
 
 
-def _durable(data_dir, fsync, maintenance="dbsp"):
-    return QueryService(
-        data_dir=str(data_dir), fsync=fsync, checkpoint_every=3,
-        maintenance=maintenance,
-    )
+def _durable(data_dir, fsync):
+    return QueryService(data_dir=str(data_dir), fsync=fsync, checkpoint_every=3)
 
 
 def _run_script(service, config=TC_CONFIG):
@@ -132,7 +139,10 @@ def _run_script(service, config=TC_CONFIG):
     last_rollup = {}
     try:
         pending = ("register", None)
-        service.register("g", config.rules, semantics=config.semantics)
+        service.register(
+            "g", config.rules, semantics=config.semantics,
+            incremental=config.incremental,
+        )
         registered = True
         pending = None
         last_rollup = dict(service.metrics_snapshot()["rollup"])
@@ -164,10 +174,9 @@ def _crash(service):
 
 
 def _verify_recovery(
-    data_dir, fsync, shadow, pending, registered, rollup,
-    maintenance="dbsp", config=TC_CONFIG,
+    data_dir, fsync, shadow, pending, registered, rollup, config=TC_CONFIG,
 ):
-    recovered = _durable(data_dir, fsync, maintenance)
+    recovered = _durable(data_dir, fsync)
     try:
         names = recovered.name_table()
         if "g" not in names:
@@ -177,10 +186,14 @@ def _verify_recovery(
             assert not registered or pending == ("register", None)
             assert shadow == set()
             return
-        got = {
-            (predicate, tuple(row))
-            for predicate, row in recovered.view("g").database
-        }
+        view = recovered.view("g")
+        assert view.mode == (
+            "recompute"
+            if config.semantics == "inflationary" or not config.incremental
+            else "incremental"
+        )
+        assert view.read_snapshot() is not None
+        got = {(predicate, tuple(row)) for predicate, row in view.database}
         candidates = [frozenset(shadow)]
         if pending is not None and pending[0] in ("insert", "delete"):
             altered = set(shadow)
@@ -218,19 +231,19 @@ def _verify_recovery(
         recovered.close()
 
 
-def _count_hits(data_dir, fsync, point, maintenance="dbsp", config=TC_CONFIG):
+def _count_hits(data_dir, fsync, point, config=TC_CONFIG):
     """How often ``point`` fires during a fault-free scripted run."""
     counter = FaultInjector()
     with inject_faults(counter):
-        service = _durable(data_dir, fsync, maintenance)
+        service = _durable(data_dir, fsync)
         _run_script(service, config)
         _crash(service)
     return counter.hits.get(point, 0)
 
 
-def _crash_matrix(tmp_path, fsync, point, maintenance, config):
+def _crash_matrix(tmp_path, fsync, point, config):
     assert point in ALL_POINTS
-    hits = _count_hits(tmp_path / "count", fsync, point, maintenance, config)
+    hits = _count_hits(tmp_path / "count", fsync, point, config)
     if hits == 0:
         pytest.skip(f"{point} is never reached under fsync={fsync}")
     # hits+1 never fires: the full script runs, then the crash —
@@ -239,24 +252,22 @@ def _crash_matrix(tmp_path, fsync, point, maintenance, config):
         data_dir = tmp_path / f"hit-{at_hit}"
         injector = FaultInjector([FaultRule(point, at_hit=at_hit, times=1)])
         with inject_faults(injector):
-            service = _durable(data_dir, fsync, maintenance)
+            service = _durable(data_dir, fsync)
             shadow, pending, registered, rollup = _run_script(service, config)
             _crash(service)
         if at_hit > hits:
             assert pending is None, "the out-of-range rule must not fire"
         _verify_recovery(
-            data_dir, fsync, shadow, pending, registered, rollup,
-            maintenance, config,
+            data_dir, fsync, shadow, pending, registered, rollup, config
         )
 
 
-@pytest.mark.parametrize("maintenance", MAINTENANCE_MODES)
 @pytest.mark.parametrize("fsync", FSYNC_MODES)
 @pytest.mark.parametrize("point", CRASH_POINTS)
-def test_crash_matrix(tmp_path, fsync, point, maintenance):
+def test_crash_matrix(tmp_path, fsync, point):
     """Kill at the Nth reach of ``point``, for every N, then recover —
-    replaying the WAL through the selected maintenance engine."""
-    _crash_matrix(tmp_path, fsync, point, maintenance, TC_CONFIG)
+    replaying the WAL through the delta-stream circuit."""
+    _crash_matrix(tmp_path, fsync, point, TC_CONFIG)
 
 
 @pytest.mark.parametrize("fsync", FSYNC_MODES)
@@ -265,7 +276,24 @@ def test_crash_matrix_valid(tmp_path, fsync, point):
     """The same matrix on a three-valued view: recovery rebuilds the
     alternating chain from the recovered facts, and true *and*
     undefined rows equal ``run()``."""
-    _crash_matrix(tmp_path, fsync, point, "dbsp", WIN_CONFIG)
+    _crash_matrix(tmp_path, fsync, point, WIN_CONFIG)
+
+
+@pytest.mark.parametrize("fsync", FSYNC_MODES)
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_matrix_recompute(tmp_path, fsync, point):
+    """The matrix on an ``incremental=False`` view: recovery re-registers
+    it on the rebuild engine and replays the WAL one ``run()`` per
+    burst."""
+    _crash_matrix(tmp_path, fsync, point, TC_RECOMPUTE_CONFIG)
+
+
+@pytest.mark.parametrize("fsync", FSYNC_MODES)
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_matrix_inflationary(tmp_path, fsync, point):
+    """The matrix on an inflationary view, the rebuild engine's other
+    client: recovered rows equal ``run(semantics="inflationary")``."""
+    _crash_matrix(tmp_path, fsync, point, WIN_INFLATIONARY_CONFIG)
 
 
 def test_no_helper_predicate_leaves_the_engine(tmp_path):
@@ -330,7 +358,7 @@ def test_group_commit_journal_survives_crash(tmp_path):
     tickets each circuit pass coalesced."""
     service = QueryService(
         data_dir=str(tmp_path), fsync="off", checkpoint_every=10_000,
-        maintenance="dbsp", coalesce=4,
+        coalesce=4,
     )
     service.register("g", RULES)
     acked = set()
@@ -358,9 +386,7 @@ def test_group_commit_journal_survives_crash(tmp_path):
     )
     _crash(service)
 
-    recovered = QueryService(
-        data_dir=str(tmp_path), fsync="off", maintenance="dbsp"
-    )
+    recovered = QueryService(data_dir=str(tmp_path), fsync="off")
     try:
         got = {
             (predicate, tuple(row))
@@ -411,8 +437,7 @@ def test_recovery_orders_atom_rows(tmp_path):
     # WAL-replay path: one multi-fact batch, crash before any
     # checkpoint — replay re-drives the batch through ``_apply_record``.
     service = QueryService(
-        data_dir=str(tmp_path / "wal"), fsync="off",
-        checkpoint_every=10_000, maintenance="dbsp",
+        data_dir=str(tmp_path / "wal"), fsync="off", checkpoint_every=10_000
     )
     service.register("g", RULES)
     service.update("g", inserts=facts)
@@ -426,9 +451,7 @@ def test_recovery_orders_atom_rows(tmp_path):
         recovered.close()
     # Checkpoint-restore path: graceful close checkpoints the full
     # fact set — restore diffs and sorts it in ``_restore_view``.
-    service = QueryService(
-        data_dir=str(tmp_path / "ckpt"), fsync="off", maintenance="dbsp"
-    )
+    service = QueryService(data_dir=str(tmp_path / "ckpt"), fsync="off")
     service.register("g", RULES)
     service.update("g", inserts=facts)
     service.close()

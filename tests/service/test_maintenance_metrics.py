@@ -1,15 +1,14 @@
 """Observability of the delta-stream maintenance plane (PR 8).
 
-Metamorphic checks over the new surface: the ``maintenance`` mode and
-``update_queue_depth`` gauge in the service snapshot and the Prometheus
-exposition, and the circuit accounting identity that ties the three
-write-path counters together —
+Metamorphic checks over the new surface: the per-view ``maintenance``
+engine and ``update_queue_depth`` gauge in the service snapshot and the
+Prometheus exposition, and the circuit accounting identity that ties
+the three write-path counters together —
 
     ``delta_batches_coalesced == update_batches - circuit_steps``
 
 for any pure-incremental dbsp history (every circuit pass absorbs its
-batch count minus one as coalescing), with both sides zero for the
-legacy engine.  The rollup invariant — retired + live is monotone —
+batch count minus one as coalescing).  The rollup invariant — retired + live is monotone —
 must keep holding now that bursts bump counters in multi-batch strides
 and views carry the new counters across churn.
 """
@@ -45,15 +44,14 @@ def _random_batches(rng, count):
 
 class TestMaintenanceSurface:
     def test_snapshot_reports_mode_queue_and_coalesce(self):
-        for maintenance, coalesce in (("dbsp", 64), ("legacy", 1)):
-            service = QueryService(maintenance=maintenance)
+        for coalesce in (64, 1):
+            service = QueryService(coalesce=coalesce)
             try:
                 service.register("v", TC)
                 snapshot = service.metrics_snapshot()
-                assert snapshot["maintenance"] == maintenance
                 assert snapshot["coalesce"] == coalesce
                 assert snapshot["gauges"]["update_queue_depth"] == {"v": 0}
-                assert snapshot["views"]["v"]["maintenance"] == maintenance
+                assert snapshot["views"]["v"]["maintenance"] == "dbsp"
                 assert snapshot["views"]["v"]["queue_depth"] == 0
             finally:
                 service.close()
@@ -85,7 +83,7 @@ class TestCircuitAccounting:
     def test_coalesced_equals_batches_minus_steps(self, seed):
         """Every dbsp circuit pass absorbs (batches - 1) as coalescing."""
         rng = random.Random(f"accounting-{seed}")
-        service = QueryService(maintenance="dbsp")
+        service = QueryService()
         try:
             service.register("v", TC)
             view = service.view("v")
@@ -105,25 +103,10 @@ class TestCircuitAccounting:
         finally:
             service.close()
 
-    def test_legacy_engine_never_bumps_circuit_counters(self):
-        rng = random.Random("accounting-legacy")
-        service = QueryService(maintenance="legacy")
-        try:
-            service.register("v", TC)
-            view = service.view("v")
-            view.apply_stream(_random_batches(rng, 4))
-            service.update("v", inserts=[("edge", (NODES[2], NODES[3]))])
-            counters = view.metrics.counters
-            assert counters["update_batches"] == 5
-            assert counters["circuit_steps"] == 0
-            assert counters["delta_batches_coalesced"] == 0
-        finally:
-            service.close()
-
     def test_group_commit_accounting_from_racing_writers(self):
         """The identity survives the real queue: whatever the leaders
         coalesced, batches split exactly into steps + coalesced."""
-        service = QueryService(maintenance="dbsp", coalesce=8)
+        service = QueryService(coalesce=8)
         try:
             service.register("v", TC)
             total = 24
@@ -159,7 +142,7 @@ class TestRollupUnderCoalescedChurn:
         """retired + live never decreases while bursts land and views
         are replaced — including the new circuit counters."""
         rng = random.Random("rollup-churn")
-        service = QueryService(maintenance="dbsp")
+        service = QueryService()
         try:
             watched = (
                 "update_batches",

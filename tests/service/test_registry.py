@@ -1,13 +1,12 @@
-"""Program registration: prepared plans and ground-program caching."""
+"""Program registration: prepared plans."""
 
 import pytest
 
-from repro.datalog.database import Database
 from repro.datalog.grounding import UnsafeRuleError
 from repro.relations import Atom
 from repro.service import ProgramRegistry, prepare_program
 
-a, b, c = Atom("a"), Atom("b"), Atom("c")
+a, b = Atom("a"), Atom("b")
 
 TC = """
 tc(X, Y) :- edge(X, Y).
@@ -53,19 +52,6 @@ class TestPreparedProgram:
     def test_unsafe_rule_rejected_at_registration(self):
         with pytest.raises(UnsafeRuleError):
             prepare_program("unsafe", "q(X) :- not p(X).\n")
-
-    def test_ground_cache_keyed_by_fingerprint(self):
-        prepared = prepare_program("win", WIN)
-        db = Database().add("move", a, b).add("move", b, c)
-        first = prepared.ground_for(db)
-        again = prepared.ground_for(db.copy())
-        assert again is first
-        assert prepared.ground_cache_hits == 1
-        db.add("move", c, a)
-        other = prepared.ground_for(db)
-        assert other is not first
-        db.remove("move", c, a)
-        assert prepared.ground_for(db) is first  # state revisited: cache hit
 
 
 class TestProgramRegistry:

@@ -45,13 +45,14 @@ class TestStaleCacheGenerations:
         service.register("tc", PROGRAM, database=_database("a"))
         assert service.query("tc", "p") == {(Atom("a"),)}
 
-        # An in-flight request snapshots (view, lock, generation) ...
-        old_view, old_lock, old_generation = service._view_and_lock("tc")
+        # An in-flight request resolves (view, generation, snapshot) ...
+        old_view, old_generation, old_snapshot = service._resolve_snapshot("tc")
         # ... then the registration is replaced (swap + invalidate) ...
         service.register("tc", PROGRAM, database=_database("b"))
         # ... and only now does the straggler finish, caching old rows.
-        with old_lock.held():
-            stale = service._query_locked(old_view, "tc", old_generation, "p")
+        stale = service._serve_true(
+            old_view, "tc", old_generation, old_snapshot, "p"
+        )
         assert stale == {(Atom("a"),)}
 
         # The replacement's queries must never see the straggler's put.
@@ -63,11 +64,10 @@ class TestStaleCacheGenerations:
         service = QueryService()
         service.register("tc", PROGRAM, database=_database("a"))
         service.query("tc", "p")
-        old_view, old_lock, old_generation = service._view_and_lock("tc")
+        old_view, old_generation, old_snapshot = service._resolve_snapshot("tc")
         service.unregister("tc")
         service.register("tc", PROGRAM, database=_database("c"))
-        with old_lock.held():
-            service._query_locked(old_view, "tc", old_generation, "p")
+        service._serve_true(old_view, "tc", old_generation, old_snapshot, "p")
         assert service.query("tc", "p") == {(Atom("c"),)}
 
     def test_generation_bumps_on_every_register(self):
@@ -181,12 +181,12 @@ class TestUnregisterOrdering:
         with pytest.raises(KeyError):
             service.query("tc", "p")
 
-    def test_query_retries_when_view_replaced_between_resolve_and_lock(self):
+    def test_update_retries_when_view_replaced_between_resolve_and_lock(self):
         """_locked_view re-verifies the binding after acquiring the
-        lock and re-resolves when it lost a race with register.
-        (``read_mode="locked"`` — the snapshot path resolves off the
-        name table instead; see TestNameTable for its analogue.)"""
-        service = QueryService(read_mode="locked")
+        lock and re-resolves when it lost a race with register: the
+        write lands in the replacement.  (``coalesce=1`` applies under
+        ``_locked_view``; the group-commit path re-checks the same way.)"""
+        service = QueryService(coalesce=1)
         service.register("tc", PROGRAM, database=_database("a"))
         original = service._view_and_lock
 
@@ -202,8 +202,36 @@ class TestUnregisterOrdering:
             return view, lock, generation
 
         service._view_and_lock = racing_resolve
-        assert service.query("tc", "p") == {(Atom("b"),)}
+        service.update("tc", inserts=[("base", (Atom("z"),))])
         assert calls["count"] == 1
+        assert service.query("tc", "p") == {(Atom("b"),), (Atom("z"),)}
+
+    def test_an_inflationary_query_takes_no_lock(self):
+        """The last view kind that used to read under its lock: an
+        inflationary view now evaluates at write time and serves every
+        read off its published snapshot — no registry lock, no view
+        lock, and never a resolution through ``_view_and_lock``."""
+        service = QueryService()
+        program = PROGRAM + "q(X) :- base(X), not cut(X).\n"
+        service.register(
+            "inf", program, semantics="inflationary", database=_database("a")
+        )
+        service.update("inf", inserts=[("base", (Atom("b"),))])
+        view = service.view("inf")
+        acquisitions = service.metrics.counters["lock_acquisitions"]
+
+        def no_resolve(name):
+            raise AssertionError("a query resolved through the locked path")
+
+        service._view_and_lock = no_resolve
+        service._registry_lock = _PoisonedRegistryLock()
+        assert service.query("inf", "p") == {(Atom("a"),), (Atom("b"),)}
+        rows, undefined, stale = service.query_state("inf", "q")
+        assert rows == {(Atom("a"),), (Atom("b"),)}
+        assert undefined == frozenset() and not stale
+        assert service.undefined("inf", "p") == frozenset()
+        assert service.metrics.counters["lock_acquisitions"] == acquisitions
+        assert view.metrics.counters["snapshot_reads"] == 3
 
     def test_unregister_raises_cleanly_after_losing_race(self):
         service = QueryService()

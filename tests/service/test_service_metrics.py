@@ -301,9 +301,9 @@ class TestFallbackDistinction:
 
     def test_routine_recompute_batches_are_not_fallbacks(self):
         service = QueryService()
-        # A view forced off the engines routes every batch through the
-        # recompute path by design — none of that traffic is a
-        # fallback.  The same program left on them recomputes nothing.
+        # A view forced off the maintained engines rebuilds on every
+        # batch by design — none of that traffic is a fallback.  The
+        # same program left on them recomputes nothing.
         service.register("win", TC, semantics="valid", incremental=False)
         service.register("fast", TC, semantics="valid")
         for node in ("p", "q", "r"):
@@ -323,15 +323,15 @@ class TestFallbackDistinction:
         view = service.view("tc")
         assert view.mode == "incremental"
 
-        def broken_apply(**_kwargs):
+        def broken_apply(*_args, **_kwargs):
             raise IncrementalMaintenanceError("forced inconsistency")
 
-        original = view.engine.apply
-        view.engine.apply = broken_apply
+        original = view.engine.apply_stream
+        view.engine.apply_stream = broken_apply
         try:
             summary = service.insert("tc", "edge", "c", "d")
         finally:
-            view.engine.apply = original
+            view.engine.apply_stream = original
         # The maintenance error triggered the correctness valve...
         assert summary["mode"] == "reinitialized"
         counters = service.metrics_snapshot()["views"]["tc"]["counters"]

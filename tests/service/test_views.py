@@ -1,4 +1,4 @@
-"""Materialized views: incremental fast path and recompute fallback."""
+"""Materialized views: the maintained engines and the rebuild engine."""
 
 import pytest
 
@@ -134,8 +134,8 @@ class TestRecomputeFallback:
         assert view.stats()["maintenance"] == "alternating"
         assert view.rows("win") == {(b,)}
         assert view.undefined_rows("win") == {(d,)}
-        # The recompute path stays for the inflationary semantics and
-        # for views forced off the engines.
+        # The rebuild engine serves the inflationary semantics and
+        # views forced off the maintained engines.
         for kwargs in (
             {"semantics": "inflationary"},
             {"semantics": "valid", "incremental": False},
@@ -182,29 +182,37 @@ class TestRecomputeFallback:
         assert view.metrics.counters["recompute_batches"] == 1
         assert view.metrics.counters["recompute_fallbacks"] == 0
 
-    def test_ground_cache_reused_when_state_revisits(self):
-        db = Database().add("move", a, b)
-        view = MaterializedView(
-            prepare_program("win2", WIN), db, semantics="valid",
-            incremental=False,
-        )
-        view.rows("win")
-        view.insert("move", b, c)
-        view.rows("win")
-        view.delete("move", b, c)  # back to the original fingerprint
-        view.rows("win")
-        assert view.prepared.ground_cache_hits == 1
+    def test_chain_view_never_grounds(self, monkeypatch):
+        """Counted at ``ground()`` itself: a chain view's writes never
+        ground, while a rebuild view over the same program grounds its
+        negative cycle on every write (the counter is live)."""
+        import repro.datalog.engine
+        import repro.datalog.grounding
 
-    def test_chain_view_never_grounds(self):
+        calls = []
+        real_ground = repro.datalog.grounding.ground
+
+        def counting_ground(*args, **kwargs):
+            calls.append(args[0])
+            return real_ground(*args, **kwargs)
+
+        for module in (repro.datalog.engine, repro.datalog.grounding):
+            monkeypatch.setattr(module, "ground", counting_ground)
         db = Database().add("move", a, b)
-        view = MaterializedView(
+        chain = MaterializedView(
             prepare_program("win4", WIN), db, semantics="valid"
         )
-        view.insert("move", b, c)
-        view.delete("move", b, c)
-        assert view.rows("win") == {(a,)}
-        assert view.prepared.ground_cache_hits == 0
-        assert view.prepared.ground_cache_misses == 0
+        rebuild = MaterializedView(
+            prepare_program("win4", WIN), db, semantics="valid",
+            incremental=False,
+        )
+        grounded_at_registration = len(calls)
+        for view in (chain, rebuild):
+            view.insert("move", b, c)
+            view.delete("move", b, c)
+            assert view.rows("win") == {(a,)}
+        assert grounded_at_registration == 1  # the rebuild view's
+        assert len(calls) == grounded_at_registration + 2  # its writes
 
     def test_wellfounded_semantics_served(self):
         db = Database().add("move", d, d)
