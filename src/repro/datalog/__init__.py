@@ -37,7 +37,7 @@ from .magic import (
 )
 from .annotated import annotated_model, edb_annotations
 from .kernel import JoinKernel, Plan, compile_plan
-from .seminaive import DirectEvaluator, seminaive_stratified
+from .seminaive import seminaive_stratified
 from .domain_independence import (
     DomainIndependenceProbe,
     appears_domain_independent,
@@ -91,7 +91,6 @@ __all__ = [
     "JoinKernel",
     "Plan",
     "compile_plan",
-    "DirectEvaluator",
     "seminaive_stratified",
     "annotated_model",
     "edb_annotations",

@@ -209,9 +209,9 @@ class Database:
 
         Two databases with the same predicates and rows (declared-empty
         predicates included) share a fingerprint; any insert or delete
-        changes it.  The service layer keys its ground-program cache on
-        this, so re-grounding is skipped when a database returns to a
-        previously seen state.
+        changes it.  Durability keys on it: a checkpoint records each
+        view's fingerprint, and recovery verifies the rebuilt database
+        against it.
 
         Memoized: the digest is computed at most once per content state
         (every mutator clears the cache, :meth:`copy` carries it over).

@@ -14,6 +14,10 @@ open cone here and grounds only the rest, over this module's result
 Negation is handled stratum by stratum: by the time a negative literal
 is consulted, its predicate is fully evaluated, so ``not q(ā)`` is a
 simple lookup.
+
+This module is only that stratum loop; the fact store and the rule
+firing walk are :class:`~repro.datalog.kernel.JoinKernel`, which the
+service layer's maintenance engines share.
 """
 
 from __future__ import annotations
@@ -29,11 +33,7 @@ from .grounding import GroundingBudgetExceeded
 from .kernel import JoinKernel
 from .stratification import stratify
 
-__all__ = ["DirectEvaluator", "seminaive_stratified"]
-
-#: The indexed fact store + rule-firing walk, shared with the service
-#: layer's maintenance engines, under its pre-kernel name.
-DirectEvaluator = JoinKernel
+__all__ = ["seminaive_stratified"]
 
 
 def seminaive_stratified(

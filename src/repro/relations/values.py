@@ -19,7 +19,9 @@ results can be printed reproducibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Union
 
 __all__ = [
@@ -37,18 +39,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class Atom:
-    """A symbolic, uninterpreted constant (e.g. a game position ``a``)."""
+    """A symbolic, uninterpreted constant (e.g. a game position ``a``).
+
+    Atoms are interned: ``Atom(name)`` returns the one live instance for
+    ``name``, so equality and hashing are ``object``'s identity versions,
+    which run in C.  The table holds its atoms weakly, so names nobody
+    references any more are released (see DESIGN.md, "Value identity").
+    """
+
+    __slots__ = ("name", "__weakref__")
 
     name: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError(f"Atom name must be a non-empty string, got {self.name!r}")
+    def __new__(cls, name: str) -> "Atom":
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"Atom name must be a non-empty string, got {name!r}")
+        with _ATOMS_LOCK:
+            atom = _ATOMS.get(name)
+            if atom is None:
+                atom = object.__new__(cls)
+                object.__setattr__(atom, "name", name)
+                _ATOMS[name] = atom
+        return atom
+
+    def __setattr__(self, attribute: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {attribute!r}")
+
+    def __delattr__(self, attribute: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {attribute!r}")
+
+    def __reduce__(self):
+        return (Atom, (self.name,))
+
+    def __copy__(self) -> "Atom":
+        return self
+
+    def __deepcopy__(self, memo) -> "Atom":
+        return self
 
     def __repr__(self) -> str:
         return self.name
+
+
+# name -> the live Atom of that name.  Weak, so a long-running server
+# does not keep every name it ever parsed; the lock makes lookup-and-
+# insert atomic, since two live instances of one name would compare
+# unequal.
+_ATOMS: "weakref.WeakValueDictionary[str, Atom]" = weakref.WeakValueDictionary()
+_ATOMS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,16 @@
 """Unit tests for the complex-object value universe."""
 
+import copy
+import dataclasses
+import gc
+import multiprocessing
+import pickle
+import threading
+import uuid
+
 import pytest
 
+from repro.relations import values as values_module
 from repro.relations.values import (
     Atom,
     FSet,
@@ -34,6 +43,99 @@ class TestAtom:
 
     def test_repr_is_bare_name(self):
         assert repr(Atom("pos7")) == "pos7"
+
+    def test_not_equal_to_its_name(self):
+        assert Atom("a") != "a"
+        assert "a" != Atom("a")
+
+    def test_immutable(self):
+        atom = Atom("a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            atom.name = "b"
+        with pytest.raises(AttributeError):
+            del atom.name
+        assert atom.name == "a"
+
+
+def _fresh_name(tag: str) -> str:
+    return f"{tag}-{uuid.uuid4().hex}"
+
+
+def _echo_in_child(payload):
+    """Run in a spawned child: send the payload back, and report
+    whether the child's unpickled atoms are interned there too."""
+    row = payload[0]
+    return payload, row[0] is Atom(row[0].name)
+
+
+class TestInterning:
+    def test_one_instance_per_name(self):
+        assert Atom("a") is Atom("a")
+        assert Atom("a") is not Atom("b")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda atom: pickle.loads(pickle.dumps(atom)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_are_the_interned_instance(self, clone):
+        atom = Atom("a")
+        assert clone(atom) is atom
+        assert clone(tup(atom, fset(atom))).items[0] is atom
+
+    def test_spawned_child_round_trip(self):
+        a, b = Atom("a"), Atom("b")
+        row = (a, b)
+        nested = tup(a, fset(b, tup(a, 1)))
+        members = fset(a, b, nested)
+        payload = (row, nested, members)
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(1) as pool:
+            back, interned_in_child = pool.apply(_echo_in_child, (payload,))
+        assert interned_in_child
+        back_row, back_nested, back_members = back
+        assert back_row == row and hash(back_row) == hash(row)
+        assert back_row[0] is a and back_row[1] is b
+        assert back_nested == nested and hash(back_nested) == hash(nested)
+        assert back_members == members and hash(back_members) == hash(members)
+        assert {row, nested, members} == {back_row, back_nested, back_members}
+
+    def test_table_releases_dropped_names(self):
+        name = _fresh_name("dropped")
+        atom = Atom(name)
+        assert values_module._ATOMS[name] is atom
+        del atom
+        gc.collect()
+        assert name not in values_module._ATOMS
+        assert Atom(name).name == name  # and the name can come back
+
+    def test_concurrent_creation_yields_one_instance_per_name(self):
+        names = [_fresh_name(f"race{i}") for i in range(1000)]
+        workers = 8
+        start = threading.Barrier(workers)
+        made = [None] * workers
+
+        def construct(slot):
+            start.wait()
+            made[slot] = [Atom(name) for name in names]
+
+        threads = [
+            threading.Thread(target=construct, args=(slot,))
+            for slot in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, name in enumerate(names):
+            instances = {id(atoms[index]) for atoms in made}
+            assert len(instances) == 1, name
+            assert values_module._ATOMS[name] is made[0][index]
 
 
 class TestTup:
@@ -112,6 +214,24 @@ class TestOrdering:
         values = [fset(1), tup(1, 2), Atom("z"), "s", 5, True]
         ordered = sorted_values(values)
         assert ordered == [True, 5, "s", Atom("z"), tup(1, 2), fset(1)]
+
+    def test_mixed_set_order_is_by_name_not_identity(self):
+        # Atoms hash by identity, so a set's iteration order says
+        # nothing; the printed order must still follow the names.
+        mixed = {
+            Atom("m"), Atom("b"), Atom("z10"), Atom("z9"), "b", 2, False,
+            tup(Atom("b"), 1), tup(Atom("a"), 2), tup(Atom("a")),
+            fset(Atom("y"), Atom("x")), fset(Atom("a")),
+        }
+        assert sorted_values(mixed) == [
+            False, 2, "b", Atom("b"), Atom("m"), Atom("z10"), Atom("z9"),
+            tup(Atom("a")), tup(Atom("a"), 2), tup(Atom("b"), 1),
+            fset(Atom("a")), fset(Atom("x"), Atom("y")),
+        ]
+        assert [format_value(v) for v in sorted_values(mixed)] == [
+            "False", "2", "'b'", "b", "m", "z10", "z9",
+            "[a]", "[a, 2]", "[b, 1]", "{a}", "{x, y}",
+        ]
 
     def test_value_key_rejects_non_values(self):
         with pytest.raises(TypeError):

@@ -15,7 +15,6 @@ Each test pins one of the races the per-view lock sharding opened up:
 """
 
 import threading
-import time
 
 import pytest
 
@@ -165,11 +164,26 @@ class TestUnregisterOrdering:
         updater = threading.Thread(target=do_update)
         updater.start()
         assert entered.wait(timeout=30)
+
+        # The update holds the view lock, mid-apply.  Signal the moment
+        # the dropper asks for that lock, just before it blocks on it.
+        view_lock = service._locks["tc"]
+        real_lock = view_lock._lock
+        blocking = threading.Event()
+
+        class SignallingLock:
+            def acquire(self, *args, **kwargs):
+                if threading.current_thread() is not updater:
+                    blocking.set()
+                return real_lock.acquire(*args, **kwargs)
+
+            def release(self):
+                real_lock.release()
+
+        view_lock._lock = SignallingLock()
         dropper = threading.Thread(target=do_unregister)
         dropper.start()
-        # The unregister must block on the view lock while the update
-        # is mid-apply.
-        time.sleep(0.2)
+        assert blocking.wait(timeout=30), "unregister never reached the view lock"
         assert "unregister" not in results
         release.set()
         updater.join(timeout=30)
