@@ -11,10 +11,10 @@ Rule instances come off the join kernel (:mod:`repro.datalog.kernel`),
 its fifth client: :func:`instance_plan` compiles each rule once more
 with the head widened to the head arguments followed by every positive
 body atom's, so the kernel's leaf row *is* the rule instance, and
-:func:`accumulate` computes the instance's weight outside the walk as
+:func:`accumulate` computes the instance's weight outside the kernel as
 the ``⊗`` of the body rows' annotations.  The kernel's facts hold the
 *support* (the rows with a non-zero annotation), which is all a join or
-a negation gate ever asks about; the walk itself is semiring-blind.
+a negation gate ever asks about; the firing itself is semiring-blind.
 
 :func:`annotated_model` is stratum-wise Jacobi iteration: within a
 stratum, every round recomputes each head predicate's full annotation

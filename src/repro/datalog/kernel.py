@@ -1,8 +1,8 @@
 """The join kernel: rule bodies compiled to lead-first, index-probing plans.
 
 Every engine that fires rules — the from-scratch semi-naive fixpoint,
-the grounder, the delta-stream circuit and the annotated engine — runs
-the one walk in :meth:`JoinKernel.fire`.  A rule is compiled once per
+the grounder, the delta-stream circuit and the annotated engine — goes
+through :meth:`JoinKernel.fire`.  A rule is compiled once per
 ``(rule, lead)`` into a :class:`Plan`:
 
 * the **lead** is the body literal (positive or negated) whose rows are
@@ -17,24 +17,30 @@ the one walk in :meth:`JoinKernel.fire`.  A rule is compiled once per
 * every match step knows at compile time which argument positions are
   bound and probes a hash index keyed by exactly that position tuple; a
   fully bound literal is a membership test;
-* bindings live in one slot list per firing (constants pre-filled,
-  function terms computed into hidden slots), overwritten in place on
-  backtracking — no dict copy per row.
+* bindings live in numbered slots (constants fixed at compile time,
+  function terms computed into hidden slots).
+
+A plan is then compiled once more, to Python: on its first firing under
+a pair of views, :func:`_generate` writes one function with a nested
+``for`` per match step, the slots as local variables, tests, negated
+literals and function terms inline, and a leaf that appends the head
+row.  The function is cached on the plan, so it lives as long as
+:func:`compile_plan`'s cache entry.  Client text (predicate names,
+constants, function names) never enters the generated source; it
+reaches the code as closure cells.
 
 The kernel is also the fact store: it keeps one index per
 ``(predicate, bound positions)`` pattern some registered plan probes and
 nothing else.  Non-lead literals are read through a *view* of the store:
-:data:`NEW` (current rows), :data:`OLD` (rewound by the ``plus`` /
-``minus`` overlays of the batch in flight) or :data:`BOTH` (rows true
-before and after); ``before`` applies to body items left of the lead,
-``after`` to the rest, which is all the bilinear rule-delta expansion
-and DRed need.
+:data:`NEW` (current rows) or :data:`OLD` (rewound by the ``plus`` /
+``minus`` overlays of the batch in flight); ``before`` applies to body
+items left of the lead, ``after`` to the rest, which is all the bilinear
+rule-delta expansion and the retraction closure need.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -50,31 +56,22 @@ from .binding import (
     _literal_processable,
 )
 
-__all__ = ["BOTH", "HEAD", "NEW", "OLD", "JoinKernel", "Plan", "compile_plan"]
+__all__ = ["HEAD", "NEW", "OLD", "JoinKernel", "Plan", "compile_plan"]
 
 Row = Tuple[Value, ...]
 Pattern = Tuple[str, Tuple[int, ...]]
 
 #: Views a non-lead literal can be read through.
-NEW, OLD, BOTH = 0, 1, 2
+NEW, OLD = 0, 1
 #: The lead that unifies the caller's rows with the rule *head*.
 HEAD = -1
 
 _MATCH, _HOLDS, _NEG, _TEST, _ASSIGN = range(5)
 
 
-def _row_getter(indices):
-    """``seq -> tuple(seq[i] for i in indices)`` at C speed where possible."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        (only,) = indices
-        return lambda seq: (seq[only],)
-    return lambda seq: ()
-
-
 class Plan(NamedTuple):
-    """One compiled ``(rule, lead)`` firing; never mutated, shareable."""
+    """One compiled ``(rule, lead)`` firing; shareable.  Only its cache
+    of generated functions ever changes."""
 
     #: The head predicate.
     head: str
@@ -83,12 +80,14 @@ class Plan(NamedTuple):
     #: literal leads).
     pivot: int
     steps: Tuple[tuple, ...]
-    #: Initial slot values (constants pre-filled); copied per firing.
-    template: List[object]
-    #: ``slots -> head row``.
-    head_row: Callable[[List[object]], Row]
+    #: Per slot: the constant it holds, or None for a slot a step fills.
+    constants: List[object]
+    #: The slots the head row is read from.
+    head_slots: Tuple[int, ...]
     #: The ``(predicate, bound positions)`` indexes the steps probe.
     patterns: Tuple[Pattern, ...]
+    #: ``(before, after)`` → the generated firing function.
+    functions: Dict[Tuple[int, int], Callable]
 
 
 class _Compiler:
@@ -96,7 +95,7 @@ class _Compiler:
         self.rule = rule
         self.lead = lead
         self.slot_of: Dict[Var, int] = {}
-        self.template: List[object] = []
+        self.constants: List[object] = []
         self.bound: Set[Var] = set()
         self.steps: List[tuple] = []
         self.patterns: Set[Pattern] = set()
@@ -108,27 +107,21 @@ class _Compiler:
         self.checks: List[Tuple[FuncTerm, int]] = []
 
     def slot(self, value: object = None) -> int:
-        self.template.append(value)
-        return len(self.template) - 1
+        self.constants.append(value)
+        return len(self.constants) - 1
 
     def operand(self, term) -> int:
         """The slot holding a bound term's value; a function term is
         computed into a hidden slot by a step of its own (undefined
-        application = the walk fails there), its arguments read straight
-        out of their slots."""
+        application = the branch fails there), its arguments read
+        straight out of their slots."""
         if isinstance(term, Var):
             return self.slot_of[term]
         if isinstance(term, Const):
             return self.slot(term.value)
-        values_of = _row_getter([self.operand(arg) for arg in term.args])
-        name, target = term.name, self.slot()
-        self.steps.append(
-            (
-                _ASSIGN,
-                target,
-                lambda slots, registry: _apply_function(name, values_of(slots), registry),
-            )
-        )
+        args = tuple(self.operand(arg) for arg in term.args)
+        target = self.slot()
+        self.steps.append((_ASSIGN, target, term.name, args))
         return target
 
     def match(self, atom: PredAtom, index: int) -> None:
@@ -153,9 +146,7 @@ class _Compiler:
                 key_slots.append(self.operand(arg))
         self.bound.update(local)
         if index != self.lead and not binds and not same:
-            self.steps.append(
-                (_HOLDS, index, atom.predicate, _row_getter(key_slots))
-            )
+            self.steps.append((_HOLDS, index, atom.predicate, tuple(key_slots)))
             return
         if positions and index != self.lead:
             self.patterns.add((atom.predicate, tuple(positions)))
@@ -166,8 +157,7 @@ class _Compiler:
                 atom.predicate,
                 len(atom.args),
                 tuple(positions),
-                itemgetter(*key_slots) if positions else None,
-                itemgetter(*positions) if positions else None,
+                tuple(key_slots),
                 tuple(binds),
                 tuple(same),
             )
@@ -199,10 +189,8 @@ class _Compiler:
                 elif item.positive or not item.vars() <= self.bound:
                     continue
                 else:
-                    slots = [self.operand(arg) for arg in item.atom.args]
-                    self.steps.append(
-                        (_NEG, index, item.atom.predicate, _row_getter(slots))
-                    )
+                    slots = tuple(self.operand(arg) for arg in item.atom.args)
+                    self.steps.append((_NEG, index, item.atom.predicate, slots))
                 self.pending.remove(entry)
                 progress = True
             for check in list(self.checks):
@@ -259,14 +247,15 @@ class _Compiler:
                 f"head variables {sorted(v.name for v in head_free)} are not "
                 f"restricted by the body: {rule!r}"
             )
-        head_row = _row_getter([self.operand(arg) for arg in rule.head.args])
+        head_slots = tuple(self.operand(arg) for arg in rule.head.args)
         return Plan(
             rule.head.predicate,
             HEAD if lead is None else lead,
             tuple(self.steps),
-            self.template,
-            head_row,
+            self.constants,
+            head_slots,
             tuple(sorted(self.patterns)),
+            {},
         )
 
 
@@ -279,13 +268,250 @@ def compile_plan(rule: Rule, lead: Optional[int] = None) -> Plan:
     return _Compiler(rule, lead).compile()
 
 
+# -- plans as Python ------------------------------------------------------------
+
+#: Match loops per generated function.  CPython refuses more than 20
+#: statically nested blocks, so a longer plan continues in a function of
+#: its own, called from the innermost loop with the live slots.
+_LOOPS_PER_FUNCTION = 16
+#: The generated functions' globals: their frames report this module.
+_GLOBALS: Dict[str, object] = {"__name__": __name__}
+_CONTEXT = "facts, index, plus, minus, registry, budget, append"
+
+
+def _rewound(rows, added, removed, arity: int, key_of, key) -> list:
+    """The ``OLD`` view of a probe: its rows without the batch's ``plus``
+    rows, then the batch's ``minus`` rows that carry the probe's key."""
+    if added:
+        rows = [row for row in rows if row not in added]
+    if removed:
+        rows = [
+            *rows,
+            *(
+                row
+                for row in removed
+                if key_of is None or (len(row) == arity and key_of(row) == key)
+            ),
+        ]
+    return rows
+
+
+class _Writer:
+    """The Python source of one ``(plan, before, after)`` firing.
+
+    Every identifier in it is minted here and every literal is an
+    integer; client values are bound to closure cells (:attr:`cells`).
+    """
+
+    def __init__(self, plan: Plan, before: int, after: int):
+        self.plan, self.before, self.after = plan, before, after
+        steps = plan.steps
+        self.cells: Dict[str, object] = {
+            "apply": _apply_function,
+            "compare": _compare,
+            "rewound": _rewound,
+        }
+        self.minted: Dict[tuple, str] = {}
+        # Slots a step fills are locals; the rest are constants (cells).
+        self.filled = {step[1] for step in steps if step[0] == _ASSIGN} | {
+            slot for step in steps if step[0] == _MATCH for slot, _ in step[6]
+        }
+        self.weighted = any(
+            step[0] == _MATCH and step[1] == plan.pivot for step in steps
+        )
+        self.live: Set[str] = set()  # locals filled so far
+        self.functions: List[str] = []
+        self.matches = 0
+        self.start("c0", f"{_CONTEXT}, lead, weights")
+
+    # -- names ------------------------------------------------------------------
+
+    def mint(self, prefix: str, key, value) -> str:
+        """A closure cell holding ``value``, one per ``(prefix, key)``."""
+        name = self.minted.get((prefix, key))
+        if name is None:
+            name = self.minted[(prefix, key)] = f"{prefix}{len(self.minted)}"
+            self.cells[name] = value
+        return name
+
+    def slot(self, slot: int) -> str:
+        name = f"s{slot}"
+        if slot not in self.filled:
+            self.cells[name] = self.plan.constants[slot]
+        return name
+
+    def row(self, slots) -> str:
+        names = [self.slot(slot) for slot in slots]
+        return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+    def table(self, kind: str, predicate: str) -> str:
+        """``facts`` / ``plus`` / ``minus`` rows of a predicate, hoisted."""
+        cell = self.mint("p", predicate, predicate)
+        name = {"facts": "f", "plus": "a", "minus": "m"}[kind] + cell[1:]
+        self.hoists[name] = f"{kind}.get({cell}, ())"
+        return name
+
+    def overlays(self, predicate: str) -> Tuple[str, str]:
+        """The batch's ``plus`` and ``minus`` rows of a predicate, hoisted."""
+        return self.table("plus", predicate), self.table("minus", predicate)
+
+    def view(self, index: int) -> int:
+        return self.before if index < self.plan.pivot else self.after
+
+    # -- functions --------------------------------------------------------------
+
+    def start(self, name: str, params: str) -> None:
+        self.name, self.params = name, params
+        self.hoists: Dict[str, str] = {}
+        self.lines: List[Tuple[int, str]] = []
+        self.loops = 0
+
+    def finish(self) -> None:
+        body = [f"    def {self.name}({self.params}):"]
+        body += [f"        {name} = {expr}" for name, expr in self.hoists.items()]
+        body.append("        n = 0")
+        body += ["        " + "    " * depth + text for depth, text in self.lines]
+        body.append("        return n")
+        self.functions.append("\n".join(body))
+
+    def line(self, text: str) -> None:
+        self.lines.append((self.loops, text))
+
+    @property
+    def fail(self) -> str:
+        return "continue" if self.loops else "return n"
+
+    def split(self) -> None:
+        """Continue the plan in a new function, called from here."""
+        params = ", ".join(
+            [_CONTEXT] + ["w"] * self.weighted + sorted(self.live)
+        )
+        name = f"c{len(self.functions) + 1}"
+        self.line(f"n += {name}({params})")
+        self.finish()
+        self.start(name, params)
+
+    # -- steps ------------------------------------------------------------------
+
+    def source(self) -> str:
+        for step in self.plan.steps:
+            kind = step[0]
+            if kind == _MATCH:
+                self.match(*step[1:])
+            elif kind == _ASSIGN:
+                _, target, name, args = step
+                function = self.mint("h", name, name)
+                self.line(f"s{target} = apply({function}, {self.row(args)}, registry)")
+                self.line(f"if s{target} is None: {self.fail}")
+                self.live.add(f"s{target}")
+            elif kind == _TEST:
+                _, op, left, right = step
+                left, right = self.slot(left), self.slot(right)
+                if op == "=":
+                    failed = f"{left} != {right}"
+                elif op == "!=":
+                    failed = f"{left} == {right}"
+                else:
+                    failed = f"not compare({self.mint('o', op, op)}, {left}, {right})"
+                self.line(f"if {failed}: {self.fail}")
+            else:
+                self.membership(*step)
+        self.line("if budget is not None: budget.tick()")
+        weight = "w" if self.weighted else "1"
+        self.line(f"append(({self.row(self.plan.head_slots)}, {weight}))")
+        self.finish()
+        cells = ", ".join(self.cells)
+        return "\n".join([f"def make({cells}):", *self.functions, "    return c0", ""])
+
+    def membership(self, kind: int, index: int, predicate: str, slots) -> None:
+        """A fully bound literal: positive it must hold, negated not."""
+        row, facts = self.row(slots), self.table("facts", predicate)
+        if self.view(index) == NEW:
+            held = f"{row} in {facts}"
+            missing = f"{row} not in {facts}"
+        else:
+            self.line(f"t = {row}")
+            added, removed = self.overlays(predicate)
+            held = f"t in {removed} or t in {facts} and t not in {added}"
+            missing = f"not ({held})"
+        self.line(f"if {missing if kind == _HOLDS else held}: {self.fail}")
+        if kind == _HOLDS:
+            self.line("n += 1")
+
+    def match(self, index, predicate, arity, positions, key_slots, binds, same) -> None:
+        if self.loops == _LOOPS_PER_FUNCTION:
+            self.split()
+        self.matches += 1
+        row = f"r{self.matches}"
+        failed = [f"len({row}) != {arity}"]
+        if index == self.plan.pivot:
+            self.line("n += len(lead)")
+            rows = "lead"
+            failed += [
+                f"{row}[{position}] != {self.slot(slot)}"
+                for position, slot in zip(positions, key_slots)
+            ]
+        else:
+            rows = f"b{self.matches}"
+            if positions:
+                cell = self.mint("q", (predicate, positions), positions)
+                table = "x" + cell[1:]
+                name = self.mint("p", predicate, predicate)
+                self.hoists[table] = f"index[{name}][{cell}]"
+                # ``itemgetter`` keys: the bare value for one position.
+                key = self.row(key_slots)
+                if len(key_slots) == 1:
+                    key = self.slot(key_slots[0])
+                self.line(f"{rows} = {table}.get({key}, ())")
+            else:
+                key = "None"
+                self.line(f"{rows} = {self.table('facts', predicate)}")
+            if self.view(index) == OLD:
+                added, removed = self.overlays(predicate)
+                key_of = (
+                    self.mint("g", (predicate, positions), itemgetter(*positions))
+                    if positions
+                    else "None"
+                )
+                self.line(
+                    f"if {added} or {removed}: {rows} = "
+                    f"rewound({rows}, {added}, {removed}, {arity}, {key_of}, {key})"
+                )
+            self.line(f"n += len({rows})")
+        failed += [f"{row}[{p}] != {row}[{q}]" for p, q in same]
+        self.line(f"for {row} in {rows}:")
+        self.loops += 1
+        self.line(f"if {' or '.join(failed)}: continue")
+        if binds:
+            targets = ["_"] * arity
+            for slot, position in binds:
+                targets[position] = f"s{slot}"
+                self.live.add(f"s{slot}")
+            self.line(f"{', '.join(targets)}{',' * (arity == 1)} = {row}")
+        if index == self.plan.pivot:
+            self.line(f"w = 1 if weights is None else weights[{row}]")
+
+
+def _generate(plan: Plan, before: int, after: int) -> Callable:
+    """One firing of ``plan`` under the two views, as a Python function
+    ``(facts, index, plus, minus, registry, budget, append, lead,
+    weights) -> rows matched``; its source is kept as ``.source``."""
+    writer = _Writer(plan, before, after)
+    source = writer.source()
+    namespace: Dict[str, Callable] = {}
+    exec(compile(source, "<join plan>", "exec"), _GLOBALS, namespace)
+    function = namespace["make"](*writer.cells.values())
+    function.source = source
+    return function
+
+
 class JoinKernel:
-    """Pattern-indexed fact store + the one rule-firing walk.
+    """Pattern-indexed fact store + the rule firing.
 
     ``plus`` / ``minus`` are the net per-predicate deltas committed so
     far in the batch in flight; :meth:`commit_add` / :meth:`commit_remove`
-    keep them net, and the :data:`OLD` / :data:`BOTH` views read through
-    them, so no engine ever copies a relation to see its old state.
+    keep them net, and the :data:`OLD` view reads through them, so no
+    engine ever copies a relation to see its old state.
     """
 
     def __init__(self, registry: Optional[FunctionRegistry] = None):
@@ -382,7 +608,7 @@ class JoinKernel:
             self.minus.setdefault(predicate, set()).add(row)
         return True
 
-    # -- the walk --------------------------------------------------------------
+    # -- firing ----------------------------------------------------------------
 
     def fire(
         self,
@@ -399,103 +625,26 @@ class JoinKernel:
         multiplies into the instance — for a negated lead the caller
         passes the already sign-flipped delta (``Δ(¬q) = −Δq``) or the
         set of atoms whose flip is the trigger.  Body items left of the
-        lead read the ``before`` view, the others ``after``.  Each leaf
-        of the walk is one rule instance, reported once.
+        lead read the ``before`` view, the others ``after``.  Each rule
+        instance is reported once, with one ``budget.tick()``.
         """
-        steps = plan.steps
-        last = len(steps)
-        pivot = plan.pivot
-        head_row = plan.head_row
-        slots = plan.template[:]
-        facts, index, registry = self.facts, self.index, self.registry
-        plus, minus = self.plus, self.minus
-        weights = lead if hasattr(lead, "items") else None
+        if plan.pivot <= 0:  # no body item sits left of the lead
+            before = NEW
+        function = plan.functions.get((before, after))
+        if function is None:
+            # Unlocked: two threads racing here generate the same code.
+            function = plan.functions[before, after] = _generate(plan, before, after)
         produced: List[Tuple[Row, int]] = []
-        pulled = 0
-
-        def walk(at: int, weight: int) -> None:
-            nonlocal pulled
-            while at < last:
-                step = steps[at]
-                kind = step[0]
-                at += 1
-                if kind == _MATCH:
-                    break
-                if kind == _ASSIGN:
-                    value = step[2](slots, registry)
-                    if value is None:
-                        return
-                    slots[step[1]] = value
-                elif kind == _TEST:
-                    if not _compare(step[1], slots[step[2]], slots[step[3]]):
-                        return
-                else:
-                    _, index_in_body, predicate, row_of = step
-                    row = row_of(slots)
-                    view = before if index_in_body < pivot else after
-                    holds = row in facts.get(predicate, ())
-                    if view != NEW:
-                        was = row in minus.get(predicate, ()) or (
-                            holds and row not in plus.get(predicate, ())
-                        )
-                        if view == OLD:
-                            holds = was
-                        else:  # BOTH: true (or, negated, false) before and after
-                            holds = (holds and was) if kind == _HOLDS else (holds or was)
-                    if holds == (kind == _NEG):
-                        return
-                    if kind == _HOLDS:
-                        pulled += 1
-            else:
-                if budget is not None:
-                    budget.tick()
-                produced.append((head_row(slots), weight))
-                return
-            _, index_in_body, predicate, arity, positions, key_of, key_in, binds, same = step
-            key = key_of(slots) if positions else None
-            if index_in_body == pivot:
-                pulled += len(lead)
-                for row in lead:
-                    if (
-                        len(row) != arity
-                        or (positions and key_in(row) != key)
-                        or (same and any(row[p] != row[q] for p, q in same))
-                    ):
-                        continue
-                    for slot, position in binds:
-                        slots[slot] = row[position]
-                    walk(at, weight if weights is None else weight * weights[row])
-                return
-            if positions:
-                rows = index[predicate][positions].get(key, ())
-            else:
-                rows = facts.get(predicate, ())
-            view = before if index_in_body < pivot else after
-            if view != NEW:
-                added = plus.get(predicate)
-                if added:
-                    rows = (row for row in rows if row not in added)
-                removed = minus.get(predicate) if view == OLD else None
-                if removed:
-                    rows = chain(
-                        rows,
-                        (
-                            row
-                            for row in removed
-                            if not positions
-                            or (len(row) == arity and key_in(row) == key)
-                        ),
-                    )
-            for row in rows:
-                pulled += 1
-                if len(row) != arity or (
-                    same and any(row[p] != row[q] for p, q in same)
-                ):
-                    continue
-                for slot, position in binds:
-                    slots[slot] = row[position]
-                walk(at, weight)
-
-        walk(0, 1)
+        pulled = function(
+            self.facts,
+            self.index,
+            self.plus,
+            self.minus,
+            self.registry,
+            budget,
+            produced.append,
+            lead,
+            lead if hasattr(lead, "items") else None,
+        )
         self.rows_matched += pulled
         return produced

@@ -16,8 +16,9 @@ is consulted, its predicate is fully evaluated, so ``not q(ā)`` is a
 simple lookup.
 
 This module is only that stratum loop; the fact store and the rule
-firing walk are :class:`~repro.datalog.kernel.JoinKernel`, which the
-service layer's maintenance engines share.
+firings — each plan compiled to one generated Python function — are
+:class:`~repro.datalog.kernel.JoinKernel`, which the service layer's
+maintenance engines share.
 """
 
 from __future__ import annotations

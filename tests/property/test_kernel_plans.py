@@ -39,7 +39,7 @@ from repro.datalog.ast import (
 )
 from repro.datalog.binding import UnsafeRuleError, _compare, binding_order
 from repro.datalog.grounding import _instance_rule
-from repro.datalog.kernel import BOTH, HEAD, NEW, OLD, JoinKernel, compile_plan
+from repro.datalog.kernel import HEAD, NEW, OLD, JoinKernel, compile_plan
 from repro.datalog.parser import parse_program
 from repro.relations.universe import standard_registry
 
@@ -69,7 +69,7 @@ def reference(rule, lead, lead_rows, before, after, facts, plus, minus):
                 new and row not in plus.get(item.atom.predicate, ())
             )
             view = before if lead not in (None, HEAD) and index < lead else after
-            truth = {NEW: new, OLD: old}.get(view, new and old if item.positive else new or old)
+            truth = old if view == OLD else new
             weight *= None not in row  # an undefined term fails the instance
             weight *= weights.get(row, 0) if index == lead else truth == item.positive
         if weight:
@@ -150,7 +150,7 @@ def leads(draw, rule):
     return lead, set(rows)
 
 
-views = st.sampled_from([NEW, OLD, BOTH])
+views = st.sampled_from([NEW, OLD])
 
 
 def _kernel(facts, plus, minus):
