@@ -409,68 +409,55 @@ class _System:
     # -- candidate universe -------------------------------------------------
 
     def _close(self, compiler: _Compiler, limits: EvalLimits) -> JoinKernel:
-        """The compiled rules' least model, semi-naively: one naive
-        firing of every rule, then every literal over a predicate that
-        changed leads with the new rows alone.  An equation's predicate
-        takes a round's rows when the round ends, the others at once
-        (their rules come children first), so a round here is a round of
-        the naive iteration on the equations — what ``limits`` bound,
-        the total checked as it grows."""
+        """The compiled rules' least model, on the kernel's fixpoint
+        driver: one naive firing of every rule, then every literal over a
+        predicate that changed leads with the new rows alone.  An
+        equation's predicate is held to the round's end, the others lead
+        within the round (their rules come children first), so a round
+        here is a round of the naive iteration on the equations — what
+        ``limits`` bound, the total checked as it grows."""
         kernel = JoinKernel(compiler.functions)
         kernel.facts.update(compiler.facts)
-        firings = [
-            (
-                rule.head.predicate,
-                kernel.plan(rule),
-                [
-                    (item.atom.predicate, kernel.plan(rule, index))
-                    for index, item in enumerate(rule.body)
-                    if isinstance(item, Literal)
-                    and item.atom.predicate not in compiler.facts
-                ],
+        naive, leads = [], []
+        for rule in compiler.rules:
+            naive.append((kernel.plan(rule), None))
+            leads.extend(
+                (item.atom.predicate, kernel.plan(rule, index))
+                for index, item in enumerate(rule.body)
+                if isinstance(item, Literal)
+                and item.atom.predicate not in compiler.facts
             )
-            for rule in compiler.rules
-        ]
+        equations = self.equations
         total = 0  # rows of the equations' predicates, held ones included
-        delta: Dict[str, List[Tuple[Value, ...]]] = {}
-        for round_index in range(limits.max_rounds):
-            held: Dict[str, Set[Tuple[Value, ...]]] = {}
-            for head, naive, leads in firings:
-                if round_index == 0:
-                    batches = [kernel.fire(naive)]
-                else:  # in slices: a product that overflows stops early
-                    batches = (
-                        kernel.fire(plan, delta[predicate][at : at + 256])
-                        for predicate, plan in leads
-                        for at in range(0, len(delta.get(predicate, ())), 256)
-                    )
-                for produced in batches:
-                    if head not in self.equations:
-                        fresh = [row for row, _ in produced if kernel.add(head, row)]
-                        if fresh:
-                            delta.setdefault(head, []).extend(fresh)
-                        continue
-                    bucket = held.setdefault(head, set())
-                    total -= len(bucket)
-                    bucket.update({row for row, _ in produced} - kernel.rows(head))
-                    total += len(bucket)
-                    if total > limits.max_values:
-                        raise NonTerminating(
-                            f"candidate universe exceeded {limits.max_values} values"
-                            " — the program may define an infinite set; restrict it"
-                            " with a selection or pass a bounding Universe"
-                        )
-            for name, rows in held.items():
-                for row in rows:
-                    kernel.add(name, row)
-            delta = {name: list(rows) for name, rows in held.items() if rows}
-            if not delta:
-                return kernel
-        raise NonTerminating(
-            f"candidate universe did not converge within "
-            f"{limits.max_rounds} rounds — the program may define an "
-            f"infinite set; restrict it or pass a bounding Universe"
-        )
+
+        def admit(plan, produced):
+            nonlocal total
+            head = plan.head
+            if head not in equations:
+                return [row for row, _ in produced if kernel.add(head, row)]
+            fresh = {row for row, _ in produced} - kernel.rows(head)
+            fresh.difference_update(kernel.held.get(head, ()))
+            total += len(fresh)
+            if total > limits.max_values:
+                raise NonTerminating(
+                    f"candidate universe exceeded {limits.max_values} values"
+                    " — the program may define an infinite set; restrict it"
+                    " with a selection or pass a bounding Universe"
+                )
+            return fresh
+
+        def step(index: int, delta) -> None:
+            if delta and index + 1 >= limits.max_rounds:
+                raise NonTerminating(
+                    f"candidate universe did not converge within "
+                    f"{limits.max_rounds} rounds — the program may define an "
+                    f"infinite set; restrict it or pass a bounding Universe"
+                )
+
+        inner = {rule.head.predicate for rule in compiler.rules} - equations.keys()
+        # In slices: a product that overflows stops a slice in.
+        kernel.close(naive, leads, admit, step, held=equations, inner=inner, size=256)
+        return kernel
 
     # -- polarity-split membership -----------------------------------------------
 

@@ -33,7 +33,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -48,7 +47,7 @@ from .binding import (
     compiled_binding_order,
 )
 from .database import Database
-from .kernel import NEW, OLD, JoinKernel
+from .kernel import OLD, JoinKernel
 
 __all__ = [
     "GroundAtom",
@@ -290,14 +289,14 @@ def ground(
     relevant rule instance, and negative literals filtered down to atoms
     that are possibly true (others are certainly false, hence satisfied).
 
-    The relevant-atom closure runs in rounds on one
-    :class:`~repro.datalog.kernel.JoinKernel`: round 0 fires every rule
-    over the database, and in each later round every positive literal
-    over a predicate that grew leads one firing with last round's new
-    atoms, the literals left of it reading the atoms *before* that round
-    (``OLD``) and the ones right of it all of them (``NEW``) — so each
-    rule instance is produced exactly once, in the round after its last
-    body atom appeared.
+    The relevant-atom closure is one call to the kernel's fixpoint
+    driver, :meth:`~repro.datalog.kernel.JoinKernel.close`: round 0
+    fires every rule over the database, and in each later round every
+    positive literal over a predicate that grew leads one firing with
+    last round's new atoms, the literals left of it reading the atoms
+    *before* that round (``OLD``) and the ones right of it all of them
+    (``NEW``) — so each rule instance is produced exactly once, in the
+    round after its last body atom appeared.
 
     ``budget`` governs the closure with deadline/step/fact bounds on top
     of ``max_rounds``/``max_atoms`` (one step per possible atom and per
@@ -307,62 +306,69 @@ def ground(
     kernel = JoinKernel(registry)
     table = _AtomTable()
     idb = program.idb_predicates()
-    firings: List[tuple] = []
-    variants: List[tuple] = []
+    naive, leads = [], []
+    layouts: Dict[int, _Layout] = {}  # id(plan) → its rule's layout
+
+    def plan_of(projection: Rule, layout: _Layout, lead=None):
+        # A copy per rule: two rules can share a projection (``p.`` and
+        # ``p :- not p.``), hence a cached plan, but not a layout.
+        plan = kernel.plan(projection, lead)._replace()
+        layouts[id(plan)] = layout
+        return plan
+
     for rule in program.rules:
         projection, layout = _instance_rule(rule)
-        firings.append((kernel.plan(projection), None, layout))
-        variants.extend(
-            (item.atom.predicate, kernel.plan(projection, index), layout)
+        naive.append((plan_of(projection, layout), None))
+        leads.extend(
+            (item.atom.predicate, plan_of(projection, layout, index))
             for index, item in enumerate(projection.body)
             if isinstance(item, Literal) and item.atom.predicate in idb
         )
 
-    def admit(predicate: str, rows) -> None:
-        """New possible atoms: into the store, interned, charged."""
+    def charge(predicate: str, rows) -> None:
+        """New possible atoms (already stored): interned, charged."""
         for row in rows:
-            if kernel.add(predicate, row):
-                if budget is not None:
-                    budget.tick()
-                    budget.charge_facts()
-                table.intern((predicate, row))
+            if budget is not None:
+                budget.tick()
+                budget.charge_facts()
+            table.intern((predicate, row))
 
     ground_rules: List[GroundRule] = []
     for predicate in database.predicates():
-        admit(predicate, database.rows(predicate))
+        rows = database.rows(predicate)
+        for row in rows:
+            kernel.add(predicate, row)
+        charge(predicate, rows)
         ground_rules.extend(map(GroundRule, table.of(predicate).values()))
 
     fired: List[Tuple[_Layout, str, list]] = []
-    complete = False
-    for _round in range(max_rounds):
+
+    def admit(plan, instances):
+        """Record a firing's instances; the possible atoms it found."""
+        if not instances:
+            return ()
+        layout = layouts[id(plan)]
+        fired.append((layout, plan.head, instances))
+        heads = {instance[: layout.width] for instance, _weight in instances}
+        return heads - kernel.rows(plan.head)
+
+    def begin() -> None:
         fault_point("grounder.round")
         if budget is not None:
             budget.note_iteration(phase="grounding")
-        fresh: Dict[str, Set[Row]] = {}
-        for plan, lead, layout in firings:
-            instances = kernel.fire(plan, lead, before=OLD, after=NEW, budget=budget)
-            if not instances:
-                continue
-            fired.append((layout, plan.head, instances))
-            heads = {instance[: layout.width] for instance, _weight in instances}
-            heads -= kernel.rows(plan.head)
-            if heads:
-                fresh.setdefault(plan.head, set()).update(heads)
-        # The round's atoms become visible — and the next round's delta —
-        # only now: no instance fired this round has read them.
-        kernel.plus = fresh
-        for predicate, rows in fresh.items():
-            admit(predicate, rows)
-        if len(table) > max_atoms:
-            break
-        if not fresh:
-            complete = True
-            break
-        firings = [
-            (plan, fresh[predicate], layout)
-            for predicate, plan, layout in variants
-            if predicate in fresh
-        ]
+
+    def step(index: int, delta):
+        for predicate, rows in delta.items():
+            charge(predicate, rows)
+        if len(table) > max_atoms or delta and index + 1 >= max_rounds:
+            return False
+        if delta:
+            begin()
+
+    # A round's atoms are held to its end, when they become visible —
+    # and the next round's delta: no instance fired that round read them.
+    begin()
+    complete = kernel.close(naive, leads, admit, step, before=OLD, held=idb, budget=budget)
     if require_complete and not complete:
         raise GroundingBudgetExceeded(
             f"grounding did not converge within max_rounds={max_rounds}, "

@@ -36,13 +36,19 @@ nothing else.  Non-lead literals are read through a *view* of the store:
 ``minus`` overlays of the batch in flight); ``before`` applies to body
 items left of the lead, ``after`` to the rest, which is all the bilinear
 rule-delta expansion and the retraction closure need.
+
+:meth:`JoinKernel.close` is the loop around the firing: the one
+semi-naive fixpoint driver every client that closes rows under rules
+calls.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
 from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Optional
+from typing import Sequence, Set, Tuple
 
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
@@ -524,7 +530,10 @@ class JoinKernel:
         self._keyed: Dict[str, List[tuple]] = {}
         self.plus: Dict[str, Set[Row]] = {}
         self.minus: Dict[str, Set[Row]] = {}
-        #: Rows pulled from index buckets and row sets, over all firings.
+        #: A :meth:`close` round's new rows of its held predicates.
+        self.held: Dict[str, Set[Row]] = {}
+        #: Firings, and the rows they pulled from buckets and row sets.
+        self.rules_fired = 0
         self.rows_matched = 0
 
     # -- the store -------------------------------------------------------------
@@ -646,5 +655,77 @@ class JoinKernel:
             lead,
             lead if hasattr(lead, "items") else None,
         )
+        self.rules_fired += 1
         self.rows_matched += pulled
         return produced
+
+    # -- the fixpoint driver ------------------------------------------------------
+
+    def close(
+        self,
+        start: Iterable[Tuple[Plan, object]],
+        leads: Sequence[Tuple[str, Plan]],
+        admit: Callable[[Plan, list], Collection[Row]],
+        step: Callable[[int, Dict[str, Set[Row]]], Optional[bool]],
+        delta: Optional[Dict[str, Set[Row]]] = None,
+        before: int = NEW,
+        after: int = NEW,
+        held: Collection[str] = (),
+        inner: Collection[str] = (),
+        budget: Optional[EvaluationBudget] = None,
+        size: Optional[int] = None,
+    ) -> bool:
+        """The one semi-naive round loop.
+
+        Round 0 fires ``start``'s ``(plan, rows)`` (``rows`` None: naive),
+        each later round every ``(predicate, plan)`` lead with its
+        predicate's rows in the round's delta (``size`` at a time).  A
+        firing reads ``before`` / ``after``; ``admit(plan, produced)``
+        returns its new head rows.  Rows of a ``held`` predicate wait in
+        :attr:`held` for the round's end, then join the store as
+        :attr:`plus` (``OLD``: the store the round began with); rows of
+        an ``inner`` one lead this round's later firings; the rest
+        (stored by ``admit``) lead the next round, as ``delta`` does.
+        After each round ``step(round, next delta)`` may raise, or return
+        False to stop.  True at the fixpoint, False when stopped.
+        """
+        ahead = {} if delta is None else delta
+        current: Dict[str, list] = {}
+        firings = start
+        for index in count():
+            self.held = pending = {}
+            for plan, rows in firings:
+                fresh = admit(plan, self.fire(plan, rows, before, after, budget))
+                if not fresh:
+                    continue
+                head = plan.head
+                if head in held:
+                    pending.setdefault(head, set()).update(fresh)
+                elif head in inner:
+                    current.setdefault(head, []).extend(fresh)
+                else:
+                    ahead.setdefault(head, set()).update(fresh)
+            if held:
+                for predicate, rows in pending.items():
+                    for row in rows:
+                        self.add(predicate, row)
+                self.plus = pending
+                ahead.update(pending)
+            if step(index, ahead) is False:
+                return False
+            if not ahead:
+                return True
+            current, ahead = ahead, {}
+            firings = _lead_firings(leads, current, size)
+
+
+def _lead_firings(leads, delta, size):
+    """A round's firings, reading ``delta`` as they go (for inner rows)."""
+    for predicate, plan in leads:
+        rows = delta.get(predicate)
+        if rows and size is None:
+            yield plan, rows
+        elif rows:
+            rows = iter(rows)
+            for batch in iter(lambda: list(islice(rows, size)), []):
+                yield plan, batch

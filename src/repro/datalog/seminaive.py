@@ -15,15 +15,16 @@ Negation is handled stratum by stratum: by the time a negative literal
 is consulted, its predicate is fully evaluated, so ``not q(ā)`` is a
 simple lookup.
 
-This module is only that stratum loop; the fact store and the rule
-firings — each plan compiled to one generated Python function — are
-:class:`~repro.datalog.kernel.JoinKernel`, which the service layer's
-maintenance engines share.
+This module is only that stratum loop; the fact store, the rule firings
+— each plan compiled to one generated Python function — and the rounds
+around them (:meth:`~repro.datalog.kernel.JoinKernel.close`) are the
+join kernel's, which the grounder, the algebra's candidate universe and
+the service layer's maintenance engines share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..robustness import EvaluationBudget, fault_point
 from ..relations.universe import FunctionRegistry
@@ -42,9 +43,7 @@ def seminaive_stratified(
     database: Database,
     registry: Optional[FunctionRegistry] = None,
     max_rounds: int = 100_000,
-    strata: Optional[Mapping[str, int]] = None,
     budget: Optional[EvaluationBudget] = None,
-    semiring=None,
     max_atoms: Optional[int] = None,
 ) -> Dict[str, FrozenSet[Tuple[Value, ...]]]:
     """Evaluate a stratified program directly (no grounding).
@@ -55,103 +54,52 @@ def seminaive_stratified(
     :class:`~repro.datalog.grounding.GroundingBudgetExceeded` (a
     ``BudgetExceeded``) if a stratum exceeds ``max_rounds`` or the
     model, database included, ``max_atoms`` rows (function symbols
-    without guards).  ``budget`` adds deadline/step/fact governance.
-
-    ``strata`` lets a caller that has already stratified the program
-    (a registered prepared plan) skip re-deriving the schedule.
-
-    ``semiring`` (a non-boolean :class:`~repro.semiring.Semiring`)
-    delegates to the annotated fixpoint and returns its *support* —
-    identical to the boolean model for the shipped semirings, but
-    subject to their convergence conditions.  Callers that need the
-    annotations themselves use
-    :func:`~repro.datalog.annotated.annotated_model` directly.
+    without guards).  ``budget`` adds deadline/step/fact governance:
+    one step per firing and per rule instance, one fact per new row.
     """
-    if semiring is not None and semiring.name != "bool":
-        from .annotated import annotated_model
-
-        maps = annotated_model(
-            program,
-            database,
-            semiring,
-            registry=registry,
-            strata=strata,
-            max_rounds=min(max_rounds, 10_000),
-            budget=budget,
-        )
-        return {
-            predicate: frozenset(rows) for predicate, rows in maps.items()
-        }
-    if strata is None:
-        strata = stratify(program)
-    height = max(strata.values(), default=0)
-
+    strata = stratify(program)
     state = JoinKernel(registry)
-    levels = []
-    for level in range(height + 1):
-        rules = [
-            rule for rule in program.rules if strata[rule.head.predicate] == level
-        ]
-        heads = {rule.head.predicate for rule in rules}
-        # Only a literal over this level's own heads ever sees a delta.
-        levels.append(
-            (
-                [state.plan(rule) for rule in rules],
-                [
-                    (item.atom.predicate, state.plan(rule, index))
-                    for rule in rules
-                    for index, item in enumerate(rule.body)
-                    if isinstance(item, Literal)
-                    and item.positive
-                    and item.atom.predicate in heads
-                ],
-            )
-        )
     for predicate in database.predicates():
         for row in database.rows(predicate):
             state.add(predicate, row)
 
-    def absorb(plan, lead, sink) -> None:
+    def admit(plan, produced):
+        fresh = [row for row, _weight in produced if state.add(plan.head, row)]
         if budget is not None:
             budget.tick(phase="seminaive")
-        for row, _weight in state.fire(plan, lead, budget=budget):
-            if state.add(plan.head, row):
-                if budget is not None:
-                    budget.charge_facts()
-                sink.setdefault(plan.head, set()).add(row)
+            for _row in fresh:
+                budget.charge_facts()
+        return fresh
 
-    def exhausted(level: int) -> GroundingBudgetExceeded:
-        return GroundingBudgetExceeded(
+    def step(index: int, _delta) -> None:
+        """A round boundary of stratum ``level``: counted, and bounded."""
+        if index < max_rounds:
+            fault_point("seminaive.round")
+            if budget is not None:
+                budget.note_iteration(stratum=level, phase="seminaive")
+            if max_atoms is None or sum(map(len, state.facts.values())) <= max_atoms:
+                return
+        raise GroundingBudgetExceeded(
             f"stratum {level} did not converge within max_rounds={max_rounds}, "
             f"max_atoms={max_atoms}",
             progress=budget.progress if budget is not None else None,
         )
 
-    for level, (naive, variants) in enumerate(levels):
-        # Naive first round.
-        delta: Dict[str, Set[Tuple[Value, ...]]] = {}
-        for plan in naive:
-            absorb(plan, None, delta)
-        # Semi-naive rounds: each literal over a predicate that changed
-        # last round leads one firing with exactly those rows.
-        for _round in range(max_rounds):
-            fault_point("seminaive.round")
-            if budget is not None:
-                budget.note_iteration(stratum=level, phase="seminaive")
-            if max_atoms is not None and max_atoms < sum(
-                map(len, state.facts.values())
-            ):
-                raise exhausted(level)
-            if not delta:
-                break
-            next_delta: Dict[str, Set[Tuple[Value, ...]]] = {}
-            for predicate, plan in variants:
-                rows = delta.get(predicate)
-                if rows:
-                    absorb(plan, rows, next_delta)
-            delta = next_delta
-        else:
-            raise exhausted(level)
+    if budget is not None:  # admit charges a firing after it runs
+        budget.check(phase="seminaive")
+    for level in range(max(strata.values(), default=0) + 1):
+        rules = [rule for rule in program.rules if strata[rule.head.predicate] == level]
+        naive = [(state.plan(rule), None) for rule in rules]
+        heads = {rule.head.predicate for rule in rules}
+        # Only a literal over this level's own heads ever sees a delta.
+        leads = [
+            (item.atom.predicate, state.plan(rule, index))
+            for rule in rules
+            for index, item in enumerate(rule.body)
+            if isinstance(item, Literal) and item.positive
+            and item.atom.predicate in heads
+        ]
+        state.close(naive, leads, admit, step, budget=budget)
 
     return {
         predicate: frozenset(rows) for predicate, rows in state.facts.items()

@@ -360,12 +360,11 @@ class AnnotatedEngine:
 
     def _join(self, plan: Plan, lead, view: int = NEW) -> List[Tuple[Row, int]]:
         """Fire one compiled plan (counted once the pass is through)."""
-        self._fired += 1
         return self.state.fire(plan, lead, view, view, self.budget)
 
     def _maintain(self, staged: Mapping[Fact, Tuple[EdbState, EdbState]], undo: UndoLog) -> None:
         """One pass over the schedule for the staged EDB change."""
-        pulled, self._fired = self.state.rows_matched, 0
+        fired, pulled = self.state.rules_fired, self.state.rows_matched
         # predicate → rows whose base (EDB) annotation the burst moved.
         moved: Dict[str, Set[Row]] = {}
         for (predicate, row), (was, now) in staged.items():
@@ -381,7 +380,7 @@ class AnnotatedEngine:
                 if self.budget is not None:
                     self.budget.note_iteration(phase="annotated-maintain")
                 self._maintain_component(component, instances, own, undo)
-        self.metrics.bump("rules_fired", self._fired)
+        self.metrics.bump("rules_fired", self.state.rules_fired - fired)
         self.metrics.bump("rows_matched", self.state.rows_matched - pulled)
 
     def _maintain_component(

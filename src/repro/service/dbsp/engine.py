@@ -49,7 +49,7 @@ from ...robustness import (
     fault_point,
 )
 from ..metrics import ViewMetrics
-from ..registry import Component, PreparedProgram, Variant
+from ..registry import Component, PreparedProgram
 from .circuit import IncrementalDistinct, NegativeWeightError
 from .zset import ZSet
 
@@ -154,53 +154,71 @@ class DBSPEngine:
                 self._initial_fixpoint(component)
             else:
                 self._initial_linear(component)
+        self._account(0, 0)
 
-    def _join(
-        self, plan: Plan, lead=None, before: int = NEW, after: int = NEW
-    ) -> List[Tuple[Row, int]]:
-        """Fire one compiled plan; accounts the firing and its rows."""
+    def _account(self, fired: int, pulled: int) -> None:
+        """Report the kernel's firings and rows matched since ``fired`` /
+        ``pulled``: counted once a pass is through, not per firing."""
         state = self.state
-        pulled = state.rows_matched
-        produced = state.fire(plan, lead, before, after)
-        self.metrics.bump("rules_fired")
+        self.metrics.bump("rules_fired", state.rules_fired - fired)
         self.metrics.bump("rows_matched", state.rows_matched - pulled)
-        return produced
 
     def _initial_linear(self, component: Component) -> None:
         (predicate,) = component.predicates
         node = self.distinct_nodes[predicate]
         for plan in component.circuit.naive:
-            for head_row, weight in self._join(plan):
+            for head_row, weight in self.state.fire(plan):
                 node.weights[head_row] = node.weights.get(head_row, 0) + weight
                 self.state.add(predicate, head_row)
 
     def _initial_fixpoint(self, component: Component) -> None:
-        circuit = component.circuit
-        state = self.state
-        delta: FactDelta = {}
-        for plan in circuit.naive:
-            for row, _weight in self._join(plan):
-                if state.add(plan.head, row):
-                    delta.setdefault(plan.head, set()).add(row)
-        for _round in range(self.max_rounds):
-            if not delta:
-                return
-            if self.budget is not None:
-                self.budget.note_iteration(phase="dbsp-initialize")
-            next_delta: FactDelta = {}
-            for plan, predicate, _negated in circuit.internal:
-                rows = delta.get(predicate)
-                if not rows:
-                    continue
-                for row, _weight in self._join(plan, rows):
-                    if state.add(plan.head, row):
-                        next_delta.setdefault(plan.head, set()).add(row)
-            delta = next_delta
-        raise BudgetExceeded(
-            f"component {sorted(component.predicates)} did not converge "
-            f"within {self.max_rounds} rounds",
-            progress=self.budget.progress if self.budget is not None else None,
+        add = self.state.add
+        self._closure(
+            component,
+            "component",
+            "dbsp-initialize",
+            [(plan, None) for plan in component.circuit.naive],
+            lambda plan, produced: [row for row, _ in produced if add(plan.head, row)],
         )
+
+    def _closure(
+        self,
+        component: Component,
+        what: str,
+        phase: str,
+        start: List[Tuple[Plan, object]],
+        admit,
+        delta: Optional[FactDelta] = None,
+        view: int = NEW,
+    ) -> None:
+        """Close a recursive component on the kernel's fixpoint driver:
+        ``start``, then the component's own leads, all read at ``view``."""
+
+        def step(index: int, delta: FactDelta) -> None:
+            if index == self.max_rounds:
+                raise BudgetExceeded(
+                    f"{what} {sorted(component.predicates)} did not converge "
+                    f"within {self.max_rounds} rounds",
+                    progress=self.budget.progress if self.budget is not None else None,
+                )
+            if delta and self.budget is not None:
+                self.budget.note_iteration(phase=phase)
+
+        internal = component.circuit.internal
+        leads = [(variant.predicate, variant.plan) for variant in internal]
+        self.state.close(start, leads, admit, step, delta, view, view)
+
+    def _triggers(
+        self, component: Component, positive: FactDelta, negated: FactDelta
+    ) -> List[Tuple[Plan, Set[Row]]]:
+        """A closure's round 0: each lead over an earlier component with
+        the rows that moved its literal — from ``positive`` for a positive
+        literal, from ``negated`` for a negated one."""
+        return [
+            (variant.plan, rows)
+            for variant in component.circuit.external
+            if (rows := (negated if variant.negated else positive).get(variant.predicate))
+        ]
 
     # -- the model ------------------------------------------------------------
 
@@ -264,10 +282,12 @@ class DBSPEngine:
         self.state.plus = plus
         self.state.minus = minus
 
+        fired, pulled = self.state.rules_fired, self.state.rows_matched
         try:
             self._run_circuit(seed)
         except NegativeWeightError as exc:
             raise IncrementalMaintenanceError(str(exc)) from exc
+        self._account(fired, pulled)
 
         batch_count = len(batches)
         self.metrics.bump("update_batches", batch_count)
@@ -361,7 +381,7 @@ class DBSPEngine:
         for plan, body_pred, negated in component.circuit.external:
             trigger = self._trigger(body_pred, negate=negated)
             if trigger is not None:
-                for head_row, weight in self._join(plan, trigger, NEW, OLD):
+                for head_row, weight in self.state.fire(plan, trigger, NEW, OLD):
                     delta.add(head_row, weight)
         if delta:
             self._commit_zset(
@@ -410,54 +430,31 @@ class DBSPEngine:
         touched a retracted fact.  The component's own facts are still
         untouched in ``state`` (their old view); earlier components are
         rewound via the net deltas committed so far."""
+        state = self.state
         retracted: FactDelta = {}
         delta: FactDelta = {}
         for predicate in component.predicates:
             for row in seed_minus.get(predicate, ()):
-                if row in self.state.facts.get(predicate, ()):
+                if row in state.facts.get(predicate, ()):
                     retracted.setdefault(predicate, set()).add(row)
                     delta.setdefault(predicate, set()).add(row)
 
-        def collect(variant: Variant, rows) -> None:
-            predicate = variant.plan.head
-            for head_row, _weight in self._join(variant.plan, rows, OLD, OLD):
-                if head_row not in self.state.facts.get(predicate, ()):
-                    continue
-                if head_row in retracted.get(predicate, ()):
-                    continue
-                retracted.setdefault(predicate, set()).add(head_row)
-                next_delta.setdefault(predicate, set()).add(head_row)
+        def admit(plan: Plan, produced) -> Set[Row]:
+            """The present rows not yet retracted: now retracted."""
+            present = state.facts.get(plan.head, ())
+            gone = retracted.get(plan.head, ())
+            fresh = {row for row, _ in produced if row in present and row not in gone}
+            if fresh:
+                retracted.setdefault(plan.head, set()).update(fresh)
+            return fresh
 
         # Round 0: derivations broken by *earlier-component* deltas — a
         # positive literal that lost rows, or a negated atom that
-        # became true.  All other literals read the old view.
-        circuit = component.circuit
-        next_delta: FactDelta = {}
-        for variant in circuit.external:
-            changed = self.state.plus if variant.negated else self.state.minus
-            trigger = changed.get(variant.predicate)
-            if trigger:
-                collect(variant, trigger)
-        for predicate, rows in next_delta.items():
-            delta.setdefault(predicate, set()).update(rows)
-
-        for _round in range(self.max_rounds):
-            if not delta:
-                break
-            if self.budget is not None:
-                self.budget.note_iteration(phase="dbsp-retract")
-            next_delta = {}
-            for variant in circuit.internal:
-                rows = delta.get(variant.predicate)
-                if rows:
-                    collect(variant, rows)
-            delta = next_delta
-        else:
-            raise BudgetExceeded(
-                f"retraction closure of {sorted(component.predicates)} did "
-                f"not converge within {self.max_rounds} rounds",
-                progress=self.budget.progress if self.budget is not None else None,
-            )
+        # became true.  Every literal reads the old view.
+        triggers = self._triggers(component, state.minus, state.plus)
+        self._closure(
+            component, "retraction closure of", "dbsp-retract", triggers, admit, delta, OLD
+        )
         total = sum(len(rows) for rows in retracted.values())
         if total:
             self.metrics.bump("overdeleted_total", total)
@@ -475,7 +472,7 @@ class DBSPEngine:
         for predicate, rows in retracted.items():
             for row in rows:
                 if self.edb.holds(predicate, *row) or any(
-                    self._join(plan, (row,)) for plan in probes.get(predicate, ())
+                    self.state.fire(plan, (row,)) for plan in probes.get(predicate, ())
                 ):
                     self.state.commit_add(predicate, row)
                     seeds.setdefault(predicate, set()).add(row)
@@ -491,42 +488,21 @@ class DBSPEngine:
         support_seeds: FactDelta,
     ) -> None:
         """Close the insertion delta semi-naively over the new view."""
+        state = self.state
         delta: FactDelta = {}
         for predicate, rows in support_seeds.items():
             delta.setdefault(predicate, set()).update(rows)
         for predicate in component.predicates:
             for row in seed_plus.get(predicate, ()):
-                if self.state.commit_add(predicate, row):
+                if state.commit_add(predicate, row):
                     delta.setdefault(predicate, set()).add(row)
-
-        def produce(variant: Variant, rows, sink: FactDelta) -> None:
-            predicate = variant.plan.head
-            for head_row, _weight in self._join(variant.plan, rows):
-                if self.state.commit_add(predicate, head_row):
-                    sink.setdefault(predicate, set()).add(head_row)
 
         # Round 0 triggers from earlier components: a positive literal
         # that gained rows, or a negated atom that became false.
-        circuit = component.circuit
-        for variant in circuit.external:
-            changed = self.state.minus if variant.negated else self.state.plus
-            trigger = changed.get(variant.predicate)
-            if trigger:
-                produce(variant, trigger, delta)
+        def admit(plan: Plan, produced) -> List[Row]:
+            return [row for row, _ in produced if state.commit_add(plan.head, row)]
 
-        for _round in range(self.max_rounds):
-            if not delta:
-                return
-            if self.budget is not None:
-                self.budget.note_iteration(phase="dbsp-insert-close")
-            next_delta: FactDelta = {}
-            for variant in circuit.internal:
-                rows = delta.get(variant.predicate)
-                if rows:
-                    produce(variant, rows, next_delta)
-            delta = next_delta
-        raise BudgetExceeded(
-            f"insertion closure of {sorted(component.predicates)} did not "
-            f"converge within {self.max_rounds} rounds",
-            progress=self.budget.progress if self.budget is not None else None,
+        triggers = self._triggers(component, state.plus, state.minus)
+        self._closure(
+            component, "insertion closure of", "dbsp-insert-close", triggers, admit, delta
         )

@@ -153,6 +153,17 @@ class TestGrounding:
         p_rules = [r for r in gp.rules if gp.decode(r.head)[0] == "p"]
         assert len(p_rules) == 1
 
+    def test_rules_sharing_a_projection_keep_their_own_negations(self):
+        # Over zero-arity atoms all three rules project to ``p0.``: one
+        # cached plan, three different ground rules.
+        program = parse_program("p0.\np1.\np0 :- not p0.\np0 :- not p1.")
+        assert ground(program, Database()).pretty().splitlines() == [
+            "p0.",
+            "p1.",
+            "p0 :- not p0.",
+            "p0 :- not p1.",
+        ]
+
     def test_pretty(self):
         program = parse_program("p(X) :- e(X).")
         gp = ground(program, Database().add("e", a))

@@ -45,6 +45,29 @@ def test_a_server_imports_what_it_serves():
     assert not unwanted, unwanted
 
 
+def test_a_cluster_worker_imports_no_router():
+    loaded = _python(
+        "import sys\n"
+        "import repro.service.cluster.worker\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    ).split()
+    assert "repro.service.cluster.worker" in loaded
+    assert "asyncio" not in loaded
+    assert "repro.service.cluster.router" not in loaded
+
+
+def test_the_cluster_facade_still_exports_everything():
+    out = _python(
+        "import repro.service.cluster as cluster\n"
+        "missing = [n for n in cluster.__all__ if not hasattr(cluster, n)]\n"
+        "namespace = {}\n"
+        "exec('from repro.service.cluster import *', namespace)\n"
+        "unstarred = [n for n in cluster.__all__ if n not in namespace]\n"
+        "print(missing, unstarred, len(cluster.__all__))\n"
+    )
+    assert out == "[] [] 21\n", out
+
+
 def test_the_lazy_facade_still_exports_everything():
     out = _python(
         "import repro\n"
