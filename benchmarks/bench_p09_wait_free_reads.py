@@ -1,4 +1,4 @@
-"""P9 — wait-free reads end to end: COW name table + compactor.
+"""P9 — wait-free reads end to end: COW name table + chain compaction.
 
 PR 4 made answers lock-free (published model snapshots); this PR makes
 the *whole* read path wait-free and bounds its worst read.  Two claims,
@@ -27,11 +27,13 @@ p99** (orders of magnitude in practice).
 
 **Cold reads after a write burst.**  Delta-maintained snapshots stack
 one copy-on-write cell per batch; with no interleaved reads the first
-query after a burst used to pay the whole chain walk.  The compactor
-(``compactor="on-publish"``) flattens chains past the depth cap every
-Nth publish, so the burst amortizes the walk into the write path.  A
-16-batch burst lands on an 8k-row predicate, then one cold query is
-timed, compactor off vs on.
+read after a burst used to pay the whole chain walk.  Every view
+flattens chains deeper than ``COMPACT_DEPTH`` on every
+``COMPACT_INTERVAL``-th publish (``repro.service.views``), so the burst
+amortizes the walk into the write path.  A 16-batch burst lands on an
+8k-row predicate, then one cold snapshot read is timed: the service's
+view against the same 16 deltas stacked on a bare ``ModelSnapshot``,
+which nothing compacts.
 
 ``REPRO_BENCH_SCALE=smoke`` shrinks both workloads for the CI
 bench-smoke job and relaxes the tail bar accordingly.
@@ -44,7 +46,7 @@ import time
 from repro.corpus import edges_to_database
 from repro.datalog.database import Database
 from repro.relations import Atom
-from repro.service import QueryService
+from repro.service import ModelSnapshot, QueryService
 
 from support import ExperimentTable
 
@@ -65,7 +67,7 @@ tail_table = ExperimentTable(
 
 chain_table = ExperimentTable(
     "P09-chain-compaction",
-    "on-publish compaction bounds the cold read after a write burst",
+    "compaction on publish bounds the cold read after a write burst",
     [
         "base-rows",
         "burst",
@@ -186,47 +188,63 @@ def test_wait_free_tail_stays_under_the_write_batch(benchmark):
     )
 
 
-def _seed_base():
+def _base_rows():
+    return frozenset((Atom(f"r{index}"),) for index in range(BASE_ROWS))
+
+
+def _served_bursts():
+    """The snapshot a view publishes after each burst, under the one
+    compaction policy every view runs."""
     database = Database()
-    database.declare("base")
-    for index in range(BASE_ROWS):
-        database.add("base", Atom(f"r{index}"))
-    return database
-
-
-def _run_cold_scenario(compactor):
-    """(median_cold_read_seconds, chain_depth_seen) for one mode."""
-    service = QueryService(
-        compactor=compactor,
-        compact_depth=2,
-        compact_interval=4,
-        cache_capacity=8,
-    )
-    service.register("cold", "p(X) :- base(X).\n", database=_seed_base())
+    for (row,) in _base_rows():
+        database.add("base", row)
+    service = QueryService(cache_capacity=8)
+    service.register("cold", "p(X) :- base(X).\n", database=database)
     service.query("cold", "p")  # flatten the initial snapshot
-    reads, depths = [], []
+    view = service.view("cold")
     for rep in range(COLD_REPS):
         for index in range(BURSTS):
             service.insert("cold", "base", Atom(f"n{rep}_{index}"))
-        depths.append(service.view("cold").chain_depth())
+        yield view.read_snapshot()
+
+
+def _stacked_bursts():
+    """The same deltas stacked on a bare snapshot: nothing compacts."""
+    base = _base_rows()
+    snapshot = ModelSnapshot.full({"base": base, "p": base})
+    snapshot.rows("p")  # flatten the initial snapshot
+    for rep in range(COLD_REPS):
+        for index in range(BURSTS):
+            row = frozenset({(Atom(f"n{rep}_{index}"),)})
+            snapshot = snapshot.apply_delta(
+                {"base": row, "p": row}, {}, snapshot.generation + 1
+            )
+        yield snapshot
+
+
+def _run_cold_scenario(bursts):
+    """(median_cold_read_seconds, chain_depth_seen) over ``bursts``."""
+    reads, depths = [], []
+    for snapshot in bursts():
+        depths.append(snapshot.max_chain_depth())
         start = time.perf_counter()
-        service.query("cold", "p")
+        snapshot.rows("p")
         reads.append(time.perf_counter() - start)
     reads.sort()
     return reads[len(reads) // 2], max(depths)
 
 
-def test_compactor_bounds_cold_reads_after_bursts(benchmark):
-    _run_cold_scenario("off")  # warm
+def test_compaction_bounds_cold_reads_after_bursts(benchmark):
+    _run_cold_scenario(_stacked_bursts)  # warm
 
-    uncompacted, deep = _run_cold_scenario("off")
+    uncompacted, deep = _run_cold_scenario(_stacked_bursts)
     compacted, shallow = benchmark.pedantic(
-        lambda: _run_cold_scenario("on-publish"), rounds=1, iterations=1
+        lambda: _run_cold_scenario(_served_bursts), rounds=1, iterations=1
     )
     speedup = uncompacted / max(compacted, 1e-9)
 
     chain_table.add(
-        BASE_ROWS, BURSTS, "off", deep,
+        BASE_ROWS, BURSTS, "none", deep,
         f"{uncompacted * 1e6:.1f}", "1.0x",
     )
     chain_table.add(

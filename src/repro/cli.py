@@ -273,7 +273,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         "max_rounds": args.max_rounds,
         "max_atoms": args.max_atoms,
         "deadline_ms": args.deadline_ms,
-        "compactor": args.compactor,
         "coalesce": args.coalesce,
         "semiring": args.semiring,
         "max_concurrent": args.max_concurrent,
@@ -409,7 +408,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_rounds=args.max_rounds,
             max_atoms=args.max_atoms,
             deadline_ms=args.deadline_ms,
-            compactor=args.compactor,
             coalesce=args.coalesce,
             semiring=args.semiring,
             data_dir=args.data_dir,
@@ -474,8 +472,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass  # SIGTERM/SIGINT: fall through to the graceful close
     finally:
         _restore_signals(previous)
-        # Stop the exporter and background compactor on the way out,
-        # and flush the durability plane (final checkpoint).
+        # Stop the exporter on the way out, and flush the durability
+        # plane (final checkpoint).
         if exporter is not None:
             exporter.stop()
         service.close()
@@ -600,15 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
             "counting), tropical (min-plus costs), or why "
             "(lineage witnesses served on explain lines); individual "
             "registrations can override with --semiring=<name>"
-        ),
-    )
-    p_srv.add_argument(
-        "--compactor",
-        choices=("off", "on-publish", "thread"),
-        default="on-publish",
-        help=(
-            "snapshot delta-chain compaction: flatten on every Nth "
-            "publish (default), from a background thread, or never"
         ),
     )
     p_srv.add_argument(

@@ -12,7 +12,6 @@ served from an LRU cache (:mod:`cache`), and the whole thing instrumented
 """
 
 from .cache import LRUCache
-from .compactor import SnapshotCompactor
 from .dbsp import DBSPEngine, UpdateQueue, ZSet
 from .dbsp.engine import IncrementalMaintenanceError
 from .locks import AtomicReference, InstrumentedLock, ReadWriteLock
@@ -57,7 +56,6 @@ __all__ = [
     "QueryService",
     "ReadWriteLock",
     "ServiceMetrics",
-    "SnapshotCompactor",
     "UpdateQueue",
     "ViewMetrics",
     "ZSet",

@@ -40,9 +40,10 @@ undo.  ``differential=False`` keeps everything but the discipline: each
 burst re-runs :meth:`AnnotatedEngine.initialize`.
 
 To the view layer this is a :class:`~repro.service.dbsp.engine.DBSPEngine`
-(``edb``, ``state.facts``, ``model()``, ``rows()``, ``apply()``,
-``apply_stream()``, ``initialize()``, ``budget``) plus the annotations:
-``maps``, :meth:`wire_annotations` and the ``annotated_plus`` /
+(``edb``, ``state.facts``, ``model()``, ``rows()``, ``apply_stream()``,
+``initialize()``, ``budget``) plus the annotations: each batch's own
+explicit values beside it in ``apply_stream``, ``maps``,
+:meth:`wire_annotations` and the ``annotated_plus`` /
 ``annotated_minus`` delta of every summary, which snapshots carry.
 """
 
@@ -196,41 +197,34 @@ class AnnotatedEngine:
 
     # -- updates --------------------------------------------------------------
 
-    def apply(
-        self,
-        inserts: Iterable[Fact] = (),
-        deletes: Iterable[Fact] = (),
-        annotations: Optional[Annotations] = None,
-    ) -> Dict[str, object]:
-        """Maintain the annotated model under one update batch.
-
-        ``annotations`` attaches explicit carrier values to inserts,
-        keyed ``(predicate, row)``.  Annotations are *absolute*: an
-        insert with one replaces the fact's previous annotation, an
-        insert without one on a present fact is a no-op — both
-        idempotent, which WAL replay relies on.  Zero annotations are
-        rejected (zero denotes absence; use a delete).
-        """
-        return self.apply_stream([(inserts, deletes)], annotations=annotations)
-
     def apply_stream(
         self,
         batches: Sequence[Batch],
-        annotations: Optional[Annotations] = None,
+        annotations: Optional[Sequence[Optional[Annotations]]] = None,
     ) -> Dict[str, object]:
         """Absorb a burst of batches in **one** maintenance pass,
         atomically: the burst is folded into its net EDB change first,
-        so a fact inserted then deleted inside it fires nothing."""
+        so a fact inserted then deleted inside it fires nothing.
+
+        ``annotations`` (aligned with ``batches``, ``None`` for a bare
+        batch) attaches explicit carrier values to each batch's own
+        inserts, keyed ``(predicate, row)``.  Annotations are
+        *absolute*: an insert with one replaces the fact's previous
+        annotation, an insert without one on a present fact is a no-op
+        — both idempotent, which WAL replay relies on.  Zero
+        annotations are rejected (zero denotes absence; use a delete).
+        """
         fault_point("incremental.apply")
         if self.budget is not None:
             self.budget.check(phase="annotated-apply")
-        annotations = annotations or {}
-        for key, value in annotations.items():
-            if self.semiring.is_zero(value):
-                raise ValueError(
-                    f"zero annotation on insert {key[0]}{tuple(key[1])!r} "
-                    "denotes absence; use a delete instead"
-                )
+        annotations = annotations or [None] * len(batches)
+        for batch_annotations in annotations:
+            for key, value in (batch_annotations or {}).items():
+                if self.semiring.is_zero(value):
+                    raise ValueError(
+                        f"zero annotation on insert {key[0]}{tuple(key[1])!r} "
+                        "denotes absence; use a delete instead"
+                    )
         staged, applied_inserts, applied_deletes = self._stage(batches, annotations)
         undo: UndoLog = {}
         self.state.plus, self.state.minus = {}, {}
@@ -287,12 +281,16 @@ class AnnotatedEngine:
         return summary
 
     def _stage(
-        self, batches: Sequence[Batch], annotations: Annotations
+        self,
+        batches: Sequence[Batch],
+        annotations: Sequence[Optional[Annotations]],
     ) -> Tuple[Dict[Fact, Tuple[EdbState, EdbState]], int, int]:
         """The burst's net effect on the EDB, fact → (state before,
         state after) where they differ, plus the inserts and deletes
         that took effect in sequence (deletes first within a batch, the
-        wire order; a duplicate mention stages its *net* effect)."""
+        wire order; a duplicate mention stages its *net* effect).  Each
+        batch's inserts read that batch's own annotations, so the burst
+        stages exactly what its batches one at a time would leave."""
         before: Dict[Fact, EdbState] = {}
         after: Dict[Fact, EdbState] = {}
         applied_inserts = applied_deletes = 0
@@ -305,7 +303,8 @@ class AnnotatedEngine:
                 )
             return after[key]
 
-        for inserts, deletes in batches:
+        for (inserts, deletes), batch_annotations in zip(batches, annotations):
+            batch_annotations = batch_annotations or {}
             for predicate, row in deletes:
                 key = (predicate, tuple(row))
                 if current(key)[0]:
@@ -313,7 +312,7 @@ class AnnotatedEngine:
                     applied_deletes += 1
             for predicate, row in inserts:
                 key = (predicate, tuple(row))
-                annotation = annotations.get(key)
+                annotation = batch_annotations.get(key)
                 state = current(key)
                 if not state[0] or (
                     annotation is not None

@@ -103,14 +103,25 @@ def canonical_fact_text(text: str) -> str:
     return canonical[:-1] if canonical.endswith(".") else canonical
 
 
+def _bare_fact(text: str) -> str:
+    """A canonical fact text without its ``@ annotation`` suffix — the
+    same split the worker's ``parse_annotated_fact`` makes."""
+    marker = text.find("@", text.rfind(")") + 1)
+    return text if marker == -1 else text[:marker]
+
+
 class ViewRecord:
     """What the router must remember to rebuild a view elsewhere.
 
     ``semantics`` and ``source`` replay the original ``register`` (the
     program text carries its own inline base facts); ``added`` and
-    ``removed`` are the *net* acked base-fact delta applied since, as
-    canonical fact texts — replaying register + removals + additions
-    reconstructs the view's exact database on a fresh worker.
+    ``removed`` are the *net* acked base-fact delta applied since —
+    ``removed`` as canonical bare fact texts, ``added`` keyed by them,
+    holding the text to re-send (with its ``@ annotation``, if the fact
+    has one).  Keyed by the bare fact, a delete cancels an annotated
+    insert and a re-annotation replaces the old one, so replaying
+    register + removals + additions reconstructs the view's exact
+    database on a fresh worker.
     """
 
     __slots__ = ("semantics", "source", "added", "removed")
@@ -118,16 +129,20 @@ class ViewRecord:
     def __init__(self, semantics: str, source: str):
         self.semantics = semantics
         self.source = source
-        self.added: Set[str] = set()
+        self.added: Dict[str, str] = {}
         self.removed: Set[str] = set()
 
     def record_insert(self, fact: str) -> None:
-        self.added.add(fact)
-        self.removed.discard(fact)
+        bare = _bare_fact(fact)
+        # A bare re-insert of a present fact leaves its annotation be.
+        if fact != bare or bare not in self.added:
+            self.added[bare] = fact
+        self.removed.discard(bare)
 
     def record_delete(self, fact: str) -> None:
-        self.removed.add(fact)
-        self.added.discard(fact)
+        bare = _bare_fact(fact)
+        self.removed.add(bare)
+        self.added.pop(bare, None)
 
 
 class WorkerHandle:
@@ -501,7 +516,7 @@ class ClusterRouter:
                 name: {
                     "semantics": record.semantics,
                     "source": record.source,
-                    "added": sorted(record.added),
+                    "added": sorted(record.added.values()),
                     "removed": sorted(record.removed),
                 }
                 for name, record in self._records.items()
@@ -638,8 +653,10 @@ class ClusterRouter:
                         str(info.get("semantics", "stratified")),
                         str(info.get("source", "")),
                     )
-                    record.added = set(info.get("added", ()))
-                    record.removed = set(info.get("removed", ()))
+                    for fact in info.get("removed", ()):
+                        record.record_delete(fact)
+                    for fact in info.get("added", ()):
+                        record.record_insert(fact)
                     self._records[name] = record
                 self._routes.set(dict(state.get("routes", {})))
                 self._drained.update(state.get("drained", {}))
@@ -871,8 +888,8 @@ class ClusterRouter:
         await replay(f"register {name} {record.semantics} {record.source}")
         for fact in sorted(record.removed):
             await replay(f"-{name} {fact}")
-        for fact in sorted(record.added):
-            await replay(f"+{name} {fact}")
+        for bare in sorted(record.added):
+            await replay(f"+{name} {record.added[bare]}")
 
     # -- drain --------------------------------------------------------------
 

@@ -34,9 +34,9 @@ def worker_main(socket_path: str, options: Optional[Dict] = None) -> None:
     """Run one shard: a QueryService on a unix socket, until terminated.
 
     ``options`` are :class:`~repro.service.server.QueryService` keyword
-    arguments (``deadline_ms``, ``cache_capacity``, ``compactor``,
-    ``coalesce``, ...) plus the socket-server knobs ``max_concurrent``
-    and ``max_request_bytes``.
+    arguments (``deadline_ms``, ``cache_capacity``, ``coalesce``, ...)
+    plus the socket-server knobs ``max_concurrent`` and
+    ``max_request_bytes``.
     """
     # Imports happen inside the function so a ``spawn``-ed child pays
     # them once, after the interpreter boots with a clean slate.

@@ -120,7 +120,7 @@ class AlternatingEngine:
     """A three-valued model maintained as ``levels`` of delta circuits.
 
     Engine-compatible with :class:`DBSPEngine` (``edb``, ``budget``,
-    ``initialize()``, ``apply()``, ``apply_stream()``, ``model()``,
+    ``initialize()``, ``apply_stream()``, ``model()``,
     ``rows()``) plus the second truth status: ``undefined_model()`` /
     ``undefined_rows()``, and ``undefined_plus`` / ``undefined_minus``
     beside ``plus`` / ``minus`` in every summary.  No helper predicate
@@ -246,14 +246,6 @@ class AlternatingEngine:
         )
 
     # -- update batches -------------------------------------------------------
-
-    def apply(
-        self,
-        inserts: Iterable[Tuple[str, Row]] = (),
-        deletes: Iterable[Tuple[str, Row]] = (),
-    ) -> Dict[str, object]:
-        """Maintain the model under one update batch."""
-        return self.apply_stream([(inserts, deletes)])
 
     def apply_stream(self, batches: Sequence[Batch]) -> Dict[str, object]:
         """Absorb a burst in one pass per level.

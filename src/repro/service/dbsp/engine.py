@@ -84,9 +84,9 @@ class DBSPEngine:
     """A resident model maintained as the integral of a delta stream.
 
     The engine seam every view engine shares: ``edb``, ``state``,
-    ``model()``, ``rows()``, ``apply()``, ``initialize()``, ``budget``
-    — plus :meth:`apply_stream`, the burst entry point the coalescing
-    update queue drains into.
+    ``model()``, ``rows()``, ``initialize()``, ``budget`` and
+    :meth:`apply_stream`, the one write entry: a single batch is a
+    burst of one.
     """
 
     def __init__(
@@ -235,27 +235,16 @@ class DBSPEngine:
 
     # -- update batches -------------------------------------------------------
 
-    def apply(
-        self,
-        inserts: Iterable[Tuple[str, Row]] = (),
-        deletes: Iterable[Tuple[str, Row]] = (),
-    ) -> Dict[str, object]:
-        """Maintain the model under one update batch.
-
-        A single-element stream: the returned ``plus``/``minus`` sets
-        are net, and applying
-        ``(rows - minus) | plus`` to the pre-batch model yields the
-        post-batch model (load-bearing for snapshot maintenance).
-        """
-        return self.apply_stream([(inserts, deletes)])
-
     def apply_stream(self, batches: Sequence[Batch]) -> Dict[str, object]:
         """Absorb a burst of update batches in **one** circuit pass.
 
         The batches are differentiated into a single net EDB delta
         before any rule fires, so a fact inserted then deleted inside
         the burst costs nothing downstream, and the whole burst yields
-        one net per-predicate delta for a single snapshot publish.
+        one net per-predicate delta for a single snapshot publish: the
+        returned ``plus``/``minus`` sets are net, and applying
+        ``(rows - minus) | plus`` to the pre-burst model yields the
+        post-burst model (load-bearing for snapshot maintenance).
         """
         fault_point("incremental.apply")
         if self.budget is not None:

@@ -58,13 +58,19 @@ def _per_waiter_copy(error: BaseException) -> BaseException:
 
 
 class Ticket:
-    """One submitted update batch and its eventual outcome."""
+    """One submitted update batch and its eventual outcome.
 
-    __slots__ = ("inserts", "deletes", "_event", "_result", "_error")
+    ``annotations`` maps inserted facts to their parsed semiring values
+    (``None`` for a bare write): a batch carries its own annotations
+    through the queue, so an annotated write coalesces like any other.
+    """
 
-    def __init__(self, inserts, deletes):
+    __slots__ = ("inserts", "deletes", "annotations", "_event", "_result", "_error")
+
+    def __init__(self, inserts, deletes, annotations=None):
         self.inserts = inserts
         self.deletes = deletes
+        self.annotations = annotations
         self._event = threading.Event()
         self._result = None
         self._error: Optional[BaseException] = None
@@ -110,7 +116,7 @@ class UpdateQueue:
         self._items: Deque[Ticket] = deque()
 
     def submit(
-        self, inserts, deletes, timeout: Optional[float] = None
+        self, inserts, deletes, annotations=None, timeout: Optional[float] = None
     ) -> Ticket:
         """Enqueue a batch, blocking while the queue is full.
 
@@ -120,7 +126,7 @@ class UpdateQueue:
         :class:`~repro.robustness.errors.UpdateTimeout` is raised and
         nothing was enqueued.
         """
-        ticket = Ticket(inserts, deletes)
+        ticket = Ticket(inserts, deletes, annotations)
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._space:
             while len(self._items) >= self.capacity:

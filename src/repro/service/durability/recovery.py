@@ -19,23 +19,22 @@ data directory, in three steps:
 2. **WAL replay** — every journaled operation past the checkpoint
    boundary is re-driven through the service, per view in lsn order.
    Views are independent state machines, so replay keeps one pending
-   *run* per view: consecutive un-annotated ``update`` records of a
-   view pile up and are handed to the service as **one group commit**
-   (:meth:`QueryService._commit`, the path a burst of live writers
-   takes) — ``coalesce`` batches per circuit pass and snapshot publish
-   instead of one per record, with the burst's budget, fault points,
-   rollback and per-batch retry.  A view's own ``register`` /
-   ``unregister`` / annotated ``update`` record, a full update queue
-   and the end of the log flush its run.  With ``coalesce <= 1`` the
-   same code applies the run's records one by one.  The checkpoint
-   may already contain the effects of a few records past its boundary
-   (capture races tail appends by design); replay is convergent —
-   fact-level inserts/deletes are last-writer-wins and a re-register
-   resets then rebuilds — so re-applying them is harmless.  A record
-   that fails to apply (e.g. an update for a view a later record
-   unregisters anyway) is skipped with a warning, not fatal: the log
-   is a history, and history can reference state that no longer
-   matters.
+   *run* per view: consecutive ``update`` records of a view, annotated
+   or bare, pile up and are handed to the service as **one group
+   commit** (:meth:`QueryService._commit`, the path a burst of live
+   writers takes) — ``coalesce`` batches per engine pass and snapshot
+   publish instead of one per record, with the burst's budget, fault
+   points, rollback and per-batch retry.  A view's own ``register`` /
+   ``unregister`` record, a full update queue and the end of the log
+   flush its run.  With ``coalesce=1`` the same code applies the run's
+   records one by one.  The checkpoint may already contain the effects
+   of a few records past its boundary (capture races tail appends by
+   design); replay is convergent — fact-level inserts/deletes are
+   last-writer-wins and a re-register resets then rebuilds — so
+   re-applying them is harmless.  A record that fails to apply (e.g.
+   an update for a view a later record unregisters anyway) is skipped
+   with a warning, not fatal: the log is a history, and history can
+   reference state that no longer matters.
 
 3. **Generation bump** — the data directory's recovered-generation
    marker advances, and the checkpoint's persisted service-counter
@@ -197,17 +196,17 @@ def _apply_registration(service, record: WalRecord) -> None:
 
 
 def _update_batch(operation: Dict[str, object]):
-    """A journaled ``update`` as ``((inserts, deletes), annotations)``."""
+    """A journaled ``update`` as ``(inserts, deletes, annotations)``."""
     inserts, annotations = _annotated_fact_set(operation.get("inserts", ()))
-    batch = (
+    return (
         sorted(inserts, key=_fact_order),
         sorted(_fact_set(operation.get("deletes", ())), key=_fact_order),
+        annotations or None,
     )
-    return batch, annotations or None
 
 
 def _replay(service, records, report: RecoveryReport) -> None:
-    """Step 2: re-drive ``records``, each view's bare updates in runs."""
+    """Step 2: re-drive ``records``, each view's updates in runs."""
     runs: Dict[str, List[Tuple[int, tuple]]] = {}  # view → [(lsn, batch)]
     failures: List[Tuple[int, str]] = []
 
@@ -236,18 +235,13 @@ def _replay(service, records, report: RecoveryReport) -> None:
         outcome = None
         try:
             if operation.get("op") == "update":
-                batch, annotations = _update_batch(operation)
-                if annotations is None:
-                    run = runs.setdefault(name, [])
-                    run.append((record.lsn, batch))
-                    if len(run) >= service.queue_capacity:
-                        flush(name)
-                    continue
-                flush(name)
-                [outcome] = service._commit(name, [batch], annotations)
-            else:
-                flush(name)
-                _apply_registration(service, record)
+                run = runs.setdefault(name, [])
+                run.append((record.lsn, _update_batch(operation)))
+                if len(run) >= service.queue_capacity:
+                    flush(name)
+                continue
+            flush(name)
+            _apply_registration(service, record)
         except (ReproError, KeyError, ValueError) as exc:
             outcome = exc
         settle(record.lsn, outcome)

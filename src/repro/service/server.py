@@ -103,7 +103,6 @@ from ..robustness import (
 )
 from ..semiring import Semiring, get_semiring
 from .cache import LRUCache
-from .compactor import SnapshotCompactor
 from .demand import DemandRegistry
 from .locks import AtomicReference, InstrumentedLock, ReadWriteLock
 from .metrics import ServiceMetrics, ViewMetrics
@@ -169,18 +168,11 @@ class QueryService:
     expensive per-request operation (registration, update batch) by
     handing each one a fresh :class:`~repro.robustness.EvaluationBudget`.
 
-    ``coalesce`` caps how many queued update batches one group-commit
-    leader absorbs in a single engine pass; ``1`` applies every batch
-    on its own (what WAL replay's differential reference runs).
-
-    ``compactor`` bounds the delta-chain walk a write burst leaves for
-    the first reader: ``"on-publish"`` (the default) flattens chains
-    past ``compact_depth`` every ``compact_interval``-th snapshot
-    publish, inside the write path; ``"thread"`` leaves the write path
-    untouched and sweeps from a background
-    :class:`~repro.service.compactor.SnapshotCompactor` daemon (stop it
-    with :meth:`close`); ``"off"`` disables compaction below the hard
-    publish-time cap (the bench baseline).
+    Every write — bare or annotated, from a client or from WAL replay —
+    is a ticket on its view's group-commit queue.  ``coalesce`` caps
+    how many tickets one leader drains into a single engine pass;
+    ``1`` drains them one per pass through the same code (what WAL
+    replay's differential reference runs).
 
     ``queue_capacity`` bounds each view's group-commit update queue;
     ``demand_capacity`` bounds how many demanded binding patterns stay
@@ -195,9 +187,6 @@ class QueryService:
         max_rounds: int = 10_000,
         max_atoms: int = 1_000_000,
         deadline_ms: Optional[float] = None,
-        compactor: str = "on-publish",
-        compact_depth: int = 4,
-        compact_interval: int = 8,
         data_dir: Optional[str] = None,
         fsync: str = "batch",
         checkpoint_every: int = 256,
@@ -206,8 +195,6 @@ class QueryService:
         demand_capacity: int = 64,
         semiring: str = "bool",
     ):
-        if compactor not in ("off", "on-publish", "thread"):
-            raise ValueError(f"unknown compactor {compactor!r}")
         if coalesce < 1:
             raise ValueError("coalesce must be >= 1")
         self.registry = ProgramRegistry()
@@ -227,9 +214,6 @@ class QueryService:
         # One ready-gated magic-rewritten view per demanded binding
         # pattern, LRU-evicted (see docs/MAGIC.md).
         self.demand = DemandRegistry(demand_capacity)
-        self.compactor_mode = compactor
-        self.compact_depth = compact_depth
-        self.compact_interval = compact_interval
         self.metrics = ServiceMetrics()
         self._registry_lock = ReadWriteLock()
         self._locks: Dict[str, InstrumentedLock] = {}
@@ -255,10 +239,6 @@ class QueryService:
         # moment the replacement is swapped in.
         self._generations: Dict[str, int] = {}
         self._generation_counter = 0
-        self._background_compactor: Optional[SnapshotCompactor] = None
-        if compactor == "thread":
-            self._background_compactor = SnapshotCompactor(self)
-            self._background_compactor.start()
         # The durability plane (inert without a data directory): program
         # sources are remembered so checkpoints and the WAL can carry
         # them; registrations/unregistrations/update batches are
@@ -289,22 +269,14 @@ class QueryService:
             self.durability.attach(capture=self._durability_capture)
 
     def close(self) -> None:
-        """Release background machinery (the compactor thread, if any).
+        """Release the demand entries and flush the durability plane.
 
         Idempotent — safe to call twice, from competing shutdown paths,
-        or after a failed construction (e.g. the compactor thread never
-        came up): the compactor reference is detached *before* the stop
-        so a second caller finds nothing left to do, and a stop that
-        raises still leaves the service closed.  The service keeps
-        answering requests afterwards — only the background sweeps
-        stop.
+        or after a failed construction.  The service keeps answering
+        requests afterwards.
         """
         # getattr: a service whose __init__ died before the attribute
         # was assigned must still close cleanly.
-        compactor = getattr(self, "_background_compactor", None)
-        self._background_compactor = None
-        if compactor is not None:
-            compactor.stop()
         demand = getattr(self, "demand", None)
         if demand is not None:
             demand.close()
@@ -457,9 +429,6 @@ class QueryService:
             max_rounds=self.max_rounds,
             max_atoms=self.max_atoms,
             budget_factory=self._budget_factory(),
-            compact_on_publish=self.compactor_mode == "on-publish",
-            compact_depth=self.compact_depth,
-            compact_interval=self.compact_interval,
             queue_capacity=self.queue_capacity,
             semiring=semiring,
         )
@@ -917,9 +886,6 @@ class QueryService:
                 max_rounds=self.max_rounds,
                 max_atoms=self.max_atoms,
                 budget_factory=self._budget_factory(),
-                compact_on_publish=self.compactor_mode == "on-publish",
-                compact_depth=self.compact_depth,
-                compact_interval=self.compact_interval,
                 queue_capacity=self.queue_capacity,
             )
             entry.complete(demand_view, transform)
@@ -936,13 +902,9 @@ class QueryService:
             )
             entry.seeded.add(bound)
 
-    def _propagate_demand(
-        self,
-        name: str,
-        generation: int,
-        batches: List[Tuple[List[Tuple[str, Row]], List[Tuple[str, Row]]]],
-    ) -> None:
-        """Stream applied base batches into the ready demand entries.
+    def _propagate_demand(self, name: str, generation: int, tickets: List) -> None:
+        """Stream the batches of applied tickets into the ready demand
+        entries.
 
         Called inside the base view hold, right after the base apply
         succeeded — together with :meth:`_build_demand_entry` running
@@ -956,9 +918,9 @@ class QueryService:
         for entry in entries:
             base = entry.magic.base_predicates
             relevant = []
-            for inserts, deletes in batches:
-                kept_in = [(p, row) for p, row in inserts if p in base]
-                kept_out = [(p, row) for p, row in deletes if p in base]
+            for ticket in tickets:
+                kept_in = [(p, row) for p, row in ticket.inserts if p in base]
+                kept_out = [(p, row) for p, row in ticket.deletes if p in base]
                 if kept_in or kept_out:
                     relevant.append((kept_in, kept_out))
             if not relevant:
@@ -1001,26 +963,17 @@ class QueryService:
         """
         inserts = [(predicate, tuple(row)) for predicate, row in inserts]
         deletes = [(predicate, tuple(row)) for predicate, row in deletes]
-        if annotations:
-            annotations = {
-                (predicate, tuple(row)): value
-                for (predicate, row), value in annotations.items()
-            }
-        else:
-            annotations = None
-        [outcome] = self._commit(name, [(inserts, deletes)], annotations)
+        [outcome] = self._commit(name, [(inserts, deletes, annotations)])
         if isinstance(outcome, BaseException):
             raise outcome
         self._maybe_checkpoint()
         return outcome
 
     def _commit(
-        self,
-        name: str,
-        batches: List[Tuple[List[Tuple[str, Row]], List[Tuple[str, Row]]]],
-        annotations: Optional[Dict[Tuple[str, Row], object]] = None,
+        self, name: str, batches: List[Tuple[list, list, Optional[Mapping]]]
     ) -> List[object]:
-        """Apply ``(inserts, deletes)`` batches to one view, in order.
+        """Apply ``(inserts, deletes, annotations)`` batches to one view,
+        in order.
 
         Returns one outcome per batch: its summary, or the exception it
         died with.  :meth:`update` passes its one batch and re-raises;
@@ -1028,34 +981,22 @@ class QueryService:
         most ``queue_capacity`` of them, nobody else drains during
         recovery — which then reach the engine exactly as a burst of
         concurrent writers would.
+
+        Every batch is a ticket: its annotations are parsed with the
+        view's semiring first (a bad one fails only its own batch),
+        then it is submitted to the view's bounded queue and the
+        submitter races for the view lock.  The winner (leader) drains
+        the queue ``coalesce`` tickets per engine pass; the losers find
+        their tickets already settled when they get the lock.  An
+        ``ok`` ack still means the batch landed in a view that was
+        verified current by whoever applied it.  Both queue waits — for
+        space at submit, for the leader at outcome — are bounded by the
+        request deadline: a leader that died on a fault leaves parked
+        writers with a wire-coded ``update-timeout`` instead of a hang,
+        and a timed-out ticket is withdrawn so it cannot apply later.
         """
         self.metrics.bump("updates_total", len(batches))
         outcomes: List[object] = [None] * len(batches)
-        if self.coalesce <= 1 or annotations is not None:
-            # Per-batch mode (``coalesce=1``, the differential
-            # reference): apply directly under the view hold, no queue.
-            # Group-commit tickets carry bare fact batches, so a write
-            # with annotations takes this path even when coalescing is
-            # on; the bare writes to the same annotated view queue up
-            # like any other and reach its engine as one burst.
-            for index, (inserts, deletes) in enumerate(batches):
-                try:
-                    outcomes[index] = self._apply_directly(
-                        name, inserts, deletes, annotations
-                    )
-                except Exception as exc:
-                    outcomes[index] = exc
-            return outcomes
-        # Group commit: submit the batches to the view's bounded queue,
-        # then race for the view lock.  The winner (leader) drains the
-        # queue into one circuit pass; the losers find their tickets
-        # already settled when they get the lock.  An ``ok`` ack still
-        # means the batch landed in a view that was verified current by
-        # whoever applied it.  Both queue waits — for space at submit,
-        # for the leader at outcome — are bounded by the request
-        # deadline: a leader that died on a fault leaves parked writers
-        # with a wire-coded ``update-timeout`` instead of a hang, and a
-        # timed-out ticket is withdrawn so it cannot apply later.
         timeout = self._request_timeout()
         unsent = list(range(len(batches)))
         while unsent:
@@ -1064,7 +1005,15 @@ class QueryService:
                 view, lock, generation = self._view_and_lock(name)
                 queue = view.pending
                 for index in unsent:
-                    tickets[index] = queue.submit(*batches[index], timeout=timeout)
+                    inserts, deletes, annotations = batches[index]
+                    try:
+                        parsed = self._parse_annotations(view, annotations)
+                    except ValueError as exc:
+                        outcomes[index] = exc
+                        continue
+                    tickets[index] = queue.submit(
+                        inserts, deletes, parsed, timeout=timeout
+                    )
                 with lock.held():
                     with self._registry_lock.read_locked():
                         current = self.views.get(name) is view
@@ -1088,6 +1037,8 @@ class QueryService:
                     # Settled, or a leader owns it: the leader's outcome
                     # is the truth about this batch.
                     outcomes[index] = self._leader_outcome(ticket, timeout)
+                elif outcomes[index] is not None:
+                    pass  # its annotations never parsed
                 elif failure is not None:
                     # Never queued, or withdrawn while still queued: the
                     # batch never ran and never will.
@@ -1114,99 +1065,64 @@ class QueryService:
         except Exception as exc:
             return exc
 
-    def _apply_directly(
-        self,
-        name: str,
-        inserts: List[Tuple[str, Row]],
-        deletes: List[Tuple[str, Row]],
-        annotations: Optional[Dict[Tuple[str, Row], object]],
-    ) -> Dict[str, object]:
-        """One batch applied and journaled under the view hold."""
-        with self._locked_view(name) as (view, generation):
-            parsed = self._parse_annotations(view, annotations)
-            summary = view.apply(
-                inserts=inserts, deletes=deletes, annotations=parsed
-            )
-            # Invalidate inside the hold so a concurrent query
-            # cannot re-cache pre-batch rows between apply and
-            # invalidation.
-            self.cache.invalidate(name)
-            self._propagate_demand(name, generation, [(inserts, deletes)])
-            # Journal the *canonical* wire text of each annotation
-            # (format after parse), so replay parses exactly what a
-            # live client could have sent.
-            texts = (
-                {
-                    key: view.semiring_obj.format(value)
-                    for key, value in parsed.items()
-                }
-                if parsed
-                else None
-            )
-            self._journal_update(name, inserts, deletes, texts)
-        return summary
-
     def _parse_annotations(
         self,
         view: MaterializedView,
         annotations: Optional[Mapping[Tuple[str, Row], object]],
     ) -> Optional[Dict[Tuple[str, Row], object]]:
-        """Resolve an update's annotation payload against its view.
+        """Resolve an update's annotation payload against its view,
+        keyed ``(predicate, row tuple)`` (``None`` when there is none).
 
         Wire-text strings are parsed with the view's semiring; values
         of any other type are assumed to already be carrier values
         (programmatic callers).  Boolean views reject annotations —
         there is no algebra to interpret them in.
         """
-        if annotations is None:
+        if not annotations:
             return None
         if view.semiring == "bool":
             raise ValueError(
                 "annotations require an annotated view; register with "
                 "--semiring=<name> first"
             )
-        semiring = view.semiring_obj
+        parse = view.semiring_obj.parse
         return {
-            key: semiring.parse(value) if isinstance(value, str) else value
-            for key, value in annotations.items()
+            (predicate, tuple(row)): parse(value) if isinstance(value, str) else value
+            for (predicate, row), value in annotations.items()
         }
 
-    def _journal_update(
-        self,
-        name: str,
-        inserts: List[Tuple[str, Row]],
-        deletes: List[Tuple[str, Row]],
-        annotations: Optional[Mapping[Tuple[str, Row], str]] = None,
-    ) -> None:
+    def _journal_update(self, name: str, view: MaterializedView, ticket) -> None:
         """Journal one applied batch (inside the view hold): a failed
         batch never reaches the log, the ack follows the append, and a
         crash in between loses only a never-acknowledged batch.
 
-        Annotated inserts are journaled as ``fact @ text`` — the same
-        shape the wire protocol accepts, so recovery replays them
-        through the ordinary annotated-fact parser.  Un-annotated
-        batches keep the exact pre-semiring record format.
+        Annotated inserts are journaled as ``fact @ text`` with the
+        *canonical* text (format after parse) — the same shape the
+        wire protocol accepts, so recovery replays exactly what a live
+        client could have sent.  Un-annotated batches keep the exact
+        pre-semiring record format.
         """
         if self.durability is None:
             return
+        annotations = ticket.annotations or {}
+        text = view.semiring_obj.format
 
         def insert_text(predicate: str, row: Row) -> str:
-            text = format_row(predicate, row)
-            if annotations:
-                value = annotations.get((predicate, row))
-                if value is not None:
-                    return f"{text} @ {value}"
-            return text
+            fact = format_row(predicate, row)
+            value = annotations.get((predicate, row))
+            return fact if value is None else f"{fact} @ {text(value)}"
 
         self._journal(
             {
                 "op": "update",
                 "view": name,
                 "inserts": [
-                    insert_text(predicate, row) for predicate, row in inserts
+                    insert_text(predicate, row)
+                    for predicate, row in ticket.inserts
                 ],
                 "deletes": [
-                    format_row(predicate, row) for predicate, row in deletes
+                    format_row(predicate, row)
+                    for predicate, row in ticket.deletes
                 ],
             }
         )
@@ -1216,64 +1132,73 @@ class QueryService:
     ) -> None:
         """Group-commit leader duty, under the verified view hold.
 
-        Drains up to ``coalesce`` queued batches and absorbs them in
-        one :meth:`MaterializedView.apply_stream` pass — one circuit
-        step, one snapshot publish.  A burst that fails as a unit is
-        retried batch-by-batch so a poisoned batch cannot fail innocent
+        Drains up to ``coalesce`` queued tickets and absorbs them in
+        one :meth:`MaterializedView.apply_stream` pass — one engine
+        pass, one snapshot publish — each ticket's annotations beside
+        its batch.  A burst that fails as a unit is retried
+        ticket-by-ticket so a poisoned batch cannot fail innocent
         neighbours (the view rolled the burst back before re-raising).
-        Each batch is journaled separately, in drain order, inside the
-        hold — replay order equals apply order — and every ticket is
-        settled with its summary or its error; this method itself
-        re-raises nothing ticket-attributable.  Applied batches are
-        also streamed into the view's demand entries, inside the same
-        hold.
+        Every ticket is settled with its summary or its error; this
+        method itself re-raises nothing ticket-attributable.
         """
         tickets = view.pending.drain(self.coalesce)
-        if not tickets:
-            return
         if len(tickets) > 1:
-            batches = [(ticket.inserts, ticket.deletes) for ticket in tickets]
             try:
-                summary = view.apply_stream(batches)
+                summary = view.apply_stream(
+                    [(ticket.inserts, ticket.deletes) for ticket in tickets],
+                    [ticket.annotations for ticket in tickets],
+                )
             except BaseException:
                 # Burst-level failure (including cancellation): the
                 # view restored (or rebuilt) its pre-burst state; fall
-                # through to per-batch retry so every drained ticket is
+                # through to per-ticket retry so every drained ticket is
                 # settled — an unsettled ticket would strand its owner.
                 pass
             else:
                 summary = dict(summary)
                 summary["coalesced"] = len(tickets)
-                self.cache.invalidate(name)
-                self._propagate_demand(name, generation, batches)
-                try:
-                    for ticket in tickets:
-                        self._journal_update(name, ticket.inserts, ticket.deletes)
-                except BaseException as exc:
-                    # Applied but not (fully) journaled: nobody is
-                    # acked, recovery replays only the journaled
-                    # prefix — the acked ⇒ journaled invariant holds.
-                    for ticket in tickets:
-                        ticket.fail(exc)
-                    return
-                for ticket in tickets:
-                    ticket.complete(summary)
+                self._settle(name, view, generation, tickets, summary)
                 return
         for ticket in tickets:
             try:
                 summary = view.apply(
-                    inserts=ticket.inserts, deletes=ticket.deletes
+                    inserts=ticket.inserts,
+                    deletes=ticket.deletes,
+                    annotations=ticket.annotations,
                 )
-                self.cache.invalidate(name)
-                self._propagate_demand(
-                    name, generation, [(ticket.inserts, ticket.deletes)]
-                )
-                self._journal_update(name, ticket.inserts, ticket.deletes)
             except BaseException as exc:
                 self.cache.invalidate(name)
                 ticket.fail(exc)
             else:
-                ticket.complete(summary)
+                self._settle(name, view, generation, [ticket], summary)
+
+    def _settle(
+        self,
+        name: str,
+        view: MaterializedView,
+        generation: int,
+        tickets: List,
+        summary: Dict[str, object],
+    ) -> None:
+        """After ``tickets`` were applied as one pass: invalidate the
+        cache and stream the batches into the view's demand entries —
+        inside the hold, so a concurrent query cannot re-cache pre-batch
+        rows — journal each batch in drain order (replay order equals
+        apply order), then ack them all."""
+        try:
+            self.cache.invalidate(name)
+            self._propagate_demand(name, generation, tickets)
+            for ticket in tickets:
+                self._journal_update(name, view, ticket)
+        except BaseException as exc:
+            # Applied but not (fully) journaled: nobody is acked,
+            # recovery replays only the journaled prefix — the
+            # acked ⇒ journaled invariant holds.
+            for ticket in tickets:
+                ticket.fail(exc)
+            return
+        for ticket in tickets:
+            ticket.complete(summary)
 
     def insert(self, name: str, predicate: str, *args: Value) -> Dict[str, object]:
         """Insert one fact into a view's database."""
@@ -1365,7 +1290,6 @@ class QueryService:
         snapshot["views"] = view_stats
         snapshot["cache"] = self.cache.stats()
         snapshot["coalesce"] = self.coalesce
-        snapshot["compactor"] = self.compactor_mode
         if self.durability is not None:
             snapshot["durability"] = self.durability.describe()
             snapshot["gauges"]["wal_size"] = self.durability.wal_size_bytes()
@@ -1553,7 +1477,6 @@ def serve_stream(
     lines: Iterable[str],
     write: Callable[[str], None],
     max_request_bytes: Optional[int] = None,
-    lock: Optional["threading.Lock"] = None,
     flush: Callable[[], None] = lambda: None,
 ) -> None:
     """Run the protocol over a line source and a reply sink.
@@ -1563,11 +1486,8 @@ def serve_stream(
     sink sends the whole reply in one piece.
     ``max_request_bytes`` rejects oversized request lines with a
     structured ``request-too-large`` error instead of parsing them.
-    ``lock`` (optional) serialises the whole stream's request handling
-    through one external mutex; the service itself is already
-    thread-safe (registry read/write lock + per-view locks), so the
-    socket server no longer passes one — the parameter remains for
-    callers that want strict cross-connection ordering.
+    The service is thread-safe (registry read/write lock + per-view
+    locks), so several streams may run against it at once.
     """
     for raw in lines:
         if (
@@ -1592,11 +1512,7 @@ def serve_stream(
             return
         try:
             with service.metrics.request():
-                if lock is not None:
-                    with lock:
-                        replies = _handle_line(service, line)
-                else:
-                    replies = _handle_line(service, line)
+                replies = _handle_line(service, line)
             for reply in replies:
                 write(reply)
         except (KeyboardInterrupt, SystemExit):

@@ -33,8 +33,7 @@ one atomic state swap, compaction changes no visible value —
 safe to run concurrently with lock-free readers (a racing reader
 either recomputes the same frozenset or picks up the memoized one).
 The :class:`~repro.service.views.MaterializedView` publish path runs
-it every Nth publish, and :class:`~repro.service.compactor.
-SnapshotCompactor` runs it from a background thread.
+it every :data:`~repro.service.views.COMPACT_INTERVAL`-th publish.
 
 **Read memos.**  What a read derives from a predicate's rows one row at
 a time — the sorted ``row`` wire lines of a full read

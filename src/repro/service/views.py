@@ -3,9 +3,9 @@
 A :class:`MaterializedView` binds a prepared program to its own
 database and keeps the model resident between queries.  Every view has
 an engine, and every engine has the same seam — ``edb``,
-``initialize()``, ``apply()`` / ``apply_stream()``, ``model()`` /
-``rows()``, ``budget`` — and reports each burst as the net ``plus`` /
-``minus`` delta of the model:
+``initialize()``, ``apply_stream()`` (its one write entry: a single
+batch is a burst of one), ``model()`` / ``rows()``, ``budget`` — and
+reports each burst as the net ``plus`` / ``minus`` delta of the model:
 
 * ``semantics="stratified"`` on a stratified program: a
   :class:`~repro.service.dbsp.DBSPEngine` maintains the model as the
@@ -36,7 +36,10 @@ view reaches is published as an immutable, versioned
 rows — via a single atomic reference swap.  Readers pick the snapshot
 off the reference with no lock; writers maintain it **incrementally**,
 applying each batch's net plus/minus delta to the previous snapshot
-(O(|delta|)) instead of re-copying the whole model.
+(O(|delta|)) instead of re-copying the whole model.  Every
+:data:`COMPACT_INTERVAL`-th publish flattens the delta chains deeper
+than :data:`COMPACT_DEPTH`, so a write burst with no interleaved reads
+cannot leave the next reader a deep chain walk.
 
 Failure discipline (the robustness contract, tested by the chaos
 suite in ``tests/robustness``), the same for every engine:
@@ -56,7 +59,7 @@ suite in ``tests/robustness``), the same for every engine:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..datalog.database import Database
 from ..datalog.engine import SEMANTICS, QueryResult, run
@@ -85,8 +88,15 @@ __all__ = ["MaterializedView"]
 Row = Tuple[Value, ...]
 Model = Dict[str, FrozenSet[Row]]
 Batch = Tuple[List[Tuple[str, Row]], List[Tuple[str, Row]]]
+#: A batch's explicit semiring values, keyed by inserted fact.
+Annotations = Mapping[Tuple[str, Row], object]
 
 _EMPTY: FrozenSet[Row] = frozenset()
+
+#: Every this-many-th snapshot publish compacts the published chains ...
+COMPACT_INTERVAL = 8
+#: ... that are deeper than this (see :meth:`MaterializedView.maybe_compact`).
+COMPACT_DEPTH = 4
 
 
 def _diff(old: Model, new: Model) -> Tuple[Model, Model]:
@@ -169,14 +179,6 @@ class _RebuildEngine:
         """Resident certainly-true rows (the ``model_rows`` stat)."""
         return sum(len(rows) for rows in self._true.values())
 
-    def apply(
-        self,
-        inserts: Iterable[Tuple[str, Row]] = (),
-        deletes: Iterable[Tuple[str, Row]] = (),
-    ) -> Dict[str, object]:
-        """Re-evaluate under one update batch."""
-        return self.apply_stream([(inserts, deletes)])
-
     def apply_stream(self, batches) -> Dict[str, object]:
         """Fold a burst into the EDB and re-evaluate once."""
         applied_inserts = applied_deletes = 0
@@ -218,14 +220,9 @@ class MaterializedView:
     (initial evaluation, update batch) — the hook the service layer
     uses to impose per-request deadlines.
 
-    ``compact_on_publish`` turns on the in-line snapshot compactor:
-    every ``compact_interval``-th publish flattens delta chains deeper
-    than ``compact_depth`` (see :meth:`maybe_compact`), so a write
-    burst with no interleaved reads cannot leave the next reader a deep
-    chain walk.  Off by default for directly-constructed views; the
-    :class:`~repro.service.server.QueryService` turns it on under its
-    ``compactor="on-publish"`` mode (and its ``"thread"`` mode calls
-    :meth:`maybe_compact` from a background thread instead).
+    Writes enter through :meth:`apply_stream` (:meth:`apply` is a burst
+    of one); every :data:`COMPACT_INTERVAL`-th publish runs
+    :meth:`maybe_compact`.
     """
 
     def __init__(
@@ -240,9 +237,6 @@ class MaterializedView:
         max_atoms: int = 1_000_000,
         budget_factory: Optional[Callable[[], EvaluationBudget]] = None,
         recovery_attempts: int = 3,
-        compact_on_publish: bool = False,
-        compact_depth: int = 4,
-        compact_interval: int = 8,
         queue_capacity: int = 256,
         semiring: str = "bool",
     ):
@@ -276,9 +270,6 @@ class MaterializedView:
         self.max_atoms = max_atoms
         self.budget_factory = budget_factory
         self.recovery_attempts = recovery_attempts
-        self.compact_on_publish = compact_on_publish
-        self.compact_depth = compact_depth
-        self.compact_interval = max(1, compact_interval)
         self._publish_count = 0
         # Degraded-mode state: when ``stale`` is True, the published
         # snapshot is the last consistent model (both truth statuses),
@@ -385,10 +376,7 @@ class MaterializedView:
         # Compact-on-Nth-publish: bound the chain walk a write-heavy /
         # read-light burst would otherwise leave for the first reader.
         self._publish_count += 1
-        if (
-            self.compact_on_publish
-            and self._publish_count % self.compact_interval == 0
-        ):
+        if self._publish_count % COMPACT_INTERVAL == 0:
             self.maybe_compact()
 
     def maybe_compact(self) -> int:
@@ -398,13 +386,13 @@ class MaterializedView:
         same lazy materialization a reader performs, so the snapshot's
         visible contents (rows, fingerprint) never change.  Returns
         the number of cells compacted (0 when the chains are already
-        within ``compact_depth``).
+        within :data:`COMPACT_DEPTH`).
         """
         snapshot = self._published.get()
-        if snapshot.max_chain_depth() <= self.compact_depth:
+        if snapshot.max_chain_depth() <= COMPACT_DEPTH:
             return 0
         with self.metrics.phase("compact"):
-            cells, rows = snapshot.compact(self.compact_depth)
+            cells, rows = snapshot.compact(COMPACT_DEPTH)
         if cells:
             self.metrics.bump("compactions")
             self.metrics.bump("compaction_rows", rows)
@@ -536,37 +524,15 @@ class MaterializedView:
         self,
         inserts: Iterable[Tuple[str, Row]] = (),
         deletes: Iterable[Tuple[str, Row]] = (),
-        annotations: Optional[Dict[Tuple[str, Row], object]] = None,
+        annotations: Optional[Annotations] = None,
     ) -> Dict[str, object]:
-        """Apply an update batch, maintaining the resident model.
-
-        Atomic under failure: either the whole batch lands (and the
-        model reflects it), or the EDB is rolled back and the resident
-        model rebuilt — with the view degrading to stale service of the
-        last consistent model as the final fallback.
-
-        ``annotations`` attaches explicit semiring carrier values to
-        inserts, keyed ``(predicate, row)`` — annotated views only.
-        """
-        inserts = [(predicate, tuple(row)) for predicate, row in inserts]
-        deletes = [(predicate, tuple(row)) for predicate, row in deletes]
-        self._check_arities(inserts)
-        self._check_arities(deletes)
-        if annotations:
-            if self.semiring == "bool":
-                raise ValueError(
-                    "explicit fact annotations require a view registered "
-                    "with a non-boolean --semiring"
-                )
-            annotations = {
-                (predicate, tuple(row)): value
-                for (predicate, row), value in annotations.items()
-            }
-        return self._maintain([(inserts, deletes)], annotations)
+        """Apply one update batch: :meth:`apply_stream` of one."""
+        return self.apply_stream([(inserts, deletes)], [annotations])
 
     def apply_stream(
         self,
         batches: Iterable[Tuple[Iterable[Tuple[str, Row]], Iterable[Tuple[str, Row]]]],
+        annotations: Optional[List[Optional[Annotations]]] = None,
     ) -> Dict[str, object]:
         """Apply a burst of update batches as **one** engine pass.
 
@@ -575,9 +541,15 @@ class MaterializedView:
         view evaluates once — and either way the burst costs one
         snapshot publish, never N.
 
-        Atomicity matches :meth:`apply`, burst-wide: either the whole
-        burst lands, or the EDB is rolled back to the pre-burst state
-        and the model rebuilt (degrading as the final fallback).
+        ``annotations`` (annotated views only) is aligned with
+        ``batches``: per batch, ``None`` or its inserts' explicit
+        semiring carrier values, keyed ``(predicate, row)``.
+
+        Atomic under failure: either the whole burst lands (and the
+        model reflects it), or the EDB is rolled back to the pre-burst
+        state and the resident model rebuilt — with the view degrading
+        to stale service of the last consistent model as the final
+        fallback.
         """
         batches = [
             (
@@ -589,16 +561,30 @@ class MaterializedView:
         for inserts, deletes in batches:
             self._check_arities(inserts)
             self._check_arities(deletes)
+        if annotations is None or not any(annotations):
+            annotations = None
+        elif self.semiring == "bool":
+            raise ValueError(
+                "explicit fact annotations require a view registered "
+                "with a non-boolean --semiring"
+            )
+        else:
+            annotations = [
+                {(p, tuple(row)): value for (p, row), value in each.items()}
+                if each
+                else None
+                for each in annotations
+            ]
         if not batches:
             return {"mode": "noop", "batches": 0}
-        summary = self._maintain(batches)
+        summary = self._maintain(batches, annotations)
         summary.setdefault("batches", len(batches))
         return summary
 
     def _maintain(
         self,
         batches: List[Batch],
-        annotations: Optional[Dict[Tuple[str, Row], object]] = None,
+        annotations: Optional[List[Optional[Annotations]]] = None,
     ) -> Dict[str, object]:
         """One engine pass over ``batches`` under the failure discipline."""
         engine = self.engine
@@ -621,7 +607,7 @@ class MaterializedView:
         try:
             with self.metrics.phase("maintain"):
                 if annotations:
-                    summary = engine.apply_stream(batches, annotations=annotations)
+                    summary = engine.apply_stream(batches, annotations)
                 else:
                     summary = engine.apply_stream(batches)
         except IncrementalMaintenanceError:

@@ -119,9 +119,9 @@ def measure(client, name, graph):
             budget, metrics = engine.budget, engine.metrics
             with recording() as tally:
                 if client == "dbsp-insert":
-                    engine.apply(inserts=INSERT)
+                    engine.apply_stream([(INSERT, [])])
                 else:
-                    engine.apply(deletes=DELETE)
+                    engine.apply_stream([([], DELETE)])
         counters = metrics.counters
         assert (counters["rules_fired"], counters["rows_matched"]) == (
             tally["fired"],

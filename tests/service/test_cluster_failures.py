@@ -34,6 +34,7 @@ from repro.service.cluster.router import (
     ClusterRouter,
     ViewRecord,
     WorkerHandle,
+    canonical_fact_text,
 )
 
 TC = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- edge(X, Y), tc(Y, Z)."
@@ -461,8 +462,9 @@ class TestRouterInternals:
 
             handle.call = refusing_call
             record = ViewRecord("stratified", "p(X):-q(X). q(z).")
-            record.removed.add("q(z)")
-            record.added.update({"q(a)", "q(b)", "q(c)"})
+            record.record_delete("q(z)")
+            for fact in ("q(a)", "q(b)", "q(c)"):
+                record.record_insert(fact)
             router._records["v"] = record
             with pytest.raises(ClusterError, match="deadline-exceeded"):
                 await router._replay_view("v", handle)
@@ -475,9 +477,67 @@ class TestRouterInternals:
             ]
             # A worker that accepts everything still replays cleanly.
             del sent[:]
-            record.added.discard("q(b)")
+            record.record_delete("q(b)")
             await router._replay_view("v", handle)
             assert sent[-1] == "+v q(c)"
+
+        self._run(scenario)
+
+    def test_replay_rebuilds_the_last_acked_annotation_of_each_fact(self):
+        # Regression: the record keyed facts by their whole text, so
+        # ``-v e(a,b)`` did not cancel an acked ``+v e(a,b) @ 3`` (the
+        # deleted fact came back on replay), and ``@ 10``, ``@ 5``,
+        # ``@ 10`` replayed in sorted order, ending at 5.
+        async def scenario(socket_path):
+            router = ClusterRouter(socket_path, shards=1)
+            handle = router._workers["shard-0"]
+            handle.live = True
+            handle.ready.set()
+            sent = []
+
+            async def recording_call(line, timeout=None):
+                sent.append(line)
+                return ["ok {}"]
+
+            handle.call = recording_call
+            source = "t(X, Y) :- e(X, Y)."
+            router._records["v"] = ViewRecord("stratified", source)
+            router._routes.set({"v": "shard-0"})
+            lines = [
+                "+v e(a, b) @ 3",
+                "-v e(a, b)",
+                "+v e(b, c) @ 10",
+                "+v e(b, c) @ 5",
+                "+v e(b, c) @ 10",
+                "+v e(c, d) @ 2",
+                "+v e(c, d)",
+            ]
+            for line in lines:
+                await router._handle_update(line)
+            del sent[:]
+            await router._replay_view("v", handle)
+            assert sent == [
+                f"register v stratified {source}",
+                "-v e(a,b)",
+                "+v e(b,c)@10",
+                "+v e(c,d)@2",
+            ]
+            # A cold restart rebuilds the same record from the journal.
+            restarted = ClusterRouter(socket_path, shards=1)
+            restarted._records["v"] = ViewRecord("stratified", source)
+            for line in lines:
+                restarted._apply_journal_record(
+                    {
+                        "op": "insert" if line[0] == "+" else "delete",
+                        "view": "v",
+                        "fact": canonical_fact_text(line.split(None, 1)[1]),
+                    }
+                )
+            record, rebuilt = router._records["v"], restarted._records["v"]
+            assert (rebuilt.added, rebuilt.removed) == (
+                record.added,
+                record.removed,
+            )
 
         self._run(scenario)
 

@@ -205,11 +205,27 @@ def test_annotated_burst_that_cancels_fires_nothing():
         service.close()
 
 
+def _annotated_reads(service):
+    """What a reader of the annotated ``tc`` view sees, and what the
+    engine holds behind it."""
+    view = service.view("v")
+    lines, _undefined, _stale, explain = service.query_lines("v", "tc")
+    return (
+        view.read_snapshot().fingerprint,
+        view.fingerprint(),
+        view.engine.maps,
+        list(lines),
+        list(explain),
+    )
+
+
 def test_bare_writes_to_an_annotated_view_group_commit():
-    """Through the front door: bare writes to an annotated view queue up
-    like any other and their leader hands the engine one burst; a write
-    carrying annotations (tickets cannot) applies directly, leaving the
-    queue to its owners."""
+    """Through the front door every write to an annotated view is a
+    ticket: bare writes queue up and their leader hands the engine one
+    burst, and a write carrying annotations drains the tickets parked
+    ahead of it into its own burst.  Snapshot, annotations and explain
+    lines equal a ``coalesce=1`` service applying the writes in queue
+    order."""
     service = QueryService(semiring="tropical", coalesce=8)
     sequential = QueryService(semiring="tropical", coalesce=1)
     try:
@@ -232,24 +248,72 @@ def test_bare_writes_to_an_annotated_view_group_commit():
 
         waiting = view.pending.submit([], [chain[0]])
         priced = ("edge", (NODES[0], NODES[4]))
+        before = dict(view.metrics.counters)
         summary = service.update(
             "v", inserts=[priced], annotations={priced: "1"}
         )
-        assert "coalesced" not in summary
-        assert not waiting.done and view.pending.depth() == 1
+        # The annotated write led: the parked delete rode its burst.
+        assert summary["coalesced"] == summary["batches"] == 2
+        assert waiting.done and waiting.outcome(0) == summary
+        assert view.pending.depth() == 0
+        assert counters["circuit_steps"] == before["circuit_steps"] + 1
+        assert counters["snapshot_swaps"] == before["snapshot_swaps"] + 1
         service.update("v", deletes=[chain[1]])
-        assert waiting.done and view.pending.depth() == 0
 
         for fact in chain:
             sequential.update("v", inserts=[fact])
-        sequential.update("v", inserts=[priced], annotations={priced: "1"})
         sequential.update("v", deletes=[chain[0]])
+        sequential.update("v", inserts=[priced], annotations={priced: "1"})
         sequential.update("v", deletes=[chain[1]])
-        assert (
-            view.read_snapshot().fingerprint
-            == sequential.view("v").read_snapshot().fingerprint
+        assert _annotated_reads(service) == _annotated_reads(sequential)
+    finally:
+        service.close()
+        sequential.close()
+
+
+def test_annotated_burst_stages_each_batch_with_its_own_annotations():
+    """``+f @ 3``, ``-f``, ``+f`` and ``+g @ 5``, ``+g @ 2`` drained as
+    one burst leave what they leave one at a time: the bare re-insert
+    brings ``f`` back at its default annotation (it does not inherit
+    the 3), and ``g`` ends at 2."""
+    f, g = ("edge", (NODES[0], NODES[1])), ("edge", (NODES[1], NODES[2]))
+    writes = [
+        ([f], [], {f: "3"}),
+        ([], [f], None),
+        ([f], [], None),
+        ([g], [], {g: "5"}),
+        ([g], [], {g: "2"}),
+    ]
+    service = QueryService(semiring="tropical", coalesce=8)
+    sequential = QueryService(semiring="tropical", coalesce=1)
+    try:
+        for each in (service, sequential):
+            each.register("v", TC)
+        view = service.view("v")
+        parse = view.semiring_obj.parse
+        parked = [
+            view.pending.submit(
+                inserts,
+                deletes,
+                {key: parse(text) for key, text in annotations.items()}
+                if annotations
+                else None,
+            )
+            for inserts, deletes, annotations in writes[:-1]
+        ]
+        inserts, deletes, annotations = writes[-1]
+        summary = service.update(
+            "v", inserts=inserts, deletes=deletes, annotations=annotations
         )
-        assert view.engine.maps == sequential.view("v").engine.maps
+        assert summary["coalesced"] == summary["batches"] == len(writes)
+        assert all(ticket.outcome(0) == summary for ticket in parked)
+        for inserts, deletes, annotations in writes:
+            sequential.update(
+                "v", inserts=inserts, deletes=deletes, annotations=annotations
+            )
+        assert view.database.annotation(*f) is None
+        assert view.database.annotation(*g) == parse("2")
+        assert _annotated_reads(service) == _annotated_reads(sequential)
     finally:
         service.close()
         sequential.close()

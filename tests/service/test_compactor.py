@@ -9,11 +9,12 @@ its whole contract is *observational invisibility*:
   the same delta path hash identically whether or not one of them was
   compacted);
 * after a compaction cycle the chain depth is at or below the
-  configured cap, and the ``compactions`` / ``compaction_rows``
-  counters record the work.
+  cap, and the ``compactions`` / ``compaction_rows`` counters record
+  the work.
 
-Both delivery modes are covered: compact-on-Nth-publish (in-line in
-the write path) and the background ``SnapshotCompactor`` thread.
+Every view compacts one way: every ``COMPACT_INTERVAL``-th publish
+flattens the chains deeper than ``COMPACT_DEPTH`` (module constants of
+:mod:`repro.service.views`, which these tests monkeypatch).
 """
 
 import threading
@@ -22,9 +23,18 @@ import pytest
 
 from repro.datalog.database import Database
 from repro.relations import Atom
-from repro.service import ModelSnapshot, QueryService, SnapshotCompactor
+from repro.service import (
+    MaterializedView,
+    ModelSnapshot,
+    QueryService,
+    prepare_program,
+    views,
+)
 
 PROGRAM = "p(X) :- base(X).\n"
+
+#: An interval no test reaches: on-publish compaction never runs.
+NEVER = 10**9
 
 
 def _database(*names):
@@ -90,12 +100,13 @@ class TestCompactionIsInvisible:
 
 
 class TestCompactorVsReaders:
-    def test_concurrent_compaction_never_changes_an_answer(self):
+    def test_concurrent_compaction_never_changes_an_answer(self, monkeypatch):
         """One writer stacks delta publishes, one thread compacts the
         published snapshot flat out, readers pin snapshots and check
         rows() before and after a forced compaction — every answer must
         be one of the models the writer actually published."""
-        service = QueryService(compactor="off")
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", NEVER)
+        service = QueryService()
         service.register("v", PROGRAM, database=_database("a"))
         view = service.view("v")
 
@@ -159,8 +170,11 @@ class TestCompactorVsReaders:
         # Quiescent check: the final model holds the seed + all facts.
         assert len(service.query("v", "p")) == 61
 
-    def test_pinned_snapshot_fingerprint_stable_under_compaction(self):
-        service = QueryService(compactor="off")
+    def test_pinned_snapshot_fingerprint_stable_under_compaction(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", NEVER)
+        service = QueryService()
         service.register("v", PROGRAM, database=_database("a"))
         for i in range(10):
             service.update("v", inserts=[("base", (Atom(f"f{i}"),))])
@@ -176,10 +190,10 @@ class TestCompactorVsReaders:
 
 
 class TestOnPublishMode:
-    def test_nth_publish_compacts_past_the_cap(self):
-        service = QueryService(
-            compactor="on-publish", compact_depth=2, compact_interval=4
-        )
+    def test_nth_publish_compacts_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(views, "COMPACT_DEPTH", 2)
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", 4)
+        service = QueryService()
         service.register("v", PROGRAM, database=_database("a"))
         for i in range(16):
             service.update("v", inserts=[("base", (Atom(f"b{i}"),))])
@@ -192,8 +206,20 @@ class TestOnPublishMode:
         service.view("v").maybe_compact()
         assert service.view("v").chain_depth() <= 2
 
-    def test_off_mode_leaves_chains_to_the_publish_cap(self):
-        service = QueryService(compactor="off")
+    def test_every_view_compacts_by_default(self):
+        # Directly constructed views too: there is one policy.
+        assert (views.COMPACT_DEPTH, views.COMPACT_INTERVAL) == (4, 8)
+        view = MaterializedView(
+            prepare_program("v", PROGRAM), database=_database("a")
+        )
+        for i in range(16):
+            view.insert("base", Atom(f"d{i}"))
+        assert view.stats()["counters"]["compactions"] == 2
+        assert view.chain_depth() <= 4 + 8
+
+    def test_off_mode_leaves_chains_to_the_publish_cap(self, monkeypatch):
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", NEVER)
+        service = QueryService()
         service.register("v", PROGRAM, database=_database("a"))
         for i in range(10):
             service.update("v", inserts=[("base", (Atom(f"b{i}"),))])
@@ -201,47 +227,3 @@ class TestOnPublishMode:
         assert view.chain_depth() == 10
         assert view.stats()["counters"]["compactions"] == 0
 
-
-class TestThreadMode:
-    def test_background_thread_flattens_a_write_burst(self):
-        service = QueryService(compactor="thread", compact_depth=2)
-        try:
-            service.register("v", PROGRAM, database=_database("a"))
-            sweeper = service._background_compactor
-            assert isinstance(sweeper, SnapshotCompactor)
-            for i in range(20):
-                service.update("v", inserts=[("base", (Atom(f"t{i}"),))])
-            view = service.view("v")
-            # Wait for a sweep that leaves the chain under the cap (the
-            # sweeper observes its own pass counter, so no blind sleep).
-            target = sweeper.sweeps + 2
-            deadline = threading.Event()
-            for _ in range(200):
-                if sweeper.sweeps >= target and view.chain_depth() <= 2:
-                    break
-                deadline.wait(0.05)
-            assert view.chain_depth() <= 2
-            assert service.query("v", "p") == {
-                (Atom("a"),), *((Atom(f"t{i}"),) for i in range(20))
-            }
-        finally:
-            service.close()
-        # close() is idempotent, detaches the sweeper, and really
-        # stops its thread.
-        service.close()
-        assert service._background_compactor is None
-        assert sweeper._thread is None
-
-    def test_manual_sweep_compacts_every_view(self):
-        service = QueryService(compactor="off")
-        service.register("v1", PROGRAM, database=_database("a"))
-        service.register("v2", PROGRAM, database=_database("b"))
-        for i in range(10):
-            service.update("v1", inserts=[("base", (Atom(f"a{i}"),))])
-            service.update("v2", inserts=[("base", (Atom(f"b{i}"),))])
-        sweeper = SnapshotCompactor(service)
-        compacted = sweeper.sweep()
-        assert compacted == 4  # two views x two chained cells (p, base)
-        assert service.view("v1").chain_depth() <= 4
-        assert service.view("v2").chain_depth() <= 4
-        assert sweeper.sweeps == 1

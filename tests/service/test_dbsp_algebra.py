@@ -187,15 +187,15 @@ def test_random_schedule_matches_oracle(seed):
     for step in range(40):
         pair = rng.choice(universe)
         if engine.edb.holds("edge", *pair):
-            engine.apply(deletes=[("edge", pair)])
+            engine.apply_stream([([], [("edge", pair)])])
         else:
-            engine.apply(inserts=[("edge", pair)])
+            engine.apply_stream([([("edge", pair)], [])])
         _assert_matches_oracle(engine, step)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11, 17])
 def test_burst_equals_sequential_equals_oracle(seed):
-    """One apply_stream pass over N batches = N apply calls = run()."""
+    """One apply_stream pass over N batches = N one-batch passes = run()."""
     rng = random.Random(f"dbsp-burst-{seed}")
     burst_engine, universe = _fresh_engine(rng)
     sequential_engine = DBSPEngine(
@@ -214,7 +214,7 @@ def test_burst_equals_sequential_equals_oracle(seed):
         summary = burst_engine.apply_stream(batches)
         assert summary["batches"] == len(batches)
         for inserts, deletes in batches:
-            sequential_engine.apply(inserts=inserts, deletes=deletes)
+            sequential_engine.apply_stream([(inserts, deletes)])
         assert burst_engine.model() == sequential_engine.model(), (
             f"step {step}: burst and sequential application diverged"
         )
@@ -266,9 +266,9 @@ def _leaf_toggle_work(chains, length=24):
     assert len(engine.rows("tc")) == chains * length * (length + 1) // 2
     leaf = ("edge", (f"c0n{length}", "leaf"))
     work = []
-    for batch in ({"inserts": [leaf]}, {"deletes": [leaf]}):
+    for batch in (([leaf], []), ([], [leaf])):
         before = engine.metrics.counters["rows_matched"]
-        summary = engine.apply(**batch)
+        summary = engine.apply_stream([batch])
         delta_rows = summary["delta_plus"] + summary["delta_minus"]
         assert delta_rows == length + 2, "the edge plus one tc row per chain node"
         work.append((engine.metrics.counters["rows_matched"] - before, delta_rows))

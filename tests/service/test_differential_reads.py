@@ -41,7 +41,7 @@ from repro.datalog.database import Database
 from repro.datalog.engine import run
 from repro.datalog.parser import parse_program
 from repro.relations import Atom
-from repro.service import QueryService
+from repro.service import QueryService, views
 
 #: Stratified-safe programs (registerable under every semantics).
 TC = (
@@ -178,22 +178,24 @@ def _register(service, rng, name, state, semantics, incremental, pool):
     state[name] = (program_text, query_predicates, update_predicates)
 
 
+def _compaction_schedule(monkeypatch, seed):
+    """Alternate compaction schedule-by-schedule so the fuzz also
+    exercises reads over freshly compacted vs deep-chain cells."""
+    monkeypatch.setattr(views, "COMPACT_DEPTH", 2)
+    monkeypatch.setattr(views, "COMPACT_INTERVAL", (3, 10**9)[seed % 2])
+
+
 @pytest.mark.parametrize(
     "config", CONFIGS, ids=[config[0] for config in CONFIGS]
 )
 @pytest.mark.parametrize("seed", range(SEEDS_PER_CONFIG))
-def test_random_schedule_matches_oracle(config, seed):
+def test_random_schedule_matches_oracle(config, seed, monkeypatch):
     config_id, semantics, incremental, pool = config
     # A string seed hashes deterministically (unlike built-in hash()),
     # so a failing test id replays the exact schedule.
     rng = random.Random(f"{config_id}-{seed}")
-    # Alternate the compactor mode schedule-by-schedule so the fuzz
-    # also exercises reads over freshly compacted vs deep-chain cells.
-    compactor = ("on-publish", "off")[seed % 2]
-    service = QueryService(
-        cache_capacity=32, compactor=compactor, compact_depth=2,
-        compact_interval=3,
-    )
+    _compaction_schedule(monkeypatch, seed)
+    service = QueryService(cache_capacity=32)
     state = {}
     names = [f"v{i}" for i in range(VIEWS)]
     for name in names:
@@ -414,14 +416,10 @@ def _register_annotated(service, rng, name, state, config):
     "config", SEMIRING_CONFIGS, ids=[config[0] for config in SEMIRING_CONFIGS]
 )
 @pytest.mark.parametrize("seed", range(SEMIRING_SEEDS))
-def test_random_semiring_schedule_matches_oracle(config, seed):
+def test_random_semiring_schedule_matches_oracle(config, seed, monkeypatch):
     rng = random.Random(f"{config.config_id}-{seed}")
-    service = QueryService(
-        cache_capacity=32,
-        compactor=("on-publish", "off")[seed % 2],
-        compact_depth=2,
-        compact_interval=3,
-    )
+    _compaction_schedule(monkeypatch, seed)
+    service = QueryService(cache_capacity=32)
     state = {}
     names = [f"v{i}" for i in range(VIEWS)]
     for name in names:

@@ -1,7 +1,7 @@
 """Burst replay ≡ record-by-record replay, and what a replay costs.
 
-Recovery hands each view's consecutive un-annotated ``update`` records
-to the service as one group commit (``QueryService._commit``), so a run
+Recovery hands each view's consecutive ``update`` records, annotated or
+bare, to the service as one group commit (``QueryService._commit``), so a run
 reaches the engine ``coalesce`` batches per pass instead of one.  With
 ``coalesce=1`` the same code applies every record on its own — today's
 reference for free.  The differential tests recover *one* seeded log
@@ -72,8 +72,8 @@ def _random_update(rng, name):
     if rng.random() < 0.3:
         return _update(name, deletes=[fact])
     if name == "c" and rng.random() < 0.5:
-        # Annotated and bare writes alternate on the annotated view:
-        # the annotated ones cut its runs.
+        # Annotated and bare writes alternate on the annotated view, in
+        # one run.
         fact = f"{fact} @ {rng.randint(1, 9)}"
     return _update(name, inserts=[fact])
 
@@ -324,6 +324,36 @@ def test_recovery_takes_passes_not_records(tmp_path):
             assert counters["snapshot_swaps"] <= math.ceil(128 / coalesce) + 1
     finally:
         service.close()
+
+
+def test_annotated_records_join_the_run(tmp_path):
+    """Annotated and bare records interleaved on one annotated view are
+    one run, like bare ones: passes, not records — and the same state as
+    record by record."""
+    coalesce, records = 64, 128
+    operations = [_register("c")]
+    for index in range(records):
+        k, i = divmod(index, 12)
+        fact = f"edge(r{k}n{i}, r{k}n{i + 1})"
+        if index % 2:
+            fact = f"{fact} @ {index % 9 + 1}"
+        operations.append(_update("c", inserts=[fact]))
+    pristine = tmp_path / "pristine"
+    _write_log(pristine, operations, torn_tail=False)
+    service = _recover(pristine, tmp_path / "bursty")
+    reference = _recover(pristine, tmp_path / "reference", coalesce=1)
+    try:
+        assert service.coalesce == coalesce
+        assert service.last_recovery.replayed_records == records + 1
+        bound = math.ceil(records / coalesce) + 1
+        counters = _counters(service, "c")
+        assert counters["circuit_steps"] <= bound
+        assert counters["snapshot_swaps"] <= bound + 1
+        assert _state(service) == _state(reference)
+        _check_against_oracle(service)
+    finally:
+        service.close()
+        reference.close()
 
 
 def test_recovery_work_is_linear_in_the_log(tmp_path):

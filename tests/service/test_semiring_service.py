@@ -343,12 +343,16 @@ class TestMaintenanceDiscipline:
         injector = FaultInjector(
             [FaultRule("incremental.component", at_hit=2, times=1)]
         )
+        batches, annotations = (
+            [(batch["inserts"], batch["deletes"])],
+            [batch["annotations"]],
+        )
         with inject_faults(injector), pytest.raises(InjectedFault):
-            engine.apply(**batch)
+            engine.apply_stream(batches, annotations)
         assert engine.maps == maps
         assert {p: rows for p, rows in engine.state.facts.items()} == support
         assert engine.edb.fingerprint() == fingerprint
-        summary = engine.apply(**batch)
+        summary = engine.apply_stream(batches, annotations)
         assert summary["minus"] == {
             "edge": {(b, c)}, "tc": {(b, c)}, "far": {(a, c)},
         }

@@ -22,7 +22,13 @@ from repro.robustness import (
     ReproError,
     inject_faults,
 )
-from repro.service import Histogram, QueryService, ServiceMetrics, ViewMetrics
+from repro.service import (
+    Histogram,
+    QueryService,
+    ServiceMetrics,
+    ViewMetrics,
+    views,
+)
 from repro.service.server import serve_stream
 
 TC = (
@@ -155,10 +161,10 @@ class TestCompactorMetrics:
         for i in range(count):
             service.insert(name, "edge", f"{tag}{i}", f"{tag}{i + 1}")
 
-    def test_compactions_counter_is_monotone(self):
-        service = QueryService(
-            compactor="on-publish", compact_depth=2, compact_interval=3
-        )
+    def test_compactions_counter_is_monotone(self, monkeypatch):
+        monkeypatch.setattr(views, "COMPACT_DEPTH", 2)
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", 3)
+        service = QueryService()
         service.register("tc", TC)
         previous = 0
         for round_number in range(4):
@@ -169,9 +175,13 @@ class TestCompactorMetrics:
             assert rollup["compaction_rows"] >= rollup["compactions"]
             previous = rollup["compactions"]
 
-    def test_chain_depth_gauge_within_cap_after_compaction_cycle(self):
+    def test_chain_depth_gauge_within_cap_after_compaction_cycle(
+        self, monkeypatch
+    ):
         cap = 3
-        service = QueryService(compactor="off", compact_depth=cap)
+        monkeypatch.setattr(views, "COMPACT_DEPTH", cap)
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", 10**9)
+        service = QueryService()
         service.register("tc", TC)
         self._burst(service, "tc", "m")
         before = service.metrics_snapshot()["gauges"]["chain_depth"]["tc"]
@@ -186,10 +196,12 @@ class TestCompactorMetrics:
             service.metrics_snapshot()["rollup"]["compactions"] == compactions
         )
 
-    def test_retired_rollup_monotone_when_compacted_view_unregisters(self):
-        service = QueryService(
-            compactor="on-publish", compact_depth=2, compact_interval=3
-        )
+    def test_retired_rollup_monotone_when_compacted_view_unregisters(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(views, "COMPACT_DEPTH", 2)
+        monkeypatch.setattr(views, "COMPACT_INTERVAL", 3)
+        service = QueryService()
         service.register("tc", TC)
         service.register("keeper", TC)
         self._burst(service, "tc", "k")
