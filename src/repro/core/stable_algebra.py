@@ -107,7 +107,7 @@ def stable_set_models(
             """May we assume value ∉ name?  Read the candidate total model."""
             return value not in valid.true[name] and (name, value) not in guessed_true
 
-        candidate = system.derive(oracle)
+        candidate = system.least_model(oracle)
         frozen = tuple(sorted((n, frozenset(v)) for n, v in candidate.items()))
         if frozen in seen:
             continue
@@ -119,7 +119,7 @@ def stable_set_models(
         if not reproduced:
             continue
         # Exact stability: re-derive against the candidate itself.
-        verify = system.derive(
+        verify = system.least_model(
             lambda name, value: value not in candidate[name]
         )
         if verify == candidate:

@@ -21,10 +21,20 @@ without translating to a deductive program:
    an odd number of ``−``-right nestings) are answered by a negation
    oracle.  Double subtraction therefore flips polarity back, exactly as
    the membership-inversion equations of [5] do.
-3. **Alternating fixpoint** — the paper's valid loop: an overestimate pass
-   (negatives allowed unless already true), certainly-false harvesting,
-   then an underestimate pass (negatives allowed only on certainly-false
-   facts), repeated until stable.
+3. **Alternating fixpoint, by component** — the paper's valid loop: an
+   overestimate pass (negatives allowed unless already true),
+   certainly-false harvesting, then an underestimate pass (negatives
+   allowed only on certainly-false facts), repeated until stable.  It
+   runs on each strongly connected component of the *membership graph*
+   in turn, dependencies first: a node is a candidate membership
+   ``(S, v)``, and its edges are the memberships ``holds`` may read for
+   it (through ``MAP`` preimages, ``×`` components and ``σ`` tests that
+   pass).  Both passes read memberships of lower components off their
+   final true / possibly-true sets.  This equals the loop over the whole
+   system because the valid model is modular over the condensation: a
+   membership's status depends only on those it reaches.  A membership
+   that reads none of its own component is decided by one evaluation of
+   each pass, so an acyclic game costs linear, not quadratic, work.
 
 The result is three-valued per defined set; a program is *well-defined on
 the given database* when no membership is left undefined (``S = {a} − S``
@@ -44,6 +54,7 @@ from functools import reduce
 from itertools import count
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
+from ..digraph import strongly_connected_components
 from ..relations.relation import Relation
 from ..relations.universe import FunctionRegistry, Universe
 from ..relations.values import Tup, Value
@@ -92,6 +103,10 @@ class ValidEvalResult:
     true: Dict[str, FrozenSet[Value]]
     undefined: Dict[str, FrozenSet[Value]]
     candidates: Dict[str, FrozenSet[Value]]
+    #: The most alternation rounds one component of the membership graph
+    #: took — an over/under pass pair, the last one changing nothing.  1
+    #: when every membership is decided by one evaluation (an acyclic
+    #: system, ``S = {a}``); 0 when there is no candidate membership.
     rounds: int
 
     def names(self) -> FrozenSet[str]:
@@ -155,23 +170,6 @@ def _eliminate_ifp(
     return SetConst(value_of(Ifp(expr.param, body)).items)
 
 
-def _positive_call_names(expr: Expr, positive: bool = True) -> FrozenSet[str]:
-    """System names occurring at positive polarity (even subtraction
-    nesting) in an expression."""
-    if isinstance(expr, Call):
-        return frozenset((expr.name,)) if positive else frozenset()
-    if isinstance(expr, (RelVar, SetConst)):
-        return frozenset()
-    if isinstance(expr, (Union, Product, Diff)):
-        flipped = positive != isinstance(expr, Diff)
-        return _positive_call_names(expr.left, positive) | _positive_call_names(
-            expr.right, flipped
-        )
-    if isinstance(expr, (Select, Map)):
-        return _positive_call_names(expr.child, positive)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 # ---------------------------------------------------------------------------
 # The candidate universe, compiled
 # ---------------------------------------------------------------------------
@@ -212,6 +210,8 @@ def _split(test: Test) -> Tuple[List[Tuple[ScalarExpr, ScalarExpr]], List[Test]]
 
 #: One way to enumerate a node's candidates: body items binding a variable.
 _Way = Tuple[List[BodyItem], Var]
+#: A membership ``value ∈ name``, as ``(name, value)``.
+_Node = Tuple[str, Value]
 
 
 class _Compiler:
@@ -399,12 +399,21 @@ class _System:
         self.map_preimages: Dict[int, Dict[Value, List[Value]]] = {
             node: grouped[predicate] for node, predicate in compiler.maps.items()
         }
-        # Positive dependencies: S depends on T when T occurs at positive
-        # polarity in S's equation (negative occurrences read the static
-        # oracle, so they cannot trigger re-derivation within a pass).
-        self._positive_deps: Dict[str, FrozenSet[str]] = {
-            name: _positive_call_names(body) for name, body in equations.items()
-        }
+        # The membership graph: (name, value) reads what ``holds`` may
+        # read for it, its components in dependency order, and per
+        # membership the members of its own component that read it.
+        reads: Dict[_Node, List[_Node]] = {}
+        for name, body in equations.items():
+            for value in self.cand_sys[name]:
+                reads[name, value] = []
+                self._reads(value, body, reads[name, value])
+        self.components = strongly_connected_components(reads, reads.__getitem__)
+        self.dependents: Dict[_Node, List[_Node]] = {node: [] for node in reads}
+        for component in self.components:
+            for node in component:
+                for read in reads[node]:
+                    if read in component:
+                        self.dependents[read].append(node)
 
     # -- candidate universe -------------------------------------------------
 
@@ -509,47 +518,109 @@ class _System:
             return not oracle(node.name, value)
         raise TypeError(f"unexpected node: {node!r}")
 
-    # -- derivation passes ----------------------------------------------------------
+    def _reads(self, value: Value, node: Expr, reads: List[_Node]) -> None:
+        """Append to ``reads`` every candidate membership ``holds(value,
+        node, …)`` may read, at either polarity: ``holds``' walk without
+        its short cuts, through ``σ`` tests that pass, ``×`` components
+        and ``MAP`` preimages.  A value outside a set's candidates is
+        certainly false there, and read off no state."""
+        if isinstance(node, (Union, Diff)):
+            self._reads(value, node.left, reads)
+            self._reads(value, node.right, reads)
+        elif isinstance(node, Product):
+            if isinstance(value, Tup) and len(value) == 2:
+                self._reads(value.component(1), node.left, reads)
+                self._reads(value.component(2), node.right, reads)
+        elif isinstance(node, Select):
+            if eval_test(node.test, value, self.registry):
+                self._reads(value, node.child, reads)
+        elif isinstance(node, Map):
+            for preimage in self.map_preimages.get(id(node), {}).get(value, ()):
+                self._reads(preimage, node.child, reads)
+        elif isinstance(node, Call):
+            if value in self.cand_sys[node.name]:
+                reads.append((node.name, value))
 
-    def derive(self, oracle: Callable[[str, Value], bool]) -> Dict[str, FrozenSet[Value]]:
-        """Least fixpoint of simultaneous derivation under a negation
-        oracle, with dependency-aware re-evaluation: after the first
-        sweep, an equation is revisited only when a set it reads at
-        positive polarity gained members."""
+    # -- solving, one component at a time -------------------------------------------
+
+    def _least(
+        self,
+        component: FrozenSet[_Node],
+        state: Dict[str, Set[Value]],
+        oracle: Callable[[str, Value], bool],
+    ) -> bool:
+        """Add to ``state`` the component's memberships in the least
+        fixpoint under ``oracle``, every lower membership already final in
+        ``state``; whether any was added.  A membership is tested once,
+        and again only when one it reads joins ``state``."""
+        equations, dependents = self.equations, self.dependents
+        pending = list(component)
+        added = False
+        while pending:
+            node = pending.pop()
+            name, value = node
+            if value not in state[name] and self.holds(
+                value, equations[name], state, oracle, True
+            ):
+                state[name].add(value)
+                pending.extend(dependents[node])
+                added = True
+        return added
+
+    def least_model(
+        self, oracle: Callable[[str, Value], bool]
+    ) -> Dict[str, FrozenSet[Value]]:
+        """The equations' least fixpoint with every negative reference
+        answered by ``oracle``, one component after another."""
         state: Dict[str, Set[Value]] = {name: set() for name in self.equations}
-        dirty: Set[str] = set(self.equations)
-        while dirty:
-            grew: Set[str] = set()
-            for name in sorted(dirty):
-                body = self.equations[name]
-                for value in self.cand_sys[name]:
-                    if value in state[name]:
-                        continue
-                    if self.holds(value, body, state, oracle, True):
-                        state[name].add(value)
-                        grew.add(name)
-            dirty = {
-                name
-                for name in self.equations
-                if self._positive_deps[name] & grew or name in grew
-            }
+        for component in self.components:
+            self._least(component, state, oracle)
         return {name: frozenset(members) for name, members in state.items()}
 
-
-    def valid_model(self) -> ValidEvalResult:
-        """The paper's Section 2.2 loop, on set equations."""
-        true_state = dict.fromkeys(self.equations, frozenset())
+    def _alternate(
+        self,
+        component: FrozenSet[_Node],
+        true: Dict[str, Set[Value]],
+        over: Dict[str, Set[Value]],
+    ) -> int:
+        """Solve one component into ``true`` (certainly) and ``over``
+        (possibly), every lower membership final in both; the rounds it
+        took.  A membership that does not read itself is one evaluation
+        of each pass.  Otherwise the paper's loop runs on the component:
+        ``over`` re-derived with ``v ∉ S`` assumable unless ``v ∈ true``,
+        then ``true`` grown with it assumable only if ``v ∉ over``,
+        until ``true`` stops growing."""
+        possible = lambda name, value: value not in true[name]  # noqa: E731
+        certain = lambda name, value: value not in over[name]  # noqa: E731
+        if len(component) == 1:
+            (node,) = component
+            if not self.dependents[node]:
+                name, value = node
+                body = self.equations[name]
+                if self.holds(value, body, over, possible, True):
+                    over[name].add(value)
+                    if self.holds(value, body, true, certain, True):
+                        true[name].add(value)
+                return 1
         rounds = 0
         while True:
             rounds += 1
-            over = self.derive(lambda name, value: value not in true_state[name])
-            next_true = self.derive(lambda name, value: value not in over[name])
-            if next_true == true_state:
-                break
-            true_state = next_true
+            for name, value in component:
+                over[name].discard(value)
+            self._least(component, over, possible)
+            if not self._least(component, true, certain):
+                return rounds
+
+    def valid_model(self) -> ValidEvalResult:
+        """The paper's Section 2.2 loop, one component at a time."""
+        true: Dict[str, Set[Value]] = {name: set() for name in self.equations}
+        over: Dict[str, Set[Value]] = {name: set() for name in self.equations}
+        rounds = 0
+        for component in self.components:
+            rounds = max(rounds, self._alternate(component, true, over))
         return ValidEvalResult(
-            true=true_state,
-            undefined={name: over[name] - true_state[name] for name in self.equations},
+            true={name: frozenset(members) for name, members in true.items()},
+            undefined={name: frozenset(over[name] - true[name]) for name in true},
             candidates=dict(self.cand_sys),
             rounds=rounds,
         )

@@ -26,6 +26,16 @@ of the well-founded semantics — the paper's own remark that its results
 7) leans on that family resemblance, and our test-suite asserts the
 agreement program-by-program against the independent implementation in
 ``repro.datalog.semantics.wellfounded``.
+
+:func:`valid_computation_trace` runs the loop over the whole program,
+word for word.  :func:`valid_model` runs it one strongly connected
+component of the atom dependency graph at a time, dependencies first —
+the solver ``well_founded_model`` shares.  The two agree because the
+valid model is modular over the condensation: an atom's status depends
+only on the atoms it reaches, so a component whose lower atoms are final
+needs only its own rules, those atoms read off their values.  An
+acyclic atom is then decided by one evaluation of its rules; the loop
+runs only inside cycles.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from ...robustness import EvaluationBudget
 from ..grounding import GroundProgram
 from .fixpoint import least_model_with_oracle
 from .interpretations import Interpretation
+from .wellfounded import solve_by_component
 
 __all__ = ["valid_model", "ValidTrace", "valid_computation_trace"]
 
@@ -83,5 +94,4 @@ def valid_model(
     program: GroundProgram, budget: Optional[EvaluationBudget] = None
 ) -> Interpretation:
     """The (three-valued) valid model of a ground program."""
-    final = valid_computation_trace(program, budget)[-1]
-    return Interpretation.three_valued(final.true, final.false)
+    return solve_by_component(program, budget, "valid-computation")

@@ -17,7 +17,18 @@ hash seed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Container, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 __all__ = [
     "DiGraph",
@@ -71,14 +82,24 @@ class DiGraph:
         return len(self._successors)
 
 
-def strongly_connected_components(graph: DiGraph) -> List[FrozenSet[Node]]:
+def strongly_connected_components(
+    graph: Iterable[Node],
+    successors: Optional[Callable[[Node], Iterable[Node]]] = None,
+) -> List[FrozenSet[Node]]:
     """Tarjan's algorithm, iteratively (ground graphs outgrow the
     recursion limit).
+
+    ``graph`` is a :class:`DiGraph`, or any iterable of nodes together
+    with ``successors(node)`` — how the three-valued solvers walk an
+    atom-level graph without building one.  A successor must be one of
+    the nodes.
 
     Components come out **successors first**: a component is emitted
     only after every component reachable from it, so the reversed list
     is a topological order of the condensation.
     """
+    if successors is None:
+        successors = graph.__getitem__
     index: Dict[Node, int] = {}
     lowlink: Dict[Node, int] = {}
     stack: List[Node] = []
@@ -90,15 +111,15 @@ def strongly_connected_components(graph: DiGraph) -> List[FrozenSet[Node]]:
         index[root] = lowlink[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(graph[root]))]
+        work = [(root, iter(successors(root)))]
         while work:
-            node, successors = work[-1]
-            for successor in successors:
+            node, pending = work[-1]
+            for successor in pending:
                 if successor not in index:
                     index[successor] = lowlink[successor] = len(index)
                     stack.append(successor)
                     on_stack.add(successor)
-                    work.append((successor, iter(graph[successor])))
+                    work.append((successor, iter(successors(successor))))
                     break
                 if successor in on_stack:
                     lowlink[node] = min(lowlink[node], index[successor])

@@ -129,3 +129,57 @@ class TestProgramTranslation:
         )
         assert result.is_well_defined()
         assert result.relation("tc") == Relation.of(tup(a, b), tup(b, c), tup(a, c))
+
+
+class TestProp61Counterexample:
+    """A program Hypothesis found on which the translation disagrees
+    with deduction (``test_random_safe_rules.py``):
+
+        p(X) :- e(X), not p(X).
+        q(X) :- e(X), X != a.
+        q(Y) :- e(X), e(Y), r(X, Y), p(X), not q(X).
+
+    over that suite's ``DATABASE``.  Every ``p`` is undefined; ``q(b)``
+    and ``q(c)`` are true by the second rule.  The only instance of the
+    third rule for ``q(a)`` is ``X = c`` (``r(c, a)``), whose body is
+    ``p(c) ∧ not q(c)`` = U ∧ ¬T = F in Kleene logic: ``q(a)`` is false,
+    as ``run()`` says.  The translation writes the rule as
+    ``L − σ(frame × q)`` with ``L = σ(frame × p)``, and builds the
+    subtrahend from the *frame* — which reads ``p`` again, now at
+    negative polarity.  With ``p(c)`` undefined the subtrahend is
+    U ∧ T = U, so ``q(a)`` is U ∧ ¬U = U.  The fix, a frame without the
+    positive IDB reads, is not made yet.
+    """
+
+    SOURCE = (
+        "p(X) :- e(X), not p(X).\n"
+        "q(X) :- e(X), X != a.\n"
+        "q(Y) :- e(X), e(Y), r(X, Y), p(X), not q(X)."
+    )
+
+    def test_deduction_makes_q_a_false(self):
+        from repro.datalog import run
+
+        from ..property.test_random_safe_rules import DATABASE
+
+        result = run(
+            parse_program(self.SOURCE), DATABASE, "valid", registry=translation_registry()
+        )
+        assert result.true_rows("q") == {(b,), (c,)}
+        assert result.undefined_rows("q") == frozenset()
+        assert result.undefined_rows("p") == {(a,), (b,), (c,)}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the translated subtrahend re-reads p at negative polarity:"
+        " q(a) comes out undefined, not false",
+    )
+    def test_translation_agrees_with_deduction(self):
+        from repro.core.equivalence import check_datalog_roundtrip
+
+        from ..property.test_random_safe_rules import DATABASE
+
+        report = check_datalog_roundtrip(
+            parse_program(self.SOURCE), DATABASE, registry=translation_registry()
+        )
+        assert report.matches, report.mismatches()

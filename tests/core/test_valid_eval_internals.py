@@ -1,9 +1,10 @@
 """White-box tests for the native evaluator's machinery.
 
 The behaviours here — candidate over-approximation, universe filtering of
-MAP images, evaluation limits, the positive-dependency analysis behind the
-derivation loop — are load-bearing for every result in the test suite but
-are otherwise only exercised indirectly.
+MAP images, evaluation limits, the solve per component of the membership
+graph, and the positive-dependency analysis behind the reference
+evaluator's derivation loop — are load-bearing for every result in the
+test suite but are otherwise only exercised indirectly.
 """
 
 import pytest
@@ -12,8 +13,10 @@ from repro.core.evaluator import NonTerminating
 from repro.core.expressions import call, diff, map_, product, rel, select, setconst, union
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit
 from repro.core.programs import AlgebraProgram, Definition, Dialect
-from repro.core.valid_eval import EvalLimits, _positive_call_names, valid_evaluate
+from repro.core.valid_eval import EvalLimits, valid_evaluate
 from repro.relations import Atom, Relation, Tup, Universe, standard_registry, tup
+
+from ..property.valid_eval_reference import _positive_call_names
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -120,11 +123,28 @@ class TestLimitsAndUniverse:
         assert set(result.true["S"]) == {0, 1, 2, 3}
 
     def test_rounds_reported(self):
-        program = AlgebraProgram.of(
-            Definition("S", (), setconst(a)), dialect=Dialect.ALGEBRA_EQ
+        """``rounds`` is the most alternation rounds one component of the
+        membership graph took."""
+
+        def rounds(*definitions):
+            program = AlgebraProgram.of(*definitions, dialect=Dialect.ALGEBRA_EQ)
+            return valid_evaluate(program, {}).rounds
+
+        # One membership, read by nothing: one evaluation.
+        assert rounds(Definition("S", (), setconst(a))) == 1
+        # No candidate membership at all.
+        assert rounds(Definition("S", (), setconst())) == 0
+        # S(a) reads itself: one round leaves it undefined.
+        assert rounds(Definition("S", (), diff(setconst(a), call("S")))) == 1
+        # S(a) and T(a) read each other; T(a) is false whatever S says, so
+        # S(a) comes true in the first round and the second confirms it.
+        assert (
+            rounds(
+                Definition("S", (), diff(setconst(a), call("T"))),
+                Definition("T", (), diff(diff(setconst(a), call("S")), setconst(a))),
+            )
+            == 2
         )
-        result = valid_evaluate(program, {})
-        assert result.rounds >= 1
 
 
 class TestMultiEquationInteraction:
@@ -229,6 +249,39 @@ class TestCandidateWork:
         closure = len(result.true["TC"])
         assert closure == n * (n - 1) // 2
         assert sum(instances) <= 4 * closure + 2 * n
+
+
+class TestAlternationWork:
+    """The alternation costs the memberships, not memberships × depth."""
+
+    def test_acyclic_game_is_linear(self, monkeypatch):
+        """Win-game over an *n*-move chain: every position is a component
+        of its own, decided by one evaluation per pass, so doubling the
+        chain doubles the ``holds`` calls.  Alternating the whole system
+        made ~n rounds of ~n calls: 3.96x here."""
+        from repro.core import valid_eval
+        from repro.core.algebra_to_datalog import translation_registry
+        from repro.corpus import algebra_case, chain, edges_to_relation
+
+        calls = []
+        holds = valid_eval._System.holds
+
+        def counting(self, *args):
+            calls.append(1)
+            return holds(self, *args)
+
+        monkeypatch.setattr(valid_eval._System, "holds", counting)
+        program = algebra_case("win-game").program
+        counts = []
+        for n in (24, 48):
+            del calls[:]
+            valid_evaluate(
+                program,
+                {"MOVE": edges_to_relation(chain(n), "MOVE")},
+                registry=translation_registry(),
+            )
+            counts.append(len(calls))
+        assert counts[1] <= 2.5 * counts[0], counts
 
 
 class TestStableCompilesOnce:

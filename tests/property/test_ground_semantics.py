@@ -4,6 +4,8 @@ the semantics engines.
 These are the load-bearing invariants of the paper's semantic landscape:
 
 * the valid computation (§2.2) coincides with the alternating fixpoint;
+* both models, solved one component of the atom graph at a time, equal
+  the whole-program loops the paper and [24] state;
 * WFS truths sit inside every stable model, WFS falsities outside all;
 * on locally stratified programs the valid model is total;
 * the inflationary fixpoint contains the WFS truths (negation-as-not-yet
@@ -16,11 +18,13 @@ from hypothesis import strategies as st
 
 from repro.datalog.grounding import GroundProgram, GroundRule, _AtomTable
 from repro.datalog.semantics import (
+    alternating_fixpoint_trace,
     inflationary_fixpoint,
     least_model_naive,
     least_model_with_oracle,
     minimal_model,
     stable_models,
+    valid_computation_trace,
     valid_model,
     well_founded_model,
 )
@@ -56,6 +60,38 @@ positive_rule_specs = st.tuples(
 positive_programs = st.lists(positive_rule_specs, min_size=1, max_size=10).map(
     _make_program
 )
+
+
+def _ring(negated):
+    """``p{i} :- [not] p{i+1}`` around all the atoms, a sign per link."""
+    rules = []
+    for index, neg in enumerate(negated):
+        link = ((index + 1) % ATOMS,)
+        rules.append((index, () if neg else link, link if neg else ()))
+    return rules
+
+
+#: Random rules plus a ring ``p0 ← p1 ← … ← p5 ← p0`` of random signs:
+#: every atom in one component, the alternation run on all of them.
+ring_programs = st.builds(
+    lambda negated, extra: _make_program(_ring(negated) + extra),
+    st.lists(st.booleans(), min_size=ATOMS, max_size=ATOMS),
+    st.lists(rule_specs, max_size=6),
+)
+
+
+@given(st.one_of(programs, ring_programs))
+@settings(max_examples=300, deadline=None)
+def test_component_solvers_equal_the_whole_program_loops(program):
+    """``well_founded_model`` and ``valid_model`` solve per component;
+    ``alternating_fixpoint_trace`` and ``valid_computation_trace`` run
+    the loop over the whole program.  Same model, cycles included."""
+    true, over = alternating_fixpoint_trace(program)[-1]
+    wfs = well_founded_model(program)
+    assert (wfs.true, wfs.false) == (true, frozenset(range(program.atom_count)) - over)
+    final = valid_computation_trace(program)[-1]
+    valid = valid_model(program)
+    assert (valid.true, valid.false) == (final.true, final.false)
 
 
 @given(programs)

@@ -26,15 +26,27 @@ from repro.core.expressions import (
 )
 from repro.core.funcs import eval_scalar, eval_test
 from repro.core.programs import AlgebraProgram
-from repro.core.valid_eval import (
-    EvalLimits,
-    ValidEvalResult,
-    _eliminate_ifp,
-    _positive_call_names,
-)
+from repro.core.valid_eval import EvalLimits, ValidEvalResult, _eliminate_ifp
 from repro.relations.relation import Relation
 from repro.relations.universe import FunctionRegistry, Universe
 from repro.relations.values import Tup, Value
+
+
+def _positive_call_names(expr: Expr, positive: bool = True) -> FrozenSet[str]:
+    """System names occurring at positive polarity (even subtraction
+    nesting) in an expression."""
+    if isinstance(expr, Call):
+        return frozenset((expr.name,)) if positive else frozenset()
+    if isinstance(expr, (RelVar, SetConst)):
+        return frozenset()
+    if isinstance(expr, (Union, Product, Diff)):
+        flipped = positive != isinstance(expr, Diff)
+        return _positive_call_names(expr.left, positive) | _positive_call_names(
+            expr.right, flipped
+        )
+    if isinstance(expr, (Select, Map)):
+        return _positive_call_names(expr.child, positive)
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 class _System:
