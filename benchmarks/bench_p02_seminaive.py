@@ -12,9 +12,15 @@ import pytest
 from repro.core.algebra_to_datalog import translation_registry
 from repro.corpus import DEDUCTIVE_CORPUS, chain, complete, edges_to_database, random_graph
 from repro.datalog.grounding import ground
-from repro.datalog.semantics import least_model_naive, least_model_with_oracle
+from repro.datalog.semantics import least_model_with_oracle
 
 from support import ExperimentTable, timed
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "datalog"))
+from least_model_reference import least_model_naive  # noqa: E402
 
 table = ExperimentTable(
     "P02-seminaive",

@@ -20,7 +20,20 @@ is normalised to NNF *before* rules are emitted.  The normalisation is
 what makes Proposition 5.4 hold computationally — an even number of
 nested subtractions must cancel, as it does in the membership-inversion
 equations defining ``−``, rather than turn into a spurious negative
-dependency cycle between auxiliary predicates.
+dependency cycle between auxiliary predicates.  (NNF cannot cancel across
+the ∃ of a ``×`` or ``MAP`` between the two ``−``: ``S = A − π₁((A − S)
+× {a})`` still translates to an even loop ``S ↔ aux`` that the valid
+model leaves undefined, where the native evaluator makes ``S`` total.)
+
+A ``−`` whose right operand is a ``×`` or a ``MAP`` becomes a negated
+auxiliary predicate.  :func:`translate_program` restricts each auxiliary
+to its reader's database range — the range restriction of Def 4.1.  For
+§3.2's win game, ``WIN = π₁(MOVE − (π₁(MOVE) × WIN))``, the auxiliary is
+
+    aux_0(U) :- MOVE(U₃), U₁ = comp1(U₃), s_WIN(V), U = tuple(U₁, V), MOVE(U).
+
+Without the trailing ``MOVE(U)`` it is ``π₁(MOVE) × WIN``, |MOVE|² ground
+atoms, although its only reader asks about ``U ∈ MOVE``.
 
 Predicates use the unary set-member encoding of
 :mod:`repro.core.encoding`; database relations keep their own names.
@@ -271,6 +284,25 @@ def translate_program(aprog: AlgebraProgram) -> TranslationResult:
     because a non-recursive IFP subprogram is reached only positively
     from below and its inflationary and valid readings coincide for the
     positive bodies this translator accepts them with.
+
+    Every rule defining a negated auxiliary ends with its reader's
+    positive literals over *database relations* whose variables are
+    among the auxiliary's arguments (``two_valued`` of
+    :func:`~repro.core.formula.formula_to_rules`).  The reader is
+    ``g ∧ ¬aux`` with ``g`` two-valued, and ``g ∧ ¬(ψ ∧ g) = g ∧ ¬ψ`` in
+    Kleene logic, so the answers do not change.
+
+    * Database relations only: Kleene logic is not idempotent.  For
+      ``P = A − P; S = P − π₁(A × {a})`` over ``A = {a, b}``, ``P`` is
+      undefined and ``S = ∅``; guarding ``S``'s auxiliary by ``s_P``
+      would make ``S`` ``U ∧ ¬(T ∧ U) = U`` on both members, where
+      ``U ∧ ¬T`` is false.
+    * Last in the body: every plan then probes the guard fully bound, a
+      membership test.  Placed first, it led the join and enumerated
+      ``MOVE × MOVE × WIN`` for the win game.
+    * Not :func:`translate_expression`: inflationary stages start from ∅,
+      database facts included, so a guard delays its auxiliary by a stage
+      and nothing shows that harmless there.
     """
     system = aprog.to_constant_system()
     recursive = system.recursive_names()
@@ -307,6 +339,7 @@ def translate_program(aprog: AlgebraProgram) -> TranslationResult:
                 formula,
                 {},
                 fresh,
+                two_valued=system.database_relations,
             )
         )
     program = Program(tuple(rules), name=aprog.name or "algebra=")

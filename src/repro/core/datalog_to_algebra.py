@@ -113,9 +113,20 @@ class _RuleCompiler:
             return Call(predicate)
         return RelVar(predicate)
 
+    def _rank(self, item) -> int:
+        if isinstance(item, Literal) and item.positive:
+            return 2 if item.atom.predicate in self.idb else 0
+        return 1
+
     def compile(self, rule: Rule) -> Expr:
         """The simulation expression for one safe rule."""
-        order = binding_order(rule)  # raises UnsafeRuleError when unsafe
+        # EDB matches first, then comparisons and negated literals, then
+        # IDB matches: a subtrahend built from the frame then re-reads no
+        # positive IDB literal the order could have joined after it.
+        # Kleene logic is not idempotent: with φ undefined and ψ true,
+        # φ ∧ ¬(φ ∧ ψ) is undefined where φ ∧ ¬ψ is false.
+        ordered = Rule(rule.head, tuple(sorted(rule.body, key=self._rank)))
+        order = binding_order(ordered)  # raises UnsafeRuleError when unsafe
         join: Optional[Expr] = None
         # The *frame* mirrors ``join`` minus the negative-literal
         # subtractions.  Subtrahends are built from it rather than from

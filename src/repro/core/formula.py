@@ -269,12 +269,30 @@ def _dnf(formula: Formula, limit: int) -> List[List[Formula]]:
     return [[formula]]
 
 
+def _reader_guards(
+    conjunction: Sequence[Formula],
+    args: FrozenSet[Var],
+    predicate_of: Dict[str, str],
+    two_valued: FrozenSet[str],
+) -> Tuple[Literal, ...]:
+    """The positive literals of ``conjunction`` over ``two_valued``
+    predicates whose variables are all among ``args``."""
+    guards = []
+    for literal in conjunction:
+        if isinstance(literal, MemAtom):
+            predicate = predicate_of.get(literal.set_name, literal.set_name)
+            if predicate in two_valued and term_vars(literal.term) <= args:
+                guards.append(Literal(PredAtom(predicate, (literal.term,)), True))
+    return tuple(guards)
+
+
 def formula_to_rules(
     head: PredAtom,
     formula: Formula,
     predicate_of: Dict[str, str],
     fresh: FreshNames,
     dnf_limit: int = 1_024,
+    two_valued: FrozenSet[str] = frozenset(),
 ) -> List[Rule]:
     """Emit rules defining ``head(x̄) ≡ formula``.
 
@@ -282,6 +300,14 @@ def formula_to_rules(
     predicate names (identity for database relations).  Negated
     existential blocks become auxiliary predicates over their free
     variables, defined recursively.
+
+    ``two_valued`` names predicates none of whose atoms can be undefined.
+    An auxiliary has exactly one reader, ``g ∧ ¬aux``; every rule
+    defining it ends with the reader's positive literals over those
+    predicates whose variables are among its arguments.  With ``g``
+    two-valued, ``g ∧ ¬(ψ ∧ g) = g ∧ ¬ψ`` in Kleene logic, so the answers
+    do not change (see
+    :func:`~repro.core.algebra_to_datalog.translate_program`).
     """
     rules: List[Rule] = []
     normalised = _strip_existentials(to_nnf(formula), fresh)
@@ -303,9 +329,15 @@ def formula_to_rules(
                 inner_free = sorted(free_vars(inner), key=lambda v: v.name)
                 aux_name = fresh.pred("aux")
                 aux_head = PredAtom(aux_name, tuple(inner_free))
-                rules.extend(
-                    formula_to_rules(aux_head, inner, predicate_of, fresh, dnf_limit)
+                guards = _reader_guards(
+                    conjunction, frozenset(inner_free), predicate_of, two_valued
                 )
+                for rule in formula_to_rules(
+                    aux_head, inner, predicate_of, fresh, dnf_limit, two_valued
+                ):
+                    if rule.head.predicate == aux_name:
+                        rule = Rule(rule.head, rule.body + guards)
+                    rules.append(rule)
                 body.append(Literal(aux_head, False))
             elif isinstance(literal, FNot) and isinstance(literal.child, FAnd) and not literal.child.items:
                 ok = False  # ¬⊤: disjunct is unsatisfiable

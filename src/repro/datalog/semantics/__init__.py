@@ -16,7 +16,6 @@ One module per semantics, all over the same propositional
 
 from .fixpoint import (
     PositiveProgramRequired,
-    least_model_naive,
     least_model_with_oracle,
     minimal_model,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Truth",
     "minimal_model",
     "least_model_with_oracle",
-    "least_model_naive",
     "PositiveProgramRequired",
     "stratified_model",
     "inflationary_fixpoint",

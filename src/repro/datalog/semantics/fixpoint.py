@@ -13,8 +13,9 @@ different oracles:
 * stable models — oracle reads the candidate model (the Gelfond–Lifschitz
   reduct).
 
-Both a naive and a dependency-counting semi-naive implementation are
-provided; they are cross-checked in tests and compared in benchmark P2.
+The implementation is dependency-counting (semi-naive); the tests check
+it, and benchmark P2 times it, against a naive sweep kept test-side
+(``tests/datalog/least_model_reference.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..grounding import GroundProgram, GroundRule, RuleIndex
 
 __all__ = [
     "least_model_with_oracle",
-    "least_model_naive",
     "minimal_model",
     "PositiveProgramRequired",
 ]
@@ -89,32 +89,6 @@ def least_model_with_oracle(
                     if budget is not None:
                         budget.tick()
                         budget.charge_facts()
-    return frozenset(derived)
-
-
-def least_model_naive(
-    rules: Sequence[GroundRule],
-    negation_oracle: Callable[[int], bool],
-    budget: Optional[EvaluationBudget] = None,
-) -> FrozenSet[int]:
-    """Naive iterate-to-fixpoint least model (reference implementation)."""
-    derived: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        if budget is not None:
-            budget.note_iteration(phase="least-model-naive")
-            budget.tick(len(rules))
-        for rule in rules:
-            if rule.head in derived:
-                continue
-            if all(atom in derived for atom in rule.pos) and all(
-                negation_oracle(atom) for atom in rule.neg
-            ):
-                derived.add(rule.head)
-                if budget is not None:
-                    budget.charge_facts()
-                changed = True
     return frozenset(derived)
 
 

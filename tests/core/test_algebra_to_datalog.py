@@ -1,7 +1,11 @@
 """Unit tests for the algebra → deduction translation (Propositions 5.1, 5.4)."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+
+from repro.core import algebra_to_datalog
 from repro.core.algebra_to_datalog import (
     scalar_to_term,
     compile_test,
@@ -9,6 +13,11 @@ from repro.core.algebra_to_datalog import (
     translate_program,
     translation_registry,
 )
+from repro.core.equivalence import algebra_answers_native, algebra_answers_translated
+from repro.core.formula import formula_to_rules
+from repro.corpus import ALGEBRA_CORPUS, chain, cycle, edges_to_relation, grid
+from repro.datalog.ast import Literal
+from repro.datalog.grounding import ground
 from repro.core.expressions import (
     call,
     diff,
@@ -29,6 +38,9 @@ from repro.datalog import Database, run
 from repro.datalog.ast import Const, FuncTerm, Var
 from repro.datalog.safety import is_safe_program
 from repro.relations import Atom, Relation, Tup, tup
+
+from ..property.test_random_translations import ENV, bodies
+from ..property.test_random_translations import _program as random_program
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X = Var("X")
@@ -154,3 +166,133 @@ class TestProgramTranslation:
         for case in ALGEBRA_CORPUS.values():
             translation = translate_program(case.program)
             assert is_safe_program(translation.program), case.name
+
+
+def _unguarded(*args, **kwargs):
+    kwargs.pop("two_valued", None)
+    return formula_to_rules(*args, **kwargs)
+
+
+def _appended(program):
+    """``(rule, literal)`` for every literal a guard appended: the guarded
+    translation's body past the unguarded translation's, rule by rule
+    (both draw the same fresh names)."""
+    guarded = translate_program(program).program.rules
+    with mock.patch.object(algebra_to_datalog, "formula_to_rules", _unguarded):
+        plain = translate_program(program).program.rules
+    assert [rule.head for rule in guarded] == [rule.head for rule in plain]
+    appended = []
+    for rule, bare in zip(guarded, plain):
+        assert rule.body[: len(bare.body)] == bare.body
+        appended.extend((rule, item) for item in rule.body[len(bare.body):])
+    return appended
+
+
+def _assert_database_guards(program):
+    appended = _appended(program)
+    for rule, item in appended:
+        assert rule.head.predicate.startswith("aux_"), rule
+        assert isinstance(item, Literal) and item.positive, rule
+        assert item.atom.predicate in program.database_relations, rule
+        assert item.vars() <= rule.head.vars(), rule
+    return appended
+
+
+class TestReaderGuards:
+    """Prop 5.4's auxiliaries carry their reader's database range."""
+
+    @pytest.mark.parametrize(
+        "edges, atoms, rules",
+        [
+            (chain(24), 68, 68),
+            (chain(64), 188, 188),
+            (chain(128), 380, 380),
+            (cycle(25), 75, 75),
+            (grid(5, 5), 102, 150),
+        ],
+        ids=["chain-24", "chain-64", "chain-128", "cycle-25", "grid-5"],
+    )
+    def test_translated_win_game_ground_size(self, edges, atoms, rules):
+        """3·|MOVE| − 1 atoms on a chain.  Unguarded, the auxiliary ranged
+        over π₁(MOVE) × WIN: |MOVE|² atoms (575, 4,095, 16,383, 675, 640
+        atoms; 1,040 rules on grid-5)."""
+        translation = translate_program(ALGEBRA_CORPUS["win-game"].program)
+        database = environment_to_database({"MOVE": edges_to_relation(edges)}, {})
+        program = ground(translation.program, database, registry=translation_registry())
+        assert (len(list(program.atoms())), len(program.rules)) == (atoms, rules)
+
+    def test_win_game_guard_is_the_readers_move_literal_last(self):
+        rules = translate_program(ALGEBRA_CORPUS["win-game"].program).program.rules
+        (aux,) = [rule for rule in rules if rule.head.predicate.startswith("aux_")]
+        (member,) = aux.head.args
+        last = aux.body[-1]
+        assert last.positive and (last.atom.predicate, last.atom.args) == ("MOVE", (member,))
+
+    def test_corpus_guards_are_database_literals(self):
+        appended = []
+        for case in ALGEBRA_CORPUS.values():
+            appended += _assert_database_guards(case.program)
+        assert appended
+
+    @given(bodies)
+    @settings(max_examples=100, deadline=None)
+    def test_random_guards_are_database_literals(self, body):
+        _assert_database_guards(random_program(body))
+
+    def test_idb_literals_never_guard(self):
+        """``P = A − P; S = P − π₁(A × {a})`` over ``A = {a, b}``.  ``P``
+        is undefined on ``a`` and ``b``; ``π₁(A × {a})`` is all of ``A``,
+        so ``S = ∅``.  The reader of ``S``'s auxiliary is ``s_P(X) ∧
+        ¬aux(X)``: guarding the auxiliary by ``s_P`` would make ``S``
+        U ∧ ¬(T ∧ U) = U on both, where U ∧ ¬T is false."""
+        program = AlgebraProgram.of(
+            Definition("P", (), diff(rel("A"), call("P"))),
+            Definition(
+                "S", (), diff(call("P"), project(product(rel("A"), setconst(a)), 1))
+            ),
+            database_relations=["A"],
+            dialect=Dialect.ALGEBRA_EQ,
+        )
+        env = {"A": Relation.of(a, b, name="A")}
+        registry = translation_registry()
+        native = algebra_answers_native(program, env, registry=registry)
+        assert native["S"].true == native["S"].undefined == frozenset()
+        assert native["P"].undefined == {a, b}
+        assert algebra_answers_translated(program, env, registry=registry) == native
+
+
+class TestProp54Counterexample:
+    """``S = A − π₁((A − S) × {a})`` over ``A = {a, b}``.
+
+    ``π₁((A − S) × {a})`` is ``A − S``, so ``S = A − (A − S)`` and the
+    valid model is total with ``S = ∅``: native ``holds`` flips polarity
+    through the preimages of ``π₁`` and ``×`` and reads ``S`` positively.
+    The translation cannot: NNF cancels a double subtraction only when no
+    ∃ separates the two ``−``.  Here the ∃ of ``×`` / ``MAP`` does, so the
+    inner ``−`` stays negated inside the auxiliary,
+    ``aux_0(X) :- A(U₁), not s_S(U₁), …``, and ``s_S(X) :- A(X), not
+    aux_0(X)`` closes an even loop ``S ↔ aux`` through two negations,
+    which the well-founded model leaves undefined.  The guard does not
+    change that.  The candidate fix: where the guarded member fixes the ∃
+    witness (here ``u = tuple(x, a)``), eliminate the ∃ so NNF cancels.
+    """
+
+    def _program(self):
+        return random_program(
+            diff(rel("A"), project(product(diff(rel("A"), call("S")), setconst(a)), 1))
+        )
+
+    def test_native_model_is_total(self):
+        native = algebra_answers_native(self._program(), ENV, registry=translation_registry())
+        assert native["S"].true == native["S"].undefined == frozenset()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the ∃ of × blocks NNF's double-negation cancellation: an even"
+        " loop S ↔ aux leaves S undefined on {a, b}",
+    )
+    def test_translation_agrees_with_native(self):
+        registry = translation_registry()
+        native = algebra_answers_native(self._program(), ENV, registry=registry)
+        translated = algebra_answers_translated(self._program(), ENV, registry=registry)
+        assert translated == native

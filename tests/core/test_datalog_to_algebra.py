@@ -132,7 +132,7 @@ class TestProgramTranslation:
 
 
 class TestProp61Counterexample:
-    """A program Hypothesis found on which the translation disagrees
+    """A program Hypothesis found on which the translation disagreed
     with deduction (``test_random_safe_rules.py``):
 
         p(X) :- e(X), not p(X).
@@ -143,12 +143,12 @@ class TestProp61Counterexample:
     and ``q(c)`` are true by the second rule.  The only instance of the
     third rule for ``q(a)`` is ``X = c`` (``r(c, a)``), whose body is
     ``p(c) ∧ not q(c)`` = U ∧ ¬T = F in Kleene logic: ``q(a)`` is false,
-    as ``run()`` says.  The translation writes the rule as
-    ``L − σ(frame × q)`` with ``L = σ(frame × p)``, and builds the
-    subtrahend from the *frame* — which reads ``p`` again, now at
-    negative polarity.  With ``p(c)`` undefined the subtrahend is
-    U ∧ T = U, so ``q(a)`` is U ∧ ¬U = U.  The fix, a frame without the
-    positive IDB reads, is not made yet.
+    as ``run()`` says.  Compiled in body order, the rule became
+    ``L − σ(frame × q)`` with ``L = σ(frame × p)``: the subtrahend's
+    frame read ``p`` again, at negative polarity, and with ``p(c)``
+    undefined ``q(a)`` came out U ∧ ¬U = U.  The compiler now joins the
+    EDB literals first, then subtracts, then joins ``p``: the frame the
+    subtrahend reads holds no IDB literal.
     """
 
     SOURCE = (
@@ -169,10 +169,41 @@ class TestProp61Counterexample:
         assert result.undefined_rows("q") == frozenset()
         assert result.undefined_rows("p") == {(a,), (b,), (c,)}
 
+    def test_translation_agrees_with_deduction(self):
+        from repro.core.equivalence import check_datalog_roundtrip
+
+        from ..property.test_random_safe_rules import DATABASE
+
+        report = check_datalog_roundtrip(
+            parse_program(self.SOURCE), DATABASE, registry=translation_registry()
+        )
+        assert report.matches, report.mismatches()
+
+
+class TestProp61IdbRangedCounterexample:
+    """The compile order does not fix every rule:
+
+        p(X) :- e(X), not p(X).
+        t(X) :- e(X).
+        q(X) :- p(X), not t(X).
+
+    ``X`` is ranged only by the IDB literal ``p``, so the subtrahend's
+    frame has to read ``p``: with every ``p`` undefined and every ``t``
+    true, deduction makes ``q`` false (U ∧ ¬T) where the translation
+    makes it U ∧ ¬(U ∧ T) = U.  The fix is a frame over ``p⁺``, the
+    positive relaxation of ``p`` (two-valued, and ``p ⊆ p⁺``).
+    """
+
+    SOURCE = (
+        "p(X) :- e(X), not p(X).\n"
+        "t(X) :- e(X).\n"
+        "q(X) :- p(X), not t(X)."
+    )
+
     @pytest.mark.xfail(
         strict=True,
-        reason="the translated subtrahend re-reads p at negative polarity:"
-        " q(a) comes out undefined, not false",
+        reason="the frame of not t(X) must read the IDB literal p:"
+        " q comes out undefined, not false",
     )
     def test_translation_agrees_with_deduction(self):
         from repro.core.equivalence import check_datalog_roundtrip

@@ -20,7 +20,6 @@ from repro.datalog.grounding import GroundProgram, GroundRule, _AtomTable
 from repro.datalog.semantics import (
     alternating_fixpoint_trace,
     inflationary_fixpoint,
-    least_model_naive,
     least_model_with_oracle,
     minimal_model,
     stable_models,
@@ -29,6 +28,8 @@ from repro.datalog.semantics import (
     well_founded_model,
 )
 from repro.datalog.stratification import is_locally_stratified
+
+from ..datalog.least_model_reference import least_model_naive
 
 ATOMS = 6
 
