@@ -22,6 +22,12 @@ Every annotated view's *support* is checked against the boolean view
 after each timed update: annotations change what rows carry, never
 which rows exist.
 
+The build rows price an annotated view's first materialization, which
+is its maintenance pass from ∅ (every EDB fact one insert): on a
+chain, doubling the length quadruples the ``tc`` rows, and the rows the
+build matches may grow by at most ``BUILD_BAR`` (≈ 4x measured; 7.65x
+when the build ran whole-stratum Jacobi rounds).
+
 ``REPRO_BENCH_SCALE=smoke`` (the CI bench-smoke job) cuts the timing
 repeats and relaxes the tripwire correspondingly.
 """
@@ -49,6 +55,9 @@ table = ExperimentTable(
         "vs-bool",
         "engine",
         "support-agrees",
+        "build-ms",
+        "rows-matched",
+        "matched-vs-64",
     ],
 )
 
@@ -82,6 +91,10 @@ ANNOTATED_BAR = 20.0
 #: the in-test bound is looser because per-run jitter at these
 #: durations routinely exceeds 5%.
 BOOL_TRIPWIRE = 2.0 if SMOKE else 1.5
+#: Chain lengths the build rows measure, and the bar on their
+#: ``rows_matched`` ratio (doubling the chain quadruples the rows).
+BUILD_CHAINS = (64, 128)
+BUILD_BAR = 5.0
 
 _baseline: dict = {}
 
@@ -154,6 +167,9 @@ def test_semiring_maintenance_overhead(benchmark, semiring):
         ratio,
         type(view.engine).__name__,
         agree,
+        "-",
+        "-",
+        "-",
     )
     assert agree
     if semiring != "bool":
@@ -188,4 +204,55 @@ def test_semiring_maintenance_overhead(benchmark, semiring):
             f"{seed_sec / max(update_sec, 1e-9):.2f}x",
             type(seed_view.engine).__name__,
             True,
+            "-",
+            "-",
+            "-",
         )
+
+
+def _build(semiring, length):
+    """Best-of-3 (view, seconds) of registering ``tc`` over a chain."""
+    nodes = [Atom(f"n{i}") for i in range(length + 1)]
+    database = edges_to_database(list(zip(nodes, nodes[1:])))
+    prepared = prepare_program("tc", TC)
+    runs = [
+        timed(MaterializedView, prepared, database, semiring=semiring)
+        for _ in range(3)
+    ]
+    return min(runs, key=lambda run: run[1])
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS[1:])
+def test_annotated_build_work(benchmark, semiring):
+    benchmark.pedantic(
+        lambda: _build(semiring, BUILD_CHAINS[0]), rounds=1, iterations=1
+    )
+    matched = {}
+    for length in BUILD_CHAINS:
+        view, seconds = _build(semiring, length)
+        assert isinstance(view.engine, AnnotatedEngine)
+        matched[length] = view.engine.state.rows_matched
+        assert view.metrics.counters["rows_matched"] == matched[length]
+        oracle = MaterializedView(
+            prepare_program("tc", TC), view.database, semiring="bool"
+        )
+        agree = view.rows("tc") == oracle.rows("tc")
+        table.add(
+            semiring,
+            f"chain-{length}",
+            len(view.rows("tc")),
+            "-",
+            "-",
+            type(view.engine).__name__,
+            agree,
+            f"{seconds * 1e3:.1f}",
+            matched[length],
+            f"{matched[length] / matched[BUILD_CHAINS[0]]:.2f}x",
+        )
+        assert agree
+    first, last = (matched[length] for length in BUILD_CHAINS)
+    assert last <= BUILD_BAR * first, (
+        f"{semiring}: the chain-{BUILD_CHAINS[-1]} build matched {last} rows, "
+        f"more than {BUILD_BAR:g}x chain-{BUILD_CHAINS[0]}'s {first} — the "
+        "build is back to re-firing whole strata every round"
+    )
