@@ -443,9 +443,8 @@ class _System:
             nonlocal total
             head = plan.head
             if head not in equations:
-                return [row for row, _ in produced if kernel.add(head, row)]
-            fresh = {row for row, _ in produced} - kernel.rows(head)
-            fresh.difference_update(kernel.held.get(head, ()))
+                return kernel.add_all(head, produced)
+            fresh = produced.difference(kernel.rows(head), kernel.held.get(head, ()))
             total += len(fresh)
             if total > limits.max_values:
                 raise NonTerminating(
@@ -465,7 +464,9 @@ class _System:
 
         inner = {rule.head.predicate for rule in compiler.rules} - equations.keys()
         # In slices: a product that overflows stops a slice in.
-        kernel.close(naive, leads, admit, step, held=equations, inner=inner, size=256)
+        kernel.close(
+            naive, leads, admit, step, held=equations, inner=inner, size=256, as_set=True
+        )
         return kernel
 
     # -- polarity-split membership -----------------------------------------------

@@ -169,7 +169,7 @@ def annotated_model(
     maps: AnnotationMap = {predicate: dict(rows) for predicate, rows in edb.items()}
     kernel = JoinKernel(registry)
     for predicate, rows in maps.items():
-        kernel.rows(predicate).update(rows)
+        kernel.add_all(predicate, rows)
 
     for level in range(max(strata.values(), default=0) + 1):
         plans = [
@@ -202,8 +202,7 @@ def annotated_model(
                 if rows == current:
                     continue
                 stable = False
-                for row in rows.keys() - current.keys():
-                    kernel.add(predicate, row)
+                kernel.add_all(predicate, rows.keys() - current.keys())
                 for row in current.keys() - rows.keys():
                     kernel.remove(predicate, row)
                 maps[predicate] = rows

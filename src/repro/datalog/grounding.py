@@ -336,8 +336,7 @@ def ground(
     ground_rules: List[GroundRule] = []
     for predicate in database.predicates():
         rows = database.rows(predicate)
-        for row in rows:
-            kernel.add(predicate, row)
+        kernel.add_all(predicate, rows)
         charge(predicate, rows)
         ground_rules.extend(map(GroundRule, table.of(predicate).values()))
 

@@ -21,10 +21,21 @@ through :meth:`JoinKernel.fire`.  A rule is compiled once per
   function terms computed into hidden slots).
 
 A plan is then compiled once more, to Python: on its first firing under
-a pair of views, :func:`_generate` writes one function with a nested
-``for`` per match step, the slots as local variables, tests, negated
-literals and function terms inline, and a leaf that appends the head
-row.  The function is cached on the plan, so it lives as long as
+a pair of views and a leaf, :func:`_generate` writes one function with a
+nested ``for`` per match step, the slots as local variables, tests,
+negated literals and function terms inline, and one of two leaves:
+
+* the **set** leaf adds the head row to a set.  Every set-semantics
+  closure takes it — the semi-naive strata, the algebra's candidate
+  universe and the circuit's recursive components — since a least model
+  learns nothing from how often a row is derived; :meth:`JoinKernel.add_all`
+  then stores the set in one difference and one union;
+* the **weighted** leaf appends ``(head row, weight)``, the weight the
+  lead row's.  It serves the callers that count instances or keep them:
+  the circuit's bilinear deltas and re-derivation probes, the grounder
+  (whose head row is the whole rule instance) and the annotated engines.
+
+The function is cached on the plan, so it lives as long as
 :func:`compile_plan`'s cache entry.  Client text (predicate names,
 constants, function names) never enters the generated source; it
 reaches the code as closure cells.
@@ -92,8 +103,8 @@ class Plan(NamedTuple):
     head_slots: Tuple[int, ...]
     #: The ``(predicate, bound positions)`` indexes the steps probe.
     patterns: Tuple[Pattern, ...]
-    #: ``(before, after)`` → the generated firing function.
-    functions: Dict[Tuple[int, int], Callable]
+    #: ``(before, after, as_set)`` → the generated firing function.
+    functions: Dict[Tuple[int, int, bool], Callable]
 
 
 class _Compiler:
@@ -303,14 +314,15 @@ def _rewound(rows, added, removed, arity: int, key_of, key) -> list:
 
 
 class _Writer:
-    """The Python source of one ``(plan, before, after)`` firing.
+    """The Python source of one ``(plan, before, after, as_set)`` firing.
 
     Every identifier in it is minted here and every literal is an
     integer; client values are bound to closure cells (:attr:`cells`).
     """
 
-    def __init__(self, plan: Plan, before: int, after: int):
+    def __init__(self, plan: Plan, before: int, after: int, as_set: bool):
         self.plan, self.before, self.after = plan, before, after
+        self.as_set = as_set
         steps = plan.steps
         self.cells: Dict[str, object] = {
             "apply": _apply_function,
@@ -322,7 +334,8 @@ class _Writer:
         self.filled = {step[1] for step in steps if step[0] == _ASSIGN} | {
             slot for step in steps if step[0] == _MATCH for slot, _ in step[6]
         }
-        self.weighted = any(
+        # The lead row's weight travels to the leaf; a set leaf has none.
+        self.weighted = not as_set and any(
             step[0] == _MATCH and step[1] == plan.pivot for step in steps
         )
         self.live: Set[str] = set()  # locals filled so far
@@ -423,8 +436,11 @@ class _Writer:
             else:
                 self.membership(*step)
         self.line("if budget is not None: budget.tick()")
-        weight = "w" if self.weighted else "1"
-        self.line(f"append(({self.row(self.plan.head_slots)}, {weight}))")
+        row = self.row(self.plan.head_slots)
+        if self.as_set:
+            self.line(f"append({row})")
+        else:
+            self.line(f"append(({row}, {'w' if self.weighted else '1'}))")
         self.finish()
         cells = ", ".join(self.cells)
         return "\n".join([f"def make({cells}):", *self.functions, "    return c0", ""])
@@ -494,15 +510,17 @@ class _Writer:
                 targets[position] = f"s{slot}"
                 self.live.add(f"s{slot}")
             self.line(f"{', '.join(targets)}{',' * (arity == 1)} = {row}")
-        if index == self.plan.pivot:
+        if index == self.plan.pivot and self.weighted:
             self.line(f"w = 1 if weights is None else weights[{row}]")
 
 
-def _generate(plan: Plan, before: int, after: int) -> Callable:
+def _generate(plan: Plan, before: int, after: int, as_set: bool) -> Callable:
     """One firing of ``plan`` under the two views, as a Python function
     ``(facts, index, plus, minus, registry, budget, append, lead,
-    weights) -> rows matched``; its source is kept as ``.source``."""
-    writer = _Writer(plan, before, after)
+    weights) -> rows matched`` that hands ``append`` each head row (set
+    leaf) or ``(head row, weight)`` pair; its source is kept as
+    ``.source``."""
+    writer = _Writer(plan, before, after, as_set)
     source = writer.source()
     namespace: Dict[str, Callable] = {}
     exec(compile(source, "<join plan>", "exec"), _GLOBALS, namespace)
@@ -515,8 +533,8 @@ class JoinKernel:
     """Pattern-indexed fact store + the rule firing.
 
     ``plus`` / ``minus`` are the net per-predicate deltas committed so
-    far in the batch in flight; :meth:`commit_add` / :meth:`commit_remove`
-    keep them net, and the :data:`OLD` view reads through them, so no
+    far in the batch in flight; :meth:`commit_add` / :meth:`commit_add_all`
+    / :meth:`commit_remove` keep them net, and the :data:`OLD` view reads through them, so no
     engine ever copies a relation to see its old state.
     """
 
@@ -580,6 +598,25 @@ class JoinKernel:
                     bucket.add(row)
         return True
 
+    def add_all(self, predicate: str, rows: Iterable[Row]) -> Set[Row]:
+        """Add rows; the new ones (only they touch the indexes)."""
+        fresh = set(rows)
+        if not fresh:  # as no ``add`` call, creates no entry in ``facts``
+            return fresh
+        store = self.rows(predicate)
+        fresh -= store
+        store |= fresh
+        for widest, key_of, table in self._keyed.get(predicate, ()):
+            for row in fresh:
+                if len(row) > widest:
+                    key = key_of(row)
+                    bucket = table.get(key)
+                    if bucket is None:
+                        table[key] = {row}
+                    else:
+                        bucket.add(row)
+        return fresh
+
     def remove(self, predicate: str, row: Row) -> bool:
         """Remove a row; True when it was present (updates the indexes)."""
         rows = self.facts.get(predicate)
@@ -606,6 +643,19 @@ class JoinKernel:
             self.plus.setdefault(predicate, set()).add(row)
         return True
 
+    def commit_add_all(self, predicate: str, rows: Iterable[Row]) -> Set[Row]:
+        """:meth:`add_all`, recorded in the net ``plus`` / ``minus`` deltas."""
+        fresh = self.add_all(predicate, rows)
+        if fresh:
+            added = fresh
+            minus = self.minus.get(predicate)
+            if minus:
+                added = fresh - minus
+                minus -= fresh
+            if added:
+                self.plus.setdefault(predicate, set()).update(added)
+        return fresh
+
     def commit_remove(self, predicate: str, row: Row) -> bool:
         """:meth:`remove`, recorded in the net ``plus`` / ``minus`` deltas."""
         if not self.remove(predicate, row):
@@ -626,8 +676,10 @@ class JoinKernel:
         before: int = NEW,
         after: int = NEW,
         budget: Optional[EvaluationBudget] = None,
-    ) -> List[Tuple[Row, int]]:
-        """All ``(head row, weight)`` instances of one compiled firing.
+        as_set: bool = False,
+    ):
+        """All ``(head row, weight)`` instances of one compiled firing —
+        or, ``as_set``, the set of their head rows.
 
         ``lead`` feeds the plan's lead step: an iterable of rows (weight
         1 each) or a row → weight mapping such as a Z-set, whose weight
@@ -635,15 +687,17 @@ class JoinKernel:
         passes the already sign-flipped delta (``Δ(¬q) = −Δq``) or the
         set of atoms whose flip is the trigger.  Body items left of the
         lead read the ``before`` view, the others ``after``.  Each rule
-        instance is reported once, with one ``budget.tick()``.
+        instance is reported once, with one ``budget.tick()``, under
+        either leaf.
         """
         if plan.pivot <= 0:  # no body item sits left of the lead
             before = NEW
-        function = plan.functions.get((before, after))
+        key = (before, after, as_set)
+        function = plan.functions.get(key)
         if function is None:
             # Unlocked: two threads racing here generate the same code.
-            function = plan.functions[before, after] = _generate(plan, before, after)
-        produced: List[Tuple[Row, int]] = []
+            function = plan.functions[key] = _generate(plan, *key)
+        produced = set() if as_set else []
         pulled = function(
             self.facts,
             self.index,
@@ -651,7 +705,7 @@ class JoinKernel:
             self.minus,
             self.registry,
             budget,
-            produced.append,
+            produced.add if as_set else produced.append,
             lead,
             lead if hasattr(lead, "items") else None,
         )
@@ -674,6 +728,7 @@ class JoinKernel:
         inner: Collection[str] = (),
         budget: Optional[EvaluationBudget] = None,
         size: Optional[int] = None,
+        as_set: bool = False,
     ) -> bool:
         """The one semi-naive round loop.
 
@@ -681,7 +736,8 @@ class JoinKernel:
         each later round every ``(predicate, plan)`` lead with its
         predicate's rows in the round's delta (``size`` at a time).  A
         firing reads ``before`` / ``after``; ``admit(plan, produced)``
-        returns its new head rows.  Rows of a ``held`` predicate wait in
+        returns its new head rows, ``produced`` being what :meth:`fire`
+        returned under ``as_set``.  Rows of a ``held`` predicate wait in
         :attr:`held` for the round's end, then join the store as
         :attr:`plus` (``OLD``: the store the round began with); rows of
         an ``inner`` one lead this round's later firings; the rest
@@ -695,7 +751,7 @@ class JoinKernel:
         for index in count():
             self.held = pending = {}
             for plan, rows in firings:
-                fresh = admit(plan, self.fire(plan, rows, before, after, budget))
+                fresh = admit(plan, self.fire(plan, rows, before, after, budget, as_set))
                 if not fresh:
                     continue
                 head = plan.head
@@ -707,8 +763,7 @@ class JoinKernel:
                     ahead.setdefault(head, set()).update(fresh)
             if held:
                 for predicate, rows in pending.items():
-                    for row in rows:
-                        self.add(predicate, row)
+                    self.add_all(predicate, rows)
                 self.plus = pending
                 ahead.update(pending)
             if step(index, ahead) is False:

@@ -60,11 +60,10 @@ def seminaive_stratified(
     strata = stratify(program)
     state = JoinKernel(registry)
     for predicate in database.predicates():
-        for row in database.rows(predicate):
-            state.add(predicate, row)
+        state.add_all(predicate, database.rows(predicate))
 
     def admit(plan, produced):
-        fresh = [row for row, _weight in produced if state.add(plan.head, row)]
+        fresh = state.add_all(plan.head, produced)
         if budget is not None:
             budget.tick(phase="seminaive")
             for _row in fresh:
@@ -99,7 +98,7 @@ def seminaive_stratified(
             if isinstance(item, Literal) and item.positive
             and item.atom.predicate in heads
         ]
-        state.close(naive, leads, admit, step, budget=budget)
+        state.close(naive, leads, admit, step, budget=budget, as_set=True)
 
     return {
         predicate: frozenset(rows) for predicate, rows in state.facts.items()

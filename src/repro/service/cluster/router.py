@@ -615,9 +615,14 @@ class ClusterRouter:
             except Exception:  # pragma: no cover - shutdown best effort
                 logger.exception("final cluster checkpoint failed")
             self.durability = None
+        # All at once: each stop can wait out its worker's join timeout.
         loop = asyncio.get_running_loop()
-        for handle in self._workers.values():
-            await loop.run_in_executor(None, handle.stop_process)
+        await asyncio.gather(
+            *(
+                loop.run_in_executor(None, handle.stop_process)
+                for handle in self._workers.values()
+            )
+        )
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
 

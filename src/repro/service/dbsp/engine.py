@@ -142,11 +142,11 @@ class DBSPEngine:
             predicate: IncrementalDistinct() for predicate in self._linear
         }
         for predicate in self.edb.predicates():
+            rows = self.edb.rows(predicate)
+            self.state.add_all(predicate, rows)
             node = self.distinct_nodes.get(predicate)
-            for row in self.edb.rows(predicate):
-                self.state.add(predicate, row)
-                if node is not None:
-                    node.weights[row] = node.weights.get(row, 0) + 1
+            if node is not None:
+                node.weights.update(dict.fromkeys(rows, 1))
         for component in self.prepared.schedule:
             if not component.has_rules():
                 continue
@@ -165,20 +165,21 @@ class DBSPEngine:
 
     def _initial_linear(self, component: Component) -> None:
         (predicate,) = component.predicates
-        node = self.distinct_nodes[predicate]
+        weights = self.distinct_nodes[predicate].weights
         for plan in component.circuit.naive:
-            for head_row, weight in self.state.fire(plan):
-                node.weights[head_row] = node.weights.get(head_row, 0) + weight
-                self.state.add(predicate, head_row)
+            produced = self.state.fire(plan)
+            for head_row, weight in produced:
+                weights[head_row] = weights.get(head_row, 0) + weight
+            self.state.add_all(predicate, [head_row for head_row, _ in produced])
 
     def _initial_fixpoint(self, component: Component) -> None:
-        add = self.state.add
+        add_all = self.state.add_all
         self._closure(
             component,
             "component",
             "dbsp-initialize",
             [(plan, None) for plan in component.circuit.naive],
-            lambda plan, produced: [row for row, _ in produced if add(plan.head, row)],
+            lambda plan, produced: add_all(plan.head, produced),
         )
 
     def _closure(
@@ -192,7 +193,8 @@ class DBSPEngine:
         view: int = NEW,
     ) -> None:
         """Close a recursive component on the kernel's fixpoint driver:
-        ``start``, then the component's own leads, all read at ``view``."""
+        ``start``, then the component's own leads, all read at ``view``;
+        ``admit`` takes each firing's head rows as a set."""
 
         def step(index: int, delta: FactDelta) -> None:
             if index == self.max_rounds:
@@ -206,7 +208,7 @@ class DBSPEngine:
 
         internal = component.circuit.internal
         leads = [(variant.predicate, variant.plan) for variant in internal]
-        self.state.close(start, leads, admit, step, delta, view, view)
+        self.state.close(start, leads, admit, step, delta, view, view, as_set=True)
 
     def _triggers(
         self, component: Component, positive: FactDelta, negated: FactDelta
@@ -329,10 +331,11 @@ class DBSPEngine:
     # -- net-delta bookkeeping ------------------------------------------------
 
     def _commit_zset(self, predicate: str, delta: ZSet) -> None:
+        self.state.commit_add_all(
+            predicate, [row for row, weight in delta.items() if weight > 0]
+        )
         for row, weight in delta.items():
-            if weight > 0:
-                self.state.commit_add(predicate, row)
-            else:
+            if weight <= 0:
                 self.state.commit_remove(predicate, row)
 
     # -- linear components: one bilinearity sweep -----------------------------
@@ -430,9 +433,8 @@ class DBSPEngine:
 
         def admit(plan: Plan, produced) -> Set[Row]:
             """The present rows not yet retracted: now retracted."""
-            present = state.facts.get(plan.head, ())
-            gone = retracted.get(plan.head, ())
-            fresh = {row for row, _ in produced if row in present and row not in gone}
+            fresh = produced.intersection(state.facts.get(plan.head, ()))
+            fresh.difference_update(retracted.get(plan.head, ()))
             if fresh:
                 retracted.setdefault(plan.head, set()).update(fresh)
             return fresh
@@ -482,14 +484,14 @@ class DBSPEngine:
         for predicate, rows in support_seeds.items():
             delta.setdefault(predicate, set()).update(rows)
         for predicate in component.predicates:
-            for row in seed_plus.get(predicate, ()):
-                if state.commit_add(predicate, row):
-                    delta.setdefault(predicate, set()).add(row)
+            fresh = state.commit_add_all(predicate, seed_plus.get(predicate, ()))
+            if fresh:
+                delta.setdefault(predicate, set()).update(fresh)
 
         # Round 0 triggers from earlier components: a positive literal
         # that gained rows, or a negated atom that became false.
-        def admit(plan: Plan, produced) -> List[Row]:
-            return [row for row, _ in produced if state.commit_add(plan.head, row)]
+        def admit(plan: Plan, produced) -> Set[Row]:
+            return state.commit_add_all(plan.head, produced)
 
         triggers = self._triggers(component, state.plus, state.minus)
         self._closure(

@@ -1,7 +1,7 @@
 """Plans compiled to Python: the generated firing functions' contract.
 
 :meth:`JoinKernel.fire` runs one generated function per ``(plan,
-before, after)``.  These tests pin what that must not change: the
+before, after, leaf)``.  These tests pin what that must not change: the
 instances (held to the nested-loop ``reference`` of
 ``tests/property/test_kernel_plans.py``, also past CPython's nested-block
 limit), the ``rows_matched`` accounting, where the functions are cached
@@ -75,7 +75,22 @@ def test_kernels_share_one_function_per_plan_and_views():
     second.fire(plan, {(2, 3)})
     assert _functions(plan) == [function]
     second.fire(plan, {(2, 3)}, OLD, OLD)
-    assert len(plan.functions) == 2 and plan.functions[NEW, NEW] is function
+    assert len(plan.functions) == 2 and plan.functions[NEW, NEW, False] is function
+
+
+def test_the_set_leaf_is_a_function_of_its_own():
+    rule = _rule("leaf_tc(X, Z) :- leaf_tc(X, Y), leaf_e(Y, Z).")
+    first, second = JoinKernel(), JoinKernel()
+    plan = first.plan(rule, 0)
+    second.register(plan)
+    first.add("leaf_e", (2, 3))
+    second.add("leaf_e", (2, 4))
+    assert first.fire(plan, {(1, 2): 5}) == [((1, 3), 5)]
+    assert first.fire(plan, {(1, 2): 5}, as_set=True) == {(1, 3)}
+    assert second.fire(plan, {(1, 2), (0, 2)}, as_set=True) == {(1, 4), (0, 4)}
+    assert set(plan.functions) == {(NEW, NEW, False), (NEW, NEW, True)}
+    weighted, heads = plan.functions[NEW, NEW, False], plan.functions[NEW, NEW, True]
+    assert "weights[" in weighted.source and "weights[" not in heads.source
 
 
 def test_a_function_lives_and_dies_with_its_plan():
@@ -280,9 +295,11 @@ def test_the_source_carries_identifiers_and_integers_only():
         plan = kernel.plan(rule, lead)
         for before, after in itertools.product((NEW, OLD), repeat=2):
             produced = kernel.fire(plan, rows, before, after)
-            assert Counter(produced) == reference(
-                rule, lead, rows, before, after, facts, plus, minus
-            ), (lead, before, after)
+            expected = reference(rule, lead, rows, before, after, facts, plus, minus)
+            assert Counter(produced) == expected, (lead, before, after)
+            heads = kernel.fire(plan, rows, before, after, as_set=True)
+            assert heads == {head for head, _weight in expected}, (lead, before, after)
+        assert {leaf for _before, _after, leaf in plan.functions} == {False, True}
         for function in _functions(plan):
             source = function.source
             for text in HOSTILE + [QUOTED, "import", "'", '"']:

@@ -10,7 +10,9 @@ assignments under one lead and tests under another, and negated
 literals; states are random relations with random net ``plus`` /
 ``minus`` overlays; the lead is each body literal in turn (positive or
 negated, fed a row set or a weighted delta), the head (the re-derivation
-probe), or none.
+probe), or none.  The set leaf must list exactly the weighted firing's
+head rows, and the batch store (``add_all`` / ``commit_add_all``) must
+leave the store exactly as a per-row loop does.
 
 The grounder's plans — a rule's positive projection with the whole
 instance as its head row — are ordinary plans and are held to the same
@@ -196,6 +198,78 @@ def test_indexes_follow_adds_and_removes(rule, store):
     assert Counter(kernel.fire(compile_plan(rule))) == reference(
         rule, None, None, NEW, NEW, facts, {}, {}
     )
+
+
+# -- the set leaf and the batch store -----------------------------------------
+
+
+class _Ticks:
+    """A budget that only counts its ticks."""
+
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+@given(st.data(), rules, stores(), views, views)
+@settings(max_examples=200, deadline=None)
+def test_the_set_leaf_lists_the_weighted_firings_head_rows(data, rule, store, before, after):
+    """Same heads, same rows matched, one tick per instance under both leaves."""
+    facts, plus, minus = store
+    lead, lead_rows = data.draw(leads(rule))
+    kernel = _kernel(facts, plus, minus)
+    plan = kernel.plan(rule, lead)
+    weighted, heads = _Ticks(), _Ticks()
+    instances = kernel.fire(plan, lead_rows, before, after, weighted)
+    matched = kernel.rows_matched
+    produced = kernel.fire(plan, lead_rows, before, after, heads, as_set=True)
+    assert isinstance(produced, set)
+    assert produced == {row for row, _weight in instances}
+    assert kernel.rows_matched == 2 * matched
+    assert heads.ticks == weighted.ticks == len(instances)
+
+
+batches = st.lists(
+    st.sampled_from(sorted(ARITIES)).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(list(itertools.product(DOMAIN, repeat=ARITIES[name]))),
+                    st.sampled_from([(0,), (1, 2, 3)]),  # another arity
+                ),
+                max_size=6,
+            ),
+        )
+    ),
+    max_size=5,
+)
+
+
+@given(rules, stores(), batches)
+@settings(max_examples=200, deadline=None)
+def test_batch_adds_store_exactly_what_row_adds_store(rule, store, batch_list):
+    """``add_all`` / ``commit_add_all`` against a per-row ``add`` /
+    ``commit_add`` loop: the same rows, indexes and net deltas, and the
+    rows that loop reported new."""
+    facts, plus, minus = store
+    for commit in (False, True):
+        one, many = (_kernel(facts, {}, {}) for _ in range(2))
+        for kernel in (one, many):
+            for lead in [None, HEAD] + list(range(len(rule.body))):
+                if lead in (None, HEAD) or isinstance(rule.body[lead], Literal):
+                    kernel.plan(rule, lead)
+            kernel.plus = {name: set(rows) for name, rows in plus.items()}
+            kernel.minus = {name: set(rows) for name, rows in minus.items()}
+        for name, rows in batch_list:
+            add = one.commit_add if commit else one.add
+            new = {row for row in rows if add(name, row)}
+            add_all = many.commit_add_all if commit else many.add_all
+            assert add_all(name, rows) == new
+            assert many.facts == one.facts and many.index == one.index
+            assert many.plus == one.plus and many.minus == one.minus
 
 
 # -- the grounder's instance-returning plans ----------------------------------

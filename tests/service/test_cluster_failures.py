@@ -541,6 +541,32 @@ class TestRouterInternals:
 
         self._run(scenario)
 
+    def test_stop_stops_every_worker_at_once(self):
+        # stop_process can block for its join timeout; one worker at a
+        # time, a cluster's shutdown took the sum of those waits.  Every
+        # fake stop waits at a barrier that only the last one through
+        # can open, so a sequential stop breaks it.
+        async def scenario(socket_path):
+            router = ClusterRouter(socket_path, shards=3)
+            barrier = threading.Barrier(3, timeout=5)
+            events = []
+
+            class FakeHandle:
+                def __init__(self, shard_id):
+                    self.shard_id = shard_id
+
+                def stop_process(self):
+                    events.append(("start", self.shard_id))
+                    barrier.wait()
+                    events.append(("return", self.shard_id))
+
+            router._workers = {shard: FakeHandle(shard) for shard in router._workers}
+            await router.stop()
+            assert [kind for kind, _ in events] == ["start"] * 3 + ["return"] * 3
+            assert {shard for _, shard in events} == set(router._workers)
+
+        self._run(scenario)
+
     def test_inflight_counts_requests_parked_on_the_slot_semaphore(self):
         # Regression: inflight was incremented only after acquiring the
         # concurrency slot, so drain's in-flight flush could miss a
