@@ -14,7 +14,8 @@ discipline for every semiring**:
    from every lower row that was present and whose annotation or
    presence changed, and from every negated atom that became present:
    the *cone* is every row with an old derivation through something
-   that moved;
+   that moved, closed by :meth:`~repro.datalog.kernel.JoinKernel.close`
+   on the set leaf;
 2. **reset** the cone's rows to their EDB base annotation (absent if
    they have none);
 3. **re-derive from below** — the cone, plus the heads reached from
@@ -39,7 +40,8 @@ the kernel back exactly, and the view layer's rollback finds nothing to
 undo.  A build (:meth:`AnnotatedEngine.initialize`) is the same pass from
 ∅ — empty maps, a fresh kernel, every EDB fact staged as an insert, and
 each rule without a positive literal (which no row can lead) fired once
-— and as atomic; ``differential=False`` makes each burst such a rebuild.
+— and as atomic.  Registration, restore and recovery build; a burst
+only ever maintains.
 
 To the view layer this is a :class:`~repro.service.dbsp.engine.DBSPEngine`
 (``edb``, ``state.facts``, ``model()``, ``rows()``, ``apply_stream()``,
@@ -53,14 +55,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..datalog.annotated import (
-    AnnotationMap,
-    InstancePlan,
-    accumulate,
-    instance_plan,
-)
+from ..datalog.annotated import InstancePlan, accumulate, instance_plan
 from ..datalog.database import Database
-from ..datalog.kernel import NEW, OLD, JoinKernel, Plan
+from ..datalog.kernel import OLD, JoinKernel, Plan
 from ..datalog.stratification import NotStratifiedError
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
@@ -95,7 +92,6 @@ class AnnotatedEngine:
         metrics: Optional[ViewMetrics] = None,
         max_rounds: int = 1_000,
         budget: Optional[EvaluationBudget] = None,
-        differential: bool = True,
     ):
         if not prepared.stratified:
             raise NotStratifiedError(
@@ -108,7 +104,6 @@ class AnnotatedEngine:
         self.metrics = metrics if metrics is not None else ViewMetrics()
         self.max_rounds = max_rounds
         self.budget = budget
-        self.differential = differential
         self.edb = (database or Database()).copy()
         for predicate, row in prepared.seed_facts:
             if not self.edb.holds(predicate, *row):
@@ -240,15 +235,8 @@ class AnnotatedEngine:
         self.state.plus, self.state.minus = {}, {}
         try:
             self._write_edb(staged, 1)
-            if staged and self.differential:
+            if staged:
                 self._maintain(staged, undo)
-            elif staged:
-                before = self.maps
-                self.initialize()
-                for predicate in before.keys() | self.maps.keys():
-                    old = before.get(predicate, {})
-                    rows = old.keys() | self.maps.get(predicate, {}).keys()
-                    undo[predicate] = {row: old.get(row) for row in rows}
         except BaseException:
             self._write_edb(staged, 0)
             for predicate, rows in undo.items():
@@ -367,10 +355,6 @@ class AnnotatedEngine:
                 self.state.commit_add(predicate, row)
         return True
 
-    def _join(self, plan: Plan, lead, view: int = NEW) -> List[Tuple[Row, int]]:
-        """Fire one compiled plan (counted once the pass is through)."""
-        return self.state.fire(plan, lead, view, view, self.budget)
-
     def _maintain(
         self,
         staged: Mapping[Fact, Tuple[EdbState, EdbState]],
@@ -421,30 +405,38 @@ class AnnotatedEngine:
                 and (old if was else table.get(row)) is not None
             ]
 
-        # 1. The cone: rows with an OLD derivation through what moved.
+        def heads(plan: Plan, rows) -> Set[Row]:
+            """The head rows one NEW firing of ``plan`` derives."""
+            return state.fire(plan, rows, budget=self.budget, as_set=True)
+
+        # 1. The cone: rows with an OLD derivation through what moved,
+        # closed forward by JoinKernel.close from the moved rows.
         cone: Dict[str, Set[Row]] = {
             predicate: rows & state.rows(predicate) for predicate, rows in own.items()
         }
-        frontier = {predicate: set(rows) for predicate, rows in cone.items()}
 
-        def heads(plan: Plan, rows, view: int = NEW) -> Set[Row]:
-            return {head_row for head_row, _weight in self._join(plan, rows, view)}
-
-        def invalidate(plan: Plan, rows) -> None:
+        def admit(plan: Plan, produced: Set[Row]) -> Set[Row]:
             found = cone.setdefault(plan.head, set())
-            fresh = (heads(plan, rows, OLD) & state.rows(plan.head)) - found
+            fresh = (produced & state.rows(plan.head)) - found
             found |= fresh
-            frontier.setdefault(plan.head, set()).update(fresh)
+            return fresh
 
+        start = []
         for plan, predicate, negated in circuit.external:
             rows = state.plus.get(predicate) if negated else changed(predicate, True)
             if rows:
-                invalidate(plan, rows)
-        while any(frontier.values()):
-            delta, frontier = frontier, {}
-            for plan, predicate, _negated in circuit.internal:
-                if delta.get(predicate):
-                    invalidate(plan, delta[predicate])
+                start.append((plan, rows))
+        state.close(
+            start,
+            [(predicate, plan) for plan, predicate, _negated in circuit.internal],
+            admit,
+            lambda _round, _delta: None,
+            delta={predicate: set(rows) for predicate, rows in cone.items()},
+            before=OLD,
+            after=OLD,
+            budget=self.budget,
+            as_set=True,
+        )
 
         # 2. Reset it to what the EDB alone still says.
         for predicate, rows in cone.items():
@@ -480,7 +472,11 @@ class AnnotatedEngine:
                         values[row] = base
                 for compiled in instances[predicate]:
                     accumulate(
-                        self._join(compiled.plan, rows), compiled, maps, self.semiring, values
+                        state.fire(compiled.plan, rows, budget=self.budget),
+                        compiled,
+                        maps,
+                        self.semiring,
+                        values,
                     )
                 risen[predicate] = [
                     row for row in rows if self._put(predicate, row, values.get(row), undo)

@@ -126,12 +126,15 @@ def _fact_order(fact: Tuple[str, tuple]):
 
 
 def _restore_view(service, name: str, info: Dict[str, object]) -> int:
-    """Re-register one checkpointed view and reconcile its database."""
+    """Re-register one checkpointed view and reconcile its database.
+
+    An ``"incremental"`` key, which older checkpoints and ``register``
+    records carry, is ignored: the semantics and the semiring pick the
+    engine, and every engine reaches the same model."""
     service.register(
         name,
         info["source"],
         semantics=info.get("semantics", "stratified"),
-        incremental=bool(info.get("incremental", True)),
         # Explicit, not the service default: an operator who changes
         # ``--semiring`` must not silently re-interpret old state.
         semiring=info.get("semiring", "bool"),
@@ -184,7 +187,6 @@ def _apply_registration(service, record: WalRecord) -> None:
             name,
             operation["source"],
             semantics=operation.get("semantics", "stratified"),
-            incremental=bool(operation.get("incremental", True)),
             # Old (pre-semiring) records carry no key and replay as
             # boolean regardless of the service's current default.
             semiring=operation.get("semiring", "bool"),

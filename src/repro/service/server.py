@@ -334,14 +334,11 @@ class QueryService:
                             format_row(predicate, row)
                             for predicate, row in database
                         ]
-                        incremental = view.mode == "incremental"
                     else:
                         # Explicitly annotated facts are captured as
                         # ``fact @ text`` (the wire shape); defaulted
                         # facts stay bare and re-derive their from_edb
-                        # annotation on replay.  ``mode`` is always
-                        # "incremental" for annotated views, so the
-                        # requested flag is captured instead.
+                        # annotation on replay.
                         semiring = view.semiring_obj
                         facts = []
                         for predicate, row in database:
@@ -350,11 +347,9 @@ class QueryService:
                             if explicit is not None:
                                 text = f"{text} @ {semiring.format(explicit)}"
                             facts.append(text)
-                        incremental = view.incremental
                     entry = {
                         "source": source,
                         "semantics": view.semantics,
-                        "incremental": incremental,
                         "facts": facts,
                         "declared": sorted(database.predicates()),
                         "fingerprint": database.fingerprint(),
@@ -387,7 +382,6 @@ class QueryService:
         source,
         semantics: str = "stratified",
         database: Optional[Database] = None,
-        incremental: bool = True,
         semiring: Optional[str] = None,
     ) -> Dict[str, object]:
         """Register (or replace) a program and materialize its view.
@@ -425,7 +419,6 @@ class QueryService:
             semantics=semantics,
             registry=self.function_registry,
             metrics=ViewMetrics(sink=self.metrics),
-            incremental=incremental,
             max_rounds=self.max_rounds,
             max_atoms=self.max_atoms,
             budget_factory=self._budget_factory(),
@@ -457,7 +450,6 @@ class QueryService:
                     "view": name,
                     "source": source,
                     "semantics": semantics,
-                    "incremental": incremental,
                 }
                 # Journaled only when non-boolean, so boolean-mode WAL
                 # records stay byte-identical to the pre-semiring

@@ -22,13 +22,12 @@ reports each burst as the net ``plus`` / ``minus`` delta of the model:
   serves them);
 * a non-boolean ``semiring`` runs on an
   :class:`~repro.service.annotated.AnnotatedEngine`;
-* ``inflationary`` views, and boolean views registered with
-  ``incremental=False`` (``mode == "recompute"``), run on a **rebuild
-  engine**: each burst lands in the database and the program is
-  evaluated from scratch by :func:`~repro.datalog.engine.run`, once,
-  and the engine reports the net diff of both truth statuses — so the
-  evaluation happens at write time and the view publishes by delta like
-  every other.
+* ``inflationary`` views (``mode == "recompute"``), which no circuit
+  maintains, run on a **rebuild engine**: each burst lands in the
+  database and the program is evaluated from scratch by
+  :func:`~repro.datalog.engine.run`, once, and the engine reports the
+  net diff of both truth statuses — so the evaluation happens at write
+  time and the view publishes by delta like every other.
 
 Snapshot publication (the one read path): every consistent model the
 view reaches is published as an immutable, versioned
@@ -117,8 +116,7 @@ def _diff(old: Model, new: Model) -> Tuple[Model, Model]:
 
 class _RebuildEngine:
     """The engine of a view no circuit maintains (``mode ==
-    "recompute"``): ``inflationary`` views and boolean
-    ``incremental=False`` ones.
+    "recompute"``): an ``inflationary`` view.
 
     A burst lands in ``edb`` and ``evaluate(edb, budget)`` — the view's
     :meth:`MaterializedView._ensure_result`, i.e. :func:`run` — computes
@@ -232,7 +230,6 @@ class MaterializedView:
         semantics: str = "stratified",
         registry: Optional[FunctionRegistry] = None,
         metrics: Optional[ViewMetrics] = None,
-        incremental: bool = True,
         max_rounds: int = 10_000,
         max_atoms: int = 1_000_000,
         budget_factory: Optional[Callable[[], EvaluationBudget]] = None,
@@ -280,18 +277,8 @@ class MaterializedView:
         # swap its successor in under the view lock.
         self._published: AtomicReference = AtomicReference(None)
         self._generation = 0
-        # On an annotated view ``incremental=False`` only makes the
-        # engine re-initialize per batch instead of maintaining.  The
-        # requested flag is kept verbatim so checkpoints can
-        # re-register the view the same way (``mode`` alone conflates
-        # the two).
-        self.incremental = bool(incremental)
-        self.mode = (
-            "incremental"
-            if (incremental or semiring != "bool")
-            and semantics != "inflationary"
-            else "recompute"
-        )
+        # Only the inflationary semantics has no maintained engine.
+        self.mode = "recompute" if semantics == "inflationary" else "incremental"
         # The bounded group-commit queue: the server's update verb
         # submits batches here and the view-lock leader drains them
         # into one apply_stream pass (write pipelining for free on both
@@ -313,7 +300,7 @@ class MaterializedView:
         self._publish_model()
 
     def _engine(self, database: Optional[Database]):
-        """The engine this view's semantics, program and flags call for."""
+        """The engine this view's semantics, program and semiring call for."""
         budget = self._budget()
         if self.mode == "recompute":
             return _RebuildEngine(
@@ -333,7 +320,6 @@ class MaterializedView:
                 registry=self.registry,
                 metrics=self.metrics,
                 budget=budget,
-                differential=self.incremental,
             )
         # Valid and well-founded are the stratified model on a
         # stratified program; only negation through recursion needs the

@@ -200,7 +200,7 @@ class TestDegradedRecompute:
     when the rebuild keeps failing — the discipline of every engine."""
 
     def test_failing_rebuild_rolls_back_and_degrades(self):
-        view = _tc_view(semantics="valid", incremental=False)
+        view = _tc_view(semantics="inflationary")
         before = view.fingerprint()
         good_rows = view.rows("tc")
         with inject_faults(
@@ -222,7 +222,7 @@ class TestDegradedRecompute:
         assert (Atom("a"), Atom("d")) in view.rows("tc")
 
     def test_transient_rebuild_failure_rolls_back_and_stays_healthy(self):
-        view = _tc_view(semantics="valid", incremental=False)
+        view = _tc_view(semantics="inflationary")
         before = view.fingerprint()
         with inject_faults(
             FaultInjector([FaultRule("view.recompute", times=1)])
@@ -241,15 +241,19 @@ class TestDegradedRecompute:
             FaultInjector([FaultRule("view.recompute", times=None)])
         ):
             with pytest.raises(InjectedFault):
-                _tc_view(semantics="valid", incremental=False)
+                _tc_view(semantics="inflationary")
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_stale_service_preserves_undefined_rows(self, incremental):
+    @pytest.mark.parametrize(
+        "semantics, true, undefined",
+        [("valid", {"b"}, {"d"}), ("inflationary", {"a", "b", "d"}, set())],
+        ids=["chain", "rebuild"],
+    )
+    def test_stale_service_preserves_undefined_rows(self, semantics, true, undefined):
         # Regression: the degraded snapshot used to keep only the
         # certainly-true rows, so undefined_rows() answered empty while
         # stale — collapsing the three-valued distinction the valid
-        # semantics (Theorem 4.2) turns on.  Both the chain and the
-        # rebuild engine must keep it.
+        # semantics (Theorem 4.2) turns on.  The chain must keep it,
+        # and the rebuild engine (inflationary) its two-valued model.
         prepared = prepare_program(
             "win", "win(X) :- move(X, Y), not win(Y).\n"
         )
@@ -259,13 +263,12 @@ class TestDegradedRecompute:
             .add("move", Atom("b"), Atom("c"))
             .add("move", Atom("d"), Atom("d"))
         )
-        view = MaterializedView(
-            prepared, database, semantics="valid", incremental=incremental
-        )
+        view = MaterializedView(prepared, database, semantics=semantics)
         healthy_true = view.rows("win")
         healthy_undefined = view.undefined_rows("win")
-        assert healthy_true == {(Atom("b"),)}
-        assert healthy_undefined == {(Atom("d"),)}  # the d→d loop
+        assert healthy_true == {(Atom(x),) for x in true}
+        # Under the valid semantics, the d→d loop.
+        assert healthy_undefined == {(Atom(x),) for x in undefined}
         # Fail the batch in the engine (the chain's first level, or the
         # rebuild's evaluation), and every rebuild after the rollback.
         with inject_faults(
@@ -302,7 +305,7 @@ class TestDegradedRecompute:
         # Regression: recover() used to mark the view healthy *before*
         # attempting the rebuild, so a failed recovery briefly reported
         # healthy and reset the time-in-degraded clock.
-        view = _tc_view(semantics="valid", incremental=False)
+        view = _tc_view(semantics="inflationary")
         with inject_faults(
             FaultInjector([FaultRule("view.recompute", times=None)])
         ):

@@ -2,10 +2,8 @@
 
 For every binding pattern, the demand path (magic rewrite + seeded
 incremental entry) must return exactly the rows of the fully
-materialized oracle that match the pattern — across semantics, across
-both base-view engines (circuit and rebuild), through seeded random
-edit sequences,
-for empty-seed constants (no matching rows at all), and on recursive
+materialized oracle that match the pattern — across semantics, through
+seeded random edit sequences, for empty-seed constants (no matching rows at all), and on recursive
 components with stratified negation.  The oracle is ``query_state`` on
 the same service: the fully materialized base view, maintained through
 a completely separate code path from the demand entries.
@@ -150,22 +148,6 @@ def test_differential_group_commit_write_path():
     try:
         service.register("demo", PROGRAM)
         run_differential(service, seed=47, steps=6)
-    finally:
-        service.close()
-
-
-def test_differential_rebuild_base_view():
-    # An ``incremental=False`` base view runs on the rebuild engine; the
-    # demand entries beside it are still maintained incrementally, so
-    # the oracle and the demand path share no evaluation code.
-    service = QueryService()
-    try:
-        service.register("demo", PROGRAM, incremental=False)
-        assert service.view("demo").mode == "recompute"
-        run_differential(service, seed=13, steps=6)
-        counters = service.metrics_snapshot()["counters"]
-        assert counters["demand_registrations"] > 0
-        assert counters["demand_fallbacks"] == 0
     finally:
         service.close()
 

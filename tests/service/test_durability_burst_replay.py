@@ -17,6 +17,7 @@ The second half counts: passes, not records, after a recovery; and the
 scaling assertion ROADMAP carried — time(4N) ≤ 5 · time(N).
 """
 
+import json
 import math
 import os
 import random
@@ -54,7 +55,7 @@ def _register(name, rules=None):
     semantics, source, semiring, _base, _served = VIEWS[name]
     operation = {
         "op": "register", "view": name, "source": rules or source,
-        "semantics": semantics, "incremental": True,
+        "semantics": semantics,
     }
     if semiring != "bool":
         operation["semiring"] = semiring
@@ -354,6 +355,53 @@ def test_annotated_records_join_the_run(tmp_path):
     finally:
         service.close()
         reference.close()
+
+
+def _old_format(operation):
+    """A ``register`` record as logs and checkpoints once carried it."""
+    return {**operation, "incremental": False}
+
+
+@pytest.mark.parametrize("source", ["wal", "checkpoint"])
+def test_an_old_incremental_false_record_restores_a_maintained_view(tmp_path, source):
+    """Logs and checkpoints written while views could opt out of
+    maintenance carry ``"incremental": false``; recovery ignores the key,
+    so the boolean and the tropical view come back maintained."""
+    operations = [_old_format(_register("t")), _old_format(_register("c"))]
+    for i in range(6):
+        operations.append(_update("t", inserts=[f"edge(n{i}, n{i + 1})"]))
+        operations.append(_update("c", inserts=[f"edge(n{i}, n{i + 1}) @ {i + 1}"]))
+    operations.append(_update("t", deletes=["edge(n2, n3)"]))
+    operations.append(_update("c", deletes=["edge(n2, n3)"]))
+    data_dir = tmp_path / "data"
+    _write_log(data_dir, operations, torn_tail=False)
+    if source == "checkpoint":
+        # A clean shutdown leaves the whole state in one checkpoint and
+        # nothing in the log past it; then the old key goes back in.
+        _open(data_dir).close()
+        (path,) = data_dir.glob("checkpoint-*.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        views = document["state"]["views"]
+        assert set(views) == {"t", "c"}
+        for entry in views.values():
+            assert "incremental" not in entry
+            entry["incremental"] = False
+        path.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+    service = _open(data_dir)
+    try:
+        if source == "checkpoint":
+            assert service.last_recovery.replayed_records == 0
+        for name in ("t", "c"):
+            view = service.view(name)
+            assert view.mode == "incremental", name
+            assert _counters(service, name).get("recompute_batches", 0) == 0
+        assert service.stats("t")["maintenance"] == "dbsp"
+        assert service.stats("c")["maintenance"] == "annotated"
+        assert _counters(service, "c")["annotated_initializes"] == 1
+        assert service.query("t", "tc") and service.query("c", "tc")
+        _check_against_oracle(service)
+    finally:
+        service.close()
 
 
 def test_recovery_work_is_linear_in_the_log(tmp_path):

@@ -27,10 +27,10 @@ alternating chain: recovery rebuilds the chain from the recovered
 facts, true and undefined rows must equal ``run()``, and no ``@prev``
 helper predicate may have reached the WAL, a checkpoint, ``stats`` or
 a reply.  It runs twice more on the rebuild engine — transitive
-closure registered with ``incremental=False`` and win-move under the
-inflationary semantics — so WAL replay and checkpoint restore re-drive
-``run()`` per burst, and recovery puts the view back on the engine it
-was registered on.
+closure and win-move under the inflationary semantics, the one
+evaluated directly, the other grounded — so WAL replay and checkpoint
+restore re-drive ``run()`` per burst, and recovery puts the view back
+on the engine it was registered on.
 
 Two subprocess tests then run the real thing end-to-end: ``SIGKILL``
 with ``--fsync=always`` loses no acked update across a restart, and
@@ -98,16 +98,13 @@ class Config(NamedTuple):
     predicate: str
     query: str
     script: tuple
-    incremental: bool = True
 
 
 TC_CONFIG = Config(RULES, "stratified", "edge", "tc", SCRIPT)
 WIN_CONFIG = Config(WIN_RULES, "valid", "move", "win", WIN_SCRIPT)
-#: The rebuild engine's two entry points: a forced-recompute view and an
-#: inflationary one.
-TC_RECOMPUTE_CONFIG = Config(
-    RULES, "stratified", "edge", "tc", SCRIPT, incremental=False
-)
+#: The rebuild engine's two routes through ``run()``: a positive
+#: program evaluated directly, and one with negation, grounded.
+TC_RECOMPUTE_CONFIG = Config(RULES, "inflationary", "edge", "tc", SCRIPT)
 WIN_INFLATIONARY_CONFIG = Config(
     WIN_RULES, "inflationary", "move", "win", WIN_SCRIPT
 )
@@ -139,10 +136,7 @@ def _run_script(service, config=TC_CONFIG):
     last_rollup = {}
     try:
         pending = ("register", None)
-        service.register(
-            "g", config.rules, semantics=config.semantics,
-            incremental=config.incremental,
-        )
+        service.register("g", config.rules, semantics=config.semantics)
         registered = True
         pending = None
         last_rollup = dict(service.metrics_snapshot()["rollup"])
@@ -188,9 +182,7 @@ def _verify_recovery(
             return
         view = recovered.view("g")
         assert view.mode == (
-            "recompute"
-            if config.semantics == "inflationary" or not config.incremental
-            else "incremental"
+            "recompute" if config.semantics == "inflationary" else "incremental"
         )
         assert view.read_snapshot() is not None
         got = {(predicate, tuple(row)) for predicate, row in view.database}
@@ -282,17 +274,17 @@ def test_crash_matrix_valid(tmp_path, fsync, point):
 @pytest.mark.parametrize("fsync", FSYNC_MODES)
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_matrix_recompute(tmp_path, fsync, point):
-    """The matrix on an ``incremental=False`` view: recovery re-registers
-    it on the rebuild engine and replays the WAL one ``run()`` per
-    burst."""
+    """The matrix on an inflationary transitive closure: recovery
+    re-registers it on the rebuild engine and replays the WAL one
+    ``run()`` per burst."""
     _crash_matrix(tmp_path, fsync, point, TC_RECOMPUTE_CONFIG)
 
 
 @pytest.mark.parametrize("fsync", FSYNC_MODES)
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_matrix_inflationary(tmp_path, fsync, point):
-    """The matrix on an inflationary view, the rebuild engine's other
-    client: recovered rows equal ``run(semantics="inflationary")``."""
+    """The matrix on an inflationary view with negation: recovered rows
+    equal ``run(semantics="inflationary")``."""
     _crash_matrix(tmp_path, fsync, point, WIN_INFLATIONARY_CONFIG)
 
 

@@ -59,7 +59,7 @@ class TestMaintenanceSurface:
     def test_recompute_views_report_no_maintenance_engine(self):
         service = QueryService()
         try:
-            service.register("v", TC, incremental=False)
+            service.register("v", TC, semantics="inflationary")
             assert service.stats("v")["maintenance"] is None
         finally:
             service.close()

@@ -298,9 +298,8 @@ class TestMaintenanceDiscipline:
             assert _support(view.engine) == {p: rows for p, rows in plain.items() if rows}
         assert matched[128] <= 5 * matched[64], matched
 
-    @pytest.mark.parametrize("incremental", [True, False])
     @pytest.mark.parametrize("semiring", ANNOTATED)
-    def test_a_build_fires_the_rules_no_row_leads(self, semiring, incremental):
+    def test_a_build_fires_the_rules_no_row_leads(self, semiring):
         """A rule without a positive literal — only comparisons, or only
         negations — is never led by a staged row, so the build fires it
         once; what it derives feeds the rest of the pass.  A later
@@ -308,9 +307,7 @@ class TestMaintenanceDiscipline:
         prepared = prepare_program(
             "p", "p(a) :- not q(a).\nn(X) :- X = 0.\nm(X) :- n(X).\n"
         )
-        view = MaterializedView(
-            prepared, Database(), semiring=semiring, incremental=incremental
-        )
+        view = MaterializedView(prepared, Database(), semiring=semiring)
 
         def agrees():
             oracle = annotated_model(prepared.program, view.database, view.semiring_obj)
@@ -327,33 +324,13 @@ class TestMaintenanceDiscipline:
         view.delete("q", a)
         assert agrees() and view.engine.rows("p") == {(a,)}
 
-    def test_incremental_false_initializes_once_per_batch(self):
-        database = Database().add("edge", a, b).add("edge", b, c)
-        view = MaterializedView(
-            prepare_program("tc", TC), database, semiring="tropical",
-            incremental=False,
-        )
-        counters = view.metrics.counters
-        before = dict(counters)
-        view.insert("edge", c, Atom("d"))
-        view.apply_stream([([("edge", (a, c))], []), ([], [("edge", (a, b))])])
-        assert counters["annotated_initializes"] == before["annotated_initializes"] + 2
-        # A build is the maintenance pass from ∅, so it reports the
-        # rules it fired and the rows it matched like any other pass.
-        for name in ("overdeleted_total", "rederived_total", "recompute_batches"):
-            assert counters[name] == before[name], name
-        assert counters.get("annotated_recomputes", 0) == 0
-        assert view.engine.maps == annotated_model(
-            view.prepared.program, view.database, view.semiring_obj
-        )
-
-    def _two_component_view(self, **kwargs):
+    def _two_component_view(self):
         database = Database()
         for pair, cost in (((a, b), 1), ((b, c), 2), ((a, c), 7)):
             database.add("edge", *pair, annotation=cost)
         return MaterializedView(
             prepare_program("far", TWO_COMPONENTS), database,
-            semiring="tropical", **kwargs,
+            semiring="tropical",
         )
 
     def _batch(self):
@@ -373,15 +350,13 @@ class TestMaintenanceDiscipline:
         )
         assert view.engine.maps["far"] == {(a, Atom("d")): 10}
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_fault_in_the_second_component_undoes_the_first(self, incremental):
+    def test_fault_in_the_second_component_undoes_the_first(self):
         """The engine maintains in place, so a batch failing after
         ``tc`` was maintained must put back the EDB *with its explicit
         annotations* (the view's own rollback re-adds rows bare), the
         maps, the kernel's support and leave the published snapshot —
-        then take the same batch.  Without ``incremental`` the batch is
-        a rebuild, and the fault stops it half way through."""
-        view = self._two_component_view(incremental=incremental)
+        then take the same batch."""
+        view = self._two_component_view()
         before = _engine_state(view)
         injector = FaultInjector(
             # Recovery's initialize must be allowed through.
@@ -392,8 +367,7 @@ class TestMaintenanceDiscipline:
         # The failing apply reached both components and died in the
         # second; the recovery build then passed through both again.
         assert raised.value.hit == 2
-        builds = 1 if incremental else 2
-        assert injector.hits["incremental.initialize"] == builds
+        assert injector.hits["incremental.initialize"] == 1
         assert injector.hits["incremental.component"] == 2 + 2
         assert not view.stale
         after = _engine_state(view)
@@ -402,9 +376,8 @@ class TestMaintenanceDiscipline:
         assert view.database.annotation("edge", (b, c)) == 2
         self._assert_batch_lands(view)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_step_budget_inside_a_firing_undoes_the_batch(self, incremental):
-        view = self._two_component_view(incremental=incremental)
+    def test_step_budget_inside_a_firing_undoes_the_batch(self):
+        view = self._two_component_view()
         before = _engine_state(view)
         draws = iter([EvaluationBudget(max_steps=3)])
         view.budget_factory = lambda: next(draws, EvaluationBudget())
@@ -448,15 +421,13 @@ class TestMaintenanceDiscipline:
 
     def test_a_failing_build_keeps_the_model(self):
         """A build fails like a write: a fault in its second component
-        leaves the maps, the support and the EDB it started from —
-        whether it is a rebuild on its own or a burst's."""
+        leaves the maps, the support and the EDB it started from, as a
+        burst's maintenance pass does."""
         prepared = prepare_program("far", TWO_COMPONENTS)
         database = Database()
         for pair, cost in (((a, b), 1), ((b, c), 2), ((a, c), 7)):
             database.add("edge", *pair, annotation=cost)
-        engine = AnnotatedEngine(
-            prepared, get_semiring("tropical"), database, differential=False
-        )
+        engine = AnnotatedEngine(prepared, get_semiring("tropical"), database)
         maps, state, support = engine.maps, engine.state, _support(engine)
         fingerprint = engine.edb.fingerprint()
         for build in (
@@ -474,6 +445,88 @@ class TestMaintenanceDiscipline:
         engine.initialize()
         assert engine.maps == maps and _support(engine) == support
 
+
+GATED = (
+    "r(X, Y) :- e(X, Y), not cut(X, Y).\n"
+    "r(X, Z) :- r(X, Y), e(Y, Z), not cut(Y, Z).\n"
+)
+LEADLESS = "p(a) :- not q(a).\nn(X) :- X = 0.\nm(X) :- n(X).\n"
+
+#: name → (program, EDB facts as ``(predicate, row)`` or, with an
+#: explicit tropical cost, ``(predicate, row, cost)``, the writes applied
+#: after the build as :meth:`MaterializedView.apply` keyword arguments).
+WORK_CASES = {
+    "tc": (TC, [("edge", (a, b)), ("edge", (b, c)), ("edge", (c, Atom("d")))], [
+        dict(inserts=[("edge", (a, c))]),
+        dict(deletes=[("edge", (b, c))]),
+        dict(inserts=[("edge", (Atom("d"), a))], deletes=[("edge", (a, c))]),
+    ]),
+    "far": (TWO_COMPONENTS, [("edge", (a, b)), ("edge", (b, c)), ("edge", (a, c))], [
+        dict(inserts=[("edge", (c, Atom("d"))), ("edge", (a, b))],
+             deletes=[("edge", (b, c))]),
+        dict(inserts=[("edge", (b, c))]),
+    ]),
+    "gated": (GATED, [("e", (a, b)), ("e", (b, c)), ("e", (c, b))], [
+        dict(inserts=[("cut", (a, b))]),
+        dict(deletes=[("cut", (a, b))]),
+    ]),
+    "leadless": (LEADLESS, [], [
+        dict(inserts=[("q", (a,))]),
+        dict(deletes=[("q", (a,))]),
+    ]),
+    "costs": (TWO_COMPONENTS, [("edge", (a, b), 1), ("edge", (b, c), 2), ("edge", (a, c), 7)], [
+        dict(inserts=[("edge", (c, Atom("d"))), ("edge", (a, b))],
+             deletes=[("edge", (b, c))],
+             annotations={("edge", (c, Atom("d"))): 3, ("edge", (a, b)): 4}),
+        dict(inserts=[("edge", (b, c))], annotations={("edge", (b, c)): 1}),
+        dict(inserts=[("edge", (a, c))], annotations={("edge", (a, c)): 1}),
+    ]),
+}
+
+#: ``(case, semiring)`` → the view's cumulative ``(rules_fired,
+#: rows_matched, overdeleted_total, rederived_total)`` after the build
+#: and after each write.  Literals recorded from the hand-written cone
+#: loop that ``JoinKernel.close`` replaced (the same under any hash
+#: seed: a round fires each plan once with all its rows).  ``naturals``
+#: diverges on ``gated``'s cycle.
+WORK = {
+    ("tc", "naturals"): [(11, 39, 0, 0), (19, 54, 0, 0), (29, 83, 4, 2), (41, 118, 6, 2)],
+    ("tc", "tropical"): [(11, 39, 0, 0), (15, 47, 0, 0), (25, 76, 4, 2), (37, 111, 6, 2)],
+    ("tc", "why"): [(11, 39, 0, 0), (19, 54, 0, 0), (29, 83, 4, 2), (41, 118, 6, 2)],
+    ("far", "naturals"): [(11, 43, 0, 0), (27, 91, 3, 1), (40, 151, 4, 2)],
+    ("far", "tropical"): [(10, 42, 0, 0), (26, 85, 3, 1), (37, 128, 3, 1)],
+    ("far", "why"): [(11, 43, 0, 0), (27, 91, 3, 1), (40, 151, 4, 2)],
+    ("gated", "tropical"): [(10, 62, 0, 0), (16, 77, 2, 0), (26, 100, 2, 0)],
+    ("gated", "why"): [(16, 89, 0, 0), (22, 104, 2, 0), (38, 141, 2, 0)],
+    ("leadless", "naturals"): [(6, 5, 0, 0), (8, 7, 1, 0), (10, 9, 1, 0)],
+    ("leadless", "tropical"): [(6, 5, 0, 0), (8, 7, 1, 0), (10, 9, 1, 0)],
+    ("leadless", "why"): [(6, 5, 0, 0), (8, 7, 1, 0), (10, 9, 1, 0)],
+    ("costs", "tropical"): [(11, 43, 0, 0), (27, 107, 4, 2), (40, 167, 5, 3), (57, 206, 8, 6)],
+}
+
+
+@pytest.mark.parametrize("case, semiring", sorted(WORK))
+def test_annotated_work_counts(case, semiring):
+    """Characterisation: what a build and each write cost the annotated
+    engine, counted by the view's own metrics; and every write still
+    lands on the oracle's model."""
+    program, facts, writes = WORK_CASES[case]
+    database = Database()
+    for predicate, row, *cost in facts:
+        database.add(predicate, *row, annotation=cost[0] if cost else None)
+    view = MaterializedView(prepare_program(case, program), database, semiring=semiring)
+    counters = view.metrics.counters
+    names = ("rules_fired", "rows_matched", "overdeleted_total", "rederived_total")
+    work = [tuple(counters.get(name, 0) for name in names)]
+    for write in writes:
+        view.apply(**write)
+        work.append(tuple(counters.get(name, 0) for name in names))
+        oracle = annotated_model(view.prepared.program, view.database, view.semiring_obj)
+        assert {p: rows for p, rows in view.engine.maps.items() if rows} == {
+            p: rows for p, rows in oracle.items() if rows
+        }
+    assert work == WORK[case, semiring]
+    assert counters["annotated_initializes"] == 1
 
 class TestLineProtocol:
     def test_annotated_insert_and_explain_round_trip(self):

@@ -76,7 +76,7 @@ class TestQueryService:
         service = QueryService()
         service.register("tc", TC)
         service.register("win", WIN, semantics="valid")
-        service.register("slow", WIN, semantics="valid", incremental=False)
+        service.register("slow", WIN, semantics="inflationary")
         stats = service.stats()
         assert set(stats["views"]) == {"tc", "win", "slow"}
         assert stats["views"]["win"]["mode"] == "incremental"

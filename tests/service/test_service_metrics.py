@@ -313,10 +313,10 @@ class TestFallbackDistinction:
 
     def test_routine_recompute_batches_are_not_fallbacks(self):
         service = QueryService()
-        # A view forced off the maintained engines rebuilds on every
-        # batch by design — none of that traffic is a fallback.  The
-        # same program left on them recomputes nothing.
-        service.register("win", TC, semantics="valid", incremental=False)
+        # An inflationary view rebuilds on every batch by design —
+        # none of that traffic is a fallback.  The same program on a
+        # maintained engine recomputes nothing.
+        service.register("win", TC, semantics="inflationary")
         service.register("fast", TC, semantics="valid")
         for node in ("p", "q", "r"):
             service.insert("win", "edge", node, node + "2")

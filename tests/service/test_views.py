@@ -7,7 +7,7 @@ from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import seminaive_stratified
 from repro.datalog.stratification import NotStratifiedError
 from repro.relations import Atom
-from repro.service import MaterializedView, prepare_program
+from repro.service import MaterializedView, QueryService, prepare_program
 
 a, b, c, d, e = (Atom(x) for x in "abcde")
 
@@ -124,6 +124,29 @@ class TestIncrementalFastPath:
 
 
 class TestRecomputeFallback:
+    def test_the_engine_follows_from_semantics_alone(self):
+        """No switch takes a view off its maintained engine: only the
+        inflationary semantics rebuilds."""
+        prepared = prepare_program("tc", TC)
+        with pytest.raises(TypeError):
+            MaterializedView(prepared, incremental=False)
+        service = QueryService()
+        try:
+            with pytest.raises(TypeError):
+                service.register("v", TC, incremental=False)
+            modes = {
+                semantics: service.register(semantics, TC, semantics=semantics)["mode"]
+                for semantics in ("stratified", "valid", "wellfounded", "inflationary")
+            }
+        finally:
+            service.close()
+        assert modes == {
+            "stratified": "incremental",
+            "valid": "incremental",
+            "wellfounded": "incremental",
+            "inflationary": "recompute",
+        }
+
     def test_nonstratified_routes_to_the_chain(self):
         db = Database().add("move", a, b).add("move", b, c).add("move", d, d)
         view = MaterializedView(
@@ -134,29 +157,27 @@ class TestRecomputeFallback:
         assert view.stats()["maintenance"] == "alternating"
         assert view.rows("win") == {(b,)}
         assert view.undefined_rows("win") == {(d,)}
-        # The rebuild engine serves the inflationary semantics and
-        # views forced off the maintained engines.
-        for kwargs in (
-            {"semantics": "inflationary"},
-            {"semantics": "valid", "incremental": False},
-        ):
-            slow = MaterializedView(prepare_program("win", WIN), db, **kwargs)
-            assert slow.mode == "recompute"
-            assert slow.alternation_levels() == 0
-        assert slow.rows("win") == {(b,)}
-        assert slow.undefined_rows("win") == {(d,)}
+        # The rebuild engine serves the inflationary semantics, and
+        # only it.
+        slow = MaterializedView(
+            prepare_program("win", WIN), db, semantics="inflationary"
+        )
+        assert slow.mode == "recompute"
+        assert slow.alternation_levels() == 0
+        assert slow.rows("win") == {(a,), (b,), (d,)}
+        assert slow.undefined_rows("win") == frozenset()
 
     def test_update_counts_fallback_and_stays_correct(self):
         db = Database().add("move", a, b)
         chained = MaterializedView(
             prepare_program("win", WIN), db, semantics="valid"
         )
-        forced = MaterializedView(
-            prepare_program("win", WIN), db, semantics="valid", incremental=False
+        rebuilt = MaterializedView(
+            prepare_program("win", WIN), db, semantics="inflationary"
         )
         for view, mode, recomputes in (
             (chained, "incremental", 0),
-            (forced, "recompute", 1),
+            (rebuilt, "recompute", 1),
         ):
             assert view.rows("win") == {(a,)}
             summary = view.delete("move", a, b)
@@ -170,10 +191,10 @@ class TestRecomputeFallback:
             assert view.metrics.counters["recompute_fallbacks"] == 0
         assert chained.metrics.counters["update_batches"] == 1
 
-    def test_forced_recompute_on_stratified_program(self):
+    def test_rebuild_on_stratified_program(self):
         db = Database().add("edge", a, b).add("edge", b, c)
         view = MaterializedView(
-            prepare_program("tc", TC), db, incremental=False
+            prepare_program("tc", TC), db, semantics="inflationary"
         )
         assert view.mode == "recompute"
         assert view.rows("tc") == {(a, b), (b, c), (a, c)}
@@ -184,8 +205,8 @@ class TestRecomputeFallback:
 
     def test_chain_view_never_grounds(self, monkeypatch):
         """Counted at ``ground()`` itself: a chain view's writes never
-        ground, while a rebuild view over the same program grounds its
-        negative cycle on every write (the counter is live)."""
+        ground, while an inflationary view over the same program grounds
+        it on every write (the counter is live)."""
         import repro.datalog.engine
         import repro.datalog.grounding
 
@@ -203,8 +224,7 @@ class TestRecomputeFallback:
             prepare_program("win4", WIN), db, semantics="valid"
         )
         rebuild = MaterializedView(
-            prepare_program("win4", WIN), db, semantics="valid",
-            incremental=False,
+            prepare_program("win4", WIN), db, semantics="inflationary"
         )
         grounded_at_registration = len(calls)
         for view in (chain, rebuild):
