@@ -15,13 +15,16 @@ propositional solve.  Only the cone's rules are grounded, over that
 model as their database, and solved by the requested semantics; a
 stratified program never grounds, ``win-move`` grounds whole.
 
-Three inputs keep the whole program on ground-then-solve: an explicit
+Four inputs keep the whole program on ground-then-solve: an explicit
 ``ground_program=`` (the reference path the routes are tested against),
-``require_complete=False`` (a truncated window was asked for), and
+``require_complete=False`` (a truncated window was asked for),
 ``inflationary`` semantics over a program with any negation — ``not q``
 reads "not derived *so far*", which is not modular (and holds of a
 database relation too in round one: the stages start from nothing).
 Without negation the inflationary result *is* the least fixpoint.
+And a program that uses one predicate at two arities: a
+:class:`Database` keeps one arity per predicate, so the direct model
+could not be handed to the cone as its database.
 """
 
 from __future__ import annotations
@@ -108,6 +111,14 @@ class QueryResult:
         )
 
 
+def _one_arity_each(program: Program) -> bool:
+    try:
+        program.arities()
+    except ValueError:
+        return False
+    return True
+
+
 def run(
     program: Program,
     database: Optional[Database] = None,
@@ -149,6 +160,7 @@ def run(
         )
     closed, opened = (), program.rules
     split = semantics != "inflationary" or not any(map(Rule.negative_literals, opened))
+    split = split and _one_arity_each(program)
     if ground_program is None and require_complete and split:
         closed = tuple(r for r in opened if r.head.predicate not in cone)
         opened = tuple(r for r in opened if r.head.predicate in cone)

@@ -148,3 +148,20 @@ def test_cone_is_computed_once_per_program():
     run(parse_program(DEDUCTIVE_CORPUS["double-negation"].source), database)
     after = open_cone.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+
+def test_a_predicate_at_two_arities_under_a_cone():
+    # ``m`` is closed and read by the cone at arities 1 and 2; a
+    # Database keeps one arity per predicate, so the hand-off from the
+    # direct model to the cone used to raise.
+    program = parse_program(
+        "m(0, 0) :- f(1).\nm(X) :- f(X).\nq(X) :- m(X), not q(X)."
+    )
+    database = Database().add("f", 1)
+    for semantics in ("inflationary", "wellfounded", "valid"):
+        routed = run(program, database, semantics)
+        forced = run(program, database, semantics, ground_program=ground(program, database))
+        for predicate in ("m", "q"):
+            assert routed.true_rows(predicate) == forced.true_rows(predicate)
+            assert routed.undefined_rows(predicate) == forced.undefined_rows(predicate)
+    assert run(program, database, "valid").undefined_rows("q") == {(1,)}
