@@ -22,8 +22,7 @@ value, brackets with variables make a ``tuple(...)`` function term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..relations.values import Atom, Tup, Value
 from .ast import (
@@ -51,23 +50,25 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+# No two alternatives start alike, so they are tried most frequent
+# first; ``bad`` takes any character the others refuse.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<arrow>:-)
-  | (?P<op><=|>=|!=|=|<|>)
+    (?P<name>[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<punct>[(),.\[\]])
+  | (?P<ws>\s+)
   | (?P<int>-?\d+)
   | (?P<string>'(?:[^'\\]|\\.)*')
-  | (?P<name>[a-zA-Z_][a-zA-Z0-9_]*)
+  | (?P<arrow>:-)
+  | (?P<op><=|>=|!=|=|<|>)
+  | (?P<comment>%[^\n]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -75,23 +76,31 @@ class _Token:
 
 
 def _tokenize(source: str) -> List[_Token]:
+    """One pass of ``_TOKEN_RE`` over ``source``: every character lands
+    in some group, so a character no token admits is a ``bad`` match."""
     tokens: List[_Token] = []
+    append = tokens.append
+    new = tuple.__new__  # _Token(...) without the keyword-handling wrapper
     line, line_start = 1, 0
-    index = 0
-    while index < len(source):
-        match = _TOKEN_RE.match(source, index)
-        if not match:
-            column = index - line_start + 1
-            raise ParseError(f"unexpected character {source[index]!r}", (line, column))
-        kind = match.lastgroup or ""
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "comment":
+            continue
         text = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, index - line_start + 1))
+        start = match.start()
+        if kind != "ws":
+            if kind == "bad":
+                raise ParseError(
+                    f"unexpected character {text!r}", (line, start - line_start + 1)
+                )
+            append(new(_Token, (kind, text, line, start - line_start + 1)))
+            if kind != "string":
+                continue
+        # Only whitespace and quoted strings span lines.
         newlines = text.count("\n")
         if newlines:
             line += newlines
-            line_start = index + text.rfind("\n") + 1
-        index = match.end()
+            line_start = start + text.rfind("\n") + 1
     return tokens
 
 
@@ -106,11 +115,11 @@ class _Parser:
         return None
 
     def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
+        index = self._index
+        if index >= len(self._tokens):
             raise ParseError("unexpected end of input")
-        self._index += 1
-        return token
+        self._index = index + 1
+        return self._tokens[index]
 
     def _expect(self, text: str) -> _Token:
         token = self._next()
@@ -124,48 +133,52 @@ class _Parser:
         """Have all tokens been consumed?"""
         return self._index >= len(self._tokens)
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it reads ``text``."""
+        index = self._index
+        if index < len(self._tokens) and self._tokens[index].text == text:
+            self._index = index + 1
+            return True
+        return False
+
+    def _arguments(self, close: str) -> List[Term]:
+        """Comma-separated terms, then ``close``."""
+        args: List[Term] = []
+        if not self.accept(close):
+            args.append(self.parse_term())
+            while self.accept(","):
+                args.append(self.parse_term())
+            self._expect(close)
+        return args
+
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self) -> Term:
         """Parse one term."""
         token = self._next()
-        if token.kind == "int":
-            return Const(int(token.text))
-        if token.kind == "string":
-            inner = token.text[1:-1]
+        kind, text = token.kind, token.text
+        if kind == "name":
+            if text[0].isupper() or text[0] == "_":
+                return Var(text)
+            if self.accept("("):
+                return FuncTerm(text, tuple(self._arguments(")")))
+            if text == "true":
+                return Const(True)
+            if text == "false":
+                return Const(False)
+            return Const(Atom(text))
+        if kind == "int":
+            return Const(int(text))
+        if kind == "string":
+            inner = text[1:-1]
             return Const(inner.replace("\\'", "'").replace("\\\\", "\\"))
-        if token.text == "[":
-            items: List[Term] = []
-            if self._peek() and self._peek().text != "]":
-                items.append(self.parse_term())
-                while self._peek() and self._peek().text == ",":
-                    self._next()
-                    items.append(self.parse_term())
-            self._expect("]")
+        if text == "[":
+            items = self._arguments("]")
             if all(isinstance(item, Const) for item in items):
                 return Const(Tup(tuple(item.value for item in items)))
             return FuncTerm("tuple", tuple(items))
-        if token.kind == "name":
-            if token.text[0].isupper() or token.text[0] == "_":
-                return Var(token.text)
-            nxt = self._peek()
-            if nxt and nxt.text == "(":
-                self._next()
-                args: List[Term] = []
-                if self._peek() and self._peek().text != ")":
-                    args.append(self.parse_term())
-                    while self._peek() and self._peek().text == ",":
-                        self._next()
-                        args.append(self.parse_term())
-                self._expect(")")
-                return FuncTerm(token.text, tuple(args))
-            if token.text == "true":
-                return Const(True)
-            if token.text == "false":
-                return Const(False)
-            return Const(Atom(token.text))
         raise ParseError(
-            f"expected a term, found {token.text!r}", (token.line, token.column)
+            f"expected a term, found {text!r}", (token.line, token.column)
         )
 
     # -- atoms and body items --------------------------------------------------
@@ -178,16 +191,7 @@ class _Parser:
                 f"expected a predicate name, found {token.text!r}",
                 (token.line, token.column),
             )
-        args: List[Term] = []
-        nxt = self._peek()
-        if nxt and nxt.text == "(":
-            self._next()
-            if self._peek() and self._peek().text != ")":
-                args.append(self.parse_term())
-                while self._peek() and self._peek().text == ",":
-                    self._next()
-                    args.append(self.parse_term())
-            self._expect(")")
+        args = self._arguments(")") if self.accept("(") else ()
         return PredAtom(token.text, tuple(args))
 
     def parse_body_item(self):
@@ -218,13 +222,10 @@ class _Parser:
     def parse_rule(self) -> Rule:
         """Parse one rule."""
         head = self.parse_atom()
-        token = self._peek()
         body: List = []
-        if token and token.text == ":-":
-            self._next()
+        if self.accept(":-"):
             body.append(self.parse_body_item())
-            while self._peek() and self._peek().text == ",":
-                self._next()
+            while self.accept(","):
                 body.append(self.parse_body_item())
         self._expect(".")
         return Rule(head, tuple(body))

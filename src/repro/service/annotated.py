@@ -160,11 +160,12 @@ class AnnotatedEngine:
             for p in self.edb.predicates() for row in self.edb.rows(p)
         }
         try:
-            self._maintain(staged, {}, seed=True)
+            work = self._maintain(staged, {}, seed=True)
         except BaseException:
             self.maps, self.state = kept
             raise
-        self.metrics.bump("annotated_initializes")
+        work["annotated_initializes"] = 1
+        self.metrics.bump_many(work)
 
     # -- reads ----------------------------------------------------------------
 
@@ -232,11 +233,12 @@ class AnnotatedEngine:
                     )
         staged, applied_inserts, applied_deletes = self._stage(batches, annotations)
         undo: UndoLog = {}
+        work: Dict[str, int] = {}
         self.state.plus, self.state.minus = {}, {}
         try:
             self._write_edb(staged, 1)
             if staged:
-                self._maintain(staged, undo)
+                work = self._maintain(staged, undo)
         except BaseException:
             self._write_edb(staged, 0)
             for predicate, rows in undo.items():
@@ -264,15 +266,17 @@ class AnnotatedEngine:
         batch_count = len(batches)
         delta_plus = sum(len(rows) for rows in plus.values())
         delta_minus = sum(len(rows) for rows in minus.values())
-        bump = self.metrics.bump
-        bump("update_batches", batch_count)
-        bump("incremental_batches", batch_count)
-        bump("circuit_steps")
-        bump("delta_batches_coalesced", batch_count - 1)
-        bump("inserts_applied", applied_inserts)
-        bump("deletes_applied", applied_deletes)
-        bump("delta_plus_total", delta_plus)
-        bump("delta_minus_total", delta_minus)
+        work.update(
+            update_batches=batch_count,
+            incremental_batches=batch_count,
+            circuit_steps=1,
+            delta_batches_coalesced=batch_count - 1,
+            inserts_applied=applied_inserts,
+            deletes_applied=applied_deletes,
+            delta_plus_total=delta_plus,
+            delta_minus_total=delta_minus,
+        )
+        self.metrics.bump_many(work)
         summary = {"delta_plus": delta_plus, "delta_minus": delta_minus, "batches": batch_count}
         for name, delta in zip(("plus", "minus", "annotated_plus", "annotated_minus"), deltas):
             summary[name] = {p: frozenset(rows) for p, rows in delta.items()}
@@ -360,10 +364,12 @@ class AnnotatedEngine:
         staged: Mapping[Fact, Tuple[EdbState, EdbState]],
         undo: UndoLog,
         seed: bool = False,
-    ) -> None:
+    ) -> Dict[str, int]:
         """One pass over the schedule for the staged EDB change; a build
-        (``seed``) also fires every rule no row can lead."""
+        (``seed``) also fires every rule no row can lead.  Returns the
+        pass's work counters, for the caller to report in one update."""
         fired, pulled = self.state.rules_fired, self.state.rows_matched
+        work = {"overdeleted_total": 0, "rederived_total": 0}
         # predicate → rows whose base (EDB) annotation the burst moved.
         moved: Dict[str, Set[Row]] = {}
         for (predicate, row), (was, now) in staged.items():
@@ -379,9 +385,10 @@ class AnnotatedEngine:
                 fault_point("incremental.component")
                 if self.budget is not None:
                     self.budget.note_iteration(phase="annotated-maintain")
-                self._maintain_component(component, instances, own, undo, seeds)
-        self.metrics.bump("rules_fired", self.state.rules_fired - fired)
-        self.metrics.bump("rows_matched", self.state.rows_matched - pulled)
+                self._maintain_component(component, instances, own, undo, work, seeds)
+        work["rules_fired"] = self.state.rules_fired - fired
+        work["rows_matched"] = self.state.rows_matched - pulled
+        return work
 
     def _maintain_component(
         self,
@@ -389,9 +396,11 @@ class AnnotatedEngine:
         instances: Dict[str, Tuple[InstancePlan, ...]],
         own: Dict[str, Set[Row]],
         undo: UndoLog,
+        work: Dict[str, int],
         seeds: Tuple[Plan, ...] = (),
     ) -> None:
-        """Invalidate the cone, reset it, re-derive from below and the seeds."""
+        """Invalidate the cone, reset it, re-derive from below and the
+        seeds; count the rows into ``work``."""
         state, maps, circuit = self.state, self.maps, component.circuit
 
         def changed(predicate: str, was: bool) -> List[Row]:
@@ -442,7 +451,7 @@ class AnnotatedEngine:
         for predicate, rows in cone.items():
             for row in rows:
                 self._put(predicate, row, self._effective(predicate, row), undo)
-        self.metrics.bump("overdeleted_total", sum(map(len, cone.values())))
+        work["overdeleted_total"] += sum(map(len, cone.values()))
 
         # 3. Re-derive from below: the cone, the rows whose base moved, the
         # seeds' heads and the heads reachable (at NEW) from what is new.
@@ -492,7 +501,6 @@ class AnnotatedEngine:
                 " (naturals over a cyclic derivation space diverge by design)",
                 progress=self.budget.progress if self.budget is not None else None,
             )
-        self.metrics.bump(
-            "rederived_total",
-            sum(len(rows & state.rows(predicate)) for predicate, rows in cone.items()),
+        work["rederived_total"] += sum(
+            len(rows & state.rows(predicate)) for predicate, rows in cone.items()
         )

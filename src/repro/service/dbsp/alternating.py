@@ -111,9 +111,11 @@ class _LevelMetrics:
         self._counters = counters
         self.phase = view_metrics.phase
 
-    def bump(self, counter: str, amount: int = 1) -> None:
-        if counter in self._counters:
-            self._view_metrics.bump(counter, amount)
+    def bump_many(self, amounts: Dict[str, int]) -> None:
+        counters = self._counters
+        self._view_metrics.bump_many(
+            {counter: amount for counter, amount in amounts.items() if counter in counters}
+        )
 
 
 class AlternatingEngine:
@@ -281,8 +283,9 @@ class AlternatingEngine:
         plus, minus = visible(true_delta[0]), visible(true_delta[1])
         delta_plus = sum(len(rows) for rows in plus.values())
         delta_minus = sum(len(rows) for rows in minus.values())
-        self.metrics.bump("delta_plus_total", delta_plus)
-        self.metrics.bump("delta_minus_total", delta_minus)
+        self.metrics.bump_many(
+            {"delta_plus_total": delta_plus, "delta_minus_total": delta_minus}
+        )
         return {
             "delta_plus": delta_plus,
             "delta_minus": delta_minus,

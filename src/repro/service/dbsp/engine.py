@@ -122,6 +122,9 @@ class DBSPEngine:
         # integrated weights count derivations (plus 1 per EDB row), so
         # presence is simply "integrated weight > 0".
         self.distinct_nodes: Dict[str, IncrementalDistinct] = {}
+        # The counters of the pass in progress, reported in one update
+        # when it is through (a pass that raises reports none).
+        self._work: Dict[str, int] = {}
         self._linear: Set[str] = {
             predicate
             for component in prepared.schedule
@@ -154,14 +157,9 @@ class DBSPEngine:
                 self._initial_fixpoint(component)
             else:
                 self._initial_linear(component)
-        self._account(0, 0)
-
-    def _account(self, fired: int, pulled: int) -> None:
-        """Report the kernel's firings and rows matched since ``fired`` /
-        ``pulled``: counted once a pass is through, not per firing."""
-        state = self.state
-        self.metrics.bump("rules_fired", state.rules_fired - fired)
-        self.metrics.bump("rows_matched", state.rows_matched - pulled)
+        self.metrics.bump_many(
+            {"rules_fired": self.state.rules_fired, "rows_matched": self.state.rows_matched}
+        )
 
     def _initial_linear(self, component: Component) -> None:
         (predicate,) = component.predicates
@@ -273,25 +271,30 @@ class DBSPEngine:
         self.state.plus = plus
         self.state.minus = minus
 
-        fired, pulled = self.state.rules_fired, self.state.rows_matched
+        state = self.state
+        fired, pulled = state.rules_fired, state.rows_matched
+        work = self._work = {"overdeleted_total": 0, "rederived_total": 0}
         try:
             self._run_circuit(seed)
         except NegativeWeightError as exc:
             raise IncrementalMaintenanceError(str(exc)) from exc
-        self._account(fired, pulled)
 
         batch_count = len(batches)
-        self.metrics.bump("update_batches", batch_count)
-        self.metrics.bump("incremental_batches", batch_count)
-        self.metrics.bump("circuit_steps")
-        if batch_count > 1:
-            self.metrics.bump("delta_batches_coalesced", batch_count - 1)
-        self.metrics.bump("inserts_applied", applied_inserts)
-        self.metrics.bump("deletes_applied", applied_deletes)
         delta_plus = sum(len(rows) for rows in plus.values())
         delta_minus = sum(len(rows) for rows in minus.values())
-        self.metrics.bump("delta_plus_total", delta_plus)
-        self.metrics.bump("delta_minus_total", delta_minus)
+        work.update(
+            rules_fired=state.rules_fired - fired,
+            rows_matched=state.rows_matched - pulled,
+            update_batches=batch_count,
+            incremental_batches=batch_count,
+            circuit_steps=1,
+            delta_batches_coalesced=batch_count - 1,
+            inserts_applied=applied_inserts,
+            deletes_applied=applied_deletes,
+            delta_plus_total=delta_plus,
+            delta_minus_total=delta_minus,
+        )
+        self.metrics.bump_many(work)
         return {
             "delta_plus": delta_plus,
             "delta_minus": delta_minus,
@@ -446,9 +449,7 @@ class DBSPEngine:
         self._closure(
             component, "retraction closure of", "dbsp-retract", triggers, admit, delta, OLD
         )
-        total = sum(len(rows) for rows in retracted.values())
-        if total:
-            self.metrics.bump("overdeleted_total", total)
+        self._work["overdeleted_total"] += sum(len(rows) for rows in retracted.values())
         return retracted
 
     def _support_rederive(
@@ -468,8 +469,7 @@ class DBSPEngine:
                     self.state.commit_add(predicate, row)
                     seeds.setdefault(predicate, set()).add(row)
                     rederived += 1
-        if rederived:
-            self.metrics.bump("rederived_total", rederived)
+        self._work["rederived_total"] += rederived
         return seeds
 
     def _insert_closure(

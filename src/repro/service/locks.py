@@ -84,21 +84,11 @@ class ReadWriteLock:
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
+        self._read_side = _ReadSide(self)
 
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
+    def read_locked(self) -> "_ReadSide":
         """Hold the shared (read) side for the ``with`` body."""
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
+        return self._read_side
 
     @contextmanager
     def write_locked(self) -> Iterator[None]:
@@ -119,6 +109,30 @@ class ReadWriteLock:
                 self._cond.notify_all()
 
 
+class _ReadSide:
+    """``with lock.read_locked()``: no per-holder state, so one object
+    serves every reader."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: ReadWriteLock) -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        lock = self._lock
+        with lock._cond:
+            while lock._writer_active or lock._writers_waiting:
+                lock._cond.wait()
+            lock._readers += 1
+
+    def __exit__(self, *exc_info) -> None:
+        lock = self._lock
+        with lock._cond:
+            lock._readers -= 1
+            if not lock._readers:
+                lock._cond.notify_all()
+
+
 class InstrumentedLock:
     """A reentrant lock that reports wait/hold times and can be faulted.
 
@@ -132,20 +146,32 @@ class InstrumentedLock:
         self.recorder = recorder
         self._lock = threading.RLock()
 
-    @contextmanager
-    def held(self) -> Iterator[None]:
+    def held(self) -> "_Hold":
         """Acquire for the ``with`` body, recording wait and hold time."""
-        fault_point("service.lock")
-        requested = time.perf_counter()
-        self._lock.acquire()
-        acquired = time.perf_counter()
-        try:
-            yield
-        finally:
-            held = time.perf_counter() - acquired
-            self._lock.release()
-            if self.recorder is not None:
-                self.recorder(self.name, acquired - requested, held)
+        return _Hold(self)
 
     def __repr__(self) -> str:
         return f"<InstrumentedLock {self.name!r}>"
+
+
+class _Hold:
+    """One ``with lock.held()`` block: its acquisition times (the lock is
+    reentrant, so every hold keeps its own)."""
+
+    __slots__ = ("_lock", "_requested", "_acquired")
+
+    def __init__(self, lock: InstrumentedLock) -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        fault_point("service.lock")
+        self._requested = time.perf_counter()
+        self._lock._lock.acquire()
+        self._acquired = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        held = time.perf_counter() - self._acquired
+        lock = self._lock
+        lock._lock.release()
+        if lock.recorder is not None:
+            lock.recorder(lock.name, self._acquired - self._requested, held)

@@ -26,8 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Mapping, Optional
 
 __all__ = ["Histogram", "ServiceMetrics", "ViewMetrics"]
 
@@ -126,7 +125,8 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """File one observation (negative values clamp to zero)."""
-        value = max(0.0, value)
+        if value < 0.0:
+            value = 0.0
         self.count += 1
         self.sum += value
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
@@ -155,7 +155,6 @@ class ViewMetrics:
 
     def __init__(self, sink: Optional["ServiceMetrics"] = None) -> None:
         self.counters: Dict[str, int] = {name: 0 for name in _COUNTERS}
-        self.phase_seconds: Dict[str, float] = {}
         self.phase_histograms: Dict[str, Histogram] = {}
         self.sink = sink
         # Snapshot-path queries bump counters without holding the view
@@ -170,21 +169,32 @@ class ViewMetrics:
         with self._counter_lock:
             self.counters[counter] = self.counters.get(counter, 0) + amount
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate the wall-clock of a maintenance/query phase."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + elapsed
-            histogram = self.phase_histograms.get(name)
-            if histogram is None:
-                histogram = self.phase_histograms[name] = Histogram()
-            histogram.observe(elapsed)
-            if self.sink is not None:
-                self.sink.observe_phase(name, elapsed)
+    def bump_many(self, amounts: Mapping[str, int]) -> None:
+        """:meth:`bump` each counter of ``amounts`` in one locked update
+        (an engine pass reports all its counters at once)."""
+        counters = self.counters
+        with self._counter_lock:
+            for counter, amount in amounts.items():
+                counters[counter] = counters.get(counter, 0) + amount
+
+    def phase(self, name: str) -> "_Phase":
+        """Accumulate the wall-clock of a maintenance/query phase over a
+        ``with`` body (recorded also when the body raises)."""
+        return _Phase(self, name)
+
+    @property
+    def phase_seconds(self) -> Dict[str, float]:
+        """Accumulated wall-clock per phase (its histogram's sum)."""
+        return {name: h.sum for name, h in self.phase_histograms.items()}
+
+    def observe_phase(self, name: str, elapsed: float) -> None:
+        """File one phase timing here and at the sink."""
+        histogram = self.phase_histograms.get(name)
+        if histogram is None:
+            histogram = self.phase_histograms[name] = Histogram()
+        histogram.observe(elapsed)
+        if self.sink is not None:
+            self.sink.observe_phase(name, elapsed)
 
     # -- degraded-time tracking ----------------------------------------------
 
@@ -228,6 +238,44 @@ class ViewMetrics:
         return f"<ViewMetrics {busy}>"
 
 
+class _Phase:
+    """One ``with metrics.phase(name)`` block: its start time, filed on
+    exit."""
+
+    __slots__ = ("_metrics", "_name", "_start")
+
+    def __init__(self, metrics: ViewMetrics, name: str) -> None:
+        self._metrics = metrics
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self._metrics.observe_phase(self._name, time.perf_counter() - self._start)
+
+
+class _Request:
+    """The ``with metrics.request()`` block: the request counter and the
+    in-flight gauge.  It keeps no per-request state, so one serves all."""
+
+    __slots__ = ("_metrics",)
+
+    def __init__(self, metrics: "ServiceMetrics") -> None:
+        self._metrics = metrics
+
+    def __enter__(self) -> None:
+        metrics = self._metrics
+        with metrics._lock:
+            metrics.counters["requests_total"] += 1
+            metrics._inflight += 1
+
+    def __exit__(self, *exc_info) -> None:
+        metrics = self._metrics
+        with metrics._lock:
+            metrics._inflight -= 1
+
+
 class ServiceMetrics:
     """Service-level aggregation: counters, gauges, histograms, rollup.
 
@@ -246,6 +294,7 @@ class ServiceMetrics:
         self.retired_counters: Dict[str, int] = {}
         self.retired_degraded_seconds = 0.0
         self._inflight = 0
+        self._request = _Request(self)
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a service-level counter."""
@@ -267,17 +316,10 @@ class ServiceMetrics:
                 histogram = self.phase_histograms[name] = Histogram()
             histogram.observe(seconds)
 
-    @contextmanager
-    def request(self) -> Iterator[None]:
-        """Track one protocol request: total counter + in-flight gauge."""
-        with self._lock:
-            self.counters["requests_total"] += 1
-            self._inflight += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._inflight -= 1
+    def request(self) -> _Request:
+        """Track one protocol request over a ``with`` body: total counter
+        + in-flight gauge."""
+        return self._request
 
     @property
     def inflight(self) -> int:

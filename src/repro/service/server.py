@@ -91,7 +91,7 @@ from ..datalog.ast import Const, Var
 from ..datalog.database import Database
 from ..datalog.engine import SEMANTICS
 from ..datalog.magic import adornment_for, magic_transform
-from ..datalog.parser import _Parser, _tokenize, parse_program
+from ..datalog.parser import _Parser, _tokenize
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import (
@@ -125,19 +125,30 @@ Row = Tuple[Value, ...]
 
 
 def parse_fact(text: str) -> Tuple[str, Row]:
-    """Parse one ground fact (``edge(a, b)`` or ``edge(a, b).``)."""
+    """Parse one ground fact (``edge(a, b)`` or ``edge(a, b).``).
+
+    The program grammar's atom, then ``.`` and end of input, with
+    constant arguments only; no program is built.  Any other text fails
+    as parsing it as a program does: a
+    :class:`~repro.datalog.parser.ParseError` where it is no program, a
+    ``ValueError`` where it is one but not a single ground fact (a rule,
+    two facts, a variable or a function term).
+    """
     text = text.strip()
     if not text.endswith("."):
         text += "."
-    program = parse_program(text)
-    if (
-        len(program.rules) != 1
-        or not program.rules[0].is_fact()
-        or program.rules[0].vars()
-    ):
-        raise ValueError(f"expected a single ground fact, got {text!r}")
-    head = program.rules[0].head
-    return head.predicate, tuple(arg.value for arg in head.args)
+    tokens = _tokenize(text)
+    if tokens:
+        parser = _Parser(tokens)
+        head = parser.parse_atom()
+        if (
+            parser.accept(".")
+            and parser.at_end()
+            and all(isinstance(arg, Const) for arg in head.args)
+        ):
+            return head.predicate, tuple(arg.value for arg in head.args)
+    _Parser(tokens).parse_program()  # raises where the text is no program
+    raise ValueError(f"expected a single ground fact, got {text!r}")
 
 
 def parse_annotated_fact(text: str) -> Tuple[str, Row, Optional[str]]:

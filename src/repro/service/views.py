@@ -193,13 +193,16 @@ class _RebuildEngine:
         plus, minus = _diff(self._true, true)
         undefined_plus, undefined_minus = _diff(self._undefined, undefined)
         self._true, self._undefined = true, undefined
-        bump = self.metrics.bump
-        bump("update_batches", len(batches))
         # Routine rebuild traffic is *not* a fallback — only a genuine
         # maintenance failure bumps recompute_fallbacks.
-        bump("recompute_batches", len(batches))
-        bump("inserts_applied", applied_inserts)
-        bump("deletes_applied", applied_deletes)
+        self.metrics.bump_many(
+            {
+                "update_batches": len(batches),
+                "recompute_batches": len(batches),
+                "inserts_applied": applied_inserts,
+                "deletes_applied": applied_deletes,
+            }
+        )
         return {
             "inserts": applied_inserts,
             "deletes": applied_deletes,
@@ -380,8 +383,7 @@ class MaterializedView:
         with self.metrics.phase("compact"):
             cells, rows = snapshot.compact(COMPACT_DEPTH)
         if cells:
-            self.metrics.bump("compactions")
-            self.metrics.bump("compaction_rows", rows)
+            self.metrics.bump_many({"compactions": 1, "compaction_rows": rows})
         return cells
 
     def chain_depth(self) -> int:

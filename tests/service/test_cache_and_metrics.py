@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service import LRUCache, ViewMetrics
+from repro.service import LRUCache, ServiceMetrics, ViewMetrics
+from repro.service.locks import InstrumentedLock, ReadWriteLock
 
 
 class TestLRUCache:
@@ -79,3 +80,59 @@ class TestViewMetrics:
             with metrics.phase("boom"):
                 raise RuntimeError("x")
         assert "boom" in metrics.phase_seconds
+
+    def test_bump_many_adds_each_counter(self):
+        metrics = ViewMetrics()
+        metrics.bump("rules_fired", 2)
+        metrics.bump_many({"rules_fired": 3, "circuit_steps": 1, "custom_counter": 0})
+        counters = metrics.snapshot()["counters"]
+        assert counters["rules_fired"] == 5
+        assert counters["circuit_steps"] == 1
+        assert counters["custom_counter"] == 0
+
+    def test_a_phase_reaches_the_sink_once_per_block(self):
+        sink = ServiceMetrics()
+        metrics = ViewMetrics(sink=sink)
+        with metrics.phase("maintain"):
+            with metrics.phase("snapshot"):
+                pass
+        with pytest.raises(RuntimeError):
+            with metrics.phase("maintain"):
+                raise RuntimeError("x")
+        counts = {name: h["count"] for name, h in sink.snapshot()["phase_histograms"].items()}
+        assert counts == {"maintain": 2, "snapshot": 1}
+        assert metrics.phase_seconds["maintain"] == metrics.phase_histograms["maintain"].sum
+
+
+class TestScopes:
+    """The ``with`` blocks the write path takes on every request."""
+
+    def test_a_hold_releases_and_records_when_its_body_raises(self):
+        held = []
+        lock = InstrumentedLock("v", lambda name, wait, hold: held.append(name))
+        with pytest.raises(RuntimeError):
+            with lock.held():
+                with lock.held():  # reentrant: each hold keeps its own times
+                    raise RuntimeError("x")
+        assert held == ["v", "v"]
+        assert lock._lock.acquire(blocking=False)
+        lock._lock.release()
+
+    def test_a_reader_leaves_when_its_body_raises(self):
+        lock = ReadWriteLock()
+        with pytest.raises(RuntimeError):
+            with lock.read_locked():
+                with lock.read_locked():
+                    raise RuntimeError("x")
+        assert lock._readers == 0
+        with lock.write_locked():
+            assert lock._writer_active
+
+    def test_a_request_leaves_the_inflight_gauge_when_it_raises(self):
+        metrics = ServiceMetrics()
+        with pytest.raises(RuntimeError):
+            with metrics.request():
+                assert metrics.inflight == 1
+                raise RuntimeError("x")
+        assert metrics.inflight == 0
+        assert metrics.counters["requests_total"] == 1

@@ -1,6 +1,7 @@
 """The query service facade and its line protocol."""
 
 import json
+import logging
 import socket
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.relations import Atom
 from repro.service import QueryService, parse_fact, serve_stream, serve_unix_socket
+from repro.service.durability.wal import WriteAheadLog
 
 a, b, c, d = (Atom(x) for x in "abcd")
 
@@ -42,6 +44,11 @@ class TestParseFact:
             parse_fact("tc(X, Y) :- edge(X, Y)")
         with pytest.raises(Exception):
             parse_fact("edge(X, b)")
+
+    @pytest.mark.parametrize("text", ["edge(f(a), b)", "e([a, f(b)])"])
+    def test_rejects_function_terms(self, text):
+        with pytest.raises(ValueError, match="expected a single ground fact"):
+            parse_fact(text)
 
 
 class TestQueryService:
@@ -177,6 +184,42 @@ class TestLineProtocol:
         assert replies[3].startswith("error")
         assert replies[-1] == "ok 1 rows"
         assert "row tc(a)" in replies
+
+    def test_function_terms_in_a_write_answer_a_clean_error(self, caplog):
+        service = QueryService()
+        with caplog.at_level(logging.WARNING, logger="repro.service.server"):
+            replies = run_protocol(
+                service,
+                "register g stratified tc(X, Y) :- edge(X, Y). "
+                "tc(X, Z) :- edge(X, Y), tc(Y, Z). edge(a, b). edge(b, c).\n"
+                "+g edge(f(a), b)\n"
+                "+g e([a, f(b)])\n"
+                "query g tc\n",
+            )
+        assert replies[1:3] == [
+            "error ValueError: expected a single ground fact, got 'edge(f(a), b).'",
+            "error ValueError: expected a single ground fact, got 'e([a, f(b)]).'",
+        ]
+        assert replies[-1] == "ok 3 rows"
+        assert not any(record.exc_info for record in caplog.records)
+
+    def test_a_journaled_function_term_is_skipped_on_replay(self, tmp_path):
+        log = WriteAheadLog(tmp_path, fsync="off")
+        log.append({"op": "register", "view": "g", "source": TC})
+        for fact in ("edge(c, d)", "edge(f(a), b)", "e([a, f(b)])", "edge(d, e)"):
+            log.append({"op": "update", "view": "g", "inserts": [fact], "deletes": []})
+        log.close()
+        service = QueryService(data_dir=str(tmp_path), fsync="off")
+        try:
+            report = service.last_recovery
+            assert (report.replayed_records, report.skipped_records) == (3, 2)
+            assert all(
+                "ValueError: expected a single ground fact" in error
+                for error in report.errors
+            )
+            assert (a, Atom("e")) in service.query("g", "tc")
+        finally:
+            service.close()
 
     def test_usage_errors(self):
         service = QueryService()
