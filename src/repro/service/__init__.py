@@ -14,14 +14,13 @@ served from an LRU cache (:mod:`cache`), and the whole thing instrumented
 from .cache import LRUCache
 from .dbsp import DBSPEngine, UpdateQueue, ZSet
 from .dbsp.engine import IncrementalMaintenanceError
-from .locks import AtomicReference, InstrumentedLock, ReadWriteLock
+from .locks import AtomicReference, InstrumentedLock
 from .metrics import Histogram, ServiceMetrics, ViewMetrics
 from .prometheus import PrometheusExporter, render_prometheus
 from .snapshot import ModelSnapshot
 from .registry import (
     Component,
     PreparedProgram,
-    ProgramRegistry,
     prepare_program,
     split_program_and_facts,
 )
@@ -52,9 +51,7 @@ __all__ = [
     "ModelSnapshot",
     "PreparedProgram",
     "PrometheusExporter",
-    "ProgramRegistry",
     "QueryService",
-    "ReadWriteLock",
     "ServiceMetrics",
     "UpdateQueue",
     "ViewMetrics",

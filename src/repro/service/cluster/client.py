@@ -175,10 +175,7 @@ class ClusterClient:
         """A bound-pattern (demand-driven) query — ``pattern`` is the
         wire form, e.g. ``"tc(a, _)"``.  Same reply shape as
         :meth:`query`; the router routes it to the view's home shard."""
-        replies = self.request_ok(f"query {view} {pattern}")
-        rows = [r[4:] for r in replies if r.startswith("row ")]
-        undefined = [r[6:] for r in replies if r.startswith("undef ")]
-        return rows, undefined
+        return self.query(view, pattern)
 
     def views(self) -> List[str]:
         return self._json_of(self.request_ok("views"))

@@ -29,6 +29,11 @@ __all__ = ["worker_main", "spawn_worker", "DEFAULT_START_METHOD"]
 #: for faster startup where that risk is acceptable.
 DEFAULT_START_METHOD = os.environ.get("REPRO_CLUSTER_START_METHOD", "spawn")
 
+#: Seconds after SIGTERM at which a worker still shutting down writes
+#: every thread's stack to stderr: after its socket server's drain
+#: budget, before the router's 5 s join gives up and kills it.
+STACK_DUMP_SECONDS = 4.0
+
 
 def worker_main(socket_path: str, options: Optional[Dict] = None) -> None:
     """Run one shard: a QueryService on a unix socket, until terminated.
@@ -40,6 +45,7 @@ def worker_main(socket_path: str, options: Optional[Dict] = None) -> None:
     """
     # Imports happen inside the function so a ``spawn``-ed child pays
     # them once, after the interpreter boots with a clean slate.
+    import faulthandler
     import signal
     import threading
 
@@ -55,9 +61,15 @@ def worker_main(socket_path: str, options: Optional[Dict] = None) -> None:
     # ``Process.terminate()`` is SIGTERM: drain in-flight requests and
     # close the service (flushing any durability plane) instead of
     # dying mid-reply.  The router tolerates either way — this just
-    # makes the common shutdown graceful.
+    # makes the common shutdown graceful.  A shutdown that overruns
+    # names its cause: the stacks of every thread, on stderr.
     stop_event = threading.Event()
-    signal.signal(signal.SIGTERM, lambda _signum, _frame: stop_event.set())
+
+    def on_sigterm(_signum, _frame) -> None:
+        faulthandler.dump_traceback_later(STACK_DUMP_SECONDS)
+        stop_event.set()
+
+    signal.signal(signal.SIGTERM, on_sigterm)
     try:
         serve_unix_socket(
             service,
@@ -68,6 +80,7 @@ def worker_main(socket_path: str, options: Optional[Dict] = None) -> None:
         )
     finally:
         service.close()
+        faulthandler.cancel_dump_traceback_later()
 
 
 def spawn_worker(

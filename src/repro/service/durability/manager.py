@@ -231,7 +231,7 @@ class DurabilityManager:
         Call *after* the operation succeeded, *before* acknowledging it
         to the client — and, for ordering, inside whatever hold
         serialises operations on the touched entity (the view lock, the
-        registry write lock), so replay order matches apply order
+        registry lock), so replay order matches apply order
         per entity.
         """
         lsn = self._wal.append(operation)

@@ -3,39 +3,38 @@
 The service used to serialise every request through one big lock; now
 it holds
 
-* one :class:`ReadWriteLock` over the **registry** — register and
-  unregister take the write side; updates and admin verbs take the
-  (shared) read side just long enough to resolve a view name.  Queries
-  do not take it at all: they resolve against the **copy-on-write
-  name table**, an immutable
-  ``name → (view, generation)`` dict the writers rebuild under the
-  write lock and publish through an :class:`AtomicReference` — one
-  atomic load per resolution, zero lock acquisitions; and
-* one :class:`InstrumentedLock` per **view** — held by *writers*
-  (updates, recovery), so update batches on the same view stay
-  serialised; and
+* one plain mutex over the **registry**, taken only by its writers —
+  ``register`` and ``unregister`` — and by the metrics snapshot.  The
+  registry itself is the **copy-on-write name table**, an immutable
+  ``name → (view, generation)`` dict the writers rebuild under that
+  mutex and publish through an :class:`AtomicReference`; every other
+  caller (queries, updates, admin verbs) resolves names with one atomic
+  load and zero lock acquisitions;
+* one :class:`InstrumentedLock` per **view** (``view.lock``) — held by
+  *writers* (updates, recovery), so update batches on the same view
+  stay serialised.  The lock order is per-view lock, then registry
+  mutex; and
 * one :class:`AtomicReference` per view holding its published
   :class:`~repro.service.snapshot.ModelSnapshot` — *readers* pick the
   current snapshot off the reference with no lock at all (RCU-style),
   so queries on a hot view never wait behind maintenance.
 
-Both wrappers are observability-aware: every :class:`InstrumentedLock`
-acquisition reports its wait and hold wall-clock to a recorder (the
-service's :class:`~repro.service.metrics.ServiceMetrics`), and the
-acquisition itself is an injectable fault site (``service.lock``) so
-the chaos suite can blow up a request *before* it touches any state.
+Every :class:`InstrumentedLock` acquisition reports its wait and hold
+wall-clock to a recorder (the service's
+:class:`~repro.service.metrics.ServiceMetrics`), and the acquisition
+itself is an injectable fault site (``service.lock``) so the chaos
+suite can blow up a request *before* it touches any state.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..robustness import fault_point
 
-__all__ = ["AtomicReference", "InstrumentedLock", "ReadWriteLock"]
+__all__ = ["AtomicReference", "InstrumentedLock"]
 
 #: recorder(lock_name, wait_seconds, hold_seconds)
 LockRecorder = Callable[[str, float, float], None]
@@ -69,68 +68,6 @@ class AtomicReference:
     def set(self, value) -> None:
         """Publish a new value with one atomic reference swap."""
         self._value = value
-
-
-class ReadWriteLock:
-    """A writer-preferring readers/writer lock.
-
-    Many readers may hold the lock simultaneously; a writer holds it
-    exclusively.  Waiting writers block new readers, so a stream of
-    lookups cannot starve a registration.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-        self._read_side = _ReadSide(self)
-
-    def read_locked(self) -> "_ReadSide":
-        """Hold the shared (read) side for the ``with`` body."""
-        return self._read_side
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        """Hold the exclusive (write) side for the ``with`` body."""
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer_active = False
-                self._cond.notify_all()
-
-
-class _ReadSide:
-    """``with lock.read_locked()``: no per-holder state, so one object
-    serves every reader."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock: ReadWriteLock) -> None:
-        self._lock = lock
-
-    def __enter__(self) -> None:
-        lock = self._lock
-        with lock._cond:
-            while lock._writer_active or lock._writers_waiting:
-                lock._cond.wait()
-            lock._readers += 1
-
-    def __exit__(self, *exc_info) -> None:
-        lock = self._lock
-        with lock._cond:
-            lock._readers -= 1
-            if not lock._readers:
-                lock._cond.notify_all()
 
 
 class InstrumentedLock:

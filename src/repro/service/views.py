@@ -77,7 +77,7 @@ from ..semiring import get_semiring
 from .annotated import AnnotatedEngine
 from .dbsp import AlternatingEngine, DBSPEngine, UpdateQueue
 from .dbsp.engine import IncrementalMaintenanceError
-from .locks import AtomicReference
+from .locks import AtomicReference, InstrumentedLock
 from .metrics import ViewMetrics
 from .registry import PreparedProgram
 from .snapshot import ModelSnapshot
@@ -266,6 +266,12 @@ class MaterializedView:
         self.semantics = semantics
         self.registry = registry
         self.metrics = metrics if metrics is not None else ViewMetrics()
+        # Held by writers (updates, recovery, demand-entry builds);
+        # acquisitions report to the service metrics, when there are any.
+        sink = self.metrics.sink
+        self.lock = InstrumentedLock(
+            prepared.name, sink.record_lock if sink is not None else None
+        )
         self.max_rounds = max_rounds
         self.max_atoms = max_atoms
         self.budget_factory = budget_factory

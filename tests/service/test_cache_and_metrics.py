@@ -3,7 +3,7 @@
 import pytest
 
 from repro.service import LRUCache, ServiceMetrics, ViewMetrics
-from repro.service.locks import InstrumentedLock, ReadWriteLock
+from repro.service.locks import InstrumentedLock
 
 
 class TestLRUCache:
@@ -117,16 +117,6 @@ class TestScopes:
         assert held == ["v", "v"]
         assert lock._lock.acquire(blocking=False)
         lock._lock.release()
-
-    def test_a_reader_leaves_when_its_body_raises(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError):
-            with lock.read_locked():
-                with lock.read_locked():
-                    raise RuntimeError("x")
-        assert lock._readers == 0
-        with lock.write_locked():
-            assert lock._writer_active
 
     def test_a_request_leaves_the_inflight_gauge_when_it_raises(self):
         metrics = ServiceMetrics()

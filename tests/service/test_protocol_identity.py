@@ -9,6 +9,7 @@ before and after a write — the second round is served from memos the
 first one left on the snapshots, carried across the write by delta.
 """
 
+import asyncio
 import os
 import shutil
 import socket
@@ -18,7 +19,8 @@ import threading
 import pytest
 
 from repro.service import QueryService, serve_stream, serve_unix_socket
-from repro.service.cluster import ClusterClient, cluster
+from repro.service.cluster import ClusterClient, ClusterRouter, cluster
+from repro.service.server import _handle_line
 
 TC = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)."
 WIN = "win(X) :- move(X, Y), not win(Y)."
@@ -192,3 +194,16 @@ def test_the_replies_say_what_they_should(replies):
         "row win(d)",
         "ok 2 rows",
     ]
+
+
+# Malformed requests the router answers itself, without a worker: the
+# same usage line ``serve`` gives.
+MALFORMED = ["query", "register v stratified", "+v", "-v"]
+
+
+@pytest.mark.parametrize("line", MALFORMED)
+def test_a_malformed_request_gets_the_usage_line_serve_gives(line, tmp_path):
+    router = ClusterRouter(str(tmp_path / "fd"), shards=1)
+    served = _handle_line(QueryService(), line)
+    assert served[0].startswith("error usage: ")
+    assert asyncio.run(router._dispatch(line)) == served

@@ -101,7 +101,7 @@ class TestParkedWriterHang:
         )
         try:
             service.register("g", TC)
-            view = service.views["g"]
+            view = service.view("g")
             view.pending.submit([("edge", (Atom("orphan"), a))], [])
             failures = []
 
@@ -133,7 +133,7 @@ class TestParkedWriterHang:
         )
         try:
             service.register("g", TC)
-            view = service.views["g"]
+            view = service.view("g")
             orphan = view.pending.submit([("edge", (Atom("orphan"), a))], [])
             with pytest.raises(UpdateTimeout):
                 service.insert("g", "edge", b, a)

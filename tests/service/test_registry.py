@@ -4,7 +4,7 @@ import pytest
 
 from repro.datalog.grounding import UnsafeRuleError
 from repro.relations import Atom
-from repro.service import ProgramRegistry, prepare_program
+from repro.service import prepare_program
 
 a, b = Atom("a"), Atom("b")
 
@@ -53,26 +53,10 @@ class TestPreparedProgram:
         with pytest.raises(UnsafeRuleError):
             prepare_program("unsafe", "q(X) :- not p(X).\n")
 
-
-class TestProgramRegistry:
-    def test_register_and_get(self):
-        registry = ProgramRegistry()
-        prepared = registry.register("tc", TC)
-        assert registry.get("tc") is prepared
-        assert "tc" in registry and len(registry) == 1
-        assert registry.names() == ["tc"]
-
-    def test_replace_guard(self):
-        registry = ProgramRegistry()
-        registry.register("tc", TC)
-        with pytest.raises(ValueError):
-            registry.register("tc", TC, replace=False)
-        registry.register("tc", WIN)  # replace=True is the default
-        assert not registry.get("tc").stratified
-
     def test_accepts_ast_programs(self):
         from repro.datalog.parser import parse_program
 
-        registry = ProgramRegistry()
-        prepared = registry.register("tc", parse_program(TC))
+        prepared = prepare_program("tc", parse_program(TC))
         assert prepared.stratified
+        assert prepared.source is None
+        assert prepare_program("tc", TC).source == TC

@@ -4,11 +4,14 @@ import json
 import logging
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.datalog.database import Database
 from repro.relations import Atom
 from repro.service import QueryService, parse_fact, serve_stream, serve_unix_socket
+from repro.service.server import DRAIN_SECONDS
 from repro.service.durability.wal import WriteAheadLog
 
 a, b, c, d = (Atom(x) for x in "abcd")
@@ -332,6 +335,54 @@ class TestUnixSocket:
         finally:
             server.join(timeout=5)
         assert not server.is_alive()
+
+
+    def test_a_stop_drains_within_one_budget(self, tmp_path):
+        """A handler blocked in ``sendall`` to a client that never reads
+        gets DRAIN_SECONDS in all once the server is stopped — not a
+        join per handler that outlasts a cluster router's 5 s wait."""
+        path = str(tmp_path / "repro.sock")
+        service = QueryService()
+        database = Database()
+        for index in range(20_000):  # a ~4 MB reply: more than any buffer
+            database.add("e", Atom(f"{'x' * 200}{index}"))
+        service.register("v", "p(X) :- e(X).", database=database)
+        answered = threading.Event()
+        query_lines = service.query_lines
+
+        def answer(*args):
+            try:
+                return query_lines(*args)
+            finally:
+                answered.set()
+
+        service.query_lines = answer
+        stop = threading.Event()
+        server = threading.Thread(
+            target=serve_unix_socket,
+            args=(service, path),
+            kwargs={"stop_event": stop},
+        )
+        server.start()
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            for _ in range(2000):
+                try:
+                    client.connect(path)
+                    break
+                except (FileNotFoundError, ConnectionRefusedError):
+                    threading.Event().wait(0.005)
+            client.sendall(b"query v p\n")  # and never read the reply
+            assert answered.wait(timeout=30)
+            started = time.monotonic()
+            stop.set()
+            server.join(timeout=30)
+            elapsed = time.monotonic() - started
+        finally:
+            client.close()
+            service.close()
+        assert not server.is_alive()
+        assert DRAIN_SECONDS <= elapsed < DRAIN_SECONDS + 1.5, elapsed
 
 
 class TestCloseIdempotent:

@@ -5,11 +5,13 @@ Each test pins one of the races the per-view lock sharding opened up:
 * a ``cache.put`` completed by an in-flight request against a replaced
   registration must never be served to queries against the replacement
   (per-registration cache generations);
-* the program registry and the view table are mutated under one write
-  hold, so they can never disagree;
-* ``unregister`` takes the view lock before the registry write lock,
-  so an update the service acknowledges has really landed in a
-  registered view — never silently discarded with the view;
+* the name table is the only record of what is registered, and churn
+  leaves every entry serving its own program;
+* ``unregister`` takes the view lock before the registry lock, so an
+  update the service acknowledges has really landed in a registered
+  view — never silently discarded with the view;
+* only register, unregister and the metrics snapshot take the registry
+  lock: reads and writes resolve their view off the published table;
 * the metrics rollup stays monotone across register/unregister churn
   (live and retired counters are swapped atomically).
 """
@@ -72,9 +74,9 @@ class TestStaleCacheGenerations:
     def test_generation_bumps_on_every_register(self):
         service = QueryService()
         service.register("tc", PROGRAM, database=_database("a"))
-        first = service._view_and_lock("tc")[2]
+        first = service.name_table()["tc"][1]
         service.register("tc", PROGRAM, database=_database("b"))
-        second = service._view_and_lock("tc")[2]
+        second = service.name_table()["tc"][1]
         assert second > first
 
 
@@ -82,7 +84,7 @@ class TestRegistryViewLockstep:
     def test_tables_agree_after_register_unregister_churn(self):
         """Racing register/unregister on one name must never leave a
         view without its program (the KeyError-over-the-wire bug) and
-        must leave every table in lockstep at quiescence."""
+        must leave the one table serving what it names at quiescence."""
         service = QueryService()
         errors = []
         barrier = threading.Barrier(4)
@@ -98,9 +100,7 @@ class TestRegistryViewLockstep:
                         service.unregister("shared")
                     except KeyError as exc:
                         # Losing the unregister race to another thread
-                        # is fine — but only with the "no view" error;
-                        # "program not registered" would mean the
-                        # tables disagreed.
+                        # is fine — but only with the "no view" error.
                         if "no view registered" not in str(exc):
                             raise
             except Exception as exc:
@@ -115,21 +115,21 @@ class TestRegistryViewLockstep:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        # Whatever survived, every table names exactly the same views.
-        names = set(service.views)
-        assert set(service.registry.names()) == names
-        assert set(service._locks) == names
-        assert set(service._generations) == names
-        for name in names:
-            service.query(name, "p")  # and they actually serve
+        # Whatever survived carries its own program and lock, and serves.
+        for name, (view, _generation) in service.name_table().items():
+            assert service.view(name) is view
+            assert view.prepared.name == view.lock.name == name
+            assert view.prepared.source == PROGRAM
+            service.query(name, "p")
 
     def test_register_stores_program_with_view(self):
         service = QueryService()
         service.register("tc", PROGRAM, database=_database("a"))
-        assert "tc" in service.registry
+        assert service.view("tc").prepared.source == PROGRAM
         service.unregister("tc")
-        assert "tc" not in service.registry
-        assert "tc" not in service.views
+        assert "tc" not in service.name_table()
+        with pytest.raises(KeyError, match="no view registered"):
+            service.view("tc")
 
 
 class TestUnregisterOrdering:
@@ -167,7 +167,7 @@ class TestUnregisterOrdering:
 
         # The update holds the view lock, mid-apply.  Signal the moment
         # the dropper asks for that lock, just before it blocks on it.
-        view_lock = service._locks["tc"]
+        view_lock = view.lock
         real_lock = view_lock._lock
         blocking = threading.Event()
 
@@ -196,26 +196,25 @@ class TestUnregisterOrdering:
             service.query("tc", "p")
 
     def test_update_retries_when_view_replaced_between_resolve_and_lock(self):
-        """_locked_view re-verifies the binding after acquiring the
+        """An update re-verifies the binding after acquiring the view
         lock and re-resolves when it lost a race with register: the
-        write lands in the replacement.  (``coalesce=1`` applies under
-        ``_locked_view``; the group-commit path re-checks the same way.)"""
+        write lands in the replacement."""
         service = QueryService(coalesce=1)
         service.register("tc", PROGRAM, database=_database("a"))
-        original = service._view_and_lock
+        original = service._resolve
 
         calls = {"count": 0}
 
         def racing_resolve(name):
-            view, lock, generation = original(name)
+            view, generation = original(name)
             if calls["count"] == 0:
                 calls["count"] += 1
                 # The view is replaced between the resolve and the
                 # lock acquisition — the stale binding must be retried.
                 service.register(name, PROGRAM, database=_database("b"))
-            return view, lock, generation
+            return view, generation
 
-        service._view_and_lock = racing_resolve
+        service._resolve = racing_resolve
         service.update("tc", inserts=[("base", (Atom("z"),))])
         assert calls["count"] == 1
         assert service.query("tc", "p") == {(Atom("b"),), (Atom("z"),)}
@@ -223,8 +222,8 @@ class TestUnregisterOrdering:
     def test_an_inflationary_query_takes_no_lock(self):
         """The last view kind that used to read under its lock: an
         inflationary view now evaluates at write time and serves every
-        read off its published snapshot — no registry lock, no view
-        lock, and never a resolution through ``_view_and_lock``."""
+        read off its published snapshot — no registry lock and no view
+        lock."""
         service = QueryService()
         program = PROGRAM + "q(X) :- base(X), not cut(X).\n"
         service.register(
@@ -233,11 +232,6 @@ class TestUnregisterOrdering:
         service.update("inf", inserts=[("base", (Atom("b"),))])
         view = service.view("inf")
         acquisitions = service.metrics.counters["lock_acquisitions"]
-
-        def no_resolve(name):
-            raise AssertionError("a query resolved through the locked path")
-
-        service._view_and_lock = no_resolve
         service._registry_lock = _PoisonedRegistryLock()
         assert service.query("inf", "p") == {(Atom("a"),), (Atom("b"),)}
         rows, undefined, stale = service.query_state("inf", "q")
@@ -258,11 +252,11 @@ class TestUnregisterOrdering:
 class _PoisonedRegistryLock:
     """A registry lock stand-in that fails the test on any acquisition."""
 
-    def read_locked(self):
-        raise AssertionError("registry read lock taken on the wait-free path")
+    def __enter__(self):
+        raise AssertionError("registry lock taken on a lock-free path")
 
-    def write_locked(self):
-        raise AssertionError("registry write lock taken on the wait-free path")
+    def __exit__(self, *exc_info):
+        return False
 
 
 class TestNameTable:
@@ -280,6 +274,25 @@ class TestNameTable:
         rows, undefined, stale = service.query_state("tc", "p")
         assert rows == {(Atom("a"),)} and undefined == frozenset()
         assert not stale
+
+    def test_the_write_path_takes_no_registry_lock(self):
+        """An update resolves its view and re-checks it under the view
+        lock off the published table; ``view``, ``stats`` of one view
+        and a bound-pattern query (whose demand entry builds under the
+        view lock) take no registry lock either."""
+        service = QueryService()
+        service.register("tc", PROGRAM, database=_database("a"))
+        service._registry_lock = _PoisonedRegistryLock()
+        service.update("tc", inserts=[("base", (Atom("b"),))])
+        service.delete("tc", "base", Atom("a"))
+        view = service.view("tc")
+        assert service.stats("tc")["counters"]["update_batches"] == 2
+        rows, _undefined, _stale = service.query_pattern(
+            "tc", "p", (Atom("b"),)
+        )
+        assert rows == {(Atom("b"),)}
+        assert service.metrics.counters["demand_registrations"] == 1
+        assert service.view("tc") is view
 
     def test_unregister_publishes_fresh_table(self):
         """Regression: ``unregister`` must publish a *new* table, not
