@@ -14,8 +14,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, 
 
 from ..relations.relation import Relation
 from ..relations.values import FSet, Tup, Value, is_value, sorted_values
+from .ast import Program
 
-__all__ = ["Database"]
+__all__ = ["Database", "split_program_and_facts"]
 
 
 class Database:
@@ -292,3 +293,15 @@ class Database:
             inner = ", ".join(str(v) for v in row)
             lines.append(f"{predicate}({inner}).")
         return "\n".join(lines)
+
+
+def split_program_and_facts(program: Program) -> Tuple[Program, Database]:
+    """Ground facts written inside a program become database facts."""
+    rules = []
+    database = Database()
+    for rule in program.rules:
+        if rule.is_fact():
+            database.add(rule.head.predicate, *(arg.value for arg in rule.head.args))
+        else:
+            rules.append(rule)
+    return Program(tuple(rules), name=program.name), database

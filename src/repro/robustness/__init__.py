@@ -36,6 +36,7 @@ from .errors import (
     UpdateTimeout,
     ViewDegraded,
     WorkerUnavailable,
+    error_line,
 )
 from .faults import (
     ALL_POINTS,
@@ -67,6 +68,7 @@ __all__ = [
     "UpdateTimeout",
     "ViewDegraded",
     "WorkerUnavailable",
+    "error_line",
     "fault_point",
     "inject_faults",
     "retry_with_backoff",

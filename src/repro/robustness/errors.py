@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = [
+    "error_line",
     "ReproError",
     "BudgetExceeded",
     "DeadlineExceeded",
@@ -74,6 +75,20 @@ class ReproError(RuntimeError):
         if callable(snapshot):
             payload["progress"] = snapshot()
         return payload
+
+
+def error_line(exc: BaseException) -> str:
+    """One structured ``error`` line for an exception, as the service
+    protocol and the CLI print it.
+
+    :class:`ReproError` subtypes carry a stable machine-readable code
+    (``error <code> <Type>: <message>``); other exceptions keep the
+    legacy ``error <Type>: <message>`` shape.
+    """
+    message = str(exc).replace("\n", " ")
+    if isinstance(exc, ReproError):
+        return f"error {exc.code} {type(exc).__name__}: {message}"
+    return f"error {type(exc).__name__}: {message}"
 
 
 class BudgetExceeded(ReproError):
