@@ -32,62 +32,28 @@ cluster worker) never pays for the algebra, specification and syntax
 libraries it does not run.
 """
 
-import importlib
+from ._lazy import facade
 
 __version__ = "1.0.0"
 
-#: Public name → the submodule that defines it.
-_EXPORTS = {
-    # relations
-    "Atom": "relations",
-    "Tup": "relations",
-    "FSet": "relations",
-    "tup": "relations",
-    "fset": "relations",
-    "Relation": "relations",
-    "Universe": "relations",
-    "standard_registry": "relations",
-    # datalog
-    "Program": "datalog",
-    "Database": "datalog",
-    "run": "datalog",
-    "parse_program": "datalog.parser",
-    # core
-    "Dialect": "core",
-    "Definition": "core",
-    "AlgebraProgram": "core",
-    "evaluate": "core",
-    "valid_evaluate": "core",
-    "ValidEvalResult": "core",
-    "EvalLimits": "core",
-    "translate_expression": "core",
-    "translate_program": "core",
-    "datalog_to_algebra": "core",
-    "run_staged": "core",
-    "translation_registry": "relations.universe",
-    "check_algebra_roundtrip": "core",
-    "check_datalog_roundtrip": "core",
-    # lang
-    "parse_algebra_program": "lang",
-    "parse_algebra_expr": "lang",
-    # specs
-    "Specification": "specs",
-    "valid_interpretation": "specs",
-    "analyze_constant_spec": "specs",
-}
-
-__all__ = ["__version__", *_EXPORTS]
-
-
-def __getattr__(name: str):
-    try:
-        submodule = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value  # resolved once
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "relations": (
+            "Atom", "Tup", "FSet", "tup", "fset", "Relation", "Universe",
+            "standard_registry",
+        ),
+        "relations.universe": ("translation_registry",),
+        "datalog": ("Program", "Database", "run"),
+        "datalog.parser": ("parse_program",),
+        "core": (
+            "Dialect", "Definition", "AlgebraProgram", "evaluate",
+            "valid_evaluate", "ValidEvalResult", "EvalLimits",
+            "translate_expression", "translate_program", "datalog_to_algebra",
+            "run_staged", "check_algebra_roundtrip", "check_datalog_roundtrip",
+        ),
+        "lang": ("parse_algebra_program", "parse_algebra_expr"),
+        "specs": ("Specification", "valid_interpretation", "analyze_constant_spec"),
+    },
+)
+__all__ = ["__version__", *__all__]

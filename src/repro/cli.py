@@ -29,8 +29,8 @@ from typing import List, Optional
 # and the workers it spawns never load the algebra, syntax or
 # specification packages.
 from .datalog.database import Database, split_program_and_facts
-from .datalog.engine import SEMANTICS, run
 from .datalog.parser import parse_program
+from .datalog.stratification import SEMANTICS
 from .relations.universe import translation_registry
 from .relations.values import format_value, sorted_values
 from .robustness import EvaluationBudget, ReproError, error_line
@@ -109,6 +109,8 @@ def _print_repro_error(exc: ReproError) -> int:
 
 
 def _cmd_datalog(args: argparse.Namespace) -> int:
+    from .datalog.engine import run
+
     source = Path(args.program).read_text()
     program, inline_facts = split_program_and_facts(
         parse_program(source, name=args.program)
@@ -250,7 +252,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 
     from .robustness import RecoveryError
     from .service.cluster import ClusterClient, ClusterRouter
-    from .service.prometheus import PrometheusExporter
 
     if not args.socket:
         raise SystemExit("--shards requires --socket PATH (the front door)")
@@ -311,6 +312,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         )
         exporter = None
         if args.metrics_prometheus:
+            from .service.prometheus import PrometheusExporter
+
             exporter = PrometheusExporter(
                 cluster_snapshot,
                 args.metrics_prometheus,
@@ -382,7 +385,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .robustness import RecoveryError
     from .service import QueryService, serve_stream, serve_unix_socket
-    from .service.prometheus import PrometheusExporter
 
     if args.shards > 1:
         return _cmd_serve_cluster(args)
@@ -412,6 +414,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     exporter = None
     if args.metrics_prometheus:
+        from .service.prometheus import PrometheusExporter
+
         exporter = PrometheusExporter(
             service.metrics_snapshot,
             args.metrics_prometheus,

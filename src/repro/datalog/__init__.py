@@ -1,105 +1,41 @@
-"""The deductive-database engine (Section 4 of the paper)."""
+"""The deductive-database engine (Section 4 of the paper).
 
-from .ast import (
-    Comparison,
-    Const,
-    FuncTerm,
-    Literal,
-    PredAtom,
-    Program,
-    Rule,
-    Var,
-    eq,
-    fact,
-    neg,
-    neq,
-    pos,
-    rule,
-)
-from .database import Database, split_program_and_facts
-from .engine import SEMANTICS, QueryResult, run
-from .grounding import (
-    GroundingBudgetExceeded,
-    GroundingError,
-    GroundProgram,
-    GroundRule,
-    UnsafeRuleError,
-    ground,
-)
-from .magic import (
-    MagicProgram,
-    MagicTransformError,
-    adorned_name,
-    adornment_for,
-    magic_name,
-    magic_transform,
-    seed_name,
-)
-from .annotated import annotated_model, edb_annotations
-from .kernel import JoinKernel, Plan, compile_plan
-from .seminaive import seminaive_stratified
-from .domain_independence import (
-    DomainIndependenceProbe,
-    appears_domain_independent,
-    is_safe_hence_di,
-)
-from .stratification import (
-    NotStratifiedError,
-    dependency_graph,
-    is_locally_stratified,
-    is_stratified,
-    open_cone,
-    strata_partition,
-    stratify,
-)
+The names below resolve on first use (PEP 562): a serving process that
+only maintains stratified views loads the AST, parser, join kernel and
+stratification, and never the grounder, the declarative semantics of
+:func:`run`, magic sets or the annotated evaluator.
+"""
 
-__all__ = [
-    "Var",
-    "Const",
-    "FuncTerm",
-    "PredAtom",
-    "Literal",
-    "Comparison",
-    "Rule",
-    "Program",
-    "pos",
-    "neg",
-    "eq",
-    "neq",
-    "rule",
-    "fact",
-    "Database",
-    "split_program_and_facts",
-    "ground",
-    "GroundProgram",
-    "GroundRule",
-    "GroundingError",
-    "GroundingBudgetExceeded",
-    "UnsafeRuleError",
-    "run",
-    "QueryResult",
-    "SEMANTICS",
-    "dependency_graph",
-    "is_stratified",
-    "stratify",
-    "open_cone",
-    "strata_partition",
-    "is_locally_stratified",
-    "NotStratifiedError",
-    "DomainIndependenceProbe",
-    "appears_domain_independent",
-    "is_safe_hence_di",
-    "JoinKernel",
-    "Plan",
-    "compile_plan",
-    "seminaive_stratified",
-    "annotated_model",
-    "edb_annotations",
-    "MagicProgram",
-    "MagicTransformError",
-    "adorned_name",
-    "adornment_for",
-    "magic_name",
-    "magic_transform",
-    "seed_name",
-]
+from .._lazy import facade
+
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "ast": (
+            "Var", "Const", "FuncTerm", "PredAtom", "Literal", "Comparison",
+            "Rule", "Program", "pos", "neg", "eq", "neq", "rule", "fact",
+        ),
+        "database": ("Database", "split_program_and_facts"),
+        "grounding": (
+            "ground", "GroundProgram", "GroundRule", "GroundingError",
+            "GroundingBudgetExceeded", "UnsafeRuleError",
+        ),
+        "engine": ("run", "QueryResult"),
+        "stratification": (
+            "SEMANTICS", "dependency_graph", "is_stratified", "stratify",
+            "open_cone", "strata_partition", "is_locally_stratified",
+            "NotStratifiedError",
+        ),
+        "domain_independence": (
+            "DomainIndependenceProbe", "appears_domain_independent",
+            "is_safe_hence_di",
+        ),
+        "kernel": ("JoinKernel", "Plan", "compile_plan"),
+        "seminaive": ("seminaive_stratified",),
+        "annotated": ("annotated_model", "edb_annotations"),
+        "magic": (
+            "MagicProgram", "MagicTransformError", "adorned_name",
+            "adornment_for", "magic_name", "magic_transform", "seed_name",
+        ),
+    },
+)

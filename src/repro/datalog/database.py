@@ -10,11 +10,14 @@ of Sections 5 and 6 rely on.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, Mapping
+from typing import Optional, Set, Tuple
 
-from ..relations.relation import Relation
 from ..relations.values import FSet, Tup, Value, is_value, sorted_values
 from .ast import Program
+
+if TYPE_CHECKING:
+    from ..relations.relation import Relation
 
 __all__ = ["Database", "split_program_and_facts"]
 
@@ -186,6 +189,8 @@ class Database:
 
     def unary_relation(self, predicate: str) -> Relation:
         """Read a unary predicate back as a named algebraic relation."""
+        from ..relations.relation import Relation
+
         members = []
         for row in self._facts.get(predicate, ()):
             if len(row) != 1:

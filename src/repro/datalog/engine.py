@@ -45,11 +45,9 @@ from .semantics.stratified import stratified_model
 from .semantics.valid import valid_model
 from .semantics.wellfounded import well_founded_model
 from .seminaive import seminaive_stratified
-from .stratification import NotStratifiedError, open_cone
+from .stratification import SEMANTICS, NotStratifiedError, open_cone
 
 __all__ = ["SEMANTICS", "QueryResult", "run"]
-
-SEMANTICS = ("stratified", "inflationary", "wellfounded", "valid")
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,10 @@ from functools import lru_cache
 from itertools import count, islice
 from operator import itemgetter
 from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Optional
-from typing import Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Sequence, Set, Tuple
 
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
-from ..robustness import EvaluationBudget
 from .ast import Comparison, Const, FuncTerm, Literal, PredAtom, Rule, Var, term_vars
 from .ast import _apply_function
 from .binding import (
@@ -72,6 +71,9 @@ from .binding import (
     _comparison_mode,
     _literal_processable,
 )
+
+if TYPE_CHECKING:
+    from ..robustness import EvaluationBudget
 
 __all__ = ["HEAD", "NEW", "OLD", "JoinKernel", "Plan", "compile_plan"]
 

@@ -13,7 +13,7 @@ when MOVE is acyclic).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..digraph import (
     DiGraph,
@@ -22,9 +22,12 @@ from ..digraph import (
     strongly_connected_components,
 )
 from .ast import Program
-from .grounding import GroundProgram
+
+if TYPE_CHECKING:
+    from .grounding import GroundProgram
 
 __all__ = [
+    "SEMANTICS",
     "NotStratifiedError",
     "dependency_graph",
     "negative_edges",
@@ -36,6 +39,10 @@ __all__ = [
     "is_locally_stratified",
     "explain_undefined",
 ]
+
+#: The semantics :func:`~repro.datalog.engine.run` (and a served view)
+#: answers under; ``stratified`` only for stratified programs.
+SEMANTICS = ("stratified", "inflationary", "wellfounded", "valid")
 
 
 class NotStratifiedError(ValueError):

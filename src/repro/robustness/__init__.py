@@ -20,56 +20,27 @@ rewriting, and the service layer — runs under an
 
 See ``docs/ROBUSTNESS.md`` for the budget contract and the degraded-
 mode semantics of the service layer.
+
+The names below resolve on first use (PEP 562), like every package
+facade here.
 """
 
-from .budget import CancellationToken, EvaluationBudget, EvaluationProgress
-from .errors import (
-    BudgetExceeded,
-    Cancelled,
-    ClusterError,
-    DataDirLocked,
-    DeadlineExceeded,
-    NonTerminating,
-    RecoveryError,
-    ReproError,
-    RequestTooLarge,
-    UpdateTimeout,
-    ViewDegraded,
-    WorkerUnavailable,
-    error_line,
-)
-from .faults import (
-    ALL_POINTS,
-    FaultInjector,
-    FaultRule,
-    InjectedFault,
-    fault_point,
-    inject_faults,
-)
-from .retry import retry_with_backoff
+from .._lazy import facade
 
-__all__ = [
-    "ALL_POINTS",
-    "BudgetExceeded",
-    "Cancelled",
-    "CancellationToken",
-    "ClusterError",
-    "DataDirLocked",
-    "DeadlineExceeded",
-    "EvaluationBudget",
-    "EvaluationProgress",
-    "FaultInjector",
-    "FaultRule",
-    "InjectedFault",
-    "NonTerminating",
-    "RecoveryError",
-    "ReproError",
-    "RequestTooLarge",
-    "UpdateTimeout",
-    "ViewDegraded",
-    "WorkerUnavailable",
-    "error_line",
-    "fault_point",
-    "inject_faults",
-    "retry_with_backoff",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "budget": ("CancellationToken", "EvaluationBudget", "EvaluationProgress"),
+        "errors": (
+            "BudgetExceeded", "Cancelled", "ClusterError", "DataDirLocked",
+            "DeadlineExceeded", "NonTerminating", "RecoveryError", "ReproError",
+            "RequestTooLarge", "UpdateTimeout", "ViewDegraded",
+            "WorkerUnavailable", "error_line",
+        ),
+        "faults": (
+            "ALL_POINTS", "FaultInjector", "FaultRule", "InjectedFault",
+            "fault_point", "inject_faults",
+        ),
+        "retry": ("retry_with_backoff",),
+    },
+)

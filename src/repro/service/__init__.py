@@ -9,59 +9,35 @@ served from published snapshots (:mod:`snapshot`), repeated answers
 served from an LRU cache (:mod:`cache`), and the whole thing instrumented
 (:mod:`metrics`) and scriptable over a line protocol (:mod:`server`,
 ``repro serve``).  See ``docs/SERVICE.md`` for the architecture.
+
+The names below resolve on first use (PEP 562): a stratified server
+loads the circuit, the server and the durability plane, and the
+annotated engine or the Prometheus exporter only when a view or a flag
+asks for one.
 """
 
-from .cache import LRUCache
-from .dbsp import DBSPEngine, UpdateQueue, ZSet
-from .dbsp.engine import IncrementalMaintenanceError
-from .locks import AtomicReference, InstrumentedLock
-from .metrics import Histogram, ServiceMetrics, ViewMetrics
-from .prometheus import PrometheusExporter, render_prometheus
-from .snapshot import ModelSnapshot
-from .registry import (
-    Component,
-    PreparedProgram,
-    prepare_program,
-    split_program_and_facts,
-)
-from .annotated import AnnotatedEngine
-from .demand import DemandEntry, DemandRegistry
-from .server import (
-    QueryService,
-    parse_annotated_fact,
-    parse_bound_pattern,
-    parse_fact,
-    serve_stream,
-    serve_unix_socket,
-)
-from .views import MaterializedView
+from .._lazy import facade
 
-__all__ = [
-    "AnnotatedEngine",
-    "AtomicReference",
-    "Component",
-    "DBSPEngine",
-    "DemandEntry",
-    "DemandRegistry",
-    "Histogram",
-    "IncrementalMaintenanceError",
-    "InstrumentedLock",
-    "LRUCache",
-    "MaterializedView",
-    "ModelSnapshot",
-    "PreparedProgram",
-    "PrometheusExporter",
-    "QueryService",
-    "ServiceMetrics",
-    "UpdateQueue",
-    "ViewMetrics",
-    "ZSet",
-    "parse_annotated_fact",
-    "parse_bound_pattern",
-    "parse_fact",
-    "prepare_program",
-    "render_prometheus",
-    "serve_stream",
-    "serve_unix_socket",
-    "split_program_and_facts",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "annotated": ("AnnotatedEngine",),
+        "locks": ("AtomicReference", "InstrumentedLock"),
+        "registry": (
+            "Component", "PreparedProgram", "prepare_program",
+            "split_program_and_facts",
+        ),
+        "dbsp": ("DBSPEngine", "UpdateQueue", "ZSet"),
+        "dbsp.engine": ("IncrementalMaintenanceError",),
+        "demand": ("DemandEntry", "DemandRegistry"),
+        "metrics": ("Histogram", "ServiceMetrics", "ViewMetrics"),
+        "cache": ("LRUCache",),
+        "views": ("MaterializedView",),
+        "snapshot": ("ModelSnapshot",),
+        "prometheus": ("PrometheusExporter", "render_prometheus"),
+        "server": (
+            "QueryService", "parse_annotated_fact", "parse_bound_pattern",
+            "parse_fact", "serve_stream", "serve_unix_socket",
+        ),
+    },
+)

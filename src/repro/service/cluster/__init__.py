@@ -23,45 +23,22 @@ The names below resolve on first use (PEP 562): a spawned worker loads
 :mod:`.worker` through this package, and neither the router nor asyncio.
 """
 
-import importlib
+from ..._lazy import facade
 
-#: Public name → the submodule that defines it.
-_EXPORTS = {
-    "ClusterClient": "client",
-    "ClusterReplyError": "client",
-    "MAX_FRAME_BYTES": "framing",
-    "FrameError": "framing",
-    "encode_frame": "framing",
-    "read_frame": "framing",
-    "read_frame_async": "framing",
-    "write_frame": "framing",
-    "write_frame_async": "framing",
-    "HashRing": "hashring",
-    "merge_counters": "rollup",
-    "merge_histograms": "rollup",
-    "rollup_metrics": "rollup",
-    "ClusterRouter": "router",
-    "ViewRecord": "router",
-    "WorkerHandle": "router",
-    "canonical_fact_text": "router",
-    "cluster": "router",
-    "DEFAULT_START_METHOD": "worker",
-    "spawn_worker": "worker",
-    "worker_main": "worker",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        submodule = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value  # resolved once
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "client": ("ClusterClient", "ClusterReplyError"),
+        "framing": (
+            "MAX_FRAME_BYTES", "FrameError", "encode_frame", "read_frame",
+            "read_frame_async", "write_frame", "write_frame_async",
+        ),
+        "hashring": ("HashRing",),
+        "rollup": ("merge_counters", "merge_histograms", "rollup_metrics"),
+        "router": (
+            "ClusterRouter", "ViewRecord", "WorkerHandle", "canonical_fact_text",
+            "cluster",
+        ),
+        "worker": ("DEFAULT_START_METHOD", "spawn_worker", "worker_main"),
+    },
+)

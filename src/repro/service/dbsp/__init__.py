@@ -9,29 +9,23 @@ group-commit queue that lets the server coalesce write bursts into
 single circuit passes (:mod:`.queue`); the valid / well-founded
 semantics run as an alternating chain of those engines
 (:mod:`.alternating`).  See ``docs/DBSP.md``.
+
+The names below resolve on first use (PEP 562): the alternating chain
+loads with the first view of a non-stratified program.
 """
 
-from .circuit import (
-    IncrementalDistinct,
-    NegativeWeightError,
-    differentiate,
-    integrate,
-    running_integral,
-)
-from .alternating import AlternatingEngine
-from .engine import DBSPEngine
-from .queue import Ticket, UpdateQueue
-from .zset import ZSet
+from ..._lazy import facade
 
-__all__ = [
-    "ZSet",
-    "integrate",
-    "running_integral",
-    "differentiate",
-    "IncrementalDistinct",
-    "NegativeWeightError",
-    "DBSPEngine",
-    "AlternatingEngine",
-    "UpdateQueue",
-    "Ticket",
-]
+__all__, __getattr__, __dir__ = facade(
+    __name__,
+    {
+        "zset": ("ZSet",),
+        "circuit": (
+            "integrate", "running_integral", "differentiate",
+            "IncrementalDistinct", "NegativeWeightError",
+        ),
+        "engine": ("DBSPEngine",),
+        "alternating": ("AlternatingEngine",),
+        "queue": ("UpdateQueue", "Ticket"),
+    },
+)

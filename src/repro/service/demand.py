@@ -36,12 +36,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..datalog.magic import MagicProgram
 from ..robustness.errors import DeadlineExceeded
 from .dbsp.queue import _per_waiter_copy
 from .locks import AtomicReference
+
+if TYPE_CHECKING:
+    from ..datalog.magic import MagicProgram
 
 __all__ = ["DemandEntry", "DemandRegistry"]
 

@@ -88,9 +88,8 @@ from typing import (
 
 from ..datalog.ast import Const, Var
 from ..datalog.database import Database
-from ..datalog.engine import SEMANTICS
-from ..datalog.magic import adornment_for, magic_transform
 from ..datalog.parser import _Parser, _tokenize
+from ..datalog.stratification import SEMANTICS
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import (
@@ -738,6 +737,8 @@ class QueryService:
         by ``demand_fallbacks``.  Returns ``(true_rows,
         undefined_rows, stale)`` like :meth:`query_state`.
         """
+        from ..datalog.magic import adornment_for
+
         args = tuple(args)
         adornment = adornment_for(args)
         if "b" not in adornment:
@@ -839,6 +840,8 @@ class QueryService:
         to the base view while the (demand-restricted) initial
         materialization runs; bench P13 prices exactly this.
         """
+        from ..datalog.magic import magic_transform
+
         with self._locked_view(name) as (view, current):
             if current != generation:
                 raise KeyError(

@@ -58,29 +58,31 @@ suite in ``tests/robustness``), the same for every engine:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping
+from typing import Optional, Tuple
 
 from ..datalog.database import Database
-from ..datalog.engine import SEMANTICS, QueryResult, run
-from ..datalog.stratification import NotStratifiedError
+from ..datalog.stratification import SEMANTICS, NotStratifiedError
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import (
     Cancelled,
-    EvaluationBudget,
     ReproError,
     ViewDegraded,
     fault_point,
     retry_with_backoff,
 )
 from ..semiring import get_semiring
-from .annotated import AnnotatedEngine
-from .dbsp import AlternatingEngine, DBSPEngine, UpdateQueue
-from .dbsp.engine import IncrementalMaintenanceError
+from .dbsp.engine import DBSPEngine, IncrementalMaintenanceError
+from .dbsp.queue import UpdateQueue
 from .locks import AtomicReference, InstrumentedLock
 from .metrics import ViewMetrics
 from .registry import PreparedProgram
 from .snapshot import ModelSnapshot
+
+if TYPE_CHECKING:
+    from ..datalog.engine import QueryResult
+    from ..robustness import EvaluationBudget
 
 __all__ = ["MaterializedView"]
 
@@ -302,16 +304,18 @@ class MaterializedView:
         self.database = self.engine.edb
         # The engine again when its models have undefined rows.
         self._three_valued = (
-            self.engine
-            if isinstance(self.engine, (AlternatingEngine, _RebuildEngine))
-            else None
+            self.engine if self.maintenance in (None, "alternating") else None
         )
         self._publish_model()
 
     def _engine(self, database: Optional[Database]):
-        """The engine this view's semantics, program and semiring call for."""
+        """The engine this view's semantics, program and semiring call
+        for, its kind recorded as :attr:`maintenance` (``None`` for the
+        rebuild engine).  Every engine but the circuit is imported
+        here, by the first view that needs it."""
         budget = self._budget()
         if self.mode == "recompute":
+            self.maintenance = None
             return _RebuildEngine(
                 self.prepared,
                 database,
@@ -322,6 +326,9 @@ class MaterializedView:
                 budget,
             )
         if self.semiring != "bool":
+            from .annotated import AnnotatedEngine
+
+            self.maintenance = "annotated"
             return AnnotatedEngine(
                 self.prepared,
                 self.semiring_obj,
@@ -333,7 +340,12 @@ class MaterializedView:
         # Valid and well-founded are the stratified model on a
         # stratified program; only negation through recursion needs the
         # alternating chain.
-        engine_cls = DBSPEngine if self.prepared.stratified else AlternatingEngine
+        if self.prepared.stratified:
+            self.maintenance, engine_cls = "dbsp", DBSPEngine
+        else:
+            from .dbsp.alternating import AlternatingEngine
+
+            self.maintenance, engine_cls = "alternating", AlternatingEngine
         return engine_cls(
             self.prepared,
             database=database,
@@ -347,6 +359,8 @@ class MaterializedView:
     ) -> QueryResult:
         """The model of ``database`` from scratch, by :func:`run`: the
         rebuild engine's one evaluation per burst (and per rebuild)."""
+        from ..datalog.engine import run
+
         fault_point("view.recompute")
         return run(
             self.prepared.program,
@@ -400,8 +414,7 @@ class MaterializedView:
         """Circuits in the view's alternating chain (the gauge): a
         write costs this many passes over its delta.  0 when the view
         is not maintained by a chain."""
-        engine = self.engine
-        return len(engine.levels) if isinstance(engine, AlternatingEngine) else 0
+        return len(self.engine.levels) if self.maintenance == "alternating" else 0
 
     def _annotations(self) -> Optional[Dict[str, Dict[Row, str]]]:
         """The engine's wire-text annotation maps (None on the boolean
@@ -709,15 +722,7 @@ class MaterializedView:
                 "mode": self.mode,
                 "semantics": self.semantics,
                 "semiring": self.semiring,
-                "maintenance": (
-                    None
-                    if self.mode == "recompute"
-                    else "annotated"
-                    if self.semiring != "bool"
-                    else "alternating"
-                    if isinstance(self.engine, AlternatingEngine)
-                    else "dbsp"
-                ),
+                "maintenance": self.maintenance,
                 "queue_depth": self.pending.depth(),
                 "facts": self.database.fact_count(),
                 "stale": self.stale,

@@ -1,5 +1,8 @@
 """Fixtures shared by the service suites."""
 
+import os
+import time
+
 import pytest
 
 from repro.service.cluster.router import WorkerHandle
@@ -20,10 +23,20 @@ def workers_exit_on_sigterm(request):
     stop_process = WorkerHandle.stop_process
 
     def checked(handle, timeout=5.0):
+        # A kill names the shard, the test whose stop it was (or its
+        # teardown) and how long that stop took.
+        test = os.environ.get("PYTEST_CURRENT_TEST", "?")
+        started = time.monotonic()
         process = handle.process
         if process is not None:
             kill = process.kill
-            process.kill = lambda: (killed.append(handle.shard_id), kill())
+
+            def record_kill():
+                seconds = round(time.monotonic() - started, 2)
+                killed.append((handle.shard_id, test, seconds))
+                kill()
+
+            process.kill = record_kill
         stop_process(handle, timeout)
 
     WorkerHandle.stop_process = checked
