@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 # Only what every sub-command (and ``build_parser``) needs is imported
 # here; each ``_cmd_*`` imports its own libraries, so ``repro serve``
@@ -33,7 +33,10 @@ from .datalog.parser import parse_program
 from .datalog.stratification import SEMANTICS
 from .relations.universe import translation_registry
 from .relations.values import format_value, sorted_values
-from .robustness import EvaluationBudget, ReproError, error_line
+from .robustness import ReproError, error_line
+
+if TYPE_CHECKING:
+    from .robustness import EvaluationBudget
 
 __all__ = ["main"]
 
@@ -92,6 +95,8 @@ def _budget_from_args(args: argparse.Namespace) -> Optional[EvaluationBudget]:
     max_facts = getattr(args, "max_facts", None)
     if deadline_ms is None and max_steps is None and max_facts is None:
         return None
+    from .robustness import EvaluationBudget
+
     return EvaluationBudget.from_millis(
         deadline_ms, max_steps=max_steps, max_facts=max_facts
     )

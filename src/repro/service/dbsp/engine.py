@@ -35,23 +35,22 @@ layer answers with a from-scratch rebuild.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Set, Tuple
 
 from ...datalog.database import Database
 from ...datalog.kernel import NEW, OLD, JoinKernel, Plan
 from ...datalog.stratification import NotStratifiedError
 from ...relations.universe import FunctionRegistry
 from ...relations.values import Value
-from ...robustness import (
-    BudgetExceeded,
-    EvaluationBudget,
-    ReproError,
-    fault_point,
-)
+from ...robustness import BudgetExceeded, ReproError, fault_point
 from ..metrics import ViewMetrics
 from ..registry import Component, PreparedProgram
 from .circuit import IncrementalDistinct, NegativeWeightError
 from .zset import ZSet
+
+if TYPE_CHECKING:
+    from ...robustness import EvaluationBudget
 
 __all__ = ["DBSPEngine", "IncrementalMaintenanceError"]
 

@@ -74,6 +74,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -93,7 +94,6 @@ from ..datalog.stratification import SEMANTICS
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from ..robustness import (
-    EvaluationBudget,
     ReproError,
     RequestTooLarge,
     UpdateTimeout,
@@ -108,6 +108,9 @@ from .metrics import ServiceMetrics, ViewMetrics
 from .registry import prepare_program
 from .snapshot import format_row
 from .views import MaterializedView
+
+if TYPE_CHECKING:
+    from ..robustness import EvaluationBudget
 
 __all__ = [
     "QueryService",
@@ -389,6 +392,8 @@ class QueryService:
     def _budget_factory(self) -> Optional[Callable[[], EvaluationBudget]]:
         if self.deadline_ms is None:
             return None
+        from ..robustness import EvaluationBudget
+
         deadline_ms = self.deadline_ms
         return lambda: EvaluationBudget.from_millis(deadline_ms)
 
