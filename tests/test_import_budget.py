@@ -49,9 +49,13 @@ def test_a_server_imports_what_it_serves():
         "import repro.cli\n"
         "from repro.service import QueryService, serve_stream, serve_unix_socket\n"
         "repro.cli.build_parser()\n"
+        "serve_stream(QueryService(), [\n"
+        "    'register g stratified tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).',\n"
+        "    '+g e(a, b)', '-g e(a, b)', '+g e(b, c)', 'query g tc',\n"
+        "], lambda line: None)\n"
         "print('\\n'.join(sorted(sys.modules)))\n"
     ).split()
-    assert "repro.service.server" in loaded
+    assert "repro.service.dbsp.engine" in loaded
     unwanted = [
         name
         for name in loaded
@@ -84,30 +88,30 @@ FACADE = (
     "namespace = {}\n"
     "exec(f'from {sys.argv[1]} import *', namespace)\n"
     "unstarred = [n for n in names if n not in namespace]\n"
-    "print(missing, uncached, unlisted, unstarred, len(set(names)) == len(names))\n"
+    "print(missing, uncached, unlisted, unstarred, len(names))\n"
     "print(hasattr(package, 'no_such_name'))\n"
 )
 
 
 @pytest.mark.parametrize(
-    "package",
+    "package, exports",
     [
-        "repro",
-        "repro.datalog",
-        "repro.relations",
-        "repro.robustness",
-        "repro.service",
-        "repro.service.cluster",
-        "repro.service.dbsp",
+        ("repro", 32),
+        ("repro.datalog", 48),
+        ("repro.relations", 16),
+        ("repro.robustness", 23),
+        ("repro.service", 27),
+        ("repro.service.cluster", 21),
+        ("repro.service.dbsp", 10),
     ],
 )
-def test_every_lazy_facade_still_exports_everything(package):
+def test_every_lazy_facade_still_exports_everything(package, exports):
     """Each ``__all__`` name resolves (once: the value is then a plain
     module attribute), is listed by ``dir`` and bound by ``import *``;
     a name the facade does not export is still an ``AttributeError``,
     so ``hasattr`` / ``getattr`` defaults work."""
     out = _python(FACADE, package)
-    assert out == "[] [] [] [] True\nFalse\n", out
+    assert out == f"[] [] [] [] {exports}\nFalse\n", out
 
 
 TC = "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z)."
