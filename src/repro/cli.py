@@ -386,13 +386,13 @@ def _restore_signals(previous: dict) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.shards > 1:
+        return _cmd_serve_cluster(args)
+
     import threading
 
     from .robustness import RecoveryError
     from .service import QueryService, serve_stream, serve_unix_socket
-
-    if args.shards > 1:
-        return _cmd_serve_cluster(args)
 
     try:
         service = QueryService(

@@ -120,7 +120,7 @@ def instance_plan(rule: Rule, goal: bool = False) -> InstancePlan:
 
 
 def accumulate(
-    instances: Iterable[Tuple[Row, int]],
+    instances: Iterable[Row],
     compiled: InstancePlan,
     maps: AnnotationMap,
     semiring: Semiring,
@@ -133,7 +133,7 @@ def accumulate(
     _plan, width, spans = compiled
     tables = [(maps.get(predicate, {}), start, stop) for predicate, start, stop in spans]
     add, mul, one = semiring.add, semiring.mul, semiring.one
-    for instance, _weight in instances:
+    for instance in instances:
         weight = one
         for table, start, stop in tables:
             annotation = table[instance[start:stop]]

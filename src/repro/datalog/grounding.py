@@ -348,7 +348,7 @@ def ground(
             return ()
         layout = layouts[id(plan)]
         fired.append((layout, plan.head, instances))
-        heads = {instance[: layout.width] for instance, _weight in instances}
+        heads = {instance[: layout.width] for instance in instances}
         return heads - kernel.rows(plan.head)
 
     def begin() -> None:
@@ -383,7 +383,7 @@ def ground(
         head_ids = table.of(head)
         pos = [(table.of(predicate), start, stop) for predicate, start, stop in layout.pos]
         neg = [(table.of(predicate), start, stop) for predicate, start, stop in layout.neg]
-        for instance, _weight in instances:
+        for instance in instances:
             # A negated atom outside the closure is certainly false: the
             # literal certainly holds and is dropped.
             kept = [ids.get(instance[start:stop]) for ids, start, stop in neg]

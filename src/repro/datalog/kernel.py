@@ -21,19 +21,17 @@ through :meth:`JoinKernel.fire`.  A rule is compiled once per
   function terms computed into hidden slots).
 
 A plan is then compiled once more, to Python: on its first firing under
-a pair of views and a leaf, :func:`_generate` writes one function with a
-nested ``for`` per match step, the slots as local variables, tests,
-negated literals and function terms inline, and one of two leaves:
-
-* the **set** leaf adds the head row to a set.  Every set-semantics
-  closure takes it — the semi-naive strata, the algebra's candidate
-  universe and the circuit's recursive components — since a least model
-  learns nothing from how often a row is derived; :meth:`JoinKernel.add_all`
-  then stores the set in one difference and one union;
-* the **weighted** leaf appends ``(head row, weight)``, the weight the
-  lead row's.  It serves the callers that count instances or keep them:
-  the circuit's bilinear deltas and re-derivation probes, the grounder
-  (whose head row is the whole rule instance) and the annotated engines.
+a pair of views, :func:`_generate` writes one function with a nested
+``for`` per match step, the slots as local variables, tests, negated
+literals and function terms inline, and a leaf that hands each head row
+to the caller.  :meth:`JoinKernel.fire` collects the rows in a list —
+one per rule instance, for the grounder (whose head row is the whole
+rule instance) and the annotated engines — or, ``as_set``, in a set:
+every set-semantics closure takes that one (the semi-naive strata, the
+algebra's candidate universe and the circuit's components), since a
+least model learns nothing from how often a row is derived, and
+:meth:`JoinKernel.add_all` then stores the set in one difference and
+one union.
 
 The function is cached on the plan, so it lives as long as
 :func:`compile_plan`'s cache entry.  Client text (predicate names,
@@ -45,8 +43,9 @@ The kernel is also the fact store: it keeps one index per
 nothing else.  Non-lead literals are read through a *view* of the store:
 :data:`NEW` (current rows) or :data:`OLD` (rewound by the ``plus`` /
 ``minus`` overlays of the batch in flight); ``before`` applies to body
-items left of the lead, ``after`` to the rest, which is all the bilinear
-rule-delta expansion and the retraction closure need.
+items left of the lead, ``after`` to the rest (the grounder's rounds
+read ``OLD`` before and ``NEW`` after; the circuit reads one view
+throughout).
 
 :meth:`JoinKernel.close` is the loop around the firing: the one
 semi-naive fixpoint driver every client that closes rows under rules
@@ -105,8 +104,8 @@ class Plan(NamedTuple):
     head_slots: Tuple[int, ...]
     #: The ``(predicate, bound positions)`` indexes the steps probe.
     patterns: Tuple[Pattern, ...]
-    #: ``(before, after, as_set)`` → the generated firing function.
-    functions: Dict[Tuple[int, int, bool], Callable]
+    #: ``(before, after)`` → the generated firing function.
+    functions: Dict[Tuple[int, int], Callable]
 
 
 class _Compiler:
@@ -316,15 +315,14 @@ def _rewound(rows, added, removed, arity: int, key_of, key) -> list:
 
 
 class _Writer:
-    """The Python source of one ``(plan, before, after, as_set)`` firing.
+    """The Python source of one ``(plan, before, after)`` firing.
 
     Every identifier in it is minted here and every literal is an
     integer; client values are bound to closure cells (:attr:`cells`).
     """
 
-    def __init__(self, plan: Plan, before: int, after: int, as_set: bool):
+    def __init__(self, plan: Plan, before: int, after: int):
         self.plan, self.before, self.after = plan, before, after
-        self.as_set = as_set
         steps = plan.steps
         self.cells: Dict[str, object] = {
             "apply": _apply_function,
@@ -336,14 +334,10 @@ class _Writer:
         self.filled = {step[1] for step in steps if step[0] == _ASSIGN} | {
             slot for step in steps if step[0] == _MATCH for slot, _ in step[6]
         }
-        # The lead row's weight travels to the leaf; a set leaf has none.
-        self.weighted = not as_set and any(
-            step[0] == _MATCH and step[1] == plan.pivot for step in steps
-        )
         self.live: Set[str] = set()  # locals filled so far
         self.functions: List[str] = []
         self.matches = 0
-        self.start("c0", f"{_CONTEXT}, lead, weights")
+        self.start("c0", f"{_CONTEXT}, lead")
 
     # -- names ------------------------------------------------------------------
 
@@ -404,9 +398,7 @@ class _Writer:
 
     def split(self) -> None:
         """Continue the plan in a new function, called from here."""
-        params = ", ".join(
-            [_CONTEXT] + ["w"] * self.weighted + sorted(self.live)
-        )
+        params = ", ".join([_CONTEXT, *sorted(self.live)])
         name = f"c{len(self.functions) + 1}"
         self.line(f"n += {name}({params})")
         self.finish()
@@ -438,11 +430,7 @@ class _Writer:
             else:
                 self.membership(*step)
         self.line("if budget is not None: budget.tick()")
-        row = self.row(self.plan.head_slots)
-        if self.as_set:
-            self.line(f"append({row})")
-        else:
-            self.line(f"append(({row}, {'w' if self.weighted else '1'}))")
+        self.line(f"append({self.row(self.plan.head_slots)})")
         self.finish()
         cells = ", ".join(self.cells)
         return "\n".join([f"def make({cells}):", *self.functions, "    return c0", ""])
@@ -512,17 +500,14 @@ class _Writer:
                 targets[position] = f"s{slot}"
                 self.live.add(f"s{slot}")
             self.line(f"{', '.join(targets)}{',' * (arity == 1)} = {row}")
-        if index == self.plan.pivot and self.weighted:
-            self.line(f"w = 1 if weights is None else weights[{row}]")
 
 
-def _generate(plan: Plan, before: int, after: int, as_set: bool) -> Callable:
+def _generate(plan: Plan, before: int, after: int) -> Callable:
     """One firing of ``plan`` under the two views, as a Python function
-    ``(facts, index, plus, minus, registry, budget, append, lead,
-    weights) -> rows matched`` that hands ``append`` each head row (set
-    leaf) or ``(head row, weight)`` pair; its source is kept as
+    ``(facts, index, plus, minus, registry, budget, append, lead) -> rows
+    matched`` that hands ``append`` each head row; its source is kept as
     ``.source``."""
-    writer = _Writer(plan, before, after, as_set)
+    writer = _Writer(plan, before, after)
     source = writer.source()
     namespace: Dict[str, Callable] = {}
     exec(compile(source, "<join plan>", "exec"), _GLOBALS, namespace)
@@ -680,21 +665,17 @@ class JoinKernel:
         budget: Optional[EvaluationBudget] = None,
         as_set: bool = False,
     ):
-        """All ``(head row, weight)`` instances of one compiled firing —
-        or, ``as_set``, the set of their head rows.
+        """The head row of every instance of one compiled firing, one per
+        instance in a list — or, ``as_set``, the set of them.
 
-        ``lead`` feeds the plan's lead step: an iterable of rows (weight
-        1 each) or a row → weight mapping such as a Z-set, whose weight
-        multiplies into the instance — for a negated lead the caller
-        passes the already sign-flipped delta (``Δ(¬q) = −Δq``) or the
-        set of atoms whose flip is the trigger.  Body items left of the
-        lead read the ``before`` view, the others ``after``.  Each rule
-        instance is reported once, with one ``budget.tick()``, under
-        either leaf.
+        ``lead`` feeds the plan's lead step an iterable of rows — for a
+        negated lead, the atoms whose flip is the trigger.  Body items
+        left of the lead read the ``before`` view, the others ``after``.
+        Each rule instance costs one ``budget.tick()``.
         """
         if plan.pivot <= 0:  # no body item sits left of the lead
             before = NEW
-        key = (before, after, as_set)
+        key = (before, after)
         function = plan.functions.get(key)
         if function is None:
             # Unlocked: two threads racing here generate the same code.
@@ -709,7 +690,6 @@ class JoinKernel:
             budget,
             produced.add if as_set else produced.append,
             lead,
-            lead if hasattr(lead, "items") else None,
         )
         self.rules_fired += 1
         self.rows_matched += pulled

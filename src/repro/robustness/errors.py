@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = [
+    "USAGE",
     "error_line",
     "ReproError",
     "BudgetExceeded",
@@ -89,6 +90,20 @@ def error_line(exc: BaseException) -> str:
     if isinstance(exc, ReproError):
         return f"error {exc.code} {type(exc).__name__}: {message}"
     return f"error {type(exc).__name__}: {message}"
+
+
+#: Each verb's reply to a malformed request; the cluster front door
+#: answers with the same lines.
+USAGE = {
+    "+": "error usage: +<view> <fact>[ @ <annotation>]",
+    "-": "error usage: -<view> <fact>[ @ <annotation>]",
+    "register": (
+        "error usage: register <view> <semantics> "
+        "[--semiring=<name>] <program>"
+    ),
+    "unregister": "error usage: unregister <view>",
+    "query": "error usage: query <view> <predicate>[(pattern)]",
+}
 
 
 class BudgetExceeded(ReproError):

@@ -18,9 +18,7 @@ Shipped semirings:
     path: boolean views never construct annotation maps at all.
 ``naturals``
     Bag semantics — the annotation of a derived row counts its
-    derivation trees, unifying with the counting-maintenance weights
-    (the dbsp circuit's Z-set weights are exactly this carrier embedded
-    in ℤ).  **Convergence condition:** recursive programs only have a
+    derivation trees.  **Convergence condition:** recursive programs only have a
     finite annotation when the data is derivation-finite (e.g. acyclic
     graphs under transitive closure); a cyclic derivation space makes
     the fixpoint diverge and evaluation raises

@@ -27,8 +27,7 @@ __all__, __getattr__, __dir__ = facade(
             "Component", "PreparedProgram", "prepare_program",
             "split_program_and_facts",
         ),
-        "dbsp": ("DBSPEngine", "UpdateQueue", "ZSet"),
-        "dbsp.engine": ("IncrementalMaintenanceError",),
+        "dbsp": ("DBSPEngine", "UpdateQueue"),
         "demand": ("DemandEntry", "DemandRegistry"),
         "metrics": ("Histogram", "ServiceMetrics", "ViewMetrics"),
         "cache": ("LRUCache",),

@@ -71,8 +71,8 @@ from ...robustness import (
     fault_point,
     retry_with_backoff,
 )
+from ...robustness.errors import USAGE
 from ..locks import AtomicReference
-from ..server import USAGE
 from .framing import FrameError, read_frame_async, write_frame_async
 from .hashring import HashRing
 from .rollup import merge_counters, rollup_metrics

@@ -1,10 +1,9 @@
 """DBSP-style delta-stream maintenance.
 
 The maintenance core of the service: materialized views are maintained
-as the integral of a *stream* of update batches by an incrementalized
-circuit built from Z-sets (:mod:`.zset`), the integrate/differentiate
-pair and incremental distinct (:mod:`.circuit`), a weighted delta
-engine over the prepared rule plans (:mod:`.engine`), and the bounded
+over a *stream* of update batches by an incrementalized circuit over
+the prepared rule plans (:mod:`.engine`: every component by
+over-delete and re-derive, on plain row sets), and the bounded
 group-commit queue that lets the server coalesce write bursts into
 single circuit passes (:mod:`.queue`); the valid / well-founded
 semantics run as an alternating chain of those engines
@@ -19,11 +18,6 @@ from ..._lazy import facade
 __all__, __getattr__, __dir__ = facade(
     __name__,
     {
-        "zset": ("ZSet",),
-        "circuit": (
-            "integrate", "running_integral", "differentiate",
-            "IncrementalDistinct", "NegativeWeightError",
-        ),
         "engine": ("DBSPEngine",),
         "alternating": ("AlternatingEngine",),
         "queue": ("UpdateQueue", "Ticket"),

@@ -2,35 +2,32 @@
 
 :class:`DBSPEngine` maintains every boolean stratified view (and each
 level of an :class:`~repro.service.dbsp.AlternatingEngine`).  The
-resident model is the *integral* of a stream of update batches; one
-call to :meth:`apply_stream` is one step of the incrementalized
-circuit:
+resident model is the least model of the EDB the update stream has
+built so far; one call to :meth:`apply_stream` is one step of the
+incrementalized circuit:
 
-* the batch stream is **differentiated** into a single net Z-set of EDB
-  changes (a burst of N batches collapses into one delta — insertions
-  and retractions of the same fact cancel before any rule runs);
-* the prepared plan's component schedule is the circuit: every
-  **non-recursive** component is a linear rule-delta operator feeding an
-  :class:`~repro.service.dbsp.circuit.IncrementalDistinct` node.  The
-  rule delta is the bilinearity expansion
-  ``Δ(L₁ ⋈ … ⋈ Lₖ) = Σᵢ new₍<ᵢ₎ ⋈ ΔLᵢ ⋈ old₍>ᵢ₎`` — each body literal
-  takes its turn as the differentiated input, earlier literals are read
-  at the new view, later ones at the old view, and a negated literal
-  contributes the negated delta (``Δ(¬q) = −Δq``, the 3-valued
-  stratified reading);
+* the batch stream is **differentiated** into one net ``plus`` /
+  ``minus`` pair of EDB row sets (a burst of N batches collapses into
+  one delta — an insertion and a retraction of the same fact cancel
+  before any rule runs);
+* the prepared plan's component schedule is the circuit, and every
+  component is maintained by over-delete and re-derive (DRed), keeping
+  no state beyond the model itself.  A **non-recursive** component
+  takes one step: its candidates are the present head rows with an
+  ``OLD`` instance through what moved below it, or a direct delete;
+  each candidate stays if it is still an EDB fact or a head-bound probe
+  of one of its rules fires over the already-maintained lower state,
+  and the ``NEW`` firings over what arrived are added.  Over the
+  boolean semiring a support probe is exact, so no derivation count is
+  kept;
 * every **recursive** component is a *nested fixpoint* operator: the
-  inner fixpoint's own delta stream is replayed as retraction closure
-  (weights ≤ 0 propagate until fixpoint), support re-derivation, and
-  insertion closure — the incrementalization of ``fix`` the DBSP
-  literature builds from ``δ₀``/``∫``, realised here set-at-a-time so
-  the nested stream is never materialised;
+  inner fixpoint's own delta stream is replayed as retraction closure,
+  support re-derivation, and insertion closure — the incrementalization
+  of ``fix`` the DBSP literature builds from ``δ₀``/``∫``, realised here
+  set-at-a-time so the nested stream is never materialised;
 * the net per-predicate set-level deltas are committed to the resident
   state and returned, preserving the engine summary contract the view
   layer feeds to ``ModelSnapshot.apply_delta``.
-
-Negative integrated weights (a retraction that was never counted) raise
-:class:`IncrementalMaintenanceError`, the correctness valve the view
-layer answers with a from-scratch rebuild.
 """
 
 from __future__ import annotations
@@ -43,16 +40,14 @@ from ...datalog.kernel import NEW, OLD, JoinKernel, Plan
 from ...datalog.stratification import NotStratifiedError
 from ...relations.universe import FunctionRegistry
 from ...relations.values import Value
-from ...robustness import BudgetExceeded, ReproError, fault_point
+from ...robustness import BudgetExceeded, fault_point
 from ..metrics import ViewMetrics
 from ..registry import Component, PreparedProgram
-from .circuit import IncrementalDistinct, NegativeWeightError
-from .zset import ZSet
 
 if TYPE_CHECKING:
     from ...robustness import EvaluationBudget
 
-__all__ = ["DBSPEngine", "IncrementalMaintenanceError"]
+__all__ = ["DBSPEngine"]
 
 Row = Tuple[Value, ...]
 FactDelta = Dict[str, Set[Row]]
@@ -60,27 +55,14 @@ Batch = Tuple[Iterable[Tuple[str, Row]], Iterable[Tuple[str, Row]]]
 
 # Every firing below is one compiled plan of the join kernel
 # (:mod:`repro.datalog.kernel`): the literal that carries the delta — a
-# Z-set whose weights multiply into the product, or a plain row set —
-# leads, and the other literals are index probes read at the NEW view
-# (current state) or the OLD one (state rewound by the net deltas so
-# far).  A negated lead is handed the sign-flipped delta, or the set of
-# atoms whose flip is the trigger.
-
-
-class IncrementalMaintenanceError(ReproError):
-    """An internal bookkeeping invariant broke.
-
-    The view layer treats this as "fall back to full recomputation" —
-    the incremental path is an optimisation, never a correctness risk.
-    (A :class:`~repro.robustness.ReproError`, so the service maps it to
-    a structured wire error when even the fallback cannot recover.)
-    """
-
-    code = "incremental-maintenance"
+# plain row set — leads, and the other literals are index probes read
+# at the NEW view (current state) or the OLD one (state rewound by the
+# net deltas so far).  A negated lead is handed the set of atoms whose
+# flip is the trigger.
 
 
 class DBSPEngine:
-    """A resident model maintained as the integral of a delta stream.
+    """A resident model maintained over a stream of update batches.
 
     The engine seam every view engine shares: ``edb``, ``state``,
     ``model()``, ``rows()``, ``initialize()``, ``budget`` and
@@ -112,62 +94,36 @@ class DBSPEngine:
             if not self.edb.holds(predicate, *row):
                 self.edb.add(predicate, *row)
         self.state = JoinKernel(registry)
-        # Predicates some component schedules; a seed for any other
-        # changes the model directly.
-        self._scheduled: FrozenSet[str] = frozenset().union(
-            *(component.predicates for component in prepared.schedule)
+        # Predicates some rule derives; a seed for any other changes the
+        # model directly.
+        self._derived: FrozenSet[str] = frozenset().union(
+            *(
+                component.predicates
+                for component in prepared.schedule
+                if component.has_rules()
+            )
         )
-        # One IncrementalDistinct node per non-recursive rule head: its
-        # integrated weights count derivations (plus 1 per EDB row), so
-        # presence is simply "integrated weight > 0".
-        self.distinct_nodes: Dict[str, IncrementalDistinct] = {}
         # The counters of the pass in progress, reported in one update
         # when it is through (a pass that raises reports none).
         self._work: Dict[str, int] = {}
-        self._linear: Set[str] = {
-            predicate
-            for component in prepared.schedule
-            if component.has_rules() and not component.recursive
-            for predicate in component.predicates
-        }
         self.initialize()
 
     # -- initial evaluation ---------------------------------------------------
 
     def initialize(self) -> None:
-        """(Re)compute the model from scratch, establishing integrals."""
+        """(Re)compute the model from scratch."""
         fault_point("incremental.initialize")
         self.state = JoinKernel(self.registry)
         for component in self.prepared.schedule:
             self.state.register(*component.circuit.plans())
-        self.distinct_nodes = {
-            predicate: IncrementalDistinct() for predicate in self._linear
-        }
         for predicate in self.edb.predicates():
-            rows = self.edb.rows(predicate)
-            self.state.add_all(predicate, rows)
-            node = self.distinct_nodes.get(predicate)
-            if node is not None:
-                node.weights.update(dict.fromkeys(rows, 1))
+            self.state.add_all(predicate, self.edb.rows(predicate))
         for component in self.prepared.schedule:
-            if not component.has_rules():
-                continue
-            if component.recursive:
+            if component.has_rules():
                 self._initial_fixpoint(component)
-            else:
-                self._initial_linear(component)
         self.metrics.bump_many(
             {"rules_fired": self.state.rules_fired, "rows_matched": self.state.rows_matched}
         )
-
-    def _initial_linear(self, component: Component) -> None:
-        (predicate,) = component.predicates
-        weights = self.distinct_nodes[predicate].weights
-        for plan in component.circuit.naive:
-            produced = self.state.fire(plan)
-            for head_row, weight in produced:
-                weights[head_row] = weights.get(head_row, 0) + weight
-            self.state.add_all(predicate, [head_row for head_row, _ in produced])
 
     def _initial_fixpoint(self, component: Component) -> None:
         add_all = self.state.add_all
@@ -189,7 +145,7 @@ class DBSPEngine:
         delta: Optional[FactDelta] = None,
         view: int = NEW,
     ) -> None:
-        """Close a recursive component on the kernel's fixpoint driver:
+        """Close a component on the kernel's fixpoint driver:
         ``start``, then the component's own leads, all read at ``view``;
         ``admit`` takes each firing's head rows as a set."""
 
@@ -210,9 +166,10 @@ class DBSPEngine:
     def _triggers(
         self, component: Component, positive: FactDelta, negated: FactDelta
     ) -> List[Tuple[Plan, Set[Row]]]:
-        """A closure's round 0: each lead over an earlier component with
-        the rows that moved its literal — from ``positive`` for a positive
-        literal, from ``negated`` for a negated one."""
+        """Each lead over an earlier component with the rows that moved
+        its literal — from ``positive`` for a positive literal, from
+        ``negated`` for a negated one: a closure's round 0, or a probe
+        step's candidates and arrivals."""
         return [
             (variant.plan, rows)
             for variant in component.circuit.external
@@ -248,22 +205,24 @@ class DBSPEngine:
         fault_point("incremental.apply")
         if self.budget is not None:
             self.budget.check(phase="dbsp-apply")
-        seed: Dict[str, ZSet] = {}
+        # The net EDB change: a fact both retracted and inserted within
+        # the burst ends up in neither set.
+        seed_plus: FactDelta = {}
+        seed_minus: FactDelta = {}
         applied_inserts = applied_deletes = 0
         for inserts, deletes in batches:
             for predicate, row in deletes:
                 row = tuple(row)
                 if self.edb.holds(predicate, *row):
                     self.edb.discard(predicate, *row)
-                    seed.setdefault(predicate, ZSet()).add(row, -1)
+                    _flip(seed_plus, seed_minus, predicate, row)
                     applied_deletes += 1
             for predicate, row in inserts:
                 row = tuple(row)
                 if not self.edb.holds(predicate, *row):
                     self.edb.add(predicate, *row)
-                    seed.setdefault(predicate, ZSet()).add(row, 1)
+                    _flip(seed_minus, seed_plus, predicate, row)
                     applied_inserts += 1
-        seed = {predicate: z for predicate, z in seed.items() if z}
 
         plus: FactDelta = {}
         minus: FactDelta = {}
@@ -273,10 +232,7 @@ class DBSPEngine:
         state = self.state
         fired, pulled = state.rules_fired, state.rows_matched
         work = self._work = {"overdeleted_total": 0, "rederived_total": 0}
-        try:
-            self._run_circuit(seed)
-        except NegativeWeightError as exc:
-            raise IncrementalMaintenanceError(str(exc)) from exc
+        self._run_circuit(seed_plus, seed_minus)
 
         batch_count = len(batches)
         delta_plus = sum(len(rows) for rows in plus.values())
@@ -302,23 +258,22 @@ class DBSPEngine:
             "minus": {p: frozenset(rows) for p, rows in minus.items() if rows},
         }
 
-    def _run_circuit(self, seed: Dict[str, ZSet]) -> None:
+    def _run_circuit(self, seed_plus: FactDelta, seed_minus: FactDelta) -> None:
         """One step of the lifted circuit over the net EDB delta."""
-        plus, minus = self.state.plus, self.state.minus
-        # Predicates no rule mentions change the model directly.
-        for predicate, zset in seed.items():
-            if predicate not in self._scheduled:
-                self._commit_zset(predicate, zset)
+        state = self.state
+        plus, minus = state.plus, state.minus
+        # Predicates no rule derives change the model directly.
+        for predicate, rows in seed_minus.items():
+            if predicate not in self._derived:
+                for row in rows:
+                    state.commit_remove(predicate, row)
+        for predicate, rows in seed_plus.items():
+            if predicate not in self._derived:
+                state.commit_add_all(predicate, rows)
 
         for component in self.prepared.schedule:
-            if not component.has_rules():
-                for predicate in component.predicates:
-                    zset = seed.get(predicate)
-                    if zset:
-                        self._commit_zset(predicate, zset)
-                continue
-            if not any(
-                plus.get(p) or minus.get(p) or seed.get(p)
+            if not component.has_rules() or not any(
+                plus.get(p) or minus.get(p) or seed_plus.get(p) or seed_minus.get(p)
                 for p in component.circuit.watch
             ):
                 continue
@@ -326,65 +281,50 @@ class DBSPEngine:
             if self.budget is not None:
                 self.budget.note_iteration(phase="dbsp-maintain")
             if component.recursive:
-                self._fixpoint_delta(component, seed)
+                self._fixpoint_delta(component, seed_plus, seed_minus)
             else:
-                self._linear_delta(component, seed)
+                self._probe_delta(component, seed_plus, seed_minus)
 
-    # -- net-delta bookkeeping ------------------------------------------------
+    # -- non-recursive components: one probe step -----------------------------
 
-    def _commit_zset(self, predicate: str, delta: ZSet) -> None:
-        self.state.commit_add_all(
-            predicate, [row for row, weight in delta.items() if weight > 0]
-        )
-        for row, weight in delta.items():
-            if weight <= 0:
-                self.state.commit_remove(predicate, row)
+    def _probe_delta(
+        self, component: Component, seed_plus: FactDelta, seed_minus: FactDelta
+    ) -> None:
+        """Maintain a non-recursive component without state of its own.
 
-    # -- linear components: one bilinearity sweep -----------------------------
-
-    def _trigger(self, predicate: str, negate: bool = False) -> Optional[ZSet]:
-        """The set-level delta of an already-maintained predicate, as a
-        Z-set — sign-flipped for a negated occurrence (``Δ(¬q) = −Δq``)."""
-        plus = self.state.plus.get(predicate)
-        minus = self.state.minus.get(predicate)
-        if not plus and not minus:
-            return None
-        zset = ZSet()
-        positive = -1 if negate else 1
-        for row in plus or ():
-            zset.add(row, positive)
-        for row in minus or ():
-            zset.add(row, -positive)
-        return zset or None
-
-    def _linear_delta(self, component: Component, seed: Dict[str, ZSet]) -> None:
-        """Maintain a non-recursive component in one weighted sweep.
-
-        Each rule's delta is the bilinearity expansion: every body
-        literal takes one turn as the differentiated input while
-        earlier literals read the new view and later ones the old view
-        — each surviving rule instance is counted exactly once, with
-        the product sign.  The head's IncrementalDistinct node turns
-        the weighted delta into the set-level commit.
+        The candidates are the present head rows with an ``OLD``
+        instance through a lost positive row or a negated atom that
+        became true, and the direct deletes.  A candidate stays if it
+        is still an EDB fact or a head-bound probe of one of its rules
+        fires over the lower components, already maintained; then the
+        ``NEW`` firings over what arrived, and the direct inserts, join.
         """
         (predicate,) = component.predicates
-        delta = ZSet()
-        seeded = seed.get(predicate)
-        if seeded is not None:
-            delta.update(seeded)
-        for plan, body_pred, negated in component.circuit.external:
-            trigger = self._trigger(body_pred, negate=negated)
-            if trigger is not None:
-                for head_row, weight in self.state.fire(plan, trigger, NEW, OLD):
-                    delta.add(head_row, weight)
-        if delta:
-            self._commit_zset(
-                predicate, self.distinct_nodes[predicate].step(delta)
-            )
+        state = self.state
+        candidates = set(seed_minus.get(predicate, ()))
+        for plan, rows in self._triggers(component, state.minus, state.plus):
+            candidates |= state.fire(plan, rows, OLD, OLD, as_set=True)
+        candidates.intersection_update(state.facts.get(predicate, ()))
+        if candidates:
+            # The head is in no body here, so one firing per probe plan
+            # over all the candidates sees the same state as per-row ones.
+            kept = {row for row in candidates if self.edb.holds(predicate, *row)}
+            for plan in component.circuit.probes[predicate]:
+                kept |= state.fire(plan, candidates - kept, as_set=True)
+            for row in candidates - kept:
+                state.commit_remove(predicate, row)
+            self._work["overdeleted_total"] += len(candidates)
+            self._work["rederived_total"] += len(kept)
+        arrived = set(seed_plus.get(predicate, ()))
+        for plan, rows in self._triggers(component, state.plus, state.minus):
+            arrived |= state.fire(plan, rows, as_set=True)
+        state.commit_add_all(predicate, arrived)
 
     # -- recursive components: the nested fixpoint operator -------------------
 
-    def _fixpoint_delta(self, component: Component, seed: Dict[str, ZSet]) -> None:
+    def _fixpoint_delta(
+        self, component: Component, seed_plus: FactDelta, seed_minus: FactDelta
+    ) -> None:
         """Maintain a recursive component as one nested-fixpoint step.
 
         The incrementalization of the inner fixpoint runs in three
@@ -395,18 +335,6 @@ class DBSPEngine:
         insertion closure (the positive half, semi-naive against the
         new view).
         """
-        seed_minus: FactDelta = {}
-        seed_plus: FactDelta = {}
-        for predicate in component.predicates:
-            zset = seed.get(predicate)
-            if not zset:
-                continue
-            negatives = set(zset.neg().rows())
-            positives = set(zset.pos().rows())
-            if negatives:
-                seed_minus[predicate] = negatives
-            if positives:
-                seed_plus[predicate] = positives
         with self.metrics.phase("overdelete"):
             retracted = self._retract_closure(component, seed_minus)
             for predicate, rows in retracted.items():
@@ -496,3 +424,12 @@ class DBSPEngine:
         self._closure(
             component, "insertion closure of", "dbsp-insert-close", triggers, admit, delta
         )
+
+
+def _flip(undo: FactDelta, do: FactDelta, predicate: str, row: Row) -> None:
+    """Record one EDB change in the ``do`` set, or cancel its opposite."""
+    pending = undo.get(predicate)
+    if pending is not None and row in pending:
+        pending.discard(row)
+    else:
+        do.setdefault(predicate, set()).add(row)

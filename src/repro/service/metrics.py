@@ -3,8 +3,8 @@
 Two layers:
 
 * every materialized view carries a :class:`ViewMetrics` — monotone
-  counters (cache traffic, delta sizes, rules fired, recompute
-  fallbacks), accumulated wall-clock and a :class:`Histogram` per
+  counters (cache traffic, delta sizes, rules fired, over-deleted and
+  re-derived rows), accumulated wall-clock and a :class:`Histogram` per
   maintenance phase, and the time the view has spent degraded;
 * the :class:`~repro.service.server.QueryService` carries one
   :class:`ServiceMetrics` — service-level monotone counters (requests,
@@ -53,7 +53,6 @@ _COUNTERS = (
     "circuit_steps",
     "delta_batches_coalesced",
     "recompute_batches",
-    "recompute_fallbacks",
     "snapshot_swaps",
     "snapshot_reads",
     "stale_queries",

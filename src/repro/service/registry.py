@@ -56,9 +56,11 @@ class Circuit(NamedTuple):
     #: Positive leads over the component's own predicates (fixpoint rounds).
     internal: Tuple[Variant, ...]
     #: Leads over earlier components (triggers; every variant of a
-    #: non-recursive component).
+    #: non-recursive component, fired at OLD for its candidates and at
+    #: NEW for its arrivals).
     external: Tuple[Variant, ...]
-    #: Head predicate → head-bound plans (re-derivation probes).
+    #: Head predicate → head-bound plans (re-derivation probes: does a
+    #: rule still derive this row?).
     probes: Dict[str, Tuple[Plan, ...]]
 
     def plans(self) -> Tuple[Plan, ...]:
@@ -77,7 +79,7 @@ class Component:
     ``recursive`` is True when the component contains a dependency edge
     (mutual or self recursion) — the flag that routes delta-stream
     maintenance to the nested fixpoint (retract, re-derive, close)
-    instead of one weighted sweep into an incremental distinct node.
+    instead of one probe step (candidates, probes, arrivals).
     """
 
     predicates: FrozenSet[str]

@@ -100,6 +100,7 @@ from ..robustness import (
     error_line,
     fault_point,
 )
+from ..robustness.errors import USAGE
 from ..semiring import Semiring, get_semiring
 from .cache import LRUCache
 from .demand import DemandRegistry
@@ -1322,20 +1323,6 @@ def parse_bound_pattern(text: str) -> Tuple[str, Tuple[Optional[Value], ...]]:
                 f"bound patterns take constants and '_', got {term!r}"
             )
     return atom.predicate, tuple(args)
-
-
-#: Each verb's reply to a malformed request; the cluster front door
-#: answers with the same lines.
-USAGE = {
-    "+": "error usage: +<view> <fact>[ @ <annotation>]",
-    "-": "error usage: -<view> <fact>[ @ <annotation>]",
-    "register": (
-        "error usage: register <view> <semantics> "
-        "[--semiring=<name>] <program>"
-    ),
-    "unregister": "error usage: unregister <view>",
-    "query": "error usage: query <view> <predicate>[(pattern)]",
-}
 
 
 def _handle_line(service: QueryService, line: str) -> List[str]:

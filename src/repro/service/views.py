@@ -8,10 +8,10 @@ batch is a burst of one), ``model()`` / ``rows()``, ``budget`` — and
 reports each burst as the net ``plus`` / ``minus`` delta of the model:
 
 * ``semantics="stratified"`` on a stratified program: a
-  :class:`~repro.service.dbsp.DBSPEngine` maintains the model as the
-  integral of a delta stream — a burst of N update batches submitted
-  through :meth:`MaterializedView.apply_stream` is differentiated into
-  one net Z-set delta, absorbed in **one** circuit pass, and published
+  :class:`~repro.service.dbsp.DBSPEngine` maintains the model over a
+  delta stream — a burst of N update batches submitted through
+  :meth:`MaterializedView.apply_stream` is differentiated into one net
+  EDB delta, absorbed in **one** circuit pass, and published
   with **one** snapshot swap;
 * ``semantics="valid"`` / ``"wellfounded"`` on a non-stratified
   program is maintained the same way, by an
@@ -73,7 +73,7 @@ from ..robustness import (
     retry_with_backoff,
 )
 from ..semiring import get_semiring
-from .dbsp.engine import DBSPEngine, IncrementalMaintenanceError
+from .dbsp.engine import DBSPEngine
 from .dbsp.queue import UpdateQueue
 from .locks import AtomicReference, InstrumentedLock
 from .metrics import ViewMetrics
@@ -195,8 +195,6 @@ class _RebuildEngine:
         plus, minus = _diff(self._true, true)
         undefined_plus, undefined_minus = _diff(self._undefined, undefined)
         self._true, self._undefined = true, undefined
-        # Routine rebuild traffic is *not* a fallback — only a genuine
-        # maintenance failure bumps recompute_fallbacks.
         self.metrics.bump_many(
             {
                 "update_batches": len(batches),
@@ -544,7 +542,7 @@ class MaterializedView:
         """Apply a burst of update batches as **one** engine pass.
 
         The delta-stream engine differentiates the burst into a single
-        net Z-set delta and absorbs it in one circuit pass, a rebuild
+        net EDB delta and absorbs it in one circuit pass, a rebuild
         view evaluates once — and either way the burst costs one
         snapshot publish, never N.
 
@@ -617,19 +615,6 @@ class MaterializedView:
                     summary = engine.apply_stream(batches, annotations)
                 else:
                     summary = engine.apply_stream(batches)
-        except IncrementalMaintenanceError:
-            # Correctness valve: the EDB holds the whole burst, only
-            # the derived bookkeeping broke — rebuild from the updated
-            # database and keep serving.
-            self.metrics.bump("recompute_fallbacks")
-            if not self._reinitialize():
-                return {
-                    "mode": "degraded",
-                    "stale": True,
-                    "inserts": sum(len(inserts) for inserts, _ in batches),
-                    "deletes": sum(len(deletes) for _, deletes in batches),
-                }
-            return {"mode": "reinitialized"}
         except Cancelled:
             # Rebuild too: the burst may have maintained several
             # components — or several levels of a chain, each holding

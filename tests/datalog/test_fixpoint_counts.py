@@ -176,31 +176,31 @@ EXPECTED = {
     ('valid_evaluate', 'win-game', 'chain'): (3, 15, 0, 0, {}, {}),
     ('valid_evaluate', 'transitive-closure', 'chain'): (19, 65, 0, 0, {}, {}),
     ('dbsp-initialize', 'transitive-closure', 'chain'): (6, 39, 0, 0, {'dbsp-initialize': 4}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'unreachable', 'chain'): (9, 91, 0, 0, {'dbsp-initialize': 4}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'same-generation', 'chain'): (5, 47, 0, 0, {'dbsp-initialize': 1}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'arith-evens', 'chain'): (12, 22, 0, 0, {'dbsp-initialize': 10}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'tuples', 'chain'): (4, 20, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'zero-arity', 'chain'): (4, 11, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'nested-tuples', 'chain'): (3, 17, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'sources-sinks', 'chain'): (5, 29, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'arith-squares', 'chain'): (9, 21, 0, 0, {'dbsp-initialize': 6}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'unreachable', 'chain'): (9, 91, 0, 0, {'dbsp-initialize': 6}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'same-generation', 'chain'): (5, 47, 0, 0, {'dbsp-initialize': 2}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'arith-evens', 'chain'): (12, 22, 0, 0, {'dbsp-initialize': 11}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'tuples', 'chain'): (4, 20, 0, 0, {'dbsp-initialize': 3}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'zero-arity', 'chain'): (4, 11, 0, 0, {'dbsp-initialize': 2}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'nested-tuples', 'chain'): (3, 17, 0, 0, {'dbsp-initialize': 3}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'sources-sinks', 'chain'): (5, 29, 0, 0, {'dbsp-initialize': 5}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'arith-squares', 'chain'): (9, 21, 0, 0, {'dbsp-initialize': 8}, {'incremental.initialize': 1}),
     ('dbsp-insert', 'transitive-closure', 'chain'): (8, 49, 0, 0, {'dbsp-maintain': 1, 'dbsp-insert-close': 6}, {'incremental.apply': 1, 'incremental.component': 1}),
-    ('dbsp-insert', 'unreachable', 'chain'): (11, 114, 0, 0, {'dbsp-maintain': 3, 'dbsp-insert-close': 6}, {'incremental.apply': 1, 'incremental.component': 3}),
+    ('dbsp-insert', 'unreachable', 'chain'): (12, 135, 0, 0, {'dbsp-maintain': 3, 'dbsp-insert-close': 6}, {'incremental.apply': 1, 'incremental.component': 3}),
     ('dbsp-insert', 'same-generation', 'chain'): (4, 8, 0, 0, {'dbsp-maintain': 2}, {'incremental.apply': 1, 'incremental.component': 2}),
     ('dbsp-insert', 'arith-evens', 'chain'): (0, 0, 0, 0, {}, {'incremental.apply': 1}),
     ('dbsp-insert', 'tuples', 'chain'): (6, 6, 0, 0, {'dbsp-maintain': 4}, {'incremental.apply': 1, 'incremental.component': 4}),
     ('dbsp-insert', 'zero-arity', 'chain'): (2, 2, 0, 0, {'dbsp-maintain': 2}, {'incremental.apply': 1, 'incremental.component': 2}),
     ('dbsp-insert', 'nested-tuples', 'chain'): (4, 8, 0, 0, {'dbsp-maintain': 3}, {'incremental.apply': 1, 'incremental.component': 3}),
-    ('dbsp-insert', 'sources-sinks', 'chain'): (8, 12, 0, 0, {'dbsp-maintain': 5}, {'incremental.apply': 1, 'incremental.component': 5}),
+    ('dbsp-insert', 'sources-sinks', 'chain'): (10, 14, 0, 0, {'dbsp-maintain': 5}, {'incremental.apply': 1, 'incremental.component': 5}),
     ('dbsp-insert', 'arith-squares', 'chain'): (0, 0, 0, 0, {}, {'incremental.apply': 1}),
     ('dbsp-delete', 'transitive-closure', 'chain'): (23, 43, 0, 0, {'dbsp-maintain': 1, 'dbsp-retract': 3}, {'incremental.apply': 1, 'incremental.component': 1}),
-    ('dbsp-delete', 'unreachable', 'chain'): (26, 72, 0, 0, {'dbsp-maintain': 3, 'dbsp-retract': 3}, {'incremental.apply': 1, 'incremental.component': 3}),
-    ('dbsp-delete', 'same-generation', 'chain'): (11, 28, 0, 0, {'dbsp-maintain': 2, 'dbsp-retract': 3, 'dbsp-insert-close': 1}, {'incremental.apply': 1, 'incremental.component': 2}),
+    ('dbsp-delete', 'unreachable', 'chain'): (28, 77, 0, 0, {'dbsp-maintain': 3, 'dbsp-retract': 3}, {'incremental.apply': 1, 'incremental.component': 3}),
+    ('dbsp-delete', 'same-generation', 'chain'): (13, 33, 0, 0, {'dbsp-maintain': 2, 'dbsp-retract': 3, 'dbsp-insert-close': 1}, {'incremental.apply': 1, 'incremental.component': 2}),
     ('dbsp-delete', 'arith-evens', 'chain'): (0, 0, 0, 0, {}, {'incremental.apply': 1}),
-    ('dbsp-delete', 'tuples', 'chain'): (6, 6, 0, 0, {'dbsp-maintain': 4}, {'incremental.apply': 1, 'incremental.component': 4}),
-    ('dbsp-delete', 'zero-arity', 'chain'): (2, 2, 0, 0, {'dbsp-maintain': 2}, {'incremental.apply': 1, 'incremental.component': 2}),
-    ('dbsp-delete', 'nested-tuples', 'chain'): (4, 8, 0, 0, {'dbsp-maintain': 3}, {'incremental.apply': 1, 'incremental.component': 3}),
-    ('dbsp-delete', 'sources-sinks', 'chain'): (8, 12, 0, 0, {'dbsp-maintain': 5}, {'incremental.apply': 1, 'incremental.component': 5}),
+    ('dbsp-delete', 'tuples', 'chain'): (9, 17, 0, 0, {'dbsp-maintain': 4}, {'incremental.apply': 1, 'incremental.component': 4}),
+    ('dbsp-delete', 'zero-arity', 'chain'): (3, 7, 0, 0, {'dbsp-maintain': 2}, {'incremental.apply': 1, 'incremental.component': 2}),
+    ('dbsp-delete', 'nested-tuples', 'chain'): (7, 34, 0, 0, {'dbsp-maintain': 3}, {'incremental.apply': 1, 'incremental.component': 3}),
+    ('dbsp-delete', 'sources-sinks', 'chain'): (11, 17, 0, 0, {'dbsp-maintain': 5}, {'incremental.apply': 1, 'incremental.component': 5}),
     ('dbsp-delete', 'arith-squares', 'chain'): (0, 0, 0, 0, {}, {'incremental.apply': 1}),
     ('seminaive', 'transitive-closure', 'cycle'): (6, 65, 41, 25, {'seminaive': 5}, {'seminaive.round': 5}),
     ('seminaive', 'unreachable', 'cycle'): (9, 105, 54, 30, {'seminaive': 6}, {'seminaive.round': 6}),
@@ -227,16 +227,16 @@ EXPECTED = {
     ('valid_evaluate', 'win-game', 'cycle'): (3, 15, 0, 0, {}, {}),
     ('valid_evaluate', 'transitive-closure', 'cycle'): (20, 115, 0, 0, {}, {}),
     ('dbsp-initialize', 'transitive-closure', 'cycle'): (6, 65, 0, 0, {'dbsp-initialize': 4}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'unreachable', 'cycle'): (9, 105, 0, 0, {'dbsp-initialize': 4}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'same-generation', 'cycle'): (5, 45, 0, 0, {'dbsp-initialize': 1}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'arith-evens', 'cycle'): (12, 22, 0, 0, {'dbsp-initialize': 10}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'tuples', 'cycle'): (4, 20, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'zero-arity', 'cycle'): (4, 11, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'nested-tuples', 'cycle'): (3, 20, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'sources-sinks', 'cycle'): (5, 30, 0, 0, {}, {'incremental.initialize': 1}),
-    ('dbsp-initialize', 'arith-squares', 'cycle'): (9, 21, 0, 0, {'dbsp-initialize': 6}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'unreachable', 'cycle'): (9, 105, 0, 0, {'dbsp-initialize': 5}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'same-generation', 'cycle'): (5, 45, 0, 0, {'dbsp-initialize': 2}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'arith-evens', 'cycle'): (12, 22, 0, 0, {'dbsp-initialize': 11}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'tuples', 'cycle'): (4, 20, 0, 0, {'dbsp-initialize': 3}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'zero-arity', 'cycle'): (4, 11, 0, 0, {'dbsp-initialize': 2}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'nested-tuples', 'cycle'): (3, 20, 0, 0, {'dbsp-initialize': 3}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'sources-sinks', 'cycle'): (5, 30, 0, 0, {'dbsp-initialize': 3}, {'incremental.initialize': 1}),
+    ('dbsp-initialize', 'arith-squares', 'cycle'): (9, 21, 0, 0, {'dbsp-initialize': 8}, {'incremental.initialize': 1}),
     ('dbsp-insert', 'transitive-closure', 'cycle'): (3, 12, 0, 0, {'dbsp-maintain': 1, 'dbsp-insert-close': 1}, {'incremental.apply': 1, 'incremental.component': 1}),
-    ('dbsp-insert', 'unreachable', 'cycle'): (8, 42, 0, 0, {'dbsp-maintain': 3, 'dbsp-insert-close': 1}, {'incremental.apply': 1, 'incremental.component': 3}),
+    ('dbsp-insert', 'unreachable', 'cycle'): (8, 33, 0, 0, {'dbsp-maintain': 3, 'dbsp-insert-close': 1}, {'incremental.apply': 1, 'incremental.component': 3}),
     ('dbsp-insert', 'same-generation', 'cycle'): (6, 12, 0, 0, {'dbsp-maintain': 2, 'dbsp-insert-close': 1}, {'incremental.apply': 1, 'incremental.component': 2}),
     ('dbsp-insert', 'arith-evens', 'cycle'): (0, 0, 0, 0, {}, {'incremental.apply': 1}),
     ('dbsp-insert', 'tuples', 'cycle'): (6, 6, 0, 0, {'dbsp-maintain': 4}, {'incremental.apply': 1, 'incremental.component': 4}),

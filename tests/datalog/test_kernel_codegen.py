@@ -1,7 +1,7 @@
 """Plans compiled to Python: the generated firing functions' contract.
 
 :meth:`JoinKernel.fire` runs one generated function per ``(plan,
-before, after, leaf)``.  These tests pin what that must not change: the
+before, after)``.  These tests pin what that must not change: the
 instances (held to the nested-loop ``reference`` of
 ``tests/property/test_kernel_plans.py``, also past CPython's nested-block
 limit), the ``rows_matched`` accounting, where the functions are cached
@@ -75,22 +75,20 @@ def test_kernels_share_one_function_per_plan_and_views():
     second.fire(plan, {(2, 3)})
     assert _functions(plan) == [function]
     second.fire(plan, {(2, 3)}, OLD, OLD)
-    assert len(plan.functions) == 2 and plan.functions[NEW, NEW, False] is function
+    assert len(plan.functions) == 2 and plan.functions[NEW, NEW] is function
 
 
-def test_the_set_leaf_is_a_function_of_its_own():
+def test_the_list_and_the_set_firing_share_one_function():
     rule = _rule("leaf_tc(X, Z) :- leaf_tc(X, Y), leaf_e(Y, Z).")
     first, second = JoinKernel(), JoinKernel()
     plan = first.plan(rule, 0)
     second.register(plan)
     first.add("leaf_e", (2, 3))
     second.add("leaf_e", (2, 4))
-    assert first.fire(plan, {(1, 2): 5}) == [((1, 3), 5)]
-    assert first.fire(plan, {(1, 2): 5}, as_set=True) == {(1, 3)}
+    assert first.fire(plan, {(1, 2)}) == [(1, 3)]
+    assert first.fire(plan, {(1, 2)}, as_set=True) == {(1, 3)}
     assert second.fire(plan, {(1, 2), (0, 2)}, as_set=True) == {(1, 4), (0, 4)}
-    assert set(plan.functions) == {(NEW, NEW, False), (NEW, NEW, True)}
-    weighted, heads = plan.functions[NEW, NEW, False], plan.functions[NEW, NEW, True]
-    assert "weights[" in weighted.source and "weights[" not in heads.source
+    assert set(plan.functions) == {(NEW, NEW)}
 
 
 def test_a_function_lives_and_dies_with_its_plan():
@@ -123,10 +121,10 @@ def test_rows_matched_on_a_three_edge_chain():
     rule = _rule("tc(X, Z) :- tc(X, Y), e(Y, Z).")
     naive, delta = kernel.plan(rule), kernel.plan(rule, 0)
     # e's three rows, then tc probed by Y: nothing for a, one row each for b, c.
-    assert Counter(kernel.fire(naive)) == Counter([((a, c), 1), ((b, d), 1)])
+    assert Counter(kernel.fire(naive)) == Counter([(a, c), (b, d)])
     assert kernel.rows_matched == 5
     # The two delta rows, then e probed by c (one row) and by d (none).
-    assert kernel.fire(delta, {(a, c), (b, d)}) == [((a, d), 1)]
+    assert kernel.fire(delta, {(a, c), (b, d)}) == [(a, d)]
     assert kernel.rows_matched == 5 + 3
 
 
@@ -141,32 +139,27 @@ def _chain(length):
 
 def _walks(edges, length, lead, rows):
     """The chain's instances by walking the graph: edge ``lead`` of each
-    walk comes from ``rows`` (weighted when a mapping), or the walk's
-    ends from ``rows`` under :data:`HEAD`."""
-    weights = rows if isinstance(rows, dict) else dict.fromkeys(rows or (), 1)
+    walk comes from ``rows``, or the walk's ends from ``rows`` under
+    :data:`HEAD`."""
+    led = set(rows or ())
     walks = Counter()
-    paths = [(edge,) for edge in (weights if lead == 0 else edges)]
+    paths = [(edge,) for edge in (led if lead == 0 else edges)]
     for step in range(1, length):
         paths = [
             path + (edge,)
             for path in paths
-            for edge in (weights if step == lead else edges)
+            for edge in (led if step == lead else edges)
             if edge[0] == path[-1][1]
         ]
     for path in paths:
         ends = (path[0][0], path[-1][1])
-        if lead is None:
-            walks[(ends, 1)] += 1
-        elif lead == HEAD:
-            walks[(ends, 1)] += ends in weights
-        else:
-            walks[(ends, weights[path[lead]])] += 1
+        walks[ends] += lead != HEAD or ends in led
     return +walks
 
 
 @pytest.mark.parametrize(
     "lead, rows",
-    [(None, None), (12, {(0, 0): -2, (0,): 5}), (HEAD, {(0, 0), (0, 1)})],
+    [(None, None), (12, {(0, 0), (0,)}), (HEAD, {(0, 0), (0, 1)})],
 )
 def test_a_25_literal_chain_fires_past_the_nesting_limit(monkeypatch, lead, rows):
     rule = _chain(25)
@@ -185,7 +178,7 @@ def test_a_25_literal_chain_fires_past_the_nesting_limit(monkeypatch, lead, rows
     "lead, rows",
     [
         (None, None),
-        (12, {(12, 13): -1, (20, 21): 2, (40, 41): 3}),
+        (12, {(12, 13), (20, 21), (40, 41)}),
         (HEAD, {(0, 25), (2, 27), (1, 3)}),
     ],
 )
@@ -215,7 +208,7 @@ def _interleaved():
     "lead, rows",
     [
         (None, None),
-        (12, {(0, 1): 3, (1, 0): 1, (1, 1): -1}),
+        (12, {(0, 1), (1, 0), (1, 1)}),
         (HEAD, {(0, 0), (0, 1), (1, 1)}),
     ],
 )
@@ -241,7 +234,7 @@ def test_a_long_rule_of_negations_and_comparisons_splits_exactly(
 @settings(max_examples=200, deadline=None)
 def test_one_loop_per_function_changes_nothing(data, rule, store, before, after):
     """Every match step in a function of its own: the continuation
-    passes the slots, the weight and the row count along intact."""
+    passes the slots and the row count along intact."""
     facts, plus, minus = store
     lead, lead_rows = data.draw(plans.leads(rule))
     kernel = _kernel(facts, plus, minus)
@@ -288,7 +281,7 @@ def test_the_source_carries_identifiers_and_integers_only():
     kernel = _kernel(facts, plus, minus)
     for lead, rows in [
         (None, None),
-        (0, {(0, 1): 2, (1, 3): 1}),
+        (0, {(0, 1), (1, 3)}),
         (2, {(0, 3), (1, 2)}),
         (HEAD, {(0, QUOTED), (1, QUOTED)}),
     ]:
@@ -298,8 +291,8 @@ def test_the_source_carries_identifiers_and_integers_only():
             expected = reference(rule, lead, rows, before, after, facts, plus, minus)
             assert Counter(produced) == expected, (lead, before, after)
             heads = kernel.fire(plan, rows, before, after, as_set=True)
-            assert heads == {head for head, _weight in expected}, (lead, before, after)
-        assert {leaf for _before, _after, leaf in plan.functions} == {False, True}
+            assert heads == set(expected), (lead, before, after)
+        assert set(plan.functions) <= set(itertools.product((NEW, OLD), repeat=2))
         for function in _functions(plan):
             source = function.source
             for text in HOSTILE + [QUOTED, "import", "'", '"']:

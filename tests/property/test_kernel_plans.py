@@ -1,7 +1,7 @@
 """Differential property suite: compiled join-kernel plans vs. nested loops.
 
 Every ``(rule, lead, views)`` plan of :mod:`repro.datalog.kernel` must
-produce the same multiset of ``(head row, weight)`` rule instances as
+produce the same multiset of head rows, one per rule instance, as
 :func:`reference` below — a brute-force loop over every assignment of
 the rule's variables, with no ordering, no index and no slots.  Rules
 are random safe rules with repeated variables, constants, function
@@ -9,9 +9,9 @@ terms (``pred`` is partial: undefined on 0), comparisons that are
 assignments under one lead and tests under another, and negated
 literals; states are random relations with random net ``plus`` /
 ``minus`` overlays; the lead is each body literal in turn (positive or
-negated, fed a row set or a weighted delta), the head (the re-derivation
-probe), or none.  The set leaf must list exactly the weighted firing's
-head rows, and the batch store (``add_all`` / ``commit_add_all``) must
+negated, fed a row set), the head (the re-derivation probe), or none.
+The set firing must hold exactly the list firing's head rows, and the
+batch store (``add_all`` / ``commit_add_all``) must
 leave the store exactly as a per-row loop does.
 
 The grounder's plans — a rule's positive projection with the whole
@@ -53,13 +53,13 @@ X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
 def reference(rule, lead, lead_rows, before, after, facts, plus, minus):
     """Nested loops: every total assignment is tried against every item."""
-    weights = lead_rows if isinstance(lead_rows, dict) else dict.fromkeys(lead_rows or (), 1)
+    led = set(lead_rows or ())
     variables = sorted(rule.vars(), key=repr)
     instances = Counter()
     for values in itertools.product(DOMAIN, repeat=len(variables)):
         env = dict(zip(variables, values))
         head = tuple(eval_term(arg, env, REGISTRY) for arg in rule.head.args)
-        weight = 0 if None in head else weights.get(head, 0) if lead == HEAD else 1
+        weight = 0 if None in head else head in led if lead == HEAD else 1
         for index, item in enumerate(rule.body):
             if isinstance(item, Comparison):
                 left, right = (eval_term(t, env, REGISTRY) for t in (item.left, item.right))
@@ -73,9 +73,9 @@ def reference(rule, lead, lead_rows, before, after, facts, plus, minus):
             view = before if lead not in (None, HEAD) and index < lead else after
             truth = old if view == OLD else new
             weight *= None not in row  # an undefined term fails the instance
-            weight *= weights.get(row, 0) if index == lead else truth == item.positive
+            weight *= row in led if index == lead else truth == item.positive
         if weight:
-            instances[(head, weight)] += 1
+            instances[head] += 1
     return instances
 
 
@@ -136,7 +136,7 @@ def stores(draw):
 @st.composite
 def leads(draw, rule):
     """(lead index, lead rows): none, the head, or a body literal fed a
-    row set ("rows" / "in") or a weighted delta ("delta")."""
+    row set."""
     literal_indices = [
         index for index, item in enumerate(rule.body) if isinstance(item, Literal)
     ]
@@ -144,12 +144,7 @@ def leads(draw, rule):
     if lead is None:
         return None, None
     atom = rule.head if lead == HEAD else rule.body[lead].atom
-    rows = draw(relations(len(atom.args)))
-    if lead != HEAD and draw(st.booleans()):
-        return lead, {
-            row: draw(st.sampled_from([-2, -1, 1, 2])) for row in sorted(rows)
-        }
-    return lead, set(rows)
+    return lead, set(draw(relations(len(atom.args))))
 
 
 views = st.sampled_from([NEW, OLD])
@@ -215,20 +210,20 @@ class _Ticks:
 
 @given(st.data(), rules, stores(), views, views)
 @settings(max_examples=200, deadline=None)
-def test_the_set_leaf_lists_the_weighted_firings_head_rows(data, rule, store, before, after):
-    """Same heads, same rows matched, one tick per instance under both leaves."""
+def test_the_set_firing_holds_the_list_firings_head_rows(data, rule, store, before, after):
+    """Same heads, same rows matched, one tick per instance either way."""
     facts, plus, minus = store
     lead, lead_rows = data.draw(leads(rule))
     kernel = _kernel(facts, plus, minus)
     plan = kernel.plan(rule, lead)
-    weighted, heads = _Ticks(), _Ticks()
-    instances = kernel.fire(plan, lead_rows, before, after, weighted)
+    listed, heads = _Ticks(), _Ticks()
+    instances = kernel.fire(plan, lead_rows, before, after, listed)
     matched = kernel.rows_matched
     produced = kernel.fire(plan, lead_rows, before, after, heads, as_set=True)
     assert isinstance(produced, set)
-    assert produced == {row for row, _weight in instances}
+    assert produced == set(instances)
     assert kernel.rows_matched == 2 * matched
-    assert heads.ticks == weighted.ticks == len(instances)
+    assert heads.ticks == listed.ticks == len(instances)
 
 
 batches = st.lists(
@@ -297,7 +292,7 @@ def test_instance_plans_list_the_same_instances_under_every_lead(rule, store):
     negated = [item for item in rule.body if isinstance(item, Literal) and not item.positive]
     assert len(layout.pos) == len(_positive_leads(projection))
     assert len(layout.neg) == len(negated)
-    for instance, _weight in instances:
+    for instance in instances:
         for predicate, start, stop in layout.pos:
             assert instance[start:stop] in facts[predicate]
     for lead, predicate in _positive_leads(projection):
@@ -355,9 +350,9 @@ def test_lead_function_term_waits_for_its_variable():
     rule = _rule("q(X) :- f(X), e(pred(X), Y).")
     facts = {"f": {(1,), (2,), (3,)}, "e": {(0, 0), (1, 3), (3, 3)}}
     kernel = _kernel(facts, {}, {})
-    delta = {(0, 0): 1, (1, 3): -1, (3, 2): 2}
+    delta = {(0, 0), (1, 3), (3, 2)}
     produced = kernel.fire(kernel.plan(rule, 1), delta)
-    assert Counter(produced) == Counter({((1,), 1): 1, ((2,), -1): 1})
+    assert Counter(produced) == Counter({(1,): 1, (2,): 1})
     assert Counter(produced) == reference(rule, 1, delta, NEW, NEW, facts, {}, {})
 
 
@@ -373,9 +368,9 @@ def test_rows_of_another_arity_never_match():
     assert kernel.fire(plans[1], {(1,), (1, 2)}) == []
     assert kernel.fire(plans[2], {(1,), (1, 2, 3)}) == []
     kernel.add("e", (1, 2))
-    assert kernel.fire(plans[0]) == [((1,), 1)]
+    assert kernel.fire(plans[0]) == [(1,)]
     assert kernel.remove("e", (1,)) and kernel.remove("e", (1, 2, 3))
-    assert kernel.fire(plans[2], {(1, 2): -1}) == [((1,), -1)]
+    assert kernel.fire(plans[2], {(1, 2)}) == [(1,)]
 
 
 def test_unsafe_rules_do_not_compile():

@@ -1,21 +1,19 @@
-"""Property suite for the delta-stream algebra behind the DBSP engine.
+"""Property suite: the DBSP engine equals from-scratch evaluation.
 
-Three layers, bottom up:
+Random update schedules (per-batch and multi-batch bursts) driven
+through :class:`DBSPEngine` always land on the model
+:func:`repro.datalog.engine.run` computes from the final extensional
+state, and a burst of N batches lands on the same model as the same N
+batches applied one at a time:
 
-* **Z-sets are an abelian group** under ``+`` with pointwise negation,
-  and the derived operators (``distinct``, ``pos``/``neg``, ``scale``)
-  satisfy the identities the circuit relies on — checked on seeded
-  random Z-sets with positive *and* negative weights;
-* **integrate and differentiate are inverse**: ``D ∘ I = id`` on
-  streams and ``I ∘ D = id`` on value sequences, and the fused
-  :class:`IncrementalDistinct` node agrees step-by-step with the
-  unfused ``distinct ∘ I`` it replaces;
-* **the whole circuit equals from-scratch evaluation**: random update
-  schedules (per-batch and multi-batch bursts) driven through
-  :class:`DBSPEngine` over a recursive program with negation always
-  land on the model :func:`repro.datalog.engine.run` computes from the
-  final extensional state — and a burst of N batches lands on the same
-  model as the same N batches applied one at a time.
+* over a recursive program with negation (the nested fixpoint);
+* over programs made only of non-recursive components (the probe step:
+  a present head row that lost an instance stays while a head-bound
+  probe still fires), with named cases for each way a head row can keep
+  or lose its support.
+
+The work bounds at the end count rows, not clocks: a write costs its
+delta, not the resident view.
 """
 
 import random
@@ -28,15 +26,7 @@ from repro.datalog.parser import parse_program
 from repro.relations import Atom
 from repro.service import prepare_program
 from tests.property.test_alternating_chain import never_grounds
-from repro.service.dbsp import (
-    DBSPEngine,
-    IncrementalDistinct,
-    NegativeWeightError,
-    ZSet,
-    differentiate,
-    integrate,
-    running_integral,
-)
+from repro.service.dbsp import DBSPEngine
 
 NODES = [Atom(f"n{i}") for i in range(5)]
 
@@ -48,110 +38,6 @@ under(Y) :- tc(X, Y).
 """
 
 _PARSED = parse_program(PROGRAM)
-
-
-def _random_zset(rng, rows=None, span=3):
-    rows = rows if rows is not None else [(x, y) for x in NODES for y in NODES]
-    zset = ZSet()
-    for row in rng.sample(rows, rng.randint(0, min(8, len(rows)))):
-        zset.add(row, rng.randint(-span, span))
-    return zset
-
-
-# ---------------------------------------------------------------------------
-# Z-set group axioms
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_zset_abelian_group(seed):
-    rng = random.Random(f"zset-group-{seed}")
-    a, b, c = (_random_zset(rng) for _ in range(3))
-    zero = ZSet()
-    assert (a + b) + c == a + (b + c), "associativity"
-    assert a + b == b + a, "commutativity"
-    assert a + zero == a and zero + a == a, "identity"
-    assert a + (-a) == zero, "inverse"
-    assert a - b == a + (-b), "subtraction is addition of the inverse"
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_zset_zero_free_invariant(seed):
-    """No materialised Z-set ever stores a zero weight."""
-    rng = random.Random(f"zset-zero-{seed}")
-    a, b = _random_zset(rng), _random_zset(rng)
-    for zset in (a + b, a - b, -a, a.scale(0), a.scale(2)):
-        assert all(weight != 0 for _, weight in zset.items())
-    cancelling = a + (-a)
-    assert len(cancelling) == 0 and not cancelling
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_zset_derived_operators(seed):
-    rng = random.Random(f"zset-ops-{seed}")
-    a = _random_zset(rng)
-    # distinct: indicator of the positive support, idempotent.
-    d = a.distinct()
-    assert set(d.rows()) == {row for row, w in a.items() if w > 0}
-    assert all(w == 1 for _, w in d.items())
-    assert d.distinct() == d
-    assert d.is_set()
-    # pos/neg decomposition partitions the weights by sign.
-    assert a.pos() + a.neg() == a
-    assert all(w > 0 for _, w in a.pos().items())
-    assert all(w < 0 for _, w in a.neg().items())
-    # scale is repeated addition.
-    assert a.scale(3) == a + a + a
-    assert a.scale(-1) == -a
-
-
-# ---------------------------------------------------------------------------
-# integrate / differentiate
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_differentiate_integrate_inverse(seed):
-    rng = random.Random(f"circuit-{seed}")
-    stream = [_random_zset(rng) for _ in range(rng.randint(0, 8))]
-    # D ∘ I = id on streams (prefix sums then consecutive differences).
-    assert differentiate(running_integral(stream)) == stream
-    # I ∘ D = id on value sequences (the integral starts at zero).
-    values = running_integral(stream)
-    assert running_integral(differentiate(values)) == values
-    # The one-shot integral is the last prefix sum.
-    total = integrate(stream)
-    assert total == (values[-1] if values else ZSet())
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_incremental_distinct_agrees_with_unfused(seed):
-    """The stateful node tracks ``distinct ∘ I`` delta-for-delta."""
-    rng = random.Random(f"distinct-{seed}")
-    rows = [(node,) for node in NODES]
-    node = IncrementalDistinct()
-    integral = ZSet()
-    out_stream = []
-    for _ in range(20):
-        # Keep every integrated weight non-negative: deltas only retract
-        # up to the current multiplicity.
-        delta = ZSet()
-        for row in rng.sample(rows, rng.randint(0, len(rows))):
-            low = -integral.get(row)
-            delta.add(row, rng.randint(low, 2))
-        integral = integral + delta
-        out_stream.append(node.step(delta))
-        assert node.integral() == integral
-        assert node.output() == integral.distinct()
-    # The emitted deltas integrate to the distinct of the integral.
-    assert integrate(out_stream) == integral.distinct()
-
-
-def test_incremental_distinct_rejects_negative_totals():
-    node = IncrementalDistinct()
-    node.step(ZSet.from_rows([("a",)]))
-    with pytest.raises(NegativeWeightError):
-        node.step(ZSet({("a",): -2}))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +129,208 @@ def test_insert_then_delete_cancels_before_rules_fire(seed):
     )
     assert engine.metrics.counters["circuit_steps"] == 1
     assert engine.metrics.counters["delta_batches_coalesced"] == 1
+
+
+# ---------------------------------------------------------------------------
+# non-recursive components: the probe step vs from-scratch evaluation
+# ---------------------------------------------------------------------------
+
+# Every component is non-recursive.  ``reach`` and ``pair`` have body
+# variables outside their heads (so a head row can have several
+# instances) and are also written directly, as EDB facts; ``reach`` has
+# two rules; ``lonely`` and ``hub`` negate a lower predicate, derived
+# and extensional; ``both`` reads three layers down.
+FLAT = """
+reach(X) :- edge(X, Y).
+reach(X) :- mark(X).
+pair(X, Z) :- edge(X, Y), edge(Y, Z).
+lonely(X) :- node(X), not reach(X).
+hub(X) :- pair(X, Z), not edge(X, Z).
+both(X) :- reach(X), mark(X), not lonely(X), hub(X).
+"""
+
+_FLAT = parse_program(FLAT)
+_FLAT_DERIVED = ("reach", "pair", "lonely", "hub", "both")
+_SMALL = NODES[:4]
+
+
+def _flat_engine(facts=()):
+    prepared = prepare_program("flat", FLAT)
+    assert not any(component.recursive for component in prepared.schedule)
+    database = Database()
+    for node in _SMALL:
+        database.add("node", node)
+    for predicate, *row in facts:
+        database.add(predicate, *row)
+    return DBSPEngine(prepared, database)
+
+
+def _assert_flat_matches_oracle(engine, step):
+    oracle = run(_FLAT, engine.edb, semantics="stratified")
+    model = engine.model()
+    for predicate in _FLAT_DERIVED:
+        assert model.get(predicate, frozenset()) == oracle.true_rows(
+            predicate
+        ), f"step {step}: {predicate} diverged from the oracle"
+
+
+def _rows(engine):
+    """The model without the predicates that have no rows left."""
+    return {predicate: rows for predicate, rows in engine.model().items() if rows}
+
+
+def _flat_universe():
+    """Every fact a random schedule may write: edges, marks, and direct
+    ``reach`` / ``pair`` facts beside their rules."""
+    pairs = [(x, y) for x in _SMALL for y in _SMALL if x != y]
+    return (
+        [("edge", pair) for pair in pairs]
+        + [("mark", (x,)) for x in _SMALL]
+        + [("reach", (x,)) for x in _SMALL]
+        + [("pair", pair) for pair in pairs[::3]]
+    )
+
+
+def _random_flat_engine(rng, universe):
+    engine = _flat_engine()
+    engine.apply_stream([(rng.sample(universe, 8), [])])
+    return engine
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_flat_random_schedule_matches_oracle(seed):
+    rng = random.Random(f"dbsp-flat-{seed}")
+    universe = _flat_universe()
+    engine = _random_flat_engine(rng, universe)
+    _assert_flat_matches_oracle(engine, "init")
+    for step in range(25):
+        fact = rng.choice(universe)
+        if engine.edb.holds(fact[0], *fact[1]):
+            engine.apply_stream([([], [fact])])
+        else:
+            engine.apply_stream([([fact], [])])
+        _assert_flat_matches_oracle(engine, step)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flat_burst_equals_sequential_equals_oracle(seed):
+    """Bursts mix inserts and deletes of base and derived predicates —
+    one burst often loses one instance of a head row and gains another."""
+    rng = random.Random(f"dbsp-flat-burst-{seed}")
+    universe = _flat_universe()
+    burst_engine = _random_flat_engine(rng, universe)
+    sequential_engine = DBSPEngine(burst_engine.prepared, burst_engine.edb.copy())
+    for step in range(6):
+        batches = []
+        for _ in range(rng.randint(1, 4)):
+            inserts, deletes = [], []
+            for fact in rng.sample(universe, rng.randint(1, 4)):
+                (inserts if rng.random() < 0.5 else deletes).append(fact)
+            batches.append((inserts, deletes))
+        burst_engine.apply_stream(batches)
+        for batch in batches:
+            sequential_engine.apply_stream([batch])
+        assert _rows(burst_engine) == _rows(sequential_engine), (
+            f"step {step}: burst and sequential application diverged"
+        )
+        _assert_flat_matches_oracle(burst_engine, step)
+
+
+a, b, c, d = _SMALL
+
+
+def _work(engine, burst):
+    """Apply ``burst`` (``(inserts, deletes)`` pairs of facts); return
+    the summary and the burst's (overdeleted, rederived) counts."""
+    counters = engine.metrics.counters
+    before = counters["overdeleted_total"], counters["rederived_total"]
+    summary = engine.apply_stream(
+        [
+            ([(p, tuple(row)) for p, *row in inserts], [(p, tuple(row)) for p, *row in deletes])
+            for inserts, deletes in burst
+        ]
+    )
+    _assert_flat_matches_oracle(engine, "case")
+    return summary, (
+        counters["overdeleted_total"] - before[0],
+        counters["rederived_total"] - before[1],
+    )
+
+
+def test_losing_one_of_two_instances_keeps_the_head():
+    engine = _flat_engine([("edge", a, b), ("edge", a, c)])
+    summary, work = _work(engine, [([], [("edge", a, b)])])
+    assert (a,) in engine.rows("reach")
+    assert "reach" not in summary["minus"]
+    # ``reach(a)`` was a candidate and its probe still fired.
+    assert work == (1, 1)
+
+
+def test_losing_both_instances_in_one_burst_drops_the_head():
+    engine = _flat_engine([("edge", a, b), ("edge", a, c)])
+    summary, _ = _work(engine, [([], [("edge", a, b)]), ([], [("edge", a, c)])])
+    assert (a,) not in engine.rows("reach")
+    assert summary["minus"]["reach"] == {(a,)}
+    assert (a,) in engine.rows("lonely")
+
+
+def test_one_instance_lost_and_another_gained_in_one_burst():
+    engine = _flat_engine([("edge", a, b), ("edge", b, c)])
+    assert (a, c) in engine.rows("pair")
+    # pair(a, c) through b goes, through d arrives: the row never moves.
+    summary, _ = _work(
+        engine,
+        [([("edge", a, d), ("edge", d, c)], [("edge", a, b)])],
+    )
+    assert (a, c) in engine.rows("pair")
+    assert "pair" not in summary["minus"] and "pair" not in summary["plus"]
+    assert "reach" not in summary["minus"]
+
+
+def test_a_mark_and_an_edge_are_two_rules_for_one_head():
+    engine = _flat_engine([("edge", a, b), ("mark", a)])
+    _work(engine, [([], [("edge", a, b)])])
+    assert (a,) in engine.rows("reach")
+    _work(engine, [([], [("mark", a)])])
+    assert (a,) not in engine.rows("reach")
+
+
+def test_direct_delete_of_a_derived_fact_with_instances_keeps_it():
+    engine = _flat_engine([("edge", a, b), ("reach", a)])
+    summary, work = _work(engine, [([], [("reach", a)])])
+    assert (a,) in engine.rows("reach") and "reach" not in summary["minus"]
+    assert work == (1, 1)
+    # With the direct fact back in, losing the rule's one instance
+    # keeps the row too: it is still an EDB fact.
+    _work(engine, [([("reach", a)], [])])
+    summary, work = _work(engine, [([], [("edge", a, b)])])
+    assert (a,) in engine.rows("reach") and "reach" not in summary["minus"]
+    assert work == (1, 1)
+
+
+def test_direct_insert_of_a_derived_fact_with_instances_is_no_change():
+    engine = _flat_engine([("edge", a, b)])
+    summary, work = _work(engine, [([("reach", a)], [])])
+    assert "reach" not in summary["plus"]
+    assert work == (0, 0)
+    # ...and a later delete of both the fact and the instance drops it.
+    summary, _ = _work(engine, [([], [("reach", a), ("edge", a, b)])])
+    assert summary["minus"]["reach"] == {(a,)}
+
+
+def test_a_negated_lower_predicate_flips_both_ways():
+    engine = _flat_engine([("edge", a, b), ("edge", b, c)])
+    assert (a,) in engine.rows("hub")  # pair(a, c), and no edge(a, c)
+    assert (c,) in engine.rows("lonely")
+    # edge(a, c) makes the negated atom true: hub(a) goes; mark(c)
+    # starts reach(c), so lonely(c) goes with it.
+    summary, _ = _work(engine, [([("edge", a, c), ("mark", c)], [])])
+    assert summary["minus"]["hub"] == {(a,)}
+    assert summary["minus"]["lonely"] == {(c,)}
+    # ...and back: the negated atoms turn false again.
+    summary, _ = _work(engine, [([], [("edge", a, c), ("mark", c)])])
+    assert summary["plus"]["hub"] == {(a,)}
+    assert (c,) in engine.rows("lonely")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ _COMMON = {
     "compactions": 0,
     "delta_batches_coalesced": 0,
     "recompute_batches": 0,
-    "recompute_fallbacks": 0,
     "stale_queries": 0,
 }
 
@@ -82,12 +81,12 @@ VIEW_COUNTERS = {
         "delta_plus_total": 4,
         "incremental_batches": 5,
         "inserts_applied": 3,
-        "overdeleted_total": 0,
+        "overdeleted_total": 6,
         "queries": 1,
         "rederived_total": 0,
-        "rows_matched": 53,
+        "rows_matched": 59,
         "rows_scanned": 0,
-        "rules_fired": 32,
+        "rules_fired": 38,
         "snapshot_reads": 1,
         "snapshot_swaps": 6,
         "update_batches": 5,
@@ -188,14 +187,13 @@ PROMETHEUS = [
         ("delta_plus", 52),
         ("incremental_batches", 23),
         ("inserts_applied", 15),
-        ("overdeleted", 21),
+        ("overdeleted", 27),
         ("queries", 4),
         ("recompute_batches", 0),
-        ("recompute_fallbacks", 0),
         ("rederived", 3),
-        ("rows_matched", 382),
+        ("rows_matched", 388),
         ("rows_scanned", 35),
-        ("rules_fired", 155),
+        ("rules_fired", 161),
         ("snapshot_reads", 4),
         ("snapshot_swaps", 26),
         ("stale_queries", 0),

@@ -307,9 +307,8 @@ class TestInternalConsistency:
 
 
 class TestFallbackDistinction:
-    """recompute_fallbacks counts only genuine incremental-path
-    failures; routine recompute-mode traffic lands in
-    recompute_batches."""
+    """Routine recompute-mode traffic lands in recompute_batches; a
+    maintained engine recomputes nothing."""
 
     def test_routine_recompute_batches_are_not_fallbacks(self):
         service = QueryService()
@@ -323,34 +322,7 @@ class TestFallbackDistinction:
             service.insert("fast", "edge", node, node + "2")
         views = service.metrics_snapshot()["views"]
         assert views["win"]["counters"]["recompute_batches"] == 3
-        assert views["win"]["counters"]["recompute_fallbacks"] == 0
         assert views["fast"]["counters"]["recompute_batches"] == 0
-        assert views["fast"]["counters"]["recompute_fallbacks"] == 0
-
-    def test_only_genuine_incremental_failures_count_as_fallbacks(self):
-        from repro.service import IncrementalMaintenanceError
-
-        service = QueryService()
-        service.register("tc", TC)
-        view = service.view("tc")
-        assert view.mode == "incremental"
-
-        def broken_apply(*_args, **_kwargs):
-            raise IncrementalMaintenanceError("forced inconsistency")
-
-        original = view.engine.apply_stream
-        view.engine.apply_stream = broken_apply
-        try:
-            summary = service.insert("tc", "edge", "c", "d")
-        finally:
-            view.engine.apply_stream = original
-        # The maintenance error triggered the correctness valve...
-        assert summary["mode"] == "reinitialized"
-        counters = service.metrics_snapshot()["views"]["tc"]["counters"]
-        assert counters["recompute_fallbacks"] == 1
-        # ...without being misfiled as routine recompute-mode traffic.
-        assert counters["recompute_batches"] == 0
-        assert not view.stale
 
 
 class TestHistogramUnit:

@@ -78,6 +78,28 @@ def test_a_cluster_worker_imports_no_router():
     assert "repro.service.cluster.router" not in loaded
 
 
+def test_a_cluster_router_imports_no_engine():
+    """``serve --shards N`` loads the router and stops short of the
+    serving stack: the workers, not the router, hold the views."""
+    loaded = _python(
+        "import sys\n"
+        "import repro.cli\n"
+        "try:\n"
+        "    repro.cli.main(['serve', '--shards', '2'])\n"  # no --socket: stops
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    ).split()
+    assert "repro.service.cluster.router" in loaded
+    engines = [
+        name
+        for name in loaded
+        if name in ("repro.service.server", "repro.service.views", "repro.datalog.kernel")
+        or name.startswith("repro.service.dbsp")
+    ]
+    assert not engines, engines
+
+
 FACADE = (
     "import importlib, sys\n"
     "package = importlib.import_module(sys.argv[1])\n"
@@ -100,9 +122,9 @@ FACADE = (
         ("repro.datalog", 48),
         ("repro.relations", 16),
         ("repro.robustness", 23),
-        ("repro.service", 27),
+        ("repro.service", 25),
         ("repro.service.cluster", 21),
-        ("repro.service.dbsp", 10),
+        ("repro.service.dbsp", 4),
     ],
 )
 def test_every_lazy_facade_still_exports_everything(package, exports):
