@@ -45,7 +45,8 @@ nothing else.  Non-lead literals are read through a *view* of the store:
 ``minus`` overlays of the batch in flight); ``before`` applies to body
 items left of the lead, ``after`` to the rest (the grounder's rounds
 read ``OLD`` before and ``NEW`` after; the circuit reads one view
-throughout).
+throughout).  The alternating chain fires under a third, *ranked*
+view, which also hands back each instance's rank (below).
 
 :meth:`JoinKernel.close` is the loop around the firing: the one
 semi-naive fixpoint driver every client that closes rows under rules
@@ -74,13 +75,34 @@ from .binding import (
 if TYPE_CHECKING:
     from ..robustness import EvaluationBudget
 
-__all__ = ["HEAD", "NEW", "OLD", "JoinKernel", "Plan", "compile_plan"]
+__all__ = [
+    "HEAD",
+    "NEW",
+    "OLD",
+    "TRUE",
+    "UNDEFINED",
+    "JoinKernel",
+    "Plan",
+    "compile_plan",
+]
 
 Row = Tuple[Value, ...]
 Pattern = Tuple[str, Tuple[int, ...]]
 
 #: Views a non-lead literal can be read through.
 NEW, OLD = 0, 1
+#: A third kind of view, the alternating chain's: a ``frozenset`` of
+#: *ranked* predicates.  Every row of one carries a rank, kept by the
+#: chain in ``index[predicate][None]`` (row → rank): the row belongs to
+#: the chain's even levels ``k < rank`` and odd levels ``k > TRUE −
+#: rank`` (:mod:`repro.service.dbsp.alternating`).  A firing under it
+#: reads every literal at the current rows and hands ``append`` each
+#: head row with the *instance's* rank — the least rank of its positive
+#: ranked rows and of ``φ(rank)`` for its negated ones, ``φ`` being the
+#: shift by one level that reading the level below costs.  A ranked
+#: lead must be positive or the head.
+UNDEFINED = 1 << 40
+TRUE = 2 * UNDEFINED - 1
 #: The lead that unifies the caller's rows with the rule *head*.
 HEAD = -1
 
@@ -337,6 +359,10 @@ class _Writer:
         self.live: Set[str] = set()  # locals filled so far
         self.functions: List[str] = []
         self.matches = 0
+        #: Under a ranked view: its predicates, and the local holding the
+        #: instance's rank so far (None: no ranked row read yet).
+        self.ranked = after if isinstance(after, frozenset) else None
+        self.rank: Optional[str] = None
         self.start("c0", f"{_CONTEXT}, lead")
 
     # -- names ------------------------------------------------------------------
@@ -371,7 +397,8 @@ class _Writer:
         return self.table("plus", predicate), self.table("minus", predicate)
 
     def view(self, index: int) -> int:
-        return self.before if index < self.plan.pivot else self.after
+        view = self.before if index < self.plan.pivot else self.after
+        return NEW if isinstance(view, frozenset) else view
 
     # -- functions --------------------------------------------------------------
 
@@ -430,13 +457,50 @@ class _Writer:
             else:
                 self.membership(*step)
         self.line("if budget is not None: budget.tick()")
-        self.line(f"append({self.row(self.plan.head_slots)})")
+        head = self.row(self.plan.head_slots)
+        if self.ranked is not None:
+            head = f"({head}, {self.rank or self.mint('v', TRUE, TRUE)})"
+        self.line(f"append({head})")
         self.finish()
         cells = ", ".join(self.cells)
         return "\n".join([f"def make({cells}):", *self.functions, "    return c0", ""])
 
+    def ranks(self, predicate: str) -> str:
+        """A ranked predicate's row → rank table, hoisted."""
+        cell = self.mint("p", predicate, predicate)
+        name = "k" + cell[1:]
+        self.hoists[name] = f"index[{cell}][None]"
+        return name
+
+    def narrow(self, value: str) -> None:
+        """Lower the instance's rank to ``value``, a fresh local."""
+        name = f"w{len(self.live)}"
+        self.line(f"{name} = {value}")
+        if self.rank is not None:
+            self.line(f"if {name} > {self.rank}: {name} = {self.rank}")
+        self.rank = name
+        self.live.add(name)
+
     def membership(self, kind: int, index: int, predicate: str, slots) -> None:
         """A fully bound literal: positive it must hold, negated not."""
+        if self.ranked is not None and predicate in self.ranked:
+            table, row = self.ranks(predicate), self.row(slots)
+            if kind == _HOLDS:
+                self.line(f"t = {table}.get({row})")
+                self.line(f"if t is None: {self.fail}")
+                self.line("n += 1")
+            else:
+                # φ: absent → true from the first odd level; false at
+                # u → true from u + 1; true from t → false at t + 1.
+                self.line(f"t = {table}.get({row}, 0)")
+                undefined = self.mint("v", UNDEFINED, UNDEFINED)
+                low, high = self.mint("v", TRUE, TRUE), self.mint("v", TRUE + 2, TRUE + 2)
+                self.line(
+                    f"t = {low} - t if t < {undefined} else "
+                    f"{high} - t if t > {undefined} else t"
+                )
+            self.narrow("t")
+            return
         row, facts = self.row(slots), self.table("facts", predicate)
         if self.view(index) == NEW:
             held = f"{row} in {facts}"
@@ -500,6 +564,8 @@ class _Writer:
                 targets[position] = f"s{slot}"
                 self.live.add(f"s{slot}")
             self.line(f"{', '.join(targets)}{',' * (arity == 1)} = {row}")
+        if self.ranked is not None and index != HEAD and predicate in self.ranked:
+            self.narrow(f"{self.ranks(predicate)}[{row}]")
 
 
 def _generate(plan: Plan, before: int, after: int) -> Callable:

@@ -1,7 +1,7 @@
 """The delta-stream maintenance engine.
 
-:class:`DBSPEngine` maintains every boolean stratified view (and each
-level of an :class:`~repro.service.dbsp.AlternatingEngine`).  The
+:class:`DBSPEngine` maintains every boolean stratified view (and the
+store of an :class:`~repro.service.dbsp.AlternatingEngine`).  The
 resident model is the least model of the EDB the update stream has
 built so far; one call to :meth:`apply_stream` is one step of the
 incrementalized circuit:

@@ -409,10 +409,11 @@ class MaterializedView:
         return self._published.get().max_chain_depth()
 
     def alternation_levels(self) -> int:
-        """Circuits in the view's alternating chain (the gauge): a
-        write costs this many passes over its delta.  0 when the view
-        is not maintained by a chain."""
-        return len(self.engine.levels) if self.maintenance == "alternating" else 0
+        """Levels ``U₀ … T_n`` of the view's alternating fixpoint (the
+        gauge; a write pays for the rows whose level status it changes,
+        not for this depth).  0 when the view is not maintained by a
+        chain."""
+        return self.engine.levels if self.maintenance == "alternating" else 0
 
     def _annotations(self) -> Optional[Dict[str, Dict[Row, str]]]:
         """The engine's wire-text annotation maps (None on the boolean
@@ -617,10 +618,9 @@ class MaterializedView:
                     summary = engine.apply_stream(batches)
         except Cancelled:
             # Rebuild too: the burst may have maintained several
-            # components — or several levels of a chain, each holding
-            # its own copy of the facts — before the budget tripped,
-            # and the queue's per-batch retry must start from a
-            # consistent state.
+            # components — or re-ranked part of a chain above its store
+            # — before the budget tripped, and the queue's per-batch
+            # retry must start from a consistent state.
             self._rollback(presence)
             self._reinitialize()
             raise

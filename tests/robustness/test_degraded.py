@@ -78,10 +78,11 @@ class TestRollback:
     def test_failure_in_an_upper_chain_level_rolls_every_level_back(
         self, failure, burst
     ):
-        # A three-valued view is a chain of engines, each with its own
-        # copy of the facts: a batch that dies at the third of them —
-        # on an injected fault, or because the request was cancelled —
-        # has already landed in the first two.
+        # A three-valued view is one store (U0, the EDB) and a rank per
+        # row for the levels above it: a batch that dies when the chain
+        # starts re-ranking — on an injected fault, or because the
+        # request was cancelled — has already landed in the store and
+        # moved the ranks of the rows that entered or left it.
         a, b, c, d, e = (Atom(name) for name in "abcde")
         source = "win(X) :- move(X, Y), not win(Y).\n"
         database = (
@@ -89,26 +90,22 @@ class TestRollback:
         )
         token = CancellationToken()
 
-        class CancelledAtTheThirdLevel(EvaluationBudget):
-            levels_entered = 0
-
+        class CancelledInTheChain(EvaluationBudget):
             def check(self, phase=None):
-                if phase == "dbsp-apply" and failure == "cancel":
-                    self.levels_entered += 1
-                    if self.levels_entered == 3:
-                        token.cancel()
+                if phase == "dbsp-chain" and failure == "cancel":
+                    token.cancel()
                 super().check(phase)
 
         view = MaterializedView(
             prepare_program("win", source),
             database,
             semantics="valid",
-            budget_factory=lambda: CancelledAtTheThirdLevel(cancellation=token),
+            budget_factory=lambda: CancelledInTheChain(cancellation=token),
         )
         before = view.fingerprint()
         inserts, deletes = [("move", (c, e))], [("move", (d, d))]
         plan = FaultInjector(
-            [FaultRule("incremental.apply", at_hit=3, times=1)]
+            [FaultRule("incremental.component", at_hit=2, times=1)]
             if failure == "fault"
             else []
         )

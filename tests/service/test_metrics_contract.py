@@ -75,18 +75,18 @@ VIEW_COUNTERS = {
     "w": {
         **_COMMON,
         "cache_misses": 2,
-        "circuit_steps": 16,
+        "circuit_steps": 11,
         "deletes_applied": 2,
         "delta_minus_total": 4,
         "delta_plus_total": 4,
         "incremental_batches": 5,
         "inserts_applied": 3,
-        "overdeleted_total": 6,
+        "overdeleted_total": 2,
         "queries": 1,
         "rederived_total": 0,
-        "rows_matched": 59,
+        "rows_matched": 71,
         "rows_scanned": 0,
-        "rules_fired": 38,
+        "rules_fired": 46,
         "snapshot_reads": 1,
         "snapshot_swaps": 6,
         "update_batches": 5,
@@ -178,7 +178,7 @@ PROMETHEUS = [
         ("annotated_initializes", 1),
         ("cache_hits", 0),
         ("cache_misses", 8),
-        ("circuit_steps", 34),
+        ("circuit_steps", 29),
         ("compaction_rows", 14),
         ("compactions", 1),
         ("deletes_applied", 8),
@@ -187,13 +187,13 @@ PROMETHEUS = [
         ("delta_plus", 52),
         ("incremental_batches", 23),
         ("inserts_applied", 15),
-        ("overdeleted", 27),
+        ("overdeleted", 23),
         ("queries", 4),
         ("recompute_batches", 0),
         ("rederived", 3),
-        ("rows_matched", 388),
+        ("rows_matched", 400),
         ("rows_scanned", 35),
-        ("rules_fired", 161),
+        ("rules_fired", 169),
         ("snapshot_reads", 4),
         ("snapshot_swaps", 26),
         ("stale_queries", 0),
