@@ -104,6 +104,12 @@ def _tokenize(source: str) -> List[_Token]:
     return tokens
 
 
+def unquote(text: str) -> str:
+    """The value of a quoted-string token: its quotes dropped, ``\\'``
+    and ``\\\\`` unescaped."""
+    return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token]):
         self._tokens = tokens
@@ -170,8 +176,7 @@ class _Parser:
         if kind == "int":
             return Const(int(text))
         if kind == "string":
-            inner = text[1:-1]
-            return Const(inner.replace("\\'", "'").replace("\\\\", "\\"))
+            return Const(unquote(text))
         if text == "[":
             items = self._arguments("]")
             if all(isinstance(item, Const) for item in items):

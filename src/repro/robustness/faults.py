@@ -148,6 +148,10 @@ class FaultInjector:
 # The active injector is per-thread so concurrent service connections
 # (and the test runner) never leak faults into each other.
 _active = threading.local()
+# How many ``inject_faults`` blocks are open in any thread: while none
+# is, a fault point costs one global read.
+_open_blocks = 0
+_open_blocks_lock = threading.Lock()
 
 
 def _current() -> Optional[FaultInjector]:
@@ -157,16 +161,22 @@ def _current() -> Optional[FaultInjector]:
 @contextmanager
 def inject_faults(injector: FaultInjector) -> Iterator[FaultInjector]:
     """Activate ``injector`` for the current thread for the ``with`` body."""
+    global _open_blocks
     previous = _current()
+    with _open_blocks_lock:
+        _open_blocks += 1
     _active.injector = injector
     try:
         yield injector
     finally:
         _active.injector = previous
+        with _open_blocks_lock:
+            _open_blocks -= 1
 
 
 def fault_point(point: str) -> None:
     """Mark an injectable failure site (no-op unless injecting)."""
-    injector = _current()
-    if injector is not None:
-        injector.fire(point)
+    if _open_blocks:
+        injector = _current()
+        if injector is not None:
+            injector.fire(point)

@@ -58,6 +58,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import socket as socket_module
 import threading
 from contextlib import contextmanager
@@ -83,24 +84,27 @@ __all__ = ["ClusterRouter", "ViewRecord", "WorkerHandle", "cluster", "canonical_
 logger = logging.getLogger(__name__)
 
 
+#: A quoted string — single-quoted with ``\'`` and ``\\`` escapes, as
+#: the fact grammar spells them, or double-quoted — or a run of
+#: whitespace outside one.
+_QUOTED_OR_SPACE = re.compile(r"""('(?:[^'\\]|\\.)*'|"[^"]*"?)|\s+""")
+
+
 def canonical_fact_text(text: str) -> str:
     """A spelling-independent key for one ground-fact literal.
 
     ``edge(a, b)``, ``edge(a,b)`` and ``edge(a, b).`` must replay as
     the *same* fact, so the router's view records strip whitespace
-    outside double-quoted strings and the trailing period — without
-    paying a full parse on the write hot path (the worker parses
-    anyway; the router only needs a stable identity).
+    outside quoted strings and the trailing period — without paying a
+    full parse on the write hot path (the worker parses anyway; the
+    router only needs a stable identity).  Whitespace inside a string
+    is part of the value: ``'new york'`` keeps its space.
     """
-    out = []
-    in_string = False
-    for ch in text.strip():
-        if ch == '"':
-            in_string = not in_string
-            out.append(ch)
-        elif in_string or not ch.isspace():
-            out.append(ch)
-    canonical = "".join(out)
+    text = text.strip()
+    if "'" in text or '"' in text:
+        canonical = _QUOTED_OR_SPACE.sub(lambda match: match.group(1) or "", text)
+    else:
+        canonical = "".join(text.split())
     return canonical[:-1] if canonical.endswith(".") else canonical
 
 

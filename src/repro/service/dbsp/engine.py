@@ -201,6 +201,7 @@ class DBSPEngine:
         returned ``plus``/``minus`` sets are net, and applying
         ``(rows - minus) | plus`` to the pre-burst model yields the
         post-burst model (load-bearing for snapshot maintenance).
+        Rows are tuples: the view checks and normalizes them.
         """
         fault_point("incremental.apply")
         if self.budget is not None:
@@ -212,13 +213,11 @@ class DBSPEngine:
         applied_inserts = applied_deletes = 0
         for inserts, deletes in batches:
             for predicate, row in deletes:
-                row = tuple(row)
                 if self.edb.holds(predicate, *row):
                     self.edb.discard(predicate, *row)
                     _flip(seed_plus, seed_minus, predicate, row)
                     applied_deletes += 1
             for predicate, row in inserts:
-                row = tuple(row)
                 if not self.edb.holds(predicate, *row):
                     self.edb.add(predicate, *row)
                     _flip(seed_minus, seed_plus, predicate, row)
@@ -373,9 +372,10 @@ class DBSPEngine:
         # positive literal that lost rows, or a negated atom that
         # became true.  Every literal reads the old view.
         triggers = self._triggers(component, state.minus, state.plus)
-        self._closure(
-            component, "retraction closure of", "dbsp-retract", triggers, admit, delta, OLD
-        )
+        if triggers or delta:
+            self._closure(
+                component, "retraction closure of", "dbsp-retract", triggers, admit, delta, OLD
+            )
         self._work["overdeleted_total"] += sum(len(rows) for rows in retracted.values())
         return retracted
 
@@ -421,9 +421,10 @@ class DBSPEngine:
             return state.commit_add_all(plan.head, produced)
 
         triggers = self._triggers(component, state.plus, state.minus)
-        self._closure(
-            component, "insertion closure of", "dbsp-insert-close", triggers, admit, delta
-        )
+        if triggers or delta:
+            self._closure(
+                component, "insertion closure of", "dbsp-insert-close", triggers, admit, delta
+            )
 
 
 def _flip(undo: FactDelta, do: FactDelta, predicate: str, row: Row) -> None:

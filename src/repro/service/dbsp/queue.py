@@ -57,35 +57,49 @@ def _per_waiter_copy(error: BaseException) -> BaseException:
     return clone
 
 
+#: Orders a ticket's settling against a waiter arming its event: the
+#: waiter either sees the ticket settled or leaves an event that the
+#: settling thread then sets.  Held for a few attribute moves at a time.
+_SETTLE_LOCK = threading.Lock()
+
+
 class Ticket:
     """One submitted update batch and its eventual outcome.
 
     ``annotations`` maps inserted facts to their parsed semiring values
     (``None`` for a bare write): a batch carries its own annotations
     through the queue, so an annotated write coalesces like any other.
+
+    The :class:`threading.Event` a waiter blocks on is made only when a
+    writer actually has to wait for another's drain: an owner that
+    drains its own ticket finds it ``done`` and never builds one.
     """
 
-    __slots__ = ("inserts", "deletes", "annotations", "_event", "_result", "_error")
+    __slots__ = ("inserts", "deletes", "annotations", "done", "_event", "_result", "_error")
 
     def __init__(self, inserts, deletes, annotations=None):
         self.inserts = inserts
         self.deletes = deletes
         self.annotations = annotations
-        self._event = threading.Event()
+        self.done = False
+        self._event: Optional[threading.Event] = None
         self._result = None
         self._error: Optional[BaseException] = None
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
+    def _settle(self) -> None:
+        with _SETTLE_LOCK:
+            self.done = True
+            event = self._event
+        if event is not None:
+            event.set()
 
     def complete(self, result) -> None:
         self._result = result
-        self._event.set()
+        self._settle()
 
     def fail(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._settle()
 
     def outcome(self, timeout: Optional[float] = None):
         """Block until the leader settles this ticket; return its
@@ -95,17 +109,28 @@ class Ticket:
         is re-raised as a per-waiter copy (see :func:`_per_waiter_copy`)
         — concurrent raises must not fight over one ``__traceback__``.
         """
-        if not self._event.wait(timeout):
-            raise UpdateTimeout(
-                "update ticket was not drained before the deadline"
-            )
+        if not self.done:
+            with _SETTLE_LOCK:
+                event = None
+                if not self.done:
+                    event = self._event
+                    if event is None:
+                        event = self._event = threading.Event()
+            if event is not None and not event.wait(timeout):
+                raise UpdateTimeout(
+                    "update ticket was not drained before the deadline"
+                )
         if self._error is not None:
             raise _per_waiter_copy(self._error)
         return self._result
 
 
 class UpdateQueue:
-    """A bounded FIFO of pending update tickets for one view."""
+    """A bounded FIFO of pending update tickets for one view.
+
+    Writers wait for space only while the queue is full, so only a pop
+    from a full queue has anybody to wake.
+    """
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -127,38 +152,46 @@ class UpdateQueue:
         nothing was enqueued.
         """
         ticket = Ticket(inserts, deletes, annotations)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._space:
-            while len(self._items) >= self.capacity:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise UpdateTimeout(
-                            "update queue stayed full past the deadline "
-                            f"(capacity {self.capacity})"
-                        )
-                self._space.wait(remaining)
+        with self._lock:
+            if len(self._items) >= self.capacity:
+                self._wait_for_space(timeout)
             self._items.append(ticket)
         return ticket
 
+    def _wait_for_space(self, timeout: Optional[float]) -> None:
+        """Wait, holding the lock, until the queue has room."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while len(self._items) >= self.capacity:
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise UpdateTimeout(
+                        "update queue stayed full past the deadline "
+                        f"(capacity {self.capacity})"
+                    )
+            self._space.wait(remaining)
+
     def drain(self, limit: int) -> List[Ticket]:
         """Pop up to ``limit`` tickets in FIFO order (leader only)."""
-        with self._space:
-            count = min(limit, len(self._items))
-            drained = [self._items.popleft() for _ in range(count)]
-            if drained:
+        with self._lock:
+            items = self._items
+            full = len(items) >= self.capacity
+            drained = [items.popleft() for _ in range(min(limit, len(items)))]
+            if drained and full:
                 self._space.notify_all()
         return drained
 
     def withdraw(self, ticket: Ticket) -> bool:
         """Remove a still-queued ticket; False when a leader owns it."""
-        with self._space:
+        with self._lock:
+            full = len(self._items) >= self.capacity
             try:
                 self._items.remove(ticket)
             except ValueError:
                 return False
-            self._space.notify_all()
+            if full:
+                self._space.notify_all()
             return True
 
     def depth(self) -> int:

@@ -84,6 +84,11 @@ def segment_files(directory: Path) -> List[Path]:
     )
 
 
+#: A record's JSON text: sorted keys, no spaces.  One encoder for every
+#: append.
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_record(payload: bytes) -> bytes:
     """Frame one payload: length + CRC32 header, then the bytes."""
     return _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
@@ -223,9 +228,7 @@ class WriteAheadLog:
         with self._lock:
             fault_point("durability.append")
             lsn = self.next_lsn
-            payload = json.dumps(
-                {"lsn": lsn, **operation}, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
+            payload = _to_json({"lsn": lsn, **operation}).encode("utf-8")
             frame = encode_record(payload)
             self._handle.write(frame)
             self.next_lsn = lsn + 1

@@ -26,7 +26,8 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from typing import Dict, Mapping, Optional
+from threading import get_ident
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["Histogram", "ServiceMetrics", "ViewMetrics"]
 
@@ -162,6 +163,9 @@ class ViewMetrics:
         self._counter_lock = threading.Lock()
         self._degraded_seconds = 0.0
         self._degraded_since: Optional[float] = None
+        # ``(thread, timings)`` while a :meth:`held_phases` block is
+        # open: that thread's phase timings wait there for the sink.
+        self._held: Optional[Tuple[int, List[Tuple[str, float]]]] = None
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a counter (creating it on first use). Thread-safe."""
@@ -187,13 +191,24 @@ class ViewMetrics:
         return {name: h.sum for name, h in self.phase_histograms.items()}
 
     def observe_phase(self, name: str, elapsed: float) -> None:
-        """File one phase timing here and at the sink."""
+        """File one phase timing here and at the sink (at the end of
+        the enclosing :meth:`held_phases` block, when there is one)."""
         histogram = self.phase_histograms.get(name)
         if histogram is None:
             histogram = self.phase_histograms[name] = Histogram()
         histogram.observe(elapsed)
         if self.sink is not None:
-            self.sink.observe_phase(name, elapsed)
+            held = self._held
+            if held is not None and held[0] == get_ident():
+                held[1].append((name, elapsed))
+            else:
+                self.sink.observe_phase(name, elapsed)
+
+    def held_phases(self) -> "_HeldPhases":
+        """Hold the phase timings this thread observes in the ``with``
+        body and file them at the sink in one call when it ends (a
+        write pass takes one service-lock hold for all its phases)."""
+        return _HeldPhases(self)
 
     # -- degraded-time tracking ----------------------------------------------
 
@@ -252,6 +267,32 @@ class _Phase:
 
     def __exit__(self, *exc_info) -> None:
         self._metrics.observe_phase(self._name, time.perf_counter() - self._start)
+
+
+class _HeldPhases:
+    """One ``with metrics.held_phases()`` block.  A nested block, or one
+    another thread opened first, holds nothing of its own."""
+
+    __slots__ = ("_metrics", "_held")
+
+    def __init__(self, metrics: ViewMetrics) -> None:
+        self._metrics = metrics
+        self._held: Optional[Tuple[int, List[Tuple[str, float]]]] = None
+
+    def __enter__(self) -> None:
+        metrics = self._metrics
+        if metrics.sink is not None and metrics._held is None:
+            self._held = metrics._held = (get_ident(), [])
+
+    def __exit__(self, *exc_info) -> None:
+        held = self._held
+        if held is None:
+            return
+        metrics = self._metrics
+        if metrics._held is held:
+            metrics._held = None
+        if held[1]:
+            metrics.sink.observe_phases(held[1])
 
 
 class _Request:
@@ -314,6 +355,16 @@ class ServiceMetrics:
             if histogram is None:
                 histogram = self.phase_histograms[name] = Histogram()
             histogram.observe(seconds)
+
+    def observe_phases(self, timings: Iterable[Tuple[str, float]]) -> None:
+        """File several ``(phase, seconds)`` timings in one locked call."""
+        histograms = self.phase_histograms
+        with self._lock:
+            for name, seconds in timings:
+                histogram = histograms.get(name)
+                if histogram is None:
+                    histogram = histograms[name] = Histogram()
+                histogram.observe(seconds)
 
     def request(self) -> _Request:
         """Track one protocol request over a ``with`` body: total counter

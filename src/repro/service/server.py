@@ -68,6 +68,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import socket
 import threading
 import time
@@ -89,10 +90,10 @@ from typing import (
 
 from ..datalog.ast import Const, Var
 from ..datalog.database import Database
-from ..datalog.parser import _Parser, _tokenize
+from ..datalog.parser import _Parser, _tokenize, unquote
 from ..datalog.stratification import SEMANTICS
 from ..relations.universe import FunctionRegistry
-from ..relations.values import Value
+from ..relations.values import Atom, Value
 from ..robustness import (
     ReproError,
     RequestTooLarge,
@@ -133,17 +134,51 @@ Row = Tuple[Value, ...]
 DRAIN_SECONDS = 3.0
 
 
+#: One flat argument: a symbol, an integer or a quoted string, spelled
+#: as the program grammar's tokens spell them.
+_FLAT_ARGUMENT = r"[a-z][A-Za-z0-9_]*|-?[0-9]+|'(?:[^'\\]|\\.)*'"
+#: A flat ground fact: a predicate over flat arguments, an optional
+#: period, spaces (no other whitespace) between tokens.
+_FLAT_FACT = re.compile(
+    rf"([a-z_][A-Za-z0-9_]*)"
+    rf"(?:\( *((?:{_FLAT_ARGUMENT})(?: *, *(?:{_FLAT_ARGUMENT}))*)? *\))? *\.?"
+)
+_FLAT_ARGUMENTS = re.compile(_FLAT_ARGUMENT)
+_BOOLEANS = {"true": True, "false": False}
+
+
+def _flat_value(token: str) -> Value:
+    """The value of one flat argument, as the program parser builds it."""
+    first = token[0]
+    if first == "'":
+        return unquote(token)
+    if first in "-0123456789":
+        return int(token)
+    boolean = _BOOLEANS.get(token)
+    return Atom(token) if boolean is None else boolean
+
+
 def parse_fact(text: str) -> Tuple[str, Row]:
     """Parse one ground fact (``edge(a, b)`` or ``edge(a, b).``).
 
     The program grammar's atom, then ``.`` and end of input, with
-    constant arguments only; no program is built.  Any other text fails
-    as parsing it as a program does: a
+    constant arguments only; no program is built.  A flat fact — every
+    argument a symbol, an integer or a string — is read by one regex
+    match; any other text goes through the grammar's tokenizer and
+    parser, and fails as parsing it as a program does: a
     :class:`~repro.datalog.parser.ParseError` where it is no program, a
     ``ValueError`` where it is one but not a single ground fact (a rule,
     two facts, a variable or a function term).
     """
     text = text.strip()
+    flat = _FLAT_FACT.fullmatch(text)
+    if flat is not None:
+        arguments = flat.group(2)
+        if arguments is None:
+            return flat.group(1), ()
+        return flat.group(1), tuple(
+            map(_flat_value, _FLAT_ARGUMENTS.findall(arguments))
+        )
     if not text.endswith("."):
         text += "."
     tokens = _tokenize(text)
@@ -697,20 +732,23 @@ class QueryService:
 
     def query_lines(
         self, name: str, predicate: str
-    ) -> Tuple[List[str], FrozenSet[Row], bool, List[str]]:
+    ) -> Tuple[List[str], List[str], bool, List[str]]:
         """:meth:`query_annotated` as the ``query`` verb replies: the
-        true rows as sorted ``row <atom>`` lines, the annotations as
-        sorted ``explain <atom> @ <text>`` lines (none for a boolean
-        view).
+        true rows as sorted ``row <atom>`` lines, the undefined rows as
+        sorted ``undef <atom>`` lines, the staleness flag, and the
+        annotations as sorted ``explain <atom> @ <text>`` lines (none
+        for a boolean view).
 
-        Both are memoized on the answering snapshot and carried from
-        snapshot to snapshot by delta, so a full read costs its answer
-        plus the rows changed since the last one — not a format and a
-        sort of the whole relation.  The lists are the shared memos: do
-        not mutate them.
+        All three line lists are memoized on the answering snapshot and
+        carried from snapshot to snapshot by delta, so a full read costs
+        its answer plus the rows changed since the last one — not a
+        format and a sort of the whole relation.  The lists are the
+        shared memos: do not mutate them.  ``rows_scanned`` counts the
+        ``row`` and ``explain`` lines formatted.
         """
-        view, snapshot, _rows, undefined, stale = self._read(name, predicate)
+        view, snapshot, _rows, _undefined, stale = self._read(name, predicate)
         lines, formatted = snapshot.lines(predicate)
+        undefined, _ = snapshot.undefined_lines(predicate)
         explain, explained = snapshot.explain_lines(predicate)
         view.metrics.bump("rows_scanned", formatted + explained)
         return lines, undefined, stale, explain
@@ -947,9 +985,7 @@ class QueryService:
         may still retire the updated view, which is the documented
         replace semantics: the old view dies, replacement wins).
         """
-        inserts = [(predicate, tuple(row)) for predicate, row in inserts]
-        deletes = [(predicate, tuple(row)) for predicate, row in deletes]
-        [outcome] = self._commit(name, [(inserts, deletes, annotations)])
+        [outcome] = self._commit(name, [(list(inserts), list(deletes), annotations)])
         if isinstance(outcome, BaseException):
             raise outcome
         self._maybe_checkpoint()
@@ -1088,22 +1124,19 @@ class QueryService:
         """
         if self.durability is None:
             return
-        annotations = ticket.annotations or {}
-        text = view.semiring_obj.format
-
-        def insert_text(predicate: str, row: Row) -> str:
-            fact = format_row(predicate, row)
-            value = annotations.get((predicate, row))
-            return fact if value is None else f"{fact} @ {text(value)}"
-
+        inserts = [format_row(predicate, row) for predicate, row in ticket.inserts]
+        annotations = ticket.annotations
+        if annotations:
+            text = view.semiring_obj.format
+            for index, (predicate, row) in enumerate(ticket.inserts):
+                value = annotations.get((predicate, tuple(row)))
+                if value is not None:
+                    inserts[index] += f" @ {text(value)}"
         self._journal(
             {
                 "op": "update",
                 "view": name,
-                "inserts": [
-                    insert_text(predicate, row)
-                    for predicate, row in ticket.inserts
-                ],
+                "inserts": inserts,
                 "deletes": [
                     format_row(predicate, row)
                     for predicate, row in ticket.deletes
@@ -1290,6 +1323,11 @@ class QueryService:
 # ---------------------------------------------------------------------------
 
 
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder
+#: per reply.
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def parse_bound_pattern(text: str) -> Tuple[str, Tuple[Optional[Value], ...]]:
     """Parse a wire bound pattern like ``tc(a, _)``.
 
@@ -1332,21 +1370,19 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
             return [USAGE[line[0]]]
         view_name, fact_text = parts
         predicate, row, annotation = parse_annotated_fact(fact_text)
-        if line.startswith("+"):
+        if line[0] == "+":
+            annotations = None
             if annotation is not None:
-                summary = service.update(
-                    view_name,
-                    inserts=[(predicate, row)],
-                    annotations={(predicate, row): annotation},
-                )
-            else:
-                summary = service.insert(view_name, predicate, *row)
+                annotations = {(predicate, row): annotation}
+            summary = service.update(
+                view_name, inserts=[(predicate, row)], annotations=annotations
+            )
         else:
             if annotation is not None:
                 return ["error annotations apply to inserts only"]
-            summary = service.delete(view_name, predicate, *row)
+            summary = service.update(view_name, deletes=[(predicate, row)])
         reply = {k: v for k, v in summary.items() if isinstance(v, (str, int))}
-        return [f"ok {json.dumps(reply, sort_keys=True)}"]
+        return [f"ok {_to_json(reply)}"]
 
     command, _, rest = line.partition(" ")
     if command == "register":
@@ -1377,13 +1413,13 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
         info = service.register(
             view_name, text, semantics=semantics, semiring=semiring
         )
-        return [f"ok {json.dumps(info, sort_keys=True)}"]
+        return [f"ok {_to_json(info)}"]
     if command == "unregister":
         view_name = rest.strip()
         if not view_name:
             return [USAGE["unregister"]]
         info = service.unregister(view_name)
-        return [f"ok {json.dumps(info, sort_keys=True)}"]
+        return [f"ok {_to_json(info)}"]
     if command == "query":
         parts = rest.split(None, 1)
         if len(parts) != 2:
@@ -1398,18 +1434,19 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
                 view_name, predicate, pattern_args
             )
             lines = sorted(f"row {format_row(predicate, row)}" for row in rows)
+            undefined_lines = sorted(
+                f"undef {format_row(predicate, row)}" for row in undefined
+            )
         else:
             if remainder.split() != [remainder] or not remainder:
                 return [USAGE["query"]]
             predicate = remainder
-            shared, undefined, stale, explain = service.query_lines(
+            shared, undefined_lines, stale, explain = service.query_lines(
                 view_name, predicate
             )
             lines = list(shared)  # the snapshot's memo stays untouched
         count = len(lines)
-        lines += sorted(
-            f"undef {format_row(predicate, row)}" for row in undefined
-        )
+        lines += undefined_lines
         # Annotated views explain every true row: its semiring
         # annotation in wire text (for why-provenance, the lineage
         # witnesses).  Boolean views have no explain lines, keeping
@@ -1422,7 +1459,7 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
         return lines
     if command == "stats":
         name = rest.strip() or None
-        return [f"ok {json.dumps(service.stats(name), sort_keys=True)}"]
+        return [f"ok {_to_json(service.stats(name))}"]
     if command == "metrics":
         fmt = rest.strip()
         if fmt in ("--format=prometheus", "--format prometheus"):
@@ -1433,7 +1470,7 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
         if fmt and fmt not in ("--format=json", "--format json"):
             return [f"error unknown metrics format {fmt!r}"]
         return [
-            f"ok {json.dumps(service.metrics_snapshot(), sort_keys=True)}"
+            f"ok {_to_json(service.metrics_snapshot())}"
         ]
     if command in ("views", "list"):
         # Served off the published name table — wait-free, like queries.

@@ -275,6 +275,16 @@ class _Cell:
         return rows, scanned + len(gone) + len(new)
 
 
+class _Undefined(_Cell):
+    """One predicate's undefined rows: a cell whose lines are the
+    ``undef`` lines of a full read."""
+
+    __slots__ = ()
+
+    def _line(self, row: Row) -> str:
+        return f"undef {format_row(self._predicate, row)}"
+
+
 class _Notes(_Cell):
     """One predicate's annotations: a cell of ``(row, wire text)``
     pairs whose lines are the ``explain`` lines of a full read."""
@@ -354,7 +364,7 @@ class ModelSnapshot:
             for predicate, rows in true_rows.items()
         }
         undefined = {
-            predicate: _Cell.frozen(predicate, rows)
+            predicate: _Undefined.frozen(predicate, rows)
             for predicate, rows in (undefined_rows or {}).items()
             if rows
         }
@@ -396,7 +406,7 @@ class ModelSnapshot:
         undefined = self._undefined
         if undefined_plus or undefined_minus:
             undefined = self._stacked(
-                undefined, undefined_plus or {}, undefined_minus or {}
+                undefined, undefined_plus or {}, undefined_minus or {}, _Undefined
             )
         annotations = self._annotations
         if annotated_plus or annotated_minus:
@@ -426,8 +436,9 @@ class ModelSnapshot:
             if not plus_rows and not minus_rows:
                 continue
             parent = cells.get(predicate) or kind.frozen(predicate, ())
-            cell = kind.delta(parent, plus_rows, minus_rows, parent.depth + 1)
-            if cell.depth > MAX_DELTA_DEPTH:
+            depth = parent.depth + 1
+            cell = kind.delta(parent, plus_rows, minus_rows, depth)
+            if depth > MAX_DELTA_DEPTH:
                 cell.rows()
             cells[predicate] = cell
         return cells
@@ -499,6 +510,13 @@ class ModelSnapshot:
         relation.  The list is the shared memo: do not mutate it.
         """
         cell = self._true.get(predicate)
+        return cell.lines() if cell is not None else ([], 0)
+
+    def undefined_lines(self, predicate: str) -> Tuple[List[str], int]:
+        """The undefined rows as sorted ``undef <atom>`` wire lines, and
+        how many rows were formatted to produce them — memoized and
+        carried like :meth:`lines`."""
+        cell = self._undefined.get(predicate)
         return cell.lines() if cell is not None else ([], 0)
 
     def probe(

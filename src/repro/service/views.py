@@ -558,15 +558,9 @@ class MaterializedView:
         fallback.
         """
         batches = [
-            (
-                [(predicate, tuple(row)) for predicate, row in inserts],
-                [(predicate, tuple(row)) for predicate, row in deletes],
-            )
+            (self._checked(inserts), self._checked(deletes))
             for inserts, deletes in batches
         ]
-        for inserts, deletes in batches:
-            self._check_arities(inserts)
-            self._check_arities(deletes)
         if annotations is None or not any(annotations):
             annotations = None
         elif self.semiring == "bool":
@@ -583,7 +577,9 @@ class MaterializedView:
             ]
         if not batches:
             return {"mode": "noop", "batches": 0}
-        summary = self._maintain(batches, annotations)
+        # The pass's phase timings reach the service in one filing.
+        with self.metrics.held_phases():
+            summary = self._maintain(batches, annotations)
         summary.setdefault("batches", len(batches))
         return summary
 
@@ -683,15 +679,21 @@ class MaterializedView:
         """
         return not self.stale or self._reinitialize()
 
-    def _check_arities(self, updates) -> None:
+    def _checked(self, updates) -> List[Tuple[str, Row]]:
+        """``updates`` with every row a tuple of its predicate's arity —
+        the one place a write's rows are normalized and checked."""
         arities = self.prepared.arities
+        checked = []
         for predicate, row in updates:
+            row = tuple(row)
             expected = arities.get(predicate)
             if expected is not None and expected != len(row):
                 raise ValueError(
                     f"predicate {predicate} has arity {expected}, "
                     f"got fact with {len(row)} arguments"
                 )
+            checked.append((predicate, row))
+        return checked
 
     # -- introspection --------------------------------------------------------
 

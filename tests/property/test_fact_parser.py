@@ -93,7 +93,14 @@ names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,6}", fullmatch=True)
 strings = st.text(alphabet="ab '\\\n%.,()", max_size=8).map(
     lambda raw: "'" + raw.replace("\\", "\\\\").replace("'", "\\'") + "'"
 )
-scalars = st.one_of(names, st.integers(-999, 999).map(str), strings)
+# Where a flat fact's one-match route and the grammar could part: the
+# two boolean names and their near misses, integers spelled with a sign
+# or leading zeros, and strings holding the fact's own punctuation.
+edge_scalars = st.sampled_from([
+    "true", "false", "trueish", "false_", "-0", "007", "-0042",
+    "'a, b'", "'x) @ 3.'", "' '", "''", "'\\''", "'it\\'s, ok'", "'new york'",
+])
+scalars = st.one_of(names, st.integers(-999, 999).map(str), strings, edge_scalars)
 constants = st.recursive(
     scalars,
     lambda inner: st.lists(inner, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
@@ -132,6 +139,7 @@ near_misses = st.one_of(
 
 _PIECES = [
     "p", "edge", "X", "_", "Y1", "0", "-7", "'a b'", "'it\\'s'", "'back\\\\'",
+    "true", "false", "_p", "aB1", "007", "'a, ) @ .'", "@",
     "'two\nlines'", "(", ")", ",", ".", "[", "]", ":-", "not", "=", "!=", "<=",
     " ", "\n", "\t", "% comment\n", "%", "$", "'", "-", "#",
 ]
@@ -141,6 +149,33 @@ soups = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
+
+
+#: Flat facts and the texts just past what the one-match route takes:
+#: a space before ``(``, an empty or dangling argument, two periods,
+#: a sign or a digit run glued to a name, other whitespace inside.
+flat_edges = st.builds(
+    lambda predicate, args, gap, tail: f"{predicate}({gap.join(args)}){tail}",
+    st.sampled_from(["p", "_p", "edge", "aB_1", "p ", "P", "not"]),
+    st.lists(
+        st.one_of(scalars, st.sampled_from(["", "-a", "- 1", "1a", "a-1", "--1", "f(a)", "X"])),
+        max_size=3,
+    ),
+    st.sampled_from([", ", ",", " , ", ",\t", "  ,  ", " "]),
+    st.sampled_from(["", ".", " .", "..", ". ", " @", "\n", " x"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_edges)
+def test_the_flat_route_matches_the_program_route_at_its_edges(text):
+    got, want = outcome(parse_fact, text), outcome(reference_fact, text)
+    assert got == want
+    if got[0] == "ok":
+        # ``True == 1``: the values must agree in type too.
+        assert [type(value) for value in got[1][1]] == [
+            type(value) for value in want[1][1]
+        ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,6 +204,10 @@ def test_parse_fact_on_any_text_matches_the_program_route(text):
 
 
 def test_fact_values():
+    assert parse_fact("edge(c3n1, c3n2)") == ("edge", (Atom("c3n1"), Atom("c3n2")))
+    assert parse_fact("e(true, false, -0, 007, 'a, ) @ .')") == (
+        "e", (True, False, 0, 7, "a, ) @ .")
+    )
     assert parse_fact("p") == ("p", ())
     assert parse_fact("p().") == ("p", ())
     assert parse_fact("e(-3, 'it\\'s', 'a\\\\b')") == ("e", (-3, "it's", "a\\b"))

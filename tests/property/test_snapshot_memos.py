@@ -9,7 +9,8 @@ from a parent that held the memo or built from scratch, shared with a
 stale copy, raced by two readers — the memo must equal the thing it
 stands for, byte for byte:
 
-* ``lines(p)``  == ``sorted(format(row) for row in rows(p))``
+* ``lines(p)``  == ``sorted(format(row) for row in rows(p))``, and the
+  same for ``undefined_lines(p)`` over ``undefined_rows(p)``
 * ``probe(p, args)`` == the rows of ``rows(p)`` that match ``args``
 
 Deltas here are *not* net: rows re-inserted while present, deleted
@@ -211,6 +212,43 @@ def test_annotations_carried_by_delta_equal_a_full_publish(initial, script):
     plain = plain.apply_delta({"p": [(0,)]}, {}, 2)
     assert plain.annotations_for("p") is None
     assert plain.explain_lines("p") == ([], 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    row_sets,
+    row_sets,
+    st.lists(st.tuples(row_sets, row_sets, row_sets, row_sets, st.booleans()), max_size=24),
+)
+def test_undef_lines_carried_by_delta_equal_recomputation(true, undefined, script):
+    """The ``undef`` lines of a full read are memoized on the undefined
+    cells and spliced by delta like the ``row`` lines: whichever
+    generations were read on the way, they equal formatting and sorting
+    the undefined rows, and the ``row`` lines never see them."""
+    snapshot = ModelSnapshot.full({"p": true}, {"p": undefined})
+    history = [(snapshot, frozenset(true), frozenset(undefined))]
+    for plus, minus, undefined_plus, undefined_minus, read in script:
+        snapshot = snapshot.apply_delta(
+            {"p": plus},
+            {"p": minus},
+            snapshot.generation + 1,
+            {"p": undefined_plus},
+            {"p": undefined_minus},
+        )
+        _snapshot, true, undefined = history[-1]
+        history.append(
+            (snapshot, (true - minus) | plus, (undefined - undefined_minus) | undefined_plus)
+        )
+        if read:
+            snapshot.undefined_lines("p")
+    for snapshot, true, undefined in reversed(history):
+        expected = sorted(f"undef {format_row('p', row)}" for row in undefined)
+        lines, _formatted = snapshot.undefined_lines("p")
+        assert lines == expected
+        assert snapshot.undefined_lines("p") == (lines, 0)
+        assert snapshot.undefined_rows("p") == undefined
+        assert snapshot.lines("p")[0] == expected_lines(true)
+        assert snapshot.as_stale(0).undefined_lines("p")[0] == expected
 
 
 def test_racing_readers_agree_with_the_oracle():

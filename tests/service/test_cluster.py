@@ -158,6 +158,18 @@ class TestCanonicalFactText:
         assert a == b
         assert a != c
 
+    def test_single_quoted_strings_keep_interior_spaces(self):
+        # The grammar's strings are single-quoted: the space inside is
+        # part of the value, the ones around it are not.
+        key = canonical_fact_text("edge('new york', b)")
+        assert key == "edge('new york',b)"
+        assert canonical_fact_text("edge( 'new york' ,b ).") == key
+        assert canonical_fact_text("edge('newyork', b)") != key
+        # An escaped quote does not end the string.
+        assert canonical_fact_text(r"e('it\'s  here', 'a\\', b c)") == (
+            r"e('it\'s  here','a\\',bc)"
+        )
+
 
 # ---------------------------------------------------------------------------
 # metrics rollup rules (pure)

@@ -247,6 +247,22 @@ class TestDrain:
             client.register("post_drain", TC)
             assert router.routing_table()["post_drain"] == survivor_shard
 
+    def test_drain_replays_quoted_strings_as_acked(self, fresh_cluster):
+        # The router replays the moved view's facts from its own record
+        # of them: a string's interior space must survive the hop.
+        router, socket_path = fresh_cluster
+        with _client(socket_path) as client:
+            picks = _views_on_both_shards(client, router, "quoted")
+            drained_shard, moved_view = sorted(picks.items())[0]
+            client.insert(moved_view, "edge('new york', b)")
+            client.insert(moved_view, "edge(b, 'a  b')")
+            before, _ = client.query(moved_view, "tc")
+            client.drain(drained_shard)
+            assert router.routing_table()[moved_view] != drained_shard
+            rows, _ = client.query(moved_view, "tc")
+            assert rows == before
+            assert "tc('new york', 'a  b')" in rows
+
     def test_double_drain_rejected_cleanly(self, fresh_cluster):
         _router, socket_path = fresh_cluster
         with _client(socket_path) as client:
