@@ -15,6 +15,7 @@ from typing import Optional, Set, Tuple
 
 from ..relations.values import FSet, Tup, Value, is_value, sorted_values
 from .ast import Program
+from .facts import format_fact
 
 if TYPE_CHECKING:
     from ..relations.relation import Relation
@@ -293,11 +294,7 @@ class Database:
 
     def pretty(self) -> str:
         """Render the facts in Datalog syntax."""
-        lines = []
-        for predicate, row in self:
-            inner = ", ".join(str(v) for v in row)
-            lines.append(f"{predicate}({inner}).")
-        return "\n".join(lines)
+        return "\n".join(f"{format_fact(predicate, row)}." for predicate, row in self)
 
 
 def split_program_and_facts(program: Program) -> Tuple[Program, Database]:

@@ -47,6 +47,7 @@ from .binding import (
     compiled_binding_order,
 )
 from .database import Database
+from .facts import format_fact
 from .kernel import OLD, JoinKernel
 
 __all__ = [
@@ -213,20 +214,13 @@ class GroundProgram:
         """Render the ground rules (optionally truncated)."""
         lines = []
         for ground_rule in self.rules[: limit or len(self.rules)]:
-            head = _format_atom(self.decode(ground_rule.head))
-            body = [_format_atom(self.decode(a)) for a in ground_rule.pos]
-            body += ["not " + _format_atom(self.decode(a)) for a in ground_rule.neg]
+            head = format_fact(*self.decode(ground_rule.head))
+            body = [format_fact(*self.decode(a)) for a in ground_rule.pos]
+            body += ["not " + format_fact(*self.decode(a)) for a in ground_rule.neg]
             lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
         if limit and len(self.rules) > limit:
             lines.append(f"... ({len(self.rules) - limit} more)")
         return "\n".join(lines)
-
-
-def _format_atom(atom: GroundAtom) -> str:
-    predicate, args = atom
-    if not args:
-        return predicate
-    return f"{predicate}({', '.join(str(a) for a in args)})"
 
 
 # ---------------------------------------------------------------------------

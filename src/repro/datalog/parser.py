@@ -22,7 +22,7 @@ value, brackets with variables make a ``tuple(...)`` function term.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..relations.values import Atom, Tup, Value
 from .ast import (
@@ -105,9 +105,12 @@ def _tokenize(source: str) -> List[_Token]:
 
 
 def unquote(text: str) -> str:
-    """The value of a quoted-string token: its quotes dropped, ``\\'``
-    and ``\\\\`` unescaped."""
-    return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+    """The value of a quoted-string token (both grammars): its quotes
+    dropped, ``\\'`` and ``\\\\`` unescaped."""
+    body = text[1:-1]
+    if "\\" in body:
+        body = body.replace("\\'", "'").replace("\\\\", "\\")
+    return body
 
 
 class _Parser:
@@ -147,13 +150,15 @@ class _Parser:
             return True
         return False
 
-    def _arguments(self, close: str) -> List[Term]:
-        """Comma-separated terms, then ``close``."""
-        args: List[Term] = []
+    def _arguments(self, close: str, item: Optional[Callable] = None) -> list:
+        """Comma-separated ``item()`` results (terms by default), then
+        ``close``."""
+        item = item or self.parse_term
+        args = []
         if not self.accept(close):
-            args.append(self.parse_term())
+            args.append(item())
             while self.accept(","):
-                args.append(self.parse_term())
+                args.append(item())
             self._expect(close)
         return args
 

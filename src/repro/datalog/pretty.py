@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..relations.values import Atom, FSet, Tup, Value
+from ..relations.values import format_value as pretty_value
 from .ast import (
     Comparison,
     Const,
@@ -22,25 +22,6 @@ from .ast import (
 )
 
 __all__ = ["pretty_term", "pretty_atom", "pretty_rule", "pretty_program", "pretty_value"]
-
-
-def pretty_value(value: Value) -> str:
-    """Render a value in parseable syntax."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    if isinstance(value, Atom):
-        return value.name
-    if isinstance(value, Tup):
-        return "[" + ", ".join(pretty_value(item) for item in value.items) + "]"
-    if isinstance(value, FSet):
-        # Set values have no parseable literal syntax; render informatively.
-        return "{" + ", ".join(pretty_value(item) for item in value) + "}"
-    raise TypeError(f"not a value: {value!r}")
 
 
 def pretty_term(term: Term) -> str:

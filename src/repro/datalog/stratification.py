@@ -22,6 +22,7 @@ from ..digraph import (
     strongly_connected_components,
 )
 from .ast import Program
+from .facts import format_fact
 
 if TYPE_CHECKING:
     from .grounding import GroundProgram
@@ -187,12 +188,7 @@ def explain_undefined(program: GroundProgram, atom_id: int) -> Optional[List[str
     source, target = negative_inside
     to_source = shortest_path(graph, atom_id, source, component)
     back_home = shortest_path(graph, target, atom_id, component)
-    rendered = []
-    for node in to_source + back_home:
-        predicate, args = program.decode(node)
-        inner = ", ".join(str(a) for a in args)
-        rendered.append(f"{predicate}({inner})" if args else predicate)
-    return rendered
+    return [format_fact(*program.decode(node)) for node in to_source + back_home]
 
 
 def is_locally_stratified(program: GroundProgram) -> bool:

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..datalog.parser import unquote
 from ..relations.values import Atom, Tup, Value
 from ..core.expressions import (
     Call,
@@ -170,7 +171,7 @@ class _Parser:
         if token.kind == "int":
             return int(token.text)
         if token.kind == "string":
-            return token.text[1:-1].replace("\\'", "'")
+            return unquote(token.text)
         if token.text == "[":
             items: List[Value] = []
             if self._peek() and self._peek().text != "]":
@@ -196,7 +197,7 @@ class _Parser:
         if token.kind == "int":
             return Lit(int(token.text))
         if token.kind == "string":
-            return Lit(token.text[1:-1].replace("\\'", "'"))
+            return Lit(unquote(token.text))
         if token.text == "[":
             items = [self.parse_scalar()]
             while self._peek() and self._peek().text == ",":

@@ -34,25 +34,15 @@ from ..core.funcs import (
     TrueTest,
 )
 from ..core.programs import AlgebraProgram
-from ..relations.values import Atom, FSet, Tup, Value, sorted_values
+from ..relations.values import FSet, Value, format_value, sorted_values
 
 __all__ = ["pretty_algebra_expr", "pretty_algebra_program"]
 
 
 def _pretty_value(value: Value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return "'" + value.replace("'", "\\'") + "'"
-    if isinstance(value, Atom):
-        return value.name
-    if isinstance(value, Tup):
-        return "[" + ", ".join(_pretty_value(item) for item in value.items) + "]"
     if isinstance(value, FSet):
         raise ValueError("nested set constants have no surface syntax")
-    raise TypeError(f"not a value: {value!r}")
+    return format_value(value)
 
 
 def _pretty_scalar(expr: ScalarExpr) -> str:

@@ -19,6 +19,7 @@ results can be printed reproducibly.
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
@@ -230,10 +231,22 @@ def sort_of(value: Value):
     raise TypeError(f"not a value: {value!r}")
 
 
+#: A quote, and a backslash ``unquote`` would read as an escape (before
+#: a quote, a backslash, a line break or the end); any other stands for
+#: itself, so tuples keep the ``repr`` database fingerprints hash.
+_ESCAPED = re.compile(r"'|\\(?=[\\'\n]|\Z)")
+
+
 def format_value(value: Value) -> str:
-    """Render a value the way the paper writes it."""
+    """Render a value the way the program grammar reads it back
+    (``true``, ``'it\\'s'``, ``[a, 1]``); sets, which have no literal,
+    in braces."""
     if isinstance(value, (Atom, Tup, FSet)):
         return repr(value)
     if isinstance(value, str):
+        if "'" in value or "\\" in value:
+            value = _ESCAPED.sub(r"\\\g<0>", value)
         return f"'{value}'"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return repr(value)

@@ -244,7 +244,7 @@ class TropicalSemiring(Semiring):
 
 
 #: A why-provenance annotation: a set of witnesses, each witness a set
-#: of base-fact tokens (the canonical ``pred(args)`` text).
+#: of base-fact tokens (the fact's ``format_fact`` text).
 Witnesses = FrozenSet[FrozenSet[str]]
 
 
@@ -276,10 +276,9 @@ class WhyProvenanceSemiring(Semiring):
         return frozenset(x | y for x in a for y in b)
 
     def from_edb(self, predicate: str, row: Tuple) -> Witnesses:
-        from .relations.values import format_value
+        from .datalog.facts import format_fact
 
-        token = f"{predicate}({', '.join(format_value(v) for v in row)})"
-        return frozenset({frozenset({token})})
+        return frozenset({frozenset({format_fact(predicate, row)})})
 
     def parse(self, text: str):
         raise ValueError(

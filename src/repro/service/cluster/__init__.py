@@ -36,8 +36,7 @@ __all__, __getattr__, __dir__ = facade(
         "hashring": ("HashRing",),
         "rollup": ("merge_counters", "merge_histograms", "rollup_metrics"),
         "router": (
-            "ClusterRouter", "ViewRecord", "WorkerHandle", "canonical_fact_text",
-            "cluster",
+            "ClusterRouter", "ViewRecord", "WorkerHandle", "cluster",
         ),
         "worker": ("DEFAULT_START_METHOD", "spawn_worker", "worker_main"),
     },

@@ -58,12 +58,12 @@ import contextlib
 import json
 import logging
 import os
-import re
 import socket as socket_module
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ...datalog.facts import fact_key
 from ...robustness import (
     ClusterError,
     RecoveryError,
@@ -79,40 +79,9 @@ from .hashring import HashRing
 from .rollup import merge_counters, rollup_metrics
 from .worker import DEFAULT_START_METHOD, spawn_worker
 
-__all__ = ["ClusterRouter", "ViewRecord", "WorkerHandle", "cluster", "canonical_fact_text"]
+__all__ = ["ClusterRouter", "ViewRecord", "WorkerHandle", "cluster"]
 
 logger = logging.getLogger(__name__)
-
-
-#: A quoted string — single-quoted with ``\'`` and ``\\`` escapes, as
-#: the fact grammar spells them, or double-quoted — or a run of
-#: whitespace outside one.
-_QUOTED_OR_SPACE = re.compile(r"""('(?:[^'\\]|\\.)*'|"[^"]*"?)|\s+""")
-
-
-def canonical_fact_text(text: str) -> str:
-    """A spelling-independent key for one ground-fact literal.
-
-    ``edge(a, b)``, ``edge(a,b)`` and ``edge(a, b).`` must replay as
-    the *same* fact, so the router's view records strip whitespace
-    outside quoted strings and the trailing period — without paying a
-    full parse on the write hot path (the worker parses anyway; the
-    router only needs a stable identity).  Whitespace inside a string
-    is part of the value: ``'new york'`` keeps its space.
-    """
-    text = text.strip()
-    if "'" in text or '"' in text:
-        canonical = _QUOTED_OR_SPACE.sub(lambda match: match.group(1) or "", text)
-    else:
-        canonical = "".join(text.split())
-    return canonical[:-1] if canonical.endswith(".") else canonical
-
-
-def _bare_fact(text: str) -> str:
-    """A canonical fact text without its ``@ annotation`` suffix — the
-    same split the worker's ``parse_annotated_fact`` makes."""
-    marker = text.find("@", text.rfind(")") + 1)
-    return text if marker == -1 else text[:marker]
 
 
 class ViewRecord:
@@ -120,13 +89,13 @@ class ViewRecord:
 
     ``semantics`` and ``source`` replay the original ``register`` (the
     program text carries its own inline base facts); ``added`` and
-    ``removed`` are the *net* acked base-fact delta applied since —
-    ``removed`` as canonical bare fact texts, ``added`` keyed by them,
-    holding the text to re-send (with its ``@ annotation``, if the fact
-    has one).  Keyed by the bare fact, a delete cancels an annotated
-    insert and a re-annotation replaces the old one, so replaying
-    register + removals + additions reconstructs the view's exact
-    database on a fresh worker.
+    ``removed`` are the *net* acked base-fact delta applied since,
+    keyed by value (``fact_key``): ``removed`` holds keys,
+    ``added`` maps a key to the text to re-send (with its
+    ``@ annotation``, if the fact has one).  Keyed by the bare fact, a
+    delete cancels an annotated insert and a re-annotation replaces
+    the old one, so replaying register + removals + additions
+    reconstructs the view's exact database on a fresh worker.
     """
 
     __slots__ = ("semantics", "source", "added", "removed")
@@ -137,17 +106,19 @@ class ViewRecord:
         self.added: Dict[str, str] = {}
         self.removed: Set[str] = set()
 
-    def record_insert(self, fact: str) -> None:
-        bare = _bare_fact(fact)
+    def record_insert(self, fact: str) -> str:
+        key, text = fact_key(fact)
         # A bare re-insert of a present fact leaves its annotation be.
-        if fact != bare or bare not in self.added:
-            self.added[bare] = fact
-        self.removed.discard(bare)
+        if text != key or key not in self.added:
+            self.added[key] = text
+        self.removed.discard(key)
+        return text
 
-    def record_delete(self, fact: str) -> None:
-        bare = _bare_fact(fact)
-        self.removed.add(bare)
-        self.added.pop(bare, None)
+    def record_delete(self, fact: str) -> str:
+        key, _text = fact_key(fact)
+        self.removed.add(key)
+        self.added.pop(key, None)
+        return key
 
 
 class WorkerHandle:
@@ -1156,17 +1127,11 @@ class ClusterRouter:
         if replies[-1].startswith("ok"):
             record = self._records.get(view_name)
             if record is not None:
-                fact = canonical_fact_text(fact_text)
                 if line.startswith("+"):
-                    record.record_insert(fact)
-                    self._journal(
-                        {"op": "insert", "view": view_name, "fact": fact}
-                    )
+                    op, fact = "insert", record.record_insert(fact_text)
                 else:
-                    record.record_delete(fact)
-                    self._journal(
-                        {"op": "delete", "view": view_name, "fact": fact}
-                    )
+                    op, fact = "delete", record.record_delete(fact_text)
+                self._journal({"op": op, "view": view_name, "fact": fact})
         return replies
 
     async def _handle_register(self, line: str, rest: str) -> List[str]:

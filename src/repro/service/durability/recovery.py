@@ -53,6 +53,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from ...datalog.facts import parse_annotated_fact, parse_fact
 from ...robustness import RecoveryError, ReproError, fault_point
 from .manager import DurabilityManager
 from .wal import WalRecord
@@ -89,22 +90,14 @@ class RecoveryReport:
         }
 
 
-def _fact_set(texts) -> Set[Tuple[str, tuple]]:
-    from ..server import parse_fact
-
-    return {parse_fact(text) for text in texts}
-
-
 def _annotated_fact_set(texts):
     """Parse ``fact[ @ annotation]`` texts into ``(facts, annotations)``.
 
     ``annotations`` keeps the wire text verbatim (keyed by fact); the
     service's update path parses it with the target view's semiring.
     Checkpoint and WAL records from boolean views never carry the
-    suffix, so this degrades to :func:`_fact_set` with an empty map.
+    suffix, so this degrades to a set of facts with an empty map.
     """
-    from ..server import parse_annotated_fact
-
     facts: Set[Tuple[str, tuple]] = set()
     annotations: Dict[Tuple[str, tuple], str] = {}
     for text in texts:
@@ -202,7 +195,7 @@ def _update_batch(operation: Dict[str, object]):
     inserts, annotations = _annotated_fact_set(operation.get("inserts", ()))
     return (
         sorted(inserts, key=_fact_order),
-        sorted(_fact_set(operation.get("deletes", ())), key=_fact_order),
+        sorted(set(map(parse_fact, operation.get("deletes", ()))), key=_fact_order),
         annotations or None,
     )
 

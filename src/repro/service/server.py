@@ -68,7 +68,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import socket
 import threading
 import time
@@ -90,10 +89,11 @@ from typing import (
 
 from ..datalog.ast import Const, Var
 from ..datalog.database import Database
-from ..datalog.parser import _Parser, _tokenize, unquote
+from ..datalog.facts import format_fact, parse_annotated_fact, parse_fact
+from ..datalog.parser import _Parser, _tokenize
 from ..datalog.stratification import SEMANTICS
 from ..relations.universe import FunctionRegistry
-from ..relations.values import Atom, Value
+from ..relations.values import Value
 from ..robustness import (
     ReproError,
     RequestTooLarge,
@@ -108,7 +108,6 @@ from .demand import DemandRegistry
 from .locks import AtomicReference
 from .metrics import ServiceMetrics, ViewMetrics
 from .registry import prepare_program
-from .snapshot import format_row
 from .views import MaterializedView
 
 if TYPE_CHECKING:
@@ -132,88 +131,6 @@ Row = Tuple[Value, ...]
 #: waits between SIGTERM and SIGKILL, leaving room for the final
 #: checkpoint.
 DRAIN_SECONDS = 3.0
-
-
-#: One flat argument: a symbol, an integer or a quoted string, spelled
-#: as the program grammar's tokens spell them.
-_FLAT_ARGUMENT = r"[a-z][A-Za-z0-9_]*|-?[0-9]+|'(?:[^'\\]|\\.)*'"
-#: A flat ground fact: a predicate over flat arguments, an optional
-#: period, spaces (no other whitespace) between tokens.
-_FLAT_FACT = re.compile(
-    rf"([a-z_][A-Za-z0-9_]*)"
-    rf"(?:\( *((?:{_FLAT_ARGUMENT})(?: *, *(?:{_FLAT_ARGUMENT}))*)? *\))? *\.?"
-)
-_FLAT_ARGUMENTS = re.compile(_FLAT_ARGUMENT)
-_BOOLEANS = {"true": True, "false": False}
-
-
-def _flat_value(token: str) -> Value:
-    """The value of one flat argument, as the program parser builds it."""
-    first = token[0]
-    if first == "'":
-        return unquote(token)
-    if first in "-0123456789":
-        return int(token)
-    boolean = _BOOLEANS.get(token)
-    return Atom(token) if boolean is None else boolean
-
-
-def parse_fact(text: str) -> Tuple[str, Row]:
-    """Parse one ground fact (``edge(a, b)`` or ``edge(a, b).``).
-
-    The program grammar's atom, then ``.`` and end of input, with
-    constant arguments only; no program is built.  A flat fact — every
-    argument a symbol, an integer or a string — is read by one regex
-    match; any other text goes through the grammar's tokenizer and
-    parser, and fails as parsing it as a program does: a
-    :class:`~repro.datalog.parser.ParseError` where it is no program, a
-    ``ValueError`` where it is one but not a single ground fact (a rule,
-    two facts, a variable or a function term).
-    """
-    text = text.strip()
-    flat = _FLAT_FACT.fullmatch(text)
-    if flat is not None:
-        arguments = flat.group(2)
-        if arguments is None:
-            return flat.group(1), ()
-        return flat.group(1), tuple(
-            map(_flat_value, _FLAT_ARGUMENTS.findall(arguments))
-        )
-    if not text.endswith("."):
-        text += "."
-    tokens = _tokenize(text)
-    if tokens:
-        parser = _Parser(tokens)
-        head = parser.parse_atom()
-        if (
-            parser.accept(".")
-            and parser.at_end()
-            and all(isinstance(arg, Const) for arg in head.args)
-        ):
-            return head.predicate, tuple(arg.value for arg in head.args)
-    _Parser(tokens).parse_program()  # raises where the text is no program
-    raise ValueError(f"expected a single ground fact, got {text!r}")
-
-
-def parse_annotated_fact(text: str) -> Tuple[str, Row, Optional[str]]:
-    """Parse a fact with an optional ``@ <annotation>`` suffix.
-
-    ``edge(a, b) @ 3`` → ``("edge", (a, b), "3")``; a plain fact
-    returns annotation ``None``.  The annotation text is opaque here —
-    the update path decodes it against the target view's semiring.
-    Only an ``@`` *after* the argument list is a separator, so values
-    containing ``@`` never confuse the split.
-    """
-    text = text.strip()
-    close = text.rfind(")")
-    marker = text.find("@", close + 1 if close >= 0 else 0)
-    if marker == -1:
-        predicate, row = parse_fact(text)
-        return predicate, row, None
-    fact_text = text[:marker].strip()
-    annotation = text[marker + 1 :].strip()
-    predicate, row = parse_fact(fact_text)
-    return predicate, row, annotation or None
 
 
 class QueryService:
@@ -388,7 +305,7 @@ class QueryService:
                     database = view.database
                     if view.semiring == "bool":
                         facts = [
-                            format_row(predicate, row)
+                            format_fact(predicate, row)
                             for predicate, row in database
                         ]
                     else:
@@ -399,7 +316,7 @@ class QueryService:
                         semiring = view.semiring_obj
                         facts = []
                         for predicate, row in database:
-                            text = format_row(predicate, row)
+                            text = format_fact(predicate, row)
                             explicit = database.annotation(predicate, row)
                             if explicit is not None:
                                 text = f"{text} @ {semiring.format(explicit)}"
@@ -1124,7 +1041,7 @@ class QueryService:
         """
         if self.durability is None:
             return
-        inserts = [format_row(predicate, row) for predicate, row in ticket.inserts]
+        inserts = [format_fact(predicate, row) for predicate, row in ticket.inserts]
         annotations = ticket.annotations
         if annotations:
             text = view.semiring_obj.format
@@ -1138,7 +1055,7 @@ class QueryService:
                 "view": name,
                 "inserts": inserts,
                 "deletes": [
-                    format_row(predicate, row)
+                    format_fact(predicate, row)
                     for predicate, row in ticket.deletes
                 ],
             }
@@ -1433,9 +1350,9 @@ def _handle_line(service: QueryService, line: str) -> List[str]:
             rows, undefined, stale = service.query_pattern(
                 view_name, predicate, pattern_args
             )
-            lines = sorted(f"row {format_row(predicate, row)}" for row in rows)
+            lines = sorted(f"row {format_fact(predicate, row)}" for row in rows)
             undefined_lines = sorted(
-                f"undef {format_row(predicate, row)}" for row in undefined
+                f"undef {format_fact(predicate, row)}" for row in undefined
             )
         else:
             if remainder.split() != [remainder] or not remainder:

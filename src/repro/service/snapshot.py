@@ -70,9 +70,10 @@ from typing import (
     Tuple,
 )
 
-from ..relations.values import Value, format_value
+from ..datalog.facts import format_fact
+from ..relations.values import Value
 
-__all__ = ["ModelSnapshot", "format_row"]
+__all__ = ["ModelSnapshot"]
 
 Row = Tuple[Value, ...]
 #: A bound pattern: one element per argument position, ``None`` = free.
@@ -83,13 +84,6 @@ _EMPTY: FrozenSet[Row] = frozenset()
 #: Delta cells deeper than this are compacted (materialized eagerly) at
 #: publish time, bounding both read-side recursion and chain memory.
 MAX_DELTA_DEPTH = 16
-
-
-def format_row(predicate: str, row: Row) -> str:
-    """One fact in wire text: ``edge(a, b)`` (``p`` for arity 0)."""
-    if not row:
-        return predicate
-    return f"{predicate}({', '.join(format_value(value) for value in row)})"
 
 
 def _bucketed(
@@ -198,7 +192,7 @@ class _Cell:
         return pair
 
     def _line(self, row: Row) -> str:
-        return f"row {format_row(self._predicate, row)}"
+        return f"row {format_fact(self._predicate, row)}"
 
     def _spliced(
         self, lines: List[str], removed: FrozenSet[Row], added: FrozenSet[Row]
@@ -282,7 +276,7 @@ class _Undefined(_Cell):
     __slots__ = ()
 
     def _line(self, row: Row) -> str:
-        return f"undef {format_row(self._predicate, row)}"
+        return f"undef {format_fact(self._predicate, row)}"
 
 
 class _Notes(_Cell):
@@ -296,7 +290,7 @@ class _Notes(_Cell):
         self._table: Optional[Dict[Row, str]] = None
 
     def _line(self, pair: Tuple[Row, str]) -> str:
-        return f"explain {format_row(self._predicate, pair[0])} @ {pair[1]}"
+        return f"explain {format_fact(self._predicate, pair[0])} @ {pair[1]}"
 
     def table(self) -> Dict[Row, str]:
         """row → text, built once per cell (its pairs never change).

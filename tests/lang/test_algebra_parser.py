@@ -15,8 +15,29 @@ from repro.core.expressions import (
 )
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit, MkTup
 from repro.core.programs import Dialect, ProgramError
+from repro.datalog.parser import parse_term
 from repro.lang import AlgebraParseError, parse_algebra_expr, parse_algebra_program
-from repro.relations import Atom, Tup
+from repro.relations import Atom, Tup, format_value
+
+
+class TestStrings:
+    """Both grammars read a quoted string with the one ``unquote``."""
+
+    def test_a_doubled_backslash_is_one_in_both_languages(self):
+        text = r"'a\\b'"
+        [value] = parse_algebra_expr("{" + text + "}").values
+        assert value == "a\\b"
+        assert parse_term(text).value == value
+
+    @pytest.mark.parametrize(
+        "value", ["a\\b", "it's", "a\\", "\\'", "x\\\\y", "two\nlines", ""]
+    )
+    def test_format_value_reads_back_in_both_languages(self, value):
+        text = format_value(value)
+        assert parse_term(text).value == value
+        assert parse_algebra_expr("{" + text + "}").values == frozenset({value})
+        mapped = parse_algebra_expr("map[" + text + "](A)", relations=["A"])
+        assert mapped.func == Lit(value)
 
 
 class TestExpressions:

@@ -11,6 +11,9 @@ reject the same texts with the same exception type and message.
 The tokenizer is one ``finditer`` pass; its reference is the
 character-position loop it replaced, kept below verbatim in behaviour:
 same tokens, same line and column on every token, same error.
+
+``format_fact`` is the spelling ``parse_fact`` reads: every row of
+values comes back as the same values, of the same types.
 """
 
 import re
@@ -19,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.ast import Const
-from repro.datalog.parser import ParseError, _tokenize, parse_program
+from repro.datalog.ast import Const, Var
+from repro.datalog.facts import fact_key, format_fact, parse_annotated_fact
+from repro.datalog.parser import ParseError, _tokenize, parse_program, parse_term
 from repro.relations import Atom, Tup
 from repro.service import parse_fact
 
@@ -90,7 +94,7 @@ def outcome(function, text):
 # ---------------------------------------------------------------------------
 
 names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,6}", fullmatch=True)
-strings = st.text(alphabet="ab '\\\n%.,()", max_size=8).map(
+strings = st.text(alphabet="ab '\\\n%.,()@", max_size=8).map(
     lambda raw: "'" + raw.replace("\\", "\\\\").replace("'", "\\'") + "'"
 )
 # Where a flat fact's one-match route and the grammar could part: the
@@ -223,6 +227,62 @@ def test_what_is_no_single_ground_fact_is_a_value_error(text):
     with pytest.raises(ValueError, match="expected a single ground fact") as caught:
         parse_fact(text)
     assert type(caught.value) is ValueError
+
+
+def _typed(value):
+    """``value`` with its type at every level (``True == 1`` otherwise)."""
+    if isinstance(value, Tup):
+        return (Tup, tuple(map(_typed, value.items)))
+    return (type(value), value)
+
+
+#: Rows of values: the constants above, read by the program grammar.
+rows = st.lists(constants.map(lambda text: parse_term(text).value), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names, rows)
+def test_a_formatted_fact_reads_back_to_its_values(predicate, row):
+    row = tuple(row)
+    text = format_fact(predicate, row)
+    parsed = parse_fact(text)
+    assert parsed == (predicate, row)
+    assert _typed(Tup(parsed[1])) == _typed(Tup(row))
+    assert parse_annotated_fact(f"{text} @ 3") == (predicate, row, "3")
+
+
+def reference_key(text):
+    predicate, row, annotation = parse_annotated_fact(text)
+    key = format_fact(predicate, row)
+    return key, key if annotation is None else f"{key} @ {annotation}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(facts(), flat_edges, near_misses, soups), st.sampled_from(["", " @ 3", "@x y"]))
+def test_a_fact_key_is_the_spelling_of_the_parsed_fact(text, annotation):
+    # The router keys facts without building their values.
+    text += annotation
+    assert outcome(fact_key, text) == outcome(reference_key, text)
+
+
+@pytest.mark.parametrize("text, row", [
+    ("q(True)", (True,)),
+    ("q(False, [True, a])", (False, Tup((True, Atom("a"))))),
+    ("q( True ,'x').", (True, "x")),
+])
+def test_the_old_boolean_spelling_reads_as_booleans(text, row):
+    # Logs and checkpoints written before booleans were spelled
+    # ``true`` / ``false`` hold ``True`` / ``False``.
+    assert _typed(Tup(parse_fact(text)[1])) == _typed(Tup(row))
+    assert parse_annotated_fact(text + " @ 2") == ("q", row, "2")
+
+
+def test_in_a_rule_true_is_still_a_variable():
+    [rule] = parse_program("p(X) :- q(X, True).").rules
+    assert rule.body[0].atom.args[1] == Var("True")
+    for text in ["True(a)", "q(Trueish)", "q(True(a))", "q(tuple(a))"]:
+        with pytest.raises(ValueError):
+            parse_fact(text)
 
 
 #: Multi-line programs with comments and newlines inside quoted strings:

@@ -24,9 +24,10 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.facts import format_fact
 from repro.relations import Atom
 from repro.service import ModelSnapshot
-from repro.service.snapshot import MAX_DELTA_DEPTH, format_row
+from repro.service.snapshot import MAX_DELTA_DEPTH
 
 # Values whose wire text is pairwise distinct, over three types.
 VALUES = (Atom("a"), Atom("b"), Atom("c"), 0, 1, "a")
@@ -58,7 +59,7 @@ steps = st.one_of(
 
 
 def expected_lines(model):
-    return sorted(f"row {format_row('p', row)}" for row in model)
+    return sorted(f"row {format_fact('p', row)}" for row in model)
 
 
 def expected_probe(model, args):
@@ -169,7 +170,7 @@ tables = st.dictionaries(rows, texts, max_size=6)
 def check_annotations(snapshot, table):
     """The annotation reads of ``snapshot`` against the dict ``table``."""
     expected = sorted(
-        f"explain {format_row('p', row)} @ {text}" for row, text in table.items()
+        f"explain {format_fact('p', row)} @ {text}" for row, text in table.items()
     )
     lines, _formatted = snapshot.explain_lines("p")
     assert lines == expected
@@ -242,7 +243,7 @@ def test_undef_lines_carried_by_delta_equal_recomputation(true, undefined, scrip
         if read:
             snapshot.undefined_lines("p")
     for snapshot, true, undefined in reversed(history):
-        expected = sorted(f"undef {format_row('p', row)}" for row in undefined)
+        expected = sorted(f"undef {format_fact('p', row)}" for row in undefined)
         lines, _formatted = snapshot.undefined_lines("p")
         assert lines == expected
         assert snapshot.undefined_lines("p") == (lines, 0)

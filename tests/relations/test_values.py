@@ -229,7 +229,7 @@ class TestOrdering:
             fset(Atom("a")), fset(Atom("x"), Atom("y")),
         ]
         assert [format_value(v) for v in sorted_values(mixed)] == [
-            "False", "2", "'b'", "b", "m", "z10", "z9",
+            "false", "2", "'b'", "b", "m", "z10", "z9",
             "[a]", "[a, 2]", "[b, 1]", "{a}", "{x, y}",
         ]
 
@@ -252,3 +252,16 @@ class TestFormat:
 
     def test_structures(self):
         assert format_value(tup(Atom("a"), "s")) == "[a, 's']"
+
+    def test_booleans_as_the_grammar_spells_them(self):
+        assert format_value(True) == "true"
+        assert format_value(tup(False, 1)) == "[false, 1]"
+
+    def test_escapes_where_the_reader_would_unescape(self):
+        # A quote always; a backslash only before a quote, a backslash,
+        # a line break or the closing quote.
+        assert format_value("it's") == r"'it\'s'"
+        assert format_value("a\\") == r"'a\\'"
+        assert format_value("a\\b") == r"'a\b'"
+        assert format_value("\\'") == r"'\\\''"
+        assert format_value("a\\\n") == "'a\\\\\n'"

@@ -21,7 +21,7 @@ from repro.service.cluster import (
     ClusterReplyError,
     FrameError,
     HashRing,
-    canonical_fact_text,
+    ViewRecord,
     cluster,
     encode_frame,
     read_frame,
@@ -142,33 +142,45 @@ class TestHashRing:
 
 
 # ---------------------------------------------------------------------------
-# fact canonicalization (drain/respawn replay identity)
+# the router's view records key facts by value (drain/respawn replay identity)
 # ---------------------------------------------------------------------------
 
 
-class TestCanonicalFactText:
+def _keys(*texts):
+    """The keys a view record files ``texts`` under, inserted in turn."""
+    record = ViewRecord("stratified", "")
+    for text in texts:
+        record.record_insert(text)
+    return record.added
+
+
+class TestFactKeys:
     def test_whitespace_and_trailing_dot_insensitive(self):
         spellings = ["edge(a, b)", "edge(a,b)", "edge( a , b ).", "edge(a, b)."]
-        assert len({canonical_fact_text(s) for s in spellings}) == 1
+        assert _keys(*spellings) == {"edge(a, b)": "edge(a, b)"}
 
-    def test_quoted_strings_keep_interior_spaces(self):
-        a = canonical_fact_text('label(n, "hello world")')
-        b = canonical_fact_text('label(n,  "hello world" ).')
-        c = canonical_fact_text('label(n, "helloworld")')
-        assert a == b
-        assert a != c
+    def test_one_value_is_one_key(self):
+        assert _keys("q(1)", "q(01)", "q( 1 ).") == {"q(1)": "q(1)"}
+        assert _keys("q(-0)", "q(0)") == {"q(0)": "q(0)"}
+        assert _keys("q([a,1])", "q([ a , 01 ])") == {"q([a, 1])": "q([a, 1])"}
 
     def test_single_quoted_strings_keep_interior_spaces(self):
         # The grammar's strings are single-quoted: the space inside is
         # part of the value, the ones around it are not.
-        key = canonical_fact_text("edge('new york', b)")
-        assert key == "edge('new york',b)"
-        assert canonical_fact_text("edge( 'new york' ,b ).") == key
-        assert canonical_fact_text("edge('newyork', b)") != key
+        assert _keys("edge('new york', b)", "edge( 'new york' ,b ).") == {
+            "edge('new york', b)": "edge('new york', b)"
+        }
+        assert len(_keys("edge('new york', b)", "edge('newyork', b)")) == 2
         # An escaped quote does not end the string.
-        assert canonical_fact_text(r"e('it\'s  here', 'a\\', b c)") == (
-            r"e('it\'s  here','a\\',bc)"
-        )
+        assert list(_keys(r"e('it\'s  here', 'a\\', b)")) == [
+            r"e('it\'s  here', 'a\\', b)"
+        ]
+
+    def test_a_delete_cancels_any_spelling_of_the_fact(self):
+        record = ViewRecord("stratified", "")
+        assert record.record_insert("e(1, 'x') @ 3") == "e(1, 'x') @ 3"
+        assert record.record_delete("e(01,'x').") == "e(1, 'x')"
+        assert (record.added, record.removed) == ({}, {"e(1, 'x')"})
 
 
 # ---------------------------------------------------------------------------

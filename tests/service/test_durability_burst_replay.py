@@ -420,7 +420,12 @@ def test_recovery_work_is_linear_in_the_log(tmp_path):
 
 
 def test_recovery_time_is_linear_in_the_log(tmp_path):
-    """time(4N) ≤ 5 · time(N) at N = 200 (best of three each)."""
+    """time(4N) ≤ 5 · time(N) at N = 200 (best of three each).
+
+    Time is the replaying thread's CPU time, not the wall clock:
+    replay runs on the calling thread, and other processes on a loaded
+    box, or other threads of the test process, stretch one replay and
+    not the other, so the ratio then says nothing about replay."""
     seconds = {}
     for records in (200, 800):
         log = tmp_path / f"log{records}"
@@ -428,9 +433,9 @@ def test_recovery_time_is_linear_in_the_log(tmp_path):
         best = float("inf")
         for _attempt in range(3):
             scratch = _copy(log, tmp_path / "scratch")
-            started = time.perf_counter()
+            started = time.thread_time()
             service = _open(scratch)
-            best = min(best, time.perf_counter() - started)
+            best = min(best, time.thread_time() - started)
             assert service.last_recovery.replayed_records == records + 1
             service.close()
         seconds[records] = best

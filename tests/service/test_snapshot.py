@@ -1,8 +1,9 @@
 """Unit tests for the immutable model snapshots (the RCU read path)."""
 
+from repro.datalog.facts import format_fact
 from repro.relations import Atom
 from repro.service import ModelSnapshot
-from repro.service.snapshot import MAX_DELTA_DEPTH, _Cell, format_row
+from repro.service.snapshot import MAX_DELTA_DEPTH, _Cell
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -216,7 +217,7 @@ class TestReadMemos:
         grown, formatted = child.lines("tc")
         assert 0 < formatted <= 2 * len(plus)
         assert grown == sorted(
-            f"row {format_row('tc', row)}" for row in rows | plus
+            f"row {format_fact('tc', row)}" for row in rows | plus
         )
         back = child.apply_delta({}, {"tc": plus}, generation=3)
         shrunk, formatted = back.lines("tc")

@@ -7,21 +7,21 @@ business.  What is pinned is the work every write does whatever the box:
   (a ticket's event is made only when a second writer waits on it);
 * a flat fact (``edge(c3n1, c3n2)``, strings, integers, booleans, an
   optional ``.`` and ``@ annotation``) is read by one regex match and
-  never reaches the grammar's tokenizer or parser;
+  never reaches the grammar's tokenizer or parser
+  (``repro.datalog.facts``);
 * the histogram observations and the service-lock holds of one write;
 * the replies, the log records and the fingerprints a script of every
   fact shape produces, and what recovery rebuilds from that log.
 """
 
 import threading
-import time
 
 import pytest
 
+from repro.datalog import facts as facts_module
 from repro.relations import Atom
 from repro.service import QueryService, serve_stream
 from repro.service import metrics as metrics_module
-from repro.service import server as server_module
 from repro.service.dbsp.queue import Ticket
 from repro.service.durability import wal as wal_module
 
@@ -35,15 +35,19 @@ def serve(service, lines):
 
 
 class _Counting:
-    """A stand-in for a ``threading`` factory that counts its calls."""
+    """A stand-in for a ``threading`` factory that counts its calls and
+    sets ``called`` once it has made something."""
 
     def __init__(self, factory):
         self.factory = factory
         self.calls = 0
+        self.called = threading.Event()
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.factory(*args, **kwargs)
+        made = self.factory(*args, **kwargs)
+        self.called.set()
+        return made
 
 
 class _CountingLock:
@@ -83,8 +87,9 @@ class TestTickets:
         events = _Counting(threading.Event)
         monkeypatch.setattr(threading, "Event", events)
         waiter.start()
-        while ticket._event is None:  # the waiter arms it, then blocks
-            time.sleep(0.001)
+        # The waiter makes its event under the settle lock, so once it
+        # is made, completing the ticket wakes that event.
+        assert events.called.wait(30)
         ticket.complete({"mode": "incremental"})
         waiter.join()
         assert outcome == [{"mode": "incremental"}]
@@ -111,8 +116,8 @@ class TestFlatFacts:
         def refuse(*args, **kwargs):
             raise AssertionError("a flat fact reached the grammar")
 
-        monkeypatch.setattr(server_module, "_tokenize", refuse)
-        monkeypatch.setattr(server_module, "_Parser", refuse)
+        monkeypatch.setattr(facts_module, "_tokenize", refuse)
+        monkeypatch.setattr(facts_module, "_Parser", refuse)
         replies = serve(service, self.FLAT + ["+n e(a, b) @ 3", "+n e(b, c) @ 1"])
         assert all(reply.startswith("ok {") for reply in replies), replies
         assert service.query("g", "e") == {
@@ -124,8 +129,8 @@ class TestFlatFacts:
     def test_any_other_fact_takes_the_grammar(self, monkeypatch):
         service = QueryService()
         serve(service, [f"register g stratified {TC}"])
-        tokenize = _Counting(server_module._tokenize)
-        monkeypatch.setattr(server_module, "_tokenize", tokenize)
+        tokenize = _Counting(facts_module._tokenize)
+        monkeypatch.setattr(facts_module, "_tokenize", tokenize)
         replies = serve(service, ["+g e([a, 1], b)", "+g e(a,\tb)", "+g e(f(a), b)"])
         assert replies[0].startswith("ok {") and replies[1].startswith("ok {")
         assert replies[2].startswith("error ValueError: expected a single ground fact")
@@ -216,10 +221,10 @@ SHAPE_REPLIES = [
     'ok {"batches": 1, "delta_minus": 0, "delta_plus": 5, "mode": "incremental"}',
     "row p('a, ) @ . b')",
     "row p('new york')",
-    "row p(False)",
-    "row p(True)",
     "row p([a, [-1, 'x y']])",
     "row p(c3n1)",
+    "row p(false)",
+    "row p(true)",
     "ok 6 rows",
     "row tc('x, y', 'c d')",
     "row tc('x, y', a)",
@@ -243,8 +248,8 @@ SHAPE_RECORDS = [
     '{"deletes":[],"inserts":["q(\'new york\')"],"lsn":3,"op":"update","view":"s"}',
     '{"deletes":[],"inserts":["q(\'a, ) @ . b\')"],"lsn":4,"op":"update","view":"s"}',
     '{"deletes":[],"inserts":["q(-7)"],"lsn":5,"op":"update","view":"s"}',
-    '{"deletes":[],"inserts":["q(True)"],"lsn":6,"op":"update","view":"s"}',
-    '{"deletes":[],"inserts":["q(False)"],"lsn":7,"op":"update","view":"s"}',
+    '{"deletes":[],"inserts":["q(true)"],"lsn":6,"op":"update","view":"s"}',
+    '{"deletes":[],"inserts":["q(false)"],"lsn":7,"op":"update","view":"s"}',
     '{"deletes":[],"inserts":["q([a, [-1, \'x y\']])"],"lsn":8,"op":"update","view":"s"}',
     '{"deletes":[],"inserts":["r(a, \'b c\')"],"lsn":9,"op":"update","view":"s"}',
     '{"deletes":["q(-7)"],"inserts":[],"lsn":10,"op":"update","view":"s"}',
@@ -258,14 +263,13 @@ SHAPE_RECORDS = [
 ]
 
 #: The live databases after :data:`SHAPES`, and what recovery rebuilds
-#: from their log: the same for ``t``; for ``s`` the two boolean facts
-#: are missing (see the expected failure below).
+#: from their log: the same databases.
 LIVE = {
     "s": "b6e8cd23bb89825a6f382cc93f356a67669c8974bb6cd8088d200940a36fc1ec",
     "t": "7f691f89b9fb1bfd156b50f906cf972c75bde7e3213a8021b76e9b1cacccabeb",
 }
 RECOVERED = {
-    "s": "dee75210d1de81151c93c0edb2f02de4dc2618fbb45859fecf028559acfd30c1",
+    "s": LIVE["s"],
     "t": LIVE["t"],
 }
 
@@ -309,21 +313,6 @@ class TestEveryShapeThroughTheLog:
         finally:
             recovered.close()
 
-    def test_every_shape_but_the_booleans_recovers_to_the_live_database(self, tmp_path):
-        lines = [line for line in SHAPES if "true" not in line and "false" not in line]
-        _replies, live, _payloads, recovered = _crash_and_recover(tmp_path, lines)
-        try:
-            assert {
-                name: recovered.view(name).fingerprint() for name in live
-            } == live
-        finally:
-            recovered.close()
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="booleans are journaled as True/False, which the fact "
-        "grammar reads as variables: recovery skips the record",
-    )
     def test_a_boolean_fact_survives_recovery(self, tmp_path):
         lines = ["register s stratified p(X) :- q(X).", "+s q(true)"]
         _replies, live, _payloads, recovered = _crash_and_recover(tmp_path, lines)
