@@ -21,8 +21,9 @@ stratum, every round recomputes each head predicate's full annotation
 map from the previous round's maps (plus the finished lower strata),
 until a round is a fixpoint.  This is the classical algebraic fixpoint
 for ω-continuous semirings and the library's from-scratch evaluator —
-the oracle of :mod:`repro.service.annotated`, whose views build by their
-own maintenance instead.  Convergence per shipped semiring:
+the oracle of the service's maintenance engine
+(:mod:`repro.service.dbsp.engine`), whose annotated views build by
+their own maintenance instead.  Convergence per shipped semiring:
 
 * ``bool`` / ``why`` — idempotent and finite-carrier: always converges
   (round k holds the derivations of depth ≤ k; both stabilize once

@@ -10,7 +10,7 @@ of Sections 5 and 6 rely on.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, Mapping
 from typing import Optional, Set, Tuple
 
 from ..relations.values import FSet, Tup, Value, is_value, sorted_values
@@ -133,7 +133,7 @@ class Database:
 
     def has_annotations(self) -> bool:
         """Does any fact carry an explicit annotation?"""
-        return any(self._annotations.values())
+        return bool(self._annotations)  # a bucket goes with its last one
 
     @classmethod
     def from_relations(cls, *relations: Relation) -> "Database":
@@ -211,26 +211,33 @@ class Database:
         """Total number of facts."""
         return sum(len(rows) for rows in self._facts.values())
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, spell: Optional[Callable[[Value], str]] = None) -> str:
         """A stable content hash of the fact set.
 
         Two databases with the same predicates and rows (declared-empty
         predicates included) share a fingerprint; any insert or delete
         changes it.  Durability keys on it: a checkpoint records each
         view's fingerprint, and recovery verifies the rebuilt database
-        against it.
+        against it (``spell`` renders a row's values in place of
+        ``repr``, for a checkpoint written under an older spelling).
 
-        Memoized: the digest is computed at most once per content state
-        (every mutator clears the cache, :meth:`copy` carries it over).
+        Memoized without ``spell``: the digest is computed at most once
+        per content state (every mutator clears the cache, :meth:`copy`
+        carries it over).
         """
-        if self._fingerprint is not None:
-            return self._fingerprint
+        if spell is None:
+            if self._fingerprint is not None:
+                return self._fingerprint
+            text = spell = repr
+        else:  # the row tuple's ``repr``, its values spelled by ``spell``
+            text = lambda row: f"({', '.join(map(spell, row))}{',' * (len(row) == 1)})"  # noqa
+        key = lambda row: tuple(map(spell, row))  # noqa: E731
         hasher = hashlib.sha256()
         for predicate in sorted(self._facts):
             hasher.update(predicate.encode("utf-8"))
             hasher.update(b"\x00")
-            for row in sorted(self._facts[predicate], key=lambda r: tuple(map(repr, r))):
-                hasher.update(repr(row).encode("utf-8"))
+            for row in sorted(self._facts[predicate], key=key):
+                hasher.update(text(row).encode("utf-8"))
                 hasher.update(b"\x01")
             hasher.update(b"\x02")
         if self.has_annotations():
@@ -249,14 +256,16 @@ class Database:
                     continue
                 hasher.update(predicate.encode("utf-8"))
                 hasher.update(b"\x00")
-                for row in sorted(bucket, key=lambda r: tuple(map(repr, r))):
-                    hasher.update(repr(row).encode("utf-8"))
+                for row in sorted(bucket, key=key):
+                    hasher.update(text(row).encode("utf-8"))
                     hasher.update(b"\x04")
                     hasher.update(canonical_annotation(bucket[row]).encode("utf-8"))
                     hasher.update(b"\x01")
                 hasher.update(b"\x02")
-        self._fingerprint = hasher.hexdigest()
-        return self._fingerprint
+        digest = hasher.hexdigest()
+        if text is repr:
+            self._fingerprint = digest
+        return digest
 
     # -- the active domain -----------------------------------------------------
 

@@ -20,12 +20,12 @@ Grammar::
                 | 'pi' INT '(' expr ')'
                 | 'ifp' '(' NAME ',' expr ')'
                 | '(' expr ')'
-    scalar     := 'it' ('.' INT)* | INT | STRING | NAME
+    scalar     := 'it' ('.' INT)* | ['-'] INT | STRING | NAME
                 | NAME '(' scalar (',' scalar)* ')'
                 | '[' scalar (',' scalar)* ']'
     test       := 'true' | comparison | 'not' test
                 | test 'and' test | test 'or' test | '(' test ')'
-    value      := INT | STRING | NAME | '[' value (',' value)* ']'
+    value      := ['-'] INT | STRING | NAME | '[' value (',' value)* ']'
 
 Name resolution happens after parsing: a bare name is a parameter of the
 enclosing definition, a declared database relation, or a defined
@@ -165,11 +165,18 @@ class _Parser:
 
     # -- values ----------------------------------------------------------------
 
+    def _negative(self, token: _Token) -> bool:
+        """Is ``token`` the sign of ``-<digits>``?  (Where a value is
+        expected; elsewhere ``-`` is set difference.)"""
+        return token.text == "-" and getattr(self._peek(), "kind", None) == "int"
+
     def parse_value(self) -> Value:
         """Parse one constant value."""
         token = self._next()
         if token.kind == "int":
             return int(token.text)
+        if self._negative(token):
+            return -int(self._next().text)
         if token.kind == "string":
             return unquote(token.text)
         if token.text == "[":
@@ -196,6 +203,8 @@ class _Parser:
         token = self._next()
         if token.kind == "int":
             return Lit(int(token.text))
+        if self._negative(token):
+            return Lit(-int(self._next().text))
         if token.kind == "string":
             return Lit(unquote(token.text))
         if token.text == "[":

@@ -14,8 +14,10 @@ the wire encoding the line protocol and WAL use.
 Shipped semirings:
 
 ``bool``
-    Today's set semantics.  The default, and the zero-overhead fast
-    path: boolean views never construct annotation maps at all.
+    Today's set semantics.  The default, and the one semiring where a
+    single surviving derivation settles a row
+    (:attr:`Semiring.one_derivation_settles`): boolean views keep no
+    annotation, the support is the model.
 ``naturals``
     Bag semantics — the annotation of a derived row counts its
     derivation trees.  **Convergence condition:** recursive programs only have a
@@ -79,6 +81,11 @@ class Semiring:
     #: True when ``a ⊕ a = a`` — idempotent semirings reach their
     #: recursive fixpoint regardless of derivation multiplicity.
     idempotent: bool = False
+    #: True when every non-zero annotation is ``1`` and ``1 ⊕ x = 1``:
+    #: one surviving derivation settles a row, so the maintenance engine
+    #: re-derives by probing for one.  (``tropical`` is idempotent and
+    #: absorptive, but a probe does not find the cheapest derivation.)
+    one_derivation_settles: bool = False
 
     @property
     def zero(self):
@@ -131,6 +138,7 @@ class BooleanSemiring(Semiring):
 
     name = "bool"
     idempotent = True
+    one_derivation_settles = True
 
     @property
     def zero(self):

@@ -2,8 +2,10 @@
 
 The maintenance core of the service: materialized views are maintained
 over a *stream* of update batches by an incrementalized circuit over
-the prepared rule plans (:mod:`.engine`: every component by
-over-delete and re-derive, on plain row sets), and the bounded
+the prepared rule plans (:mod:`.engine`, the one engine for every
+stratified view under any semiring: every component by over-delete
+and re-derive, the re-derive picked by the semiring's law), and the
+bounded
 group-commit queue that lets the server coalesce write bursts into
 single circuit passes (:mod:`.queue`); the valid / well-founded
 semantics run as an alternating chain kept as ranked rows over one

@@ -11,7 +11,8 @@ data directory, in three steps:
    predicate set, the restore re-registers (seed facts and all),
    diffs, and applies the difference as one insert/delete batch.  The
    restored database's fingerprint must then equal the one recorded at
-   capture time — a mismatch means the serialize/parse roundtrip or
+   capture time (or, for a checkpoint written before the fact codec,
+   the digest under the spelling it hashed) — a mismatch means the serialize/parse roundtrip or
    the restore path is broken, and recovery refuses to serve
    (:class:`~repro.robustness.RecoveryError`) rather than hand out a
    silently different model.
@@ -54,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from ...datalog.facts import parse_annotated_fact, parse_fact
+from ...relations.values import FSet, Tup, Value
 from ...robustness import RecoveryError, ReproError, fault_point
 from .manager import DurabilityManager
 from .wal import WalRecord
@@ -161,13 +163,27 @@ def _restore_view(service, name: str, info: Dict[str, object]) -> int:
         if predicate not in view.database:
             view.database.declare(predicate)
     recorded = info.get("fingerprint")
-    if recorded and view.database.fingerprint() != recorded:
+    if (
+        recorded
+        and view.database.fingerprint() != recorded
+        and view.database.fingerprint(_spelled_before_codec) != recorded
+    ):
         raise RecoveryError(
             f"restored view {name!r} disagrees with its checkpoint: "
             f"fingerprint {view.database.fingerprint()[:12]}… != "
             f"recorded {str(recorded)[:12]}…"
         )
     return len(target)
+
+
+def _spelled_before_codec(value: Value, nested: bool = False) -> str:
+    """A value as checkpoints written before the fact codec hashed it:
+    inside a tuple or a set, a boolean ``True`` / ``False`` and a string
+    quoted unescaped (elsewhere ``repr``, as now)."""
+    if isinstance(value, (Tup, FSet)):
+        items = ", ".join(_spelled_before_codec(item, True) for item in value)
+        return f"[{items}]" if isinstance(value, Tup) else "{" + items + "}"
+    return f"'{value}'" if nested and isinstance(value, str) else repr(value)
 
 
 def _apply_registration(service, record: WalRecord) -> None:

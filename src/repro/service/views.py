@@ -7,12 +7,13 @@ an engine, and every engine has the same seam — ``edb``,
 batch is a burst of one), ``model()`` / ``rows()``, ``budget`` — and
 reports each burst as the net ``plus`` / ``minus`` delta of the model:
 
-* ``semantics="stratified"`` on a stratified program: a
-  :class:`~repro.service.dbsp.DBSPEngine` maintains the model over a
+* ``semantics="stratified"`` on a stratified program, under any
+  ``semiring``: the one maintenance engine,
+  :class:`~repro.service.dbsp.DBSPEngine`, maintains the model over a
   delta stream — a burst of N update batches submitted through
   :meth:`MaterializedView.apply_stream` is differentiated into one net
-  EDB delta, absorbed in **one** circuit pass, and published
-  with **one** snapshot swap;
+  EDB delta, absorbed in **one** circuit pass, and published with
+  **one** snapshot swap;
 * ``semantics="valid"`` / ``"wellfounded"`` on a non-stratified
   program is maintained the same way, by an
   :class:`~repro.service.dbsp.AlternatingEngine`: the alternating
@@ -20,8 +21,6 @@ reports each burst as the net ``plus`` / ``minus`` delta of the model:
   net delta of the true **and** the undefined rows (on a stratified
   program both semantics are the stratified model, so the plain engine
   serves them);
-* a non-boolean ``semiring`` runs on an
-  :class:`~repro.service.annotated.AnnotatedEngine`;
 * ``inflationary`` views (``mode == "recompute"``), which no circuit
   maintains, run on a **rebuild engine**: each burst lands in the
   database and the program is evaluated from scratch by
@@ -73,7 +72,7 @@ from ..robustness import (
     retry_with_backoff,
 )
 from ..semiring import get_semiring
-from .dbsp.engine import DBSPEngine
+from .dbsp.engine import DBSPEngine, stage
 from .dbsp.queue import UpdateQueue
 from .locks import AtomicReference, InstrumentedLock
 from .metrics import ViewMetrics
@@ -181,16 +180,7 @@ class _RebuildEngine:
 
     def apply_stream(self, batches) -> Dict[str, object]:
         """Fold a burst into the EDB and re-evaluate once."""
-        applied_inserts = applied_deletes = 0
-        for inserts, deletes in batches:
-            for predicate, row in deletes:
-                if self.edb.holds(predicate, *row):
-                    self.edb.discard(predicate, *row)
-                    applied_deletes += 1
-            for predicate, row in inserts:
-                if not self.edb.holds(predicate, *row):
-                    self.edb.add(predicate, *row)
-                    applied_inserts += 1
+        _after, applied_inserts, applied_deletes = stage(self.edb, batches, {})
         true, undefined = self._evaluate()
         plus, minus = _diff(self._true, true)
         undefined_plus, undefined_minus = _diff(self._undefined, undefined)
@@ -249,11 +239,10 @@ class MaterializedView:
                 f"program {prepared.name!r} is not stratified; register it "
                 "under the valid or wellfounded semantics instead"
             )
-        # The annotation algebra.  ``"bool"`` is the zero-overhead fast
-        # path: exactly the pre-annotation engines and publish paths,
-        # byte-identical answers.  Anything else materializes through
-        # :class:`~repro.service.annotated.AnnotatedEngine` and serves
-        # per-row annotations from its snapshots.
+        # The annotation algebra.  ``"bool"`` keeps no annotation: the
+        # support is the model, and snapshots carry none (byte-identical
+        # answers).  Anything else keeps the engine's annotation maps
+        # and serves per-row annotations from its snapshots.
         self.semiring = semiring
         self.semiring_obj = get_semiring(semiring)
         if semiring != "bool" and semantics != "stratified":
@@ -324,16 +313,16 @@ class MaterializedView:
                 budget,
             )
         if self.semiring != "bool":
-            from .annotated import AnnotatedEngine
+            from .annotated import AnnotatedEngine  # the one engine, by that name
 
             self.maintenance = "annotated"
             return AnnotatedEngine(
                 self.prepared,
-                self.semiring_obj,
                 database=database,
                 registry=self.registry,
                 metrics=self.metrics,
                 budget=budget,
+                semiring=self.semiring_obj,
             )
         # Valid and well-founded are the stratified model on a
         # stratified program; only negation through recursion needs the
@@ -724,10 +713,5 @@ class MaterializedView:
         )
         if self._last_error is not None:
             snapshot["last_error"] = self._last_error
-        if self._three_valued is not None:
-            snapshot["model_rows"] = self._three_valued.model_rows()
-        else:
-            snapshot["model_rows"] = sum(
-                len(rows) for rows in self.engine.state.facts.values()
-            )
+        snapshot["model_rows"] = self.engine.model_rows()
         return snapshot

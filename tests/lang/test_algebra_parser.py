@@ -16,7 +16,12 @@ from repro.core.expressions import (
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit, MkTup
 from repro.core.programs import Dialect, ProgramError
 from repro.datalog.parser import parse_term
-from repro.lang import AlgebraParseError, parse_algebra_expr, parse_algebra_program
+from repro.lang import (
+    AlgebraParseError,
+    parse_algebra_expr,
+    parse_algebra_program,
+    pretty_algebra_expr,
+)
 from repro.relations import Atom, Tup, format_value
 
 
@@ -38,6 +43,35 @@ class TestStrings:
         assert parse_algebra_expr("{" + text + "}").values == frozenset({value})
         mapped = parse_algebra_expr("map[" + text + "](A)", relations=["A"])
         assert mapped.func == Lit(value)
+
+
+class TestNegativeIntegers:
+    """``-<digits>`` is a literal where a value is expected and set
+    difference everywhere else."""
+
+    def test_format_value_reads_back(self):
+        assert parse_algebra_expr("{" + format_value(-7) + "}").values == frozenset({-7})
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            SetConst(frozenset({-7, 3, Tup((-1, Atom("a")))})),
+            Map(RelVar("A"), Lit(-2)),
+            Map(RelVar("A"), MkTup((Comp(Arg(), 1), Lit(-10)))),
+            Select(RelVar("A"), CompareTest("=", Comp(Arg(), 1), Lit(-3))),
+            Diff(RelVar("A"), SetConst(frozenset({-4}))),
+        ],
+    )
+    def test_pretty_reads_back(self, expr):
+        assert parse_algebra_expr(pretty_algebra_expr(expr), relations=["A"]) == expr
+
+    def test_difference_parses_as_before(self):
+        expr = parse_algebra_expr("A - B - {1}", relations=["A", "B"])
+        assert expr == Diff(Diff(RelVar("A"), RelVar("B")), SetConst(frozenset({1})))
+
+    def test_a_minus_without_digits_is_no_value(self):
+        with pytest.raises(AlgebraParseError):
+            parse_algebra_expr("{-a}")
 
 
 class TestExpressions:

@@ -60,7 +60,7 @@ def test_a_build_is_the_oracle_model(program, store, name):
         oracle = None
     try:
         engine = AnnotatedEngine(
-            prepared, semiring, database, registry=REGISTRY, max_rounds=ROUNDS
+            prepared, database, registry=REGISTRY, max_rounds=ROUNDS, semiring=semiring
         )
     except BudgetExceeded:
         assert oracle is None

@@ -144,6 +144,44 @@ def test_idempotency_flag_is_truthful(name, data):
         assert s.add(a, a) == a
 
 
+def _one_derivation_settles(s, a) -> bool:
+    """The law the maintenance engine reads, at ``a``: a non-zero
+    annotation is ``1``, and ``1 ⊕ a = 1``."""
+    return (s.is_zero(a) or a == s.one) and s.add(s.one, a) == s.one
+
+
+#: A carrier value breaking the law, per semiring that does not declare
+#: it: a count of two, a cost of three, a fact's own witness.
+LAW_BREAKERS = {
+    "naturals": 2,
+    "tropical": 3,
+    "why": get_semiring("why").from_edb("e", (Atom("a"), Atom("b"))),
+}
+
+
+@pytest.mark.parametrize("name", SEMIRING_NAMES)
+@settings(max_examples=_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_the_settle_law_holds_where_declared(name, data):
+    """``one_derivation_settles`` picks the engine's re-derive (a probe
+    for one surviving derivation), so a wrong flag is a wrong model."""
+    s = get_semiring(name)
+    if s.one_derivation_settles:
+        assert _one_derivation_settles(s, data.draw(_elements(name)))
+    else:
+        assert not _one_derivation_settles(s, LAW_BREAKERS[name])
+
+
+def test_the_settle_law_is_bool_alone():
+    """It holds for bool and fails for every other shipped semiring —
+    tropical included, though it is idempotent and absorptive
+    (``min(0, x) = 0``): a probe keeps a row but not its cheapest cost."""
+    assert {name for name in SEMIRINGS if get_semiring(name).one_derivation_settles} == {"bool"}
+    tropical = get_semiring("tropical")
+    assert tropical.idempotent and tropical.add(tropical.one, 3) == tropical.one
+    assert set(LAW_BREAKERS) == set(SEMIRINGS) - {"bool"}
+
+
 @pytest.mark.parametrize("name", SEMIRING_NAMES)
 @settings(max_examples=_EXAMPLES, deadline=None)
 @given(data=st.data())

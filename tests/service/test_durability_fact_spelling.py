@@ -161,3 +161,30 @@ def test_what_read_back_before_keeps_its_records_and_fingerprint(tmp_path):
         assert recovered.view("s").fingerprint() == KEPT_FINGERPRINT
     finally:
         recovered.close()
+
+
+#: A checkpoint of ``s`` as an earlier release wrote it for
+#: ``+s q([false, a])``: the fact spelled ``q([False, a])`` and the
+#: fingerprint hashing the row as ``([False, a],)`` — that is,
+#: ``sha256(b"q\x00([False, a],)\x01\x02")``, where the database now
+#: hashes ``([false, a],)``.
+TUPLE_CHECKPOINT = (
+    '{"lsn": 2, "state": {"rollup": {}, "service_counters": {}, "views": {"s": '
+    '{"declared": ["q"], "facts": ["q([False, a])"], "fingerprint": '
+    '"5360671da66ab0b5df64ca21454e0e3a2a84d2f3290a11093f086523cd77f4ce", '
+    '"semantics": "stratified", "source": "p(X) :- q(X)."}}}}'
+)
+
+
+def test_a_checkpoint_with_a_legacy_boolean_in_a_tuple_starts_and_answers(tmp_path):
+    """Recovery re-checks a fingerprint that disagrees under the spelling
+    the checkpoint was written with, so the directory starts."""
+    (tmp_path / "GENERATION").write_text("1\n")
+    (tmp_path / "checkpoint-00000000000000000002.json").write_text(TUPLE_CHECKPOINT)
+    service = QueryService(data_dir=str(tmp_path), fsync="off")
+    try:
+        assert service.last_recovery.views_restored == 1
+        assert _held(service) == {_typed(Tup((False, Atom("a"))))}
+        assert _serve(service, ["query s p"]) == ["row p([false, a])", "ok 1 rows"]
+    finally:
+        service.close()
