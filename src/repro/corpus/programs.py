@@ -9,6 +9,7 @@ carry the interesting answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 from ..core.programs import AlgebraProgram, Dialect
@@ -36,9 +37,9 @@ class DeductiveCase:
     stratified: bool
     uses_functions: bool = False
 
-    @property
+    @cached_property
     def program(self) -> Program:
-        """Parse the source into a program (fresh each call)."""
+        """Parse the source into a program (parsed once; programs are immutable)."""
         return parse_program(self.source, name=self.name)
 
 
@@ -52,9 +53,9 @@ class AlgebraCase:
     dialect: Dialect = Dialect.ALGEBRA_EQ
     always_defined: bool = True
 
-    @property
+    @cached_property
     def program(self) -> AlgebraProgram:
-        """Parse the source into a program (fresh each call)."""
+        """Parse the source into a program (parsed once; programs are immutable)."""
         return parse_algebra_program(self.source, dialect=self.dialect, name=self.name)
 
 

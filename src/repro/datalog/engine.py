@@ -25,12 +25,20 @@ Without negation the inflationary result *is* the least fixpoint.
 And a program that uses one predicate at two arities: a
 :class:`Database` keeps one arity per predicate, so the direct model
 could not be handed to the cone as its database.
+
+What depends on the program alone is worked out once per
+:class:`Program` (programs are immutable): the route — cone, closed
+part, part to ground — and, in :mod:`repro.datalog.seminaive`, the
+stratum schedule of the closed part.  A call pays for its data: the
+database loaded onto a fresh kernel, the strata's rounds, and the
+cone's grounding and solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Optional
+from functools import lru_cache
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 from ..robustness import EvaluationBudget
 from ..relations.relation import Relation
@@ -109,12 +117,26 @@ class QueryResult:
         )
 
 
-def _one_arity_each(program: Program) -> bool:
+@lru_cache(maxsize=1024)
+def _route(
+    program: Program, inflationary: bool
+) -> Tuple[FrozenSet[str], Optional[Program], Program]:
+    """The program's cone, its closed part (None: nothing evaluated
+    directly) and the part to ground.  Memoized: programs are immutable."""
+    cone = open_cone(program)
+    if inflationary and any(map(Rule.negative_literals, program.rules)):
+        return cone, None, program
     try:
         program.arities()
     except ValueError:
-        return False
-    return True
+        return cone, None, program
+    closed = tuple(r for r in program.rules if r.head.predicate not in cone)
+    opened = tuple(r for r in program.rules if r.head.predicate in cone)
+    return (
+        cone,
+        Program(closed, program.name) if closed else None,
+        Program(opened, program.name),
+    )
 
 
 def run(
@@ -150,21 +172,17 @@ def run(
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; pick from {SEMANTICS}")
     database = database or Database()
-    cone = open_cone(program)
+    cone, closed, opened = _route(program, semantics == "inflationary")
     if semantics == "stratified" and cone:
         raise NotStratifiedError(
             f"program {program.name or ''} is not stratified: "
             f"{', '.join(sorted(cone))} lie on or above a cycle through negation"
         )
-    closed, opened = (), program.rules
-    split = semantics != "inflationary" or not any(map(Rule.negative_literals, opened))
-    split = split and _one_arity_each(program)
-    if ground_program is None and require_complete and split:
-        closed = tuple(r for r in opened if r.head.predicate not in cone)
-        opened = tuple(r for r in opened if r.head.predicate in cone)
-    if closed:
+    if ground_program is not None or not require_complete:
+        closed, opened = None, program
+    if closed is not None:
         lower = seminaive_stratified(
-            Program(closed, program.name),
+            closed,
             database,
             registry=registry,
             max_rounds=max_rounds,
@@ -173,15 +191,14 @@ def run(
         )
     else:
         lower = {p: database.rows(p) for p in database.predicates()}
-    if ground_program is None and opened:
-        rules = Program(opened, program.name)
-        if closed:
+    if ground_program is None and opened.rules:
+        if closed is not None:
             # The cone reads part of the lower model; all of it counts.
-            reads = rules.predicates()
+            reads = opened.predicates()
             database = Database({p: lower[p] for p in reads if p in lower})
             max_atoms -= sum(map(len, lower.values())) - database.fact_count()
         ground_program = ground(
-            rules,
+            opened,
             database,
             registry=registry,
             max_rounds=max_rounds,

@@ -24,6 +24,7 @@ the service layer's maintenance engines share.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..robustness import EvaluationBudget, fault_point
@@ -32,10 +33,34 @@ from ..relations.values import Value
 from .ast import Literal, Program
 from .database import Database
 from .grounding import GroundingBudgetExceeded
-from .kernel import JoinKernel
+from .kernel import JoinKernel, Plan, compile_plan
 from .stratification import stratify
 
 __all__ = ["seminaive_stratified"]
+
+Schedule = Tuple[Tuple[Tuple[Plan, ...], Tuple[Tuple[str, Plan], ...]], ...]
+
+
+@lru_cache(maxsize=1024)
+def _schedule(program: Program) -> Schedule:
+    """Per stratum, lowest first: its naive plans and its ``(predicate,
+    plan)`` leads.  Memoized: programs are immutable (``lru_cache``
+    memoizes no exception, so a non-stratified program raises each call)."""
+    strata = stratify(program)
+    schedule = []
+    for level in range(max(strata.values(), default=0) + 1):
+        rules = [rule for rule in program.rules if strata[rule.head.predicate] == level]
+        heads = {rule.head.predicate for rule in rules}
+        # Only a literal over this level's own heads ever sees a delta.
+        leads = tuple(
+            (item.atom.predicate, compile_plan(rule, index))
+            for rule in rules
+            for index, item in enumerate(rule.body)
+            if isinstance(item, Literal) and item.positive
+            and item.atom.predicate in heads
+        )
+        schedule.append((tuple(map(compile_plan, rules)), leads))
+    return tuple(schedule)
 
 
 def seminaive_stratified(
@@ -56,8 +81,12 @@ def seminaive_stratified(
     model, database included, ``max_atoms`` rows (function symbols
     without guards).  ``budget`` adds deadline/step/fact governance:
     one step per firing and per rule instance, one fact per new row.
+
+    The strata and each stratum's compiled plans are fixed per program
+    (:func:`_schedule`); a call pays for a fresh kernel — the database
+    loaded, each stratum's indexes registered on it — and the rounds.
     """
-    strata = stratify(program)
+    schedule = _schedule(program)
     state = JoinKernel(registry)
     for predicate in database.predicates():
         state.add_all(predicate, database.rows(predicate))
@@ -86,19 +115,10 @@ def seminaive_stratified(
 
     if budget is not None:  # admit charges a firing after it runs
         budget.check(phase="seminaive")
-    for level in range(max(strata.values(), default=0) + 1):
-        rules = [rule for rule in program.rules if strata[rule.head.predicate] == level]
-        naive = [(state.plan(rule), None) for rule in rules]
-        heads = {rule.head.predicate for rule in rules}
-        # Only a literal over this level's own heads ever sees a delta.
-        leads = [
-            (item.atom.predicate, state.plan(rule, index))
-            for rule in rules
-            for index, item in enumerate(rule.body)
-            if isinstance(item, Literal) and item.positive
-            and item.atom.predicate in heads
-        ]
-        state.close(naive, leads, admit, step, budget=budget, as_set=True)
+    for level, (naive, leads) in enumerate(schedule):
+        state.register(*naive, *(plan for _predicate, plan in leads))
+        firings = ((plan, None) for plan in naive)
+        state.close(firings, leads, admit, step, budget=budget, as_set=True)
 
     return {
         predicate: frozenset(rows) for predicate, rows in state.facts.items()

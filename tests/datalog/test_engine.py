@@ -4,7 +4,7 @@ import pytest
 
 import repro.datalog.engine as engine
 from repro.corpus import DEDUCTIVE_CORPUS, chain, edges_to_database, grid
-from repro.datalog import Database, JoinKernel, Program, ground, open_cone, run
+from repro.datalog import Database, JoinKernel, Program, ground, run
 from repro.datalog.parser import parse_program
 from repro.datalog.semantics import Truth
 from repro.datalog.stratification import NotStratifiedError
@@ -143,10 +143,10 @@ def test_cone_is_computed_once_per_program():
     program = parse_program(DEDUCTIVE_CORPUS["double-negation"].source)
     database = edges_to_database(chain(4))
     run(program, database)
-    before = open_cone.cache_info()
+    before = engine._route.cache_info()
     # An equal program parsed afresh is the same key: rules are immutable.
     run(parse_program(DEDUCTIVE_CORPUS["double-negation"].source), database)
-    after = open_cone.cache_info()
+    after = engine._route.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
 
