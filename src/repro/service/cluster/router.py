@@ -11,39 +11,29 @@ Topology::
 The router owns the cluster's control plane and nothing else — every
 query, update, and registration is executed by exactly one worker's
 :class:`~repro.service.server.QueryService`, each in its own process
-with its own GIL, which is what finally buys true multi-core write
-parallelism (incremental view maintenance is embarrassingly shardable
-by view: each MaterializedView is already an independent lock domain).
+with its own GIL, which buys true multi-core write parallelism (each
+MaterializedView is already an independent lock domain).  Requests are
+parsed by :mod:`repro.service.protocol`, the grammar ``serve`` uses;
+the router only decides where each one goes:
 
-Responsibilities:
-
-* **routing** — views are consistent-hash-assigned to shards at
-  ``register`` time (:mod:`.hashring`) and the assignment is published
-  in a copy-on-write routing table (an immutable ``view → shard`` dict
-  behind an :class:`~repro.service.locks.AtomicReference`, mirroring
-  the PR 5 name table): the data path reads it with zero locks, and
-  topology changes republish it in one swap;
-* **single-view verbs** (``query``, ``+``/``-`` updates, ``stats
-  <view>``, ``register``, ``unregister``) forward to the owning
+* **forward** — views are consistent-hash-assigned to shards at
+  ``register`` time (:mod:`.hashring`) and published in a copy-on-write
+  ``view → shard`` table read with zero locks; ``query``, ``+``/``-``,
+  ``stats <view>``, ``register`` and ``unregister`` go to the owning
   worker over a pooled line-protocol connection;
-* **fan-out verbs** — ``metrics`` collects every live shard's
-  ``ServiceMetrics`` snapshot and rolls them up (:mod:`.rollup`:
-  counters summed, gauges labeled per shard); ``views``/``list`` union
-  the shards' listings with the routing table;
-* **lifecycle** — workers are spawned via :mod:`multiprocessing`,
-  health-checked by heartbeat, and respawned on crash with
-  retry-with-backoff socket probing
-  (:func:`~repro.robustness.retry_with_backoff`); a respawned worker
-  is restored from the router's **view records** (the registered
-  program plus the net acked base-fact delta), so an acked update
-  never silently disappears from a surviving shard;
-* **drain** (``drain <shard>``) — stop routing to the shard, flush its
-  in-flight requests, absorb its final metrics into the router-retired
-  rollup, re-hash its views onto the survivors by replaying their
-  records, republish the routing table, and stop the worker.  Requests
-  for a moving view wait on the drain instead of racing it, so
-  drain-then-query re-routes correctly and no acked update lands on a
-  worker that is about to disappear.
+* **fan out** — ``metrics`` rolls every live shard's snapshot up
+  (:mod:`.rollup`), ``stats`` and ``views``/``list`` merge theirs;
+* **answer here** — ``drain <shard>`` and ``shards``.
+
+Workers are spawned via :mod:`multiprocessing`, heartbeated, and
+respawned on crash; a fresh worker is restored from the router's
+**view records** (the registered program, a file's text on one line,
+plus the net acked base-fact delta), so an acked update never silently
+disappears.  ``drain <shard>`` stops routing to the shard, flushes its
+in-flight requests, absorbs its final metrics into the router-retired
+rollup, replays its views onto the survivors, republishes the routing
+table, and stops the worker; requests for a moving view wait on the
+drain instead of racing it.
 
 Failure contract: a request in flight to a worker that dies resolves
 with a wire-coded ``worker-unavailable`` error (never a hang); the
@@ -72,8 +62,8 @@ from ...robustness import (
     fault_point,
     retry_with_backoff,
 )
-from ...robustness.errors import USAGE
 from ..locks import AtomicReference
+from ..protocol import QUIT, ROUTER_VERBS, error_reply, parse
 from .framing import FrameError, read_frame_async, write_frame_async
 from .hashring import HashRing
 from .rollup import merge_counters, rollup_metrics
@@ -157,6 +147,9 @@ class WorkerHandle:
         self.live = False
         self.draining = False
         self.inflight = 0
+        #: Set while ``inflight`` is 0: what a drain waits on to flush.
+        self.idle = asyncio.Event()
+        self.idle.set()
         self.incarnation = 0
         #: Last counters this worker reported through a ``metrics``
         #: fan-out — absorbed into the router-retired rollup when the
@@ -170,7 +163,7 @@ class WorkerHandle:
         # At most as many concurrent calls as the worker accepts
         # connections, so the listen backlog can never overflow.
         self._slots = asyncio.Semaphore(self.options["max_concurrent"])
-        self._pool: "asyncio.Queue[Tuple]" = asyncio.Queue()
+        self._pool: List[Tuple] = []  # idle connections, oldest first
         self._conns: Set[Tuple] = set()
 
     # -- lifecycle ----------------------------------------------------------
@@ -235,12 +228,15 @@ class WorkerHandle:
         self._close_pool()
         self.dead.set()
 
+    def note_counters(self, snapshot: Dict) -> None:
+        """Keep the counters of a ``metrics`` snapshot this worker sent."""
+        self.last_counters = {
+            "counters": snapshot.get("counters", {}),
+            "rollup": snapshot.get("rollup", {}),
+        }
+
     def _close_pool(self) -> None:
-        while True:
-            try:
-                conn = self._pool.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        self._pool.clear()
         for conn in list(self._conns):
             self._discard(conn)
 
@@ -272,13 +268,10 @@ class WorkerHandle:
     # -- the forwarding path ------------------------------------------------
 
     async def _checkout(self) -> Tuple:
-        try:
-            while True:
-                conn = self._pool.get_nowait()
-                if conn in self._conns:
-                    return conn
-        except asyncio.QueueEmpty:
-            pass
+        while self._pool:
+            conn = self._pool.pop(0)
+            if conn in self._conns:
+                return conn
         try:
             conn = await asyncio.open_unix_connection(self.socket_path)
         except OSError as exc:
@@ -290,8 +283,8 @@ class WorkerHandle:
         return conn
 
     def _checkin(self, conn: Tuple) -> None:
-        if conn in self._conns and self._pool.qsize() < self.pool_size:
-            self._pool.put_nowait(conn)
+        if conn in self._conns and len(self._pool) < self.pool_size:
+            self._pool.append(conn)
         else:
             self._discard(conn)
 
@@ -304,15 +297,13 @@ class WorkerHandle:
             raise WorkerUnavailable(
                 f"shard {self.shard_id} is down (respawn in progress)"
             )
-        # Count the request in-flight *before* parking on a slot: the
-        # increment runs in the same synchronous segment as the
-        # caller's _route() resolution, so once drain() flips
-        # ``draining`` every already-routed request is visible to its
-        # inflight flush — even one still waiting for a slot.  Counting
-        # after the semaphore would let such a request slip past the
-        # flush and land an acked update on a worker whose views were
-        # already replayed elsewhere.
+        # Counted *before* parking on a slot, in the same synchronous
+        # segment as the caller's _route(): once drain() flips
+        # ``draining``, its flush sees every already-routed request,
+        # even one still waiting for a slot — else an acked update could
+        # land on a worker whose views were already replayed elsewhere.
         self.inflight += 1
+        self.idle.clear()
         try:
             async with self._slots:
                 if not self.live:
@@ -344,6 +335,8 @@ class WorkerHandle:
                 return replies
         finally:
             self.inflight -= 1
+            if not self.inflight:
+                self.idle.set()
 
     @staticmethod
     async def _read_reply(reader: asyncio.StreamReader) -> List[str]:
@@ -465,13 +458,23 @@ class ClusterRouter:
     def _bump_counter(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def _journal(self, operation: Dict[str, object]) -> None:
-        """Journal one completed control-plane operation (durable mode).
+    def _commit(self, operation: Dict[str, object]) -> None:
+        """Apply one completed control-plane operation to the records
+        and routes — through :meth:`_apply_journal_record`, as recovery
+        re-drives it — and journal it.
 
         Called on the event-loop thread after the operation was acked
         by the owning worker — the same total order clients observe —
         and before the reply frame leaves the router.
         """
+        try:
+            self._apply_journal_record(operation)
+        except KeyError:
+            return  # a write acked for a view unregistered meanwhile
+        self._journal(operation)
+
+    def _journal(self, operation: Dict[str, object]) -> None:
+        """Journal one applied operation (durable mode only)."""
         manager = self.durability
         if manager is not None and not manager.replaying:
             manager.append(operation)
@@ -569,11 +572,7 @@ class ClusterRouter:
         self._stopping = True
         for task in self._supervisors:
             task.cancel()
-        for task in self._supervisors:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await asyncio.gather(*self._supervisors, return_exceptions=True)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -660,13 +659,9 @@ class ClusterRouter:
             for record in records:
                 try:
                     self._apply_journal_record(record.operation)
-                    report["replayed_records"] = (
-                        int(report["replayed_records"]) + 1
-                    )
+                    report["replayed_records"] += 1
                 except (KeyError, ValueError) as exc:
-                    report["skipped_records"] = (
-                        int(report["skipped_records"]) + 1
-                    )
+                    report["skipped_records"] += 1
                     logger.warning(
                         "skipping unreplayable cluster WAL record "
                         "lsn %d: %s: %s",
@@ -688,7 +683,8 @@ class ClusterRouter:
         return report
 
     def _apply_journal_record(self, operation: Dict[str, object]) -> None:
-        """Re-drive one journaled control-plane operation."""
+        """Apply one control-plane operation, live or journaled; a
+        write's fact is rewritten to the text the record keeps."""
         op = operation.get("op")
         if op == "register":
             name = str(operation["view"])
@@ -714,9 +710,9 @@ class ClusterRouter:
                 )
             fact = str(operation["fact"])
             if op == "insert":
-                record.record_insert(fact)
+                operation["fact"] = record.record_insert(fact)
             else:
-                record.record_delete(fact)
+                operation["fact"] = record.record_delete(fact)
         elif op == "drain":
             self._drained[str(operation["shard"])] = "drained"
             routes = dict(self._routes.get())
@@ -895,73 +891,52 @@ class ClusterRouter:
             handle.draining = True
             # Stop routing *new* registrations at the drained shard.
             self._ring = self._ring.without_shard(shard_id)
-            moved: List[str] = []
+            moved: Dict[str, str] = {}
             try:
                 # Flush in-flight requests (new ones wait on the event).
-                while handle.inflight:
-                    await asyncio.sleep(0.005)
+                await handle.idle.wait()
                 # Absorb the shard's final counters so the rolled-up
                 # metrics stay monotone after it disappears.
                 if handle.live:
                     try:
                         replies = await handle.call("metrics")
-                        snapshot = json.loads(replies[-1][3:])
-                        handle.last_counters = {
-                            "counters": snapshot.get("counters", {}),
-                            "rollup": snapshot.get("rollup", {}),
-                        }
+                        handle.note_counters(json.loads(replies[-1][3:]))
                     except (WorkerUnavailable, ValueError):
                         pass
                 # Re-hash the shard's views onto the survivors by
                 # replaying their programs and net base facts.
-                routes = dict(self._routes.get())
-                moved = sorted(
-                    name
-                    for name, shard in routes.items()
-                    if shard == shard_id
-                )
-                for name in moved:
+                routes = self._routes.get()
+                for name in sorted(n for n in routes if routes[n] == shard_id):
                     target = self._ring.assign(name)
                     await self._replay_view(name, self._workers[target])
-                    routes[name] = target
+                    moved[name] = target
                 # Retire the final counters only once the replay cannot
                 # fail anymore: a rolled-back drain leaves the shard
                 # live and still reporting, so absorbing earlier would
                 # double-count it (retired + live) in the aggregate.
                 self._absorb_last_counters(handle)
-                self._routes.set(routes)
-                self._drained[shard_id] = "drained"
-                handle.stop_process()
-                self.counters["drains"] += 1
                 # The moved map is journaled explicitly: re-hashing is
                 # not reproducible from the drain op alone (it depends
                 # on the ring the drain saw), and the next recovery
                 # must restore the exact post-drain routing table.
-                self._journal(
-                    {
-                        "op": "drain",
-                        "shard": shard_id,
-                        "moved": {name: routes[name] for name in moved},
-                    }
-                )
+                self._commit({"op": "drain", "shard": shard_id, "moved": moved})
+                handle.stop_process()
+                self.counters["drains"] += 1
             except BaseException:
-                # Roll back: the routing table was never republished
-                # (the swap above is all-or-nothing), so every view
-                # still points at this shard and the shard still holds
-                # all its data — put it back on the ring and make it
-                # routable again.  Views already replayed onto a
-                # survivor are harmless stale copies; register is
-                # register-or-replace, so a retried drain replays them
-                # cleanly.  If the worker itself died mid-drain, its
-                # ``dead`` event is set and the supervisor (which waits
-                # out the drain instead of skipping it) respawns it.
+                # Roll back: the routing table was never republished,
+                # so every view still points at this shard, which still
+                # holds all its data — put it back on the ring.  Copies
+                # already replayed onto a survivor are harmless (register
+                # replaces).  A worker that died mid-drain has ``dead``
+                # set, and the supervisor, which waits the drain out,
+                # respawns it.
                 self._ring = self._ring.with_shard(shard_id)
                 handle.draining = False
                 raise
             finally:
                 event.set()
                 self._draining.pop(shard_id, None)
-        return {"shard": shard_id, "moved_views": moved}
+        return {"shard": shard_id, "moved_views": list(moved)}
 
     # -- routing ------------------------------------------------------------
 
@@ -1041,7 +1016,7 @@ class ClusterRouter:
                 if payload is None:
                     break
                 line = payload.decode("utf-8", errors="replace").strip()
-                if line in ("quit", "exit"):
+                if line in QUIT:
                     await self._reply(writer, ["ok bye"])
                     break
                 if not await self._reply(writer, await self._dispatch(line)):
@@ -1066,148 +1041,95 @@ class ClusterRouter:
         self.counters["requests_total"] += 1
         try:
             return await self._handle(line)
-        except (KeyboardInterrupt, SystemExit, asyncio.CancelledError):
-            raise
-        except (ClusterError, KeyError, ValueError) as exc:
-            self.counters["errors_total"] += 1
-            logger.warning("cluster request failed %r: %s", line, exc)
-            return [error_line(exc)]
-        except Exception as exc:  # the router must survive bad requests
-            self.counters["errors_total"] += 1
-            logger.exception("cluster request failed: %r", line)
-            return [error_line(exc)]
+        except Exception as exc:  # not cancellation, not shutdown signals
+            return error_reply(exc, line, self._bump_counter, logger)
 
     async def _handle(self, line: str) -> List[str]:
+        """Forward, fan out or answer here; the protocol module parses."""
         if not line or line.startswith("#"):
             return ["ok"]
         if "\n" in line or "\r" in line:
             raise ValueError(
                 "frame payloads must be single line-protocol requests"
             )
-        if line.startswith("+") or line.startswith("-"):
-            return await self._handle_update(line)
-        command, _, rest = line.partition(" ")
-        if command == "register":
-            return await self._handle_register(line, rest)
-        if command == "unregister":
-            return await self._handle_unregister(line, rest)
-        if command in ("query", "stats") and rest.strip():
-            return await self._forward_single(rest.split()[0], line)
-        if command == "query":
-            return [USAGE["query"]]
-        if command == "stats":
-            return await self._handle_stats_fanout()
-        if command == "metrics":
-            return await self._handle_metrics(rest.strip())
-        if command in ("views", "list"):
-            return await self._handle_views()
-        if command == "drain":
-            shard_id = rest.strip()
-            if not shard_id:
-                return ["error usage: drain <shard>"]
-            summary = await self.drain(shard_id)
+        request = parse(line, ROUTER_VERBS)
+        verb, name = request.verb, request.name
+        if verb == "register":
+            # The program on one line, a file already read: what the
+            # worker gets now is what a replay sends it later.
+            semantics, source = request.semantics, request.program_line()
+            async with self._registry_lock:
+                target = self._routes.get().get(name)
+                if target is None or target in self._drained:
+                    target = self._ring.assign(name)
+                operation = {
+                    "op": "register", "view": name, "semantics": semantics,
+                    "source": source, "shard": target,
+                }
+                line = f"register {name} {semantics} {source}"
+                return await self._forward(self._workers[target], line, operation)
+        if verb == "unregister":
+            async with self._registry_lock:
+                operation = {"op": "unregister", "view": name}
+                return await self._forward(await self._route(name), line, operation)
+        if verb in ("+", "-"):
+            op = "insert" if verb == "+" else "delete"
+            operation = {"op": op, "view": name, "fact": request.text}
+            return await self._forward(await self._route(name), line, operation)
+        if verb == "drain":
+            summary = await self.drain(name)
             return [f"ok {json.dumps(summary, sort_keys=True)}"]
-        if command == "shards":
+        if verb == "shards":
             return [f"ok {json.dumps(self.describe(), sort_keys=True)}"]
-        return [f"error unknown command {command!r}"]
+        if name is not None:  # query, stats <view>
+            return await self._forward(await self._route(name), line)
+        if verb == "metrics":
+            return await self._handle_metrics(request.text)
+        fanned = await self._fan_out(verb)
+        if verb == "stats":
+            return [f"ok {json.dumps({'shards': fanned}, sort_keys=True)}"]
+        names = set(self._routes.get())
+        for listed in fanned.values():
+            names.update(listed)
+        return [f"ok {json.dumps(sorted(names))}"]
 
-    async def _forward_single(self, view_name: str, line: str) -> List[str]:
-        handle = await self._route(view_name)
-        self.counters["forwarded_total"] += 1
-        return await handle.call(line)
-
-    async def _handle_update(self, line: str) -> List[str]:
-        parts = line[1:].split(None, 1)
-        if len(parts) != 2:
-            return [USAGE[line[0]]]
-        view_name, fact_text = parts
-        handle = await self._route(view_name)
+    async def _forward(
+        self,
+        handle: WorkerHandle,
+        line: str,
+        operation: Optional[Dict[str, object]] = None,
+    ) -> List[str]:
+        """``line`` to ``handle``; once the worker acks it, ``operation``
+        goes to the records and routes and to the journal."""
         self.counters["forwarded_total"] += 1
         replies = await handle.call(line)
-        if replies[-1].startswith("ok"):
-            record = self._records.get(view_name)
-            if record is not None:
-                if line.startswith("+"):
-                    op, fact = "insert", record.record_insert(fact_text)
-                else:
-                    op, fact = "delete", record.record_delete(fact_text)
-                self._journal({"op": op, "view": view_name, "fact": fact})
+        if operation is not None and replies[-1].startswith("ok"):
+            self._commit(operation)
         return replies
 
-    async def _handle_register(self, line: str, rest: str) -> List[str]:
-        parts = rest.split(None, 2)
-        if len(parts) < 3:
-            return [USAGE["register"]]
-        view_name, semantics, source = parts
-        async with self._registry_lock:
-            routes = self._routes.get()
-            target = routes.get(view_name)
-            if target is None or target in self._drained:
-                target = self._ring.assign(view_name)
-            handle = self._workers[target]
-            self.counters["forwarded_total"] += 1
-            replies = await handle.call(line)
-            if replies[-1].startswith("ok"):
-                self._records[view_name] = ViewRecord(semantics, source)
-                new_routes = dict(self._routes.get())
-                new_routes[view_name] = target
-                self._routes.set(new_routes)
-                self._journal(
-                    {
-                        "op": "register",
-                        "view": view_name,
-                        "semantics": semantics,
-                        "source": source,
-                        "shard": target,
-                    }
-                )
-        return replies
-
-    async def _handle_unregister(self, line: str, rest: str) -> List[str]:
-        view_name = rest.strip()
-        if not view_name:
-            return [USAGE["unregister"]]
-        async with self._registry_lock:
-            handle = await self._route(view_name)
-            self.counters["forwarded_total"] += 1
-            replies = await handle.call(line)
-            if replies[-1].startswith("ok"):
-                self._records.pop(view_name, None)
-                new_routes = dict(self._routes.get())
-                new_routes.pop(view_name, None)
-                self._routes.set(new_routes)
-                self._journal({"op": "unregister", "view": view_name})
-        return replies
-
-    async def _fan_out(self, line: str) -> Dict[str, List[str]]:
-        """``line`` to every live, non-draining shard, concurrently."""
+    async def _fan_out(self, line: str) -> Dict[str, object]:
+        """``line`` to every live, non-draining shard, concurrently: the
+        JSON document of each ``ok`` reply, by shard."""
         handles = self._live_handles()
         self.counters["fanouts_total"] += 1
         results = await asyncio.gather(
             *(handle.call(line) for handle in handles),
             return_exceptions=True,
         )
-        replies: Dict[str, List[str]] = {}
+        documents: Dict[str, object] = {}
         for handle, result in zip(handles, results):
             if isinstance(result, BaseException):
                 if not isinstance(result, WorkerUnavailable):
                     raise result
                 continue  # a crashed shard is simply absent this round
-            replies[handle.shard_id] = result
-        return replies
+            if result[-1].startswith("ok "):
+                documents[handle.shard_id] = json.loads(result[-1][3:])
+        return documents
 
-    async def _handle_metrics(self, rest: str) -> List[str]:
-        fanned = await self._fan_out("metrics")
-        shard_snapshots: Dict[str, Dict] = {}
-        for shard_id, replies in fanned.items():
-            if not replies[-1].startswith("ok "):
-                continue
-            snapshot = json.loads(replies[-1][3:])
-            shard_snapshots[shard_id] = snapshot
-            self._workers[shard_id].last_counters = {
-                "counters": snapshot.get("counters", {}),
-                "rollup": snapshot.get("rollup", {}),
-            }
+    async def _handle_metrics(self, form: str) -> List[str]:
+        shard_snapshots = await self._fan_out("metrics")
+        for shard_id, snapshot in shard_snapshots.items():
+            self._workers[shard_id].note_counters(snapshot)
         aggregate = rollup_metrics(
             shard_snapshots,
             router_retired=self._retired["rollup"],
@@ -1220,31 +1142,12 @@ class ClusterRouter:
             gauges = aggregate.setdefault("gauges", {})
             gauges["router_wal_size"] = self.durability.wal_size_bytes()
             gauges["recovered_generation"] = self.durability.generation
-        if rest in ("--format=prometheus", "--format prometheus"):
+        if form == "prometheus":
             from ..prometheus import render_prometheus
 
             text = render_prometheus(aggregate)
             return text.splitlines() + ["ok prometheus"]
-        if rest and rest not in ("--format=json", "--format json"):
-            return [f"error unknown metrics format {rest!r}"]
         return [f"ok {json.dumps(aggregate, sort_keys=True)}"]
-
-    async def _handle_stats_fanout(self) -> List[str]:
-        fanned = await self._fan_out("stats")
-        shards = {
-            shard_id: json.loads(replies[-1][3:])
-            for shard_id, replies in fanned.items()
-            if replies[-1].startswith("ok ")
-        }
-        return [f"ok {json.dumps({'shards': shards}, sort_keys=True)}"]
-
-    async def _handle_views(self) -> List[str]:
-        fanned = await self._fan_out("views")
-        names = set(self._routes.get())
-        for replies in fanned.values():
-            if replies[-1].startswith("ok "):
-                names.update(json.loads(replies[-1][3:]))
-        return [f"ok {json.dumps(sorted(names))}"]
 
     def describe(self) -> Dict[str, object]:
         """Topology for the ``shards`` verb and the harness."""

@@ -5,69 +5,53 @@ exposes: registered programs (compiled once), one materialized view per
 program, a shared LRU result cache invalidated by the update path, and
 per-view plus service-level metrics.
 
-Concurrency model (snapshot reads over per-view write locks):
+Concurrency model (snapshot reads over per-view write locks; the
+long form is docs/SERVICE.md, "The read path" and "The locking model"):
 
 * **the name table is the registry**: an immutable ``dict`` of
-  ``name → (view, generation)`` published through an atomic reference
-  is the service's only record of what is registered.
-  ``register``/``unregister`` build a fresh dict and publish it with
-  one reference swap under the **registry lock**, a plain mutex that
-  only they and :meth:`QueryService.metrics_snapshot` take;
-* **readers take no lock**: queries, updates, admin verbs and the
-  durability capture resolve names off the published table — one
-  atomic load — and queries then answer off the view's published
-  :class:`~repro.service.snapshot.ModelSnapshot`, so a read makes
-  **zero lock acquisitions**, whatever engine maintains the view;
-* each view carries its own
-  :class:`~repro.service.locks.InstrumentedLock` (``view.lock``), held
-  by **writers** (updates, recovery, demand-entry builds) — update
-  batches against *different* views proceed fully in parallel through
-  the socket server's worker pool, while batches on the same view stay
-  serialised, and the snapshot swap happens inside the hold so a
-  reader can never observe a half-applied batch;
-* because a request resolves its view *before* it acquires the view
-  lock, every locked request re-reads the table once it holds the lock
-  and retries the resolution when it lost a race with ``register`` /
-  ``unregister``.  The one lock order is **per-view lock, then
-  registry lock**: ``register`` and ``unregister`` take the lock of
-  the view they displace first, so an update already admitted to it
-  is applied and journaled before the registration is; and they
-  journal before they publish, so no update can reach a view whose
-  registration record is not yet in the log;
-* result-cache keys carry a per-registration **generation** token
-  (bumped on every register) *and* the view's snapshot generation
-  (bumped on every publish), so a ``cache.put`` completed by an
-  in-flight request against a replaced view — or against a model
-  version that has since moved on — lands under a dead key and can
-  never be served to later queries.
+  ``name → (view, generation)`` behind an atomic reference is the only
+  record of what is registered; ``register``/``unregister`` publish a
+  fresh copy under the **registry lock**, a plain mutex that only they
+  and :meth:`QueryService.metrics_snapshot` take;
+* **readers take no lock**: every request resolves names off the
+  published table, and a query answers off the view's published
+  :class:`~repro.service.snapshot.ModelSnapshot` — zero lock
+  acquisitions, whatever engine maintains the view;
+* **writers** hold the view's own lock (``view.lock``): batches on
+  different views run in parallel, batches on one view are serialised,
+  and the snapshot swap happens inside the hold;
+* a locked request re-checks the table once it holds the lock and
+  retries when it lost a race with ``register``/``unregister``.  The
+  one lock order is **per-view lock, then registry lock**, and a
+  registration journals before it publishes, so no update reaches a
+  view whose registration is not yet in the log;
+* cache keys carry the registration's **generation** and the
+  snapshot's, so an entry put for a replaced view or a superseded
+  model version is never served.
 
 The wire format is a newline-delimited request/response protocol,
-served over stdin/stdout or a unix socket::
-
-    register <view> <semantics> <program-file-or-inline-text>
-    unregister <view>
-    +<view> <fact>           e.g.  +tc edge(a, b).
-    -<view> <fact>           e.g.  -tc edge(a, b).
-    query <view> <predicate>
-    query <view> <pred>(a, _)   bound-pattern (demand-driven) query
-    stats [<view>]
-    metrics [--format=prometheus]
-    views                    (alias: list)
-    quit
+served over stdin/stdout or a unix socket.  Its grammar — the verbs
+(``register`` with its ``--semiring=``, ``unregister``, ``+``/``-``,
+``query`` with a predicate or a bound pattern, ``stats``, ``metrics``
+with its ``--format=``, ``views``/``list``, ``quit``), their usage
+lines and the error envelope — lives in :mod:`repro.service.protocol`,
+which the cluster router shares (adding its own ``drain <shard>`` and
+``shards``); this module only executes a parsed request against
+:class:`QueryService`.
 
 Replies are one or more lines: ``row <atom>`` lines for queries,
 followed by a single ``ok ...`` line, or one ``error <reason>`` line.
 ``stats`` and ``metrics`` reply ``ok`` followed by a JSON document on
 the same line.  However many lines a reply has, it is written to the
 client once: the socket server sends it whole, stdin mode flushes
-after its last line.
+after its last line.  A blank or ``#`` line gets no reply here; the
+router's frames answer it ``ok``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import socket
 import threading
 import time
@@ -87,26 +71,24 @@ from typing import (
     Tuple,
 )
 
-from ..datalog.ast import Const, Var
 from ..datalog.database import Database
 from ..datalog.facts import format_fact, parse_annotated_fact, parse_fact
-from ..datalog.parser import _Parser, _tokenize
-from ..datalog.stratification import SEMANTICS
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
-from ..robustness import (
-    ReproError,
-    RequestTooLarge,
-    UpdateTimeout,
-    error_line,
-    fault_point,
-)
-from ..robustness.errors import USAGE
-from ..semiring import Semiring, get_semiring
+from ..robustness import RequestTooLarge, UpdateTimeout, error_line, fault_point
+from ..semiring import get_semiring
 from .cache import LRUCache
 from .demand import DemandRegistry
 from .locks import AtomicReference
 from .metrics import ServiceMetrics, ViewMetrics
+from .protocol import (
+    QUIT,
+    SERVE_VERBS,
+    Request,
+    error_reply,
+    parse,
+    parse_bound_pattern,
+)
 from .registry import prepare_program
 from .views import MaterializedView
 
@@ -131,6 +113,23 @@ Row = Tuple[Value, ...]
 #: waits between SIGTERM and SIGKILL, leaving room for the final
 #: checkpoint.
 DRAIN_SECONDS = 3.0
+
+
+#: The per-view gauges of :meth:`QueryService.metrics_snapshot`:
+#: ``(gauge, key in the view's stats, default)``.
+_PER_VIEW_GAUGES = (
+    ("time_in_degraded", "degraded_seconds", None),
+    # How long ago the served model version was published.
+    ("snapshot_age", "snapshot_age_seconds", None),
+    # The deepest delta chain a cold read after a write burst walks.
+    ("chain_depth", "chain_depth", 0),
+    # Circuits in a valid / well-founded view's alternating chain: a
+    # write there is this many passes over its delta.
+    ("alternation_levels", "alternation_levels", 0),
+    # Pending batches: how far writers run ahead of the group-commit
+    # leader right now.
+    ("update_queue_depth", "queue_depth", 0),
+)
 
 
 class QueryService:
@@ -188,25 +187,14 @@ class QueryService:
         # Serialises the writers of the name table (register,
         # unregister) against each other and against metrics_snapshot.
         self._registry_lock = threading.Lock()
-        # The copy-on-write name table, the only record of what is
-        # registered: an immutable dict of name → (view, generation),
-        # rebuilt by register/unregister under the registry lock and
-        # published with one atomic reference swap.  Every other caller
-        # resolves names here with no lock; the dict behind the
-        # reference is never mutated, so a resolver holding an old table
-        # keeps a complete, consistent view of the world it was
-        # published in.  Generations are bumped on every register:
-        # cache keys embed them, so entries put on behalf of a replaced
-        # registration are unreachable from the moment the replacement
-        # is swapped in.
+        # The copy-on-write name table (see the module docstring and
+        # _swap): never mutated, so a resolver holding an old table keeps
+        # a consistent world.  Every register bumps the generation that
+        # cache keys embed.
         self._name_table: AtomicReference = AtomicReference({})
         self._generation_counter = 0
-        # COW-churn accounting, mirroring the demand registry's
-        # counters: every register/unregister rebuilds the whole name
-        # table exactly once, so ``name_table_republishes`` counts
-        # churn events and ``name_table_copied_cells`` the cells those
-        # rebuilds copied — N churn events over V views copy O(N · V)
-        # cells, never O(N²); the bound is a tested invariant.
+        # COW churn: one rebuild per register/unregister, so N churn
+        # events over V views copy O(N · V) cells (a tested bound).
         self.name_table_republishes = 0
         self.name_table_copied_cells = 0
         # The durability plane (inert without a data directory):
@@ -303,24 +291,18 @@ class QueryService:
                     if source is None:  # registered from an AST
                         continue
                     database = view.database
-                    if view.semiring == "bool":
-                        facts = [
-                            format_fact(predicate, row)
-                            for predicate, row in database
-                        ]
-                    else:
-                        # Explicitly annotated facts are captured as
-                        # ``fact @ text`` (the wire shape); defaulted
-                        # facts stay bare and re-derive their from_edb
-                        # annotation on replay.
-                        semiring = view.semiring_obj
-                        facts = []
-                        for predicate, row in database:
-                            text = format_fact(predicate, row)
+                    # Explicitly annotated facts are captured as ``fact
+                    # @ text`` (the wire shape); defaulted facts stay
+                    # bare and re-derive their from_edb annotation.
+                    annotated = view.semiring != "bool"
+                    facts = []
+                    for predicate, row in database:
+                        text = format_fact(predicate, row)
+                        if annotated:
                             explicit = database.annotation(predicate, row)
                             if explicit is not None:
-                                text = f"{text} @ {semiring.format(explicit)}"
-                            facts.append(text)
+                                text += f" @ {view.semiring_obj.format(explicit)}"
+                        facts.append(text)
                     entry = {
                         "source": source,
                         "semantics": view.semantics,
@@ -895,12 +877,9 @@ class QueryService:
         fact's current annotation outright, which is what makes WAL
         replay idempotent.
 
-        The view is verified current after its lock is acquired, and
-        :meth:`unregister` cannot pop a view whose lock is held — so an
-        ``ok`` acknowledgment means the batch landed in a view that was
-        still registered for the whole apply (a concurrent *replace*
-        may still retire the updated view, which is the documented
-        replace semantics: the old view dies, replacement wins).
+        An ``ok`` means the batch landed in a view still registered for
+        the whole apply (:meth:`unregister` cannot pop a view whose lock
+        is held; a concurrent *replace* retires it: replacement wins).
         """
         [outcome] = self._commit(name, [(list(inserts), list(deletes), annotations)])
         if isinstance(outcome, BaseException):
@@ -1180,58 +1159,30 @@ class QueryService:
             for counter, value in stats["counters"].items():
                 rollup[counter] = rollup.get(counter, 0) + value
         snapshot["rollup"] = rollup
-        snapshot["gauges"] = {
+        gauges = snapshot["gauges"] = {
             "views_registered": len(view_stats),
             "stale_views": sum(
                 1 for stats in view_stats.values() if stats["stale"]
             ),
             "inflight_requests": self.metrics.inflight,
-            "time_in_degraded": {
-                name: stats["degraded_seconds"]
-                for name, stats in view_stats.items()
-            },
-            # Snapshot staleness lag per view: how long ago the served
-            # model version was published (None until first publish).
-            "snapshot_age": {
-                name: stats.get("snapshot_age_seconds")
-                for name, stats in view_stats.items()
-            },
-            # Deepest published delta chain per view: what the first
-            # cold read after a write burst would have to walk.
-            "chain_depth": {
-                name: stats.get("chain_depth", 0)
-                for name, stats in view_stats.items()
-            },
-            # Circuits in a valid / well-founded view's alternating
-            # chain (0 elsewhere): a write there is this many passes
-            # over its delta.
-            "alternation_levels": {
-                name: stats.get("alternation_levels", 0)
-                for name, stats in view_stats.items()
-            },
-            # Pending update batches per view: how far writers are
-            # running ahead of the group-commit leader right now.
-            "update_queue_depth": {
-                name: stats.get("queue_depth", 0)
-                for name, stats in view_stats.items()
-            },
-            # Resident demanded binding patterns (capacity-bounded).
-            "demand_entries": self.demand.size(),
-            # Copy-on-write name-table churn: publishes and total cells
-            # copied across them.  The O(churn · views) republish cost
-            # is an invariant the name-table unit tests pin down.
-            "name_table_republishes": self.name_table_republishes,
-            "name_table_copied_cells": self.name_table_copied_cells,
         }
+        for gauge, key, default in _PER_VIEW_GAUGES:
+            gauges[gauge] = {
+                name: stats.get(key, default)
+                for name, stats in view_stats.items()
+            }
+        # Resident demanded binding patterns (capacity-bounded), and the
+        # name table's copy-on-write churn (publishes, cells copied).
+        gauges["demand_entries"] = self.demand.size()
+        gauges["name_table_republishes"] = self.name_table_republishes
+        gauges["name_table_copied_cells"] = self.name_table_copied_cells
         snapshot["views"] = view_stats
         snapshot["cache"] = self.cache.stats()
         snapshot["coalesce"] = self.coalesce
         if self.durability is not None:
             snapshot["durability"] = self.durability.describe()
-            snapshot["gauges"]["wal_size"] = self.durability.wal_size_bytes()
-            snapshot["gauges"]["recovered_generation"] = (
-                self.durability.generation
-            )
+            gauges["wal_size"] = self.durability.wal_size_bytes()
+            gauges["recovered_generation"] = self.durability.generation
         return snapshot
 
 
@@ -1245,155 +1196,90 @@ class QueryService:
 _to_json = json.JSONEncoder(sort_keys=True).encode
 
 
-def parse_bound_pattern(text: str) -> Tuple[str, Tuple[Optional[Value], ...]]:
-    """Parse a wire bound pattern like ``tc(a, _)``.
+def _update(service: QueryService, request: Request) -> List[str]:
+    predicate, row, annotation = parse_annotated_fact(request.text)
+    fact = (predicate, row)
+    if request.verb == "-":
+        if annotation is not None:
+            return ["error annotations apply to inserts only"]
+        summary = service.update(request.name, deletes=[fact])
+    else:
+        annotations = None if annotation is None else {fact: annotation}
+        summary = service.update(
+            request.name, inserts=[fact], annotations=annotations
+        )
+    reply = {k: v for k, v in summary.items() if isinstance(v, (str, int))}
+    return [f"ok {_to_json(reply)}"]
 
-    Returns ``(predicate, args)`` where each constant argument is its
-    value and each free position (``_`` or any variable name) is
-    ``None``.  Rejects function terms and repeated named variables —
-    a repeated variable would read like a join constraint the demand
-    path does not implement, so it errors instead of silently answering
-    the wrong question.
-    """
-    parser = _Parser(_tokenize(text))
-    atom = parser.parse_atom()
-    if not parser.at_end():
-        raise ValueError(f"trailing input after pattern: {text!r}")
-    args: List[Optional[Value]] = []
-    named_free = set()
-    for term in atom.args:
-        if isinstance(term, Const):
-            args.append(term.value)
-        elif isinstance(term, Var):
-            if term.name != "_":
-                if term.name in named_free:
-                    raise ValueError(
-                        "repeated variables are not supported in bound "
-                        f"patterns: {text!r}"
-                    )
-                named_free.add(term.name)
-            args.append(None)
-        else:
-            raise ValueError(
-                f"bound patterns take constants and '_', got {term!r}"
-            )
-    return atom.predicate, tuple(args)
+
+def _query(service: QueryService, request: Request) -> List[str]:
+    explain: List[str] = []
+    if request.bound:
+        # ``query <view> tc(a, _)``: served demand-driven through the
+        # magic-sets registry.
+        predicate, pattern_args = parse_bound_pattern(request.text)
+        rows, undefined, stale = service.query_pattern(
+            request.name, predicate, pattern_args
+        )
+        lines = sorted(f"row {format_fact(predicate, row)}" for row in rows)
+        undefined_lines = sorted(
+            f"undef {format_fact(predicate, row)}" for row in undefined
+        )
+    else:
+        shared, undefined_lines, stale, explain = service.query_lines(
+            request.name, request.text
+        )
+        lines = list(shared)  # the snapshot's memo stays untouched
+    count = len(lines)
+    lines += undefined_lines
+    # Annotated views explain every true row: its semiring annotation
+    # in wire text (for why-provenance, the lineage witnesses).
+    # Boolean views have no explain lines, keeping their replies
+    # byte-identical to the pre-semiring wire.
+    lines += explain
+    # A degraded view answers from its last consistent model; the
+    # client sees the staleness on the wire, not silently.
+    suffix = " stale" if stale else ""
+    lines.append(f"ok {count} rows{suffix}")
+    return lines
+
+
+def _execute(service: QueryService, request: Request) -> List[str]:
+    """Run one parsed request against the service: its reply lines."""
+    verb, name = request.verb, request.name
+    if verb == "+" or verb == "-":
+        return _update(service, request)
+    if verb == "query":
+        return _query(service, request)
+    if verb == "register":
+        semantics, semiring = request.semantics, request.semiring
+        info = service.register(
+            name, request.text, semantics=semantics, semiring=semiring
+        )
+    elif verb == "unregister":
+        info = service.unregister(name)
+    elif verb == "stats":
+        info = service.stats(name)
+    elif verb == "views":
+        # Served off the published name table — wait-free, like queries.
+        info = sorted(service.name_table())
+    elif request.text == "prometheus":  # metrics --format=prometheus
+        from .prometheus import render_prometheus
+
+        text = render_prometheus(service.metrics_snapshot())
+        return text.splitlines() + ["ok prometheus"]
+    else:
+        info = service.metrics_snapshot()
+    return [f"ok {_to_json(info)}"]
 
 
 def _handle_line(service: QueryService, line: str) -> List[str]:
-    if line.startswith("+") or line.startswith("-"):
-        parts = line[1:].split(None, 1)
-        if len(parts) != 2:
-            return [USAGE[line[0]]]
-        view_name, fact_text = parts
-        predicate, row, annotation = parse_annotated_fact(fact_text)
-        if line[0] == "+":
-            annotations = None
-            if annotation is not None:
-                annotations = {(predicate, row): annotation}
-            summary = service.update(
-                view_name, inserts=[(predicate, row)], annotations=annotations
-            )
-        else:
-            if annotation is not None:
-                return ["error annotations apply to inserts only"]
-            summary = service.update(view_name, deletes=[(predicate, row)])
-        reply = {k: v for k, v in summary.items() if isinstance(v, (str, int))}
-        return [f"ok {_to_json(reply)}"]
-
-    command, _, rest = line.partition(" ")
-    if command == "register":
-        usage = USAGE["register"]
-        parts = rest.split(None, 2)
-        if len(parts) < 3:
-            return [usage]
-        view_name, semantics, source = parts
-        if semantics not in SEMANTICS:
-            return [
-                f"error unknown semantics {semantics!r}; pick from {SEMANTICS}"
-            ]
-        semiring = None
-        if source.lstrip().startswith("--semiring="):
-            pieces = source.split(None, 1)
-            if len(pieces) != 2:
-                return [usage]
-            semiring = pieces[0][len("--semiring=") :]
-            source = pieces[1]
-            if not semiring:
-                return [usage]
-        path = Path(source.strip())
-        try:
-            is_file = path.is_file()
-        except OSError:
-            is_file = False
-        text = path.read_text() if is_file else source
-        info = service.register(
-            view_name, text, semantics=semantics, semiring=semiring
-        )
-        return [f"ok {_to_json(info)}"]
-    if command == "unregister":
-        view_name = rest.strip()
-        if not view_name:
-            return [USAGE["unregister"]]
-        info = service.unregister(view_name)
-        return [f"ok {_to_json(info)}"]
-    if command == "query":
-        parts = rest.split(None, 1)
-        if len(parts) != 2:
-            return [USAGE["query"]]
-        view_name, remainder = parts[0], parts[1].strip()
-        explain: List[str] = []
-        if "(" in remainder:
-            # Bound-pattern form: ``query <view> tc(a, _)`` — served
-            # demand-driven through the magic-sets registry.
-            predicate, pattern_args = parse_bound_pattern(remainder)
-            rows, undefined, stale = service.query_pattern(
-                view_name, predicate, pattern_args
-            )
-            lines = sorted(f"row {format_fact(predicate, row)}" for row in rows)
-            undefined_lines = sorted(
-                f"undef {format_fact(predicate, row)}" for row in undefined
-            )
-        else:
-            if remainder.split() != [remainder] or not remainder:
-                return [USAGE["query"]]
-            predicate = remainder
-            shared, undefined_lines, stale, explain = service.query_lines(
-                view_name, predicate
-            )
-            lines = list(shared)  # the snapshot's memo stays untouched
-        count = len(lines)
-        lines += undefined_lines
-        # Annotated views explain every true row: its semiring
-        # annotation in wire text (for why-provenance, the lineage
-        # witnesses).  Boolean views have no explain lines, keeping
-        # their replies byte-identical to the pre-semiring wire.
-        lines += explain
-        # A degraded view answers from its last consistent model; the
-        # client sees the staleness on the wire, not silently.
-        suffix = " stale" if stale else ""
-        lines.append(f"ok {count} rows{suffix}")
-        return lines
-    if command == "stats":
-        name = rest.strip() or None
-        return [f"ok {_to_json(service.stats(name))}"]
-    if command == "metrics":
-        fmt = rest.strip()
-        if fmt in ("--format=prometheus", "--format prometheus"):
-            from .prometheus import render_prometheus
-
-            text = render_prometheus(service.metrics_snapshot())
-            return text.splitlines() + ["ok prometheus"]
-        if fmt and fmt not in ("--format=json", "--format json"):
-            return [f"error unknown metrics format {fmt!r}"]
-        return [
-            f"ok {_to_json(service.metrics_snapshot())}"
-        ]
-    if command in ("views", "list"):
-        # Served off the published name table — wait-free, like queries.
-        names = sorted(service.name_table())
-        return [f"ok {json.dumps(names)}"]
-    return [f"error unknown command {command!r}"]
+    """The reply lines to one request line, a failure's included."""
+    try:
+        with service.metrics.request():
+            return _execute(service, parse(line, SERVE_VERBS))
+    except Exception as exc:  # not KeyboardInterrupt, not SystemExit
+        return error_reply(exc, line, service.metrics.bump, logger)
 
 
 def serve_stream(
@@ -1410,52 +1296,27 @@ def serve_stream(
     sink sends the whole reply in one piece.
     ``max_request_bytes`` rejects oversized request lines with a
     structured ``request-too-large`` error instead of parsing them.
+    Blank and ``#`` lines get no reply.
     The service is thread-safe (a copy-on-write name table + per-view
     locks), so several streams may run against it at once.
     """
     for raw in lines:
-        if (
-            max_request_bytes is not None
-            and len(raw.encode("utf-8", errors="replace")) > max_request_bytes
+        if max_request_bytes is not None and (
+            len(raw.encode("utf-8", errors="replace")) > max_request_bytes
         ):
-            write(
-                error_line(
-                    RequestTooLarge(
-                        f"request line exceeds {max_request_bytes} bytes"
-                    )
-                )
-            )
+            message = f"request line exceeds {max_request_bytes} bytes"
+            write(error_line(RequestTooLarge(message)))
             flush()
             continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line in ("quit", "exit"):
+        if line in QUIT:
             write("ok bye")
             flush()
             return
-        try:
-            with service.metrics.request():
-                replies = _handle_line(service, line)
-            for reply in replies:
-                write(reply)
-        except (KeyboardInterrupt, SystemExit):
-            # Shutdown signals are never swallowed as request errors.
-            raise
-        except ReproError as exc:
-            logger.warning("request failed (%s): %s", exc.code, exc)
-            service.metrics.bump("errors_total")
-            write(error_line(exc))
-        except (KeyError, ValueError) as exc:
-            # Expected user errors — unknown views, malformed requests —
-            # get a clean warning, not a traceback.
-            logger.warning("bad request %r: %s", line, exc)
-            service.metrics.bump("errors_total")
-            write(error_line(exc))
-        except Exception as exc:  # the server must survive bad requests
-            logger.exception("request failed: %r", line)
-            service.metrics.bump("errors_total")
-            write(error_line(exc))
+        for reply in _handle_line(service, line):
+            write(reply)
         flush()
 
 
@@ -1471,28 +1332,24 @@ def serve_unix_socket(
 
     Connections are handled on worker threads, at most
     ``max_concurrent`` at a time (further clients queue in the listen
-    backlog).  Request handling is **not** globally serialised: the
-    service's lock-free name table and per-view locks let requests
-    against different views proceed fully in parallel, while same-view
-    operations stay ordered.  ``max_connections`` bounds how many
+    backlog), each running :func:`serve_stream`; requests on different
+    views proceed in parallel.  ``max_connections`` bounds how many
     connections are accepted (None = until interrupted); on the way out
-    the server stops accepting and **drains** — live connections finish
+    the server stops accepting and **drains**: live connections finish
     their streams before the socket file is removed.
 
-    ``stop_event`` (optional) requests a graceful shutdown from
-    outside — a signal handler sets it, the accept loop notices within
-    its poll interval, shuts the read side of every live connection —
-    a handler parked on an idle (pooled) connection sees EOF and
-    leaves at once, one in the middle of a request sends its reply
-    first — joins the handlers for :data:`DRAIN_SECONDS` in all (so a
-    client that never reads cannot hold shutdown hostage), and returns.  The caller then
+    ``stop_event`` (optional) requests a graceful shutdown from outside
+    (a signal handler sets it): the accept loop notices within its poll
+    interval and shuts the read side of every live connection — an idle
+    handler sees EOF at once, a busy one sends its reply first — then
+    joins the handlers for :data:`DRAIN_SECONDS` in all, so a client
+    that never reads cannot hold shutdown hostage.  The caller then
     closes the service, which takes the final durability checkpoint.
 
     A request's reply leaves in one write, however many lines it has.
     """
     socket_path = Path(path)
-    if socket_path.exists():
-        socket_path.unlink()
+    socket_path.unlink(missing_ok=True)
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     slots = threading.BoundedSemaphore(max(1, max_concurrent))
     workers: List[threading.Thread] = []
@@ -1533,9 +1390,9 @@ def serve_unix_socket(
         # is noticed even while blocked waiting for clients.
         server.settimeout(0.2)
         accepted = 0
-        while max_connections is None or accepted < max_connections:
-            if stopping.is_set():
-                break
+        while not stopping.is_set() and (
+            max_connections is None or accepted < max_connections
+        ):
             if not slots.acquire(timeout=0.2):
                 continue
             try:
@@ -1569,10 +1426,8 @@ def serve_unix_socket(
                 except OSError:
                     pass  # its handler closed it first
         for worker in workers:
-            if deadline is None:
-                worker.join()
-            else:
-                worker.join(max(0.0, deadline - time.monotonic()))
+            worker.join(
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
         server.close()
-        if socket_path.exists():
-            os.unlink(socket_path)
+        socket_path.unlink(missing_ok=True)

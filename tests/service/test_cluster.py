@@ -465,3 +465,63 @@ class TestClusterEndToEnd:
             for view in views:
                 rows, _ = client.query(view, "tc")
                 assert "tc(t0, t10)" in rows  # the full chain closed
+
+
+# ---------------------------------------------------------------------------
+# a program registered from a file
+# ---------------------------------------------------------------------------
+
+PROGRAM_FILE = """\
+% transitive closure, read from a file
+tc(X, Y) :- edge(X, Y).
+tc(X, Z) :- edge(X, Y), tc(Y, Z).
+edge(a, b).  label('two words').
+"""
+
+
+class TestRegisterFromAFile:
+    def test_a_drain_replays_the_program_not_the_path(self):
+        """The router reads the file once, at registration: drains
+        after the file is deleted, and after it is rewritten, replay
+        the program it held."""
+        directory = tempfile.mkdtemp(prefix="repro-cluf-")
+        program = os.path.join(directory, "tc.dl")
+        with open(program, "w") as handle:
+            handle.write(PROGRAM_FILE)
+        try:
+            with cluster(os.path.join(directory, "fd"), shards=3) as router:
+                with _client(os.path.join(directory, "fd")) as client:
+                    client.register("v", program)
+                    client.insert("v", "edge(b, c)")
+                    rows = client.query("v", "tc")
+                    assert rows == (["tc(a, b)", "tc(a, c)", "tc(b, c)"], [])
+                    os.remove(program)
+                    client.drain(router.routing_table()["v"])
+                    assert client.query("v", "tc") == rows
+                    with open(program, "w") as handle:
+                        handle.write("tc(X, Y) :- edge(Y, X).\n")
+                    client.drain(router.routing_table()["v"])
+                    assert client.query("v", "tc") == rows
+                    assert client.query("v", "label") == (
+                        ["label('two words')"],
+                        [],
+                    )
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
+
+    def test_a_bad_program_file_gets_the_error_serve_gives(self, tmp_path):
+        """A syntax error on the file's third line is reported at line
+        3 by the router too, though the router forwards one line."""
+        import asyncio
+
+        from repro.service import QueryService
+        from repro.service.cluster.router import ClusterRouter
+        from repro.service.server import _handle_line
+
+        program = tmp_path / "bad.dl"
+        program.write_text("p(a).\n% a comment\nq(X) :- p(X) r(X).\n")
+        line = f"register v stratified {program}"
+        served = _handle_line(QueryService(), line)
+        assert served[0].startswith("error ParseError: line 3, column 14: ")
+        router = ClusterRouter(str(tmp_path / "fd"), shards=1)
+        assert asyncio.run(router._dispatch(line)) == served

@@ -72,13 +72,18 @@ def _kill_worker(router, shard_id):
 
 
 def _await_respawn(router, shard_id, incarnation, deadline=30.0):
+    """Block until the shard's next incarnation has replayed its views
+    and serves (its ``ready`` gate is open again)."""
     handle = router._workers[shard_id]
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if handle.incarnation > incarnation and handle.live:
-            return
-        time.sleep(0.05)
-    raise AssertionError(f"{shard_id} never respawned")
+
+    async def respawned():
+        if handle.incarnation == incarnation:
+            await handle.dead.wait()  # ``ready`` is cleared before this
+        await handle.ready.wait()
+
+    loop = router._server.get_loop()
+    asyncio.run_coroutine_threadsafe(respawned(), loop).result(deadline)
+    assert handle.incarnation > incarnation and handle.live
 
 
 class TestCrash:
@@ -112,15 +117,7 @@ class TestCrash:
             # Supervision respawns the worker and replays its views:
             # the acked insert is queryable again.
             _await_respawn(router, victim_shard, incarnation)
-            deadline = time.monotonic() + 30
-            while True:
-                try:
-                    rows, _ = client.query(victim_view, "tc")
-                    break
-                except ClusterReplyError:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.05)
+            rows, _ = client.query(victim_view, "tc")
             assert rows == ["tc(a, b)"]
 
     def test_crash_under_load_loses_no_acked_update(self, fresh_cluster):
@@ -196,15 +193,7 @@ class TestCrash:
 
         with _client(socket_path) as check:
             for view, facts in acked.items():
-                deadline = time.monotonic() + 30
-                while True:
-                    try:
-                        rows, _ = check.query(view, "edge")
-                        break
-                    except ClusterReplyError:
-                        if time.monotonic() > deadline:
-                            raise
-                        time.sleep(0.05)
+                rows, _ = check.query(view, "edge")
                 present = set(rows)
                 missing = [
                     fact for fact in facts if fact not in present
@@ -350,15 +339,7 @@ class TestDrain:
             incarnation = router._workers[victim_shard].incarnation
             _kill_worker(router, victim_shard)
             _await_respawn(router, victim_shard, incarnation)
-            deadline = time.monotonic() + 30
-            while True:
-                try:
-                    after = client.metrics()["rollup"]
-                    break
-                except ClusterReplyError:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.05)
+            after = client.metrics()["rollup"]
             for name in watched:
                 assert after.get(name, 0) >= before.get(name, 0), (
                     name,
@@ -541,7 +522,7 @@ class TestRouterInternals:
                 "+v e(c, d)",
             ]
             for line in lines:
-                await router._handle_update(line)
+                await router._dispatch(line)
             del sent[:]
             await router._replay_view("v", handle)
             assert sent == [
@@ -605,10 +586,66 @@ class TestRouterInternals:
             for _ in range(5):
                 await asyncio.sleep(0)
             assert handle.inflight == 1  # the parked request is visible
+            assert not handle.idle.is_set()  # a drain would wait for it
             handle._slots.release()
             with pytest.raises(WorkerUnavailable):  # no socket behind it
                 await task
             assert handle.inflight == 0
+            assert handle.idle.is_set()
+
+        self._run(scenario)
+
+    def test_a_drain_replays_only_after_the_in_flight_write_lands(self):
+        # The drain's flush waits on the handle's ``idle`` event: the
+        # moved view is replayed, from a record that holds the write,
+        # only once the write in flight to the old worker has its ack.
+        async def scenario(socket_path):
+            router = ClusterRouter(socket_path, shards=2)
+            old, survivor = router._workers["shard-0"], router._workers["shard-1"]
+            release = asyncio.Event()
+
+            async def slow_worker(reader, writer):
+                # Holds a write until released; answers anything else
+                # (the drain's ``metrics``) at once.
+                while line := await reader.readline():
+                    if line.startswith(b"+"):
+                        await release.wait()
+                    writer.write(b"ok {}\n")
+                    await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_unix_server(slow_worker, old.socket_path)
+            replayed = []
+
+            async def record(line, timeout=None):
+                replayed.append(line)
+                return ["ok {}"]
+
+            survivor.call = record
+            for handle in (old, survivor):
+                handle.live = True
+                handle.ready.set()
+            router._records["v"] = ViewRecord("stratified", "p(X) :- q(X).")
+            router._routes.set({"v": "shard-0"})
+            try:
+                write = asyncio.create_task(router._dispatch("+v q(a)"))
+                await asyncio.sleep(0)
+                assert old.inflight == 1
+                drain = asyncio.create_task(router.drain("shard-0"))
+                for _ in range(20):
+                    await asyncio.sleep(0)
+                assert not drain.done() and not replayed
+                release.set()
+                assert await write == ["ok {}"]
+                await drain
+            finally:
+                server.close()
+                await server.wait_closed()
+            assert replayed == [
+                "register v stratified p(X) :- q(X).",
+                "+v q(a)",
+            ]
+            assert router.routing_table() == {"v": "shard-1"}
 
         self._run(scenario)
 

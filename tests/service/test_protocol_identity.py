@@ -196,14 +196,27 @@ def test_the_replies_say_what_they_should(replies):
     ]
 
 
-# Malformed requests the router answers itself, without a worker: the
-# same usage line ``serve`` gives.
-MALFORMED = ["query", "register v stratified", "+v", "-v"]
+# Malformed requests the router answers itself, without a worker or a
+# fan-out: the same reply ``serve`` gives (one grammar parses both).
+MALFORMED = [
+    "query",
+    "register v stratified",
+    "+v",
+    "-v",
+    "unregister",
+    "query v a b",
+    "metrics --format=xml",
+    "register v bogus p(a).",
+    "register v stratified --semiring= p(a).",
+    "frobnicate",
+]
 
 
 @pytest.mark.parametrize("line", MALFORMED)
 def test_a_malformed_request_gets_the_usage_line_serve_gives(line, tmp_path):
     router = ClusterRouter(str(tmp_path / "fd"), shards=1)
     served = _handle_line(QueryService(), line)
-    assert served[0].startswith("error usage: ")
+    assert len(served) == 1 and served[0].startswith("error ")
     assert asyncio.run(router._dispatch(line)) == served
+    assert router.counters["forwarded_total"] == 0
+    assert router.counters["fanouts_total"] == 0

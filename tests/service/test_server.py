@@ -5,6 +5,7 @@ import logging
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -35,6 +36,26 @@ def run_protocol(service, script):
     replies = []
     serve_stream(service, script.splitlines(), replies.append)
     return replies
+
+
+def serve_on_a_thread(service, path, **kwargs):
+    """``serve_unix_socket`` on a thread, returned once its socket
+    listens (a connect between bind() and listen() is refused): the
+    server's socket is made with a class whose ``listen`` says so."""
+    listening = threading.Event()
+
+    class Listener(socket.socket):
+        def listen(self, *args):
+            super().listen(*args)
+            listening.set()
+
+    server = threading.Thread(
+        target=serve_unix_socket, args=(service, path), kwargs=kwargs
+    )
+    with mock.patch.object(socket, "socket", Listener):
+        server.start()
+        assert listening.wait(timeout=30)
+    return server
 
 
 class TestParseFact:
@@ -304,22 +325,10 @@ class TestUnixSocket:
         path = str(tmp_path / "repro.sock")
         service = QueryService()
         service.register("tc", TC)
-        server = threading.Thread(
-            target=serve_unix_socket,
-            args=(service, path),
-            kwargs={"max_connections": 1},
-        )
-        server.start()
+        server = serve_on_a_thread(service, path, max_connections=1)
         try:
             client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            for _ in range(100):
-                try:
-                    client.connect(path)
-                    break
-                except (FileNotFoundError, ConnectionRefusedError):
-                    import time
-
-                    time.sleep(0.01)
+            client.connect(path)
             with client:
                 client.sendall(b"query tc tc\nquit\n")
                 reader = client.makefile("r")
@@ -357,20 +366,10 @@ class TestUnixSocket:
 
         service.query_lines = answer
         stop = threading.Event()
-        server = threading.Thread(
-            target=serve_unix_socket,
-            args=(service, path),
-            kwargs={"stop_event": stop},
-        )
-        server.start()
+        server = serve_on_a_thread(service, path, stop_event=stop)
         client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            for _ in range(2000):
-                try:
-                    client.connect(path)
-                    break
-                except (FileNotFoundError, ConnectionRefusedError):
-                    threading.Event().wait(0.005)
+            client.connect(path)
             client.sendall(b"query v p\n")  # and never read the reply
             assert answered.wait(timeout=30)
             started = time.monotonic()
