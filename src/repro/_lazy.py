@@ -21,20 +21,21 @@ def facade(
     package: str, table: Mapping[str, Sequence[str]]
 ) -> Tuple[List[str], Callable[[str], object], Callable[[], List[str]]]:
     """``(__all__, __getattr__, __dir__)`` for ``package``, whose
-    ``table`` maps a submodule (relative, dotted) to the names it
-    defines."""
+    ``table`` maps a submodule (relative, dotted; a leading ``.`` names
+    a module of the parent package) to the names it defines."""
+    parent = package.rpartition(".")[0]
     exports: Dict[str, str] = {
-        name: module for module, names in table.items() for name in names
+        name: parent + module if module[0] == "." else f"{package}.{module}"
+        for module, names in table.items() for name in names
     }
 
     def __getattr__(name: str):
         try:
-            module = exports[name]
+            qualified = exports[name]
         except KeyError:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}"
             ) from None
-        qualified = f"{package}.{module}"
         # ``__import__``, not ``importlib.import_module``: only the
         # former is timed by ``python -X importtime``.
         __import__(qualified)

@@ -12,12 +12,12 @@ asyncio router speaking a pipelined length-prefixed binary framing.
 * :mod:`.worker` — worker process entry points;
 * :mod:`.router` — the asyncio front door: routing, fan-out,
   heartbeats, respawn, drain;
-* :mod:`.rollup` — per-shard ``ServiceMetrics`` → one aggregate;
 * :mod:`.client` — a blocking framed client for tests, benchmarks,
   and scripting.
 
 See the "Sharded serving" section of ``docs/SERVICE.md`` for the
-topology, drain semantics, and metrics rollup rules.
+topology and drain semantics; the metrics rollup rules are in
+:mod:`repro.service.metrics`.
 
 The names below resolve on first use (PEP 562): a spawned worker loads
 :mod:`.worker` through this package, and neither the router nor asyncio.
@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = facade(
             "read_frame_async", "write_frame", "write_frame_async",
         ),
         "hashring": ("HashRing",),
-        "rollup": ("merge_counters", "merge_histograms", "rollup_metrics"),
+        ".metrics": ("merge_counters", "merge_histograms", "rollup_metrics"),
         "router": (
             "ClusterRouter", "ViewRecord", "WorkerHandle", "cluster",
         ),

@@ -146,11 +146,13 @@ class ClusterClient:
     def register(
         self, name: str, source: str, semantics: str = "stratified"
     ) -> Dict:
-        """Register a program (newlines in ``source`` collapse to spaces
-        — the wire request is one line)."""
-        flat = " ".join(source.split())
+        """Register a program.  A multi-line ``source`` goes on the wire
+        as the router forwards one: its tokens joined by spaces."""
+        from ..protocol import Request
+
+        program = Request("register", text=source).program_line()
         return self._json_of(
-            self.request_ok(f"register {name} {semantics} {flat}")
+            self.request_ok(f"register {name} {semantics} {program}")
         )
 
     def unregister(self, name: str) -> Dict:

@@ -22,7 +22,8 @@ the router only decides where each one goes:
   ``stats <view>``, ``register`` and ``unregister`` go to the owning
   worker over a pooled line-protocol connection;
 * **fan out** — ``metrics`` rolls every live shard's snapshot up
-  (:mod:`.rollup`), ``stats`` and ``views``/``list`` merge theirs;
+  (:func:`~repro.service.metrics.rollup_metrics`), ``stats`` and
+  ``views``/``list`` merge theirs;
 * **answer here** — ``drain <shard>`` and ``shards``.
 
 Workers are spawned via :mod:`multiprocessing`, heartbeated, and
@@ -51,7 +52,7 @@ import os
 import socket as socket_module
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ...datalog.facts import fact_key
 from ...robustness import (
@@ -63,10 +64,10 @@ from ...robustness import (
     retry_with_backoff,
 )
 from ..locks import AtomicReference
+from ..metrics import ROUTER, merge_counters, rollup_metrics, zeroed
 from ..protocol import QUIT, ROUTER_VERBS, error_reply, parse
 from .framing import FrameError, read_frame_async, write_frame_async
 from .hashring import HashRing
-from .rollup import merge_counters, rollup_metrics
 from .worker import DEFAULT_START_METHOD, spawn_worker
 
 __all__ = ["ClusterRouter", "ViewRecord", "WorkerHandle", "cluster"]
@@ -422,16 +423,7 @@ class ClusterRouter:
             "counters": {},
             "rollup": {},
         }
-        self.counters: Dict[str, int] = {
-            "requests_total": 0,
-            "errors_total": 0,
-            "forwarded_total": 0,
-            "fanouts_total": 0,
-            "respawns": 0,
-            "drains": 0,
-            "recoveries": 0,
-            "recovery_replay_records": 0,
-        }
+        self.counters: Dict[str, int] = zeroed(ROUTER)
         self._server: Optional[asyncio.AbstractServer] = None
         self._supervisors: List[asyncio.Task] = []
         self._stopping = False
@@ -640,19 +632,12 @@ class ClusterRouter:
                     self._records[name] = record
                 self._routes.set(dict(state.get("routes", {})))
                 self._drained.update(state.get("drained", {}))
-                for section, counters in state.get("retired", {}).items():
-                    merge_counters(
-                        self._retired.setdefault(section, {}), counters
-                    )
+                self._retire(state.get("retired", {}))
                 # The pre-crash worker incarnations are gone; bank the
                 # counters they last reported so the aggregate rollup
                 # stays monotone across the restart.
                 for shard_counters in state.get("last_counters", {}).values():
-                    for section in ("counters", "rollup"):
-                        merge_counters(
-                            self._retired[section],
-                            shard_counters.get(section, {}),
-                        )
+                    self._retire(shard_counters)
                 for name, value in state.get("router_counters", {}).items():
                     if value:
                         self._bump_counter(name, int(value))
@@ -815,7 +800,8 @@ class ClusterRouter:
         async with self._registry_lock:
             if handle.draining or self._stopping:
                 return
-            self._absorb_last_counters(handle)
+            self._retire(handle.last_counters)
+            handle.last_counters = {}
             await handle.restart()
             names = [
                 name
@@ -833,19 +819,14 @@ class ClusterRouter:
                 len(names),
             )
 
-    def _absorb_last_counters(self, handle: WorkerHandle) -> None:
-        """Bank a dead incarnation's last-reported counters.
-
-        ``last_counters`` is updated on every successful ``metrics``
-        fan-out, so everything the aggregate ever *reported* for this
-        incarnation is preserved — the rollup can only grow.
-        """
-        for section in ("counters", "rollup"):
-            merge_counters(
-                self._retired[section],
-                handle.last_counters.get(section, {}),
-            )
-        handle.last_counters = {}
+    def _retire(self, sections: Mapping[str, Mapping[str, int]]) -> None:
+        """Sum counter sections into the retired bank: a dead
+        incarnation's ``last_counters`` (updated on every successful
+        ``metrics`` fan-out, so everything the aggregate ever reported
+        for it is kept and the rollup can only grow), or a checkpoint's
+        bank."""
+        for section, counters in sections.items():
+            merge_counters(self._retired.setdefault(section, {}), counters)
 
     async def _replay_view(self, name: str, handle: WorkerHandle) -> None:
         """Rebuild one view on ``handle`` from the router's record."""
@@ -914,7 +895,8 @@ class ClusterRouter:
                 # fail anymore: a rolled-back drain leaves the shard
                 # live and still reporting, so absorbing earlier would
                 # double-count it (retired + live) in the aggregate.
-                self._absorb_last_counters(handle)
+                self._retire(handle.last_counters)
+                handle.last_counters = {}
                 # The moved map is journaled explicitly: re-hashing is
                 # not reproducible from the drain op alone (it depends
                 # on the ring the drain saw), and the next recovery

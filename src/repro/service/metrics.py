@@ -1,24 +1,36 @@
-"""The service observability plane: per-view and service-level metrics.
+"""The service observability plane: every metric declared once, the
+recorders that fill it, and the cluster rollup that merges it.
 
-Two layers:
+:data:`METRICS` gives each counter, gauge and histogram one row: name,
+kind, scope (``view``, ``service`` or ``router``), one line of meaning
+and, for a gauge or histogram, the ``key`` it is read from.  Everything
+else reads that table:
 
-* every materialized view carries a :class:`ViewMetrics` — monotone
-  counters (cache traffic, delta sizes, rules fired, over-deleted and
-  re-derived rows), accumulated wall-clock and a :class:`Histogram` per
-  maintenance phase, and the time the view has spent degraded;
-* the :class:`~repro.service.server.QueryService` carries one
-  :class:`ServiceMetrics` — service-level monotone counters (requests,
-  errors, registrations, updates, queries), gauges (in-flight request
-  depth; stale-view count and per-view time-in-degraded are derived
-  from the live views at snapshot time), lock wait/hold histograms fed
-  by :class:`~repro.service.locks.InstrumentedLock`, service-wide phase
-  histograms (every view's phases roll up here through the ``sink``
-  hook), and a **retired rollup**: when a view is unregistered or
-  replaced, its counters are absorbed so service totals stay monotone.
+* :class:`ViewMetrics` (one per view), :class:`ServiceMetrics` (one
+  per :class:`~repro.service.server.QueryService`) and the cluster
+  router start every counter of their scope at zero (:func:`zeroed`).
+  ``bump`` looks nothing up: ``tests/service/test_metrics_schema.py``
+  keeps snapshots and docs/SERVICE.md's table to these rows;
+* ``QueryService.metrics_snapshot`` builds each view gauge from its
+  row's key in the view's ``stats``;
+* :func:`~repro.service.prometheus.render_prometheus` takes each
+  family's name and type from its row (:attr:`Metric.family`);
+* :func:`rollup_metrics` merges per-shard snapshots by kind.
 
-The ``stats`` / ``metrics`` verbs of the line protocol and
-``repro serve --metrics-snapshot`` expose snapshots of all of this —
-the dashboard surface the ROADMAP's scaling PRs hang on.
+A service snapshot's ``rollup`` is ``retired`` (the counters of views
+unregistered or replaced, :meth:`ServiceMetrics.absorb`) plus the live
+views' counters, so it never steps back across view churn.  The
+cluster rollup keeps the same promise across drains and crashes:
+
+* **counters are summed** (:func:`merge_counters`): ``counters``,
+  ``rollup`` and ``retired`` across shards, plus the router's retired
+  bank, the last-reported counters of every dead worker incarnation;
+* **gauges are labelled per shard** under ``gauges.per_shard``; a
+  router gauge whose row names a ``key`` is that gauge's cluster total;
+* **histograms are merged bucket-wise** (:func:`merge_histograms`);
+  every histogram has the same bounds, so nothing is lost;
+* **views merge flat**, each annotated with the shard that served it
+  (the router owns the view namespace).
 """
 
 from __future__ import annotations
@@ -27,62 +39,199 @@ import threading
 import time
 from bisect import bisect_left
 from threading import get_ident
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-__all__ = ["Histogram", "ServiceMetrics", "ViewMetrics"]
-
-
-#: Counter names every view snapshot reports, even when still zero.
-_COUNTERS = (
-    "queries",
-    "cache_hits",
-    "cache_misses",
-    "update_batches",
-    "inserts_applied",
-    "deletes_applied",
-    "delta_plus_total",
-    "delta_minus_total",
-    "rules_fired",
-    # Rows the join kernel pulled from index buckets and row sets.
-    "rows_matched",
-    # Rows a read touched to produce its answer: index-bucket sizes,
-    # delta rows bucketed, rows formatted into reply lines.
-    "rows_scanned",
-    "overdeleted_total",
-    "rederived_total",
-    "incremental_batches",
-    "circuit_steps",
-    "delta_batches_coalesced",
-    "recompute_batches",
-    "snapshot_swaps",
-    "snapshot_reads",
-    "stale_queries",
-    "compactions",
-    "compaction_rows",
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple,
 )
 
-#: Counter names every service snapshot reports, even when still zero.
-_SERVICE_COUNTERS = (
-    "requests_total",
-    "errors_total",
-    "registrations",
-    "unregistrations",
-    "updates_total",
-    "queries_total",
-    "lock_acquisitions",
-    # The demand registry (magic-sets bound-pattern queries).
-    "demand_registrations",
-    "demand_hits",
-    "demand_evictions",
-    "demand_fallbacks",
-    # The durability plane (zero and inert without --data-dir).
-    "wal_appends",
-    "wal_fsyncs",
-    "wal_checkpoints",
-    "wal_torn_records_dropped",
-    "recoveries",
-    "recovery_replay_records",
+__all__ = [
+    "METRICS", "Histogram", "Metric", "ServiceMetrics", "ViewMetrics",
+    "merge_counters", "merge_histograms", "rollup_metrics", "zeroed",
+]
+
+COUNTER, GAUGE, HISTOGRAM = "counter", "gauge", "histogram"
+VIEW, SERVICE, ROUTER = "view", "service", "router"
+
+#: Where each scope's counters sit in a metrics snapshot (a dotted
+#: path), and the prefix of their Prometheus families.
+SECTIONS = {
+    SERVICE: ("counters", "repro_service"),
+    VIEW: ("rollup", "repro"),
+    ROUTER: ("router.counters", "repro_router"),
+}
+
+
+class Metric(NamedTuple):
+    """One declared metric.  ``key`` is where a gauge or histogram is
+    read from: a view gauge's key in the view's ``stats``, a router
+    gauge's key in each shard's gauges (it is their cluster total), a
+    histogram's dotted path in a snapshot.  A histogram with a ``label``
+    is a family of histograms, one per value of that label."""
+
+    name: str
+    kind: str
+    scope: str
+    meaning: str
+    key: Optional[str] = None
+    label: Optional[str] = None
+
+    @property
+    def family(self) -> str:
+        """The Prometheus family this metric is exported as."""
+        if self.kind != COUNTER:
+            return f"repro_{self.name}"
+        base = self.name[:-6] if self.name.endswith("_total") else self.name
+        return f"{SECTIONS[self.scope][1]}_{base}_total"
+
+
+def _rows(kind: str, scope: str, *rows: tuple) -> Tuple[Metric, ...]:
+    return tuple(Metric(name, kind, scope, *rest) for name, *rest in rows)
+
+
+#: Every metric the service and the cluster router report.  A name may
+#: recur under another scope (the router counts its own requests);
+#: ``(scope, name)`` is unique.
+METRICS: Tuple[Metric, ...] = (
+    *_rows(
+        COUNTER, VIEW,
+        ("queries", "reads the view answered"),
+        ("cache_hits", "reads the result cache answered"),
+        ("cache_misses", "reads the result cache missed"),
+        ("snapshot_reads", "reads served off the published snapshot, lock-free"),
+        ("stale_queries", "reads answered while the view was degraded"),
+        ("rows_scanned", "rows reads touched: buckets, chain deltas, reply lines"),
+        ("update_batches", "write batches applied"),
+        ("inserts_applied", "base facts inserted"),
+        ("deletes_applied", "base facts deleted"),
+        ("delta_plus_total", "rows the published model gained"),
+        ("delta_minus_total", "rows the published model lost"),
+        ("incremental_batches", "batches maintained incrementally"),
+        ("recompute_batches", "batches a rebuild view recomputed"),
+        ("circuit_steps", "engine passes (a chain adds one per level it settles)"),
+        ("delta_batches_coalesced", "batches that rode another batch's pass"),
+        ("rules_fired", "rule firings of the join kernel"),
+        ("rows_matched", "rows those firings pulled from buckets and row sets"),
+        ("overdeleted_total", "rows a retraction over-deleted"),
+        ("rederived_total", "over-deleted rows derived again"),
+        ("annotated_initializes", "builds of a non-boolean view"),
+        ("snapshot_swaps", "model versions published"),
+        ("compactions", "snapshots whose delta chains were flattened"),
+        ("compaction_rows", "rows those flattenings wrote"),
+        ("rollbacks", "failed bursts rolled back"),
+        ("degraded_entries", "times the view turned degraded"),
+        ("recovery_retries", "retried rebuilds after a failed burst"),
+    ),
+    *_rows(
+        GAUGE, VIEW,
+        ("time_in_degraded", "seconds spent degraded", "degraded_seconds"),
+        ("snapshot_age", "seconds since the served model was published",
+         "snapshot_age_seconds"),
+        ("chain_depth", "the deepest delta chain a cold read walks", "chain_depth"),
+        ("alternation_levels", "levels of a valid / well-founded view's chain",
+         "alternation_levels"),
+        ("update_queue_depth", "batches waiting for the group-commit leader",
+         "queue_depth"),
+    ),
+    *_rows(
+        HISTOGRAM, VIEW,
+        ("phase_seconds", "time per phase", "phase_histograms", "phase"),
+    ),
+    *_rows(
+        COUNTER, SERVICE,
+        ("requests_total", "protocol requests handled"),
+        ("errors_total", "requests answered with an error"),
+        ("registrations", "programs registered"),
+        ("unregistrations", "views unregistered"),
+        ("updates_total", "write batches accepted"),
+        ("queries_total", "queries answered"),
+        ("lock_acquisitions", "instrumented lock holds"),
+        ("demand_registrations", "bound patterns built cold"),
+        ("demand_hits", "bound-pattern reads a resident entry answered"),
+        ("demand_evictions", "bound-pattern entries evicted"),
+        ("demand_fallbacks", "bound patterns answered by filtering the view"),
+        ("wal_appends", "log records appended (0 without --data-dir)"),
+        ("wal_fsyncs", "log fsyncs"),
+        ("wal_checkpoints", "checkpoints written"),
+        ("wal_torn_records_dropped", "torn log records dropped at start"),
+        ("recoveries", "starts that recovered a data directory"),
+        ("recovery_replay_records", "log records replayed at start"),
+    ),
+    *_rows(
+        GAUGE, SERVICE,
+        ("views_registered", "views registered"),
+        ("stale_views", "views serving degraded"),
+        ("inflight_requests", "requests being handled"),
+        ("demand_entries", "resident bound-pattern entries"),
+        ("name_table_republishes", "name-table copies published"),
+        ("name_table_copied_cells", "cells those copies copied"),
+        ("wal_size", "bytes in the log (with --data-dir)"),
+        ("recovered_generation", "the data directory's generation (with --data-dir)"),
+    ),
+    *_rows(
+        HISTOGRAM, SERVICE,
+        ("lock_wait_seconds", "time waited for an instrumented lock", "locks.wait"),
+        ("lock_hold_seconds", "time an instrumented lock was held", "locks.hold"),
+        ("phase_seconds", "every view's time per phase", "phase_histograms", "phase"),
+    ),
+    *_rows(
+        COUNTER, ROUTER,
+        ("requests_total", "frames handled"),
+        ("errors_total", "frames answered with an error"),
+        ("forwarded_total", "requests forwarded to one shard"),
+        ("fanouts_total", "requests fanned out to every shard"),
+        ("respawns", "crashed workers replaced"),
+        ("drains", "shards drained"),
+        ("recoveries", "starts that recovered the control plane"),
+        ("recovery_replay_records", "control-plane log records replayed"),
+        ("wal_appends", "control-plane log records appended"),
+        ("wal_fsyncs", "control-plane log fsyncs"),
+        ("wal_checkpoints", "control-plane checkpoints written"),
+        ("wal_torn_records_dropped", "torn control-plane records dropped"),
+    ),
+    *_rows(
+        GAUGE, ROUTER,
+        ("views_registered", "views across shards", "views_registered"),
+        ("stale_views", "degraded views across shards", "stale_views"),
+        ("inflight_requests", "requests in flight across shards", "inflight_requests"),
+        ("router_wal_size", "bytes in the control-plane log (with --data-dir)"),
+        ("recovered_generation", "the router's generation (with --data-dir)"),
+    ),
 )
+
+
+def declared(kind: str, scope: str) -> Tuple[Metric, ...]:
+    """The rows of one kind and scope, in declaration order."""
+    return tuple(m for m in METRICS if m.kind == kind and m.scope == scope)
+
+
+def zeroed(scope: str) -> Dict[str, int]:
+    """Every counter declared for ``scope``, at zero."""
+    return {m.name: 0 for m in declared(COUNTER, scope)}
+
+
+def merge_counters(
+    into: Dict[str, int], source: Mapping[str, int]
+) -> Dict[str, int]:
+    """Sum ``source`` into ``into`` name by name (``into`` returned).
+    The one counter merge: retired views, recovered checkpoints, the
+    router's retired bank and the cluster rollup all go through it."""
+    for name, value in source.items():
+        into[name] = into.get(name, 0) + int(value)
+    return into
+
+
+def lookup(snapshot: Mapping, path: str) -> Mapping:
+    """The section at a dotted ``path`` of a snapshot (``{}`` if absent)."""
+    for part in path.split("."):
+        snapshot = snapshot.get(part, {})
+    return snapshot
+
+
+def histograms(snapshot: Mapping, metric: Metric) -> List[Tuple[str, Mapping]]:
+    """``(label value, histogram)`` for each histogram of ``metric`` in
+    ``snapshot``: one, with the value ``""``, when it has no label."""
+    found = lookup(snapshot, metric.key)
+    return sorted(found.items()) if metric.label else [("", found)]
+
 
 #: Exponential latency buckets (seconds), Prometheus-style ``le`` bounds.
 _BUCKETS = (
@@ -145,6 +294,19 @@ class Histogram:
         }
 
 
+def merge_histograms(into: Dict, source: Mapping) -> Dict:
+    """Sum one :meth:`Histogram.snapshot` into another bucket by bucket
+    (``into`` returned; ``{}`` starts an empty one)."""
+    if not into:
+        into.update({"count": 0, "sum": 0.0, "buckets": {}})
+    into["count"] += source.get("count", 0)
+    into["sum"] = round(into["sum"] + source.get("sum", 0.0), 6)
+    buckets = into["buckets"]
+    for bound, count in source.get("buckets", {}).items():
+        buckets[bound] = buckets.get(bound, 0) + count
+    return into
+
+
 class ViewMetrics:
     """Counters, phase timings, and degraded time for one view.
 
@@ -154,7 +316,7 @@ class ViewMetrics:
     """
 
     def __init__(self, sink: Optional["ServiceMetrics"] = None) -> None:
-        self.counters: Dict[str, int] = {name: 0 for name in _COUNTERS}
+        self.counters: Dict[str, int] = zeroed(VIEW)
         self.phase_histograms: Dict[str, Histogram] = {}
         self.sink = sink
         # Snapshot-path queries bump counters without holding the view
@@ -325,7 +487,7 @@ class ServiceMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.counters: Dict[str, int] = {name: 0 for name in _SERVICE_COUNTERS}
+        self.counters: Dict[str, int] = zeroed(SERVICE)
         self.lock_wait = Histogram()
         self.lock_hold = Histogram()
         self.phase_histograms: Dict[str, Histogram] = {}
@@ -376,19 +538,12 @@ class ServiceMetrics:
         """Requests currently being handled (the queue-depth gauge)."""
         return self._inflight
 
-    def absorb_counters(self, counters: Dict[str, int]) -> None:
-        """Roll a plain counter dict into the retired totals.
-
-        Cold-start recovery uses this to re-seat the rollup persisted
-        in a checkpoint, so service totals stay monotone across a
-        crash-restart cycle even though every live view restarts from
-        zero.
-        """
+    def absorb_counters(self, counters: Mapping[str, int]) -> None:
+        """Roll a plain counter dict into the retired totals (recovery
+        re-seats a checkpoint's rollup this way, so the totals stay
+        monotone across a restart in which every view starts at 0)."""
         with self._lock:
-            for name, value in counters.items():
-                self.retired_counters[name] = (
-                    self.retired_counters.get(name, 0) + value
-                )
+            merge_counters(self.retired_counters, counters)
 
     def absorb(self, view_metrics: ViewMetrics) -> None:
         """Roll a departing view's counters into the retired totals."""
@@ -397,10 +552,7 @@ class ServiceMetrics:
         with view_metrics._counter_lock:
             absorbed = dict(view_metrics.counters)
         with self._lock:
-            for name, value in absorbed.items():
-                self.retired_counters[name] = (
-                    self.retired_counters.get(name, 0) + value
-                )
+            merge_counters(self.retired_counters, absorbed)
             self.retired_degraded_seconds += view_metrics.degraded_seconds()
 
     def snapshot(self) -> Dict[str, object]:
@@ -426,3 +578,51 @@ class ServiceMetrics:
     def __repr__(self) -> str:
         busy = {k: v for k, v in self.counters.items() if v}
         return f"<ServiceMetrics {busy} inflight={self._inflight}>"
+
+
+def rollup_metrics(
+    shard_snapshots: Mapping[str, Mapping],
+    router_retired: Optional[Mapping[str, int]] = None,
+    drained: Optional[Mapping[str, str]] = None,
+) -> Dict[str, object]:
+    """One cluster snapshot from per-shard ``metrics_snapshot`` dicts.
+
+    ``router_retired`` is the view-counter part of the router's retired
+    bank (drained shards, crashed-and-respawned workers); ``drained``
+    maps drained shard ids to a status.  ``rollup`` and ``counters``
+    never decrease across updates, drains, crashes and respawns.
+    """
+    aggregate: Dict[str, object] = {
+        "shards": sorted(shard_snapshots),
+        "drained": dict(drained or {}),
+        "counters": {},
+        "rollup": dict(router_retired or {}),
+        "retired": {},
+        "router_retired": dict(router_retired or {}),
+        "views": {},
+        "phase_histograms": {},
+        "locks": {"wait": {}, "hold": {}},
+        "cache": {},
+    }
+    totals = [m for m in declared(GAUGE, ROUTER) if m.key]
+    merged_histograms = declared(HISTOGRAM, SERVICE)
+    gauges: Dict[str, object] = {m.name: 0 for m in totals}
+    gauges["per_shard"] = per_shard = {}
+    for shard in sorted(shard_snapshots):
+        snapshot = shard_snapshots[shard]
+        for section in ("counters", "rollup", "retired"):
+            merge_counters(aggregate[section], snapshot.get(section, {}))
+        for view_name, stats in snapshot.get("views", {}).items():
+            aggregate["views"][view_name] = {**stats, "shard": shard}
+        per_shard[shard] = shard_gauges = snapshot.get("gauges", {})
+        for metric in totals:
+            gauges[metric.name] += int(shard_gauges.get(metric.key, 0) or 0)
+        for metric in merged_histograms:
+            merged = lookup(aggregate, metric.key)
+            for value, histogram in histograms(snapshot, metric):
+                merge_histograms(
+                    merged.setdefault(value, {}) if value else merged, histogram
+                )
+        aggregate["cache"][shard] = snapshot.get("cache", {})
+    aggregate["gauges"] = gauges
+    return aggregate

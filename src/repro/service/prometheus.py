@@ -1,29 +1,26 @@
-"""Prometheus text-format export of the service observability plane.
+"""Prometheus text-format export of a metrics snapshot.
 
-:func:`render_prometheus` turns a metrics snapshot — either a
-single-process :meth:`~repro.service.server.QueryService.
-metrics_snapshot` or the cluster router's rolled-up aggregate
-(:mod:`repro.service.cluster.rollup`) — into the Prometheus exposition
-format (text/plain; version 0.0.4):
+:func:`render_prometheus` turns a snapshot (a service's
+:meth:`~repro.service.server.QueryService.metrics_snapshot` or the
+cluster router's :func:`~repro.service.metrics.rollup_metrics`) into
+the exposition format (text/plain; version 0.0.4).  Each family's name
+and type come from its row of :data:`~repro.service.metrics.METRICS`,
+and a name the table does not declare is not exported:
 
-* monotone counters become ``repro_service_<name>_total`` (the
-  service-level section) and ``repro_<name>_total`` (the per-view
-  rollup section);
-* gauges become ``repro_<name>`` with ``view=`` / ``shard=`` labels
-  where the snapshot carries them per entity;
-* phase and lock histograms become native Prometheus histograms
-  (cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``) —
-  the internal :class:`~repro.service.metrics.Histogram` stores
-  non-cumulative buckets, so the renderer re-accumulates.
+* counters are ``repro_service_<name>_total`` (the service's),
+  ``repro_<name>_total`` (the views' ``rollup``) and
+  ``repro_router_<name>_total`` (a cluster router's);
+* gauges are ``repro_<name>``, labelled ``view=`` where the snapshot
+  keeps one value per view and ``shard=`` under ``per_shard``;
+* histograms are native Prometheus histograms: cumulative
+  ``_bucket{le=...}`` series (the internal
+  :class:`~repro.service.metrics.Histogram` keeps non-cumulative
+  buckets) plus ``_sum`` and ``_count``.
 
-Two delivery surfaces use this renderer:
-
-* the line protocol's ``metrics --format=prometheus`` verb argument
-  (single service and cluster router alike), and
-* ``repro serve --metrics-prometheus PATH`` — a
-  :class:`PrometheusExporter` daemon thread that rewrites ``PATH``
-  atomically every ``interval`` seconds, the file a node-exporter
-  textfile collector or a sidecar scraper tails.
+The ``metrics --format=prometheus`` verb (service and router alike)
+replies with it, and ``repro serve --metrics-prometheus PATH`` runs a
+:class:`PrometheusExporter` thread that rewrites ``PATH`` atomically
+every ``interval`` seconds for a textfile collector or a scraper.
 """
 
 from __future__ import annotations
@@ -31,11 +28,21 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Set, Tuple
+
+from .metrics import (
+    COUNTER, GAUGE, HISTOGRAM, METRICS, SECTIONS, SERVICE, Metric,
+    declared, histograms, lookup,
+)
 
 __all__ = ["render_prometheus", "PrometheusExporter"]
 
 logger = logging.getLogger(__name__)
+
+#: Counter rows by ``(scope, name)``, gauge rows by name (a gauge's
+#: family does not depend on its scope).
+_COUNTERS = {(m.scope, m.name): m for m in METRICS if m.kind == COUNTER}
+_GAUGES = {m.name: m for m in METRICS if m.kind == GAUGE}
 
 
 def _escape(value: str) -> str:
@@ -56,38 +63,30 @@ def _labels(pairs: Mapping[str, str]) -> str:
     return "{" + inner + "}"
 
 
-def _sanitize(name: str) -> str:
-    return "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-
-
-def _counter_metric(prefix: str, name: str) -> str:
-    """``<prefix>_<name>_total`` without doubling an existing suffix."""
-    base = _sanitize(name)
-    if base.endswith("_total"):
-        base = base[: -len("_total")]
-    return f"{prefix}_{base}_total"
-
-
 def _bucket_bound(key: str) -> float:
     suffix = key[3:] if key.startswith("le_") else key
     return float("inf") if suffix == "inf" else float(suffix)
 
 
+def _type(lines: List[str], metric: Metric, typed: Set[str]) -> None:
+    """The family's ``# TYPE`` line, the first time it is rendered."""
+    if metric.family not in typed:
+        lines.append(f"# TYPE {metric.family} {metric.kind}")
+        typed.add(metric.family)
+
+
 def _render_histogram(
     lines: List[str],
-    metric: str,
+    metric: Metric,
     snapshot: Mapping,
     labels: Mapping[str, str],
-    typed: set,
+    typed: Set[str],
 ) -> None:
     """One histogram snapshot as cumulative Prometheus series."""
-    if not snapshot or not snapshot.get("count"):
+    if not snapshot.get("count"):
         return
-    if metric not in typed:
-        lines.append(f"# TYPE {metric} histogram")
-        typed.add(metric)
+    _type(lines, metric, typed)
+    family = metric.family
     buckets: List[Tuple[float, int]] = sorted(
         (_bucket_bound(key), count)
         for key, count in snapshot.get("buckets", {}).items()
@@ -96,101 +95,55 @@ def _render_histogram(
     for bound, count in buckets:
         cumulative += count
         le = "+Inf" if bound == float("inf") else f"{bound:g}"
-        bucket_labels = dict(labels)
-        bucket_labels["le"] = le
-        lines.append(f"{metric}_bucket{_labels(bucket_labels)} {cumulative}")
-    lines.append(f"{metric}_sum{_labels(labels)} {snapshot.get('sum', 0)}")
-    lines.append(
-        f"{metric}_count{_labels(labels)} {snapshot.get('count', 0)}"
-    )
+        lines.append(f"{family}_bucket{_labels({**labels, 'le': le})} {cumulative}")
+    lines.append(f"{family}_sum{_labels(labels)} {snapshot.get('sum', 0)}")
+    lines.append(f"{family}_count{_labels(labels)} {snapshot.get('count', 0)}")
 
 
-def _render_gauge_entry(
+def _render_gauge(
     lines: List[str],
     name: str,
     value,
     labels: Mapping[str, str],
-    typed: set,
+    typed: Set[str],
 ) -> None:
-    """One gauge scalar or per-entity dict, labeled accordingly."""
-    metric = f"repro_{_sanitize(name)}"
+    """One gauge scalar, or a per-view dict of them labelled ``view``."""
+    metric = _GAUGES.get(name)
+    if metric is None:
+        return
     if isinstance(value, Mapping):
-        for entity, entry in sorted(value.items()):
-            entity_labels = dict(labels)
-            entity_labels["view"] = str(entity)
-            _render_gauge_entry(lines, name, entry, entity_labels, typed)
+        for view, entry in sorted(value.items()):
+            _render_gauge(lines, name, entry, {**labels, "view": str(view)}, typed)
         return
-    if value is None:
-        return
-    if metric not in typed:
-        lines.append(f"# TYPE {metric} gauge")
-        typed.add(metric)
-    lines.append(f"{metric}{_labels(labels)} {value}")
+    _type(lines, metric, typed)
+    lines.append(f"{metric.family}{_labels(labels)} {value}")
 
 
 def render_prometheus(snapshot: Mapping) -> str:
     """The exposition-format text for one metrics snapshot."""
     lines: List[str] = []
-    typed: set = set()
-
-    # Service-level counters (requests, errors, registrations, ...).
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        metric = _counter_metric("repro_service", name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-
-    # The per-view rollup: monotone across view churn (and, in the
-    # cluster aggregate, across shard drain/respawn).
-    for name, value in sorted(snapshot.get("rollup", {}).items()):
-        metric = _counter_metric("repro", name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-
-    # Router counters, when this is a cluster aggregate.
-    router = snapshot.get("router", {})
-    for name, value in sorted(router.get("counters", {}).items()):
-        metric = _counter_metric("repro_router", name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-
-    # Gauges.  A cluster aggregate labels per shard; a single service
-    # labels per view where the entry is a per-view dict.
-    gauges = snapshot.get("gauges", {})
-    for name, value in sorted(gauges.items()):
-        if name == "per_shard":
-            for shard, shard_gauges in sorted(value.items()):
-                for gauge_name, gauge_value in sorted(shard_gauges.items()):
-                    _render_gauge_entry(
-                        lines,
-                        gauge_name,
-                        gauge_value,
-                        {"shard": str(shard)},
-                        typed,
-                    )
+    typed: Set[str] = set()
+    # Counters, scope by scope: the service's, the views' rollup
+    # (monotone across view churn and, in a cluster, across shard drain
+    # and respawn), then a cluster router's own.
+    for scope, (path, _prefix) in SECTIONS.items():
+        for name, value in sorted(lookup(snapshot, path).items()):
+            metric = _COUNTERS.get((scope, name))
+            if metric is not None:
+                _type(lines, metric, typed)
+                lines.append(f"{metric.family} {value}")
+    # Gauges: a cluster aggregate keeps each shard's under per_shard.
+    for name, value in sorted(snapshot.get("gauges", {}).items()):
+        if name != "per_shard":
+            _render_gauge(lines, name, value, {}, typed)
             continue
-        _render_gauge_entry(lines, name, value, {}, typed)
-
-    # Histograms: lock wait/hold plus the per-phase family.
-    locks = snapshot.get("locks", {})
-    for side in ("wait", "hold"):
-        _render_histogram(
-            lines,
-            f"repro_lock_{side}_seconds",
-            locks.get(side, {}),
-            {},
-            typed,
-        )
-    for phase, histogram in sorted(
-        snapshot.get("phase_histograms", {}).items()
-    ):
-        _render_histogram(
-            lines,
-            "repro_phase_seconds",
-            histogram,
-            {"phase": phase},
-            typed,
-        )
-
+        for shard, shard_gauges in sorted(value.items()):
+            for gauge, entry in sorted(shard_gauges.items()):
+                _render_gauge(lines, gauge, entry, {"shard": str(shard)}, typed)
+    for metric in declared(HISTOGRAM, SERVICE):
+        for value, histogram in histograms(snapshot, metric):
+            labels = {metric.label: value} if value else {}
+            _render_histogram(lines, metric, histogram, labels, typed)
     return "\n".join(lines) + "\n"
 
 

@@ -80,7 +80,9 @@ from ..semiring import get_semiring
 from .cache import LRUCache
 from .demand import DemandRegistry
 from .locks import AtomicReference
-from .metrics import ServiceMetrics, ViewMetrics
+from .metrics import (
+    GAUGE, VIEW, ServiceMetrics, ViewMetrics, declared, merge_counters,
+)
 from .protocol import (
     QUIT,
     SERVE_VERBS,
@@ -113,23 +115,6 @@ Row = Tuple[Value, ...]
 #: waits between SIGTERM and SIGKILL, leaving room for the final
 #: checkpoint.
 DRAIN_SECONDS = 3.0
-
-
-#: The per-view gauges of :meth:`QueryService.metrics_snapshot`:
-#: ``(gauge, key in the view's stats, default)``.
-_PER_VIEW_GAUGES = (
-    ("time_in_degraded", "degraded_seconds", None),
-    # How long ago the served model version was published.
-    ("snapshot_age", "snapshot_age_seconds", None),
-    # The deepest delta chain a cold read after a write burst walks.
-    ("chain_depth", "chain_depth", 0),
-    # Circuits in a valid / well-founded view's alternating chain: a
-    # write there is this many passes over its delta.
-    ("alternation_levels", "alternation_levels", 0),
-    # Pending batches: how far writers run ahead of the group-commit
-    # leader right now.
-    ("update_queue_depth", "queue_depth", 0),
-)
 
 
 class QueryService:
@@ -275,8 +260,6 @@ class QueryService:
         batches that land between two captures.
         """
         snapshot = self.metrics_snapshot()
-        rollup = dict(snapshot["rollup"])
-        service_counters = dict(snapshot["counters"])
         views_state: Dict[str, object] = {}
         # Listed under the registry lock: register/unregister journal
         # and publish in one hold of it, and the checkpoint rotated the
@@ -320,8 +303,8 @@ class QueryService:
                 continue  # unregistered between listing and locking
         return {
             "views": views_state,
-            "rollup": rollup,
-            "service_counters": service_counters,
+            "rollup": snapshot["rollup"],
+            "service_counters": snapshot["counters"],
         }
 
     def _budget_factory(self) -> Optional[Callable[[], EvaluationBudget]]:
@@ -1138,15 +1121,11 @@ class QueryService:
     def metrics_snapshot(self) -> Dict[str, object]:
         """The full service-level observability snapshot.
 
-        Internally consistent by construction: the ``rollup`` section
-        is computed from the same per-view snapshots the ``views``
-        section reports, plus the retired counters of departed views —
-        so ``rollup[c] == retired[c] + sum(views[*][c])`` always holds.
-        The per-view stats and the retired snapshot are taken under one
-        registry-lock hold: register/unregister absorb a departing
-        view's counters under that lock, so no view can appear in both
-        (or neither of) the live and retired sections, and the rollup
-        is monotone across view churn.
+        ``rollup[c] == retired[c] + Σ views[*].counters[c]`` holds by
+        construction: the view stats and the retired counters are read
+        in one registry-lock hold, the lock under which register and
+        unregister absorb a departing view, so no view is in both
+        sections or in neither.
         """
         with self._registry_lock:
             view_stats = {
@@ -1156,8 +1135,7 @@ class QueryService:
             snapshot = self.metrics.snapshot()
         rollup: Dict[str, int] = dict(snapshot["retired"])
         for stats in view_stats.values():
-            for counter, value in stats["counters"].items():
-                rollup[counter] = rollup.get(counter, 0) + value
+            merge_counters(rollup, stats["counters"])
         snapshot["rollup"] = rollup
         gauges = snapshot["gauges"] = {
             "views_registered": len(view_stats),
@@ -1166,10 +1144,9 @@ class QueryService:
             ),
             "inflight_requests": self.metrics.inflight,
         }
-        for gauge, key, default in _PER_VIEW_GAUGES:
-            gauges[gauge] = {
-                name: stats.get(key, default)
-                for name, stats in view_stats.items()
+        for gauge in declared(GAUGE, VIEW):
+            gauges[gauge.name] = {
+                name: stats[gauge.key] for name, stats in view_stats.items()
             }
         # Resident demanded binding patterns (capacity-bounded), and the
         # name table's copy-on-write churn (publishes, cells copied).

@@ -392,6 +392,19 @@ class TestClusterEndToEnd:
         assert "# TYPE repro_inserts_applied_total counter" in text
         assert 'shard="shard-' in text
 
+    def test_register_keeps_the_spaces_inside_a_quoted_string(
+        self, running_cluster
+    ):
+        _router, socket_path = running_cluster
+        with _client(socket_path) as client:
+            client.register("quoted_one", "label('two  words').")
+            client.register(
+                "quoted_many",
+                "% a comment\nlabel('two  words').\nshown(X) :- label(X).\n",
+            )
+            assert client.query("quoted_one", "label")[0] == ["label('two  words')"]
+            assert client.query("quoted_many", "shown")[0] == ["shown('two  words')"]
+
     def test_register_replace_routes_to_same_shard(self, running_cluster):
         router, socket_path = running_cluster
         with _client(socket_path) as client:

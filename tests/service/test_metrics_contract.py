@@ -42,11 +42,15 @@ SCRIPT = [
 
 #: Counters every view reports, zero or not, with the same value.
 _COMMON = {
+    "annotated_initializes": 0,
     "cache_hits": 0,
     "compaction_rows": 0,
     "compactions": 0,
+    "degraded_entries": 0,
     "delta_batches_coalesced": 0,
     "recompute_batches": 0,
+    "recovery_retries": 0,
+    "rollbacks": 0,
     "stale_queries": 0,
 }
 
@@ -181,6 +185,7 @@ PROMETHEUS = [
         ("circuit_steps", 29),
         ("compaction_rows", 14),
         ("compactions", 1),
+        ("degraded_entries", 0),
         ("deletes_applied", 8),
         ("delta_batches_coalesced", 0),
         ("delta_minus", 28),
@@ -190,7 +195,9 @@ PROMETHEUS = [
         ("overdeleted", 23),
         ("queries", 4),
         ("recompute_batches", 0),
+        ("recovery_retries", 0),
         ("rederived", 3),
+        ("rollbacks", 0),
         ("rows_matched", 400),
         ("rows_scanned", 35),
         ("rules_fired", 169),

@@ -2,7 +2,8 @@
 
 import math
 import re
-import time
+import threading
+from unittest import mock
 
 import pytest
 
@@ -203,11 +204,17 @@ class TestExporter:
         exporter = PrometheusExporter(
             service.metrics_snapshot, str(path), interval=0.05
         )
-        exporter.start()
-        exporter.start()  # second start is a no-op, not a second thread
-        deadline = time.monotonic() + 10
-        while not path.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        exported = threading.Event()
+        export_once = exporter.export_once
+
+        def export_and_signal():
+            export_once()
+            exported.set()
+
+        with mock.patch.object(exporter, "export_once", export_and_signal):
+            exporter.start()
+            exporter.start()  # second start is a no-op, not a second thread
+            assert exported.wait(10)
         assert path.exists()
         # repro_queries_total counts service.query calls (the
         # service-level requests_total only counts protocol requests).
