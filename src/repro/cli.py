@@ -334,6 +334,11 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             await asyncio.wait(
                 {serving, stopping}, return_when=asyncio.FIRST_COMPLETED
             )
+            if exporter is not None:
+                # The final export scrapes the front door, so it is
+                # taken while the door still answers, and on another
+                # thread: this loop is the one that serves the scrape.
+                await loop.run_in_executor(None, exporter.stop)
         finally:
             for task in (serving, stopping):
                 task.cancel()
@@ -344,7 +349,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             for signum in installed:
                 loop.remove_signal_handler(signum)
             if exporter is not None:
-                exporter.stop()
+                exporter.stop()  # a no-op once stopped above
             await router.stop()
 
     try:
@@ -443,7 +448,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         if args.socket:
-            print(f"serving on unix socket {args.socket}", file=sys.stderr)
             serve_unix_socket(
                 service,
                 args.socket,
@@ -451,6 +455,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_concurrent=args.max_concurrent,
                 max_request_bytes=args.max_request_bytes,
                 stop_event=stop_event,
+                on_listen=lambda: print(
+                    f"serving on unix socket {args.socket}", file=sys.stderr
+                ),
             )
         else:
             try:

@@ -174,7 +174,7 @@ class ClusterClient:
     def query_pattern(
         self, view: str, pattern: str
     ) -> Tuple[List[str], List[str]]:
-        """A bound-pattern (demand-driven) query — ``pattern`` is the
+        """A bound-pattern query — ``pattern`` is the
         wire form, e.g. ``"tc(a, _)"``.  Same reply shape as
         :meth:`query`; the router routes it to the view's home shard."""
         return self.query(view, pattern)

@@ -64,7 +64,9 @@ from ...robustness import (
     retry_with_backoff,
 )
 from ..locks import AtomicReference
-from ..metrics import ROUTER, merge_counters, rollup_metrics, zeroed
+from ..metrics import (
+    ROUTER, SERVICE, VIEW, merge_counters, rollup_metrics, zeroed,
+)
 from ..protocol import QUIT, ROUTER_VERBS, error_reply, parse
 from .framing import FrameError, read_frame_async, write_frame_async
 from .hashring import HashRing
@@ -313,14 +315,19 @@ class WorkerHandle:
                     )
                 conn = await self._checkout()
                 reader, writer = conn
+                # One deadline for the whole reply, however many lines
+                # it has: a timer that fails the reader, so a late line
+                # raises TimeoutError.  (asyncio.wait_for would run the
+                # read as a Task of its own before Python 3.12.)
+                deadline = None
+                if timeout is not None:
+                    deadline = asyncio.get_running_loop().call_later(
+                        timeout, reader.set_exception, asyncio.TimeoutError()
+                    )
                 try:
                     writer.write(line.encode("utf-8") + b"\n")
                     await writer.drain()
-                    # One deadline for the whole reply, however many
-                    # lines it has.
-                    replies = await asyncio.wait_for(
-                        self._read_reply(reader), timeout
-                    )
+                    replies = await self._read_reply(reader)
                 except (
                     OSError,
                     ConnectionError,
@@ -332,6 +339,9 @@ class WorkerHandle:
                     raise WorkerUnavailable(
                         f"shard {self.shard_id}: {type(exc).__name__}: {exc}"
                     ) from exc
+                finally:
+                    if deadline is not None:
+                        deadline.cancel()
                 self._checkin(conn)
                 return replies
         finally:
@@ -826,7 +836,13 @@ class ClusterRouter:
         for it is kept and the rollup can only grow), or a checkpoint's
         bank."""
         for section, counters in sections.items():
-            merge_counters(self._retired.setdefault(section, {}), counters)
+            # Only declared counters: an older release's checkpoint may
+            # bank counters that no longer exist (the demand_* ones).
+            declared = zeroed(SERVICE if section == "counters" else VIEW)
+            merge_counters(
+                self._retired.setdefault(section, {}),
+                {name: value for name, value in counters.items() if name in declared},
+            )
 
     async def _replay_view(self, name: str, handle: WorkerHandle) -> None:
         """Rebuild one view on ``handle`` from the router's record."""

@@ -1,15 +1,13 @@
 """The demand registry: one ready-gated view per demanded pattern.
 
-When a bound-pattern query (``query big tc(a, _)``) arrives, the
-service magic-rewrites the view's program for that binding pattern
-(:mod:`repro.datalog.magic`) and materializes the rewritten program as
-its own :class:`~repro.service.views.MaterializedView` — the *demand
-entry*.  The entry's evaluation is restricted to the facts reachable
-from the demanded constants, it is maintained incrementally through the
-same delta-stream circuit as the base view (base updates are propagated
-into every ready entry), and demanding a *new* constant for an existing
-pattern is just an incremental insert into the entry's pure-EDB seed
-predicate.
+A *demand entry* is a view's program magic-rewritten for one binding
+pattern (:mod:`repro.datalog.magic`) and materialized as its own
+:class:`~repro.service.views.MaterializedView`, restricted to the facts
+reachable from the demanded constants.  The serve path does not use
+entries: ``QueryService.query_pattern`` probes the base view's
+published snapshot, so a write runs one maintenance pass however many
+patterns are read (docs/MAGIC.md, "Point reads").  The registry stays
+a library piece beside ``QueryService._build_demand_entry``.
 
 This module owns the entry lifecycle:
 

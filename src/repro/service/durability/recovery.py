@@ -57,6 +57,7 @@ from typing import Dict, List, Set, Tuple
 from ...datalog.facts import parse_annotated_fact, parse_fact
 from ...relations.values import FSet, Tup, Value
 from ...robustness import RecoveryError, ReproError, fault_point
+from ..metrics import SERVICE, zeroed
 from .manager import DurabilityManager
 from .wal import WalRecord
 
@@ -296,8 +297,11 @@ def recover_service(service, manager: DurabilityManager) -> RecoveryReport:
             # requests_total & co. are monotone across the restart too
             # (replay bumps some of them again — totals may over-count
             # the crash window, never regress).
+            # Only declared ones: an older release's checkpoint may
+            # carry counters that no longer exist (the demand_* ones).
+            declared = zeroed(SERVICE)
             for name, value in state.get("service_counters", {}).items():
-                if value:
+                if value and name in declared:
                     service.metrics.bump(name, int(value))
         _replay(service, records, report)
     finally:

@@ -144,10 +144,6 @@ METRICS: Tuple[Metric, ...] = (
         ("updates_total", "write batches accepted"),
         ("queries_total", "queries answered"),
         ("lock_acquisitions", "instrumented lock holds"),
-        ("demand_registrations", "bound patterns built cold"),
-        ("demand_hits", "bound-pattern reads a resident entry answered"),
-        ("demand_evictions", "bound-pattern entries evicted"),
-        ("demand_fallbacks", "bound patterns answered by filtering the view"),
         ("wal_appends", "log records appended (0 without --data-dir)"),
         ("wal_fsyncs", "log fsyncs"),
         ("wal_checkpoints", "checkpoints written"),
@@ -160,7 +156,6 @@ METRICS: Tuple[Metric, ...] = (
         ("views_registered", "views registered"),
         ("stale_views", "views serving degraded"),
         ("inflight_requests", "requests being handled"),
-        ("demand_entries", "resident bound-pattern entries"),
         ("name_table_republishes", "name-table copies published"),
         ("name_table_copied_cells", "cells those copies copied"),
         ("wal_size", "bytes in the log (with --data-dir)"),

@@ -7,7 +7,7 @@ A request is one line::
     +<view> <fact>[ @ <annotation>]
     -<view> <fact>
     query <view> <predicate>
-    query <view> <pred>(a, _)     bound pattern, served demand-driven
+    query <view> <pred>(a, _)     bound pattern, probed off the snapshot
     stats [<view>]
     metrics [--format=json|--format=prometheus]
     views                         (alias: list)
@@ -191,8 +191,8 @@ def _parse_register(rest: str) -> Request:
 def parse_bound_pattern(text: str) -> Tuple[str, Tuple[Optional[Value], ...]]:
     """``(predicate, args)`` of a bound pattern like ``tc(a, _)``: a
     constant's value, ``None`` for a free position (``_`` or a variable).
-    Function terms and repeated variables (a join constraint the demand
-    path does not implement) are refused, not answered wrongly."""
+    Function terms and repeated variables (a join constraint the probe
+    does not implement) are refused, not answered wrongly."""
     parser = _Parser(_tokenize(text))
     atom = parser.parse_atom()
     if not parser.at_end():

@@ -78,7 +78,6 @@ from ..relations.values import Value
 from ..robustness import RequestTooLarge, UpdateTimeout, error_line, fault_point
 from ..semiring import get_semiring
 from .cache import LRUCache
-from .demand import DemandRegistry
 from .locks import AtomicReference
 from .metrics import (
     GAUGE, VIEW, ServiceMetrics, ViewMetrics, declared, merge_counters,
@@ -130,10 +129,7 @@ class QueryService:
     ``1`` drains them one per pass through the same code (what WAL
     replay's differential reference runs).
 
-    ``queue_capacity`` bounds each view's group-commit update queue;
-    ``demand_capacity`` bounds how many demanded binding patterns stay
-    resident in the demand registry (:meth:`query_pattern`) before the
-    least-recently-used is evicted.
+    ``queue_capacity`` bounds each view's group-commit update queue.
     """
 
     def __init__(
@@ -148,7 +144,6 @@ class QueryService:
         checkpoint_every: int = 256,
         coalesce: int = 64,
         queue_capacity: int = 256,
-        demand_capacity: int = 64,
         semiring: str = "bool",
     ):
         if coalesce < 1:
@@ -165,9 +160,6 @@ class QueryService:
         # Validated eagerly so a typo fails at construction.
         get_semiring(semiring)
         self.default_semiring = semiring
-        # One ready-gated magic-rewritten view per demanded binding
-        # pattern, LRU-evicted (see docs/MAGIC.md).
-        self.demand = DemandRegistry(demand_capacity)
         self.metrics = ServiceMetrics()
         # Serialises the writers of the name table (register,
         # unregister) against each other and against metrics_snapshot.
@@ -210,7 +202,7 @@ class QueryService:
             self.durability.attach(capture=self._durability_capture)
 
     def close(self) -> None:
-        """Release the demand entries and flush the durability plane.
+        """Flush the durability plane.
 
         Idempotent — safe to call twice, from competing shutdown paths,
         or after a failed construction.  The service keeps answering
@@ -218,9 +210,6 @@ class QueryService:
         """
         # getattr: a service whose __init__ died before the attribute
         # was assigned must still close cleanly.
-        demand = getattr(self, "demand", None)
-        if demand is not None:
-            demand.close()
         durability = getattr(self, "durability", None)
         if durability is not None:
             # Final checkpoint: a graceful shutdown leaves the data
@@ -379,11 +368,8 @@ class QueryService:
                 operation["semiring"] = semiring
         self._swap(name, view, operation)
         # The generation bump already makes old entries unreachable;
-        # dropping them here is memory hygiene, not correctness.  Same
-        # for the demand entries of a replaced registration: their keys
-        # carry the old generation, so they could never be hit again.
+        # dropping them here is memory hygiene, not correctness.
         self.cache.invalidate(name)
-        self.demand.drop_view(name)
         self.metrics.bump("registrations")
         self._maybe_checkpoint()
         info = prepared.describe()
@@ -399,7 +385,6 @@ class QueryService:
             name, None, {"op": "unregister", "view": name}
         )
         self.cache.invalidate(name)
-        self.demand.drop_view(name)
         self.metrics.bump("unregistrations")
         self._maybe_checkpoint()
         return {
@@ -635,7 +620,7 @@ class QueryService:
         view.metrics.bump("rows_scanned", formatted + explained)
         return lines, undefined, stale, explain
 
-    # -- bound-pattern (demand-driven) queries --------------------------------
+    # -- bound-pattern queries ------------------------------------------------
 
     def query_pattern(
         self,
@@ -643,110 +628,44 @@ class QueryService:
         predicate: str,
         args: Iterable[Optional[Value]],
     ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
-        """Answer a bound pattern like ``tc(a, _)`` demand-driven.
+        """Answer a bound pattern like ``tc(a, _)`` off the view's
+        published snapshot.
 
         ``args`` has one element per argument position: a value for a
-        bound position, ``None`` for a free one.  The first query for a
-        (view, predicate, adornment) pattern magic-rewrites the program
-        and materializes only the demanded cone as a **demand entry**
-        (see :mod:`repro.service.demand`); later queries for the same
-        pattern — including different constants — are incremental: a
-        new constant is one seed insert, a repeated one a snapshot read.
-        Base updates are streamed into every ready entry inside the
-        same view hold that applied them, so entries answer at the
-        base view's committed state.
-
-        Patterns the transform cannot restrict (all-free, EDB query
-        predicates, predicates in a negation cone) and programs outside
-        the demand envelope (non-stratified, inflationary semantics)
-        fall back to filtering the fully materialized answer, counted
-        by ``demand_fallbacks``.  Returns ``(true_rows,
+        bound position, ``None`` for a free one.  The answer is the
+        rows of the view's model that match — the deductive query
+        ``R(a, x)?`` read off the model the view already publishes —
+        found by :meth:`~repro.service.snapshot.ModelSnapshot.probe` in
+        a hash index per pattern shape, which a snapshot builds on the
+        shape's first probe and carries to the next version by delta.
+        Lock-free like every read, the same on every engine and
+        semantics, and a write pays nothing for the patterns read.
+        An all-free pattern is a full read.  Returns ``(true_rows,
         undefined_rows, stale)`` like :meth:`query_state`.
         """
-        from ..datalog.magic import adornment_for
-
         args = tuple(args)
-        adornment = adornment_for(args)
-        if "b" not in adornment:
+        if all(value is None for value in args):
             return self.query_state(name, predicate)
-        view, generation = self._resolve(name)
+        view, _generation, snapshot = self._resolve_snapshot(name)
         arity = view.prepared.arities.get(predicate)
         if arity is not None and arity != len(args):
             raise ValueError(
                 f"{predicate} has arity {arity}, pattern has {len(args)} "
                 "arguments"
             )
-        key = (name, generation, predicate, adornment)
-        entry = self.demand.lookup(key)
-        created = False
-        if entry is None:
-            if not self._demand_supported(view, predicate):
-                return self._pattern_fallback(name, predicate, args)
-            entry, created, evicted = self.demand.get_or_create(key)
-            for _ in evicted:
-                self.metrics.bump("demand_evictions")
-        if created:
-            self.metrics.bump("demand_registrations")
-            try:
-                self._build_demand_entry(
-                    name, generation, predicate, adornment, entry
-                )
-            except BaseException as exc:
-                entry.fail(exc)
-                self.demand.discard(key, entry)
-                raise
-        demand_view = entry.wait_ready(self._request_timeout())
-        if demand_view is None:
-            # A memoized decision that demand restriction cannot help
-            # this pattern (e.g. the query predicate sits in the
-            # unadorned negation cone).
-            return self._pattern_fallback(name, predicate, args)
-        if not created:
-            self.metrics.bump("demand_hits")
         self.metrics.bump("queries_total")
-        bound = tuple(value for value in args if value is not None)
-        self._ensure_seeded(entry, bound)
-        snapshot = demand_view.read_snapshot()
-        rows, _undefined, scanned = snapshot.probe(
-            entry.magic.answer_predicate, args
-        )
-        view.metrics.bump("rows_scanned", scanned)
-        return rows, frozenset(), snapshot.stale
+        rows, undefined, scanned = snapshot.probe(predicate, args)
+        read = {"queries": 1, "rows_scanned": scanned}
+        if snapshot.stale:
+            read["stale_queries"] = 1
+        view.metrics.bump_many(read)
+        return rows, undefined, snapshot.stale
 
     def _request_timeout(self) -> Optional[float]:
         """The per-request deadline in seconds (None = unbounded)."""
         if self.deadline_ms is None:
             return None
         return self.deadline_ms / 1000.0
-
-    def _demand_supported(self, view: MaterializedView, predicate: str) -> bool:
-        """Is this view inside the demand envelope for this predicate?
-
-        Demand entries evaluate under the stratified semantics, which
-        coincides with the well-founded and valid semantics on
-        stratified programs (all total with the same least model) but
-        not with the inflationary one; and the magic rewrite itself
-        requires a stratified input and an IDB query predicate.
-        Annotated views fall outside the envelope too: the magic
-        rewrite is support-level and would drop annotations, so their
-        patterns answer by filtering the full annotated model.
-        """
-        return (
-            view.prepared.stratified
-            and view.semantics != "inflationary"
-            and view.semiring == "bool"
-            and predicate in view.prepared.arities
-        )
-
-    def _pattern_fallback(
-        self, name: str, predicate: str, args: Tuple[Optional[Value], ...]
-    ) -> Tuple[FrozenSet[Row], FrozenSet[Row], bool]:
-        """Serve a pattern by probing the fully materialized answer."""
-        self.metrics.bump("demand_fallbacks")
-        view, snapshot, _rows, _undefined, stale = self._read(name, predicate)
-        rows, undefined, scanned = snapshot.probe(predicate, args)
-        view.metrics.bump("rows_scanned", scanned)
-        return rows, undefined, stale
 
     def _build_demand_entry(
         self,
@@ -756,15 +675,14 @@ class QueryService:
         adornment: str,
         entry,
     ) -> None:
-        """Materialize a demand entry's view (the cold-pattern cost).
+        """Materialize a magic-rewritten view of one binding pattern
+        into ``entry`` (a :class:`~repro.service.demand.DemandEntry`),
+        built from the base view's database under its lock.
 
-        Runs under the **base view lock**: update propagation also runs
-        under that hold, so every base batch either lands in the
-        database copy this build starts from, or is propagated to the
-        entry after it is ready — no batch can fall between.  The
-        price is that the first query for a new pattern blocks writers
-        to the base view while the (demand-restricted) initial
-        materialization runs; bench P13 prices exactly this.
+        Not on the serve path — :meth:`query_pattern` probes the base
+        view's snapshot — but kept callable with
+        :mod:`repro.service.demand` while ``bench/trace.py`` names it
+        as a span target.
         """
         from ..datalog.magic import magic_transform
 
@@ -795,52 +713,6 @@ class QueryService:
                 queue_capacity=self.queue_capacity,
             )
             entry.complete(demand_view, transform)
-
-    def _ensure_seeded(self, entry, bound: Row) -> None:
-        """Demand a constant tuple: one incremental seed insert, once."""
-        if bound in entry.seeded:
-            return
-        with entry.lock:
-            if bound in entry.seeded:
-                return
-            entry.view.apply(
-                inserts=[(entry.magic.seed_predicate, bound)]
-            )
-            entry.seeded.add(bound)
-
-    def _propagate_demand(self, name: str, generation: int, tickets: List) -> None:
-        """Stream the batches of applied tickets into the ready demand
-        entries.
-
-        Called inside the base view hold, right after the base apply
-        succeeded — together with :meth:`_build_demand_entry` running
-        under the same hold, this guarantees every entry sees every
-        base batch exactly once.  Entry locks are leaves (queries take
-        them without the base lock, never the other way around).  An
-        entry whose own apply fails is dropped — the next query for its
-        pattern rebuilds it from the then-current base database.
-        """
-        entries = self.demand.entries_for(name, generation)
-        for entry in entries:
-            base = entry.magic.base_predicates
-            relevant = []
-            for ticket in tickets:
-                kept_in = [(p, row) for p, row in ticket.inserts if p in base]
-                kept_out = [(p, row) for p, row in ticket.deletes if p in base]
-                if kept_in or kept_out:
-                    relevant.append((kept_in, kept_out))
-            if not relevant:
-                continue
-            with entry.lock:
-                try:
-                    entry.view.apply_stream(relevant)
-                except Exception:
-                    logger.exception(
-                        "demand entry %r could not absorb a base batch; "
-                        "dropping it",
-                        entry.key,
-                    )
-                    self.demand.discard(entry.key, entry)
 
     # -- updates --------------------------------------------------------------
 
@@ -903,7 +775,7 @@ class QueryService:
         while unsent:
             queue, tickets, failure = None, {}, None
             try:
-                view, generation = self._resolve(name)
+                view, _generation = self._resolve(name)
                 queue = view.pending
                 for index in unsent:
                     inserts, deletes, annotations = batches[index]
@@ -922,7 +794,7 @@ class QueryService:
                         # coalescing window's worth).
                         for ticket in tickets.values():
                             while not ticket.done:
-                                self._drain_updates(name, view, generation)
+                                self._drain_updates(name, view)
             except BaseException as exc:
                 # An unknown view, a queue that stayed full, or
                 # typically the service.lock fault point.
@@ -1023,9 +895,7 @@ class QueryService:
             }
         )
 
-    def _drain_updates(
-        self, name: str, view: MaterializedView, generation: int
-    ) -> None:
+    def _drain_updates(self, name: str, view: MaterializedView) -> None:
         """Group-commit leader duty, under the verified view hold.
 
         Drains up to ``coalesce`` queued tickets and absorbs them in
@@ -1053,7 +923,7 @@ class QueryService:
             else:
                 summary = dict(summary)
                 summary["coalesced"] = len(tickets)
-                self._settle(name, view, generation, tickets, summary)
+                self._settle(name, view, tickets, summary)
                 return
         for ticket in tickets:
             try:
@@ -1066,24 +936,21 @@ class QueryService:
                 self.cache.invalidate(name)
                 ticket.fail(exc)
             else:
-                self._settle(name, view, generation, [ticket], summary)
+                self._settle(name, view, [ticket], summary)
 
     def _settle(
         self,
         name: str,
         view: MaterializedView,
-        generation: int,
         tickets: List,
         summary: Dict[str, object],
     ) -> None:
         """After ``tickets`` were applied as one pass: invalidate the
-        cache and stream the batches into the view's demand entries —
-        inside the hold, so a concurrent query cannot re-cache pre-batch
-        rows — journal each batch in drain order (replay order equals
-        apply order), then ack them all."""
+        cache — inside the hold, so a concurrent query cannot re-cache
+        pre-batch rows — journal each batch in drain order (replay
+        order equals apply order), then ack them all."""
         try:
             self.cache.invalidate(name)
-            self._propagate_demand(name, generation, tickets)
             for ticket in tickets:
                 self._journal_update(name, view, ticket)
         except BaseException as exc:
@@ -1148,9 +1015,7 @@ class QueryService:
             gauges[gauge.name] = {
                 name: stats[gauge.key] for name, stats in view_stats.items()
             }
-        # Resident demanded binding patterns (capacity-bounded), and the
-        # name table's copy-on-write churn (publishes, cells copied).
-        gauges["demand_entries"] = self.demand.size()
+        # The name table's copy-on-write churn (publishes, cells copied).
         gauges["name_table_republishes"] = self.name_table_republishes
         gauges["name_table_copied_cells"] = self.name_table_copied_cells
         snapshot["views"] = view_stats
@@ -1192,8 +1057,7 @@ def _update(service: QueryService, request: Request) -> List[str]:
 def _query(service: QueryService, request: Request) -> List[str]:
     explain: List[str] = []
     if request.bound:
-        # ``query <view> tc(a, _)``: served demand-driven through the
-        # magic-sets registry.
+        # ``query <view> tc(a, _)``: probed off the view's snapshot.
         predicate, pattern_args = parse_bound_pattern(request.text)
         rows, undefined, stale = service.query_pattern(
             request.name, predicate, pattern_args
@@ -1304,6 +1168,7 @@ def serve_unix_socket(
     max_concurrent: int = 8,
     max_request_bytes: Optional[int] = None,
     stop_event: Optional["threading.Event"] = None,
+    on_listen: Optional[Callable[[], None]] = None,
 ) -> None:
     """Serve the protocol on a unix socket.
 
@@ -1322,6 +1187,10 @@ def serve_unix_socket(
     joins the handlers for :data:`DRAIN_SECONDS` in all, so a client
     that never reads cannot hold shutdown hostage.  The caller then
     closes the service, which takes the final durability checkpoint.
+
+    ``on_listen`` (optional) is called once the socket accepts
+    connections: ``repro serve`` announces itself there, so a process
+    that waits for the announcement can connect at once.
 
     A request's reply leaves in one write, however many lines it has.
     """
@@ -1363,6 +1232,8 @@ def serve_unix_socket(
     try:
         server.bind(str(socket_path))
         server.listen(max(1, max_concurrent))
+        if on_listen is not None:
+            on_listen()
         # Poll so a stop request (signal handler, supervising thread)
         # is noticed even while blocked waiting for clients.
         server.settimeout(0.2)

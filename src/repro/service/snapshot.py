@@ -153,27 +153,54 @@ class _Cell:
         return self._state[1]
 
     def _settle(self) -> int:
-        """Materialize the chain down to this cell, carrying each
-        parent's memos forward by delta; returns the rows formatted."""
+        """Materialize this cell from its nearest materialized ancestor
+        in one step, carrying that ancestor's memos forward by the
+        chain's net change; returns the rows formatted.
+
+        The cells in between stay deltas: the chain is folded into one
+        net delta (set operations over the deltas alone), so flattening
+        a chain of depth d builds one row set and rebuilds each bucket
+        the net change touches once — a row inserted and deleted again
+        inside the chain touches nothing.
+        """
         state = self._state
         if state[0] == "frozen":
             return 0
-        _tag, parent, plus, minus, _depth, buckets = state
-        formatted = parent._settle()
-        before = parent._state[1]
-        rows = (before - minus) | plus
-        lines = parent._lines
+        chain = [state]
+        base = state[1]
+        while True:
+            # One read per cell: a racing reader may freeze it meanwhile.
+            ancestor = base._state
+            if ancestor[0] == "frozen":
+                break
+            chain.append(ancestor)
+            base = ancestor[1]
+        _tag, _parent, plus, minus, _depth, _buckets = chain.pop()
+        for _tag, _parent, newer_plus, newer_minus, _depth, _buckets in reversed(chain):
+            plus = (plus - newer_minus) | newer_plus
+            minus = minus | newer_minus
+        before = ancestor[1]
+        added = plus - before
+        removed = (minus - plus) & before
+        if not added and not removed:
+            # The memos are never mutated, so an unchanged relation
+            # shares them.
+            self._lines, self._indexes = base._lines, base._indexes
+            self._state = ("frozen", before)
+            return 0
+        rows = (before - removed) | added
+        formatted = 0
+        lines = base._lines
         if lines is not None:
-            added = plus - before
-            removed = (minus - plus) & before
             self._lines = self._spliced(lines, removed, added)
             formatted += len(removed) + len(added)
-        if parent._indexes:
+        if base._indexes:
             self._indexes = {
                 shape: self._reindexed(
-                    index, self._delta_buckets(shape, plus, minus, buckets)
+                    index,
+                    self._delta_buckets(shape, added, removed, {}),
                 )
-                for shape, index in list(parent._indexes.items())
+                for shape, index in list(base._indexes.items())
             }
         self._state = ("frozen", rows)
         return formatted

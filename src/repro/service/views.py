@@ -255,7 +255,7 @@ class MaterializedView:
         self.semantics = semantics
         self.registry = registry
         self.metrics = metrics if metrics is not None else ViewMetrics()
-        # Held by writers (updates, recovery, demand-entry builds);
+        # Held by writers (updates, recovery);
         # acquisitions report to the service metrics, when there are any.
         sink = self.metrics.sink
         self.lock = InstrumentedLock(

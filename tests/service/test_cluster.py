@@ -295,8 +295,7 @@ class TestClusterEndToEnd:
             rows, undefined = client.query_pattern("e2e_demand", "tc(a, _)")
             assert sorted(rows) == ["tc(a, b)", "tc(a, c)"]
             assert undefined == []
-            # New constant, same pattern: an incremental seed insert on
-            # the shard's demand entry.
+            # New constant, same pattern: the shape's index, carried.
             rows, _ = client.query_pattern("e2e_demand", "tc(b, _)")
             assert rows == ["tc(b, c)"]
 

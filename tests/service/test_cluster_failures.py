@@ -25,6 +25,7 @@ import socket
 import tempfile
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -704,6 +705,54 @@ class TestRouterInternals:
                 # The connection went back to the pool in one piece.
                 assert await handle.call("query v tc", timeout=30.0) == lines
                 assert len(handle._conns) == 1
+            finally:
+                handle._close_pool()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario)
+
+    def test_an_old_bank_retires_only_declared_counters(self):
+        # A control-plane checkpoint from before the demand counters
+        # went may bank them; the aggregate must not bring them back.
+        async def scenario(socket_path):
+            router = ClusterRouter(socket_path, shards=2)
+            router._retire({
+                "counters": {"demand_hits": 4, "queries_total": 3},
+                "rollup": {"queries": 2, "demand_hits": 4},
+            })
+            assert router._retired == {
+                "counters": {"queries_total": 3},
+                "rollup": {"queries": 2},
+            }
+
+        self._run(scenario)
+
+    def test_a_forwarded_call_creates_no_task(self):
+        # The reply deadline is one loop timer, not asyncio.wait_for,
+        # which runs the read as a Task of its own before Python 3.12.
+        async def scenario(socket_path):
+            async def reply(reader, writer):
+                while await reader.readline():
+                    writer.write(b"row tc(a, b)\nok 1 rows\n")
+                    await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_unix_server(reply, socket_path)
+            handle = WorkerHandle("shard-x", socket_path)
+            handle.live = True
+            loop = asyncio.get_running_loop()
+            try:
+                # The first call connects (the server starts a handler
+                # task for the connection); the second reuses it.
+                await handle.call("query v tc", timeout=30.0)
+                with mock.patch.object(
+                    loop, "create_task", wraps=loop.create_task
+                ) as create_task:
+                    replies = await handle.call("query v tc", timeout=30.0)
+                assert replies == ["row tc(a, b)", "ok 1 rows"]
+                assert create_task.call_count == 0
+                assert len(handle._conns) == 1 and handle.live
             finally:
                 handle._close_pool()
                 server.close()

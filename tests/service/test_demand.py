@@ -1,20 +1,28 @@
-"""Demand-driven bound-pattern queries through the serving tier.
+"""Bound-pattern queries through the serving tier: the one read path.
 
-Covers the service wiring of the magic-sets transform: the demand
-registry lifecycle (ready gating, LRU eviction, batched republish, drop
-on register/unregister), update propagation into ready entries on every
-write path, the ``query <view> <pred>(a, _)`` protocol verb, the
-fallback envelope, and the counters/gauges surfaced through stats,
-metrics, and the Prometheus rendering.
+``query <view> <pred>(a, _)`` is answered by
+:meth:`~repro.service.snapshot.ModelSnapshot.probe` on the view's
+published snapshot, on every engine and semantics: the answer tracks
+every write path, a write runs one maintenance pass however many
+patterns were read, and a point read never materializes the relation.
+Also covers the pattern grammar, the protocol verb, the read's work
+counters, and the demand registry and ``_build_demand_entry``, which
+stay as library pieces off the serve path.
 """
 
+import json
 import threading
+from unittest import mock
 
 import pytest
 
 from repro.relations import Atom
+from repro.robustness import FaultInjector, FaultRule, inject_faults
 from repro.service import QueryService, parse_bound_pattern, serve_stream
-from repro.service.demand import DemandEntry, DemandRegistry
+from repro.service.demand import DemandRegistry
+from repro.service.metrics import SERVICE, zeroed
+from repro.service.snapshot import ModelSnapshot
+from repro.service.views import MaterializedView
 
 a, b, c, d = (Atom(x) for x in "abcd")
 
@@ -30,11 +38,6 @@ def run_protocol(service, script):
     replies = []
     serve_stream(service, script.splitlines(), replies.append)
     return replies
-
-
-def demand_counters(service):
-    counters = service.metrics_snapshot()["counters"]
-    return {k: v for k, v in counters.items() if k.startswith("demand")}
 
 
 class TestParseBoundPattern:
@@ -68,22 +71,21 @@ class TestQueryPattern:
         rows, undefined, stale = service.query_pattern("g", "tc", (a, None))
         assert rows == {r for r in full if r[0] == a}
         assert undefined == frozenset()
+        assert not stale
         service.close()
 
-    def test_new_constant_is_incremental_seed_insert(self):
+    def test_a_new_constant_reads_the_same_index(self):
         service = QueryService()
         service.register("g", TC)
         service.query_pattern("g", "tc", (a, None))
-        before = demand_counters(service)
+        scanned = service.view("g").metrics.counters["rows_scanned"]
         rows, _, _ = service.query_pattern("g", "tc", (b, None))
         assert rows == {(b, c)}
-        after = demand_counters(service)
-        # Same adornment: no second registration, one hit.
-        assert after["demand_registrations"] == before["demand_registrations"]
-        assert after["demand_hits"] == before["demand_hits"] + 1
+        # The shape's index is built: the read touches its bucket alone.
+        assert service.view("g").metrics.counters["rows_scanned"] == scanned + 1
         service.close()
 
-    def test_base_update_propagates_into_ready_entry(self):
+    def test_answers_track_writes(self):
         service = QueryService()
         service.register("g", TC)
         assert service.query_pattern("g", "tc", (a, None))[0] == {
@@ -100,9 +102,8 @@ class TestQueryPattern:
         assert service.query_pattern("g", "tc", (a, None))[0] == {(a, b)}
         service.close()
 
-    def test_propagation_through_group_commit_paths(self):
-        # coalesce > 1 routes updates through the ticket queue; demand
-        # entries must still see every applied batch.
+    def test_answers_track_the_group_commit_path(self):
+        # coalesce > 1 routes updates through the ticket queue.
         service = QueryService(coalesce=4)
         service.register("g", TC)
         assert (a, c) in service.query_pattern("g", "tc", (a, None))[0]
@@ -129,53 +130,39 @@ class TestQueryPattern:
         service.register("g", TC)
         rows, _, _ = service.query_pattern("g", "tc", (None, None))
         assert rows == service.query_state("g", "tc")[0]
-        assert demand_counters(service)["demand_registrations"] == 0
         service.close()
 
-    def test_edb_pattern_uses_fallback(self):
+    def test_edb_pattern(self):
         service = QueryService()
         service.register("g", TC)
         rows, _, _ = service.query_pattern("g", "edge", (a, None))
         assert rows == {(a, b)}
-        assert demand_counters(service)["demand_fallbacks"] == 1
         service.close()
 
-    def test_inflationary_semantics_uses_fallback(self):
+    def test_inflationary_semantics(self):
         service = QueryService()
         service.register("g", TC, semantics="inflationary")
         rows, _, _ = service.query_pattern("g", "tc", (a, None))
         assert rows == {(a, b), (a, c)}
-        counters = demand_counters(service)
-        assert counters["demand_fallbacks"] == 1
-        assert counters["demand_registrations"] == 0
         service.close()
 
-    def test_cone_query_memoizes_fallback_marker(self):
-        # s is demanded all-free mid-rule, so its cone — which contains
-        # the query predicate p — is evaluated unadorned and the
-        # transform degenerates to a passthrough for p.
-        source = """
-        p(X) :- s(Y), t(X, Y).
-        s(Y) :- p(Y).
-        p(X) :- e(X).
-        e(a). e(b). t(c, a).
-        """
+    def test_three_valued_pattern_reports_undefined_rows(self):
         service = QueryService()
-        service.register("g", source)
-        rows, _, _ = service.query_pattern("g", "p", (a,))
-        assert rows == {(a,)}
-        counters = demand_counters(service)
-        # The passthrough decision registers a fallback marker...
-        assert counters["demand_registrations"] == 1
-        assert counters["demand_fallbacks"] == 1
-        # ...and later queries reuse it without rebuilding.
-        service.query_pattern("g", "p", (b, ))
-        counters = demand_counters(service)
-        assert counters["demand_registrations"] == 1
-        assert counters["demand_fallbacks"] == 2
+        service.register(
+            "w",
+            "win(X) :- move(X, Y), not win(Y). "
+            "move(a, b). move(b, a). move(c, d).",
+            semantics="valid",
+        )
+        assert service.query_pattern("w", "win", (c,)) == (
+            {(c,)}, frozenset(), False
+        )
+        assert service.query_pattern("w", "win", (a,)) == (
+            frozenset(), {(a,)}, False
+        )
         service.close()
 
-    def test_stratified_negation_is_demand_driven(self):
+    def test_stratified_negation(self):
         source = """
         tc(X, Y) :- edge(X, Y).
         tc(X, Z) :- edge(X, Y), tc(Y, Z).
@@ -188,7 +175,6 @@ class TestQueryPattern:
         full, _, _ = service.query_state("g", "unreach")
         rows, _, _ = service.query_pattern("g", "unreach", (c, None))
         assert rows == {r for r in full if r[0] == c}
-        assert demand_counters(service)["demand_registrations"] == 1
         service.close()
 
     def test_arity_mismatch_rejected(self):
@@ -204,20 +190,7 @@ class TestQueryPattern:
             service.query_pattern("nope", "tc", (a, None))
         service.close()
 
-    def test_reregister_and_unregister_drop_entries(self):
-        service = QueryService()
-        service.register("g", TC)
-        service.query_pattern("g", "tc", (a, None))
-        assert service.demand.size() == 1
-        service.register("g", TC)  # replace
-        assert service.demand.size() == 0
-        service.query_pattern("g", "tc", (a, None))
-        assert service.demand.size() == 1
-        service.unregister("g")
-        assert service.demand.size() == 0
-        service.close()
-
-    def test_stale_generation_entry_not_reused_after_replace(self):
+    def test_a_replaced_view_answers_from_its_new_program(self):
         service = QueryService()
         service.register("g", TC)
         rows, _, _ = service.query_pattern("g", "tc", (a, None))
@@ -225,42 +198,102 @@ class TestQueryPattern:
         service.register("g", "tc(X, Y) :- edge(X, Y).\nedge(a, d).")
         rows, _, _ = service.query_pattern("g", "tc", (a, None))
         assert rows == {(a, d)}
+        service.unregister("g")
+        with pytest.raises(KeyError):
+            service.query_pattern("g", "tc", (a, None))
         service.close()
 
 
-class TestDemandEviction:
-    def test_lru_eviction_bumps_counter(self):
-        service = QueryService(demand_capacity=2)
+def _engine_views():
+    """A service with one view per engine kind, each read by pattern."""
+    service = QueryService()
+    service.register("t", TC)
+    service.register("v", TC, semantics="valid")
+    service.register("i", TC, semantics="inflationary")
+    service.register("n", TC, semiring="tropical")
+    return service
+
+
+class TestOneReadPath:
+    """What a resident bound pattern costs: nothing on the write."""
+
+    def test_a_write_runs_one_maintenance_pass(self):
+        service = QueryService()
         service.register("g", TC)
-        service.query_pattern("g", "tc", (a, None))   # bf
-        service.query_pattern("g", "tc", (None, b))   # fb
-        service.query_pattern("g", "tc", (a, None))   # touch bf
-        service.query_pattern("g", "tc", (a, b))      # bb -> evicts fb
-        counters = demand_counters(service)
-        assert counters["demand_registrations"] == 3
-        assert counters["demand_evictions"] == 1
-        assert service.demand.size() == 2
-        keys = set(service.demand._table.get())
-        adornments = {key[3] for key in keys}
-        assert adornments == {"bf", "bb"}
+        for pattern in ((a, None), (None, c), (a, c), (b, None)):
+            service.query_pattern("g", "tc", pattern)
+            service.query_pattern("g", "edge", pattern)
+        original = MaterializedView.apply_stream
+        with mock.patch.object(
+            MaterializedView, "apply_stream", autospec=True, side_effect=original
+        ) as apply_stream:
+            service.insert("g", "edge", c, d)
+            service.delete("g", "edge", a, b)
+        assert apply_stream.call_count == 2
+        assert service.query_pattern("g", "tc", (b, None))[0] == {(b, c), (b, d)}
         service.close()
 
-    def test_evicted_pattern_rebuilds_on_next_query(self):
-        service = QueryService(demand_capacity=1)
+    def test_a_point_read_never_materializes_the_relation(self):
+        service = _engine_views()
+        reads = []
+        for name in ("t", "v", "i", "n"):
+            service.query_pattern(name, "tc", (a, None))
+            service.insert(name, "edge", b, d)
+            with mock.patch.object(
+                ModelSnapshot, "rows", side_effect=AssertionError("rows")
+            ), mock.patch.object(
+                ModelSnapshot, "undefined_rows", side_effect=AssertionError("rows")
+            ):
+                reads.append(service.query_pattern(name, "tc", (a, None))[0])
+                service.query_pattern(name, "tc", (None, d))
+                service.query_pattern(name, "edge", (b, None))
+        assert reads == [{(a, b), (a, c), (a, d)}] * 4
+        service.close()
+
+    def test_a_degraded_view_answers_stale(self):
+        service = QueryService()
         service.register("g", TC)
-        assert service.query_pattern("g", "tc", (a, None))[0] == {
-            (a, b),
-            (a, c),
-        }
-        assert service.query_pattern("g", "tc", (None, c))[0] == {
-            (a, c),
-            (b, c),
-        }
-        assert service.query_pattern("g", "tc", (a, None))[0] == {
-            (a, b),
-            (a, c),
-        }
-        assert demand_counters(service)["demand_evictions"] == 2
+        faults = FaultInjector([
+            FaultRule("incremental.component", times=None),
+            FaultRule("incremental.initialize", times=None),
+        ])
+        with inject_faults(faults), pytest.raises(Exception):
+            service.insert("g", "edge", c, d)
+        # The pre-batch model, flagged as a full read flags it.
+        assert service.query_pattern("g", "tc", (a, None)) == (
+            {(a, b), (a, c)}, frozenset(), True
+        )
+        assert service.query_state("g", "tc")[2] is True
+        assert service.stats("g")["counters"]["stale_queries"] == 2
+        service.close()
+
+    def test_an_old_checkpoint_brings_back_no_demand_counter(self, tmp_path):
+        service = QueryService(data_dir=str(tmp_path), fsync="off")
+        service.register("g", TC)
+        service.close()
+        [path] = tmp_path.glob("checkpoint-*.json")
+        document = json.loads(path.read_text())
+        document["state"]["service_counters"]["demand_hits"] = 5
+        path.write_text(json.dumps(document))
+        service = QueryService(data_dir=str(tmp_path), fsync="off")
+        counters = service.metrics_snapshot()["counters"]
+        assert set(counters) == set(zeroed(SERVICE))
+        service.close()
+
+    def test_the_read_counters(self):
+        service = QueryService()
+        service.register("g", TC)
+        service.query_pattern("g", "tc", (a, None))
+        service.query_pattern("g", "tc", (a, None))
+        counters = service.stats("g")["counters"]
+        # Two reads off the snapshot; the first builds the index over
+        # the 3 rows, each touches its 2-row bucket.
+        assert (counters["queries"], counters["snapshot_reads"]) == (2, 2)
+        assert counters["rows_scanned"] == 3 + 2 + 2
+        snapshot = service.metrics_snapshot()
+        assert snapshot["counters"]["queries_total"] == 2
+        assert not [k for k in snapshot["counters"] if k.startswith("demand")]
+        assert "demand_entries" not in snapshot["gauges"]
         service.close()
 
 
@@ -342,6 +375,23 @@ class TestDemandRegistryUnit:
         with pytest.raises(ValueError):
             DemandRegistry(capacity=0)
 
+    def test_a_built_entry_answers_its_seeded_cone(self):
+        # Off the serve path, the entry build still runs as a library
+        # piece: the magic-rewritten view of one pattern, seeded by hand.
+        service = QueryService()
+        service.register("g", TC)
+        _view, generation = service._resolve("g")
+        key = ("g", generation, "tc", "bf")
+        entry, _, _ = DemandRegistry(capacity=4).get_or_create(key)
+        service._build_demand_entry("g", generation, "tc", "bf", entry)
+        demand_view = entry.wait_ready(5.0)
+        demand_view.apply(inserts=[(entry.magic.seed_predicate, (a,))])
+        rows, _, _ = demand_view.read_snapshot().probe(
+            entry.magic.answer_predicate, (a, None)
+        )
+        assert rows == service.query_pattern("g", "tc", (a, None))[0]
+        service.close()
+
 
 class TestProtocolVerb:
     def test_pattern_query_over_the_wire(self):
@@ -414,8 +464,7 @@ def _hot_hit_work(chains):
     service = _chain_service(chains)
     scanned = lambda: service.view("g").metrics.counters["rows_scanned"]
     pattern = (Atom("c0n12"), None)
-    service.query_pattern("g", "tc", pattern)  # registers the entry
-    service.query_pattern("g", "tc", pattern)  # first hit builds the index
+    service.query_pattern("g", "tc", pattern)  # builds the shape's index
     work = []
     for write in (None, ("edge", (Atom("c0n24"), Atom("leaf")))):
         if write is not None:
@@ -430,18 +479,20 @@ def _hot_hit_work(chains):
 class TestWorkBound:
     """A read costs its answer: counts, not clocks."""
 
-    def test_hot_hit_scans_its_answer_not_the_entry(self):
+    def test_hot_hit_scans_its_answer_not_the_view(self):
         large = _hot_hit_work(30)
         small = _hot_hit_work(10)
         assert large == small, "rows scanned must not depend on resident rows"
         (hot, answer), (after_write, grown) = large
         assert answer == 12 and grown == 13
         assert hot == answer, "an indexed hit touches exactly its bucket"
+        # The write's delta (the 25 rows of chain 0 that reach the new
+        # leaf) is bucketed once, on top of the carried index.
         assert 0 < after_write <= 4 * grown
 
-    def test_fallback_probe_scans_the_relation_once(self):
-        # An EDB pattern falls back to the base view's own snapshot: the
-        # first probe builds the index (one pass), later ones use it.
+    def test_the_first_probe_scans_the_relation_once(self):
+        # The first probe of a shape builds its index (one pass over
+        # the relation), later ones use it.
         service = _chain_service(4)
         scanned = lambda: service.view("g").metrics.counters["rows_scanned"]
         pattern = (Atom("c1n3"), None)
@@ -461,35 +512,3 @@ class TestWorkBound:
         assert snapshot["rollup"]["rows_scanned"] == 2 * 300
         assert "rows_scanned" in render_prometheus(snapshot)
         service.close()
-
-
-class TestObservability:
-    def test_gauge_and_counters_in_metrics_snapshot(self):
-        service = QueryService()
-        service.register("g", TC)
-        service.query_pattern("g", "tc", (a, None))
-        service.query_pattern("g", "tc", (a, None))
-        snapshot = service.metrics_snapshot()
-        assert snapshot["gauges"]["demand_entries"] == 1
-        counters = snapshot["counters"]
-        assert counters["demand_registrations"] == 1
-        assert counters["demand_hits"] == 1
-        service.close()
-
-    def test_prometheus_rendering_exposes_demand_series(self):
-        from repro.service import render_prometheus
-
-        service = QueryService()
-        service.register("g", TC)
-        service.query_pattern("g", "tc", (a, None))
-        text = render_prometheus(service.metrics_snapshot())
-        assert "demand_registrations" in text
-        assert "demand_entries" in text
-        service.close()
-
-    def test_close_clears_registry(self):
-        service = QueryService()
-        service.register("g", TC)
-        service.query_pattern("g", "tc", (a, None))
-        service.close()
-        assert service.demand.size() == 0

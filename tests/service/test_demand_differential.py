@@ -1,12 +1,12 @@
-"""S4: differential testing of demand-driven answers.
+"""S4: differential testing of bound-pattern answers.
 
-For every binding pattern, the demand path (magic rewrite + seeded
-incremental entry) must return exactly the rows of the fully
-materialized oracle that match the pattern — across semantics, through
-seeded random edit sequences, for empty-seed constants (no matching rows at all), and on recursive
+For every binding pattern, the probe of the view's snapshot (a hash
+index per pattern shape, carried across writes by delta) must return
+exactly the rows of the fully materialized oracle that match the
+pattern — across semantics, through seeded random edit sequences, for
+constants no fact holds (no matching rows at all), and on recursive
 components with stratified negation.  The oracle is ``query_state`` on
-the same service: the fully materialized base view, maintained through
-a completely separate code path from the demand entries.
+the same service: the whole relation, read and filtered here.
 """
 
 import random
@@ -34,6 +34,7 @@ def matches(row, pattern):
 
 
 def check_pattern(service, predicate, pattern):
+    """One oracle read and one pattern read."""
     oracle_rows, oracle_undef, _ = service.query_state("demo", predicate)
     rows, undefined, _ = service.query_pattern("demo", predicate, pattern)
     expected = {r for r in oracle_rows if matches(r, pattern)}
@@ -41,8 +42,8 @@ def check_pattern(service, predicate, pattern):
         f"{predicate}{pattern}: demand={sorted(map(str, rows))} "
         f"oracle={sorted(map(str, expected))}"
     )
-    # Stratified-class semantics are total here; the demand path never
-    # reports undefined rows and the oracle must not either.
+    # Stratified-class semantics are total here; the oracle reports no
+    # undefined rows, so the pattern may not either.
     assert undefined <= {
         r for r in oracle_undef if matches(r, pattern)
     }
@@ -68,7 +69,9 @@ def seed_facts(service):
 
 
 def run_differential(service, seed, steps=8):
+    """The edit sequence of ``seed``; returns the reads it made."""
     rng = random.Random(seed)
+    reads = 0
     seed_facts(service)
     edges = {(NODES[i], NODES[i + 1]) for i in range(len(NODES) - 1)}
     for _ in range(steps):
@@ -83,17 +86,21 @@ def run_differential(service, seed, steps=8):
         for pattern in patterns_for(rng):
             check_pattern(service, "tc", pattern)
             check_pattern(service, "unreach", pattern)
+            reads += 4
+    return reads
+
+
+def assert_every_read_counted(service, reads):
+    """Each read was answered off the view and counted once."""
+    assert service.metrics_snapshot()["counters"]["queries_total"] == reads
+    assert service.stats("demo")["counters"]["queries"] == reads
 
 
 def test_differential_stratified():
     service = QueryService()
     try:
         service.register("demo", PROGRAM)
-        run_differential(service, seed=11)
-        counters = service.metrics_snapshot()["counters"]
-        # The bound patterns were served demand-driven, not by fallback.
-        assert counters["demand_registrations"] > 0
-        assert counters["demand_fallbacks"] == 0
+        assert_every_read_counted(service, run_differential(service, seed=11))
     finally:
         service.close()
 
@@ -101,42 +108,37 @@ def test_differential_stratified():
 @pytest.mark.parametrize("semantics", ["wellfounded", "valid"])
 def test_differential_alternate_semantics(semantics):
     # On stratified programs the well-founded and valid semantics agree
-    # with the stratified least model, so demand entries (evaluated
-    # stratified) must still match the oracle exactly.
+    # with the stratified least model: no undefined rows, and the
+    # probe of the alternating chain's snapshot matches the oracle.
     service = QueryService()
     try:
         service.register("demo", PROGRAM, semantics=semantics)
-        run_differential(service, seed=23, steps=5)
+        reads = run_differential(service, seed=23, steps=5)
+        assert_every_read_counted(service, reads)
     finally:
         service.close()
 
 
-def test_differential_inflationary_falls_back():
-    # Inflationary semantics is outside the demand envelope; patterns
-    # must still answer correctly (by filtering the full view).
+def test_differential_inflationary():
+    # The rebuild engine publishes snapshots like the circuit does, so
+    # its patterns take the same probe.
     service = QueryService()
     try:
         service.register("demo", PROGRAM, semantics="inflationary")
-        run_differential(service, seed=31, steps=4)
-        counters = service.metrics_snapshot()["counters"]
-        assert counters["demand_registrations"] == 0
-        assert counters["demand_fallbacks"] > 0
+        reads = run_differential(service, seed=31, steps=4)
+        assert_every_read_counted(service, reads)
     finally:
         service.close()
 
 
-def test_differential_annotated_views_fall_back():
-    # Annotated views sit outside the demand envelope — the magic
-    # rewrite is support-level and would drop annotations — so every
-    # bound pattern must answer by filtering the full annotated model,
-    # never by building a demand entry.
+def test_differential_annotated_views():
+    # An annotated view's snapshot holds its support like any other:
+    # the probe answers the true rows, annotations stay on full reads.
     service = QueryService(semiring="tropical")
     try:
         service.register("demo", PROGRAM)
-        run_differential(service, seed=61, steps=4)
-        counters = service.metrics_snapshot()["counters"]
-        assert counters["demand_registrations"] == 0
-        assert counters["demand_fallbacks"] > 0
+        reads = run_differential(service, seed=61, steps=4)
+        assert_every_read_counted(service, reads)
     finally:
         service.close()
 

@@ -62,6 +62,8 @@ from repro.robustness import (
 from repro.robustness.faults import ALL_POINTS
 from repro.service import QueryService
 
+from .stderr_wait import read_until
+
 RULES = "tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)."
 
 SCRIPT = (
@@ -536,15 +538,8 @@ def _spawn_server(socket_path, data_dir, fsync):
         env=env,
         stderr=subprocess.PIPE,
     )
-    deadline = time.monotonic() + 60
-    while not os.path.exists(socket_path):
-        if process.poll() is not None:
-            raise AssertionError(
-                f"server died on startup: "
-                f"{process.stderr.read().decode(errors='replace')}"
-            )
-        assert time.monotonic() < deadline, "socket never appeared"
-        time.sleep(0.05)
+    # The server announces itself once its socket listens.
+    read_until(process, f"serving on unix socket {socket_path}".encode())
     return process
 
 

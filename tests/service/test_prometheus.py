@@ -1,8 +1,15 @@
 """The Prometheus exporter: renderer, protocol verb, textfile daemon."""
 
 import math
+import os
 import re
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +21,9 @@ from repro.service import (
     render_prometheus,
     serve_stream,
 )
+from repro.service.cluster import ClusterClient
+
+from .stderr_wait import read_until
 
 TC = """
 tc(X, Y) :- edge(X, Y).
@@ -241,3 +251,46 @@ class TestExporter:
         holder["source"] = boom
         exporter.export_once()  # must not raise, must not clobber
         assert path.read_text() == good
+
+
+class TestClusterExport:
+    def test_sigterm_writes_a_final_export_of_the_cluster(self):
+        # The final export scrapes the router's front door, so it must
+        # be taken while that door still answers: an interval longer
+        # than the test leaves the final export the only one after the
+        # insert.
+        directory = tempfile.mkdtemp(prefix="repro-prom-")
+        socket_path = os.path.join(directory, "fd")
+        export = Path(directory) / "metrics.prom"
+        src = Path(__file__).resolve().parents[2] / "src"
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--shards", "2", "--socket", socket_path,
+                "--metrics-prometheus", str(export),
+                "--metrics-interval", "60",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stderr=subprocess.PIPE,
+        )
+        try:
+            said = read_until(process, b"serving 2 shard(s)")
+            with ClusterClient(socket_path, timeout=60.0) as client:
+                client.register("tc", "tc(X, Y) :- e(X, Y).")
+                client.insert("tc", "e(a, b)")
+            process.send_signal(signal.SIGTERM)
+            _out, err = process.communicate(timeout=60)
+            samples = dict(
+                line.rsplit(" ", 1)
+                for line in export.read_text().splitlines()
+                if not line.startswith("#")
+            )
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+            shutil.rmtree(directory, ignore_errors=True)
+        stderr = (said + err).decode(errors="replace")
+        assert process.returncode == 0, stderr
+        assert "export failed" not in stderr, stderr
+        assert samples["repro_inserts_applied_total"] == "1", samples

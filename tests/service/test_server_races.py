@@ -278,8 +278,7 @@ class TestNameTable:
     def test_the_write_path_takes_no_registry_lock(self):
         """An update resolves its view and re-checks it under the view
         lock off the published table; ``view``, ``stats`` of one view
-        and a bound-pattern query (whose demand entry builds under the
-        view lock) take no registry lock either."""
+        and a bound-pattern query take no registry lock either."""
         service = QueryService()
         service.register("tc", PROGRAM, database=_database("a"))
         service._registry_lock = _PoisonedRegistryLock()
@@ -291,7 +290,7 @@ class TestNameTable:
             "tc", "p", (Atom("b"),)
         )
         assert rows == {(Atom("b"),)}
-        assert service.metrics.counters["demand_registrations"] == 1
+        assert service.metrics.counters["queries_total"] == 1
         assert service.view("tc") is view
 
     def test_unregister_publishes_fresh_table(self):

@@ -224,6 +224,26 @@ class TestReadMemos:
         assert 0 < formatted <= 2 * len(plus)
         assert shrunk == lines
 
+    def test_a_flattened_chain_pays_for_its_net_change_once(self):
+        rows = self._chains(30)
+        parent = _snap(tc=rows)
+        lines, _ = parent.lines("tc")
+        parent.probe("tc", (Atom("c0n0"), None))
+        leaf, other = Atom("leaf"), Atom("other")
+        plus = {(Atom(f"c0n{i}"), leaf) for i in range(25)}
+        # In and out again, then one row: the chain's net change is the
+        # one row, so the flattening formats one line and the index
+        # rebuilds one bucket.
+        chain = parent.apply_delta({"tc": plus}, {}, generation=2)
+        chain = chain.apply_delta({}, {"tc": plus}, generation=3)
+        chain = chain.apply_delta({"tc": {(other, leaf)}}, {}, generation=4)
+        grown, formatted = chain.lines("tc")
+        assert formatted == 1
+        assert grown == sorted(lines + [f"row {format_fact('tc', (other, leaf))}"])
+        index = chain._true["tc"]._indexes[(2, (0,))]
+        before = parent._true["tc"]._indexes[(2, (0,))]
+        assert [key for key in index if index[key] is not before.get(key)] == [other]
+
     def test_a_view_never_read_in_full_holds_no_lines(self):
         snapshot = _snap(tc=self._chains(2))
         for generation in range(2, 6):
