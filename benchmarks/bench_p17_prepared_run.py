@@ -1,12 +1,13 @@
 """P17 — performance: what preparing a program costs a ``run()`` call.
 
-The route of a program (its open cone, the closed part evaluated stratum
-by stratum, the part to ground) and its stratum schedule (each stratum's
-naive and lead plans) depend on the program alone; ``run()`` memoizes
-both per immutable :class:`~repro.datalog.ast.Program`, and the corpus
-parses each source once.  For the deductive programs of the
+The route of a program (its open cone, the closed part evaluated
+component by component, the part to ground), the condensation of its
+predicate graph and its component schedule (each component's naive and
+lead plans) depend on the program alone; ``run()`` memoizes them per
+immutable :class:`~repro.datalog.ast.Program`, and the corpus parses
+each source once.  For the deductive programs of the
 ``eval_paper`` workload on its graph sizes, the table sets a *cold* call
-— a fresh ``parse_program`` of the source, both caches cleared, then
+— a fresh ``parse_program`` of the source, every such memo cleared, then
 ``run()`` — against a *warm* one — ``run()`` on the corpus's program —
 each the best of ``ROUNDS`` samples of ``CALLS`` calls, taken
 alternately.  Plans compiled by :func:`~repro.datalog.kernel.compile_plan`
@@ -24,7 +25,8 @@ from repro.corpus import DEDUCTIVE_CORPUS, binary_tree, chain, cycle, edges_to_d
 from repro.datalog import run
 from repro.datalog.engine import _route
 from repro.datalog.parser import parse_program
-from repro.datalog.seminaive import _schedule
+from repro.datalog.schedule import components
+from repro.datalog.stratification import condensation, open_cone
 
 from support import ExperimentTable
 
@@ -72,8 +74,8 @@ def _measure(name, graph):
     semantics = "stratified" if case.stratified else "valid"
 
     def cold():
-        _route.cache_clear()
-        _schedule.cache_clear()
+        for memo in (_route, open_cone, condensation, components):
+            memo.cache_clear()
         run(parse_program(case.source, name=name), database, semantics)
 
     def warm():

@@ -225,7 +225,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .datalog.safety import is_safe_rule
-    from .datalog.stratification import is_stratified, stratify
+    from .datalog.stratification import is_stratified, strata_partition
 
     source = Path(args.program).read_text()
     program, _facts = split_program_and_facts(
@@ -237,12 +237,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"UNSAFE: {rule!r}")
             exit_code = 1
     if is_stratified(program):
-        strata = stratify(program)
-        height = max(strata.values(), default=0)
-        print(f"stratified: yes ({height + 1} strata)")
-        for level in range(height + 1):
-            members = sorted(p for p, s in strata.items() if s == level)
-            print(f"  stratum {level}: {' '.join(members)}")
+        partition = strata_partition(program)
+        print(f"stratified: yes ({len(partition)} strata)")
+        for level, members in enumerate(partition):
+            print(f"  stratum {level}: {' '.join(sorted(members))}")
     else:
         print("stratified: no (evaluate under wellfounded/valid semantics)")
     if exit_code == 0:

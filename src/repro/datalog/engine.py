@@ -28,9 +28,9 @@ could not be handed to the cone as its database.
 
 What depends on the program alone is worked out once per
 :class:`Program` (programs are immutable): the route — cone, closed
-part, part to ground — and, in :mod:`repro.datalog.seminaive`, the
-stratum schedule of the closed part.  A call pays for its data: the
-database loaded onto a fresh kernel, the strata's rounds, and the
+part, part to ground — and, in :mod:`repro.datalog.schedule`, the
+component schedule of the closed part.  A call pays for its data: the
+database loaded onto a fresh kernel, the components' rounds, and the
 cone's grounding and solve.
 """
 

@@ -11,11 +11,14 @@ probes).  This is the production path for every closed component:
 open cone here and grounds only the rest, over this module's result
 (benchmark P05 pits the two routes against each other).
 
-Negation is handled stratum by stratum: by the time a negative literal
-is consulted, its predicate is fully evaluated, so ``not q(ā)`` is a
-simple lookup.
+The unit is finer than a stratum: one strongly connected component of
+the predicate graph at a time, dependencies first — the schedule the
+service's engine builds a view on (:mod:`repro.datalog.schedule`), so
+``run()`` and a view's build fire the same plans.  By the time a
+negative literal is consulted, its predicate is fully evaluated, so
+``not q(ā)`` is a simple lookup.
 
-This module is only that stratum loop; the fact store, the rule firings
+This module is only that component loop; the fact store, the rule firings
 — each plan compiled to one generated Python function — and the rounds
 around them (:meth:`~repro.datalog.kernel.JoinKernel.close`) are the
 join kernel's, which the grounder, the algebra's candidate universe and
@@ -24,43 +27,19 @@ the service layer's maintenance engines share.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..robustness import EvaluationBudget, fault_point
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
-from .ast import Literal, Program
+from .ast import Program
 from .database import Database
 from .grounding import GroundingBudgetExceeded
-from .kernel import JoinKernel, Plan, compile_plan
-from .stratification import stratify
+from .kernel import JoinKernel
+from .schedule import components
+from .stratification import NotStratifiedError, open_cone
 
 __all__ = ["seminaive_stratified"]
-
-Schedule = Tuple[Tuple[Tuple[Plan, ...], Tuple[Tuple[str, Plan], ...]], ...]
-
-
-@lru_cache(maxsize=1024)
-def _schedule(program: Program) -> Schedule:
-    """Per stratum, lowest first: its naive plans and its ``(predicate,
-    plan)`` leads.  Memoized: programs are immutable (``lru_cache``
-    memoizes no exception, so a non-stratified program raises each call)."""
-    strata = stratify(program)
-    schedule = []
-    for level in range(max(strata.values(), default=0) + 1):
-        rules = [rule for rule in program.rules if strata[rule.head.predicate] == level]
-        heads = {rule.head.predicate for rule in rules}
-        # Only a literal over this level's own heads ever sees a delta.
-        leads = tuple(
-            (item.atom.predicate, compile_plan(rule, index))
-            for rule in rules
-            for index, item in enumerate(rule.body)
-            if isinstance(item, Literal) and item.positive
-            and item.atom.predicate in heads
-        )
-        schedule.append((tuple(map(compile_plan, rules)), leads))
-    return tuple(schedule)
 
 
 def seminaive_stratified(
@@ -77,16 +56,20 @@ def seminaive_stratified(
     :class:`~repro.datalog.stratification.NotStratifiedError` on
     non-stratified input and, like the grounder for the same two bounds,
     :class:`~repro.datalog.grounding.GroundingBudgetExceeded` (a
-    ``BudgetExceeded``) if a stratum exceeds ``max_rounds`` or the
+    ``BudgetExceeded``) if a component exceeds ``max_rounds`` or the
     model, database included, ``max_atoms`` rows (function symbols
     without guards).  ``budget`` adds deadline/step/fact governance:
     one step per firing and per rule instance, one fact per new row.
 
-    The strata and each stratum's compiled plans are fixed per program
-    (:func:`_schedule`); a call pays for a fresh kernel — the database
-    loaded, each stratum's indexes registered on it — and the rounds.
+    The components and their compiled plans are fixed per program
+    (:func:`~repro.datalog.schedule.components`, the order the service's
+    engine builds a view in); a call pays for a fresh kernel — the
+    database loaded, each component's indexes registered on it — and
+    the rounds.  A budget's ``last_stratum`` is the component's place in
+    that order.
     """
-    schedule = _schedule(program)
+    if open_cone(program):
+        raise NotStratifiedError(f"program {program.name or ''} is not stratified")
     state = JoinKernel(registry)
     for predicate in database.predicates():
         state.add_all(predicate, database.rows(predicate))
@@ -100,7 +83,7 @@ def seminaive_stratified(
         return fresh
 
     def step(index: int, _delta) -> None:
-        """A round boundary of stratum ``level``: counted, and bounded."""
+        """A round boundary of component ``level``: counted, and bounded."""
         if index < max_rounds:
             fault_point("seminaive.round")
             if budget is not None:
@@ -108,16 +91,19 @@ def seminaive_stratified(
             if max_atoms is None or sum(map(len, state.facts.values())) <= max_atoms:
                 return
         raise GroundingBudgetExceeded(
-            f"stratum {level} did not converge within max_rounds={max_rounds}, "
-            f"max_atoms={max_atoms}",
+            f"component {sorted(component.predicates)} did not converge within "
+            f"max_rounds={max_rounds}, max_atoms={max_atoms}",
             progress=budget.progress if budget is not None else None,
         )
 
     if budget is not None:  # admit charges a firing after it runs
         budget.check(phase="seminaive")
-    for level, (naive, leads) in enumerate(schedule):
-        state.register(*naive, *(plan for _predicate, plan in leads))
-        firings = ((plan, None) for plan in naive)
+    for level, component in enumerate(c for c in components(program) if c.rules):
+        circuit = component.circuit
+        # Only a literal over the component's own heads ever sees a delta.
+        leads = [(variant.predicate, variant.plan) for variant in circuit.internal]
+        state.register(*circuit.naive, *(plan for _predicate, plan in leads))
+        firings = ((plan, None) for plan in circuit.naive)
         state.close(firings, leads, admit, step, budget=budget, as_set=True)
 
     return {

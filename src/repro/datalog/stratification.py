@@ -2,8 +2,10 @@
 
 The paper's earlier equivalence result (Theorem 4.3) concerns *stratified*
 programs: programs whose predicate dependency graph has no cycle through a
-negative edge.  This module builds the dependency graph, tests
-stratification, computes strata, and additionally tests *local*
+negative edge.  This module builds the dependency graph and condenses it
+once per program (:func:`condensation`: what strata, the open cone and
+:mod:`repro.datalog.schedule` read), tests stratification, computes
+strata, and additionally tests *local*
 stratification on ground programs (used in the Theorem 3.1 discussion:
 IFP-algebra specifications are well-defined by a "local stratification"
 argument, while Example 3's WIN equation is locally stratified exactly
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
 __all__ = [
     "SEMANTICS",
     "NotStratifiedError",
+    "condensation",
     "dependency_graph",
     "negative_edges",
     "is_stratified",
@@ -69,9 +72,36 @@ def negative_edges(graph: DiGraph) -> List[Tuple[str, str]]:
     return [(source, target) for source, target, negative in graph.edges() if negative]
 
 
+#: The dependency graph condensed: its strongly connected components,
+#: dependencies first, each beside the edges that leave its members,
+#: ``(target, negative)`` (an edge inside the component included).
+Condensation = Tuple[Tuple[FrozenSet[str], Tuple[Tuple[str, bool], ...]], ...]
+
+
+@lru_cache(maxsize=1024)
+def condensation(program: Program) -> Condensation:
+    """What every analysis below reads — strata, the open cone, and
+    :func:`~repro.datalog.schedule.components`.  Memoized: programs are
+    immutable, and so is what it returns."""
+    graph = dependency_graph(program)
+    # Components come out dependents first; reversed, every component
+    # follows the ones it reads.
+    return tuple(
+        (
+            members,
+            tuple(
+                (target, data["negative"])
+                for source in members
+                for target, data in graph[source].items()
+            ),
+        )
+        for members in reversed(strongly_connected_components(graph))
+    )
+
+
 def is_stratified(program: Program) -> bool:
     """True iff no cycle of the dependency graph passes through negation."""
-    return not has_negative_cycle(dependency_graph(program))
+    return not open_cone(program)
 
 
 def stratify(program: Program) -> Dict[str, int]:
@@ -80,32 +110,17 @@ def stratify(program: Program) -> Dict[str, int]:
     Positive dependencies may stay level; negative dependencies must strictly
     increase.  Raises :class:`NotStratifiedError` when impossible.
     """
-    graph = dependency_graph(program)
-    components = strongly_connected_components(graph)
-    component_of = {
-        predicate: number
-        for number, component in enumerate(components)
-        for predicate in component
-    }
-    # Components come out dependents first; walking them backwards, a
-    # component's level is final before it is pushed along its edges.
-    level = [0] * len(components)
-    for number in reversed(range(len(components))):
-        for source in components[number]:
-            for target, data in graph[source].items():
-                dependent = component_of[target]
-                if dependent != number:
-                    level[dependent] = max(
-                        level[dependent], level[number] + data["negative"]
-                    )
-                elif data["negative"]:
-                    raise NotStratifiedError(
-                        f"program {program.name or ''} is not stratified"
-                    )
-    strata = {predicate: level[number] for predicate, number in component_of.items()}
-    # EDB predicates never at a positive level unless forced by the graph.
-    for predicate in program.edb_predicates():
-        strata.setdefault(predicate, 0)
+    if open_cone(program):
+        raise NotStratifiedError(f"program {program.name or ''} is not stratified")
+    strata: Dict[str, int] = {}
+    # Dependencies first: a component's level is final before it is
+    # pushed along its edges.
+    for members, leaving in condensation(program):
+        level = max(strata.get(predicate, 0) for predicate in members)
+        strata.update(dict.fromkeys(members, level))
+        for target, negative in leaving:
+            if target not in members:
+                strata[target] = max(strata.get(target, 0), level + negative)
     return strata
 
 
@@ -120,19 +135,15 @@ def open_cone(program: Program) -> FrozenSet[str]:
     stratum (Section 4); only the cone needs a three-valued semantics,
     over that model as its database.  Memoized: programs are immutable.
     """
-    graph = dependency_graph(program)
     cone: Set[str] = set()
     # Dependencies first: whatever reads the cone is marked before reached.
-    for component in reversed(strongly_connected_components(graph)):
-        if cone.isdisjoint(component) and not any(
-            data["negative"] and target in component
-            for source in component
-            for target, data in graph[source].items()
+    for members, leaving in condensation(program):
+        if cone.isdisjoint(members) and not any(
+            negative and target in members for target, negative in leaving
         ):
             continue
-        cone.update(component)
-        for source in component:
-            cone.update(graph[source])
+        cone.update(members)
+        cone.update(target for target, _negative in leaving)
     return frozenset(cone)
 
 

@@ -65,11 +65,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ...datalog.ast import Literal, PredAtom, Program, Rule
 from ...datalog.database import Database
 from ...datalog.kernel import NEW, OLD, TRUE, UNDEFINED
+from ...datalog.schedule import Component
 from ...relations.universe import FunctionRegistry
 from ...relations.values import Value
 from ...robustness import EvaluationBudget, fault_point
 from ..metrics import ViewMetrics
-from ..registry import Component, PreparedProgram, prepare_program
+from ..registry import PreparedProgram, prepare_program
 from .engine import DBSPEngine
 
 __all__ = ["AlternatingEngine", "read_previous"]

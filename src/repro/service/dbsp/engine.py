@@ -38,13 +38,14 @@ from typing import Sequence, Set, Tuple
 
 from ...datalog.database import Database
 from ...datalog.kernel import NEW, OLD, JoinKernel, Plan
+from ...datalog.schedule import Component
 from ...datalog.stratification import NotStratifiedError
 from ...relations.universe import FunctionRegistry
 from ...relations.values import Value
 from ...robustness import BudgetExceeded, fault_point
 from ...semiring import Semiring, get_semiring
 from ..metrics import ViewMetrics
-from ..registry import Component, PreparedProgram
+from ..registry import PreparedProgram
 
 if TYPE_CHECKING:
     from ...robustness import EvaluationBudget
@@ -181,7 +182,7 @@ class DBSPEngine:
                 # build fires them once.
                 instances = dict.fromkeys(component.predicates, ())
                 leadless = []
-                for (rule, _order), naive in zip(component.rules, component.circuit.naive):
+                for rule, naive in zip(component.rules, component.circuit.naive):
                     compiled = instance_plan(rule, goal=True)
                     instances[rule.head.predicate] += (compiled,)
                     self._plans.append(compiled.plan)

@@ -342,11 +342,6 @@ class ViewMetrics:
         ``with`` body (recorded also when the body raises)."""
         return _Phase(self, name)
 
-    @property
-    def phase_seconds(self) -> Dict[str, float]:
-        """Accumulated wall-clock per phase (its histogram's sum)."""
-        return {name: h.sum for name, h in self.phase_histograms.items()}
-
     def observe_phase(self, name: str, elapsed: float) -> None:
         """File one phase timing here and at the sink (at the end of
         the enclosing :meth:`held_phases` block, when there is one)."""
@@ -393,10 +388,6 @@ class ViewMetrics:
             counters = dict(self.counters)
         return {
             "counters": counters,
-            "phase_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(self.phase_seconds.items())
-            },
             "phase_histograms": {
                 name: histogram.snapshot()
                 for name, histogram in sorted(self.phase_histograms.items())

@@ -20,9 +20,9 @@ builds the successor snapshot in O(|delta|) by stacking the batch's
 net plus/minus sets on per-predicate copy-on-write cells.  Unchanged
 predicates share their cells with the parent snapshot outright;
 changed predicates get a thin delta cell whose full row set is
-materialized lazily (and memoized) on first read.  A depth cap bounds
-the delta chains, so a long unread update burst compacts periodically
-instead of accumulating unboundedly.
+materialized lazily (and memoized) on first read.  Compaction (below)
+bounds the delta chains, so a long unread update burst is flattened
+periodically instead of accumulating unboundedly.
 
 **Compaction** (:meth:`ModelSnapshot.compact`) flattens delta chains
 proactively: it forces the lazy materialization of every cell deeper
@@ -80,10 +80,6 @@ Row = Tuple[Value, ...]
 Pattern = Tuple[Optional[Value], ...]
 
 _EMPTY: FrozenSet[Row] = frozenset()
-
-#: Delta cells deeper than this are compacted (materialized eagerly) at
-#: publish time, bounding both read-side recursion and chain memory.
-MAX_DELTA_DEPTH = 16
 
 
 def _bucketed(
@@ -412,9 +408,9 @@ class ModelSnapshot:
         """The successor snapshot under a net fact delta, in O(|delta|).
 
         Unchanged predicates share cells with this snapshot; changed
-        ones stack a copy-on-write delta cell (compacted once the chain
-        hits :data:`MAX_DELTA_DEPTH`).  ``plus``/``minus`` must be the
-        *net* per-predicate deltas — exactly what every view engine's
+        ones stack a copy-on-write delta cell (flattened by
+        :meth:`compact`, which the publishing view runs).
+        ``plus``/``minus`` must be the *net* per-predicate deltas — exactly what every view engine's
         ``apply_stream`` reports.  ``undefined_plus``/``undefined_minus``
         are the same for the undefined rows (the alternating chain and
         the rebuild engine report them); a
@@ -457,11 +453,7 @@ class ModelSnapshot:
             if not plus_rows and not minus_rows:
                 continue
             parent = cells.get(predicate) or kind.frozen(predicate, ())
-            depth = parent.depth + 1
-            cell = kind.delta(parent, plus_rows, minus_rows, depth)
-            if depth > MAX_DELTA_DEPTH:
-                cell.rows()
-            cells[predicate] = cell
+            cells[predicate] = kind.delta(parent, plus_rows, minus_rows, parent.depth + 1)
         return cells
 
     # -- compaction -----------------------------------------------------------

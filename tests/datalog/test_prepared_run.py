@@ -1,7 +1,7 @@
 """A program is prepared once: what ``run()`` keeps across calls.
 
-The route (cone, closed part, part to ground) and the stratum schedule
-(each stratum's naive and lead plans) are memoized per immutable
+The route (cone, closed part, part to ground) and the component schedule
+(each component's naive and lead plans) are memoized per immutable
 :class:`Program`; the corpus parses each source once.  Nothing tied to a
 call — database, registry, budget, kernel, counters — is kept, and a
 non-stratified program raises on every call.
@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.datalog.engine as engine
-import repro.datalog.seminaive as seminaive
+import repro.datalog.schedule as schedule
 from repro.corpus import ALGEBRA_CORPUS, DEDUCTIVE_CORPUS, chain, edges_to_database, grid
 from repro.datalog import Database, run, seminaive_stratified
 from repro.datalog.grounding import GroundingBudgetExceeded
@@ -30,10 +30,10 @@ def _fresh(name):
 def test_an_equal_program_parsed_afresh_hits_both_caches():
     database = edges_to_database(chain(6))
     first = run(_fresh("unreachable"), database, "stratified")
-    route, schedule = engine._route.cache_info(), seminaive._schedule.cache_info()
+    route, order = engine._route.cache_info(), schedule.components.cache_info()
     again = run(_fresh("unreachable"), database, "stratified")
     assert engine._route.cache_info()[:2] == (route.hits + 1, route.misses)
-    assert seminaive._schedule.cache_info()[:2] == (schedule.hits + 1, schedule.misses)
+    assert schedule.components.cache_info()[:2] == (order.hits + 1, order.misses)
     assert again.true_rows("unreachable") == first.true_rows("unreachable")
 
 
@@ -84,7 +84,7 @@ def test_threads_sharing_a_program_get_the_serial_answer(name):
 
     serial = answer()
     engine._route.cache_clear()
-    seminaive._schedule.cache_clear()
+    schedule.components.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         answers = list(pool.map(lambda _i: answer(), range(4)))
     assert answers == [serial] * 4

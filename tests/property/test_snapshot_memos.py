@@ -4,7 +4,7 @@ A :class:`~repro.service.snapshot.ModelSnapshot` cell memoizes the
 sorted ``row`` wire lines of its rows and one hash index per probed
 binding pattern, and carries both down delta chains by applying the
 per-row map to ``plus``/``minus`` alone.  Whatever path a cell took to
-its state — lazily read, compacted, flattened at the depth cap, carried
+its state — lazily read, compacted as a view compacts, carried
 from a parent that held the memo or built from scratch, shared with a
 stale copy, raced by two readers — the memo must equal the thing it
 stands for, byte for byte:
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.datalog.facts import format_fact
 from repro.relations import Atom
 from repro.service import ModelSnapshot
-from repro.service.snapshot import MAX_DELTA_DEPTH
+from repro.service.views import COMPACT_DEPTH, COMPACT_INTERVAL
 
 # Values whose wire text is pairwise distinct, over three types.
 VALUES = (Atom("a"), Atom("b"), Atom("c"), 0, 1, "a")
@@ -136,30 +136,33 @@ def test_memos_equal_recomputation_at_every_generation(initial, script, probes):
     row_sets,
     st.lists(
         st.tuples(row_sets, row_sets).filter(any),  # empty deltas add no cell
-        min_size=MAX_DELTA_DEPTH + 2,
-        max_size=MAX_DELTA_DEPTH + 6,
+        min_size=2 * COMPACT_INTERVAL + 2,
+        max_size=2 * COMPACT_INTERVAL + 6,
     ),
     st.booleans(),
     patterns,
 )
-def test_depth_cap_flattening_carries_the_memos(initial, deltas, warm, args):
-    """An unread chain flattens at ``MAX_DELTA_DEPTH``: with a warmed
-    root the flattening cell inherits memos through the whole chain,
-    with a cold one it holds none — both must read the same."""
+def test_compaction_carries_the_memos(initial, deltas, warm, args):
+    """An unread chain flattened by ``compact()`` on every
+    ``COMPACT_INTERVAL``-th publish, as a view flattens it: with a
+    warmed root the flattened cell inherits memos through the whole
+    chain, with a cold one it holds none — both must read the same."""
     snapshot = ModelSnapshot.full({"p": initial})
     model = frozenset(initial)
     if warm:
         snapshot.lines("p")
         snapshot.probe("p", args)
     deepest = 0
-    for plus, minus in deltas:
+    for count, (plus, minus) in enumerate(deltas, 1):
         snapshot = snapshot.apply_delta(
             {"p": plus}, {"p": minus}, snapshot.generation + 1
         )
         model = (model - minus) | plus
         deepest = max(deepest, snapshot.max_chain_depth())
-    assert deepest == MAX_DELTA_DEPTH
-    assert snapshot.max_chain_depth() < MAX_DELTA_DEPTH, "flattened on the way"
+        if count % COMPACT_INTERVAL == 0:
+            assert snapshot.compact(COMPACT_DEPTH)[0] == 1
+    assert deepest == COMPACT_INTERVAL
+    assert snapshot.max_chain_depth() == len(deltas) % COMPACT_INTERVAL, "flattened on the way"
     check(snapshot, model, [args])
 
 
@@ -184,17 +187,18 @@ def check_annotations(snapshot, table):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables, st.lists(st.tuples(tables, st.booleans()), max_size=MAX_DELTA_DEPTH + 4))
+@given(tables, st.lists(st.tuples(tables, st.booleans()), max_size=2 * COMPACT_INTERVAL + 4))
 def test_annotations_carried_by_delta_equal_a_full_publish(initial, script):
     """An annotated view publishes the ``(row, text)`` pairs its batch
     added and removed; whichever generations were read on the way — so
     whichever held the ``explain`` memo when the next one settled — the
     table, its lines and the fingerprint are those of a snapshot built
-    from the whole model.  Boolean snapshots stay without a table."""
+    from the whole model, compacted as a view compacts it.  Boolean
+    snapshots stay without a table."""
     snapshot = ModelSnapshot.full({"p": initial.keys()}, annotations={"p": initial})
     table = initial
     history = [(snapshot, table)]
-    for target, read in script:
+    for count, (target, read) in enumerate(script, 1):
         snapshot = snapshot.apply_delta(
             {"p": target.keys() - table.keys()},
             {"p": table.keys() - target.keys()},
@@ -206,6 +210,8 @@ def test_annotations_carried_by_delta_equal_a_full_publish(initial, script):
         history.append((snapshot, table))
         if read:
             check_annotations(snapshot, table)
+        if count % COMPACT_INTERVAL == 0:
+            snapshot.compact(COMPACT_DEPTH)
     for snapshot, table in reversed(history):
         check_annotations(snapshot, table)
     assert snapshot.max_chain_depth() == 0

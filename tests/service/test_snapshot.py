@@ -3,7 +3,7 @@
 from repro.datalog.facts import format_fact
 from repro.relations import Atom
 from repro.service import ModelSnapshot
-from repro.service.snapshot import MAX_DELTA_DEPTH, _Cell
+from repro.service.snapshot import _Cell
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -62,16 +62,16 @@ class TestDeltaMaintenance:
         )
         assert successor._true["p"] is base._true["p"]
 
-    def test_long_chains_compact_at_the_depth_cap(self):
+    def test_a_long_chain_flattens_under_compact_not_at_publish(self):
         snapshot = _snap(p=frozenset())
-        for i in range(3 * MAX_DELTA_DEPTH):
+        for i in range(24):
             snapshot = snapshot.apply_delta(
                 {"p": {(Atom(f"n{i}"),)}}, {}, generation=i + 2
             )
-            assert snapshot._true["p"].depth <= MAX_DELTA_DEPTH
-        assert snapshot.rows("p") == {
-            (Atom(f"n{i}"),) for i in range(3 * MAX_DELTA_DEPTH)
-        }
+            assert snapshot._true["p"].depth == i + 1
+        assert snapshot.compact(4) == (1, 24)
+        assert snapshot.max_chain_depth() == 0
+        assert snapshot.rows("p") == {(Atom(f"n{i}"),) for i in range(24)}
 
     def test_materialization_is_memoized(self):
         base = _snap(p={(a,)})
