@@ -30,8 +30,8 @@ __all__, __getattr__, __dir__ = facade(
     {
         "client": ("ClusterClient", "ClusterReplyError"),
         "framing": (
-            "MAX_FRAME_BYTES", "FrameError", "encode_frame", "read_frame",
-            "read_frame_async", "write_frame", "write_frame_async",
+            "MAX_FRAME_BYTES", "FrameDecoder", "FrameError", "encode_frame",
+            "read_frame", "write_frame",
         ),
         "hashring": ("HashRing",),
         ".metrics": ("merge_counters", "merge_histograms", "rollup_metrics"),

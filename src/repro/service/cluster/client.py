@@ -7,6 +7,11 @@ supports **pipelining** (:meth:`ClusterClient.pipeline`): write many
 request frames back-to-back, then collect the responses, which the
 router guarantees arrive in request order.
 
+Replies are read through the connection's own
+:class:`~.framing.FrameDecoder`: one ``recv_into`` its buffer takes a
+reply's header and payload together, and whatever arrives past a reply
+(the next pipelined one) waits there for the next :meth:`receive`.
+
 This is the surface the CLI smoke tests, the failure-path suites, and
 bench P10 drive; application code embedding the cluster would speak
 the same few dozen lines of framing.
@@ -19,7 +24,7 @@ import socket
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...robustness import ClusterError, retry_with_backoff
-from .framing import MAX_FRAME_BYTES, read_frame, write_frame
+from .framing import MAX_FRAME_BYTES, FrameDecoder, write_frame
 
 __all__ = ["ClusterClient", "ClusterReplyError"]
 
@@ -65,8 +70,8 @@ class ClusterClient:
         connect_attempts: int = 8,
     ):
         self.socket_path = socket_path
-        self.max_frame_bytes = max_frame_bytes
         self._sock: Optional[socket.socket] = None
+        self._frames = FrameDecoder(max_frame_bytes)
 
         def attempt() -> socket.socket:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -100,7 +105,7 @@ class ClusterClient:
 
     def receive(self) -> List[str]:
         """Read one response frame as its reply lines."""
-        payload = read_frame(self._sock, self.max_frame_bytes)
+        payload = self._frames.read(self._sock)
         if payload is None:
             raise ConnectionError("router closed the connection")
         return payload.decode("utf-8").split("\n")

@@ -19,6 +19,7 @@ import pytest
 from repro.service.cluster import (
     ClusterClient,
     ClusterReplyError,
+    FrameDecoder,
     FrameError,
     HashRing,
     ViewRecord,
@@ -98,6 +99,73 @@ class TestFraming:
             from repro.service.cluster.framing import MAX_FRAME_BYTES
 
             encode_frame(b"x" * (MAX_FRAME_BYTES + 1))
+
+    def test_a_frame_fed_one_byte_at_a_time(self):
+        decoder = FrameDecoder()
+        wire = encode_frame(b"query v tc") + encode_frame(b"")
+        frames = []
+        for byte in wire:
+            decoder.get_buffer()[0] = byte
+            decoder.buffer_updated(1)
+            while (frame := decoder.next_frame()) is not None:
+                frames.append(frame)
+        assert frames == [b"query v tc", b""]
+
+    def test_two_frames_in_one_recv(self):
+        left, right = self._pair()
+        reads = []
+
+        class Counting:
+            def recv_into(self, buffer):
+                reads.append(len(buffer))
+                return right.recv_into(buffer)
+
+        try:
+            left.sendall(
+                encode_frame(b"row tc(a, b)\nok 1 rows") + encode_frame(b"ok")
+            )
+            decoder = FrameDecoder()
+            assert decoder.read(Counting()) == b"row tc(a, b)\nok 1 rows"
+            assert decoder.read(Counting()) == b"ok"
+            assert len(reads) == 1  # the second frame was already buffered
+            left.close()
+            assert decoder.read(Counting()) is None
+        finally:
+            left.close()
+            right.close()
+
+    def test_receive_buffers_never_outgrow_the_largest_message(self):
+        from repro.service.cluster.framing import BUFFER_BYTES
+        from repro.service.cluster.router import _WorkerConnection
+
+        def feed(receiver, wire):
+            while wire:
+                free = receiver.get_buffer(-1)
+                count = min(len(free), len(wire))
+                free[:count] = wire[:count]
+                receiver.buffer_updated(count)
+                wire = wire[count:]
+
+        assert BUFFER_BYTES <= 64 * 1024
+        large = b"row tc(a, b)\n" * 20000 + b"ok 20000 rows\n"
+        small = b"row tc(a, b)\nok 1 rows\n"
+        connection = _WorkerConnection()
+        assert len(connection._buffer) == BUFFER_BYTES
+        for reply, size in (
+            (small, BUFFER_BYTES), (large, len(large)), (small, len(large)),
+        ):
+            feed(connection, reply)
+            assert len(connection._buffer) == size
+        decoder = FrameDecoder()
+        payload = large[:-1]
+        for frame, size in (
+            (b"ok", BUFFER_BYTES),
+            (payload, len(payload) + 4),
+            (b"ok", len(payload) + 4),
+        ):
+            feed(decoder, encode_frame(frame))
+            assert decoder.next_frame() == frame
+            assert len(decoder._buffer) == size
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +559,132 @@ edge(a, b).  label('two words').
 """
 
 
+@pytest.fixture
+def quiet_cluster():
+    """A one-shard cluster whose supervisor sleeps through the test: no
+    heartbeat runs while a test counts the router loop's tasks."""
+    directory = tempfile.mkdtemp(prefix="repro-cluq-")
+    socket_path = os.path.join(directory, "fd")
+    with cluster(socket_path, shards=1, heartbeat_interval=600) as router:
+        yield router, socket_path
+    shutil.rmtree(directory, ignore_errors=True)
+
+
+class TestFrontDoor:
+    def test_a_framed_request_creates_no_task_after_the_first(
+        self, quiet_cluster
+    ):
+        # A request forwarded as it is goes from the read callback that
+        # cut its frame to the worker, and its reply back from the read
+        # callback that completed it.  The first request on a worker
+        # connects (a task); the ones after it reuse the connection.
+        from unittest import mock
+
+        router, socket_path = quiet_cluster
+        loop = router._server.get_loop()
+        with _client(socket_path) as client:
+            client.register("nt", TC)
+            client.insert("nt", "edge(a, b)")
+            lines = [
+                "+nt edge(b, c)", "query nt tc", "query nt tc(a, _)",
+                "-nt edge(b, c)", "stats nt", "query nt tc",
+            ]
+            with mock.patch.object(
+                loop, "create_task", wraps=loop.create_task
+            ) as create_task:
+                replies = [client.request(line) for line in lines]
+                replies += client.pipeline(lines)
+            assert create_task.call_count == 0
+        for replies_of_one in (replies[:6], replies[6:]):
+            assert replies_of_one[1] == [
+                "row tc(a, b)", "row tc(a, c)", "row tc(b, c)", "ok 3 rows",
+            ]
+            assert replies_of_one[2][-1] == "ok 2 rows"
+            assert replies_of_one[5] == ["row tc(a, b)", "ok 1 rows"]
+            assert all(reply[-1].startswith("ok") for reply in replies_of_one)
+
+    def test_queued_requests_past_the_bound_pause_reading(self):
+        # A connection answers one request at a time; the ones a client
+        # pipelines behind it queue until 64 KiB of them wait, then the
+        # connection stops reading until they drain.
+        from repro.service.cluster.router import (
+            QUEUED_REQUEST_BYTES,
+            _FrontDoor,
+        )
+
+        written, pending = [], []
+
+        class Transport:
+            reading = True
+
+            def pause_reading(self):
+                self.reading = False
+
+            def resume_reading(self):
+                self.reading = True
+
+            def write(self, data):
+                written.append(data)
+
+        class Router:
+            max_request_bytes = 1 << 20
+            _clients = set()
+
+            def _begin(self, line, finish):
+                pending.append(finish)
+
+        door, transport = _FrontDoor(Router()), Transport()
+        door.connection_made(transport)
+        frame = encode_frame(b"query v tc(" + b"a" * 1000 + b", _)")
+        sent = 0
+        while transport.reading and sent < 1000:
+            door.get_buffer(-1)[: len(frame)] = frame
+            door.buffer_updated(len(frame))
+            sent += 1
+        queued = (sent - 1) * (len(frame) - 4)  # the first one started
+        assert queued > QUEUED_REQUEST_BYTES >= queued - (len(frame) - 4)
+        assert len(pending) == 1
+        while pending:
+            pending.pop()(b"ok")
+        assert transport.reading
+        assert written == [encode_frame(b"ok")] * sent
+
+    def test_a_client_that_stops_reading_stops_the_router_at_the_mark(
+        self, quiet_cluster
+    ):
+        # Forty pipelined full reads of ~30 kB each, never read: once
+        # the socket is full the replies pile up in the router's write
+        # buffer until it passes the high-water mark, and then the
+        # connection starts no further request.
+        import time
+
+        router, socket_path = quiet_cluster
+        facts = " ".join(f"p({index})." for index in range(3000))
+        with _client(socket_path) as client:
+            client.register("bp", f"{facts} q(X) :- p(X).")
+            before = router.counters["requests_total"]
+            for _ in range(40):
+                client.send("query bp q")
+            seen, stable_since = -1, time.monotonic()
+            while time.monotonic() - stable_since < 0.5:
+                time.sleep(0.05)
+                if router.counters["requests_total"] != seen:
+                    seen = router.counters["requests_total"]
+                    stable_since = time.monotonic()
+            (door,) = router._clients
+            frame = len(encode_frame(b"\n".join(
+                f"row q({index})".encode() for index in range(3000)
+            ) + b"\nok 3000 rows"))
+            high = door.transport.get_write_buffer_limits()[1]
+            assert seen - before < 40
+            assert door.transport.get_write_buffer_size() <= high + frame
+            replies = [client.receive() for _ in range(40)]
+        assert all(
+            len(reply) == 3001 and reply[-1] == "ok 3000 rows"
+            for reply in replies
+        )
+
+
 class TestRegisterFromAFile:
     def test_a_drain_replays_the_program_not_the_path(self):
         """The router reads the file once, at registration: drains
@@ -536,4 +730,4 @@ class TestRegisterFromAFile:
         served = _handle_line(QueryService(), line)
         assert served[0].startswith("error ParseError: line 3, column 14: ")
         router = ClusterRouter(str(tmp_path / "fd"), shards=1)
-        assert asyncio.run(router._dispatch(line)) == served
+        assert asyncio.run(router._dispatch(line)).decode().split("\n") == served

@@ -217,6 +217,6 @@ def test_a_malformed_request_gets_the_usage_line_serve_gives(line, tmp_path):
     router = ClusterRouter(str(tmp_path / "fd"), shards=1)
     served = _handle_line(QueryService(), line)
     assert len(served) == 1 and served[0].startswith("error ")
-    assert asyncio.run(router._dispatch(line)) == served
+    assert asyncio.run(router._dispatch(line)).decode().split("\n") == served
     assert router.counters["forwarded_total"] == 0
     assert router.counters["fanouts_total"] == 0

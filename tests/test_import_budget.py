@@ -123,7 +123,7 @@ FACADE = (
         ("repro.relations", 16),
         ("repro.robustness", 23),
         ("repro.service", 25),
-        ("repro.service.cluster", 20),
+        ("repro.service.cluster", 19),
         ("repro.service.dbsp", 4),
     ],
 )
