@@ -6,6 +6,15 @@ are inlined, and ``IFP`` runs the inflationary iteration of Section 3.1
 ("starting with the empty set, at each step exp is applied on the result
 obtained in the previous step, and the result is accumulated").
 
+A ``σ`` test or a ``MAP`` function is compiled once per node visited
+(:func:`~repro.core.funcs.compile_selection`,
+:func:`~repro.core.funcs.compile_scalar`), then applied per member.  A
+``σ`` that a subtraction's ``¬`` reaches with no ``×``, ``MAP`` or
+``IFP`` between keeps a member unless its test's complement holds, as
+the Proposition 5.1 translation reads it (its NNF pushes that ``¬`` onto
+the comparisons).  A call is read as its inlined body, so that ``¬``
+reaches through it, and into an argument where its parameter stands.
+
 Because the paper's domains may be infinite, the iteration takes an
 explicit ``max_iterations`` bound and raises :class:`NonTerminating` when
 it is hit — the bounded-universe discipline of this reproduction.
@@ -17,7 +26,7 @@ on a recursive call raises :class:`RecursionNotSupported`.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ..robustness import EvaluationBudget, NonTerminating
 from ..relations.relation import Relation
@@ -35,7 +44,7 @@ from .expressions import (
     SetConst,
     Union,
 )
-from .funcs import eval_scalar, eval_test
+from .funcs import compile_scalar, compile_selection
 from .programs import AlgebraProgram
 
 __all__ = ["evaluate", "evaluate_query", "NonTerminating", "RecursionNotSupported"]
@@ -48,6 +57,28 @@ __all__ = ["evaluate", "evaluate_query", "NonTerminating", "RecursionNotSupporte
 
 class RecursionNotSupported(ValueError):
     """A recursive call reached the two-valued evaluator."""
+
+
+class _Argument:
+    """A call's argument bound to its parameter, read as inlining the
+    call would read it: positively, or — where a subtraction's ``¬``
+    reaches the parameter — with that ``¬`` reaching the ``σ`` tests
+    inside it (evaluated on first such read)."""
+
+    __slots__ = ("positive", "_negative", "_read")
+
+    def __init__(self, read: Callable[[bool], Relation]):
+        self._read = read
+        self.positive = read(False)
+        self._negative: Optional[Relation] = None
+
+    def at(self, negated: bool) -> Relation:
+        """The argument's value where ``negated`` reaches its parameter."""
+        if not negated:
+            return self.positive
+        if self._negative is None:
+            self._negative = self._read(True)
+        return self._negative
 
 
 def evaluate(
@@ -67,27 +98,28 @@ def evaluate(
     """
     recursive = program.recursive_names() if program else frozenset()
 
-    def run(node: Expr, env: Mapping[str, Relation]) -> Relation:
+    def run(node: Expr, env: Mapping[str, Relation], negated: bool = False) -> Relation:
         if isinstance(node, RelVar):
             if node.name not in env:
                 raise KeyError(f"unbound relation variable {node.name!r}")
-            return env[node.name]
+            value = env[node.name]
+            return value.at(negated) if isinstance(value, _Argument) else value
         if isinstance(node, SetConst):
             return Relation(node.values)
         if isinstance(node, Union):
-            return run(node.left, env).union(run(node.right, env))
+            return run(node.left, env, negated).union(run(node.right, env, negated))
         if isinstance(node, Diff):
-            return run(node.left, env).difference(run(node.right, env))
+            return run(node.left, env, negated).difference(
+                run(node.right, env, not negated)
+            )
         if isinstance(node, Product):
             return run(node.left, env).product(run(node.right, env))
         if isinstance(node, Select):
-            child = run(node.child, env)
-            return child.select(lambda member: eval_test(node.test, member, registry))
+            test = compile_selection(node.test, registry, negated)
+            return run(node.child, env, negated).select(test)
         if isinstance(node, Map):
-            images = (
-                eval_scalar(node.func, member, registry)
-                for member in run(node.child, env).items
-            )
+            function = compile_scalar(node.func, registry)
+            images = map(function, run(node.child, env).items)
             return Relation(image for image in images if image is not None)
         if isinstance(node, Ifp):
             current = Relation.empty()
@@ -119,10 +151,13 @@ def evaluate(
                     f"have three-valued semantics — use repro.core.valid_eval"
                 )
             definition = program.definition(node.name)
-            arguments = [run(arg, env) for arg in node.args]
+            arguments = [
+                _Argument(lambda negated, arg=arg: run(arg, env, negated))
+                for arg in node.args
+            ]
             inner = dict(env)
             inner.update(zip(definition.params, arguments))
-            return run(definition.body, inner)
+            return run(definition.body, inner, negated)
         raise TypeError(f"not an expression: {node!r}")
 
     return run(expr, environment)

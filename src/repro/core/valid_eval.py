@@ -20,7 +20,10 @@ without translating to a deductive program:
    current derivation state and references at *negative* polarity (under
    an odd number of ``−``-right nestings) are answered by a negation
    oracle.  Double subtraction therefore flips polarity back, exactly as
-   the membership-inversion equations of [5] do.
+   the membership-inversion equations of [5] do.  ``holds`` is compiled,
+   not walked: one closure per node and polarity, built once per
+   evaluation (the ``σ`` tests and ``MAP`` indexes bound in it), so no
+   type dispatch is left on the per-member path.
 3. **Alternating fixpoint, by component** — the paper's valid loop: an
    overestimate pass (negatives allowed unless already true),
    certainly-false harvesting, then an underestimate pass (negatives
@@ -78,7 +81,7 @@ from .expressions import (
     walk,
 )
 from .funcs import AndTest, Apply, Arg, Comp, CompareTest, MkTup, ScalarExpr, Test
-from .funcs import eval_scalar, eval_test
+from .funcs import Predicate, Scalar, compile_scalar, compile_selection
 from .programs import AlgebraProgram, ProgramError
 
 __all__ = ["EvalLimits", "ValidEvalResult", "valid_evaluate", "IfpThroughRecursion"]
@@ -212,6 +215,15 @@ def _split(test: Test) -> Tuple[List[Tuple[ScalarExpr, ScalarExpr]], List[Test]]
 _Way = Tuple[List[BodyItem], Var]
 #: A membership ``value ∈ name``, as ``(name, value)``.
 _Node = Tuple[str, Value]
+#: A node's compiled membership at one polarity: ``(value, state,
+#: oracle) → holds``.
+_Holds = Callable[[Value, Mapping[str, Set[Value]], Callable[[str, Value], bool]], bool]
+#: A node's compiled read set: ``(value, reads)`` appends what it reads.
+_Reads = Callable[[Value, List[_Node]], None]
+
+
+def _no_reads(value: Value, reads: List[_Node]) -> None:
+    """The read set of a node with no system-set reference below it."""
 
 
 class _Compiler:
@@ -223,9 +235,10 @@ class _Compiler:
     ``x.1`` with a key of ``x.2`` over a ``×``, which is a join of two
     helpers ``key@n(key, member)`` — and ``MAP`` a binary predicate
     ``map@n(image, member)`` fused onto whatever enumerates its child:
-    readers ignore the member, :meth:`_System.holds` walks it back.
-    Scalars and tests stay :func:`eval_scalar` / :func:`eval_test`, as
-    functions of this one evaluation.  Rules come out children first.
+    readers ignore the member, :meth:`_System._holds` walks it back.
+    Scalars and tests are the system's compiled closures, registered as
+    functions ``f@n`` of this one evaluation (one call per application
+    on the kernel).  Rules come out children first.
     """
 
     def __init__(self, system: "_System"):
@@ -247,11 +260,11 @@ class _Compiler:
     def _emit(self, head: str, args: Tuple[Var, ...], body: List[BodyItem]) -> None:
         self.rules.append(Rule(PredAtom(head, args), tuple(body)))
 
-    def _apply(self, func: Callable[[Value], Optional[Value]], way: _Way) -> _Way:
-        """``way`` through ``out = func(member)`` (undefined: no row)."""
+    def _apply(self, read: Callable[[Tuple[Value]], Optional[Value]], way: _Way) -> _Way:
+        """``way`` through ``out = read((member,))`` (undefined: no row)."""
         body, member = way
         name, out = self._name("f"), self._var()
-        self.functions.register(name, 1, func)
+        self.functions.register(name, 1, lambda value: read((value,)), read)
         return body + [Comparison("=", out, FuncTerm(name, (member,)))], out
 
     def _scalar(
@@ -259,18 +272,25 @@ class _Compiler:
     ) -> _Way:
         if universe is None and expr == Arg():
             return way
+        scalar = self.system.scalar(expr)
+        if universe is None:
+            return self._apply(lambda args: scalar(args[0]), way)
+        window = universe.items
 
-        def value_of(member: Value) -> Optional[Value]:
-            value = eval_scalar(expr, member, self.system.registry)
-            return value if universe is None or value in universe else None
+        def bounded(args: Tuple[Value]) -> Optional[Value]:
+            value = scalar(args[0])
+            return value if value in window else None
 
-        return self._apply(value_of, way)
+        return self._apply(bounded, way)
 
     def _select(self, test: Test, way: _Way) -> _Way:
-        registry = self.system.registry
-        return self._apply(
-            lambda member: member if eval_test(test, member, registry) else None, way
-        )
+        selected = self.system.test(test)
+
+        def select(args: Tuple[Value]) -> Optional[Value]:
+            member = args[0]
+            return member if selected(member) else None
+
+        return self._apply(select, way)
 
     def _pair(self, sides: List[BodyItem], left: Var, right: Var) -> _Way:
         out = self._var()
@@ -382,6 +402,8 @@ class _System:
         self.environment = environment
         self.registry = registry
         self.universe = universe
+        self._scalars: Dict[ScalarExpr, Scalar] = {}
+        self._tests: Dict[Tuple[Test, bool], Predicate] = {}
         compiler = _Compiler(self)
         for name, body in equations.items():
             compiler.equation(name, body)
@@ -399,14 +421,18 @@ class _System:
         self.map_preimages: Dict[int, Dict[Value, List[Value]]] = {
             node: grouped[predicate] for node, predicate in compiler.maps.items()
         }
+        #: Per equation, its body's membership at positive polarity.
+        self.holds: Dict[str, _Holds] = {
+            name: self._holds(body, True, False) for name, body in equations.items()
+        }
         # The membership graph: (name, value) reads what ``holds`` may
         # read for it, its components in dependency order, and per
         # membership the members of its own component that read it.
         reads: Dict[_Node, List[_Node]] = {}
         for name, body in equations.items():
+            collect = self._reads(body, False)
             for value in self.cand_sys[name]:
-                reads[name, value] = []
-                self._reads(value, body, reads[name, value])
+                collect(value, reads.setdefault((name, value), []))
         self.components = strongly_connected_components(reads, reads.__getitem__)
         self.dependents: Dict[_Node, List[_Node]] = {node: [] for node in reads}
         for component in self.components:
@@ -469,78 +495,151 @@ class _System:
         )
         return kernel
 
-    # -- polarity-split membership -----------------------------------------------
+    # -- compiled scalars, tests and membership -------------------------------
 
-    def holds(
-        self,
-        value: Value,
-        node: Expr,
-        state: Mapping[str, Set[Value]],
-        oracle: Callable[[str, Value], bool],
-        positive: bool,
-    ) -> bool:
-        """Membership of ``value`` in ``node``.
+    def scalar(self, expr: ScalarExpr) -> Scalar:
+        """``expr`` compiled, once per evaluation."""
+        compiled = self._scalars.get(expr)
+        if compiled is None:
+            compiled = self._scalars[expr] = compile_scalar(expr, self.registry)
+        return compiled
+
+    def test(self, test: Test, negated: bool = False) -> Predicate:
+        """What keeps a member in ``σ[test](E)`` (``negated``: under a
+        subtraction's ``¬``, see :func:`~repro.core.funcs.compile_selection`),
+        compiled once per evaluation."""
+        compiled = self._tests.get((test, negated))
+        if compiled is None:
+            compiled = compile_selection(test, self.registry, negated)
+            self._tests[test, negated] = compiled
+        return compiled
+
+    def _holds(self, node: Expr, positive: bool, negated: bool) -> _Holds:
+        """Membership of a value in ``node``, compiled at one polarity.
 
         System-set references read ``state`` at positive polarity; at
         negative polarity ``value ∈ S`` is *false* exactly when the oracle
         licenses the assumption ``value ∉ S`` (and true otherwise, i.e.
-        possibly-true memberships block subtraction).
+        possibly-true memberships block subtraction).  ``negated``: a
+        subtraction's ``¬`` reaches the node's ``σ`` tests
+        (:meth:`test`); ``×`` and ``MAP`` clear it, as the ∃ they
+        translate to stops the translation's NNF.
         """
-        if isinstance(node, RelVar):
-            return value in self.environment[node.name].items
-        if isinstance(node, SetConst):
-            return value in node.values
-        if isinstance(node, Union):
-            return self.holds(value, node.left, state, oracle, positive) or self.holds(
-                value, node.right, state, oracle, positive
+        if isinstance(node, (RelVar, SetConst)):
+            members = (
+                self.environment[node.name].items
+                if isinstance(node, RelVar)
+                else node.values
             )
-        if isinstance(node, Diff):
-            if not self.holds(value, node.left, state, oracle, positive):
-                return False
-            return not self.holds(value, node.right, state, oracle, not positive)
-        if isinstance(node, Product):
-            if not isinstance(value, Tup) or len(value) != 2:
-                return False
-            return self.holds(
-                value.component(1), node.left, state, oracle, positive
-            ) and self.holds(value.component(2), node.right, state, oracle, positive)
-        if isinstance(node, Select):
-            if not eval_test(node.test, value, self.registry):
-                return False
-            return self.holds(value, node.child, state, oracle, positive)
-        if isinstance(node, Map):
-            for preimage in self.map_preimages.get(id(node), {}).get(value, ()):
-                if self.holds(preimage, node.child, state, oracle, positive):
-                    return True
-            return False
+            return lambda value, state, oracle: value in members
         if isinstance(node, Call):
+            name = node.name
             if positive:
-                return value in state[node.name]
-            return not oracle(node.name, value)
-        raise TypeError(f"unexpected node: {node!r}")
+                return lambda value, state, oracle: value in state[name]
+            return lambda value, state, oracle: not oracle(name, value)
+        if isinstance(node, Select):
+            test = self.test(node.test, negated)
+            child = self._holds(node.child, positive, negated)
+            return lambda value, state, oracle: test(value) and child(value, state, oracle)
+        if isinstance(node, Map):
+            preimages = self.map_preimages.get(id(node), {})
+            mapped = self._holds(node.child, positive, False)
 
-    def _reads(self, value: Value, node: Expr, reads: List[_Node]) -> None:
-        """Append to ``reads`` every candidate membership ``holds(value,
-        node, …)`` may read, at either polarity: ``holds``' walk without
-        its short cuts, through ``σ`` tests that pass, ``×`` components
-        and ``MAP`` preimages.  A value outside a set's candidates is
-        certainly false there, and read off no state."""
-        if isinstance(node, (Union, Diff)):
-            self._reads(value, node.left, reads)
-            self._reads(value, node.right, reads)
-        elif isinstance(node, Product):
-            if isinstance(value, Tup) and len(value) == 2:
-                self._reads(value.component(1), node.left, reads)
-                self._reads(value.component(2), node.right, reads)
-        elif isinstance(node, Select):
-            if eval_test(node.test, value, self.registry):
-                self._reads(value, node.child, reads)
-        elif isinstance(node, Map):
-            for preimage in self.map_preimages.get(id(node), {}).get(value, ()):
-                self._reads(preimage, node.child, reads)
-        elif isinstance(node, Call):
-            if value in self.cand_sys[node.name]:
-                reads.append((node.name, value))
+            def image(value, state, oracle) -> bool:
+                for preimage in preimages.get(value, ()):
+                    if mapped(preimage, state, oracle):
+                        return True
+                return False
+
+            return image
+        if not isinstance(node, (Union, Diff, Product)):
+            raise TypeError(f"unexpected node: {node!r}")
+        local, flip = negated and not isinstance(node, Product), isinstance(node, Diff)
+        left = self._holds(node.left, positive, local)
+        right = self._holds(node.right, positive != flip, local != flip)
+        if isinstance(node, Union):
+
+            def union(value, state, oracle) -> bool:
+                return left(value, state, oracle) or right(value, state, oracle)
+
+            return union
+        if isinstance(node, Diff):
+
+            def difference(value, state, oracle) -> bool:
+                return left(value, state, oracle) and not right(value, state, oracle)
+
+            return difference
+
+        def pair(value, state, oracle) -> bool:
+            if type(value) is not Tup or len(value.items) != 2:
+                return False
+            first, second = value.items
+            return left(first, state, oracle) and right(second, state, oracle)
+
+        return pair
+
+    def _reads(self, node: Expr, negated: bool) -> _Reads:
+        """What ``_holds(node, …)`` may read, at either polarity, compiled:
+        a function appending every candidate membership it reads for a
+        value — ``_holds`` without its short cuts, through ``σ`` tests
+        that pass, ``×`` components and ``MAP`` preimages.  A value
+        outside a set's candidates is certainly false there, and read off
+        no state.  A node with no system-set reference below it reads
+        nothing (:func:`_no_reads`) and is not walked."""
+        if isinstance(node, Call):
+            name, candidates = node.name, self.cand_sys[node.name]
+
+            def call(value: Value, reads: List[_Node]) -> None:
+                if value in candidates:
+                    reads.append((name, value))
+
+            return call
+        if isinstance(node, Select):
+            child = self._reads(node.child, negated)
+            if child is _no_reads:
+                return child
+            test = self.test(node.test, negated)
+
+            def select(value: Value, reads: List[_Node]) -> None:
+                if test(value):
+                    child(value, reads)
+
+            return select
+        if isinstance(node, Map):
+            child = self._reads(node.child, False)
+            if child is _no_reads:
+                return child
+            preimages = self.map_preimages.get(id(node), {})
+
+            def image(value: Value, reads: List[_Node]) -> None:
+                for preimage in preimages.get(value, ()):
+                    child(preimage, reads)
+
+            return image
+        if not isinstance(node, (Union, Diff, Product)):
+            return _no_reads
+        local = negated and not isinstance(node, Product)
+        left = self._reads(node.left, local)
+        right = self._reads(node.right, local != isinstance(node, Diff))
+        if left is right is _no_reads:
+            return _no_reads
+        if isinstance(node, Product):
+
+            def pair(value: Value, reads: List[_Node]) -> None:
+                if type(value) is Tup and len(value.items) == 2:
+                    first, second = value.items
+                    left(first, reads)
+                    right(second, reads)
+
+            return pair
+        if left is _no_reads or right is _no_reads:
+            return right if left is _no_reads else left
+
+        def both(value: Value, reads: List[_Node]) -> None:
+            left(value, reads)
+            right(value, reads)
+
+        return both
 
     # -- solving, one component at a time -------------------------------------------
 
@@ -554,15 +653,13 @@ class _System:
         fixpoint under ``oracle``, every lower membership already final in
         ``state``; whether any was added.  A membership is tested once,
         and again only when one it reads joins ``state``."""
-        equations, dependents = self.equations, self.dependents
+        holds, dependents = self.holds, self.dependents
         pending = list(component)
         added = False
         while pending:
             node = pending.pop()
             name, value = node
-            if value not in state[name] and self.holds(
-                value, equations[name], state, oracle, True
-            ):
+            if value not in state[name] and holds[name](value, state, oracle):
                 state[name].add(value)
                 pending.extend(dependents[node])
                 added = True
@@ -597,10 +694,10 @@ class _System:
             (node,) = component
             if not self.dependents[node]:
                 name, value = node
-                body = self.equations[name]
-                if self.holds(value, body, over, possible, True):
+                holds = self.holds[name]
+                if holds(value, over, possible):
                     over[name].add(value)
-                    if self.holds(value, body, true, certain, True):
+                    if holds(value, true, certain):
                         true[name].add(value)
                 return 1
         rounds = 0

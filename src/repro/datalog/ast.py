@@ -13,7 +13,17 @@ The classes here are plain immutable data; evaluation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..relations.universe import FunctionRegistry
 from ..relations.values import FSet, Tup, Value, format_value, is_value
@@ -32,6 +42,7 @@ __all__ = [
     "term_vars",
     "substitute_term",
     "eval_term",
+    "resolve_function",
     "pos",
     "neg",
     "eq",
@@ -142,20 +153,45 @@ def eval_term(
         if value is None:
             return None
         values.append(value)
-    return _apply_function(term.name, values, registry)
+    return resolve_function(term.name, registry, len(values))(tuple(values))
 
 
-def _apply_function(
-    name: str, values: Sequence[Value], registry: Optional[FunctionRegistry]
-) -> Optional[Value]:
-    """``name(values)``: the built-in constructors, else the registry's."""
+def resolve_function(
+    name: str, registry: Optional[FunctionRegistry], arity: int
+) -> Callable[[Tuple[Value, ...]], Optional[Value]]:
+    """What ``name`` applied to ``arity`` values means, as a function of
+    the argument tuple: the built-in constructors ``tuple`` and ``set``,
+    else the registry's function — its reader when it has one of that
+    arity (one call per application), else its checked ``apply``.
+
+    Resolving never raises: an unknown name (or no registry) resolves to
+    a function that raises the ``KeyError`` when applied, so a plan that
+    binds its function symbols up front still fails at the first row that
+    reaches one, and a firing that reaches none does not fail."""
     if name == "tuple":
-        return Tup(tuple(values))
+        return Tup
     if name == "set":
-        return FSet(frozenset(values))
+        return _set_of
     if registry is None:
-        raise KeyError(f"no function registry supplied for {name!r}")
-    return registry.get(name).apply(values)
+        return _unknown(f"no function registry supplied for {name!r}")
+    try:
+        entry = registry.get(name)
+    except KeyError as error:
+        return _unknown(error.args[0])
+    if entry.reader is not None and entry.arity == arity:
+        return entry.reader
+    return entry.apply
+
+
+def _set_of(values: Tuple[Value, ...]) -> FSet:
+    return FSet(frozenset(values))
+
+
+def _unknown(message: str) -> Callable[[Tuple[Value, ...]], Optional[Value]]:
+    def apply(values: Tuple[Value, ...]) -> Optional[Value]:
+        raise KeyError(message)
+
+    return apply
 
 
 # ---------------------------------------------------------------------------

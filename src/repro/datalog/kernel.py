@@ -23,8 +23,10 @@ through :meth:`JoinKernel.fire`.  A rule is compiled once per
 A plan is then compiled once more, to Python: on its first firing under
 a pair of views, :func:`_generate` writes one function with a nested
 ``for`` per match step, the slots as local variables, tests, negated
-literals and function terms inline, and a leaf that hands each head row
-to the caller.  :meth:`JoinKernel.fire` collects the rows in a list —
+literals and function terms inline (each function symbol resolved once
+per firing, by :func:`~repro.datalog.ast.resolve_function`, and applied
+by one call per row), and a leaf that hands each head row to the
+caller.  :meth:`JoinKernel.fire` collects the rows in a list —
 one per rule instance, for the grounder (whose head row is the whole
 rule instance) and the annotated engines — or, ``as_set``, in a set:
 every set-semantics closure takes that one (the semi-naive strata, the
@@ -64,7 +66,7 @@ from typing import TYPE_CHECKING, Sequence, Set, Tuple
 from ..relations.universe import FunctionRegistry
 from ..relations.values import Value
 from .ast import Comparison, Const, FuncTerm, Literal, PredAtom, Rule, Var, term_vars
-from .ast import _apply_function
+from .ast import resolve_function
 from .binding import (
     UnsafeRuleError,
     _compare,
@@ -347,7 +349,7 @@ class _Writer:
         self.plan, self.before, self.after = plan, before, after
         steps = plan.steps
         self.cells: Dict[str, object] = {
-            "apply": _apply_function,
+            "resolve": resolve_function,
             "compare": _compare,
             "rewound": _rewound,
         }
@@ -364,6 +366,18 @@ class _Writer:
         self.ranked = after if isinstance(after, frozenset) else None
         self.rank: Optional[str] = None
         self.start("c0", f"{_CONTEXT}, lead")
+        # Every function symbol is bound once per firing, here; a
+        # continuation takes the binding as a parameter.
+        self.functions_of: Dict[Tuple[str, int], str] = {}
+        for step in steps:
+            if step[0] != _ASSIGN:
+                continue
+            name, arity = step[2], len(step[3])
+            if (name, arity) not in self.functions_of:
+                cell = self.mint("h", (name, arity), name)
+                local = self.functions_of[name, arity] = "u" + cell[1:]
+                self.hoists[local] = f"resolve({cell}, registry, {arity})"
+                self.live.add(local)
 
     # -- names ------------------------------------------------------------------
 
@@ -440,8 +454,8 @@ class _Writer:
                 self.match(*step[1:])
             elif kind == _ASSIGN:
                 _, target, name, args = step
-                function = self.mint("h", name, name)
-                self.line(f"s{target} = apply({function}, {self.row(args)}, registry)")
+                function = self.functions_of[name, len(args)]
+                self.line(f"s{target} = {function}({self.row(args)})")
                 self.line(f"if s{target} is None: {self.fail}")
                 self.live.add(f"s{target}")
             elif kind == _TEST:

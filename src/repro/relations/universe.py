@@ -38,16 +38,29 @@ class DomainFunction:
     ``TypeError`` / ``ZeroDivisionError`` / ``IndexError`` to signal that
     it is undefined on the given arguments (partiality); such applications
     simply produce no value.
+
+    ``reader``, when given, is the same function over the argument tuple,
+    trusted to return a value or ``None`` and never to raise: callers that
+    bind a function once and apply it per row (the join kernel's plans,
+    :func:`~repro.core.funcs.compile_scalar`) call it in place of
+    :meth:`apply`, one Python call per application.
     """
 
-    __slots__ = ("name", "arity", "func")
+    __slots__ = ("name", "arity", "func", "reader")
 
-    def __init__(self, name: str, arity: int, func: Callable[..., Optional[Value]]):
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        func: Callable[..., Optional[Value]],
+        reader: Optional[Callable[[Tuple[Value, ...]], Optional[Value]]] = None,
+    ):
         if arity < 0:
             raise ValueError("arity must be non-negative")
         self.name = name
         self.arity = arity
         self.func = func
+        self.reader = reader
 
     def apply(self, args: Sequence[Value]) -> Optional[Value]:
         """Apply to ``args``; return None when undefined on them."""
@@ -78,10 +91,15 @@ class FunctionRegistry:
         self._functions: Dict[str, DomainFunction] = {}
 
     def register(
-        self, name: str, arity: int, func: Callable[..., Optional[Value]]
+        self,
+        name: str,
+        arity: int,
+        func: Callable[..., Optional[Value]],
+        reader: Optional[Callable[[Tuple[Value, ...]], Optional[Value]]] = None,
     ) -> DomainFunction:
-        """Register ``func`` under ``name``; replaces any previous binding."""
-        entry = DomainFunction(name, arity, func)
+        """Register ``func`` (and its ``reader``, see :class:`DomainFunction`)
+        under ``name``; replaces any previous binding."""
+        entry = DomainFunction(name, arity, func, reader)
         self._functions[name] = entry
         return entry
 
@@ -140,19 +158,24 @@ MAX_COMPONENT = 9
 def translation_registry(base: Optional[FunctionRegistry] = None) -> FunctionRegistry:
     """A registry extended with the structural functions the translated
     programs use: ``comp1 ... comp9`` (1-indexed tuple component, partial
-    off tuples / out of range)."""
+    off tuples / out of range).  Each has a reader, so a bound ``compI``
+    costs one call per application: a direct read of the component."""
     registry = (base or standard_registry()).copy()
 
     def _component(index: int):
-        def pick(value: Value) -> Optional[Value]:
-            if isinstance(value, Tup) and 1 <= index <= len(value):
-                return value.component(index)
+        position = index - 1
+
+        def read(args: Tuple[Value, ...]) -> Optional[Value]:
+            value = args[0]
+            if type(value) is Tup and index <= len(value.items):
+                return value.items[position]
             return None
 
-        return pick
+        return read
 
     for index in range(1, MAX_COMPONENT + 1):
-        registry.register(f"comp{index}", 1, _component(index))
+        read = _component(index)
+        registry.register(f"comp{index}", 1, lambda value, read=read: read((value,)), read)
     return registry
 
 

@@ -101,7 +101,8 @@ class Tup:
         if not isinstance(self.items, tuple):
             object.__setattr__(self, "items", tuple(self.items))
         for item in self.items:
-            _check_value(item)
+            if type(item) not in _VALUE_TYPES:
+                _check_value(item)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -149,6 +150,9 @@ class FSet:
 Value = Union[Atom, Tup, FSet, int, str, bool]
 
 _SCALAR_TYPES = (int, str, bool)
+#: The value classes themselves: a member of one of them is a value
+#: without an ``isinstance`` walk (subclasses fall back to ``is_value``).
+_VALUE_TYPES = frozenset((Atom, Tup, FSet, *_SCALAR_TYPES))
 
 
 def is_value(candidate: object) -> bool:

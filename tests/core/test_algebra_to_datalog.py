@@ -1,5 +1,6 @@
 """Unit tests for the algebra → deduction translation (Propositions 5.1, 5.4)."""
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -32,7 +33,8 @@ from repro.core.expressions import (
 )
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit, MkTup, NotTest
 from repro.core.programs import AlgebraProgram, Definition, Dialect
-from repro.core.valid_eval import IfpThroughRecursion
+from repro.core.evaluator import evaluate, evaluate_query
+from repro.core.valid_eval import IfpThroughRecursion, valid_evaluate
 from repro.core.encoding import environment_to_database
 from repro.datalog import Database, run
 from repro.datalog.ast import Const, FuncTerm, Var
@@ -259,6 +261,91 @@ class TestReaderGuards:
         assert native["S"].true == native["S"].undefined == frozenset()
         assert native["P"].undefined == {a, b}
         assert algebra_answers_translated(program, env, registry=registry) == native
+
+
+class TestNegatedPartialComparison:
+    """``σ[¬t]`` where ``t`` is undefined on some members: ``x.1`` of an
+    atom, or ``<`` between atoms.  The translation pushes ``¬`` onto the
+    comparison (``to_nnf``'s complemented operator), which is false there
+    too; native ``σ`` reads the same (Kleene: an undefined comparison
+    selects nothing at either polarity), so the two routes agree —
+    alone; under ``S = σ[t](A) ∪ (B − S)``, where the members ``σ`` does
+    not select are left to the undefined ``B − S``; subtracted, where the
+    subtraction's ``¬`` reaches the test and an undefined comparison does
+    not take a member out of ``σ[t](A)`` either; and under a ``×``, whose
+    ∃ stops that ``¬``.  The two-valued evaluator reads the non-recursive
+    shapes the same way."""
+
+    A = Relation.of(a, b, tup(a, b), tup(c, c), name="A")
+    ENV = {"A": A, "B": Relation.of(b, c, name="B")}
+    PAIRS = {tup(*pair) for pair in itertools.product(A.items, repeat=2)}
+    SHAPES = {
+        "alone": lambda s: s,
+        "recursive": lambda s: union(s, diff(rel("B"), call("S"))),
+        "subtracted": lambda s: diff(rel("A"), s),
+        "product": lambda s: diff(product(rel("A"), rel("A")), product(s, rel("A"))),
+    }
+    EQUAL, LESS = (
+        NotTest(CompareTest("=", Comp(Arg(), 1), Lit(a))),
+        NotTest(CompareTest("<", Comp(Arg(), 1), Comp(Arg(), 2))),
+    )
+
+    @pytest.mark.parametrize(
+        "test, shape, true",
+        [
+            (EQUAL, "alone", {tup(c, c)}),
+            (EQUAL, "recursive", {tup(c, c)}),
+            (EQUAL, "subtracted", {tup(a, b)}),
+            (EQUAL, "product", {p for p in PAIRS if p.component(1) != tup(c, c)}),
+            (LESS, "alone", set()),
+            (LESS, "recursive", set()),
+            (LESS, "subtracted", set()),
+            (LESS, "product", PAIRS),
+        ],
+    )
+    def test_native_equals_translated(self, test, shape, true):
+        body = self.SHAPES[shape](select(rel("A"), test))
+        program = AlgebraProgram.of(
+            Definition("S", (), body),
+            database_relations=["A", "B"],
+            dialect=Dialect.ALGEBRA_EQ,
+        )
+        registry = translation_registry()
+        native = algebra_answers_native(program, self.ENV, registry=registry)
+        assert algebra_answers_translated(program, self.ENV, registry=registry) == native
+        assert native["S"].true == true
+        assert native["S"].undefined == ({b, c} if shape == "recursive" else set())
+        if shape != "recursive":
+            assert evaluate(body, self.ENV, registry).items == true
+
+    CALLS = {
+        "constant": [
+            Definition("T", (), select(rel("A"), EQUAL)),
+            Definition("S", (), diff(rel("A"), call("T"))),
+        ],
+        "argument": [
+            Definition("F", ("X",), diff(rel("A"), rel("X"))),
+            Definition("S", (), call("F", select(rel("A"), EQUAL))),
+        ],
+        "body": [
+            Definition("F", ("X",), select(rel("X"), EQUAL)),
+            Definition("S", (), diff(rel("A"), call("F", rel("A")))),
+        ],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CALLS))
+    def test_a_subtractions_negation_reaches_through_a_call(self, shape):
+        """A non-recursive call is its inlined body: the two-valued
+        evaluator carries a subtraction's ``¬`` through it, and into an
+        argument where its parameter stands, as the other routes do."""
+        program = AlgebraProgram.of(
+            *self.CALLS[shape], database_relations=["A"], dialect=Dialect.ALGEBRA_EQ
+        )
+        registry, env = translation_registry(), {"A": self.A}
+        native = valid_evaluate(program, env, registry=registry)
+        translated = algebra_answers_translated(program, env, registry=registry)
+        assert native.true["S"] == translated["S"].true == {tup(a, b)}
+        assert evaluate_query(program, "S", env, registry).items == {tup(a, b)}
 
 
 class TestProp54Counterexample:

@@ -13,12 +13,16 @@ from repro.core.funcs import (
     NotTest,
     OrTest,
     TrueTest,
+    compile_scalar,
+    compile_selection,
+    compile_test,
     component,
     eval_scalar,
     eval_test,
     pair,
 )
 from repro.relations import Atom, Tup, standard_registry, tup
+from repro.relations.universe import translation_registry
 
 a, b = Atom("a"), Atom("b")
 
@@ -108,3 +112,77 @@ class TestTests:
     def test_bad_operator_rejected(self):
         with pytest.raises(ValueError):
             CompareTest("~", Arg(), Arg())
+
+
+class TestKleeneNegation:
+    """An undefined comparison selects nothing at either polarity: ``¬``
+    reads it as its complement, which is undefined there too."""
+
+    def test_negated_undefined_operand_is_false(self):
+        test = NotTest(CompareTest("=", component(1), Lit(1)))
+        assert not eval_test(test, 42)  # no first component
+        assert eval_test(test, tup(2, 0))
+        assert not eval_test(test, tup(1, 0))
+
+    def test_negated_incomparable_order_is_false(self):
+        test = NotTest(CompareTest("<", Arg(), Lit(5)))
+        assert not eval_test(test, a)
+        assert eval_test(test, 7)
+        assert not eval_test(test, 3)
+
+    def test_negation_goes_through_the_connectives(self):
+        undefined_on_ints = CompareTest("=", component(1), Lit(1))
+        gt1 = CompareTest(">", Arg(), Lit(1))
+        # ¬(U ∧ T) is U, ¬(U ∧ F) is T; ¬(U ∨ F) is U, ¬(U ∨ T) is F.
+        assert not eval_test(NotTest(AndTest(undefined_on_ints, gt1)), 42)
+        assert eval_test(NotTest(AndTest(undefined_on_ints, gt1)), 0)
+        assert not eval_test(NotTest(OrTest(undefined_on_ints, gt1)), 0)
+        assert not eval_test(NotTest(OrTest(undefined_on_ints, gt1)), 42)
+        assert not eval_test(NotTest(TrueTest()), a)
+
+    def test_a_subtractions_negation_takes_out_only_the_complement(self):
+        test = NotTest(CompareTest("=", component(1), Lit(1)))
+        selected = compile_selection(test)
+        kept = compile_selection(test, negated=True)
+        for member in (tup(2, 0), tup(1, 0)):  # defined: the two agree
+            assert kept(member) == selected(member)
+        assert not selected(42) and kept(42)  # undefined: in neither way
+
+    def test_double_negation_is_the_test(self):
+        test = CompareTest("=", component(1), Lit(1))
+        for member in (42, tup(1, 0), tup(2, 0)):
+            assert eval_test(NotTest(NotTest(test)), member) == eval_test(test, member)
+
+
+class TestCompiled:
+    def test_a_compiled_test_is_applied_per_member(self):
+        test = compile_test(
+            AndTest(CompareTest(">", Arg(), Lit(1)), CompareTest("<", Arg(), Lit(5)))
+        )
+        assert [n for n in range(8) if test(n)] == [2, 3, 4]
+
+    def test_a_compiled_scalar_is_applied_per_member(self):
+        registry = standard_registry()
+        scalar = compile_scalar(
+            MkTup((Apply("succ", (component(1),)), component(2))), registry
+        )
+        assert scalar(tup(1, a)) == tup(2, a)
+        assert scalar(tup(a, a)) is None  # succ is undefined off naturals
+        assert scalar(a) is None
+
+    def test_an_unknown_function_fails_when_first_applied(self):
+        scalar = compile_scalar(Apply("nosuch", (component(1),)), standard_registry())
+        assert scalar(a) is None  # its argument is undefined: never applied
+        with pytest.raises(KeyError, match="nosuch"):
+            scalar(tup(a, b))
+
+    def test_components_read_directly(self):
+        registry = translation_registry()
+        second = compile_scalar(Apply("comp2", (Arg(),)), registry)
+        assert second(tup(a, b)) == b
+        assert second(a) is None
+        assert second(tup(a,)) is None
+        assert registry.get("comp1").apply((tup(a, b),)) == a
+        assert registry.get("comp3").apply((tup(a, b),)) is None
+        with pytest.raises(ValueError):
+            registry.get("comp1").apply((a, b))

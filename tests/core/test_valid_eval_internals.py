@@ -257,20 +257,26 @@ class TestAlternationWork:
     def test_acyclic_game_is_linear(self, monkeypatch):
         """Win-game over an *n*-move chain: every position is a component
         of its own, decided by one evaluation per pass, so doubling the
-        chain doubles the ``holds`` calls.  Alternating the whole system
-        made ~n rounds of ~n calls: 3.96x here."""
+        chain doubles the ``holds`` calls — every compiled node's, as
+        the walk it replaced counted its visits.  Alternating the whole
+        system made ~n rounds of ~n calls: 3.96x here."""
         from repro.core import valid_eval
         from repro.core.algebra_to_datalog import translation_registry
         from repro.corpus import algebra_case, chain, edges_to_relation
 
         calls = []
-        holds = valid_eval._System.holds
+        compile_holds = valid_eval._System._holds
 
-        def counting(self, *args):
-            calls.append(1)
-            return holds(self, *args)
+        def counting(self, *node_and_polarity):
+            holds = compile_holds(self, *node_and_polarity)
 
-        monkeypatch.setattr(valid_eval._System, "holds", counting)
+            def counted(*args):
+                calls.append(1)
+                return holds(*args)
+
+            return counted
+
+        monkeypatch.setattr(valid_eval._System, "_holds", counting)
         program = algebra_case("win-game").program
         counts = []
         for n in (24, 48):

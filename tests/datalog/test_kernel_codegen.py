@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import repro.datalog.kernel as kernel_module
 import tests.property.test_kernel_plans as plans
-from repro.datalog.ast import Comparison, Const, Literal, PredAtom, Rule, Var
+from repro.datalog.ast import Comparison, Const, FuncTerm, Literal, PredAtom, Rule, Var
 from repro.datalog.kernel import HEAD, NEW, OLD, JoinKernel, compile_plan
 from repro.datalog.parser import parse_program
 from repro.relations.values import Atom
@@ -247,6 +247,70 @@ def test_one_loop_per_function_changes_nothing(data, rule, store, before, after)
         rule, lead, lead_rows, before, after, facts, plus, minus
     )
     assert split[1] == whole[1]
+
+
+# -- function symbols, bound once per firing --------------------------------------
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The names every ``FunctionRegistry.get`` looks up."""
+    from repro.relations.universe import FunctionRegistry
+
+    names = []
+    get = FunctionRegistry.get
+
+    def counting(self, name):
+        names.append(name)
+        return get(self, name)
+
+    monkeypatch.setattr(FunctionRegistry, "get", counting)
+    return names
+
+
+def test_a_firing_looks_each_function_symbol_up_once(lookups):
+    kernel = _kernel({"e": {(n,) for n in range(40)}})
+    plan = kernel.plan(_rule("p(succ(X)) :- e(X)."))
+    assert sorted(kernel.fire(plan)) == [(n + 1,) for n in range(40)]
+    assert lookups == ["succ"]
+    kernel.fire(plan, as_set=True)
+    assert lookups == ["succ", "succ"]
+
+
+def test_a_continuation_takes_its_binding_from_the_firing(lookups):
+    """The 25-literal chain with ``Y = succ(X25)`` after its last link:
+    the assignment runs in the second function, once per walk, on the
+    binding the first function made once."""
+    xs = [Var(f"X{i}") for i in range(26)]
+    y = Var("Y")
+    chain = _chain(25)
+    rule = Rule(
+        PredAtom("p", (xs[0], y)),
+        chain.body + (Comparison("=", y, FuncTerm("succ", (xs[25],))),),
+    )
+    edges = {(i, i + 1) for i in range(30)} | {(3, 40), (40, 41), (41, 5), (9, 10)}
+    kernel = _kernel({"e": edges})
+    plan = kernel.plan(rule)
+    produced = kernel.fire(plan)
+    walks = _walks(edges, 25, None, None)
+    assert sum(walks.values()) > 1  # the continuation runs more than once
+    assert Counter(produced) == Counter(
+        {(first, last + 1): count for (first, last), count in walks.items()}
+    )
+    assert lookups == ["succ"]
+    (function,) = _functions(plan)
+    first, rest = function.source.split("def c1(")
+    assert "resolve(" in first and "resolve(" not in rest
+
+
+def test_an_unknown_function_fails_at_the_first_row_that_reaches_it():
+    kernel = _kernel({"e": set()})
+    plan = kernel.plan(_rule("p(Y) :- e(X), Y = nosuch(X)."))
+    assert kernel.fire(plan) == []
+    kernel.add("e", (1,))
+    with pytest.raises(KeyError) as raised:
+        kernel.fire(plan)
+    assert raised.value.args == ("unknown domain function: 'nosuch'",)
 
 
 # -- no client text in the source ----------------------------------------------

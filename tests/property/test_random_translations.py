@@ -26,7 +26,7 @@ from repro.core.expressions import (
     rel,
     setconst,
 )
-from repro.core.funcs import Arg, Comp, CompareTest, Lit
+from repro.core.funcs import Arg, Comp, CompareTest, Lit, NotTest
 from repro.core.positivity import is_monotone_semantically
 from repro.core.evaluator import NonTerminating
 from repro.core.programs import AlgebraProgram, Definition, Dialect
@@ -53,6 +53,8 @@ def _combine(children):
         st.tuples(children, children).map(lambda p: Diff(*p)),
         st.tuples(children, children).map(lambda p: Product(*p)),
         children.map(lambda e: Select(e, CompareTest("!=", Arg(), Lit(c)))),
+        # ¬ over a comparison undefined off pairs: selects nothing there
+        children.map(lambda e: Select(e, NotTest(CompareTest("=", Comp(Arg(), 1), Lit(a))))),
         children.map(lambda e: project(Product(e, setconst(a)), 1)),
     )
 

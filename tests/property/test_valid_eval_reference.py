@@ -47,13 +47,15 @@ from repro.core.funcs import (
     MkTup,
     NotTest,
     OrTest,
+    compile_scalar,
+    compile_test,
 )
 from repro.core.programs import AlgebraProgram, Definition, Dialect
 from repro.core.valid_eval import EvalLimits, IfpThroughRecursion, valid_evaluate
 from repro.relations import Atom, Relation, Universe, tup
 
 from .test_random_translations import _combine
-from .valid_eval_reference import reference_valid_evaluate
+from .valid_eval_reference import eval_scalar, eval_test, reference_valid_evaluate
 
 REGISTRY = translation_registry()
 
@@ -157,6 +159,25 @@ def _agree(s_body, t_body, universe):
 
 
 windows = st.sampled_from([None, WINDOW])
+
+#: Every member the random systems draw from: atoms, naturals, flat
+#: pairs and ``N``'s nested pair, so each ``x.i.j`` path is undefined on
+#: some of them.
+MEMBERS = [*WINDOW, *(member for relation in ENV.values() for member in relation.items)]
+
+
+@given(tests, st.one_of(scalars, functions))
+@settings(max_examples=300, deadline=None)
+def test_compiled_tests_and_scalars_match_the_walks(test, function):
+    """The closures ``σ`` and ``MAP`` run are the walks they replaced, on
+    every member; ``¬`` included, over paths undefined on some."""
+    compiled = compile_test(test, REGISTRY)
+    negated = compile_test(NotTest(test), REGISTRY)
+    scalar = compile_scalar(function, REGISTRY)
+    for member in MEMBERS:
+        assert compiled(member) == eval_test(test, member, REGISTRY), member
+        assert negated(member) == eval_test(NotTest(test), member, REGISTRY), member
+        assert scalar(member) == eval_scalar(function, member, REGISTRY), member
 
 
 @given(bodies, bodies, windows)

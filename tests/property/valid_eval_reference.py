@@ -8,6 +8,17 @@ is slow and obviously right, and it is moved here **verbatim** — the way
 PR 16 kept a brute-force grounder in ``test_grounder_reference.py`` — so
 ``test_valid_eval_reference.py`` can hold the compiled evaluator to it:
 same ``true`` / ``undefined`` / ``candidates``, same exceptions.
+
+The evaluator compiles ``σ`` tests and ``MAP`` functions to closures
+(``repro.core.funcs.compile_test`` / ``compile_scalar``); the walks they
+replaced are kept here too, as :func:`eval_scalar` / :func:`eval_test`,
+so the oracle does not check the compiled closures against themselves.
+They are copied verbatim from ``repro.core.funcs`` with one semantic
+edit: ``eval_test`` carries ``¬`` down to the comparison as its
+complement, so a comparison with an undefined operand (or an order
+comparison across sorts) selects nothing at either polarity.  ``holds``
+has the matching edit: where a subtraction's ``¬`` reaches a ``σ``
+with no ``×`` or ``MAP`` between, it reads the test's complement.
 """
 
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set
@@ -24,12 +35,99 @@ from repro.core.expressions import (
     SetConst,
     Union,
 )
-from repro.core.funcs import eval_scalar, eval_test
+from repro.core.formula import COMPLEMENT_OP
+from repro.core.funcs import (
+    AndTest,
+    Apply,
+    Arg,
+    Comp,
+    CompareTest,
+    Lit,
+    MkTup,
+    NotTest,
+    OrTest,
+    ScalarExpr,
+    Test,
+    TrueTest,
+)
 from repro.core.programs import AlgebraProgram
 from repro.core.valid_eval import EvalLimits, ValidEvalResult, _eliminate_ifp
+from repro.datalog.binding import _compare
 from repro.relations.relation import Relation
 from repro.relations.universe import FunctionRegistry, Universe
 from repro.relations.values import Tup, Value
+
+
+def eval_scalar(
+    expr: ScalarExpr, member: Value, registry: Optional[FunctionRegistry] = None
+) -> Optional[Value]:
+    """Evaluate a scalar expression on a member.
+
+    Returns ``None`` when undefined: a component of a non-tuple or
+    out-of-range index, or a partial domain function off its domain.
+    MAP simply drops members its function is undefined on — the paper's
+    functions are total on their intended sorts, and partiality is how a
+    first-order implementation expresses "wrong sort".
+    """
+    if isinstance(expr, Arg):
+        return member
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Comp):
+        child = eval_scalar(expr.child, member, registry)
+        if not isinstance(child, Tup) or not 1 <= expr.index <= len(child):
+            return None
+        return child.component(expr.index)
+    if isinstance(expr, MkTup):
+        values = []
+        for item in expr.items:
+            value = eval_scalar(item, member, registry)
+            if value is None:
+                return None
+            values.append(value)
+        return Tup(tuple(values))
+    if isinstance(expr, Apply):
+        values = []
+        for arg in expr.args:
+            value = eval_scalar(arg, member, registry)
+            if value is None:
+                return None
+            values.append(value)
+        if registry is None:
+            raise KeyError(f"no registry supplied for function {expr.name!r}")
+        return registry.get(expr.name).apply(tuple(values))
+    raise TypeError(f"not a scalar expression: {expr!r}")
+
+
+def eval_test(
+    test: Test,
+    member: Value,
+    registry: Optional[FunctionRegistry] = None,
+    negated: bool = False,
+) -> bool:
+    """Evaluate a selection test (its negation, ``negated``) on a member.
+
+    A comparison whose scalar operands are undefined is false (so the
+    member is not selected), and so is its complement, which is what
+    ``¬`` reads; boolean connectives are classical (De Morgan under
+    ``¬``).
+    """
+    if isinstance(test, TrueTest):
+        return not negated
+    if isinstance(test, CompareTest):
+        left = eval_scalar(test.left, member, registry)
+        right = eval_scalar(test.right, member, registry)
+        if left is None or right is None:
+            return False
+        return _compare(COMPLEMENT_OP[test.op] if negated else test.op, left, right)
+    if isinstance(test, NotTest):
+        return eval_test(test.child, member, registry, not negated)
+    if isinstance(test, (AndTest, OrTest)):
+        conjunction = isinstance(test, AndTest) != negated
+        if eval_test(test.left, member, registry, negated) != conjunction:
+            return not conjunction
+        return eval_test(test.right, member, registry, negated)
+    raise TypeError(f"not a test: {test!r}")
 
 
 def _positive_call_names(expr: Expr, positive: bool = True) -> FrozenSet[str]:
@@ -183,26 +281,32 @@ class _System:
         state: Mapping[str, Set[Value]],
         oracle: Callable[[str, Value], bool],
         positive: bool,
+        negated: bool = False,
     ) -> bool:
         """Membership of ``value`` in ``node``.
 
         System-set references read ``state`` at positive polarity; at
         negative polarity ``value ∈ S`` is *false* exactly when the oracle
         licenses the assumption ``value ∉ S`` (and true otherwise, i.e.
-        possibly-true memberships block subtraction).
+        possibly-true memberships block subtraction).  ``negated``: a
+        subtraction's ``¬`` reaches the node's ``σ`` tests with no ``×``
+        or ``MAP`` between, and a member leaves ``σ[t](E)`` there only
+        where ``t``'s complement holds.
         """
         if isinstance(node, RelVar):
             return value in self.environment[node.name].items
         if isinstance(node, SetConst):
             return value in node.values
         if isinstance(node, Union):
-            return self.holds(value, node.left, state, oracle, positive) or self.holds(
-                value, node.right, state, oracle, positive
-            )
+            return self.holds(
+                value, node.left, state, oracle, positive, negated
+            ) or self.holds(value, node.right, state, oracle, positive, negated)
         if isinstance(node, Diff):
-            if not self.holds(value, node.left, state, oracle, positive):
+            if not self.holds(value, node.left, state, oracle, positive, negated):
                 return False
-            return not self.holds(value, node.right, state, oracle, not positive)
+            return not self.holds(
+                value, node.right, state, oracle, not positive, not negated
+            )
         if isinstance(node, Product):
             if not isinstance(value, Tup) or len(value) != 2:
                 return False
@@ -210,9 +314,12 @@ class _System:
                 value.component(1), node.left, state, oracle, positive
             ) and self.holds(value.component(2), node.right, state, oracle, positive)
         if isinstance(node, Select):
-            if not eval_test(node.test, value, self.registry):
+            if negated:
+                if eval_test(node.test, value, self.registry, negated=True):
+                    return False
+            elif not eval_test(node.test, value, self.registry):
                 return False
-            return self.holds(value, node.child, state, oracle, positive)
+            return self.holds(value, node.child, state, oracle, positive, negated)
         if isinstance(node, Map):
             for preimage in self.map_preimages.get(id(node), {}).get(value, ()):
                 if self.holds(preimage, node.child, state, oracle, positive):

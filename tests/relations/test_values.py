@@ -164,8 +164,16 @@ class TestTup:
         assert len(tup(1, 2, 3)) == 3
 
     def test_rejects_non_values(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="not a valid complex-object value"):
             Tup((object(),))
+        with pytest.raises(TypeError, match="not a valid complex-object value"):
+            Tup((1, 2.5))
+
+    def test_accepts_subclasses_of_the_value_types(self):
+        class Count(int):
+            pass
+
+        assert Tup((Count(3), Atom("a"))).component(1) == 3
 
     def test_repr(self):
         assert repr(tup(Atom("a"), 1)) == "[a, 1]"
