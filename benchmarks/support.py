@@ -19,6 +19,7 @@ The result tables survive in ``benchmarks/results/`` either way.
 from __future__ import annotations
 
 import atexit
+import gc
 import time
 from pathlib import Path
 from typing import Dict, List, Sequence
@@ -83,3 +84,13 @@ def timed(func, *args, **kwargs):
     start = time.perf_counter()
     result = func(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def best_of(func, *args, rounds: int = 5, **kwargs):
+    """(result, seconds) of the fastest of ``rounds`` calls, after a full
+    collection — so a cyclic-GC pass landing in one call is not the row."""
+    gc.collect()
+    return min(
+        (timed(func, *args, **kwargs) for _round in range(rounds)),
+        key=lambda outcome: outcome[1],
+    )

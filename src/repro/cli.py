@@ -150,7 +150,7 @@ def _load_relations(path: Optional[str]) -> dict:
     syntax, e.g. ``MOVE = {[a, b], [b, c]};``."""
     if path is None:
         return {}
-    from .core.evaluator import evaluate
+    from .core.valid_eval import evaluate
     from .lang.parser import parse_algebra_program
 
     facts_program = parse_algebra_program(Path(path).read_text())

@@ -18,6 +18,7 @@ called operation names, and perform (capture-avoiding) substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from ..relations.values import Value, format_value, is_value
@@ -245,12 +246,22 @@ def _rebuild(expr: Expr, rewrite) -> Expr:
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace free relation variables by expressions (capture-avoiding:
-    an ``Ifp`` parameter shadows any mapping entry of the same name)."""
+    """Replace free relation variables by expressions, capture-avoiding:
+    an ``Ifp`` parameter shadows any mapping entry of the same name, and
+    is renamed to a fresh name when it is free in an expression put in
+    its scope (``IFP[X. Y × {b}]`` with ``Y := X`` is ``IFP[X_1. X × {b}]``)."""
     if isinstance(expr, RelVar):
         return mapping.get(expr.name, expr)
     if isinstance(expr, Ifp):
-        mapping = {name: value for name, value in mapping.items() if name != expr.param}
+        free = free_rel_vars(expr)
+        mapping = {name: value for name, value in mapping.items() if name in free}
+        outside = set().union(*map(free_rel_vars, mapping.values()))
+        if expr.param in outside:
+            taken = outside | free_rel_vars(expr.body)
+            names = (f"{expr.param}_{n}" for n in count(1))
+            fresh = next(name for name in names if name not in taken)
+            body = substitute(expr.body, {expr.param: RelVar(fresh)})
+            return Ifp(fresh, substitute(body, mapping))
     return _rebuild(expr, lambda node: substitute(node, mapping))
 
 

@@ -25,7 +25,8 @@ Proposition 5.4 translation), and the complemented comparison is false
 there too — so ``σ[¬(x.1 = a)]`` does not select ``b``, which has no
 first component.  The same holds where a subtraction's ``¬`` reaches a
 ``σ`` with no ``×`` or ``MAP`` between (the translation's NNF pushes it
-onto the comparisons there): the evaluators take a member out of
+onto the comparisons there): :mod:`~repro.core.valid_eval`, the one
+algebra evaluator (every dialect), takes a member out of
 ``σ[t](E)`` only where ``t``'s complement holds
 (:func:`compile_selection`), so ``A − σ[¬(x.1 = a)](A)`` keeps ``b``
 out as well.

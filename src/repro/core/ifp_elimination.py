@@ -26,11 +26,10 @@ from ..relations.relation import Relation
 from ..relations.universe import FunctionRegistry
 from .algebra_to_datalog import translate_expression, translation_registry
 from .datalog_to_algebra import datalog_to_algebra
-from .evaluator import evaluate
 from .expressions import Expr, Ifp, walk
 from .programs import AlgebraProgram
 from .staging import stage_program
-from .valid_eval import valid_evaluate
+from .valid_eval import evaluate, valid_evaluate
 
 __all__ = ["IfpFreeQuery", "eliminate_ifp", "eliminate_ifp_auto"]
 

@@ -133,7 +133,7 @@ def is_monotone_semantically(
     exhaustive only for small candidate pools, but disagreement with the
     syntactic criterion on any checked pair is conclusive.
     """
-    from .evaluator import evaluate
+    from .valid_eval import evaluate
 
     pool = list(candidates)
     if len(pool) > 10:

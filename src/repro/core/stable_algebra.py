@@ -81,8 +81,9 @@ def stable_set_models(
     Raises :class:`TooManyChoiceAtoms` past ``max_choice_memberships``
     undefined memberships.
     """
+    equations = {d.name: d.body for d in program.to_constant_system().definitions}
     system = _System(
-        program, environment, registry, limits, universe, max_ifp_iterations
+        equations, environment, registry, limits, universe, max_ifp_iterations
     )
     valid = system.valid_model()
     choices: List[Tuple[str, Value]] = [

@@ -47,24 +47,37 @@ requires).
 ``IFP`` nodes are pre-eliminated when their bodies do not reach a
 recursive name (they are then ordinary IFP-algebra subqueries, total by
 Theorem 3.1); programs that recurse *through* an IFP are evaluated via the
-translation route (Corollary 3.6), and this evaluator refuses them.
+translation route (Corollary 3.6), and this evaluator refuses them.  An
+outermost IFP is handed to :func:`_inflate` whole, so an inner one may
+read its parameter: Section 3.1's inflationary iteration, each stage one
+:func:`evaluate` of the body with the parameter bound to the stages so
+far.
+
+The plain ``algebra`` / ``IFP-algebra`` dialects are special cases, not a
+second evaluator: their non-recursive definitions are sugar, inlined, and
+:func:`evaluate` solves the expression as a one-equation system, whose
+valid model is total.  It keeps no cap on that system's candidates — a
+non-recursive system always closes — so ``max_iterations`` on each IFP
+is its only bound; a recursive call left in the expression raises
+:class:`RecursionNotSupported`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..digraph import strongly_connected_components
+from ..robustness import EvaluationBudget, NonTerminating
 from ..relations.relation import Relation
 from ..relations.universe import FunctionRegistry, Universe
 from ..relations.values import Tup, Value
 from ..datalog.ast import BodyItem, Comparison, FuncTerm, Literal, PredAtom, Rule, Var
 from ..datalog.kernel import JoinKernel
 from ..datalog.semantics.interpretations import Truth
-from .evaluator import NonTerminating, evaluate
 from .expressions import (
     Call,
     Diff,
@@ -78,17 +91,25 @@ from .expressions import (
     Union,
     _rebuild,
     called_names,
+    free_rel_vars,
     walk,
 )
 from .funcs import AndTest, Apply, Arg, Comp, CompareTest, MkTup, ScalarExpr, Test
 from .funcs import Predicate, Scalar, compile_scalar, compile_selection
 from .programs import AlgebraProgram, ProgramError
 
-__all__ = ["EvalLimits", "ValidEvalResult", "valid_evaluate", "IfpThroughRecursion"]
+__all__ = [
+    "EvalLimits", "ValidEvalResult", "valid_evaluate", "IfpThroughRecursion",
+    "evaluate", "evaluate_query", "NonTerminating", "RecursionNotSupported",
+]
 
 
 class IfpThroughRecursion(ProgramError):
     """An IFP body reaches a recursive name; use the translation route."""
+
+
+class RecursionNotSupported(ValueError):
+    """A recursive call reached the two-valued :func:`evaluate`."""
 
 
 @dataclass(frozen=True)
@@ -156,21 +177,50 @@ class ValidEvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _eliminate_ifp(
-    expr: Expr, recursive: FrozenSet[str], value_of: Callable[[Ifp], Relation]
-) -> Expr:
-    """Replace IFP nodes that do not reach a recursive name by their
-    (two-valued, total — Theorem 3.1) value."""
+def _eliminate_ifp(expr: Expr, inflate: Callable[[Ifp], Relation]) -> Expr:
+    """Replace each outermost IFP node by its (two-valued, total —
+    Theorem 3.1) value, ``inflate`` of the node whole.  Every call left
+    in a system of equations is to a recursive name, so an IFP body
+    reaching one recurses through the IFP."""
     if not isinstance(expr, Ifp):
-        return _rebuild(expr, lambda node: _eliminate_ifp(node, recursive, value_of))
+        return _rebuild(expr, lambda node: _eliminate_ifp(node, inflate))
     reached = called_names(expr.body)
-    if reached & recursive:
+    if reached:
         raise IfpThroughRecursion(
-            f"IFP over {sorted(reached & recursive)} recursive names; "
+            f"IFP over {sorted(reached)} recursive names; "
             f"evaluate via algebra_to_datalog instead (Corollary 3.6)"
         )
-    body = _eliminate_ifp(expr.body, recursive, value_of)
-    return SetConst(value_of(Ifp(expr.param, body)).items)
+    return SetConst(inflate(expr).items)
+
+
+def _inflate(
+    node: Ifp,
+    environment: Mapping[str, Relation],
+    registry: Optional[FunctionRegistry],
+    max_iterations: int,
+    budget: Optional[EvaluationBudget],
+) -> Relation:
+    """A closed IFP's value, by Section 3.1's inflationary iteration:
+    from the empty set, each stage evaluates the body with the parameter
+    bound to the result so far, and accumulates."""
+    stage = dict(environment)
+    current = Relation.empty()
+    for _step in range(max_iterations):
+        if budget is not None:
+            budget.note_iteration(phase="ifp")
+        stage[node.param] = current
+        body = evaluate(node.body, stage, registry, None, max_iterations, budget)
+        accumulated = current.union(body)
+        if accumulated == current:
+            return current
+        if budget is not None:
+            budget.charge_facts(len(accumulated) - len(current))
+        current = accumulated
+    raise NonTerminating(
+        f"IFP did not converge within {max_iterations} iterations "
+        f"(the fixed point may be an infinite set)",
+        progress=budget.progress if budget is not None else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +427,25 @@ class _Compiler:
 
 
 class _System:
-    """A program as a normalised system of 0-ary set equations (closed
-    IFPs pre-evaluated), plus its candidate universe and the ``MAP``
-    indexes membership is walked back through."""
+    """A system of 0-ary set equations (closed IFPs pre-evaluated, each
+    under ``max_ifp_iterations`` and ``budget``), plus its candidate
+    universe and the ``MAP`` indexes membership is walked back through."""
 
     def __init__(
         self,
-        program: AlgebraProgram,
+        equations: Mapping[str, Expr],
         environment: Mapping[str, Relation],
         registry: Optional[FunctionRegistry],
         limits: EvalLimits,
         universe: Optional[Universe],
         max_ifp_iterations: int,
+        budget: Optional[EvaluationBudget] = None,
     ):
-        system_program = program.to_constant_system()
-        recursive = system_program.recursive_names()
-        closed = lambda node: evaluate(  # noqa: E731
-            node, environment, registry, system_program, max_ifp_iterations
+        inflate = lambda node: _inflate(  # noqa: E731
+            node, environment, registry, max_ifp_iterations, budget
         )
         self.equations = equations = {
-            definition.name: _eliminate_ifp(definition.body, recursive, closed)
-            for definition in system_program.definitions
+            name: _eliminate_ifp(body, inflate) for name, body in equations.items()
         }
         self.environment = environment
         self.registry = registry
@@ -425,11 +473,22 @@ class _System:
         self.holds: Dict[str, _Holds] = {
             name: self._holds(body, True, False) for name, body in equations.items()
         }
-        # The membership graph: (name, value) reads what ``holds`` may
-        # read for it, its components in dependency order, and per
-        # membership the members of its own component that read it.
+        holds = self.holds
+        #: Per equation with no call in it, its members: each reads
+        #: nothing and is decided by one evaluation, before any component.
+        self.call_free: Dict[str, FrozenSet[Value]] = {
+            name: frozenset(v for v in self.cand_sys[name] if holds[name](v, {}, None))
+            for name, body in equations.items()
+            if not called_names(body)
+        }
+        # The membership graph of the other equations: (name, value)
+        # reads what ``holds`` may read for it, its components in
+        # dependency order, and per membership the members of its own
+        # component that read it.
         reads: Dict[_Node, List[_Node]] = {}
         for name, body in equations.items():
+            if name in self.call_free:
+                continue
             collect = self._reads(body, False)
             for value in self.cand_sys[name]:
                 collect(value, reads.setdefault((name, value), []))
@@ -588,6 +647,8 @@ class _System:
         nothing (:func:`_no_reads`) and is not walked."""
         if isinstance(node, Call):
             name, candidates = node.name, self.cand_sys[node.name]
+            if name in self.call_free:
+                return _no_reads
 
             def call(value: Value, reads: List[_Node]) -> None:
                 if value in candidates:
@@ -665,12 +726,17 @@ class _System:
                 added = True
         return added
 
+    def _decided(self) -> Dict[str, Set[Value]]:
+        """A derivation state holding what is decided before any
+        component: the call-free equations' members."""
+        return {name: set(self.call_free.get(name, ())) for name in self.equations}
+
     def least_model(
         self, oracle: Callable[[str, Value], bool]
     ) -> Dict[str, FrozenSet[Value]]:
         """The equations' least fixpoint with every negative reference
         answered by ``oracle``, one component after another."""
-        state: Dict[str, Set[Value]] = {name: set() for name in self.equations}
+        state = self._decided()
         for component in self.components:
             self._least(component, state, oracle)
         return {name: frozenset(members) for name, members in state.items()}
@@ -711,9 +777,8 @@ class _System:
 
     def valid_model(self) -> ValidEvalResult:
         """The paper's Section 2.2 loop, one component at a time."""
-        true: Dict[str, Set[Value]] = {name: set() for name in self.equations}
-        over: Dict[str, Set[Value]] = {name: set() for name in self.equations}
-        rounds = 0
+        true, over = self._decided(), self._decided()
+        rounds = int(any(self.cand_sys[name] for name in self.call_free))
         for component in self.components:
             rounds = max(rounds, self._alternate(component, true, over))
         return ValidEvalResult(
@@ -737,8 +802,69 @@ def valid_evaluate(
     ``environment`` binds the database relations.  ``universe``, when
     given, bounds value creation by MAP (the window of the bounded-universe
     discipline); without it, programs that generate unboundedly raise
-    :class:`~repro.core.evaluator.NonTerminating`.
+    :class:`~repro.robustness.NonTerminating`.
     """
+    equations = {d.name: d.body for d in program.to_constant_system().definitions}
     return _System(
-        program, environment, registry, limits, universe, max_ifp_iterations
+        equations, environment, registry, limits, universe, max_ifp_iterations
     ).valid_model()
+
+
+#: A non-recursive system's candidates are finite: no cap on their count.
+_NONRECURSIVE = EvalLimits(max_values=sys.maxsize)
+
+
+def evaluate(
+    expr: Expr,
+    environment: Mapping[str, Relation],
+    registry: Optional[FunctionRegistry] = None,
+    program: Optional[AlgebraProgram] = None,
+    max_iterations: int = 10_000,
+    budget: Optional[EvaluationBudget] = None,
+) -> Relation:
+    """Evaluate a non-recursive (``algebra`` / ``IFP-algebra``)
+    expression to a relation.
+
+    ``environment`` binds database relations and any enclosing parameters;
+    ``program`` (optional) supplies definitions for non-recursive calls,
+    inlined first.  The expression is then the one equation of a system
+    whose valid model is total.  ``max_iterations`` bounds each IFP's
+    stages, and ``budget`` adds wall-clock/step governance to them.
+    """
+    if program is not None:
+        expr = program.inline_nonrecursive(expr)
+    for node in walk(expr):
+        if isinstance(node, Call):
+            if program is None:
+                raise RecursionNotSupported(
+                    f"call to {node.name!r} without a program in scope"
+                )
+            raise RecursionNotSupported(
+                f"{node.name!r} is recursively defined; recursive programs "
+                f"have three-valued semantics — use repro.core.valid_eval"
+            )
+    unbound = free_rel_vars(expr) - environment.keys()
+    if unbound:
+        raise KeyError(f"unbound relation variable {min(unbound)!r}")
+    system = _System(
+        {"@q": expr}, environment, registry, _NONRECURSIVE, None, max_iterations, budget
+    )
+    return Relation(system.valid_model().true["@q"])
+
+
+def evaluate_query(
+    program: AlgebraProgram,
+    result: str,
+    environment: Mapping[str, Relation],
+    registry: Optional[FunctionRegistry] = None,
+    max_iterations: int = 10_000,
+    budget: Optional[EvaluationBudget] = None,
+) -> Relation:
+    """Evaluate a named (non-recursive) query constant of a program."""
+    definition = program.definition(result)
+    if definition.params:
+        raise ValueError(f"query constant {result!r} must be 0-ary")
+    value = evaluate(
+        definition.body, environment, registry, program, max_iterations, budget
+    )
+    return value.renamed(result)

@@ -33,7 +33,7 @@ from repro.core.expressions import (
 )
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit, MkTup, NotTest
 from repro.core.programs import AlgebraProgram, Definition, Dialect
-from repro.core.evaluator import evaluate, evaluate_query
+from repro.core import evaluate, evaluate_query
 from repro.core.valid_eval import IfpThroughRecursion, valid_evaluate
 from repro.core.encoding import environment_to_database
 from repro.datalog import Database, run

@@ -5,7 +5,7 @@ import pytest
 from repro.core.algebra_to_datalog import translation_registry
 from repro.core.datalog_to_algebra import datalog_to_algebra, rule_to_expression
 from repro.core.encoding import UNIT, database_to_environment
-from repro.core.evaluator import evaluate
+from repro.core import evaluate
 from repro.core.expressions import Call, RelVar
 from repro.core.programs import Dialect
 from repro.core.valid_eval import valid_evaluate

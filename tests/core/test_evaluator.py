@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.evaluator import NonTerminating, RecursionNotSupported, evaluate, evaluate_query
+from repro.core import NonTerminating, RecursionNotSupported, evaluate, evaluate_query
 from repro.core.expressions import (
     call,
     diff,

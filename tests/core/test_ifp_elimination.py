@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.algebra_to_datalog import translation_registry
-from repro.core.evaluator import evaluate
+from repro.core import evaluate
 from repro.core.expressions import diff, ifp, map_, product, rel, select, setconst, union
 from repro.core.funcs import Arg, Comp, CompareTest, MkTup
 from repro.core.ifp_elimination import eliminate_ifp, eliminate_ifp_auto

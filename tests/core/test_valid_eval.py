@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.evaluator import NonTerminating
+from repro.core import NonTerminating, evaluate, evaluate_query
+from repro.core.algebra_to_datalog import translation_registry
+from repro.core.equivalence import algebra_answers_translated
 from repro.core.expressions import (
     call,
     diff,
@@ -181,6 +183,46 @@ class TestIfpHandling:
         )
         with pytest.raises(IfpThroughRecursion):
             valid_evaluate(program, {})
+
+
+class TestTwoValuedDialects:
+    """``evaluate`` runs on the same compiled system: a non-recursive
+    expression is one equation, an IFP a loop of its stages."""
+
+    def test_inlined_call_does_not_capture_an_ifp_parameter(self):
+        """``F(Y) = IFP[X. Y × {b}]`` called on the database relation
+        ``X``: the argument must not be read as the IFP's own ``X``."""
+        program = AlgebraProgram.of(
+            Definition("F", ("Y",), ifp("X", product(rel("Y"), setconst(b)))),
+            Definition("S", (), call("F", rel("X"))),
+            database_relations=["X"],
+            dialect=Dialect.IFP_ALGEBRA_EQ,
+        )
+        env = {"X": Relation.of(a, name="X")}
+        registry = translation_registry()
+        expected = {tup(a, b)}
+        assert evaluate_query(program, "S", env, registry) == expected
+        assert valid_evaluate(program, env, registry).true["S"] == expected
+        translated = algebra_answers_translated(program, env, registry)["S"]
+        assert translated.true == expected and not translated.undefined
+
+    def test_nested_ifp_reads_the_outer_parameter(self):
+        """``IFP[X. A ∪ IFP[Y. X]]``: the inner IFP is a closed query only
+        once the outer stage binds ``X``."""
+        program = AlgebraProgram.of(
+            Definition("S", (), ifp("X", union(rel("A"), ifp("Y", rel("X"))))),
+            database_relations=["A"],
+            dialect=Dialect.IFP_ALGEBRA,
+        )
+        env = {"A": Relation.of(a, b, name="A")}
+        assert valid_evaluate(program, env).true["S"] == {a, b}
+        assert evaluate_query(program, "S", env) == {a, b}
+
+    def test_nonrecursive_query_has_no_candidate_cap(self):
+        """A non-recursive system always closes, so 250,000 pairs are an
+        answer, not ``EvalLimits.max_values``' ``NonTerminating``."""
+        atoms = Relation((Atom(f"v{i}") for i in range(500)), name="A")
+        assert len(evaluate(product(rel("A"), rel("A")), {"A": atoms})) == 250_000
 
 
 class TestResultApi:

@@ -9,7 +9,7 @@ test suite but are otherwise only exercised indirectly.
 
 import pytest
 
-from repro.core.evaluator import NonTerminating
+from repro.core import NonTerminating
 from repro.core.expressions import call, diff, map_, product, rel, select, setconst, union
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit
 from repro.core.programs import AlgebraProgram, Definition, Dialect

@@ -11,7 +11,7 @@ query has an equivalent d.i. deductive query (under valid semantics).
 import pytest
 
 from repro.core.algebra_to_datalog import translate_expression, translation_registry
-from repro.core.evaluator import evaluate
+from repro.core import evaluate
 from repro.core.expressions import diff, ifp, map_, product, rel, select, setconst, union
 from repro.core.funcs import Apply, Arg, Comp, CompareTest, Lit, MkTup
 from repro.core.staging import run_staged

@@ -5,7 +5,7 @@ MEM(a, S) = T iff MEM(a, IFP_exp) = T, and likewise for F.
 
 import pytest
 
-from repro.core.evaluator import evaluate
+from repro.core import evaluate
 from repro.core.expressions import (
     call,
     diff,

@@ -16,7 +16,7 @@ from repro.core.algebra_to_datalog import translate_expression, translation_regi
 from repro.core.datalog_to_algebra import datalog_to_algebra
 from repro.core.encoding import database_to_environment
 from repro.core.equivalence import check_datalog_roundtrip
-from repro.core.evaluator import evaluate
+from repro.core import evaluate
 from repro.core.expressions import ifp, map_, product, rel, select, union
 from repro.core.funcs import Arg, Comp, CompareTest, MkTup
 from repro.core.positivity import is_positive_ifp_expr

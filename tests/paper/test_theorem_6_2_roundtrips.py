@@ -26,7 +26,7 @@ from repro.core.equivalence import (
     check_datalog_roundtrip,
     datalog_answers,
 )
-from repro.core.evaluator import evaluate
+from repro.core import evaluate
 from repro.core.expressions import diff, ifp, rel, setconst
 from repro.core.staging import run_staged, stage_program
 from repro.core.valid_eval import valid_evaluate

@@ -1,4 +1,10 @@
-"""Two-valued evaluation of algebra and IFP-algebra queries.
+"""The two-valued tree walk, kept as the differential oracle.
+
+Until it was retired, this walk evaluated the plain ``algebra`` /
+``IFP-algebra`` dialects beside :mod:`repro.core.valid_eval`; now
+:func:`repro.core.evaluate` solves such an expression as a one-equation
+system on the compiled evaluator, and the walk is moved here unchanged so
+``test_algebra_walk_reference.py`` can hold that route to it.
 
 This evaluator covers the dialects *without* recursive definitions:
 expressions are evaluated directly over relations, non-recursive calls
@@ -17,22 +23,14 @@ reaches through it, and into an argument where its parameter stands.
 
 Because the paper's domains may be infinite, the iteration takes an
 explicit ``max_iterations`` bound and raises :class:`NonTerminating` when
-it is hit — the bounded-universe discipline of this reproduction.
-
-Recursive (``algebra=``) programs have *three-valued* semantics and are
-handled by :mod:`repro.core.valid_eval` instead; calling this evaluator
-on a recursive call raises :class:`RecursionNotSupported`.
+it is hit.  A recursive call raises :class:`RecursionNotSupported`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Optional
 
-from ..robustness import EvaluationBudget, NonTerminating
-from ..relations.relation import Relation
-from ..relations.universe import FunctionRegistry
-from ..relations.values import Value
-from .expressions import (
+from repro.core.expressions import (
     Call,
     Diff,
     Expr,
@@ -44,19 +42,14 @@ from .expressions import (
     SetConst,
     Union,
 )
-from .funcs import compile_scalar, compile_selection
-from .programs import AlgebraProgram
+from repro.core.funcs import compile_scalar, compile_selection
+from repro.core.programs import AlgebraProgram
+from repro.core.valid_eval import RecursionNotSupported
+from repro.relations.relation import Relation
+from repro.relations.universe import FunctionRegistry
+from repro.robustness import EvaluationBudget, NonTerminating
 
 __all__ = ["evaluate", "evaluate_query", "NonTerminating", "RecursionNotSupported"]
-
-
-# NonTerminating now lives in repro.robustness (re-exported here for
-# backwards compatibility): it is a BudgetExceeded, so IFP divergence is
-# caught by the same handlers as every other resource exhaustion.
-
-
-class RecursionNotSupported(ValueError):
-    """A recursive call reached the two-valued evaluator."""
 
 
 class _Argument:

@@ -28,7 +28,7 @@ from repro.core.expressions import (
 )
 from repro.core.funcs import Arg, Comp, CompareTest, Lit, NotTest
 from repro.core.positivity import is_monotone_semantically
-from repro.core.evaluator import NonTerminating
+from repro.core import NonTerminating
 from repro.core.programs import AlgebraProgram, Definition, Dialect
 from repro.core.valid_eval import EvalLimits, valid_evaluate
 from repro.relations import Atom, Relation

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algebra_to_datalog import translation_registry
-from repro.core.evaluator import NonTerminating
+from repro.core import NonTerminating
 from repro.core.expressions import (
     Diff,
     Map,

@@ -23,7 +23,6 @@ with no ``×`` or ``MAP`` between, it reads the test's complement.
 
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set
 
-from repro.core.evaluator import NonTerminating, evaluate
 from repro.core.expressions import (
     Call,
     Diff,
@@ -56,6 +55,9 @@ from repro.datalog.binding import _compare
 from repro.relations.relation import Relation
 from repro.relations.universe import FunctionRegistry, Universe
 from repro.relations.values import Tup, Value
+from repro.robustness import NonTerminating
+
+from .algebra_walk_reference import evaluate
 
 
 def eval_scalar(
@@ -371,10 +373,9 @@ def reference_valid_evaluate(
     ``environment`` binds the database relations.  ``universe``, when
     given, bounds value creation by MAP (the window of the bounded-universe
     discipline); without it, programs that generate unboundedly raise
-    :class:`~repro.core.evaluator.NonTerminating`.
+    :class:`~repro.robustness.NonTerminating`.
     """
     system_program = program.to_constant_system()
-    recursive = system_program.recursive_names()
 
     def closed(node):
         return evaluate(
@@ -386,7 +387,7 @@ def reference_valid_evaluate(
         )
 
     equations: Dict[str, Expr] = {
-        definition.name: _eliminate_ifp(definition.body, recursive, closed)
+        definition.name: _eliminate_ifp(definition.body, closed)
         for definition in system_program.definitions
     }
 

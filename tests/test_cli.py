@@ -148,6 +148,14 @@ class TestAlgebraCommand:
         assert "undefined members: a" in out
         assert "undefined memberships" in out
 
+    def test_nested_ifp_reads_the_outer_parameter(self, tmp_path, capsys):
+        program = tmp_path / "nested.alg"
+        program.write_text("relations A;\nS = ifp(X, A u ifp(Y, X));\n")
+        facts = tmp_path / "a.alg"
+        facts.write_text("A = {a, b};\n")
+        assert main(["algebra", str(program), "--facts", str(facts)]) == 0
+        assert "S = {a b}" in capsys.readouterr().out.splitlines()
+
 
 class TestTranslateCommand:
     def test_to_datalog(self, win_alg, capsys):
