@@ -29,11 +29,24 @@ recovered tail can never interleave with new writes.
     survives power loss (the crash-matrix guarantee);
 ``batch``
     fsync every ``fsync_every``-th append and on :meth:`sync` /
-    :meth:`rotate` / :meth:`close` — bounded loss window, much cheaper;
+    :meth:`rotate` / :meth:`close` — bounded loss window, much cheaper.
+    The every-``fsync_every``-th fsync runs on the log's one syncer
+    thread (``wal-syncer``), not the appender's: the append that
+    triggers it hands it over and returns, and the next append waits
+    only while that fsync is still in flight, so at most
+    ``fsync_every`` appended records are ever unsynced.  A failed
+    background fsync is latched: the next :meth:`append` /
+    :meth:`sync` / :meth:`rotate` / :meth:`close` raises it once its
+    own work is done, and its records stay unsynced, so the next
+    fsync covers them again;
 ``off``
     never fsync; every append still reaches the OS page cache (one
     unbuffered ``write``), so a process crash (``kill -9``) loses
     nothing — only the machine dying can.
+
+Whoever runs an fsync, the fault point ``durability.fsync`` and the
+``wal_fsyncs`` count belong to the call that asked for it, so both are
+a function of the append / sync / rotate / close sequence.
 """
 
 from __future__ import annotations
@@ -174,6 +187,8 @@ class WriteAheadLog:
 
     ``next_lsn`` is seeded by the caller (recovery hands in the highest
     lsn it saw, plus one) so a reopened log continues the sequence.
+    Under ``fsync="batch"`` the log owns one daemon syncer thread,
+    joined by :meth:`close`.
     """
 
     def __init__(
@@ -200,6 +215,19 @@ class WriteAheadLog:
         )
         self._unsynced = 0
         self._open_segment()
+        # The syncer's hand-off: ``_in_flight`` while it fsyncs, the
+        # error it hit until a caller raises it, ``_closing`` to stop it.
+        self._work = threading.Condition(self._lock)
+        self._idle = threading.Condition(self._lock)
+        self._in_flight = False
+        self._failure: Optional[BaseException] = None
+        self._closing = False
+        self._syncer: Optional[threading.Thread] = None
+        if fsync == "batch":
+            self._syncer = threading.Thread(
+                target=self._sync_in_background, name="wal-syncer", daemon=True
+            )
+            self._syncer.start()
 
     # -- internals (call with the lock held) --------------------------------
 
@@ -216,16 +244,73 @@ class WriteAheadLog:
             self.on_event(name, amount)
 
     def _fsync_now(self) -> None:
-        fault_point("durability.fsync")
+        """fsync the active segment — the only place that does, on the
+        lock holder's thread or on the syncer's while it is in flight
+        (nothing writes or swaps the segment until it lands)."""
         os.fsync(self._handle.fileno())
+
+    def _flush(self) -> None:
+        """fsync every unsynced record on the caller's thread."""
+        fault_point("durability.fsync")
+        self._fsync_now()
         self._unsynced = 0
         self._event("wal_fsyncs")
+
+    def _hand_off(self) -> None:
+        """Give the fsync of every unsynced record to the syncer.
+
+        Counted here, at the trigger; a failure is taken back from the
+        count when a caller raises it (:meth:`_raise_failure`)."""
+        fault_point("durability.fsync")
+        self._in_flight = True
+        self._event("wal_fsyncs")
+        self._work.notify()
+
+    def _settle(self) -> None:
+        """Wait until no background fsync is in flight."""
+        while self._in_flight:
+            self._idle.wait()
+
+    def _raise_failure(self) -> None:
+        """Raise the error a background fsync hit, once."""
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            self._event("wal_fsyncs", -1)
+            raise failure
+
+    # -- the syncer thread (takes the lock itself) ---------------------------
+
+    def _sync_in_background(self) -> None:
+        """The syncer: one fsync per hand-off, until :meth:`close`."""
+        while True:
+            with self._lock:
+                while not self._in_flight:
+                    if self._closing:
+                        return
+                    self._work.wait()
+            try:
+                self._fsync_now()
+            except Exception as exc:
+                failure = exc
+            else:
+                failure = None
+            with self._lock:
+                # No append runs while the fsync is in flight, so it
+                # covered every unsynced record; a failed one leaves
+                # them all unsynced for the next fsync.
+                if failure is None:
+                    self._unsynced = 0
+                else:
+                    self._failure = failure
+                self._in_flight = False
+                self._idle.notify_all()
 
     # -- the write path ------------------------------------------------------
 
     def append(self, operation: Dict[str, object]) -> int:
         """Frame, write, and (per policy) fsync one operation; its lsn."""
         with self._lock:
+            self._settle()
             fault_point("durability.append")
             lsn = self.next_lsn
             payload = _to_json({"lsn": lsn, **operation}).encode("utf-8")
@@ -235,17 +320,20 @@ class WriteAheadLog:
             self._segment_bytes += len(frame)
             self._unsynced += 1
             self._event("wal_appends")
-            if self.fsync == "always" or (
-                self.fsync == "batch" and self._unsynced >= self.fsync_every
-            ):
-                self._fsync_now()
+            if self.fsync == "always":
+                self._flush()
+            elif self.fsync == "batch" and self._unsynced >= self.fsync_every:
+                self._hand_off()
+            self._raise_failure()
             return lsn
 
     def sync(self) -> None:
         """Force everything appended so far to stable storage."""
         with self._lock:
+            self._settle()
             if self.fsync != "off" and self._unsynced:
-                self._fsync_now()
+                self._flush()
+            self._raise_failure()
 
     def rotate(self) -> int:
         """Close the active segment, start a fresh one; the boundary lsn.
@@ -254,14 +342,15 @@ class WriteAheadLog:
         closed (or older) segments — the position a checkpoint covers.
         """
         with self._lock:
+            self._settle()
             if self.fsync != "off":
-                self._fsync_now()
+                self._flush()
             self._handle.close()
             self._older_bytes += self._segment_bytes
             boundary = self.next_lsn - 1
             self._open_segment()
+            self._raise_failure()
             return boundary
-
     def prune(self, upto_lsn: int) -> int:
         """Delete segments whose records are all ``<= upto_lsn``.
 
@@ -296,11 +385,21 @@ class WriteAheadLog:
             return self.next_lsn - 1
 
     def close(self) -> None:
-        """Flush, fsync (unless ``off``), and close the active segment."""
-        with self._lock:
-            if self._handle is None:
-                return
-            if self.fsync != "off" and self._unsynced:
-                self._fsync_now()
-            self._handle.close()
-            self._handle = None
+        """Stop the syncer, fsync (unless ``off``), close the segment."""
+        try:
+            with self._lock:
+                if self._handle is None:
+                    return
+                self._closing = True
+                self._work.notify()
+                self._settle()
+                try:
+                    if self.fsync != "off" and self._unsynced:
+                        self._flush()
+                finally:
+                    self._handle.close()
+                    self._handle = None
+        finally:
+            if self._syncer is not None:
+                self._syncer.join()
+        self._raise_failure()

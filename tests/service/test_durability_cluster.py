@@ -9,12 +9,16 @@ pre-crash state:
 * graceful stop → cold start restores from the checkpoint (no replay),
 * crash (no final checkpoint) → the WAL suffix replays acked updates,
 * a drained shard stays drained and its views stay re-homed,
-* the rolled-up metrics never regress across the restart.
+* the rolled-up metrics never regress across the restart,
+* under ``fsync="batch"`` an acked write never fsyncs on the router's
+  event-loop thread; only a checkpoint does.
 """
 
 import os
 import shutil
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -167,3 +171,46 @@ def test_metrics_rollup_monotone_across_restart(workspace):
         ), key
     assert after["router"]["counters"]["recoveries"] >= 2
     assert after["router"]["durability"]["generation"] >= 2
+
+
+def test_batch_fsyncs_leave_the_router_thread(workspace, monkeypatch):
+    """The router journals every acked write; under ``batch`` the WAL's
+    syncer thread runs the every-16th fsync, so the event loop only
+    fsyncs inside a checkpoint (its rotate, the checkpoint file)."""
+    socket_path, data_dir = workspace
+    calls = []
+    in_checkpoint = []
+    fsync = os.fsync
+
+    def spy(fd):
+        calls.append((threading.current_thread().name, bool(in_checkpoint)))
+        fsync(fd)
+
+    with cluster(
+        socket_path, shards=2, data_dir=data_dir, fsync="batch", checkpoint_every=20
+    ) as router:
+        manager = router.durability
+        checkpoint = manager.checkpoint
+
+        def traced_checkpoint():
+            in_checkpoint.append(True)
+            try:
+                return checkpoint()
+            finally:
+                in_checkpoint.pop()
+
+        monkeypatch.setattr(manager, "checkpoint", traced_checkpoint)
+        monkeypatch.setattr(os, "fsync", spy)
+        with ClusterClient(socket_path) as client:
+            client.register("g", TC)
+            for index in range(48):
+                client.insert("g", f"edge(n{index}, n{index + 1})")
+        on_loop = [inside for name, inside in calls if name == "cluster-router"]
+        assert on_loop, "no checkpoint ran on the event loop"
+        assert all(on_loop), f"an acked write fsynced on the event loop: {calls}"
+        # The last hand-off may still be in flight.
+        deadline = time.monotonic() + 10
+        while sum(name == "wal-syncer" for name, _ in calls) < 2:
+            assert time.monotonic() < deadline, calls
+            time.sleep(0.01)
+        monkeypatch.setattr(os, "fsync", fsync)
